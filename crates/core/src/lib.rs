@@ -44,8 +44,8 @@
 //!   multithreaded dispatcher over the fabric and result merging.
 //! * [`merge`] — the streaming result pipeline: chunk results fold into
 //!   incremental merge state as they arrive (append / per-group fold /
-//!   top-n heap), with the row-at-a-time barrier merge kept as the
-//!   semantic oracle.
+//!   top-n heap), with the row-at-a-time collect-then-merge function
+//!   kept as the semantic oracle.
 //! * [`service`] — the concurrent query service: bounded admission with
 //!   interactive/scan classification, deficit-round-robin fair
 //!   scheduling (the Figure-14 starvation fix), and cooperative

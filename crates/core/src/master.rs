@@ -1,15 +1,18 @@
 //! The Qserv master (frontend): end-to-end distributed query execution.
 //!
-//! `query(sql)` runs the full paper pipeline: parse → analyze (§5.3) →
-//! select the chunk set (spatial restriction and/or secondary index) →
-//! generate per-chunk physical queries → dispatch each as two file
-//! transactions on the fabric (§5.4) from a pool of dispatcher threads →
-//! read back mysqldump-style results → merge into a local `result` table →
-//! run the merge/aggregation query → return rows to the caller.
+//! Every public entry point (`query`, `query_with_stats`, `query_traced`,
+//! `query_streaming`, `xmatch`) runs the one paper pipeline, `Qserv::run`:
+//! parse → analyze (§5.3) → select the chunk set (spatial restriction
+//! and/or secondary index) → generate per-chunk physical queries →
+//! dispatch each as two file transactions on the fabric (§5.4) from a
+//! pool of dispatcher threads → read back mysqldump-style results → fold
+//! each into the incremental merge as it arrives (`crate::merge`) → run
+//! the merge/aggregation query → return rows to the caller, or push them
+//! through the caller's sink as they become final.
 
 use crate::analysis::{analyze, Analysis, JoinClass};
 use crate::error::QservError;
-use crate::merge::{infer_value_types, merge_oracle, Merger, StreamBatch};
+use crate::merge::{infer_value_types, Merger, StreamBatch};
 use crate::meta::{CatalogMeta, ChunkZones, TableStats};
 use crate::placement::{PlacementManager, PlacementMap};
 use crate::planner::{self, PlanChoice, PlanOverride};
@@ -194,6 +197,139 @@ fn split_scan_header(text: &str) -> (u64, u64, &str) {
     (pruned, scanned, tail)
 }
 
+/// The optional row sink of one query: `Some` pushes merged row batches
+/// out as they become final (see [`Qserv::query_streaming`]).
+type Sink<'a> = Option<&'a mut dyn FnMut(StreamBatch) -> bool>;
+
+/// Per-chunk dispatch outcome: the loaded result table, the transferred
+/// byte count, and retry bookkeeping.
+type ChunkOutcome = Result<(Table, u64, ChunkMeta), QservError>;
+
+/// The merge side of one query's dispatch: chunk outcomes arrive one at
+/// a time — from the calling thread at dispatch width 1, over the
+/// dispatcher threads' channel otherwise — and fold into the merger,
+/// with merged batches leaving through the sink as they become final.
+struct Arrivals<'a, 's> {
+    clock: &'a SharedClock,
+    qm: &'a QueryMetrics,
+    token: &'a CancelToken,
+    merger: Merger,
+    sink: Sink<'s>,
+    dispatched: usize,
+    /// Error selection must not depend on thread scheduling: keep the
+    /// *lowest-sequence* dispatch error (queue order is deterministic,
+    /// and the dispatched set is always a queue prefix, so the minimum
+    /// failing sequence is the same in every run). A merge error is
+    /// reported in preference to any dispatch error — folds drain in
+    /// sequence order, so a fold failure always concerns an earlier
+    /// chunk than the first dispatch failure.
+    dispatch_err: Option<(usize, QservError)>,
+    fold_err: Option<QservError>,
+    first_fold: Option<Duration>,
+    last_arrival: Option<Duration>,
+    /// Set when the sink declines a batch (client gone / has enough):
+    /// remaining work is cancelled and the query reports Cancelled.
+    sink_closed: bool,
+}
+
+impl Arrivals<'_, '_> {
+    /// Folds one chunk's outcome in. Returns whether more chunks are
+    /// wanted: `false` once the merger is satisfied (LIMIT cutoff), the
+    /// sink closed, the query was killed, or an error was recorded — the
+    /// caller stops dispatching, and the partial merge state is either
+    /// a complete answer (cutoff) or discarded by [`Arrivals::finish`].
+    fn arrive(&mut self, seq: usize, outcome: ChunkOutcome) -> bool {
+        self.dispatched += 1;
+        self.last_arrival = Some(self.clock.now());
+        match outcome {
+            Ok((table, bytes, meta)) => {
+                record_chunk(self.qm, bytes, &meta);
+                if self.fold_err.is_none() && !self.merger.satisfied() && !self.token.is_cancelled()
+                {
+                    if self.first_fold.is_none() {
+                        self.first_fold = Some(self.clock.now());
+                    }
+                    let g = trace::span("merge.fold");
+                    if let Some(g) = &g {
+                        g.annotate("seq", &seq.to_string());
+                    }
+                    match self.merger.fold(seq, table) {
+                        Ok(()) => {
+                            if let Some(s) = self.sink.as_mut() {
+                                if let Some(batch) = self.merger.drain_ready() {
+                                    if !s(batch) {
+                                        self.sink_closed = true;
+                                    }
+                                }
+                            }
+                        }
+                        Err(e) => self.fold_err = Some(e),
+                    }
+                }
+            }
+            Err(e) => {
+                if self.dispatch_err.as_ref().is_none_or(|(s, _)| seq < *s) {
+                    self.dispatch_err = Some((seq, e));
+                }
+            }
+        }
+        !(self.merger.satisfied()
+            || self.sink_closed
+            || self.fold_err.is_some()
+            || self.dispatch_err.is_some()
+            || self.token.is_cancelled())
+    }
+
+    /// Surfaces errors in deterministic preference order, settles the
+    /// pipeline metrics, and finishes the merge under its own span.
+    /// `total` is the number of chunk queries that were planned.
+    fn finish(self, total: usize) -> Result<ResultTable, QservError> {
+        let qm = self.qm;
+        qm.chunks_dispatched.add(self.dispatched as u64);
+        if let Some(e) = self.fold_err {
+            return Err(e);
+        }
+        // A KILL wins over any dispatch error it raced with: the caller
+        // asked for cancellation and gets a deterministic `Cancelled`
+        // (the dispatch error may itself be a token-induced `Cancelled`
+        // from inside the retry loop). A sink that declined a batch is
+        // the consumer's cancellation.
+        if self.token.is_cancelled() || self.sink_closed {
+            return Err(QservError::Cancelled);
+        }
+        if let Some((_, e)) = self.dispatch_err {
+            return Err(e);
+        }
+        let merger = self.merger;
+        qm.chunks_skipped_by_limit
+            .add((total - self.dispatched) as u64);
+        qm.peak_buffered_parts
+            .set_max(merger.peak_buffered_parts() as u64);
+        qm.rows_merged.set(merger.rows_folded() as u64);
+        if let (Some(f), Some(l)) = (self.first_fold, self.last_arrival) {
+            qm.merge_overlap_ms
+                .set(l.saturating_sub(f).as_millis() as u64);
+        }
+        // The streamable path's final batch must carry the *final* votes,
+        // not value-inferred types: a column whose rows all drained as
+        // Int before a later all-NULL Float part widened the vote would
+        // otherwise never tell the consumer to re-coerce.
+        let final_votes = match &self.sink {
+            Some(_) if merger.streamable() => Some(merger.vote_types().to_vec()),
+            _ => None,
+        };
+        let g = trace::span("merge.finish");
+        let result = merger.finish();
+        if let (Some(g), Ok(r)) = (&g, &result) {
+            g.annotate("rows", &r.rows.len().to_string());
+        }
+        match (self.sink, result) {
+            (Some(s), Ok(r)) => Ok(emit_final(r, final_votes, s)),
+            (_, result) => result,
+        }
+    }
+}
+
 /// Outcome of a single dispatch attempt.
 enum Attempt {
     Ok(Table, u64),
@@ -318,11 +454,6 @@ pub struct Qserv {
     pub dispatch_width: usize,
     /// Chunk-dispatch retry behavior.
     pub retry: RetryPolicy,
-    /// Fold chunk results into merge state as they arrive (the default).
-    /// When false, the master collects every part and merges at a
-    /// barrier — the pre-streaming behavior, kept for the oracle and for
-    /// the `master_bench` comparison.
-    pub streaming_merge: bool,
     /// Dispatch counter shared by every frontend over this cluster: tags
     /// each chunk-query message with a unique `-- QID:` line so identical
     /// concurrent queries hash to distinct result paths (the paper's raw
@@ -341,8 +472,8 @@ pub struct Qserv {
     /// rule-based defaults.
     stats: Arc<TableStats>,
     /// Forces individual planner decisions; `None` (the default) lets
-    /// the cost model choose. The plan-equivalence test battery and the
-    /// bench baselines set this to pin a plan.
+    /// the cost model choose. The plan-equivalence test battery sets
+    /// this to pin a plan.
     pub plan_override: Option<PlanOverride>,
     /// Monotonic catalog data version, shared by every frontend over
     /// this cluster. Bumped whenever data is loaded or attached after
@@ -399,7 +530,6 @@ impl Qserv {
             clock: wall_clock(),
             dispatch_width: 8,
             retry: RetryPolicy::default(),
-            streaming_merge: true,
             qid: Arc::new(AtomicU64::new(1)),
             zones: Arc::new(ChunkZones::new()),
             stats: Arc::new(TableStats::new()),
@@ -501,7 +631,6 @@ impl Qserv {
             clock: self.clock.clone(),
             dispatch_width: self.dispatch_width,
             retry: self.retry.clone(),
-            streaming_merge: self.streaming_merge,
             qid: Arc::clone(&self.qid),
             zones: Arc::clone(&self.zones),
             stats: Arc::clone(&self.stats),
@@ -571,19 +700,7 @@ impl Qserv {
 
     /// Executes a query, returning rows plus execution statistics.
     pub fn query_with_stats(&self, sql: &str) -> Result<(ResultTable, QueryStats), QservError> {
-        self.query_cancellable(sql, &CancelToken::new())
-    }
-
-    /// Executes a query under an externally held [`CancelToken`]: a
-    /// `cancel()` from another thread aborts the query with
-    /// [`QservError::Cancelled`] at the next chunk-dispatch or
-    /// merge-fold boundary, leaving no result files on the fabric.
-    pub fn query_cancellable(
-        &self,
-        sql: &str,
-        token: &CancelToken,
-    ) -> Result<(ResultTable, QueryStats), QservError> {
-        let (rows, qm) = self.query_inner(sql, token)?;
+        let (rows, qm) = self.run(sql, None, &CancelToken::new(), None)?;
         Ok((rows, qm.stats()))
     }
 
@@ -597,29 +714,15 @@ impl Qserv {
     /// Result columns: `left_id`, `right_id`, `dist` (degrees), one row
     /// per matched left row, ascending by `left_id`.
     pub fn xmatch(&self, spec: &XMatchSpec) -> Result<(ResultTable, QueryStats), QservError> {
-        self.xmatch_cancellable(spec, &CancelToken::new())
-    }
-
-    /// [`Qserv::xmatch`] under an externally held [`CancelToken`].
-    pub fn xmatch_cancellable(
-        &self,
-        spec: &XMatchSpec,
-        token: &CancelToken,
-    ) -> Result<(ResultTable, QueryStats), QservError> {
-        let qm = QueryMetrics::new();
-        let _q = trace::span("master.xmatch");
-        let sql = self.xmatch_sql(spec)?;
-        let stmt = parse_select(&sql)?;
-        let mut prepared = self.prepare_stmt(&stmt)?;
-        debug_assert_eq!(prepared.plan.join, JoinClass::SubchunkNear);
         // The SQL subset cannot express per-key argmin, so the plan's
         // classified shape (a plain append) is overridden with the
         // keep-nearest fold; the merge statement stays the pass-through.
-        prepared.plan.shape = MergeShape::Nearest {
+        let nearest = MergeShape::Nearest {
             key: spec.left_id.clone(),
             dist: "dist".to_string(),
         };
-        let rows = self.run_prepared(&prepared, &qm, token)?;
+        let sql = self.xmatch_sql(spec)?;
+        let (rows, qm) = self.run(&sql, Some(nearest), &CancelToken::new(), None)?;
         Ok((rows, qm.stats()))
     }
 
@@ -680,7 +783,7 @@ impl Qserv {
         let outcome = {
             let root = trace::with_root(&trace, "query");
             root.annotate("sql", sql);
-            self.query_inner(sql, &CancelToken::new())
+            self.run(sql, None, &CancelToken::new(), None)
         };
         let (rows, qm) = outcome?;
         Ok(TracedQuery {
@@ -691,29 +794,21 @@ impl Qserv {
         })
     }
 
-    /// The shared pipeline behind [`Qserv::query_with_stats`],
-    /// [`Qserv::query_traced`] and the query service: runs the query,
-    /// updating per-query instruments (and trace spans, when a trace is
-    /// active). `pub(crate)` so [`crate::service::QueryService`] can run
-    /// it under its own trace root.
-    pub(crate) fn query_inner(
-        &self,
-        sql: &str,
-        token: &CancelToken,
-    ) -> Result<(ResultTable, QueryMetrics), QservError> {
-        self.query_impl(sql, token, None)
-    }
-
-    /// Streaming execution: merged row batches are pushed into `sink` as
-    /// chunk results fold, so the first rows leave the master while later
-    /// chunks are still scanning. For shapes that cannot stream (folds,
-    /// top-n, barriers — anything whose output depends on every chunk)
-    /// the single final batch is pushed at completion instead. The final
-    /// batch is *always* pushed, even when empty, so consumers learn the
-    /// result columns of empty results. Returning `false` from the sink
-    /// cancels the remaining chunk work and fails the query with
-    /// [`QservError::Cancelled`] — the LIMIT-cutoff path for a client
-    /// that has seen enough, and the disconnect path for one that left.
+    /// Executes a query under an externally held [`CancelToken`],
+    /// pushing merged row batches into `sink` as chunk results fold, so
+    /// the first rows leave the master while later chunks are still
+    /// scanning. For shapes that cannot stream (folds, top-n, barriers —
+    /// anything whose output depends on every chunk) the single final
+    /// batch is pushed at completion instead. The final batch is
+    /// *always* pushed, even when empty, so consumers learn the result
+    /// columns of empty results.
+    ///
+    /// A `cancel()` from another thread aborts the query with
+    /// [`QservError::Cancelled`] at the next chunk-dispatch or
+    /// merge-fold boundary, leaving no result files on the fabric.
+    /// Returning `false` from the sink does the same — the LIMIT-cutoff
+    /// path for a client that has seen enough, and the disconnect path
+    /// for one that left.
     ///
     /// Exactness: the concatenation of all batches, with earlier rows
     /// re-coerced whenever a later batch widens a column (the only
@@ -725,18 +820,24 @@ impl Qserv {
         token: &CancelToken,
         sink: &mut dyn FnMut(StreamBatch) -> bool,
     ) -> Result<QueryStats, QservError> {
-        self.query_impl(sql, token, Some(sink))
+        self.run(sql, None, token, Some(sink))
             .map(|(_, qm)| qm.stats())
     }
 
-    /// Shared body of [`Qserv::query_inner`] and
-    /// [`Qserv::query_streaming`]: with a sink, row batches leave
-    /// through it and the returned table is empty (columns only).
-    fn query_impl(
+    /// The one query path behind every public entry point: parse →
+    /// analyze and plan → dispatch each chunk query over the fabric →
+    /// fold results into the incremental merge as they arrive, updating
+    /// per-query instruments (and trace spans, when a trace is active).
+    /// With a sink, row batches leave through it and the returned table
+    /// is empty (columns only). `shape` replaces the plan's classified
+    /// merge shape (XMatch's keep-nearest fold, which no SQL statement
+    /// produces).
+    fn run(
         &self,
         sql: &str,
+        shape: Option<MergeShape>,
         token: &CancelToken,
-        sink: Option<&mut dyn FnMut(StreamBatch) -> bool>,
+        sink: Sink<'_>,
     ) -> Result<(ResultTable, QueryMetrics), QservError> {
         let qm = QueryMetrics::new();
         let _q = trace::span("master.query");
@@ -747,14 +848,21 @@ impl Qserv {
         // FROM-less statements run locally on the frontend.
         if stmt.from.is_empty() {
             let local = execute(&Database::new(), &stmt)?;
-            if let Some(s) = sink {
-                return Ok((emit_final(local, None, s), qm));
-            }
-            return Ok((local, qm));
+            return Ok((
+                match sink {
+                    Some(s) => emit_final(local, None, s),
+                    None => local,
+                },
+                qm,
+            ));
         }
         let prepared = {
             let g = trace::span("master.analyze");
-            let prepared = self.prepare_stmt(&stmt)?;
+            let mut prepared = self.prepare_stmt(&stmt)?;
+            if let Some(shape) = shape {
+                debug_assert_eq!(prepared.plan.join, JoinClass::SubchunkNear);
+                prepared.plan.shape = shape;
+            }
             if let Some(g) = &g {
                 g.annotate("chunks", &prepared.chunks.len().to_string());
                 g.annotate("join", &format!("{:?}", prepared.plan.join));
@@ -769,8 +877,30 @@ impl Qserv {
             }
             prepared
         };
+        qm.used_secondary_index
+            .set(prepared.analysis.index_ids.is_some() as u64);
+        qm.used_spatial_restriction
+            .set(prepared.analysis.spatial.is_some() as u64);
+        qm.chunks_pruned.add(prepared.chunks_pruned as u64);
+        qm.planner_est_rows
+            .set(prepared.choice.est_rows.round() as u64);
+        qm.planner_index_lookup.set(matches!(
+            prepared.choice.access,
+            crate::planner::AccessPath::IndexLookup { .. }
+        ) as u64);
+        qm.planner_topn_pushdown
+            .set(prepared.choice.topn_pushdown.is_some() as u64);
+        qm.planner_reordered.set(prepared.choice.reordered as u64);
         let streaming = sink.is_some();
-        let result = self.run_prepared_sink(&prepared, &qm, token, sink)?;
+        let result = {
+            let _d = trace::span("master.dispatch");
+            if let Some(g) = &_d {
+                // The epoch this query is pinned to: rebalances committing
+                // newer epochs mid-flight do not change its chunk set.
+                g.annotate("placement_epoch", &prepared.placement.epoch().to_string());
+            }
+            self.dispatch_streaming(&prepared, &qm, token, sink)?
+        };
         // Record the estimate-vs-actual error on the query span and the
         // planner gauges. Under a streaming sink the final table is
         // empty by design; the rows-merged gauge stands in for the
@@ -791,62 +921,6 @@ impl Qserv {
             q.annotate("planner.qerror", &format!("{qerror:.2}"));
         }
         Ok((result, qm))
-    }
-
-    /// Dispatch + merge for an already-prepared plan (shared by the SQL
-    /// path and the XMatch operator, whose plan carries a shape override
-    /// no SQL statement produces).
-    fn run_prepared(
-        &self,
-        prepared: &Prepared,
-        qm: &QueryMetrics,
-        token: &CancelToken,
-    ) -> Result<ResultTable, QservError> {
-        self.run_prepared_sink(prepared, qm, token, None)
-    }
-
-    /// [`Qserv::run_prepared`] with an optional streaming sink. The
-    /// barrier path (streaming_merge off) still works under a sink — the
-    /// whole result leaves as one final batch — so a streaming consumer
-    /// composes with the bench's buffered baseline.
-    fn run_prepared_sink(
-        &self,
-        prepared: &Prepared,
-        qm: &QueryMetrics,
-        token: &CancelToken,
-        sink: Option<&mut dyn FnMut(StreamBatch) -> bool>,
-    ) -> Result<ResultTable, QservError> {
-        qm.used_secondary_index
-            .set(prepared.analysis.index_ids.is_some() as u64);
-        qm.used_spatial_restriction
-            .set(prepared.analysis.spatial.is_some() as u64);
-        qm.chunks_pruned.add(prepared.chunks_pruned as u64);
-        qm.planner_est_rows
-            .set(prepared.choice.est_rows.round() as u64);
-        qm.planner_index_lookup.set(matches!(
-            prepared.choice.access,
-            crate::planner::AccessPath::IndexLookup { .. }
-        ) as u64);
-        qm.planner_topn_pushdown
-            .set(prepared.choice.topn_pushdown.is_some() as u64);
-        qm.planner_reordered.set(prepared.choice.reordered as u64);
-        let _d = trace::span("master.dispatch");
-        if let Some(g) = &_d {
-            // The epoch this query is pinned to: rebalances committing
-            // newer epochs mid-flight do not change its chunk set.
-            g.annotate("placement_epoch", &prepared.placement.epoch().to_string());
-        }
-        if self.streaming_merge {
-            self.dispatch_streaming(prepared, qm, token, sink)
-        } else {
-            qm.chunks_dispatched.add(prepared.chunks.len() as u64);
-            let parts = self.dispatch_all(prepared, qm, token)?;
-            let merged = self.merge(&prepared.plan, parts, qm)?;
-            match sink {
-                Some(s) => Ok(emit_final(merged, None, s)),
-                None => Ok(merged),
-            }
-        }
     }
 
     /// Plans a query without executing it.
@@ -1014,79 +1088,12 @@ impl Qserv {
         }
     }
 
-    /// Dispatches every chunk query from a pool of threads; returns the
-    /// per-chunk result tables in ascending chunk order (deterministic).
-    fn dispatch_all(
-        &self,
-        prepared: &Prepared,
-        qm: &QueryMetrics,
-        token: &CancelToken,
-    ) -> Result<Vec<Table>, QservError> {
-        let jobs: Vec<(i32, String)> = prepared
-            .chunks
-            .iter()
-            .map(|&c| {
-                let subs = self.subchunks_for(prepared, c);
-                (
-                    c,
-                    self.tag_message(render_chunk_message(&prepared.plan, &self.meta, c, &subs)),
-                )
-            })
-            .collect();
-
-        /// Per-chunk dispatch outcome: the loaded result table, the
-        /// transferred byte count, and retry bookkeeping.
-        type ChunkOutcome = Result<(Table, u64, ChunkMeta), QservError>;
-        let queue = Mutex::new(jobs.into_iter());
-        let results: Mutex<Vec<(i32, ChunkOutcome)>> =
-            Mutex::new(Vec::with_capacity(prepared.chunks.len()));
-        let width = effective_width(self.dispatch_width, prepared.chunks.len());
-        let started = self.clock.now();
-        // Dispatcher threads parent their chunk spans under the span
-        // current here (master.dispatch) — explicit cross-thread handoff.
-        let ctx = trace::current();
-
-        crossbeam::thread::scope(|scope| {
-            for _ in 0..width {
-                scope.spawn(|_| {
-                    let _tg = ctx.as_ref().map(|c| c.enter());
-                    loop {
-                        if token.is_cancelled() {
-                            break;
-                        }
-                        let job = queue.lock().next();
-                        let Some((chunk, message)) = job else { break };
-                        let outcome = self.dispatch_one(chunk, &message, started, token);
-                        results.lock().push((chunk, outcome));
-                    }
-                });
-            }
-        })
-        .map_err(|_| QservError::Fabric("dispatcher thread panicked".to_string()))?;
-
-        // The barrier merge only ever sees complete chunk sets: a
-        // cancellation mid-dispatch leaves `collected` a subset, and
-        // merging a subset would silently return wrong rows.
-        if token.is_cancelled() {
-            return Err(QservError::Cancelled);
-        }
-        let mut collected = results.into_inner();
-        collected.sort_by_key(|(c, _)| *c);
-        let mut tables = Vec::with_capacity(collected.len());
-        for (_, outcome) in collected {
-            let (table, bytes, meta) = outcome?;
-            record_chunk(qm, bytes, &meta);
-            tables.push(table);
-        }
-        Ok(tables)
-    }
-
-    /// Streaming dispatch (the default): dispatcher threads hand
-    /// finished chunk results over a channel to an incremental
-    /// [`Merger`] running on the calling thread, so merging overlaps
-    /// dispatch and the master holds only the merge state plus a small
-    /// reorder buffer — not every chunk result at once. When the merger
-    /// reports itself satisfied (a pushed-down LIMIT is met), the
+    /// Dispatches every chunk query and merges the results: dispatcher
+    /// threads hand finished chunk results over a channel to an
+    /// incremental [`Merger`] running on the calling thread, so merging
+    /// overlaps dispatch and the master holds only the merge state plus a
+    /// small reorder buffer — not every chunk result at once. When the
+    /// merger reports itself satisfied (a pushed-down LIMIT is met), the
     /// remaining chunk queue is cancelled: undispatched chunks are never
     /// sent, and are counted in [`QueryStats::chunks_skipped_by_limit`].
     fn dispatch_streaming(
@@ -1094,7 +1101,7 @@ impl Qserv {
         prepared: &Prepared,
         qm: &QueryMetrics,
         token: &CancelToken,
-        mut sink: Option<&mut dyn FnMut(StreamBatch) -> bool>,
+        sink: Sink<'_>,
     ) -> Result<ResultTable, QservError> {
         let jobs: Vec<(usize, i32, String)> = prepared
             .chunks
@@ -1112,92 +1119,37 @@ impl Qserv {
         let total = jobs.len();
         let width = effective_width(self.dispatch_width, total);
         let started = self.clock.now();
-        let mut merger = Merger::new(&prepared.plan);
-        let mut dispatched = 0usize;
-        // Error selection must not depend on thread scheduling: keep the
-        // *lowest-sequence* dispatch error (queue order is deterministic,
-        // and the dispatched set is always a queue prefix, so the minimum
-        // failing sequence is the same in every run). A merge error is
-        // reported in preference to any dispatch error — folds drain in
-        // sequence order, so a fold failure always concerns an earlier
-        // chunk than the first dispatch failure.
-        let mut dispatch_err: Option<(usize, QservError)> = None;
-        let mut fold_err: Option<QservError> = None;
-        let mut first_fold: Option<Duration> = None;
-        let mut last_arrival: Option<Duration> = None;
-        // Set when the sink declines a batch (client gone / has enough):
-        // remaining work is cancelled and the query reports Cancelled.
-        let mut sink_closed = false;
-
-        type ChunkOutcome = Result<(Table, u64, ChunkMeta), QservError>;
+        let mut arrivals = Arrivals {
+            clock: &self.clock,
+            qm,
+            token,
+            merger: Merger::new(&prepared.plan),
+            sink,
+            dispatched: 0,
+            dispatch_err: None,
+            fold_err: None,
+            first_fold: None,
+            last_arrival: None,
+            sink_closed: false,
+        };
 
         if width == 1 {
-            // Fully serial streaming: dispatch and fold interleave on
-            // this thread, with chunk n+1 never leaving the master until
-            // chunk n's result has folded. Semantically the same as one
-            // dispatcher thread, but with no scheduling nondeterminism —
-            // under a virtual clock and a fixed fault seed the entire
-            // trace is a pure function of the query (bit-reproducible).
-            let mut stop = false;
+            // Fully serial: dispatch and fold interleave on this thread,
+            // with chunk n+1 never leaving the master until chunk n's
+            // result has folded. Semantically the same as one dispatcher
+            // thread, but with no scheduling nondeterminism — under a
+            // virtual clock and a fixed fault seed the entire trace is a
+            // pure function of the query (bit-reproducible).
             for (seq, chunk, message) in jobs {
                 if token.is_cancelled() {
                     break;
                 }
-                dispatched += 1;
                 let outcome = self.dispatch_one(chunk, &message, started, token);
-                last_arrival = Some(self.clock.now());
-                match outcome {
-                    Ok((table, bytes, meta)) => {
-                        record_chunk(qm, bytes, &meta);
-                        if fold_err.is_none() && !merger.satisfied() {
-                            if first_fold.is_none() {
-                                first_fold = Some(self.clock.now());
-                            }
-                            let g = trace::span("merge.fold");
-                            if let Some(g) = &g {
-                                g.annotate("seq", &seq.to_string());
-                            }
-                            match merger.fold(seq, table) {
-                                Ok(()) => {
-                                    stop = merger.satisfied();
-                                    if let Some(s) = sink.as_mut() {
-                                        if let Some(batch) = merger.drain_ready() {
-                                            if !s(batch) {
-                                                sink_closed = true;
-                                                stop = true;
-                                            }
-                                        }
-                                    }
-                                }
-                                Err(e) => {
-                                    fold_err = Some(e);
-                                    stop = true;
-                                }
-                            }
-                        }
-                    }
-                    Err(e) => {
-                        dispatch_err = Some((seq, e));
-                        stop = true;
-                    }
-                }
-                if stop {
+                if !arrivals.arrive(seq, outcome) {
                     break;
                 }
             }
-            return self.finish_streaming(
-                qm,
-                merger,
-                total,
-                dispatched,
-                dispatch_err,
-                fold_err,
-                first_fold,
-                last_arrival,
-                token,
-                sink,
-                sink_closed,
-            );
+            return arrivals.finish(total);
         }
 
         let queue = Mutex::new(jobs.into_iter());
@@ -1216,6 +1168,9 @@ impl Qserv {
             for _ in 0..width {
                 let tx = tx.clone();
                 scope.spawn(move |_| {
+                    // Dispatcher threads parent their chunk spans under
+                    // the span current on the calling thread
+                    // (master.dispatch) — explicit cross-thread handoff.
                     let _tg = ctx.as_ref().map(|c| c.enter());
                     loop {
                         // Cancellation — by LIMIT cutoff or by an
@@ -1239,135 +1194,18 @@ impl Qserv {
             drop(tx);
             // Folding on this thread — not in the workers — keeps the
             // merge single-threaded; the merger's reorder buffer makes
-            // it deterministic regardless of arrival order.
+            // it deterministic regardless of arrival order. Once an
+            // arrival asks to stop, the channel is still drained so
+            // in-flight workers can finish their send and exit.
             while let Ok((seq, outcome)) = rx.recv() {
-                dispatched += 1;
-                last_arrival = Some(self.clock.now());
-                // A KILL mid-stream: stop folding (the partial merge
-                // state will be discarded) but keep draining the channel
-                // so in-flight workers can finish their send and exit.
-                if token.is_cancelled() {
+                if !arrivals.arrive(seq, outcome) {
                     cancelled.store(true, Ordering::Relaxed);
-                }
-                match outcome {
-                    Ok((table, bytes, meta)) => {
-                        record_chunk(qm, bytes, &meta);
-                        if fold_err.is_none() && !merger.satisfied() && !token.is_cancelled() {
-                            if first_fold.is_none() {
-                                first_fold = Some(self.clock.now());
-                            }
-                            let g = trace::span("merge.fold");
-                            if let Some(g) = &g {
-                                g.annotate("seq", &seq.to_string());
-                            }
-                            match merger.fold(seq, table) {
-                                Ok(()) => {
-                                    if merger.satisfied() {
-                                        cancelled.store(true, Ordering::Relaxed);
-                                    }
-                                    if let Some(s) = sink.as_mut() {
-                                        if let Some(batch) = merger.drain_ready() {
-                                            if !s(batch) {
-                                                sink_closed = true;
-                                                cancelled.store(true, Ordering::Relaxed);
-                                            }
-                                        }
-                                    }
-                                }
-                                Err(e) => {
-                                    fold_err = Some(e);
-                                    cancelled.store(true, Ordering::Relaxed);
-                                }
-                            }
-                        }
-                    }
-                    Err(e) => {
-                        if dispatch_err.as_ref().is_none_or(|(s, _)| seq < *s) {
-                            dispatch_err = Some((seq, e));
-                        }
-                        cancelled.store(true, Ordering::Relaxed);
-                    }
                 }
             }
         })
         .map_err(|_| QservError::Fabric("dispatcher thread panicked".to_string()))?;
 
-        self.finish_streaming(
-            qm,
-            merger,
-            total,
-            dispatched,
-            dispatch_err,
-            fold_err,
-            first_fold,
-            last_arrival,
-            token,
-            sink,
-            sink_closed,
-        )
-    }
-
-    /// Epilogue shared by the serial and threaded streaming paths:
-    /// surface errors in deterministic preference order, settle the
-    /// pipeline metrics, and finish the merge under its own span.
-    #[allow(clippy::too_many_arguments)]
-    fn finish_streaming(
-        &self,
-        qm: &QueryMetrics,
-        merger: Merger,
-        total: usize,
-        dispatched: usize,
-        dispatch_err: Option<(usize, QservError)>,
-        fold_err: Option<QservError>,
-        first_fold: Option<Duration>,
-        last_arrival: Option<Duration>,
-        token: &CancelToken,
-        sink: Option<&mut dyn FnMut(StreamBatch) -> bool>,
-        sink_closed: bool,
-    ) -> Result<ResultTable, QservError> {
-        qm.chunks_dispatched.add(dispatched as u64);
-        if let Some(e) = fold_err {
-            return Err(e);
-        }
-        // A KILL wins over any dispatch error it raced with: the caller
-        // asked for cancellation and gets a deterministic `Cancelled`
-        // (the dispatch error may itself be a token-induced `Cancelled`
-        // from inside the retry loop).
-        if token.is_cancelled() {
-            return Err(QservError::Cancelled);
-        }
-        // A sink that declined a batch is the consumer's cancellation.
-        if sink_closed {
-            return Err(QservError::Cancelled);
-        }
-        if let Some((_, e)) = dispatch_err {
-            return Err(e);
-        }
-        qm.chunks_skipped_by_limit.add((total - dispatched) as u64);
-        qm.peak_buffered_parts
-            .set_max(merger.peak_buffered_parts() as u64);
-        qm.rows_merged.set(merger.rows_folded() as u64);
-        if let (Some(f), Some(l)) = (first_fold, last_arrival) {
-            qm.merge_overlap_ms
-                .set(l.saturating_sub(f).as_millis() as u64);
-        }
-        // The streamable path's final batch must carry the *final* votes,
-        // not value-inferred types: a column whose rows all drained as
-        // Int before a later all-NULL Float part widened the vote would
-        // otherwise never tell the consumer to re-coerce.
-        let final_votes = match &sink {
-            Some(_) if merger.streamable() => Some(merger.vote_types().to_vec()),
-            _ => None,
-        };
-        let g = trace::span("merge.finish");
-        let result = merger.finish();
-        if let (Some(g), Ok(r)) = (&g, &result) {
-            g.annotate("rows", &r.rows.len().to_string());
-        }
-        match (sink, result) {
-            (Some(s), Ok(r)) => Ok(emit_final(r, final_votes, s)),
-            (_, result) => result,
-        }
+        arrivals.finish(total)
     }
 
     /// Dispatches one chunk with bounded retry: transient fabric errors
@@ -1622,23 +1460,5 @@ impl Qserv {
                 error: QservError::Merge(format!("chunk {chunk}: {e}")),
             },
         }
-    }
-
-    /// The barrier merge: accumulates per-chunk tables into `result` and
-    /// runs the merge query (delegates to the [`crate::merge`] oracle).
-    pub(crate) fn merge(
-        &self,
-        plan: &PhysicalPlan,
-        parts: Vec<Table>,
-        qm: &QueryMetrics,
-    ) -> Result<ResultTable, QservError> {
-        let g = trace::span("merge.finish");
-        qm.peak_buffered_parts.set_max(parts.len() as u64);
-        let (result, rows) = merge_oracle(&plan.merge_stmt, parts)?;
-        qm.rows_merged.set(rows as u64);
-        if let Some(g) = &g {
-            g.annotate("rows", &result.rows.len().to_string());
-        }
-        Ok(result)
     }
 }

@@ -2,9 +2,9 @@
 //!
 //! The paper's §5.3 master gathers *every* per-chunk result table and
 //! only then runs the merge query — a hard barrier whose peak memory is
-//! the sum of all chunk results. [`Merger`] folds each chunk result into
-//! running merge state *as it arrives*, keyed by the plan-time
-//! [`MergeShape`] classification:
+//! the sum of all chunk results. [`Merger`], the only merge the master
+//! runs, folds each chunk result into running merge state *as it
+//! arrives*, keyed by the plan-time [`MergeShape`] classification:
 //!
 //! * **Append** — non-aggregated rows are appended directly; a
 //!   pushed-down `LIMIT n` (no ORDER BY) marks the merger *satisfied*
@@ -21,13 +21,14 @@
 //! incrementally — when a column's vote flips Int→Float, existing group
 //! keys are re-coerced and re-keyed. The compacted state is then run
 //! through the ordinary merge query, so the final projection, ORDER BY,
-//! and LIMIT semantics are byte-identical to the barrier path. The
-//! row-at-a-time [`merge_tables`] + merge-query pair stays in-tree as the
-//! semantic oracle; `tests/streaming_merge.rs` property-tests the
-//! equivalence. (One knowing concession: a pushed-down LIMIT cutoff
-//! answers from the chunks it saw, which is a *valid* LIMIT answer but
-//! only bit-identical to the oracle when workers return type-stable
-//! columns — which the real pipeline does by construction.)
+//! and LIMIT semantics are byte-identical to collecting every part
+//! first. The row-at-a-time [`merge_tables`] + merge-query pair
+//! ([`merge_oracle`]) stays in-tree as the semantic oracle the merge
+//! property tests compare against, and as the Barrier shape's merge.
+//! (One knowing concession: a pushed-down LIMIT cutoff answers from the
+//! chunks it saw, which is a *valid* LIMIT answer but only bit-identical
+//! to the oracle when workers return type-stable columns — which the
+//! real pipeline does by construction.)
 
 use crate::error::QservError;
 use crate::rewrite::{ColumnRole, MergeShape, PhysicalPlan};

@@ -137,10 +137,6 @@ pub struct ServiceConfig {
     pub scan_quantum: u64,
     /// The retry-after hint carried by [`QservError::Busy`].
     pub retry_after: Duration,
-    /// Disable fair scheduling: one arrival-order queue, no scan cap.
-    /// This is the paper's unscheduled baseline (Figure 14's starvation)
-    /// — kept for the bench comparison and the simulator replay.
-    pub fifo: bool,
     /// Byte budget of the normalized-query result cache. `0` disables
     /// caching entirely — the default, so repeated queries re-execute
     /// unless a deployment opts in.
@@ -162,7 +158,6 @@ impl Default for ServiceConfig {
             interactive_quantum: 64,
             scan_quantum: 16,
             retry_after: Duration::from_millis(25),
-            fifo: false,
             cache_capacity_bytes: 0,
             cache_max_entry_bytes: 4 << 20,
         }
@@ -178,8 +173,6 @@ pub struct Ticket {
     pub class: QueryClass,
     /// Scheduling cost: the chunk-set size (≥ 1).
     pub cost: u64,
-    /// Arrival order, for FIFO mode and tie-breaking.
-    pub seq: u64,
 }
 
 /// Deficit-round-robin admission scheduler over the two query classes.
@@ -202,7 +195,6 @@ pub struct Ticket {
 /// scheduler is work-conserving: it dequeues without charging deficit.
 #[derive(Debug)]
 pub struct FairScheduler {
-    fifo: bool,
     max_concurrent: usize,
     max_scan_concurrent: usize,
     queue_capacity: usize,
@@ -214,14 +206,12 @@ pub struct FairScheduler {
     /// credits once per visit, then serves until the deficit runs out).
     visited: bool,
     running: [usize; 2],
-    arrivals: u64,
 }
 
 impl FairScheduler {
     /// A scheduler with `cfg`'s queue/concurrency/quantum knobs.
     pub fn new(cfg: &ServiceConfig) -> FairScheduler {
         FairScheduler {
-            fifo: cfg.fifo,
             max_concurrent: cfg.max_concurrent.max(1),
             max_scan_concurrent: cfg.max_scan_concurrent.max(1),
             queue_capacity: cfg.queue_capacity.max(1),
@@ -231,7 +221,6 @@ impl FairScheduler {
             turn: 0,
             visited: false,
             running: [0, 0],
-            arrivals: 0,
         }
     }
 
@@ -242,13 +231,10 @@ impl FairScheduler {
         if q.len() >= self.queue_capacity {
             return false;
         }
-        let seq = self.arrivals;
-        self.arrivals += 1;
         q.push_back(Ticket {
             qid,
             class,
             cost: cost.max(1),
-            seq,
         });
         true
     }
@@ -270,23 +256,6 @@ impl FairScheduler {
     pub fn next_ticket(&mut self) -> Option<Ticket> {
         if self.running_total() >= self.max_concurrent {
             return None;
-        }
-        if self.fifo {
-            // Arrival order across classes, no scan cap: the paper's
-            // unscheduled baseline.
-            let c = match (self.queues[0].front(), self.queues[1].front()) {
-                (Some(a), Some(b)) => {
-                    if a.seq < b.seq {
-                        0
-                    } else {
-                        1
-                    }
-                }
-                (Some(_), None) => 0,
-                (None, Some(_)) => 1,
-                (None, None) => return None,
-            };
-            return Some(self.pop(c));
         }
         loop {
             // A class with an empty queue forfeits its credit — classic
@@ -439,9 +408,6 @@ pub struct ServiceReply {
     /// Rows + stats, or the failure ([`QservError::Cancelled`] after a
     /// `KILL`).
     pub result: Result<(ResultTable, QueryStats), QservError>,
-    /// The span tree, for traced submissions — present even when
-    /// `result` is an error, so a killed query's trace still validates.
-    pub trace: Option<Trace>,
     /// Time the query spent queued.
     pub wait: Duration,
     /// Time the query spent executing.
@@ -469,7 +435,6 @@ impl QueryHandle {
             qid,
             class,
             result: Err(QservError::Cancelled),
-            trace: None,
             wait: Duration::ZERO,
             run: Duration::ZERO,
         })
@@ -526,7 +491,8 @@ pub struct StreamDone {
     /// already delivered means those rows must be discarded — the
     /// result is the error.
     pub result: Result<QueryStats, QservError>,
-    /// The span tree, for traced submissions.
+    /// The span tree, for traced submissions — present even when
+    /// `result` is an error, so a killed query's trace still validates.
     pub trace: Option<Trace>,
     /// Time the query spent queued.
     pub wait: Duration,
@@ -689,14 +655,66 @@ impl ServiceMetrics {
     }
 }
 
-/// Where a finished query's reply goes: a single buffered message, or
-/// a stream of batch events.
+/// Where an admitted query's rows and terminal event go. Every query
+/// executes the same way; the two submission kinds differ only here.
 enum ReplyTo {
-    Buffered(mpsc::SyncSender<ServiceReply>),
+    /// [`QueryService::submit`]: batches collect inside the executor and
+    /// leave as one reply, so the execution slot is held only while the
+    /// query runs — never until the caller gets around to `wait()`.
+    Buffered {
+        tx: mpsc::SyncSender<ServiceReply>,
+        rows: StreamCollector,
+    },
+    /// [`QueryService::submit_streaming`]: batches leave as they merge.
     Streaming {
         tx: mpsc::SyncSender<StreamEvent>,
         notify: Option<Notifier>,
     },
+}
+
+impl ReplyTo {
+    /// Delivers one merged batch; `false` means the consumer is gone
+    /// and the rest of the query should be cancelled.
+    fn batch(&mut self, batch: StreamBatch) -> bool {
+        match self {
+            ReplyTo::Buffered { rows, .. } => {
+                rows.push(batch);
+                true
+            }
+            ReplyTo::Streaming { tx, notify } => {
+                // A blocking send is the backpressure: the merge (and,
+                // through it, chunk dispatch) stalls until the client
+                // drains. A hung-up receiver errors the send.
+                let delivered = tx.send(StreamEvent::Batch(batch)).is_ok();
+                if let Some(n) = notify {
+                    n();
+                }
+                delivered
+            }
+        }
+    }
+
+    /// Delivers the terminal event. The submitter may have dropped its
+    /// handle; that is its loss, not an executor error.
+    fn done(self, done: StreamDone) {
+        match self {
+            ReplyTo::Buffered { tx, rows } => {
+                let _ = tx.try_send(ServiceReply {
+                    qid: done.qid,
+                    class: done.class,
+                    result: done.result.map(|stats| (rows.table(), stats)),
+                    wait: done.wait,
+                    run: done.run,
+                });
+            }
+            ReplyTo::Streaming { tx, notify } => {
+                let _ = tx.send(StreamEvent::Done(done));
+                if let Some(n) = notify {
+                    n();
+                }
+            }
+        }
+    }
 }
 
 /// A queued query's execution context, parked until a slot frees.
@@ -793,11 +811,6 @@ impl QueryService {
         QueryService { inner, executors }
     }
 
-    /// The service defaults over `qserv`.
-    pub fn with_defaults(qserv: Arc<Qserv>) -> QueryService {
-        QueryService::start(qserv, ServiceConfig::default())
-    }
-
     /// The frontend this service schedules onto.
     pub fn qserv(&self) -> &Arc<Qserv> {
         &self.inner.qserv
@@ -811,16 +824,23 @@ impl QueryService {
     /// Submits a query for scheduled execution. Returns immediately
     /// with a handle (await it with [`QueryHandle::wait`]), or an error:
     /// parse/analysis failures surface here, and a full class queue
-    /// rejects with [`QservError::Busy`].
+    /// rejects with [`QservError::Busy`]. The result is collected by the
+    /// executor, so an un-awaited handle never occupies an execution
+    /// slot beyond the query's own run time.
     pub fn submit(&self, sql: &str) -> Result<QueryHandle, QservError> {
-        self.inner.submit(sql, None)
-    }
-
-    /// Like [`QueryService::submit`], but the query records a full span
-    /// tree rooted at `root` (the proxy passes `"proxy.request"`), with
-    /// a `service.admit` span annotating class, cost, and queueing wait.
-    pub fn submit_traced(&self, sql: &str, root: &str) -> Result<QueryHandle, QservError> {
-        self.inner.submit(sql, Some(root.to_string()))
+        // Buffered by one: the executor's send always completes even
+        // if the submitter abandoned the handle.
+        let (tx, rx) = mpsc::sync_channel(1);
+        let rows = StreamCollector::default();
+        let a = self
+            .inner
+            .admit(sql, None, ReplyTo::Buffered { tx, rows })?;
+        Ok(QueryHandle {
+            qid: a.qid,
+            class: a.class,
+            token: a.token,
+            rx,
+        })
     }
 
     /// Submits a query whose results stream back as merged batches
@@ -828,32 +848,29 @@ impl QueryService {
     /// and rejection behave exactly like [`QueryService::submit`]; the
     /// reply arrives as [`StreamEvent`]s on the returned handle. Dropping
     /// the handle mid-stream cancels the remaining chunk work.
-    pub fn submit_streaming(&self, sql: &str) -> Result<StreamHandle, QservError> {
-        self.inner.submit_streaming(sql, None, None)
-    }
-
-    /// [`QueryService::submit_streaming`] with a span tree rooted at
-    /// `root`, delivered in the terminal [`StreamDone`].
-    pub fn submit_streaming_traced(
-        &self,
-        sql: &str,
-        root: &str,
-    ) -> Result<StreamHandle, QservError> {
-        self.inner
-            .submit_streaming(sql, Some(root.to_string()), None)
-    }
-
-    /// [`QueryService::submit_streaming`] with a wake callback invoked
-    /// after each event is queued — the proxy's reactor hook — and an
-    /// optional trace root.
-    pub fn submit_streaming_with_notify(
+    ///
+    /// With `root`, the query records a full span tree rooted at that
+    /// name (the proxy passes `"proxy.request"`), with a `service.admit`
+    /// span annotating class, cost, and queueing wait, delivered in the
+    /// terminal [`StreamDone`]. `notify` is invoked after each event is
+    /// queued — the proxy's reactor hook.
+    pub fn submit_streaming(
         &self,
         sql: &str,
         root: Option<&str>,
-        notify: Notifier,
+        notify: Option<Notifier>,
     ) -> Result<StreamHandle, QservError> {
-        self.inner
-            .submit_streaming(sql, root.map(|s| s.to_string()), Some(notify))
+        let (tx, rx) = mpsc::sync_channel(STREAM_EVENT_BACKLOG);
+        let a = self
+            .inner
+            .admit(sql, root, ReplyTo::Streaming { tx, notify })?;
+        Ok(StreamHandle {
+            qid: a.qid,
+            class: a.class,
+            cache_hit: a.cache_hit,
+            token: a.token,
+            rx,
+        })
     }
 
     /// Plans `sql` without executing it and renders the planner's
@@ -929,44 +946,23 @@ impl Drop for QueryService {
     }
 }
 
-/// Which reply shape a submission asked for.
-enum SubmitMode {
-    Buffered,
-    Streaming(Option<Notifier>),
-}
-
-/// What [`Inner::submit_inner`] produced (matching the mode).
-enum Submitted {
-    Buffered(QueryHandle),
-    Streaming(StreamHandle),
+/// What [`Inner::admit`] hands back for the submitter's handle.
+struct Admitted {
+    qid: u64,
+    class: QueryClass,
+    token: CancelToken,
+    cache_hit: bool,
 }
 
 impl Inner {
-    fn submit(&self, sql: &str, traced: Option<String>) -> Result<QueryHandle, QservError> {
-        match self.submit_inner(sql, traced, SubmitMode::Buffered)? {
-            Submitted::Buffered(h) => Ok(h),
-            Submitted::Streaming(_) => unreachable!("buffered submit yields a buffered handle"),
-        }
-    }
-
-    fn submit_streaming(
+    /// Classifies and enqueues one query (or serves it from the result
+    /// cache), parking `reply` until an executor picks it up.
+    fn admit(
         &self,
         sql: &str,
-        traced: Option<String>,
-        notify: Option<Notifier>,
-    ) -> Result<StreamHandle, QservError> {
-        match self.submit_inner(sql, traced, SubmitMode::Streaming(notify))? {
-            Submitted::Streaming(h) => Ok(h),
-            Submitted::Buffered(_) => unreachable!("streaming submit yields a streaming handle"),
-        }
-    }
-
-    fn submit_inner(
-        &self,
-        sql: &str,
-        traced: Option<String>,
-        mode: SubmitMode,
-    ) -> Result<Submitted, QservError> {
+        traced: Option<&str>,
+        reply: ReplyTo,
+    ) -> Result<Admitted, QservError> {
         // Consult the result cache first: a hit bypasses admission
         // entirely (no queue slot, no executor) — that is the whole
         // point of caching repeated lookups.
@@ -984,7 +980,7 @@ impl Inner {
                 .get(version, &normalized);
             if let Some(entry) = hit {
                 self.metrics.cache_hit.inc();
-                return Ok(self.serve_cached(sql, &entry, traced, mode));
+                return Ok(self.serve_cached(sql, &entry, traced, reply));
             }
             cache_key = Some((version, normalized));
         }
@@ -1007,35 +1003,6 @@ impl Inner {
         };
         let token = CancelToken::new();
         let qid = self.next_qid.fetch_add(1, Ordering::Relaxed);
-        let (reply, handle) = match mode {
-            // Buffered by one: the executor's send always completes
-            // even if the submitter abandoned the handle.
-            SubmitMode::Buffered => {
-                let (tx, rx) = mpsc::sync_channel(1);
-                (
-                    ReplyTo::Buffered(tx),
-                    Submitted::Buffered(QueryHandle {
-                        qid,
-                        class,
-                        token: token.clone(),
-                        rx,
-                    }),
-                )
-            }
-            SubmitMode::Streaming(notify) => {
-                let (tx, rx) = mpsc::sync_channel(STREAM_EVENT_BACKLOG);
-                (
-                    ReplyTo::Streaming { tx, notify },
-                    Submitted::Streaming(StreamHandle {
-                        qid,
-                        class,
-                        cache_hit: false,
-                        token: token.clone(),
-                        rx,
-                    }),
-                )
-            }
-        };
         {
             let mut st = self.state.lock().expect("service state poisoned");
             if st.shutdown {
@@ -1056,7 +1023,7 @@ impl Inner {
                 qid,
                 PendingEntry {
                     sql: sql.to_string(),
-                    traced,
+                    traced: traced.map(str::to_string),
                     reply,
                     cache_key,
                     token: token.clone(),
@@ -1078,7 +1045,12 @@ impl Inner {
             Self::prune_records(&mut st);
         }
         self.cv.notify_all();
-        Ok(handle)
+        Ok(Admitted {
+            qid,
+            class,
+            token,
+            cache_hit: false,
+        })
     }
 
     /// Plans `sql` without executing it (the proxy's `EXPLAIN` verb) and
@@ -1122,14 +1094,14 @@ impl Inner {
 
     /// Replays a cached result as if the query ran instantly: a `Done`
     /// record for `STATUS`, a hit-annotated trace when asked, and the
-    /// reply (or batch + done events) pre-loaded on the channel.
+    /// batch + done pair delivered before the handle is returned.
     fn serve_cached(
         &self,
         sql: &str,
         entry: &CachedResult,
-        traced: Option<String>,
-        mode: SubmitMode,
-    ) -> Submitted {
+        traced: Option<&str>,
+        mut reply: ReplyTo,
+    ) -> Admitted {
         let qid = self.next_qid.fetch_add(1, Ordering::Relaxed);
         let class = entry.class;
         let token = CancelToken::new();
@@ -1154,7 +1126,7 @@ impl Inner {
         let trace = traced.map(|root_name| {
             let trace = Trace::new(self.clock.clone());
             {
-                let root = trace::with_root(&trace, &root_name);
+                let root = trace::with_root(&trace, root_name);
                 root.annotate("sql", sql);
                 let g = trace::span("service.cache");
                 if let Some(g) = &g {
@@ -1164,51 +1136,25 @@ impl Inner {
             }
             trace
         });
-        match mode {
-            SubmitMode::Buffered => {
-                let (tx, rx) = mpsc::sync_channel(1);
-                let _ = tx.try_send(ServiceReply {
-                    qid,
-                    class,
-                    result: Ok((entry.table.clone(), entry.stats.clone())),
-                    trace,
-                    wait: Duration::ZERO,
-                    run: Duration::ZERO,
-                });
-                Submitted::Buffered(QueryHandle {
-                    qid,
-                    class,
-                    token,
-                    rx,
-                })
-            }
-            SubmitMode::Streaming(notify) => {
-                let (tx, rx) = mpsc::sync_channel(STREAM_EVENT_BACKLOG);
-                let _ = tx.try_send(StreamEvent::Batch(StreamBatch {
-                    columns: entry.table.columns.clone(),
-                    types: entry.types.clone(),
-                    rows: entry.table.rows.clone(),
-                }));
-                let _ = tx.try_send(StreamEvent::Done(StreamDone {
-                    qid,
-                    class,
-                    result: Ok(entry.stats.clone()),
-                    trace,
-                    wait: Duration::ZERO,
-                    run: Duration::ZERO,
-                    cache: CacheOutcome::Hit,
-                }));
-                if let Some(n) = &notify {
-                    n();
-                }
-                Submitted::Streaming(StreamHandle {
-                    qid,
-                    class,
-                    cache_hit: true,
-                    token,
-                    rx,
-                })
-            }
+        reply.batch(StreamBatch {
+            columns: entry.table.columns.clone(),
+            types: entry.types.clone(),
+            rows: entry.table.rows.clone(),
+        });
+        reply.done(StreamDone {
+            qid,
+            class,
+            result: Ok(entry.stats.clone()),
+            trace,
+            wait: Duration::ZERO,
+            run: Duration::ZERO,
+            cache: CacheOutcome::Hit,
+        });
+        Admitted {
+            qid,
+            class,
+            token,
+            cache_hit: true,
         }
     }
 
@@ -1240,224 +1186,123 @@ impl Inner {
                     st = self.cv.wait(st).expect("service state poisoned");
                 }
             };
-            let done = self.execute(&ticket, entry);
+            let (reply, done) = self.execute(&ticket, entry);
             {
                 let mut st = self.state.lock().expect("service state poisoned");
                 st.sched.complete(ticket.class);
                 self.metrics.running.set(st.sched.running_total() as u64);
                 let now = self.clock.now();
+                let (state, counter) = match &done.result {
+                    Ok(_) => (QueryState::Done, &self.metrics.completed),
+                    Err(QservError::Cancelled) => (QueryState::Cancelled, &self.metrics.cancelled),
+                    Err(_) => (QueryState::Failed, &self.metrics.failed),
+                };
                 if let Some(rec) = st.records.get_mut(&ticket.qid) {
                     rec.finished_at = Some(now);
-                    rec.state = if done.ok {
-                        QueryState::Done
-                    } else if done.cancelled {
-                        QueryState::Cancelled
-                    } else {
-                        QueryState::Failed
-                    };
+                    rec.state = state;
                 }
-                if done.ok {
-                    self.metrics.completed.inc();
-                } else if done.cancelled {
-                    self.metrics.cancelled.inc();
-                } else {
-                    self.metrics.failed.inc();
-                }
+                counter.inc();
                 self.metrics.wait_ms[ticket.class.idx()].record(done.wait.as_millis() as u64);
                 self.metrics.run_ms[ticket.class.idx()].record(done.run.as_millis() as u64);
             }
             // Freed a slot: wake a peer in case the scheduler was
             // blocked on the concurrency limit.
             self.cv.notify_all();
-            // Deliver after the record turned terminal, so a client that
-            // sees the reply also sees a consistent STATUS. The
-            // submitter may have dropped its handle; that is its loss,
-            // not an executor error.
-            (done.deliver)();
+            // Deliver after the record turned terminal — and outside the
+            // state lock, so a blocked send never holds service state —
+            // so a client that sees the reply also sees a consistent
+            // STATUS.
+            reply.done(done);
         }
     }
 
     /// Runs one admitted query on the master, under a trace when asked.
-    /// Streaming replies deliver their batches *during* execution; only
-    /// the terminal event is deferred into `deliver`.
-    fn execute(&self, ticket: &Ticket, entry: PendingEntry) -> ExecDone {
+    /// Batches reach `reply` *during* execution; the terminal event is
+    /// returned for the caller to deliver once the record is settled.
+    fn execute(&self, ticket: &Ticket, entry: PendingEntry) -> (ReplyTo, StreamDone) {
         let started = self.clock.now();
         let PendingEntry {
             sql,
             traced,
-            reply,
+            mut reply,
             cache_key,
             token,
             admitted_at,
         } = entry;
         let wait = started.saturating_sub(admitted_at);
-        let cache_outcome = if cache_key.is_some() {
+        let cache = if cache_key.is_some() {
             CacheOutcome::Miss
         } else {
             CacheOutcome::Off
         };
         let qid = ticket.qid;
         let class = ticket.class;
-        match reply {
-            ReplyTo::Buffered(tx) => {
-                let (result, trace) = match &traced {
-                    Some(root_name) => {
-                        let trace = Trace::new(self.clock.clone());
-                        let outcome = {
-                            let root = trace::with_root(&trace, root_name);
-                            root.annotate("sql", &sql);
-                            {
-                                // The admission decision as a (zero-length)
-                                // span: queue time itself elapsed before this
-                                // trace existed, so it is carried as an
-                                // annotation — a span over it would escape
-                                // the root interval and fail `validate()`.
-                                let g = trace::span("service.admit");
-                                if let Some(g) = &g {
-                                    g.annotate("qid", &qid.to_string());
-                                    g.annotate("class", class.as_str());
-                                    g.annotate("cost", &ticket.cost.to_string());
-                                    g.annotate("wait_ms", &wait.as_millis().to_string());
-                                    g.annotate("cache", cache_outcome.as_str());
-                                }
-                            }
-                            let r = self.qserv.query_inner(&sql, &token);
-                            if token.is_cancelled() {
-                                let g = trace::span("service.cancel");
-                                if let Some(g) = &g {
-                                    g.annotate("qid", &qid.to_string());
-                                }
-                            }
-                            r
-                        };
-                        (outcome.map(|(rows, qm)| (rows, qm.stats())), Some(trace))
-                    }
-                    None => (self.qserv.query_cancellable(&sql, &token), None),
-                };
-                if let (Some(key), Ok((table, stats))) = (cache_key, &result) {
-                    self.populate_cache(
-                        key,
-                        CachedResult {
-                            table: table.clone(),
-                            types: infer_value_types(table),
-                            stats: stats.clone(),
-                            class,
-                        },
-                    );
-                }
-                let run = self.clock.now().saturating_sub(started);
-                let ok = result.is_ok();
-                let cancelled = matches!(result, Err(QservError::Cancelled));
-                let service_reply = ServiceReply {
-                    qid,
-                    class,
-                    result,
-                    trace,
-                    wait,
-                    run,
-                };
-                ExecDone {
-                    ok,
-                    cancelled,
-                    wait,
-                    run,
-                    deliver: Box::new(move || {
-                        let _ = tx.try_send(service_reply);
-                    }),
+        // Collect a copy for the cache while the rows go out, unless the
+        // result outgrows the per-entry cap along the way.
+        let mut collector = cache_key.as_ref().map(|_| StreamCollector::default());
+        let mut collected_bytes: u64 = 0;
+        let max_entry = self.cfg.cache_max_entry_bytes;
+        let mut sink = |batch: StreamBatch| -> bool {
+            if collector.is_some() {
+                collected_bytes = collected_bytes.saturating_add(stream_batch_bytes(&batch));
+                if collected_bytes > max_entry {
+                    collector = None;
+                } else if let Some(c) = collector.as_mut() {
+                    c.push(batch.clone());
                 }
             }
-            ReplyTo::Streaming { tx, notify } => {
-                // Collect a copy for the cache while streaming, unless
-                // the result outgrows the per-entry cap along the way.
-                let mut collector = cache_key.as_ref().map(|_| StreamCollector::default());
-                let mut collected_bytes: u64 = 0;
-                let max_entry = self.cfg.cache_max_entry_bytes;
-                let mut sink = |batch: StreamBatch| -> bool {
-                    if collector.is_some() {
-                        collected_bytes =
-                            collected_bytes.saturating_add(stream_batch_bytes(&batch));
-                        if collected_bytes > max_entry {
-                            collector = None;
-                        } else if let Some(c) = collector.as_mut() {
-                            c.push(batch.clone());
-                        }
-                    }
-                    // A blocking send is the backpressure: the merge
-                    // (and, through it, chunk dispatch) stalls until the
-                    // client drains. A hung-up receiver errors the send,
-                    // which cancels the rest of the query.
-                    let delivered = tx.send(StreamEvent::Batch(batch)).is_ok();
-                    if let Some(n) = &notify {
-                        n();
-                    }
-                    delivered
-                };
-                let (result, trace) = match &traced {
-                    Some(root_name) => {
-                        let trace = Trace::new(self.clock.clone());
-                        let r = {
-                            let root = trace::with_root(&trace, root_name);
-                            root.annotate("sql", &sql);
-                            {
-                                let g = trace::span("service.admit");
-                                if let Some(g) = &g {
-                                    g.annotate("qid", &qid.to_string());
-                                    g.annotate("class", class.as_str());
-                                    g.annotate("cost", &ticket.cost.to_string());
-                                    g.annotate("wait_ms", &wait.as_millis().to_string());
-                                    g.annotate("cache", cache_outcome.as_str());
-                                }
-                            }
-                            let r = self.qserv.query_streaming(&sql, &token, &mut sink);
-                            if token.is_cancelled() {
-                                let g = trace::span("service.cancel");
-                                if let Some(g) = &g {
-                                    g.annotate("qid", &qid.to_string());
-                                }
-                            }
-                            r
-                        };
-                        (r, Some(trace))
-                    }
-                    None => (self.qserv.query_streaming(&sql, &token, &mut sink), None),
-                };
-                if let (Some(key), Ok(stats), Some(c)) = (cache_key, &result, collector) {
-                    self.populate_cache(
-                        key,
-                        CachedResult {
-                            types: c.types().to_vec(),
-                            table: c.table(),
-                            stats: stats.clone(),
-                            class,
-                        },
-                    );
-                }
-                let run = self.clock.now().saturating_sub(started);
-                let ok = result.is_ok();
-                let cancelled = matches!(result, Err(QservError::Cancelled));
-                let done = StreamDone {
-                    qid,
-                    class,
-                    result,
-                    trace,
-                    wait,
-                    run,
-                    cache: cache_outcome,
-                };
-                ExecDone {
-                    ok,
-                    cancelled,
-                    wait,
-                    run,
-                    deliver: Box::new(move || {
-                        let _ = tx.send(StreamEvent::Done(done));
-                        if let Some(n) = &notify {
-                            n();
-                        }
-                    }),
+            reply.batch(batch)
+        };
+        let trace = traced.as_ref().map(|_| Trace::new(self.clock.clone()));
+        let result = {
+            // Without a root no trace is active on this thread, and the
+            // spans below (and every span under the master) are no-ops.
+            let _root = trace.as_ref().zip(traced.as_deref()).map(|(t, name)| {
+                let root = trace::with_root(t, name);
+                root.annotate("sql", &sql);
+                root
+            });
+            // The admission decision as a (zero-length) span: queue time
+            // itself elapsed before this trace existed, so it is carried
+            // as an annotation — a span over it would escape the root
+            // interval and fail `validate()`.
+            if let Some(g) = trace::span("service.admit") {
+                g.annotate("qid", &qid.to_string());
+                g.annotate("class", class.as_str());
+                g.annotate("cost", &ticket.cost.to_string());
+                g.annotate("wait_ms", &wait.as_millis().to_string());
+                g.annotate("cache", cache.as_str());
+            }
+            let r = self.qserv.query_streaming(&sql, &token, &mut sink);
+            if token.is_cancelled() {
+                if let Some(g) = trace::span("service.cancel") {
+                    g.annotate("qid", &qid.to_string());
                 }
             }
+            r
+        };
+        if let (Some(key), Ok(stats), Some(c)) = (cache_key, &result, collector) {
+            self.populate_cache(
+                key,
+                CachedResult {
+                    types: c.types().to_vec(),
+                    table: c.table(),
+                    stats: stats.clone(),
+                    class,
+                },
+            );
         }
+        let run = self.clock.now().saturating_sub(started);
+        let done = StreamDone {
+            qid,
+            class,
+            result,
+            trace,
+            wait,
+            run,
+            cache,
+        };
+        (reply, done)
     }
 
     /// Stores a completed result under its normalized key, charging the
@@ -1517,34 +1362,18 @@ impl Inner {
         self.metrics.cancelled.inc();
         self.metrics.queue_depth[class.idx()].set(st.sched.queued(class) as u64);
         let wait = now.saturating_sub(entry.admitted_at);
-        match entry.reply {
-            ReplyTo::Buffered(tx) => {
-                let _ = tx.try_send(ServiceReply {
-                    qid,
-                    class,
-                    result: Err(QservError::Cancelled),
-                    trace: None,
-                    wait,
-                    run: Duration::ZERO,
-                });
-            }
-            // Nothing streamed yet (the query never ran), so the empty
-            // channel has room for the terminal event.
-            ReplyTo::Streaming { tx, notify } => {
-                let _ = tx.try_send(StreamEvent::Done(StreamDone {
-                    qid,
-                    class,
-                    result: Err(QservError::Cancelled),
-                    trace: None,
-                    wait,
-                    run: Duration::ZERO,
-                    cache: CacheOutcome::Off,
-                }));
-                if let Some(n) = &notify {
-                    n();
-                }
-            }
-        }
+        // Nothing was delivered yet (the query never ran), so the empty
+        // channel has room for the terminal event: the send cannot
+        // block under the state lock.
+        entry.reply.done(StreamDone {
+            qid,
+            class,
+            result: Err(QservError::Cancelled),
+            trace: None,
+            wait,
+            run: Duration::ZERO,
+            cache: CacheOutcome::Off,
+        });
     }
 
     fn status(&self) -> Vec<QueryStatus> {
@@ -1596,17 +1425,6 @@ impl Inner {
             }
         }
     }
-}
-
-/// A finished execution: how it ended (for the record and metrics,
-/// updated under the state lock) plus a deferred delivery closure (run
-/// after the lock drops, so a blocked send never holds service state).
-struct ExecDone {
-    ok: bool,
-    cancelled: bool,
-    wait: Duration,
-    run: Duration,
-    deliver: Box<dyn FnOnce() + Send>,
 }
 
 fn display_sql(sql: &str) -> String {
@@ -1740,24 +1558,6 @@ mod tests {
         assert!(s.remove(7));
         assert!(!s.remove(7), "already gone");
         assert_eq!(s.next_ticket(), None);
-    }
-
-    #[test]
-    fn fifo_mode_is_arrival_ordered_and_uncapped() {
-        let mut s = FairScheduler::new(&ServiceConfig {
-            fifo: true,
-            max_concurrent: 4,
-            max_scan_concurrent: 1,
-            ..ServiceConfig::default()
-        });
-        assert!(s.admit(0, QueryClass::Scan, 100));
-        assert!(s.admit(1, QueryClass::Scan, 100));
-        assert!(s.admit(2, QueryClass::Interactive, 1));
-        // FIFO ignores the scan cap and the class queues: pure arrival
-        // order — which is exactly how Figure 14's starvation happens.
-        assert_eq!(s.next_ticket().map(|t| t.qid), Some(0));
-        assert_eq!(s.next_ticket().map(|t| t.qid), Some(1));
-        assert_eq!(s.next_ticket().map(|t| t.qid), Some(2));
     }
 
     #[test]

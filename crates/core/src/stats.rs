@@ -84,12 +84,10 @@ pub struct QueryStats {
     /// cancellation).
     pub chunks_skipped_by_limit: usize,
     /// High-water mark of chunk results held materialized at once by the
-    /// merger (reorder buffer + any barrier buffering). The barrier path
-    /// reports the full part count here.
+    /// merger (reorder buffer + any [`crate::MergeShape::Barrier`] buffering).
     pub peak_buffered_parts: usize,
     /// Clock span (ms) from the first incremental fold to the last part
-    /// arrival — the window in which merging overlapped dispatch. Zero
-    /// on the barrier path, which merges only after dispatch ends.
+    /// arrival — the window in which merging overlapped dispatch.
     pub merge_overlap_ms: u64,
     /// Chunks elided before dispatch by the per-chunk zone maps.
     pub chunks_pruned: usize,

@@ -27,7 +27,6 @@ pub struct Database {
     tables: BTreeMap<String, Arc<Table>>,
     stored: BTreeMap<String, Arc<StoredChunk>>,
     residency: Arc<Residency>,
-    prune_pages: bool,
 }
 
 impl Database {
@@ -37,7 +36,6 @@ impl Database {
             tables: BTreeMap::new(),
             stored: BTreeMap::new(),
             residency: Arc::new(Residency::default()),
-            prune_pages: true,
         }
     }
 
@@ -120,17 +118,6 @@ impl Database {
     /// one shared across databases).
     pub fn set_residency(&mut self, residency: Arc<Residency>) {
         self.residency = residency;
-    }
-
-    /// Whether cold scans elide pages via zone maps (on by default; the
-    /// bench turns it off to measure the win).
-    pub fn page_pruning(&self) -> bool {
-        self.prune_pages
-    }
-
-    /// Enables or disables zone-map page elision on cold scans.
-    pub fn set_page_pruning(&mut self, on: bool) {
-        self.prune_pages = on;
     }
 
     /// Materializes table `name` through the residency cache when it is

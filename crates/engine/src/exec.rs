@@ -284,11 +284,7 @@ pub fn execute_detailed(
             // Decoded pages carry no index; scan every surviving page.
             plan.seed = None;
             let file = chunk.file();
-            let keep = if db.page_pruning() {
-                crate::storage::prune_mask(file.footer(), &plan.kernels)
-            } else {
-                vec![true; file.row_groups()]
-            };
+            let keep = crate::storage::prune_mask(file.footer(), &plan.kernels);
             let pages_scanned = keep.iter().filter(|&&k| k).count() as u64;
             let stats = ScanStats {
                 pages_pruned: keep.len() as u64 - pages_scanned,

@@ -89,7 +89,7 @@
 //! statement closes the connection after an `ERR`.
 //!
 //! [`server::ProxyServer`] multiplexes every connection on **one
-//! event loop** (see [`server::ServerMode`]) with per-connection write
+//! event loop** with per-connection write
 //! backpressure: a slow reader stalls its own query's merge instead of
 //! buffering the result in proxy memory. Every session submits through
 //! one shared `qserv::service::QueryService`: admission control, fair
@@ -107,4 +107,4 @@ pub mod server;
 pub use client::{ClientBuilder, ProxyClient, QueryStream, RemoteStats, WireBatch};
 pub use qserv_engine::exec::ResultTable;
 pub use retry::RetryPolicy;
-pub use server::{ProxyServer, ServerMode};
+pub use server::ProxyServer;

@@ -1,7 +1,7 @@
 //! The proxy server: one event loop multiplexing every connection.
 //!
-//! [`ServerMode::Reactor`] (the default) runs a single poll(2)-driven
-//! event loop over nonblocking sockets: the listener, a cross-thread
+//! The server runs a single poll(2)-driven event loop over nonblocking
+//! sockets: the listener, a cross-thread
 //! [`Waker`], and every client connection are all readiness sources of
 //! one `mio::Poll`. Sessions submit through the shared
 //! [`QueryService`] as *streaming* queries; merged row batches are
@@ -25,11 +25,6 @@
 //! sets a flag and wakes the poll loop through the `Waker` — no
 //! sentinel connections, no window where a fresh accept slips past the
 //! flag check.
-//!
-//! [`ServerMode::ThreadPerConn`] keeps the accept path on the same
-//! poll/waker pair (so stopping stays race-free) but serves each
-//! connection on its own blocking thread — the baseline the proxy
-//! bench compares the reactor against.
 
 use crate::protocol::{
     column_tag, encode_value, sid_prefix, split_sid, value_tags, MAX_STATEMENT_BYTES,
@@ -56,17 +51,6 @@ const FIRST_CONN: usize = 2;
 /// and the query stalls until the socket drains.
 pub const HIGH_WATER_BYTES: usize = 256 * 1024;
 
-/// How the server maps connections to execution contexts.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ServerMode {
-    /// One event loop multiplexes every connection (the default).
-    Reactor,
-    /// One blocking thread per connection — the pre-reactor design,
-    /// kept as the bench baseline. The accept path still runs on the
-    /// poll/waker pair so `stop` is race-free in both modes.
-    ThreadPerConn,
-}
-
 /// A running proxy listening on a TCP socket.
 pub struct ProxyServer {
     addr: SocketAddr,
@@ -92,15 +76,6 @@ impl ProxyServer {
         service: Arc<QueryService>,
         bind: &str,
     ) -> std::io::Result<ProxyServer> {
-        ProxyServer::start_with_mode(service, bind, ServerMode::Reactor)
-    }
-
-    /// Starts a proxy in an explicit [`ServerMode`].
-    pub fn start_with_mode(
-        service: Arc<QueryService>,
-        bind: &str,
-        mode: ServerMode,
-    ) -> std::io::Result<ProxyServer> {
         let listener = mio::net::TcpListener::bind(bind)?;
         let addr = listener.local_addr()?;
         let poll = Poll::new()?;
@@ -113,10 +88,7 @@ impl ProxyServer {
             let service = Arc::clone(&service);
             let shutdown = Arc::clone(&shutdown);
             let waker = Arc::clone(&waker);
-            std::thread::spawn(move || match mode {
-                ServerMode::Reactor => Reactor::new(poll, listener, service, shutdown, waker).run(),
-                ServerMode::ThreadPerConn => run_thread_per_conn(poll, listener, service, shutdown),
-            })
+            std::thread::spawn(move || Reactor::new(poll, listener, service, shutdown, waker).run())
         };
         Ok(ProxyServer {
             addr,
@@ -137,10 +109,8 @@ impl ProxyServer {
         &self.service
     }
 
-    /// Stops the server and joins its thread. In reactor mode open
-    /// sessions are closed (their in-flight queries cancel); in
-    /// thread-per-connection mode existing session threads run to
-    /// completion on their own.
+    /// Stops the server and joins its thread. Open sessions are closed
+    /// (their in-flight queries cancel).
     pub fn shutdown(mut self) {
         self.stop();
     }
@@ -163,7 +133,7 @@ impl Drop for ProxyServer {
 }
 
 // ---------------------------------------------------------------------
-// Statement assembly and routing (shared by both server modes).
+// Statement assembly and routing.
 // ---------------------------------------------------------------------
 
 /// Accumulates raw socket bytes and yields `;`-terminated statements.
@@ -271,7 +241,7 @@ fn route(service: &QueryService, stmt: &str) -> Action {
 }
 
 // ---------------------------------------------------------------------
-// Frame encoding (shared by both server modes).
+// Frame encoding.
 // ---------------------------------------------------------------------
 
 /// Per-request frame-encoding state: which headers went out, under
@@ -377,7 +347,7 @@ fn write_table(out: &mut Vec<u8>, sid: Option<u64>, table: &ResultTable) {
 }
 
 // ---------------------------------------------------------------------
-// Reactor mode.
+// The reactor.
 // ---------------------------------------------------------------------
 
 /// One in-flight streamed query on a connection.
@@ -627,7 +597,7 @@ fn start_statement(
         }
         Action::Submit { sql, traced } => {
             let root = traced.then_some("proxy.request");
-            match service.submit_streaming_with_notify(&sql, root, Arc::clone(notifier)) {
+            match service.submit_streaming(&sql, root, Some(Arc::clone(notifier))) {
                 Ok(handle) => {
                     conn.requests.push(Request {
                         state: ResponseState::new(sid),
@@ -755,118 +725,6 @@ fn update_interest(poll: &Poll, conn: &mut Conn) {
         conn.registered = want;
     } else {
         conn.failed = true;
-    }
-}
-
-// ---------------------------------------------------------------------
-// Thread-per-connection mode (bench baseline).
-// ---------------------------------------------------------------------
-
-fn run_thread_per_conn(
-    mut poll: Poll,
-    listener: mio::net::TcpListener,
-    service: Arc<QueryService>,
-    shutdown: Arc<AtomicBool>,
-) {
-    let mut events = Events::with_capacity(16);
-    loop {
-        if poll.poll(&mut events, None).is_err() {
-            continue;
-        }
-        if shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        loop {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    let _ = stream.set_nodelay(true);
-                    let Ok(std_stream) = stream.into_std() else {
-                        continue;
-                    };
-                    let service = Arc::clone(&service);
-                    std::thread::spawn(move || {
-                        // A dropped/failed connection only ends that
-                        // session.
-                        let _ = serve_blocking(&service, std_stream);
-                    });
-                }
-                Err(ref e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(_) => break,
-            }
-        }
-    }
-}
-
-/// Serves one connection on a blocking thread. Same frames as the
-/// reactor; statements (tagged or not) execute strictly one at a time.
-fn serve_blocking(service: &QueryService, stream: std::net::TcpStream) -> std::io::Result<()> {
-    let mut reader = stream.try_clone()?;
-    let mut writer = stream;
-    let mut splitter = StatementSplitter::default();
-    let mut buf = [0u8; 8192];
-    let mut out = Vec::new();
-    loop {
-        while let Some(stmt) = splitter.next_statement() {
-            let (sid, stmt) = split_sid(&stmt);
-            match route(service, stmt) {
-                Action::Table(table) => write_table(&mut out, sid, &table),
-                Action::BadVerb(msg) => {
-                    let _ = writeln!(out, "{}ERR {msg}", sid_prefix(sid));
-                }
-                Action::Submit { sql, traced } => {
-                    let submitted = match traced {
-                        true => service.submit_streaming_traced(&sql, "proxy.request"),
-                        false => service.submit_streaming(&sql),
-                    };
-                    match submitted {
-                        Ok(handle) => {
-                            let mut st = ResponseState::new(sid);
-                            stream_response(handle, &mut st, &mut out, &mut writer)?;
-                        }
-                        Err(e) => write_error(&mut out, sid, &e),
-                    }
-                }
-            }
-            writer.write_all(&out)?;
-            out.clear();
-        }
-        if splitter.overflowed() {
-            writeln!(writer, "ERR statement exceeds {MAX_STATEMENT_BYTES} bytes")?;
-            return Ok(());
-        }
-        let n = reader.read(&mut buf)?;
-        if n == 0 {
-            return Ok(());
-        }
-        splitter.push(&buf[..n]);
-    }
-}
-
-/// Blocking drain of one streamed response, flushing each batch as it
-/// arrives so first rows still beat the scan's completion.
-fn stream_response(
-    handle: StreamHandle,
-    st: &mut ResponseState,
-    out: &mut Vec<u8>,
-    writer: &mut std::net::TcpStream,
-) -> std::io::Result<()> {
-    loop {
-        match handle.recv() {
-            Some(StreamEvent::Batch(batch)) => {
-                write_batch(out, st, &batch);
-                writer.write_all(out)?;
-                out.clear();
-            }
-            Some(StreamEvent::Done(done)) => {
-                write_done(out, st, &done);
-                return Ok(());
-            }
-            None => {
-                // Channel died without a Done: surface as cancellation.
-                write_error(out, st.sid, &QservError::Cancelled);
-                return Ok(());
-            }
-        }
     }
 }
 

@@ -2,8 +2,8 @@
 //! split across arbitrary write boundaries, responses read back under
 //! a deliberately slow consumer (exercising the reactor's write
 //! backpressure), oversized-statement rejection, interleaved frames
-//! from multiplexed (`#<sid>`-tagged) statements, and race-free
-//! server shutdown.
+//! from multiplexed (`#<sid>`-tagged) statements, byte-identical replay
+//! of a repeated statement, and race-free server shutdown.
 
 use qserv::service::{QueryService, ServiceConfig};
 use qserv::{ClusterBuilder, FabricOp, FaultPlan};
@@ -138,6 +138,48 @@ fn slow_readers_throttle_without_corruption() {
     assert_eq!(rows, 20_000);
     let end = end.expect("END frame");
     assert!(end.starts_with("END 20000 "), "{end:?}");
+    server.shutdown();
+}
+
+/// The same statement sent twice answers with the same bytes: frames
+/// are a function of the query and the data, not of chunk arrival
+/// order. (A scan's `ROWS <n>` block boundaries follow arrival timing,
+/// so they are set aside; the row lines themselves and their order are
+/// not.)
+#[test]
+fn a_replayed_statement_is_byte_identical_on_the_wire() {
+    let server = start_server(600, 25);
+    let stream = TcpStream::connect(server.addr()).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut writer = stream;
+    let mut frames_of = |sql: &str| {
+        writer.write_all(sql.as_bytes()).expect("write statement");
+        let mut frames = Vec::new();
+        loop {
+            let line = read_line(&mut reader).expect("frame");
+            let done = line.starts_with("END ");
+            frames.push(line);
+            if done {
+                return frames;
+            }
+        }
+    };
+
+    let grouped = "SELECT chunkId, COUNT(*) FROM Object GROUP BY chunkId;";
+    let first = frames_of(grouped);
+    assert!(first.len() > 4, "several groups expected: {first:?}");
+    assert_eq!(frames_of(grouped), first, "aggregate replay diverged");
+
+    let scan = "SELECT objectId, ra_PS FROM Object;";
+    let rows_only = |frames: Vec<String>| -> Vec<String> {
+        frames
+            .into_iter()
+            .filter(|f| !f.starts_with("ROWS "))
+            .collect()
+    };
+    let first = rows_only(frames_of(scan));
+    assert_eq!(first.len(), 2 + 600 + 1, "COLS, TYPES, 600 rows, END");
+    assert_eq!(rows_only(frames_of(scan)), first, "scan replay diverged");
     server.shutdown();
 }
 

@@ -1,10 +1,9 @@
-//! Streaming, caching, retry, and the thread-per-connection baseline,
-//! proven over real TCP.
+//! Streaming, caching, and retry, proven over real TCP.
 
 use qserv::service::{names, QueryService, ServiceConfig};
 use qserv::{CacheOutcome, ClusterBuilder, FabricOp, FaultPlan};
 use qserv_datagen::generate::{CatalogConfig, Patch};
-use qserv_proxy::{ProxyClient, ProxyServer, RetryPolicy, ServerMode};
+use qserv_proxy::{ProxyClient, ProxyServer, RetryPolicy};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -166,45 +165,5 @@ fn busy_retry_policy_rides_out_admission_backpressure() {
         saw_busy,
         "with one slot and one queue seat, somebody must have been told BUSY"
     );
-    server.shutdown();
-}
-
-#[test]
-fn thread_per_conn_mode_speaks_the_same_protocol() {
-    let patch = Patch::generate(&CatalogConfig::small(300, 35));
-    let qserv = Arc::new(ClusterBuilder::new(3).build(&patch.objects, &patch.sources));
-    let service = Arc::new(QueryService::start(
-        qserv,
-        ServiceConfig {
-            cache_capacity_bytes: 1 << 20,
-            ..ServiceConfig::default()
-        },
-    ));
-    let server = ProxyServer::start_with_mode(service, "127.0.0.1:0", ServerMode::ThreadPerConn)
-        .expect("bind");
-    let mut client = ProxyClient::connect(server.addr()).expect("connect");
-
-    let (t, stats) = client.query("SELECT COUNT(*) FROM Object").expect("count");
-    assert_eq!(t.scalar().and_then(|v| v.as_i64()), Some(300));
-    assert_eq!(stats.cache, CacheOutcome::Miss);
-    let (_, stats) = client.query("SELECT COUNT(*) FROM Object").expect("hot");
-    assert_eq!(stats.cache, CacheOutcome::Hit);
-
-    let (_, _, trace) = client
-        .query_traced("SELECT objectId FROM Object WHERE objectId = 3")
-        .expect("traced");
-    assert!(trace.contains("proxy.request"), "{trace}");
-
-    assert_eq!(client.kill(999_999).expect("kill unknown"), "unknown");
-
-    let mut stream = client
-        .query_stream("SELECT objectId FROM Object")
-        .expect("stream");
-    let mut rows = 0;
-    while let Some(b) = stream.next_batch().expect("stream") {
-        rows += b.rows.len();
-    }
-    assert_eq!(rows, 300);
-    drop(stream);
     server.shutdown();
 }

@@ -10,6 +10,7 @@ use qserv::loader::{object_schema, source_schema, ClusterBuilder};
 use qserv::{Chunker, Qserv};
 use qserv_datagen::generate::{CatalogConfig, Patch};
 use qserv_engine::db::Database;
+use qserv_engine::exec::ResultTable;
 use qserv_engine::table::Table;
 use qserv_engine::value::Value;
 use qserv_sphgeom::LonLat;
@@ -103,5 +104,37 @@ pub fn approx_eq(a: &Value, b: &Value, rel: f64) -> bool {
             }
             _ => x == y,
         },
+    }
+}
+
+/// Asserts a distributed result equals the single-engine result for
+/// `sql`: order-insensitively unless the query orders, approximately
+/// (1e-9 relative) for float aggregates.
+pub fn assert_matches_local(sql: &str, distributed: &ResultTable, local: &ResultTable) {
+    assert_eq!(
+        distributed.columns.len(),
+        local.columns.len(),
+        "column arity differs for {sql}"
+    );
+    assert_eq!(
+        distributed.num_rows(),
+        local.num_rows(),
+        "row count differs for {sql}: distributed {} vs local {}",
+        distributed.num_rows(),
+        local.num_rows()
+    );
+    let ordered = sql.to_ascii_uppercase().contains("ORDER BY");
+    let (d_rows, l_rows) = if ordered {
+        (distributed.rows.clone(), local.rows.clone())
+    } else {
+        (sorted_rows(&distributed.rows), sorted_rows(&local.rows))
+    };
+    for (i, (d, l)) in d_rows.iter().zip(&l_rows).enumerate() {
+        for (j, (dv, lv)) in d.iter().zip(l).enumerate() {
+            assert!(
+                approx_eq(dv, lv, 1e-9),
+                "{sql}: row {i} col {j} differs: {dv:?} vs {lv:?}"
+            );
+        }
     }
 }

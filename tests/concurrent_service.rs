@@ -7,9 +7,8 @@
 //! 2. **Fairness property** — random arrival schedules replayed against
 //!    the pure [`FairScheduler`] on a virtual clock: every admitted
 //!    query completes (no starvation), and under scan saturation the
-//!    interactive p95 latency stays within 3× the unloaded latency —
-//!    while the FIFO baseline starves (the paper's Figure 14 and its
-//!    fix).
+//!    interactive p95 latency stays within 3× the unloaded latency
+//!    (the fix for the paper's Figure 14).
 //! 3. **Cancellation under chaos** — `KILL` against an in-flight scan
 //!    with fabric delay faults active: the query stops at a chunk
 //!    boundary, no result files are stranded, the reply channel
@@ -488,26 +487,6 @@ fn interactive_p95_bounded_under_scan_saturation() {
     );
 }
 
-#[test]
-fn fifo_baseline_starves_interactive_queries() {
-    // The identical workload through the unscheduled FIFO baseline:
-    // the scans grab all the slots and the interactive queries wait
-    // for a 60-second scan to finish — Figure 14's starvation.
-    let cfg = ServiceConfig {
-        max_concurrent: 9,
-        max_scan_concurrent: 2,
-        fifo: true,
-        ..ServiceConfig::default()
-    };
-    let latencies = saturated_latencies(&cfg);
-    assert_eq!(latencies.len(), 20);
-    let p = p95(latencies);
-    assert!(
-        p >= 60_000,
-        "FIFO should starve interactive queries behind the scans, p95 {p} ms"
-    );
-}
-
 proptest::proptest! {
     #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
 
@@ -597,7 +576,7 @@ fn kill_under_fabric_faults_leaves_no_residue() {
         },
     );
     let handle = service
-        .submit_traced("SELECT COUNT(*) FROM Object", "chaos.kill")
+        .submit_streaming("SELECT COUNT(*) FROM Object", Some("chaos.kill"), None)
         .expect("scan admitted");
     let qid = handle.qid;
     assert_eq!(handle.class, QueryClass::Scan);
@@ -623,7 +602,7 @@ fn kill_under_fabric_faults_leaves_no_residue() {
     // The reply channel must resolve — a kill may never wedge the
     // merge pipeline — and promptly: cancellation is checked at every
     // chunk boundary, so one delayed chunk bounds the stop latency.
-    let reply = handle.wait();
+    let reply = handle.collect();
     assert!(
         killed_at.elapsed() < Duration::from_secs(10),
         "kill took {:?} to unwind",
@@ -706,4 +685,53 @@ fn kill_of_a_queued_query_is_immediate() {
     let (rows, _) = first.wait().result.expect("first query unaffected");
     assert_eq!(rows.scalar(), Some(&Value::Int(300)));
     assert_no_result_leaks(&qserv, "queued kill");
+}
+
+/// A buffered `submit` holds its execution slot only while the query
+/// runs, not until the caller calls `wait()`: more row-returning
+/// handles than there are executors, awaited in submission order, must
+/// all complete. (Handing the caller a bounded batch channel to drain in
+/// `wait()` would park the executors on handles nobody is reading yet
+/// while the first handle's query still sits in the queue.)
+#[test]
+fn unawaited_handles_do_not_hold_execution_slots() {
+    let patch = small_patch(400, 47);
+    let qserv = Arc::new(ClusterBuilder::new(3).build(&patch.objects, &patch.sources));
+    let sql = "SELECT objectId FROM Object";
+    let oracle = sorted_rows(&qserv.query(sql).expect("serial oracle run").rows);
+    assert_eq!(oracle.len(), 400);
+
+    let service = QueryService::start(
+        Arc::clone(&qserv),
+        ServiceConfig {
+            max_concurrent: 2,
+            max_scan_concurrent: 2,
+            ..ServiceConfig::default()
+        },
+    );
+    let handles: Vec<_> = (0..12)
+        .map(|i| {
+            service
+                .submit(sql)
+                .unwrap_or_else(|e| panic!("handle {i} admitted: {e}"))
+        })
+        .collect();
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let waiter = std::thread::spawn(move || {
+        for (i, h) in handles.into_iter().enumerate() {
+            let (rows, _) = h
+                .wait()
+                .result
+                .unwrap_or_else(|e| panic!("handle {i} failed: {e}"));
+            done_tx.send(sorted_rows(&rows.rows)).expect("test alive");
+        }
+    });
+    for i in 0..12 {
+        let rows = done_rx
+            .recv_timeout(Duration::from_secs(60))
+            .unwrap_or_else(|_| panic!("handle {i} never completed: executors are wedged"));
+        assert_eq!(rows, oracle, "handle {i} returned the wrong rows");
+    }
+    waiter.join().expect("waiter thread");
+    assert_no_result_leaks(&qserv, "un-awaited handles");
 }

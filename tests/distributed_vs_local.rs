@@ -6,7 +6,7 @@
 
 mod common;
 
-use common::{approx_eq, cluster_from, monolithic_db, small_patch, sorted_rows};
+use common::{assert_matches_local, cluster_from, monolithic_db, small_patch};
 use qserv_engine::exec::execute;
 use qserv_sqlparse::parse_select;
 
@@ -23,32 +23,7 @@ fn check(sql: &str, objects: usize, seed: u64) {
     let stmt = parse_select(sql).unwrap();
     let local = execute(&db, &stmt).unwrap_or_else(|e| panic!("local {sql}: {e}"));
 
-    assert_eq!(
-        distributed.columns.len(),
-        local.columns.len(),
-        "column arity differs for {sql}"
-    );
-    assert_eq!(
-        distributed.num_rows(),
-        local.num_rows(),
-        "row count differs for {sql}: distributed {} vs local {}",
-        distributed.num_rows(),
-        local.num_rows()
-    );
-    let ordered = sql.to_ascii_uppercase().contains("ORDER BY");
-    let (d_rows, l_rows) = if ordered {
-        (distributed.rows.clone(), local.rows.clone())
-    } else {
-        (sorted_rows(&distributed.rows), sorted_rows(&local.rows))
-    };
-    for (i, (d, l)) in d_rows.iter().zip(&l_rows).enumerate() {
-        for (j, (dv, lv)) in d.iter().zip(l).enumerate() {
-            assert!(
-                approx_eq(dv, lv, 1e-9),
-                "{sql}: row {i} col {j} differs: {dv:?} vs {lv:?}"
-            );
-        }
-    }
+    assert_matches_local(sql, &distributed, &local);
 }
 
 #[test]

@@ -117,6 +117,48 @@ fn fail_node_repairs_replication_and_results_are_identical() {
     assert_no_result_leaks(&q, "fail_node repair");
 }
 
+/// Permanent node loss *under traffic*: queries running while
+/// `fail_node` repairs never fail (the dispatcher's retry loop absorbs
+/// the loss) and never diverge from the pre-loss oracle.
+#[test]
+fn queries_during_fail_node_repair_never_fail() {
+    let patch = small_patch(800, 88);
+    let q = Arc::new(replicated(&patch, placement_seed()));
+    let oracle: Vec<_> = QUERIES
+        .iter()
+        .map(|&sql| sorted_rows(&q.query(sql).expect("pre-loss run").rows))
+        .collect();
+    let stop = std::sync::atomic::AtomicBool::new(false);
+
+    std::thread::scope(|scope| {
+        let traffic: Vec<_> = (0..3)
+            .map(|t| {
+                let (q, oracle, stop) = (Arc::clone(&q), &oracle, &stop);
+                scope.spawn(move || {
+                    let mut runs = 0usize;
+                    while runs < 3 || !stop.load(std::sync::atomic::Ordering::Relaxed) {
+                        let i = (t + runs) % QUERIES.len();
+                        let r = q
+                            .query(QUERIES[i])
+                            .unwrap_or_else(|e| panic!("thread {t}: failed during repair: {e}"));
+                        assert_eq!(sorted_rows(&r.rows), oracle[i], "diverged during repair");
+                        runs += 1;
+                    }
+                })
+            })
+            .collect();
+        let report = q.fail_node(1).expect("repair succeeds under traffic");
+        assert!(report.chunks_lost.is_empty(), "factor 2 survives one loss");
+        assert!(report.replicas_created > 0, "loss must force repair copies");
+        stop.store(true, std::sync::atomic::Ordering::Relaxed);
+        for h in traffic {
+            h.join().expect("traffic thread");
+        }
+    });
+    assert_replication_restored(&q, 2, "after fail_node(1) under traffic");
+    assert_no_result_leaks(&q, "repair under traffic");
+}
+
 #[test]
 fn seeded_faults_during_copy_never_lose_an_acked_replica() {
     let patch = small_patch(600, 82);

@@ -174,7 +174,10 @@ fn explain_never_shares_a_cache_entry_with_its_query() {
     // submitted afterwards must MISS (and return rows, not a plan).
     let plan = service.explain(sql).expect("explain");
     assert_eq!(service.result_cache_len(), 1);
-    let outcome = service.submit_streaming(sql).expect("admitted").collect();
+    let outcome = service
+        .submit_streaming(sql, None, None)
+        .expect("admitted")
+        .collect();
     assert_eq!(
         outcome.cache,
         CacheOutcome::Miss,
@@ -190,7 +193,10 @@ fn explain_never_shares_a_cache_entry_with_its_query() {
     let plan2 = service.explain(sql).expect("explain again");
     assert_eq!(plan2.columns, vec!["item", "value"]);
     assert_eq!(plan2, plan, "cached EXPLAIN must replay the plan");
-    let outcome = service.submit_streaming(sql).expect("admitted").collect();
+    let outcome = service
+        .submit_streaming(sql, None, None)
+        .expect("admitted")
+        .collect();
     assert_eq!(outcome.cache, CacheOutcome::Hit);
     let (rows, _) = outcome.result.expect("cached rows");
     assert_eq!(rows.columns, vec!["objectId", "ra_PS"]);

@@ -45,10 +45,14 @@ fn service(objects: usize, seed: u64, cfg: ServiceConfig) -> QueryService {
 fn streaming_collect_equals_buffered_reply() {
     let service = service(500, 71, ServiceConfig::default());
     for sql in SHAPES {
+        // The reference is the master called directly with no sink: both
+        // service replies are reassembled from streamed batches.
+        let expected = service.qserv().query(sql).expect("master succeeds");
         let buffered = service.submit(sql).expect("buffered admitted").wait();
-        let (expected, _) = buffered.result.expect("buffered succeeds");
+        let (table, _) = buffered.result.expect("buffered succeeds");
+        assert_eq!(table, expected, "executor-side collection diverged: {sql}");
         let streamed = service
-            .submit_streaming(sql)
+            .submit_streaming(sql, None, None)
             .expect("streaming admitted")
             .collect();
         let (table, _) = streamed.result.expect("streaming succeeds");
@@ -74,7 +78,7 @@ fn streamable_scans_deliver_multiple_batches() {
 
     let service = QueryService::start(Arc::clone(&qserv), ServiceConfig::default());
     let handle = service
-        .submit_streaming("SELECT objectId FROM Object")
+        .submit_streaming("SELECT objectId FROM Object", None, None)
         .expect("admitted");
     let mut batches = 0usize;
     let mut rows = 0usize;
@@ -114,7 +118,7 @@ fn dropping_the_handle_cancels_remaining_work() {
 
     let service = QueryService::start(Arc::clone(&qserv), ServiceConfig::default());
     let handle = service
-        .submit_streaming("SELECT objectId, ra_PS FROM Object")
+        .submit_streaming("SELECT objectId, ra_PS FROM Object", None, None)
         .expect("admitted");
     let qid = handle.qid;
     // Take the first batch, then hang up.
@@ -172,6 +176,9 @@ fn repeated_queries_hit_the_cache_with_identical_results() {
         .wait()
         .result
         .expect("cold run succeeds");
+    // Caching on changes nothing about the answer: the master asked
+    // directly never consults the cache.
+    assert_eq!(expected, service.qserv().query(sql).expect("uncached run"));
     // Identical resubmission: byte-identical replay.
     let (hot, _) = service
         .submit(sql)
@@ -194,7 +201,9 @@ fn repeated_queries_hit_the_cache_with_identical_results() {
     assert_eq!(cosmetic, expected, "variant shares the entry");
 
     // A streaming submission hits the same entry.
-    let handle = service.submit_streaming(sql).expect("stream admitted");
+    let handle = service
+        .submit_streaming(sql, None, None)
+        .expect("stream admitted");
     assert!(handle.cache_hit, "third run should be served from cache");
     let streamed = handle.collect();
     assert_eq!(streamed.cache, CacheOutcome::Hit);
@@ -308,15 +317,15 @@ fn traced_hit_records_a_cache_span() {
     let service = service(200, 77, cached_cfg());
     let sql = "SELECT objectId FROM Object WHERE objectId = 5";
     service
-        .submit_traced(sql, "proxy.request")
+        .submit_streaming(sql, Some("proxy.request"), None)
         .expect("cold")
-        .wait()
+        .collect()
         .result
         .expect("cold succeeds");
     let hot = service
-        .submit_traced(sql, "proxy.request")
+        .submit_streaming(sql, Some("proxy.request"), None)
         .expect("hot")
-        .wait();
+        .collect();
     hot.result.expect("hit succeeds");
     let trace = hot.trace.expect("traced submission has a trace");
     trace.validate().expect("hit trace validates");
