@@ -84,7 +84,7 @@ pub use merge::{
 };
 pub use meta::{CatalogMeta, ChunkZones, ColumnStat, ColumnZone, TableStats};
 pub use multimaster::MasterPool;
-pub use placement::{PlacementManager, PlacementMap, RebalanceReport, RoutingMode};
+pub use placement::{PlacementManager, RebalanceReport, RoutingMode};
 pub use planner::{AccessPath, ConjunctEstimate, PlanChoice, PlanOverride};
 pub use rewrite::{ColumnRole, MergeShape};
 pub use service::{
@@ -110,5 +110,5 @@ pub use qserv_obs::{
 pub use qserv_engine::exec::ResultTable;
 pub use qserv_engine::value::Value;
 pub use qserv_partition::chunker::Chunker;
-pub use qserv_partition::placement::PlacementStrategy;
+pub use qserv_partition::placement::{PlacementMap, PlacementStrategy};
 pub use qserv_sqlparse::strip_explain;

@@ -22,7 +22,7 @@ use qserv_engine::value::Value;
 use qserv_obs::clock::SharedClock;
 use qserv_partition::chunker::Chunker;
 use qserv_partition::index::SecondaryIndex;
-use qserv_partition::placement::{Placement, PlacementStrategy};
+use qserv_partition::placement::{PlacementMap, PlacementStrategy};
 use qserv_sphgeom::{LonLat, SphericalBox};
 use qserv_xrd::cluster::{query_path, XrdCluster};
 use qserv_xrd::fault::FaultPlan;
@@ -335,7 +335,7 @@ impl ClusterBuilder {
             .collect();
         chunks.sort_unstable();
         chunks.dedup();
-        let placement = Placement::new(&chunks, self.nodes, self.replication, self.strategy);
+        let placement = PlacementMap::initial(&chunks, self.nodes, self.replication, self.strategy);
 
         // --- Materialize workers over the fabric -------------------------
         // Standby nodes get data servers and plugin-bearing workers like
@@ -479,14 +479,6 @@ impl ClusterBuilder {
             }
         }
 
-        let mut qserv = Qserv::assemble(
-            cluster,
-            self.chunker,
-            self.meta,
-            placement,
-            secondary,
-            workers,
-        );
         for ((table, column), (valid, distinct_sum)) in col_acc {
             let (distinct, exact) = match int_sets.get(&(table.clone(), column.clone())) {
                 Some(set) => (set.len() as u64, true),
@@ -502,8 +494,16 @@ impl ClusterBuilder {
                 },
             );
         }
-        qserv.set_zones(Arc::new(zones));
-        qserv.set_stats(Arc::new(stats));
+        let mut qserv = Qserv::assemble(
+            cluster,
+            self.chunker,
+            self.meta,
+            placement,
+            secondary,
+            workers,
+            zones,
+            stats,
+        );
         qserv.retry = self.retry;
         qserv.storage_dir = self.storage_dir;
         if let Some(clock) = self.clock {

@@ -14,7 +14,7 @@ use crate::analysis::{analyze, Analysis, JoinClass};
 use crate::error::QservError;
 use crate::merge::{infer_value_types, Merger, StreamBatch};
 use crate::meta::{CatalogMeta, ChunkZones, TableStats};
-use crate::placement::{PlacementManager, PlacementMap};
+use crate::placement::PlacementManager;
 use crate::planner::{self, PlanChoice, PlanOverride};
 use crate::rewrite::{build_plan, render_chunk_message, MergeShape, PhysicalPlan};
 use crate::stats::QueryMetrics;
@@ -30,7 +30,7 @@ use qserv_obs::trace;
 use qserv_obs::{MetricsSnapshot, Trace};
 use qserv_partition::chunker::Chunker;
 use qserv_partition::index::SecondaryIndex;
-use qserv_partition::placement::Placement;
+use qserv_partition::placement::PlacementMap;
 use qserv_sqlparse::parse_select;
 use qserv_xrd::cluster::{query_path, result_path, XrdCluster, XrdError};
 use qserv_xrd::fault::FabricOp;
@@ -464,12 +464,10 @@ pub struct Qserv {
     /// Per-chunk zone maps registered at load time (ra/decl/flux/objectId
     /// min-max per chunk). Lets `prepare_stmt` elide whole chunks before
     /// dispatch — the master-side analogue of the worker's per-page zone
-    /// maps. Empty when the loader registered none.
+    /// maps.
     zones: Arc<ChunkZones>,
     /// Load-time table statistics (per-chunk row counts, per-column
-    /// distinct-value counts) feeding the cost-based planner. Empty when
-    /// the loader registered none — the planner then degrades to the
-    /// rule-based defaults.
+    /// distinct-value counts) feeding the cost-based planner.
     stats: Arc<TableStats>,
     /// Forces individual planner decisions; `None` (the default) lets
     /// the cost model choose. The plan-equivalence test battery sets
@@ -512,27 +510,30 @@ pub(crate) struct Prepared {
 impl Qserv {
     /// Assembles a frontend over already-loaded workers (used by
     /// [`crate::loader::ClusterBuilder`]).
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn assemble(
         cluster: XrdCluster,
         chunker: Chunker,
         meta: CatalogMeta,
-        placement: Placement,
+        placement: PlacementMap,
         secondary: SecondaryIndex,
         workers: Vec<Arc<Worker>>,
+        zones: ChunkZones,
+        stats: TableStats,
     ) -> Qserv {
         Qserv {
             cluster,
             chunker,
             meta,
-            placement: Arc::new(PlacementManager::from_static(&placement)),
+            placement: Arc::new(PlacementManager::new(placement)),
             secondary,
             workers,
             clock: wall_clock(),
             dispatch_width: 8,
             retry: RetryPolicy::default(),
             qid: Arc::new(AtomicU64::new(1)),
-            zones: Arc::new(ChunkZones::new()),
-            stats: Arc::new(TableStats::new()),
+            zones: Arc::new(zones),
+            stats: Arc::new(stats),
             plan_override: None,
             data_version: Arc::new(AtomicU64::new(1)),
             table_versions: Arc::new(Mutex::new(BTreeMap::new())),
@@ -586,24 +587,12 @@ impl Qserv {
                 .sum::<u64>()
     }
 
-    /// Installs the per-chunk zone maps (called by the loader after every
-    /// chunk's column summaries are registered).
-    pub(crate) fn set_zones(&mut self, zones: Arc<ChunkZones>) {
-        self.zones = zones;
-    }
-
-    /// The per-chunk zone maps in effect (empty when none registered).
+    /// The per-chunk zone maps the loader registered.
     pub fn zones(&self) -> &ChunkZones {
         &self.zones
     }
 
-    /// Installs the load-time table statistics the planner reads (called
-    /// by the loader after every chunk is in).
-    pub(crate) fn set_stats(&mut self, stats: Arc<TableStats>) {
-        self.stats = stats;
-    }
-
-    /// The planner's table statistics (empty when none registered).
+    /// The planner's load-time table statistics.
     pub fn table_stats(&self) -> &TableStats {
         &self.stats
     }
@@ -1365,21 +1354,12 @@ impl Qserv {
         // Under latency-aware routing the placement manager orders this
         // chunk's replicas coldest-first; an empty preference (the static
         // default) keeps the redirector's own deterministic choice.
-        let preferred = self.placement.route(chunk);
-        let write = if preferred.is_empty() {
-            self.cluster.write_file_excluding(
-                &query_path(chunk),
-                message.as_bytes().to_vec(),
-                excluded,
-            )
-        } else {
-            self.cluster.write_file_routed(
-                &query_path(chunk),
-                message.as_bytes().to_vec(),
-                &preferred,
-                excluded,
-            )
-        };
+        let write = self.cluster.write_file_routed(
+            &query_path(chunk),
+            message.as_bytes().to_vec(),
+            &self.placement.route(chunk),
+            excluded,
+        );
         let worker = match write {
             Ok(w) => w,
             Err(e) => {

@@ -415,7 +415,7 @@ impl Merger {
     }
 
     /// Approximate bytes of live merge state (reorder buffer + shape
-    /// state) — the peak-memory proxy reported by `master_bench`.
+    /// state) — a peak-memory proxy.
     pub fn state_bytes(&self) -> u64 {
         fn value_bytes(v: &Value) -> u64 {
             16 + match v {

@@ -1,202 +1,39 @@
-//! Elastic chunk placement: epoch-stamped replica maps, membership
-//! change, replication repair, and hot-chunk routing.
+//! Elastic chunk placement on the live cluster: membership change,
+//! replication repair, and hot-chunk routing.
 //!
-//! The paper assumes a fixed fleet with static replication; production
-//! scale demands membership change ("Designing a Multi-petabyte Database
-//! for LSST" frames re-replication and placement as *the* petabyte-scale
-//! problem). This module replaces the frozen
-//! [`Placement`] vectors baked into the master with:
+//! The chunk → replica model itself — [`PlacementMap`], its edits and the
+//! planning step functions that decide which copy comes next — lives in
+//! `qserv_partition::placement`, shared with the simulator. This module
+//! is what makes those plans real:
 //!
-//! * [`PlacementMap`] — an immutable, epoch-stamped chunk → replica
-//!   assignment plus the member-node set. Queries pin one snapshot at
-//!   prepare time and complete against it; membership operations commit
-//!   new maps at higher epochs.
 //! * [`PlacementManager`] — owns the current map, per-node latency heat
 //!   (fed by the master's per-chunk dispatch latencies, closing the loop
 //!   from `qserv-obs`'s histograms into routing), and the `placement.*`
-//!   metrics registry.
+//!   metrics registry. Queries pin one snapshot at prepare time and
+//!   complete against it; membership operations install new maps at
+//!   higher epochs.
 //! * Membership operations on [`Qserv`] — [`Qserv::fail_node`] /
 //!   [`Qserv::join_node`] / [`Qserv::leave_node`] / [`Qserv::repair`] /
-//!   [`Qserv::rebalance`] — which copy chunk payloads (`.qchunk` file
-//!   bytes or SQL dumps) between workers *over the fabric*, so seeded
-//!   fault plans exercise the copy path. A replica is acknowledged (and
-//!   the epoch bumped) only after its payload survives an md5 check on
-//!   the destination and installs into the worker's database; faults
-//!   mid-copy therefore never lose an acked replica.
+//!   [`Qserv::rebalance`] — each a loop of "ask the snapshot for the next
+//!   step → copy → commit the edit". Copies ship chunk payloads
+//!   (`.qchunk` file bytes or SQL dumps) between workers *over the
+//!   fabric*, so seeded fault plans exercise the copy path. A replica is
+//!   acknowledged (and the epoch bumped) only after its payload survives
+//!   an md5 check on the destination and installs into the worker's
+//!   database; faults mid-copy therefore never lose an acked replica.
 
 use crate::error::QservError;
 use crate::master::Qserv;
 use parking_lot::{Mutex, RwLock};
 use qserv_obs::trace;
 use qserv_obs::{MetricsRegistry, MetricsSnapshot};
-use qserv_partition::placement::Placement;
+use qserv_partition::placement::{CopyStep, DrainStep, PlacementMap};
 use qserv_xrd::cluster::{chunk_data_path, query_path, XrdError};
 use qserv_xrd::md5_hex;
 use qserv_xrd::server::ServerId;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
-
-/// An immutable chunk → replica assignment at one epoch.
-///
-/// Source-compatible with the frozen `Placement` everywhere the master
-/// used it ([`PlacementMap::chunks`], [`PlacementMap::nodes_of`]), plus
-/// the membership views the elastic operations need.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct PlacementMap {
-    epoch: u64,
-    replication: usize,
-    map: BTreeMap<i32, Vec<ServerId>>,
-    members: BTreeSet<ServerId>,
-}
-
-impl PlacementMap {
-    /// Wraps a static load-time placement as epoch 0 with the given
-    /// member set.
-    pub fn from_static(
-        placement: &Placement,
-        members: impl IntoIterator<Item = ServerId>,
-    ) -> PlacementMap {
-        let map: BTreeMap<i32, Vec<ServerId>> = placement
-            .chunks()
-            .into_iter()
-            .map(|c| {
-                (
-                    c,
-                    placement
-                        .nodes_of(c)
-                        .expect("chunk came from this placement")
-                        .to_vec(),
-                )
-            })
-            .collect();
-        PlacementMap {
-            epoch: 0,
-            replication: placement.replication(),
-            map,
-            members: members.into_iter().collect(),
-        }
-    }
-
-    /// The epoch this map was committed at (0 = the load-time map).
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// The configured replication factor.
-    pub fn replication(&self) -> usize {
-        self.replication
-    }
-
-    /// Every known chunk id, ascending.
-    pub fn chunks(&self) -> Vec<i32> {
-        self.map.keys().copied().collect()
-    }
-
-    /// Replica nodes of `chunk` (primary first), `None` for unknown ids.
-    pub fn nodes_of(&self, chunk: i32) -> Option<&[ServerId]> {
-        self.map.get(&chunk).map(|v| v.as_slice())
-    }
-
-    /// The member-node set (nodes eligible to hold replicas), ascending.
-    pub fn members(&self) -> Vec<ServerId> {
-        self.members.iter().copied().collect()
-    }
-
-    /// Whether `node` is a member.
-    pub fn is_member(&self, node: ServerId) -> bool {
-        self.members.contains(&node)
-    }
-
-    /// Chunks with a replica on `node`, ascending.
-    pub fn chunks_on(&self, node: ServerId) -> Vec<i32> {
-        self.map
-            .iter()
-            .filter(|(_, ns)| ns.contains(&node))
-            .map(|(&c, _)| c)
-            .collect()
-    }
-
-    /// Replica count per member node (members with no chunks included at
-    /// zero) — the balance measure rebalancing levels.
-    pub fn load(&self) -> BTreeMap<ServerId, usize> {
-        let mut load: BTreeMap<ServerId, usize> = self.members.iter().map(|&n| (n, 0)).collect();
-        for ns in self.map.values() {
-            for n in ns {
-                if let Some(c) = load.get_mut(n) {
-                    *c += 1;
-                }
-            }
-        }
-        load
-    }
-
-    /// Chunks holding fewer than `replication` replicas on member nodes,
-    /// ascending.
-    pub fn under_replicated(&self) -> Vec<i32> {
-        self.map
-            .iter()
-            .filter(|(_, ns)| {
-                ns.iter().filter(|n| self.members.contains(n)).count() < self.replication
-            })
-            .map(|(&c, _)| c)
-            .collect()
-    }
-
-    /// Starts an edit of this map; [`PlacementEdit::commit`] seals it at
-    /// `epoch + 1`.
-    pub fn edit(&self) -> PlacementEdit {
-        PlacementEdit { next: self.clone() }
-    }
-}
-
-/// A mutable working copy of a [`PlacementMap`]; one membership
-/// operation's worth of mutations, committed as a single epoch bump.
-pub struct PlacementEdit {
-    next: PlacementMap,
-}
-
-impl PlacementEdit {
-    /// Adds `node` to the member set.
-    pub fn add_member(&mut self, node: ServerId) -> &mut Self {
-        self.next.members.insert(node);
-        self
-    }
-
-    /// Removes `node` from the member set and strips it from every
-    /// replica list (the permanent-loss bookkeeping; the data may
-    /// already be gone).
-    pub fn remove_member(&mut self, node: ServerId) -> &mut Self {
-        self.next.members.remove(&node);
-        for ns in self.next.map.values_mut() {
-            ns.retain(|&n| n != node);
-        }
-        self
-    }
-
-    /// Records a new replica of `chunk` on `node`.
-    pub fn add_replica(&mut self, chunk: i32, node: ServerId) -> &mut Self {
-        let ns = self.next.map.entry(chunk).or_default();
-        if !ns.contains(&node) {
-            ns.push(node);
-        }
-        self
-    }
-
-    /// Forgets the replica of `chunk` on `node`.
-    pub fn remove_replica(&mut self, chunk: i32, node: ServerId) -> &mut Self {
-        if let Some(ns) = self.next.map.get_mut(&chunk) {
-            ns.retain(|&n| n != node);
-        }
-        self
-    }
-
-    /// Seals the edit one epoch above the map it was opened from.
-    pub fn commit(mut self) -> PlacementMap {
-        self.next.epoch += 1;
-        self.next
-    }
-}
 
 /// How dispatch picks among a chunk's replicas.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -227,16 +64,15 @@ pub struct PlacementManager {
 }
 
 impl PlacementManager {
-    /// Wraps a load-time placement as epoch 0; the placement's nodes are
-    /// the initial members (fleet servers beyond them are standbys
-    /// awaiting [`Qserv::join_node`]).
-    pub fn from_static(placement: &Placement) -> PlacementManager {
-        let map = PlacementMap::from_static(placement, 0..placement.num_nodes());
+    /// Takes `map` as the current placement (the loader passes the
+    /// epoch-0 [`PlacementMap::initial`] layout; fleet servers beyond its
+    /// members are standbys awaiting [`Qserv::join_node`]).
+    pub fn new(map: PlacementMap) -> PlacementManager {
         let metrics = MetricsRegistry::default();
-        metrics.gauge("placement.epoch").set(0);
+        metrics.gauge("placement.epoch").set(map.epoch());
         metrics
             .gauge("placement.members")
-            .set(map.members.len() as u64);
+            .set(map.members().len() as u64);
         PlacementManager {
             current: RwLock::new(Arc::new(map)),
             heat: Mutex::new(BTreeMap::new()),
@@ -256,15 +92,15 @@ impl PlacementManager {
     pub fn install(&self, map: PlacementMap) -> Arc<PlacementMap> {
         let mut cur = self.current.write();
         assert!(
-            map.epoch > cur.epoch,
+            map.epoch() > cur.epoch(),
             "placement epoch must advance ({} -> {})",
-            cur.epoch,
-            map.epoch
+            cur.epoch(),
+            map.epoch()
         );
-        self.metrics.gauge("placement.epoch").set(map.epoch);
+        self.metrics.gauge("placement.epoch").set(map.epoch());
         self.metrics
             .gauge("placement.members")
-            .set(map.members.len() as u64);
+            .set(map.members().len() as u64);
         *cur = Arc::new(map);
         Arc::clone(&cur)
     }
@@ -409,9 +245,7 @@ impl Qserv {
                 "node {node} is not a placement member"
             )));
         }
-        let mut edit = snap.edit();
-        edit.remove_member(node);
-        manager.install(edit.commit());
+        manager.install(snap.edit().remove_member(node).commit());
         self.cluster().redirector().invalidate_cache();
         self.repair_locked()
     }
@@ -446,9 +280,7 @@ impl Qserv {
             )));
         }
         server.set_online(true);
-        let mut edit = snap.edit();
-        edit.add_member(node);
-        manager.install(edit.commit());
+        manager.install(snap.edit().add_member(node).commit());
         self.rebalance_locked()
     }
 
@@ -469,36 +301,29 @@ impl Qserv {
             )));
         }
         let mut report = RebalanceReport::default();
-        for chunk in manager.snapshot().chunks_on(node) {
+        loop {
             let snap = manager.snapshot();
-            let holders = snap.nodes_of(chunk).unwrap_or(&[]).to_vec();
-            match pick_least_loaded(&snap, &holders) {
-                Some(dst) => {
-                    self.copy_chunk(chunk, node, dst, &mut report)?;
-                    let mut edit = manager.snapshot().edit();
-                    edit.add_replica(chunk, dst).remove_replica(chunk, node);
-                    manager.install(edit.commit());
+            let Some(step) = snap.next_drain(node) else {
+                break;
+            };
+            let (chunk, edit) = match step {
+                DrainStep::Move(mv) => {
+                    self.copy_chunk(mv, &mut report)?;
                     report.chunks_moved += 1;
                     manager.metrics().counter("placement.chunks_moved").inc();
+                    (mv.chunk, snap.edit().add_replica(mv.chunk, mv.dst))
                 }
-                None if holders.iter().any(|&h| h != node && snap.is_member(h)) => {
-                    // Every other member already holds the chunk: the
-                    // factor is capped by the shrinking membership.
-                    let mut edit = snap.edit();
-                    edit.remove_replica(chunk, node);
-                    manager.install(edit.commit());
-                }
-                None => {
+                DrainStep::Forget(chunk) => (chunk, snap.edit()),
+                DrainStep::Stuck(chunk) => {
                     return Err(QservError::Fabric(format!(
                         "cannot drain chunk {chunk} off node {node}: no member can take it"
                     )));
                 }
-            }
+            };
+            manager.install(edit.remove_replica(chunk, node).commit());
             self.detach_replica(chunk, node);
         }
-        let mut edit = manager.snapshot().edit();
-        edit.remove_member(node);
-        let map = manager.install(edit.commit());
+        let map = manager.install(manager.snapshot().edit().remove_member(node).commit());
         self.cluster().redirector().invalidate_cache();
         report.epoch = map.epoch();
         Ok(report)
@@ -515,45 +340,25 @@ impl Qserv {
         let manager = self.placement_manager();
         let span = trace::span("placement.repair");
         let mut report = RebalanceReport::default();
-        // Chunks repair cannot help: lost (no live source) or capped by
-        // membership size. Skipping them keeps the loop terminating.
-        let mut skip: BTreeSet<i32> = BTreeSet::new();
-        loop {
+        let alive = |chunk, n| self.replica_alive(chunk, n);
+        let snap = loop {
             let snap = manager.snapshot();
-            let mut acted = false;
-            for chunk in snap.under_replicated() {
-                if skip.contains(&chunk) {
-                    continue;
-                }
-                let holders = snap.nodes_of(chunk).unwrap_or(&[]).to_vec();
-                let Some(dst) = pick_least_loaded(&snap, &holders) else {
-                    skip.insert(chunk);
-                    continue;
-                };
-                let Some(src) = holders
-                    .iter()
-                    .copied()
-                    .find(|&h| self.replica_alive(chunk, h))
-                else {
-                    report.chunks_lost.push(chunk);
-                    manager.metrics().counter("placement.chunks_lost").inc();
-                    skip.insert(chunk);
-                    continue;
-                };
-                self.copy_chunk(chunk, src, dst, &mut report)?;
-                let mut edit = manager.snapshot().edit();
-                edit.add_replica(chunk, dst);
-                manager.install(edit.commit());
-                report.replicas_created += 1;
-                manager.metrics().counter("placement.repairs").inc();
-                acted = true;
-                break; // re-snapshot: load changed
-            }
-            if !acted {
-                break;
-            }
+            let Some(step) = snap.next_repair(alive) else {
+                break snap;
+            };
+            self.copy_chunk(step, &mut report)?;
+            manager.install(snap.edit().add_replica(step.chunk, step.dst).commit());
+            report.replicas_created += 1;
+            manager.metrics().counter("placement.repairs").inc();
+        };
+        report.chunks_lost = snap.unrecoverable(alive);
+        if !report.chunks_lost.is_empty() {
+            manager
+                .metrics()
+                .counter("placement.chunks_lost")
+                .add(report.chunks_lost.len() as u64);
         }
-        report.epoch = manager.snapshot().epoch();
+        report.epoch = snap.epoch();
         if let Some(g) = &span {
             g.annotate("replicas_created", &report.replicas_created.to_string());
             g.annotate("epoch", &report.epoch.to_string());
@@ -565,38 +370,23 @@ impl Qserv {
         let manager = self.placement_manager();
         let span = trace::span("placement.rebalance");
         let mut report = RebalanceReport::default();
-        loop {
+        let snap = loop {
             let snap = manager.snapshot();
-            let load = snap.load();
-            let Some((&donor, &hi)) = load.iter().max_by_key(|&(&n, &c)| (c, usize::MAX - n))
-            else {
-                break;
+            let Some(step) = snap.next_rebalance() else {
+                break snap;
             };
-            let Some((&recipient, &lo)) = load.iter().min_by_key(|&(&n, &c)| (c, n)) else {
-                break;
-            };
-            if hi <= lo + 1 {
-                break;
-            }
-            // The smallest chunk on the donor that the recipient does
-            // not already hold.
-            let Some(chunk) = snap
-                .chunks_on(donor)
-                .into_iter()
-                .find(|&c| !snap.nodes_of(c).unwrap_or(&[]).contains(&recipient))
-            else {
-                break;
-            };
-            self.copy_chunk(chunk, donor, recipient, &mut report)?;
-            let mut edit = manager.snapshot().edit();
-            edit.add_replica(chunk, recipient)
-                .remove_replica(chunk, donor);
-            manager.install(edit.commit());
-            self.detach_replica(chunk, donor);
+            self.copy_chunk(step, &mut report)?;
+            manager.install(
+                snap.edit()
+                    .add_replica(step.chunk, step.dst)
+                    .remove_replica(step.chunk, step.src)
+                    .commit(),
+            );
+            self.detach_replica(step.chunk, step.src);
             report.chunks_moved += 1;
             manager.metrics().counter("placement.chunks_moved").inc();
-        }
-        report.epoch = manager.snapshot().epoch();
+        };
+        report.epoch = snap.epoch();
         if let Some(g) = &span {
             g.annotate("chunks_moved", &report.chunks_moved.to_string());
             g.annotate("epoch", &report.epoch.to_string());
@@ -618,9 +408,7 @@ impl Qserv {
     /// acked by the caller — only after every payload verified.
     fn copy_chunk(
         &self,
-        chunk: i32,
-        src: ServerId,
-        dst: ServerId,
+        CopyStep { chunk, src, dst }: CopyStep,
         report: &mut RebalanceReport,
     ) -> Result<(), QservError> {
         let span = trace::span("placement.copy");
@@ -730,90 +518,25 @@ impl Qserv {
     }
 }
 
-/// The member with the fewest replicas that does not already hold the
-/// chunk (ties to the lowest node id).
-fn pick_least_loaded(snap: &PlacementMap, holders: &[ServerId]) -> Option<ServerId> {
-    snap.load()
-        .into_iter()
-        .filter(|(n, _)| !holders.contains(n))
-        .min_by_key(|&(n, c)| (c, n))
-        .map(|(n, _)| n)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use qserv_partition::placement::PlacementStrategy;
 
-    fn map3() -> PlacementMap {
-        let p = Placement::new(&[1, 2, 3, 4, 5, 6], 3, 2, PlacementStrategy::RoundRobin);
-        PlacementMap::from_static(&p, 0..3)
-    }
-
-    #[test]
-    fn from_static_preserves_replicas_at_epoch_zero() {
-        let p = Placement::new(&[1, 2, 3], 3, 2, PlacementStrategy::RoundRobin);
-        let m = PlacementMap::from_static(&p, 0..3);
-        assert_eq!(m.epoch(), 0);
-        assert_eq!(m.replication(), 2);
-        assert_eq!(m.chunks(), vec![1, 2, 3]);
-        for c in m.chunks() {
-            assert_eq!(m.nodes_of(c).unwrap(), p.nodes_of(c).unwrap());
-        }
-        assert_eq!(m.members(), vec![0, 1, 2]);
-        assert!(m.under_replicated().is_empty());
-    }
-
-    #[test]
-    fn edits_commit_monotonic_epochs() {
-        let m = map3();
-        let mut e = m.edit();
-        e.add_member(3).add_replica(1, 3);
-        let m2 = e.commit();
-        assert_eq!(m2.epoch(), 1);
-        assert!(m2.is_member(3));
-        assert!(m2.nodes_of(1).unwrap().contains(&3));
-        // The source map is untouched (queries pin it safely).
-        assert_eq!(m.epoch(), 0);
-        assert!(!m.is_member(3));
-    }
-
-    #[test]
-    fn remove_member_strips_replicas_and_reports_under_replication() {
-        let m = map3();
-        let mut e = m.edit();
-        e.remove_member(0);
-        let m2 = e.commit();
-        assert!(!m2.is_member(0));
-        for c in m2.chunks() {
-            assert!(!m2.nodes_of(c).unwrap().contains(&0));
-        }
-        let under = m2.under_replicated();
-        assert!(!under.is_empty(), "losing a node must under-replicate");
-        for c in &under {
-            assert!(m2.nodes_of(*c).unwrap().len() < m2.replication());
-        }
-    }
-
-    #[test]
-    fn load_counts_members_with_zero_chunks() {
-        let m = map3();
-        let mut e = m.edit();
-        e.add_member(7);
-        let m2 = e.commit();
-        assert_eq!(m2.load().get(&7), Some(&0));
-        let total: usize = m2.load().values().sum();
-        assert_eq!(total, 12, "6 chunks x 2 replicas");
+    fn manager(chunks: &[i32], nodes: usize, replication: usize) -> PlacementManager {
+        PlacementManager::new(PlacementMap::initial(
+            chunks,
+            nodes,
+            replication,
+            PlacementStrategy::RoundRobin,
+        ))
     }
 
     #[test]
     fn manager_snapshot_pins_while_installs_advance() {
-        let p = Placement::new(&[1, 2], 2, 1, PlacementStrategy::RoundRobin);
-        let mgr = PlacementManager::from_static(&p);
+        let mgr = manager(&[1, 2], 2, 1);
         let pinned = mgr.snapshot();
-        let mut e = pinned.edit();
-        e.add_replica(1, 1);
-        mgr.install(e.commit());
+        mgr.install(pinned.edit().add_replica(1, 1).commit());
         assert_eq!(pinned.epoch(), 0, "pinned snapshot is immutable");
         assert_eq!(mgr.snapshot().epoch(), 1);
         assert_eq!(mgr.metrics_snapshot().gauge("placement.epoch"), 1);
@@ -822,27 +545,23 @@ mod tests {
     #[test]
     #[should_panic(expected = "epoch must advance")]
     fn stale_install_panics() {
-        let p = Placement::new(&[1], 1, 1, PlacementStrategy::RoundRobin);
-        let mgr = PlacementManager::from_static(&p);
-        let e = mgr.snapshot().edit();
-        mgr.install(e.commit());
-        // Re-commit from a stale epoch-0 map: 1 -> 1 must be rejected.
-        let stale = PlacementMap::from_static(&p, 0..1).edit();
-        mgr.install(stale.commit());
+        let mgr = manager(&[1], 1, 1);
+        let stale = mgr.snapshot();
+        mgr.install(stale.edit().commit());
+        // Re-commit from the stale epoch-0 map: 1 -> 1 must be rejected.
+        mgr.install(stale.edit().commit());
     }
 
     #[test]
     fn static_routing_returns_no_preference() {
-        let p = Placement::new(&[1, 2], 2, 2, PlacementStrategy::RoundRobin);
-        let mgr = PlacementManager::from_static(&p);
+        let mgr = manager(&[1, 2], 2, 2);
         mgr.observe(0, Duration::from_millis(50));
         assert!(mgr.route(1).is_empty(), "static mode never reorders");
     }
 
     #[test]
     fn latency_aware_routing_orders_coldest_first() {
-        let p = Placement::new(&[1], 2, 2, PlacementStrategy::RoundRobin);
-        let mgr = PlacementManager::from_static(&p);
+        let mgr = manager(&[1], 2, 2);
         mgr.set_routing(RoutingMode::LatencyAware);
         // No heat yet: deterministic id order.
         assert_eq!(mgr.route(1), vec![0, 1]);

@@ -38,10 +38,6 @@
 //!    (the planned chunk count) is what the service's interactive/scan
 //!    classification consumes.
 //!
-//! With no statistics registered (clusters assembled without the
-//! loader), the planner degrades to the previous rule-based behavior:
-//! index when available, no reordering, no pushdown.
-//!
 //! [`PlanOverride`] forces individual decisions — the plan-equivalence
 //! test battery executes a query under every override combination and
 //! asserts bit-identical results against the single-node oracle.
@@ -406,7 +402,6 @@ pub(crate) fn choose(
     let ov = ov.copied().unwrap_or_default();
     let single_table = (analysis.join == JoinClass::None && analysis.partitioned.len() == 1)
         .then(|| analysis.stmt.from[analysis.partitioned[0]].table.clone());
-    let have_stats = !ctx.stats.is_empty();
 
     // Zone-map chunk elision on both candidate sets. Sound because a
     // pruned chunk would contribute zero rows anyway — the workers
@@ -445,9 +440,9 @@ pub(crate) fn choose(
 
     // Filter reordering: rank by drop rate per unit cost, (1 − sel)/cost
     // descending. Stable, so equal ranks keep the user's order. Applies
-    // only to the single-table case with statistics — without row
-    // counts the ranking would be arbitrary churn.
-    let reorder_allowed = ov.reorder != Some(false) && single_table.is_some() && have_stats;
+    // only to the single-table case, where the per-chunk row counts
+    // weigh the selectivities.
+    let reorder_allowed = ov.reorder != Some(false) && single_table.is_some();
     let mut order: Vec<usize> = (0..conjunct_exprs.len()).collect();
     let global_sels: Vec<f64> = match &single_table {
         Some(table) => kinds

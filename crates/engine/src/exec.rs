@@ -168,15 +168,6 @@ pub fn execute(db: &Database, stmt: &SelectStatement) -> Result<ResultTable, Exe
     execute_with_mode(db, stmt, ExecMode::Auto).map(|(r, _)| r)
 }
 
-/// Like [`execute`], additionally reporting which path ran (the worker
-/// records this in its scan statistics).
-pub fn execute_traced(
-    db: &Database,
-    stmt: &SelectStatement,
-) -> Result<(ResultTable, ExecPath), ExecError> {
-    execute_with_mode(db, stmt, ExecMode::Auto)
-}
-
 /// Executes `stmt` against `db` on a chosen execution path.
 pub fn execute_with_mode(
     db: &Database,

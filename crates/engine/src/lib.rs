@@ -52,8 +52,8 @@ pub(crate) mod vector;
 
 pub use db::Database;
 pub use exec::{
-    execute, execute_detailed, execute_traced, execute_with_mode, ExecError, ExecMode, ExecPath,
-    ResultTable, ScanStats,
+    execute, execute_detailed, execute_with_mode, ExecError, ExecMode, ExecPath, ResultTable,
+    ScanStats,
 };
 pub use schema::{ColumnDef, ColumnType, Schema};
 pub use storage::{

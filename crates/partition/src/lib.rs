@@ -12,7 +12,10 @@
 //! * [`Chunker`] — the stripe/sub-stripe partition map: point → (chunk,
 //!   subchunk), chunk/subchunk bounds, conservative chunk selection for a
 //!   spatial restriction, and overlap membership tests.
-//! * [`placement`] — chunk → worker-node assignment strategies.
+//! * [`placement`] — the chunk → replica placement model: load-time
+//!   layout strategies, epoch-stamped maps and edits, and the pure
+//!   repair / rebalance / drain planning steps the master and the
+//!   simulator both drive.
 //! * [`index`] — the objectId secondary index (paper §5.5): objectId →
 //!   (chunkId, subChunkId), used by the frontend to turn point queries into
 //!   single-chunk dispatches.
@@ -27,4 +30,4 @@ pub mod placement;
 pub use chunker::{ChunkLocation, Chunker, ChunkerError};
 pub use htm_chunker::HtmChunker;
 pub use index::SecondaryIndex;
-pub use placement::{Placement, PlacementStrategy};
+pub use placement::{PlacementMap, PlacementStrategy};

@@ -28,9 +28,7 @@ pub mod placement;
 pub mod simulator;
 
 pub use config::{FaultConfig, SchedulerPolicy, SimConfig};
-pub use placement::{
-    node_loss_scenario, weak_scaling, NodeLossOutcome, RepairPlan, ScalePoint, SimPlacement,
-};
+pub use placement::{node_loss_scenario, weak_scaling, NodeLossOutcome, ScalePoint};
 pub use simulator::{ChunkTask, QueryJob, QueryReport, Simulator};
 
 // The shared virtual timeline ([`Simulator::bind_clock`]): the same clock

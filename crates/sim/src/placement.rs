@@ -1,204 +1,103 @@
 //! Placement-aware scenario composition for the cluster simulator.
 //!
-//! The live system's `core::placement` subsystem (epoch-versioned
-//! chunk→replica maps, repair after node loss, rebalancing) operates at
-//! cluster scales the test suite cannot build for real — the paper's
-//! testbed is 150 nodes. [`SimPlacement`] mirrors the placement math at
-//! simulator scale: the same round-robin replica layout the loader
-//! produces, the same fewest-loaded repair target choice, the same
-//! epoch discipline. Scenario builders then compose [`Simulator`] runs
-//! per epoch phase:
+//! The live system's placement subsystem (epoch-versioned chunk→replica
+//! maps, repair after node loss, rebalancing) operates at cluster scales
+//! the test suite cannot build for real — the paper's testbed is 150
+//! nodes. The scenarios here run the *same* model at that scale:
+//! `qserv_partition::placement`'s [`PlacementMap`] and its planning step
+//! functions, exactly as the live master drives them (ask for the next
+//! step, commit one epoch per copy) — except that a copy is costed
+//! through the [`Simulator`] instead of shipped over the fabric.
 //!
 //! * [`weak_scaling`] — the §6.3 experiment shape: node count grows,
 //!   per-node data stays fixed, full-scan latency should stay flat.
 //! * [`node_loss_scenario`] — a node dies mid-workload. With
-//!   *rebalancing on*, repair copies restore the replication factor and
-//!   the follow-up scan runs on a balanced map; with *rebalancing off*,
-//!   the dead node's chunks pile onto its surviving replica holders and
-//!   load concentrates.
+//!   *rebalancing on*, repair copies restore the replication factor,
+//!   load-levelling evens the survivors out and the follow-up scan runs
+//!   on a balanced map; with *rebalancing off*, the dead node's chunks
+//!   pile onto its surviving replica holders and load concentrates.
 //!
 //! Determinism matters here the way it does everywhere else in this
 //! crate: same inputs ⇒ same plan, same virtual timings, no wall clock.
 
 use crate::config::SimConfig;
 use crate::simulator::{ChunkTask, QueryJob, Simulator};
-use std::collections::{BTreeMap, BTreeSet};
+use qserv_partition::placement::{CopyStep, PlacementMap, PlacementStrategy};
+use std::collections::BTreeMap;
 
-/// A simulator-scale mirror of the live placement map: chunk→replica
-/// assignments over member nodes, versioned by epoch.
-#[derive(Clone, Debug)]
-pub struct SimPlacement {
-    epoch: u64,
-    replication: usize,
-    map: BTreeMap<usize, Vec<usize>>,
-    members: BTreeSet<usize>,
+/// The round-robin, replication-2 load-time layout of `chunks` chunks
+/// (ids `0..chunks`) over `nodes` nodes.
+fn initial(chunks: usize, nodes: usize) -> PlacementMap {
+    let ids: Vec<i32> = (0..chunks as i32).collect();
+    PlacementMap::initial(&ids, nodes, 2, PlacementStrategy::RoundRobin)
 }
 
-/// One repair copy: ship `bytes` of chunk payload from a surviving
-/// replica holder to the chosen recipient.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct CopyOp {
-    /// Chunk being re-replicated.
-    pub chunk: usize,
-    /// Surviving holder the payload streams from.
-    pub src: usize,
-    /// Fewest-loaded member receiving the new replica.
-    pub dst: usize,
-    /// Payload size.
-    pub bytes: u64,
+/// Permanently loses `node` (out of membership and every replica list,
+/// one epoch), then runs the live repair loop to its fixed point: every
+/// step [`PlacementMap::next_repair`] plans is committed at its own
+/// epoch. In the simulator every mapped holder is a live source. Returns
+/// the copies in commit order.
+pub fn fail_and_repair(placement: &mut PlacementMap, node: usize) -> Vec<CopyStep> {
+    *placement = placement.edit().remove_member(node).commit();
+    let mut copies = Vec::new();
+    while let Some(step) = placement.next_repair(|_, _| true) {
+        *placement = placement.edit().add_replica(step.chunk, step.dst).commit();
+        copies.push(step);
+    }
+    copies
 }
 
-/// The deterministic plan a node loss produces.
-#[derive(Clone, Debug, Default)]
-pub struct RepairPlan {
-    /// Epoch of the map after the loss + repair committed.
-    pub epoch: u64,
-    /// Copies needed to restore the replication factor.
-    pub copies: Vec<CopyOp>,
-    /// Chunks whose every replica lived on the lost node.
-    pub chunks_lost: Vec<usize>,
+/// Runs the live load-levelling loop to its fixed point: every move
+/// [`PlacementMap::next_rebalance`] plans is committed at its own epoch.
+/// Returns the moves in commit order.
+pub fn rebalance(placement: &mut PlacementMap) -> Vec<CopyStep> {
+    let mut moves = Vec::new();
+    while let Some(step) = placement.next_rebalance() {
+        *placement = placement
+            .edit()
+            .add_replica(step.chunk, step.dst)
+            .remove_replica(step.chunk, step.src)
+            .commit();
+        moves.push(step);
+    }
+    moves
 }
 
-impl SimPlacement {
-    /// Round-robin layout over `nodes` members: chunk `c` replica `r`
-    /// lands on node `(c + r) % nodes` — the loader's static strategy.
-    pub fn round_robin(chunks: usize, nodes: usize, replication: usize) -> SimPlacement {
-        assert!(nodes > 0, "a cluster has at least one node");
-        let replication = replication.min(nodes);
-        let map = (0..chunks)
-            .map(|c| (c, (0..replication).map(|r| (c + r) % nodes).collect()))
-            .collect();
-        SimPlacement {
-            epoch: 0,
-            replication,
-            map,
-            members: (0..nodes).collect(),
-        }
-    }
-
-    /// Current map version.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// Live members, ascending.
-    pub fn members(&self) -> Vec<usize> {
-        self.members.iter().copied().collect()
-    }
-
-    /// Replica nodes of `chunk`, in placement order.
-    pub fn nodes_of(&self, chunk: usize) -> &[usize] {
-        self.map.get(&chunk).map(Vec::as_slice).unwrap_or(&[])
-    }
-
-    /// The node a scan task for `chunk` runs on: the first replica.
-    /// After a loss without repair this falls back to whichever replica
-    /// survives — which is exactly how load concentrates.
-    pub fn primary(&self, chunk: usize) -> Option<usize> {
-        self.nodes_of(chunk).first().copied()
-    }
-
-    /// Chunks currently at exactly one replica — one more loss away
-    /// from unavailability.
-    pub fn factor_one_chunks(&self) -> usize {
-        self.map.values().filter(|r| r.len() == 1).count()
-    }
-
-    /// Chunks with no replica left at all (unavailable data).
-    pub fn lost_chunks(&self) -> usize {
-        self.map.values().filter(|r| r.is_empty()).count()
-    }
-
-    /// Replica count per member (members at zero included).
-    pub fn load(&self) -> BTreeMap<usize, usize> {
-        let mut load: BTreeMap<usize, usize> = self.members.iter().map(|&n| (n, 0)).collect();
-        for replicas in self.map.values() {
-            for &n in replicas {
-                *load.entry(n).or_insert(0) += 1;
-            }
-        }
-        load
-    }
-
-    /// Removes `node` from membership and its replica lists, committing
-    /// one epoch. Returns the chunks that dropped below factor.
-    pub fn fail_node(&mut self, node: usize) -> Vec<usize> {
-        self.members.remove(&node);
-        let mut under = Vec::new();
-        for (&chunk, replicas) in self.map.iter_mut() {
-            let before = replicas.len();
-            replicas.retain(|&n| n != node);
-            if replicas.len() < before {
-                under.push(chunk);
-            }
-        }
-        self.epoch += 1;
-        under
-    }
-
-    /// Plans and applies the repair for a lost node: every
-    /// under-replicated chunk gains a replica on the fewest-loaded
-    /// member not already holding it (ties to the lowest id), streamed
-    /// from its first surviving holder. One epoch per loss+repair.
-    pub fn fail_and_repair(&mut self, node: usize, chunk_bytes: u64) -> RepairPlan {
-        let under = self.fail_node(node);
-        let mut plan = RepairPlan::default();
-        let mut load = self.load();
-        for chunk in under {
-            let holders = self.map.get(&chunk).cloned().unwrap_or_default();
-            let Some(&src) = holders.first() else {
-                plan.chunks_lost.push(chunk);
-                continue;
-            };
-            if holders.len() >= self.replication.min(self.members.len()) {
-                continue;
-            }
-            let Some((&dst, _)) = load
-                .iter()
-                .filter(|(n, _)| !holders.contains(n))
-                .min_by_key(|&(&n, &c)| (c, n))
-            else {
-                continue;
-            };
-            self.map.get_mut(&chunk).expect("chunk mapped").push(dst);
-            *load.entry(dst).or_insert(0) += 1;
-            plan.copies.push(CopyOp {
-                chunk,
-                src,
-                dst,
-                bytes: chunk_bytes,
-            });
-        }
-        plan.epoch = self.epoch;
-        plan
-    }
-}
-
-/// Routes one scan task per chunk onto the least-loaded of its
-/// replicas (ties to the lowest node id) — the deterministic mirror of
-/// the live dispatcher's load-aware replica choice. Chunks that lost
-/// all but one replica have no choice, which is exactly how an
-/// unrepaired loss concentrates load.
-pub fn route_scan(placement: &SimPlacement) -> BTreeMap<usize, usize> {
-    let mut assigned: BTreeMap<usize, usize> = BTreeMap::new();
+/// Routes one task per chunk in `chunks` onto the replica with the
+/// fewest tasks routed to it so far (ties to the lowest node id) — the
+/// deterministic mirror of the live dispatcher's load-aware replica
+/// choice. Chunks that lost all but one replica have no choice, which is
+/// exactly how an unrepaired loss concentrates load; chunks with no
+/// replica left get no task.
+fn route(placement: &PlacementMap, chunks: &[i32]) -> Vec<(i32, usize)> {
     let mut per_node: BTreeMap<usize, usize> = BTreeMap::new();
-    for (&chunk, replicas) in &placement.map {
-        let Some(&node) = replicas
-            .iter()
-            .min_by_key(|&&n| (per_node.get(&n).copied().unwrap_or(0), n))
+    let mut assigned = Vec::with_capacity(chunks.len());
+    for &chunk in chunks {
+        let Some(node) = placement
+            .nodes_of(chunk)
+            .and_then(|r| {
+                r.iter()
+                    .min_by_key(|&&n| (per_node.get(&n).copied().unwrap_or(0), n))
+            })
+            .copied()
         else {
             continue;
         };
         *per_node.entry(node).or_insert(0) += 1;
-        assigned.insert(chunk, node);
+        assigned.push((chunk, node));
     }
     assigned
+}
+
+/// The node each chunk's scan task runs on ([`route`] over every chunk).
+pub fn route_scan(placement: &PlacementMap) -> BTreeMap<i32, usize> {
+    route(placement, &placement.chunks()).into_iter().collect()
 }
 
 /// A full-scan query routed by the placement map: one uncached scan
 /// task per chunk on the replica [`route_scan`] picked.
 pub fn scan_job(
-    placement: &SimPlacement,
+    placement: &PlacementMap,
     label: &str,
     submit_s: f64,
     bytes_per_chunk: u64,
@@ -225,51 +124,41 @@ pub fn scan_job(
 /// [`scan_job`] over the same placement to see the planner's
 /// index-vs-scan cost gap in simulator terms.
 pub fn lookup_job(
-    placement: &SimPlacement,
+    placement: &PlacementMap,
     label: &str,
     submit_s: f64,
-    chunks: &[usize],
+    chunks: &[i32],
     probe_bytes: u64,
 ) -> QueryJob {
-    let mut per_node: BTreeMap<usize, usize> = BTreeMap::new();
-    let mut tasks = Vec::new();
-    for &chunk in chunks {
-        let Some(&node) = placement
-            .nodes_of(chunk)
-            .iter()
-            .min_by_key(|&&n| (per_node.get(&n).copied().unwrap_or(0), n))
-        else {
-            continue;
-        };
-        *per_node.entry(node).or_insert(0) += 1;
-        tasks.push(ChunkTask {
-            node,
-            disk_bytes: probe_bytes,
-            result_bytes: 256,
-            ..ChunkTask::default()
-        });
-    }
     QueryJob {
         label: format!("{label}@e{}", placement.epoch()),
         submit_s,
-        tasks,
+        tasks: route(placement, chunks)
+            .into_iter()
+            .map(|(_, node)| ChunkTask {
+                node,
+                disk_bytes: probe_bytes,
+                result_bytes: 256,
+                ..ChunkTask::default()
+            })
+            .collect(),
     }
 }
 
-/// The repair traffic of a [`RepairPlan`] as a simulator job: each copy
-/// reads the payload off the source replica's disk and ships it to the
-/// recipient over the fabric (modeled as the task's result bytes).
-pub fn repair_job(plan: &RepairPlan, submit_s: f64) -> QueryJob {
+/// Planned repair or load-levelling `copies` as a simulator job: each
+/// copy reads the `bytes_per_chunk` payload off the source replica's disk
+/// and ships it to the recipient over the fabric (modeled as the task's
+/// result bytes).
+pub fn repair_job(copies: &[CopyStep], bytes_per_chunk: u64, submit_s: f64) -> QueryJob {
     QueryJob {
-        label: format!("repair@e{}", plan.epoch),
+        label: "repair".to_string(),
         submit_s,
-        tasks: plan
-            .copies
+        tasks: copies
             .iter()
             .map(|c| ChunkTask {
                 node: c.src,
-                disk_bytes: c.bytes,
-                result_bytes: c.bytes,
+                disk_bytes: bytes_per_chunk,
+                result_bytes: bytes_per_chunk,
                 ..ChunkTask::default()
             })
             .collect(),
@@ -298,7 +187,7 @@ pub fn weak_scaling(
     node_counts
         .iter()
         .map(|&nodes| {
-            let placement = SimPlacement::round_robin(nodes * chunks_per_node, nodes, 2);
+            let placement = initial(nodes * chunks_per_node, nodes);
             let mut sim = Simulator::new(base.clone().with_nodes(nodes));
             sim.submit(scan_job(&placement, "scan", 0.0, bytes_per_chunk));
             let reports = sim.run();
@@ -326,18 +215,22 @@ pub struct NodeLossOutcome {
     /// Chunks left with *no* replica: unavailable data. Always 0 with
     /// rebalancing on; the second loss makes it non-zero without.
     pub chunks_lost: usize,
-    /// Epoch of the final map.
+    /// Epoch of the final map: one per loss plus one per committed copy.
     pub epoch: u64,
     /// Repair copies performed (0 with rebalancing off).
     pub repair_copies: usize,
+    /// Load-levelling moves performed after the repairs (0 with
+    /// rebalancing off, and 0 whenever repair's fewest-loaded targets
+    /// already left the survivors within one replica of each other).
+    pub rebalance_moves: usize,
 }
 
 /// Two sequential permanent node losses mid-workload — adjacent nodes,
 /// so their replica sets overlap. With `rebalancing = true` each loss
-/// is repaired before the next (factor restored, nothing lost); with
-/// `false` the survivors serve whatever replicas remain, and the
-/// second loss erases every chunk whose only replicas lived on the two
-/// dead nodes.
+/// is repaired and the survivors load-levelled before the next (factor
+/// restored, nothing lost); with `false` the survivors serve whatever
+/// replicas remain, and the second loss erases every chunk whose only
+/// replicas lived on the two dead nodes.
 pub fn node_loss_scenario(
     base: &SimConfig,
     nodes: usize,
@@ -345,39 +238,49 @@ pub fn node_loss_scenario(
     bytes_per_chunk: u64,
     rebalancing: bool,
 ) -> NodeLossOutcome {
-    let chunks = nodes * chunks_per_node;
-    let mut placement = SimPlacement::round_robin(chunks, nodes, 2);
+    let mut placement = initial(nodes * chunks_per_node, nodes);
+    let scan_s = |placement: &PlacementMap, label: &str| {
+        let mut sim = Simulator::new(base.clone().with_nodes(nodes));
+        sim.submit(scan_job(placement, label, 0.0, bytes_per_chunk));
+        sim.run()[0].elapsed_s
+    };
+    let before_s = scan_s(&placement, "before");
 
-    let mut sim = Simulator::new(base.clone().with_nodes(nodes));
-    sim.submit(scan_job(&placement, "before", 0.0, bytes_per_chunk));
-    let before_s = sim.run()[0].elapsed_s;
-
-    let mut repair_copies = 0;
+    let (mut repair_copies, mut rebalance_moves) = (0, 0);
     for lost in [nodes / 2, nodes / 2 + 1] {
         if rebalancing {
-            let plan = placement.fail_and_repair(lost, bytes_per_chunk);
-            // The repair traffic itself runs through the simulator: the
+            let repair = fail_and_repair(&mut placement, lost);
+            let moves = rebalance(&mut placement);
+            // The copy traffic itself runs through the simulator: the
             // copies' virtual cost is part of the scenario timeline.
             let mut sim = Simulator::new(base.clone().with_nodes(nodes));
-            sim.submit(repair_job(&plan, 0.0));
+            sim.submit(repair_job(&repair, bytes_per_chunk, 0.0));
+            sim.submit(repair_job(&moves, bytes_per_chunk, 0.0));
             sim.run();
-            repair_copies += plan.copies.len();
+            repair_copies += repair.len();
+            rebalance_moves += moves.len();
         } else {
-            placement.fail_node(lost);
+            // No repair: survivors serve whatever replicas remain.
+            placement = placement.edit().remove_member(lost).commit();
         }
     }
+    let after_s = scan_s(&placement, "after");
 
-    let mut sim = Simulator::new(base.clone().with_nodes(nodes));
-    sim.submit(scan_job(&placement, "after", 0.0, bytes_per_chunk));
-    let after_s = sim.run()[0].elapsed_s;
-
+    let with_replicas = |n: usize| {
+        placement
+            .chunks()
+            .into_iter()
+            .filter(|&c| placement.nodes_of(c).is_some_and(|r| r.len() == n))
+            .count()
+    };
     NodeLossOutcome {
         before_s,
         after_s,
-        factor_one: placement.factor_one_chunks(),
-        chunks_lost: placement.lost_chunks(),
+        factor_one: with_replicas(1),
+        chunks_lost: with_replicas(0),
         epoch: placement.epoch(),
         repair_copies,
+        rebalance_moves,
     }
 }
 
@@ -385,40 +288,39 @@ pub fn node_loss_scenario(
 mod tests {
     use super::*;
 
-    #[test]
-    fn round_robin_layout_matches_the_loader() {
-        let p = SimPlacement::round_robin(12, 4, 2);
-        assert_eq!(p.nodes_of(0), &[0, 1]);
-        assert_eq!(p.nodes_of(3), &[3, 0]);
-        assert_eq!(p.epoch(), 0);
+    fn spread(p: &PlacementMap) -> usize {
         let load = p.load();
-        // 12 chunks × 2 replicas over 4 nodes: every node carries 6.
-        assert!(load.values().all(|&c| c == 6), "{load:?}");
+        load.values().max().unwrap() - load.values().min().unwrap()
     }
 
     #[test]
     fn fail_and_repair_restores_factor_and_balances() {
-        let mut p = SimPlacement::round_robin(12, 4, 2);
-        let plan = p.fail_and_repair(1, 1 << 20);
-        assert_eq!(plan.epoch, 1);
-        assert!(plan.chunks_lost.is_empty());
-        // Node 1 held 6 replicas; each needs exactly one copy.
-        assert_eq!(plan.copies.len(), 6);
+        let mut p = initial(12, 4);
+        let copies = fail_and_repair(&mut p, 1);
+        assert!(p.unrecoverable(|_, _| true).is_empty());
+        // Node 1 held 6 replicas; each needs exactly one copy, and each
+        // acked copy is its own epoch on top of the loss.
+        assert_eq!(copies.len(), 6);
+        assert_eq!(p.epoch(), 1 + 6);
         for chunk in 0..12 {
-            assert_eq!(p.nodes_of(chunk).len(), 2, "chunk {chunk} back at factor");
-            assert!(!p.nodes_of(chunk).contains(&1));
+            let replicas = p.nodes_of(chunk).unwrap();
+            assert_eq!(replicas.len(), 2, "chunk {chunk} back at factor");
+            assert!(!replicas.contains(&1));
         }
-        let load = p.load();
-        let (hi, lo) = (*load.values().max().unwrap(), *load.values().min().unwrap());
-        assert!(hi - lo <= 1, "repair targets spread evenly: {load:?}");
+        assert!(
+            spread(&p) <= 1,
+            "repair targets spread evenly: {:?}",
+            p.load()
+        );
     }
 
     #[test]
     fn factor_one_loss_reports_lost_chunks() {
-        let mut p = SimPlacement::round_robin(6, 3, 1);
-        let plan = p.fail_and_repair(0, 1024);
-        assert_eq!(plan.chunks_lost, vec![0, 3]);
-        assert!(plan.copies.is_empty());
+        let ids: Vec<i32> = (0..6).collect();
+        let mut p = PlacementMap::initial(&ids, 3, 1, PlacementStrategy::RoundRobin);
+        let copies = fail_and_repair(&mut p, 0);
+        assert_eq!(p.unrecoverable(|_, _| true), vec![0, 3]);
+        assert!(copies.is_empty());
     }
 
     #[test]
@@ -431,13 +333,38 @@ mod tests {
         // post-loss scan stays close to the pre-loss baseline.
         assert_eq!(repaired.chunks_lost, 0);
         assert_eq!(repaired.factor_one, 0);
-        assert_eq!(repaired.epoch, 2);
+        assert_eq!(
+            repaired.epoch,
+            (2 + repaired.repair_copies + repaired.rebalance_moves) as u64
+        );
         assert!(repaired.after_s < repaired.before_s * 1.5);
         // Degraded: the adjacent second loss erased the chunks whose
         // replicas lived only on the two dead nodes, and the survivors
         // sit one loss away from losing more.
+        assert_eq!(degraded.epoch, 2);
         assert!(degraded.chunks_lost > 0, "overlap chunks must be gone");
         assert!(degraded.factor_one > 0);
+    }
+
+    #[test]
+    fn rebalance_levels_a_joined_node_at_paper_scale() {
+        // 150 members × 8 chunks at factor 2, then a 151st node joins:
+        // the live load-levelling steps must fill it to within one
+        // replica of everyone else without changing any chunk's factor.
+        let mut p = initial(150 * 8, 150).edit().add_member(150).commit();
+        assert_eq!(spread(&p), 16);
+        let moves = rebalance(&mut p);
+        assert!(spread(&p) <= 1, "levelled: {:?}", p.load());
+        assert_eq!(moves.len(), p.load()[&150]);
+        assert!(moves.iter().all(|c| c.dst == 150));
+        assert_eq!(p.epoch(), 1 + moves.len() as u64);
+        assert!(p.under_replicated().is_empty());
+        // The moves cost virtual time like any other copy traffic.
+        let mut sim = Simulator::new(SimConfig::paper_cluster().with_nodes(151));
+        sim.submit(repair_job(&moves, 64 << 20, 0.0));
+        let report = &sim.run()[0];
+        assert_eq!(report.tasks, moves.len());
+        assert!(report.elapsed_s > 0.0);
     }
 
     #[test]
@@ -459,7 +386,7 @@ mod tests {
     #[test]
     fn index_lookup_outruns_the_scan() {
         let base = SimConfig::paper_cluster();
-        let placement = SimPlacement::round_robin(120, 10, 2);
+        let placement = initial(120, 10);
 
         let mut sim = Simulator::new(base.clone().with_nodes(10));
         sim.submit(scan_job(&placement, "scan", 0.0, 64 << 20));

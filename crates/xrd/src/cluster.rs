@@ -158,31 +158,16 @@ impl XrdCluster {
     /// the time this returns — our in-process stand-in for the worker
     /// having picked up the request).
     pub fn write_file(&self, path: &str, data: Vec<u8>) -> Result<ServerId, XrdError> {
-        self.write_file_excluding(path, data, &[])
+        self.write_file_routed(path, data, &[], &[])
     }
 
-    /// [`XrdCluster::write_file`], but never resolving to a server in
-    /// `exclude` — retrying clients steer away from replicas that already
-    /// failed them.
-    pub fn write_file_excluding(
-        &self,
-        path: &str,
-        data: Vec<u8>,
-        exclude: &[ServerId],
-    ) -> Result<ServerId, XrdError> {
-        let server = self
-            .redirector
-            .resolve_excluding(path, exclude)
-            .ok_or_else(|| XrdError::NoServerForPath(path.to_string()))?;
-        self.write_to_server(&server, path, data)
-    }
-
-    /// [`XrdCluster::write_file_excluding`] with a replica *preference*:
-    /// the placement layer may order a chunk's replicas (e.g. away from
-    /// hot nodes), and the first preferred server that is online, exports
-    /// the path and is not excluded gets the write. With no usable
-    /// preference the call falls back to the redirector's rotation —
-    /// bit-identical to [`XrdCluster::write_file_excluding`].
+    /// [`XrdCluster::write_file`] for a retrying, placement-aware client.
+    /// Never resolves to a server in `exclude` (steering away from
+    /// replicas that already failed this client). `preferred` is a
+    /// replica *preference*: the placement layer may order a chunk's
+    /// replicas (e.g. away from hot nodes), and the first preferred server
+    /// that is online, exports the path and is not excluded gets the
+    /// write. With no usable preference the redirector's rotation picks.
     pub fn write_file_routed(
         &self,
         path: &str,
@@ -190,19 +175,16 @@ impl XrdCluster {
         preferred: &[ServerId],
         exclude: &[ServerId],
     ) -> Result<ServerId, XrdError> {
-        for &id in preferred {
-            if exclude.contains(&id) {
-                continue;
-            }
-            let Some(server) = self.redirector.server(id) else {
-                continue;
-            };
-            if !server.is_online() || !server.exports_path(path) {
-                continue;
-            }
-            return self.write_to_server(&server, path, data);
-        }
-        self.write_file_excluding(path, data, exclude)
+        let eligible = |id: &ServerId| !exclude.contains(id);
+        let server = preferred
+            .iter()
+            .copied()
+            .filter(eligible)
+            .filter_map(|id| self.redirector.server(id))
+            .find(|s| s.is_online() && s.exports_path(path))
+            .or_else(|| self.redirector.resolve_excluding(path, exclude))
+            .ok_or_else(|| XrdError::NoServerForPath(path.to_string()))?;
+        self.write_to_server(&server, path, data)
     }
 
     /// Writes `data` to `path` on a *specific* server as a plain file
@@ -323,19 +305,6 @@ impl XrdCluster {
             return Ok(Arc::new(copy));
         }
         Ok(data)
-    }
-
-    /// Reads via the redirector instead of a known server (used when the
-    /// path itself is globally addressed).
-    pub fn read_resolved(&self, path: &str) -> Result<Arc<Vec<u8>>, XrdError> {
-        let s = self
-            .redirector
-            .resolve(path)
-            .ok_or_else(|| XrdError::NoServerForPath(path.to_string()))?;
-        s.get_file(path).ok_or_else(|| XrdError::NoSuchFile {
-            server: s.id(),
-            path: path.to_string(),
-        })
     }
 
     /// Unlinks `path` on `server` (masters clean up consumed results).
@@ -520,13 +489,13 @@ mod tests {
         c.servers()[3].export(&query_path(0));
         for _ in 0..8 {
             let w = c
-                .write_file_excluding(&query_path(0), b"q".to_vec(), &[0])
+                .write_file_routed(&query_path(0), b"q".to_vec(), &[], &[0])
                 .unwrap();
             assert_eq!(w, 3);
         }
         // Excluding every replica leaves nothing to resolve.
         assert_eq!(
-            c.write_file_excluding(&query_path(0), b"q".to_vec(), &[0, 3]),
+            c.write_file_routed(&query_path(0), b"q".to_vec(), &[], &[0, 3]),
             Err(XrdError::NoServerForPath(query_path(0)))
         );
     }
@@ -618,14 +587,5 @@ mod tests {
         c.faults().clear();
         // The stored file itself was never modified.
         assert_eq!(*c.read_file(w, &rp).unwrap(), *clean);
-    }
-
-    #[test]
-    fn read_resolved_uses_namespace() {
-        let c = cluster();
-        c.servers()[2].export("/meta/schema");
-        c.servers()[2].put_file("/meta/schema", b"v1".to_vec());
-        assert_eq!(*c.read_resolved("/meta/schema").unwrap(), b"v1".to_vec());
-        assert!(c.read_resolved("/meta/none").is_err());
     }
 }

@@ -304,6 +304,53 @@ fn join_and_drain_preserve_results_and_balance() {
     assert_no_result_leaks(&q, "join/drain");
 }
 
+/// The simulator predicts the live cluster: the map a membership
+/// operation leaves behind is exactly — same replica order, same epoch —
+/// what the pure planning steps produce from the pre-operation snapshot,
+/// because the operation *is* those steps with a fabric copy in between.
+#[test]
+fn membership_operations_commit_exactly_the_planned_steps() {
+    let patch = small_patch(600, 89);
+    let q = ClusterBuilder::new(5)
+        .replication(2)
+        .standby_nodes(1)
+        .fault_plan(FaultPlan::new(placement_seed()))
+        .build(&patch.objects, &patch.sources);
+
+    // fail_node = lose the member, then repair to the fixed point.
+    let mut predicted = q.placement().edit().remove_member(2).commit();
+    while let Some(step) = predicted.next_repair(|_, _| true) {
+        predicted = predicted.edit().add_replica(step.chunk, step.dst).commit();
+    }
+    let report = q.fail_node(2).expect("repair succeeds");
+    assert_eq!(
+        *q.placement(),
+        predicted,
+        "fail_node diverged from the plan"
+    );
+    assert_eq!(report.epoch, predicted.epoch());
+    assert_eq!(report.epoch, 1 + report.replicas_created as u64);
+
+    // join_node = add the member, then rebalance to the fixed point.
+    predicted = predicted.edit().add_member(5).commit();
+    while let Some(step) = predicted.next_rebalance() {
+        predicted = predicted
+            .edit()
+            .add_replica(step.chunk, step.dst)
+            .remove_replica(step.chunk, step.src)
+            .commit();
+    }
+    let report = q.join_node(5).expect("standby joins");
+    assert_eq!(
+        *q.placement(),
+        predicted,
+        "join_node diverged from the plan"
+    );
+    assert_eq!(report.epoch, predicted.epoch());
+    assert!(report.chunks_moved > 0, "rebalance shipped replicas");
+    assert_replication_restored(&q, 2, "after fail + join");
+}
+
 #[test]
 fn in_flight_queries_pin_their_epoch_or_retry_cleanly() {
     let patch = small_patch(700, 86);
