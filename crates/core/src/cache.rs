@@ -5,9 +5,10 @@
 //! search, the same objectId fetch, re-issued by notebooks and dashboards
 //! with cosmetic differences in whitespace and casing. This module
 //! caches final result tables keyed by the **normalized** query text
-//! (parse → [`to_sql`](qserv_sqlparse::ast::SelectStatement::to_sql)
-//! fixed point, so `select  x from Object` and `SELECT x FROM Object`
-//! share an entry) together with a catalog **data version**: loading
+//! (the [`to_sql`](qserv_sqlparse::ast::SelectStatement::to_sql)
+//! rendering of the statement admission parsed, so `select  x from
+//! Object` and `SELECT x FROM Object` share an entry) together with a
+//! catalog **data version**: loading
 //! or attaching data bumps a version, instantly orphaning affected
 //! entries rather than serving stale rows. Invalidation is scoped to
 //! the tables actually touched: the service keys each entry on
@@ -29,53 +30,30 @@
 //! data structure — [`crate::QueryService`] drives it under its own
 //! lock and owns the `proxy.cache.{hit,miss,evict}` counters.
 
-use crate::error::QservError;
 use crate::service::QueryClass;
 use crate::stats::QueryStats;
 use qserv_engine::exec::ResultTable;
 use qserv_engine::schema::ColumnType;
 use qserv_engine::value::Value;
-use qserv_sqlparse::parse_select;
+use qserv_sqlparse::ast::SelectStatement;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Normalizes a statement to its canonical text: parse, render, and
-/// re-render until the text is stable (the `to_sql` fixed point — in
-/// practice one round, but bounded iteration guards against a renderer
-/// that oscillates). Two statements normalize equal iff the parser sees
-/// the same query, which is exactly the equivalence a result cache may
-/// key on. Parse errors surface to the caller — a broken query must
-/// fail loudly, not miss quietly.
-pub fn normalize_sql(sql: &str) -> Result<String, QservError> {
-    normalize_sql_tables(sql).map(|(text, _)| text)
-}
-
-/// [`normalize_sql`] plus the sorted, deduplicated FROM-clause table
-/// names — the tables whose data versions the cache key must cover.
-/// Because the normalized text pins the exact table set, a version sum
-/// over *these* tables is a sound cache key: an entry can only be
-/// replayed for a query over the same tables, so bumping any one of
-/// them perturbs the sum and orphans exactly the entries that read it.
-pub fn normalize_sql_tables(sql: &str) -> Result<(String, Vec<String>), QservError> {
-    let stmt = parse_select(sql)?;
+/// The cache identity of a parsed statement: its canonical rendering
+/// plus the sorted, deduplicated FROM-clause table names — the tables
+/// whose data versions the key must cover. Two statements render equal
+/// iff the parser saw the same query (one rendering is the fixed point:
+/// `sqlparse`'s `printed_statements_reparse_to_same_ast` property),
+/// which is exactly the equivalence a result cache may key on. Because
+/// the rendering pins the exact table set, a version sum over *these*
+/// tables is a sound key: an entry can only be replayed for a query
+/// over the same tables, so bumping any one of them perturbs the sum
+/// and orphans exactly the entries that read it.
+pub(crate) fn statement_key(stmt: &SelectStatement) -> (String, Vec<String>) {
     let mut tables: Vec<String> = stmt.from.iter().map(|t| t.table.clone()).collect();
     tables.sort_unstable();
     tables.dedup();
-    let mut text = stmt.to_sql();
-    for _ in 0..3 {
-        let Ok(stmt) = parse_select(&text) else {
-            // The rendering no longer parses (renderer bug): the first
-            // rendering is still deterministic, so it remains a usable —
-            // if less canonical — key.
-            return Ok((text, tables));
-        };
-        let again = stmt.to_sql();
-        if again == text {
-            return Ok((text, tables));
-        }
-        text = again;
-    }
-    Ok((text, tables))
+    (stmt.to_sql(), tables)
 }
 
 fn row_bytes(r: &[Value]) -> u64 {
@@ -249,28 +227,6 @@ mod tests {
             stats: QueryStats::default(),
             class: QueryClass::Interactive,
         })
-    }
-
-    #[test]
-    fn normalization_is_a_fixed_point_and_folds_cosmetics() {
-        let a = normalize_sql("select   objectId from Object where objectId = 5").unwrap();
-        let b = normalize_sql("SELECT objectId FROM Object WHERE objectId=5").unwrap();
-        assert_eq!(a, b);
-        assert_eq!(normalize_sql(&a).unwrap(), a, "normalizing is idempotent");
-        assert!(normalize_sql("SELEC nonsense").is_err());
-    }
-
-    #[test]
-    fn normalize_sql_tables_reports_sorted_distinct_from_tables() {
-        let (text, tables) =
-            normalize_sql_tables("select s.psfFlux from Source AS s, Object AS o").unwrap();
-        assert_eq!(tables, vec!["Object".to_string(), "Source".to_string()]);
-        assert_eq!(
-            text,
-            normalize_sql("SELECT s.psfFlux FROM Source s, Object o").unwrap()
-        );
-        let (_, one) = normalize_sql_tables("SELECT ra_PS FROM Object").unwrap();
-        assert_eq!(one, vec!["Object".to_string()]);
     }
 
     #[test]

@@ -75,7 +75,7 @@ pub mod sharedscan;
 pub mod stats;
 pub mod worker;
 
-pub use cache::{normalize_sql, CachedResult, ResultCache};
+pub use cache::{CachedResult, ResultCache};
 pub use error::QservError;
 pub use loader::ClusterBuilder;
 pub use master::{CancelToken, Qserv, QueryStats, RetryPolicy, TracedQuery, XMatchSpec};

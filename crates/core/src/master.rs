@@ -1,14 +1,19 @@
 //! The Qserv master (frontend): end-to-end distributed query execution.
 //!
 //! Every public entry point (`query`, `query_with_stats`, `query_traced`,
-//! `query_streaming`, `xmatch`) runs the one paper pipeline, `Qserv::run`:
-//! parse → analyze (§5.3) → select the chunk set (spatial restriction
-//! and/or secondary index) → generate per-chunk physical queries →
-//! dispatch each as two file transactions on the fabric (§5.4) from a
-//! pool of dispatcher threads → read back mysqldump-style results → fold
-//! each into the incremental merge as it arrives (`crate::merge`) → run
-//! the merge/aggregation query → return rows to the caller, or push them
-//! through the caller's sink as they become final.
+//! `query_streaming`, `xmatch`, `explain`, `explain_table`) is
+//! `Qserv::prepare` plus a use of the prepared statement. `prepare` is
+//! the one place SQL text is read: parse → analyze (§5.3) → plan →
+//! select the chunk set (spatial restriction and/or secondary index) →
+//! pin the placement epoch. `Qserv::run` executes that value — the query
+//! service prepares at admission and hands the same value to its
+//! executor, so what was classified is what runs: generate per-chunk
+//! physical queries → dispatch each as two file transactions on the
+//! fabric (§5.4) from a pool of dispatcher threads → read back
+//! mysqldump-style results → fold each into the incremental merge as it
+//! arrives (`crate::merge`) → run the merge/aggregation query → return
+//! rows to the caller, or push them through the caller's sink as they
+//! become final.
 
 use crate::analysis::{analyze, Analysis, JoinClass};
 use crate::error::QservError;
@@ -31,6 +36,7 @@ use qserv_obs::{MetricsSnapshot, Trace};
 use qserv_partition::chunker::Chunker;
 use qserv_partition::index::SecondaryIndex;
 use qserv_partition::placement::PlacementMap;
+use qserv_sqlparse::ast::SelectStatement;
 use qserv_sqlparse::parse_select;
 use qserv_xrd::cluster::{query_path, result_path, XrdCluster, XrdError};
 use qserv_xrd::fault::FabricOp;
@@ -462,7 +468,7 @@ pub struct Qserv {
     /// result paths, keeping seeded fault schedules reproducible.
     qid: Arc<AtomicU64>,
     /// Per-chunk zone maps registered at load time (ra/decl/flux/objectId
-    /// min-max per chunk). Lets `prepare_stmt` elide whole chunks before
+    /// min-max per chunk). Lets `prepare` elide whole chunks before
     /// dispatch — the master-side analogue of the worker's per-page zone
     /// maps.
     zones: Arc<ChunkZones>,
@@ -489,9 +495,35 @@ pub struct Qserv {
     pub(crate) storage_dir: Option<PathBuf>,
 }
 
-/// A prepared (analyzed + planned) query, reusable by the shared-scan
-/// scheduler.
+/// What [`Qserv::prepare`] makes of one SQL text: the value that
+/// travels from admission to dispatch, so no later layer reads the text
+/// again.
+// `Distributed` is the common case, so boxing it to shrink the rare
+// `Local` would cost every query an allocation.
+#[allow(clippy::large_enum_variant)]
+pub(crate) enum Statement {
+    /// FROM-less: evaluated on the frontend, nothing is dispatched.
+    Local(SelectStatement),
+    /// Analyzed and planned, chunk set selected, placement epoch pinned.
+    Distributed(Prepared),
+}
+
+impl Statement {
+    /// How many chunks the statement dispatches — the admission cost the
+    /// query service classifies on (zero for a frontend-local statement).
+    pub(crate) fn chunk_count(&self) -> usize {
+        match self {
+            Statement::Local(_) => 0,
+            Statement::Distributed(p) => p.chunks.len(),
+        }
+    }
+}
+
+/// A prepared (analyzed + planned) distributed query.
 pub(crate) struct Prepared {
+    /// The statement as parsed; the result-cache key is rendered from it
+    /// (`analysis.stmt` has lost its spatial restriction).
+    pub stmt: SelectStatement,
     pub analysis: Analysis,
     pub plan: PhysicalPlan,
     pub chunks: Vec<i32>,
@@ -689,7 +721,7 @@ impl Qserv {
 
     /// Executes a query, returning rows plus execution statistics.
     pub fn query_with_stats(&self, sql: &str) -> Result<(ResultTable, QueryStats), QservError> {
-        let (rows, qm) = self.run(sql, None, &CancelToken::new(), None)?;
+        let (rows, qm) = self.run(self.prepare(sql)?, &CancelToken::new(), None)?;
         Ok((rows, qm.stats()))
     }
 
@@ -703,15 +735,18 @@ impl Qserv {
     /// Result columns: `left_id`, `right_id`, `dist` (degrees), one row
     /// per matched left row, ascending by `left_id`.
     pub fn xmatch(&self, spec: &XMatchSpec) -> Result<(ResultTable, QueryStats), QservError> {
+        let mut statement = self.prepare(&self.xmatch_sql(spec)?)?;
         // The SQL subset cannot express per-key argmin, so the plan's
         // classified shape (a plain append) is overridden with the
         // keep-nearest fold; the merge statement stays the pass-through.
-        let nearest = MergeShape::Nearest {
-            key: spec.left_id.clone(),
-            dist: "dist".to_string(),
-        };
-        let sql = self.xmatch_sql(spec)?;
-        let (rows, qm) = self.run(&sql, Some(nearest), &CancelToken::new(), None)?;
+        if let Statement::Distributed(prepared) = &mut statement {
+            debug_assert_eq!(prepared.plan.join, JoinClass::SubchunkNear);
+            prepared.plan.shape = MergeShape::Nearest {
+                key: spec.left_id.clone(),
+                dist: "dist".to_string(),
+            };
+        }
+        let (rows, qm) = self.run(statement, &CancelToken::new(), None)?;
         Ok((rows, qm.stats()))
     }
 
@@ -772,7 +807,8 @@ impl Qserv {
         let outcome = {
             let root = trace::with_root(&trace, "query");
             root.annotate("sql", sql);
-            self.run(sql, None, &CancelToken::new(), None)
+            self.prepare(sql)
+                .and_then(|statement| self.run(statement, &CancelToken::new(), None))
         };
         let (rows, qm) = outcome?;
         Ok(TracedQuery {
@@ -809,22 +845,20 @@ impl Qserv {
         token: &CancelToken,
         sink: &mut dyn FnMut(StreamBatch) -> bool,
     ) -> Result<QueryStats, QservError> {
-        self.run(sql, None, token, Some(sink))
+        self.run(self.prepare(sql)?, token, Some(sink))
             .map(|(_, qm)| qm.stats())
     }
 
-    /// The one query path behind every public entry point: parse →
-    /// analyze and plan → dispatch each chunk query over the fabric →
-    /// fold results into the incremental merge as they arrive, updating
-    /// per-query instruments (and trace spans, when a trace is active).
-    /// With a sink, row batches leave through it and the returned table
-    /// is empty (columns only). `shape` replaces the plan's classified
-    /// merge shape (XMatch's keep-nearest fold, which no SQL statement
-    /// produces).
-    fn run(
+    /// The one query path behind every public entry point and the query
+    /// service's executors: takes a prepared statement, dispatches each
+    /// chunk query over the fabric and folds results into the
+    /// incremental merge as they arrive, updating per-query instruments
+    /// (and trace spans, when a trace is active). With a sink, row
+    /// batches leave through it and the returned table is empty (columns
+    /// only).
+    pub(crate) fn run(
         &self,
-        sql: &str,
-        shape: Option<MergeShape>,
+        statement: Statement,
         token: &CancelToken,
         sink: Sink<'_>,
     ) -> Result<(ResultTable, QueryMetrics), QservError> {
@@ -833,39 +867,34 @@ impl Qserv {
         if token.is_cancelled() {
             return Err(QservError::Cancelled);
         }
-        let stmt = parse_select(sql)?;
-        // FROM-less statements run locally on the frontend.
-        if stmt.from.is_empty() {
-            let local = execute(&Database::new(), &stmt)?;
-            return Ok((
-                match sink {
-                    Some(s) => emit_final(local, None, s),
-                    None => local,
-                },
-                qm,
-            ));
-        }
-        let prepared = {
-            let g = trace::span("master.analyze");
-            let mut prepared = self.prepare_stmt(&stmt)?;
-            if let Some(shape) = shape {
-                debug_assert_eq!(prepared.plan.join, JoinClass::SubchunkNear);
-                prepared.plan.shape = shape;
+        let prepared = match statement {
+            Statement::Local(stmt) => {
+                let local = execute(&Database::new(), &stmt)?;
+                return Ok((
+                    match sink {
+                        Some(s) => emit_final(local, None, s),
+                        None => local,
+                    },
+                    qm,
+                ));
             }
-            if let Some(g) = &g {
-                g.annotate("chunks", &prepared.chunks.len().to_string());
-                g.annotate("join", &format!("{:?}", prepared.plan.join));
-                if prepared.chunks_pruned > 0 {
-                    g.annotate("chunks_pruned", &prepared.chunks_pruned.to_string());
-                }
-                g.annotate("planner.access", &format!("{:?}", prepared.choice.access));
-                g.annotate(
-                    "planner.est_rows",
-                    &format!("{:.1}", prepared.choice.est_rows),
-                );
-            }
-            prepared
+            Statement::Distributed(prepared) => prepared,
         };
+        // The plan was made by `prepare` — for a service query at
+        // admission, before this trace existed — so the span carries the
+        // decisions as annotations rather than timing the analysis.
+        if let Some(g) = trace::span("master.analyze") {
+            g.annotate("chunks", &prepared.chunks.len().to_string());
+            g.annotate("join", &format!("{:?}", prepared.plan.join));
+            if prepared.chunks_pruned > 0 {
+                g.annotate("chunks_pruned", &prepared.chunks_pruned.to_string());
+            }
+            g.annotate("planner.access", &format!("{:?}", prepared.choice.access));
+            g.annotate(
+                "planner.est_rows",
+                &format!("{:.1}", prepared.choice.est_rows),
+            );
+        }
         qm.used_secondary_index
             .set(prepared.analysis.index_ids.is_some() as u64);
         qm.used_spatial_restriction
@@ -912,22 +941,35 @@ impl Qserv {
         Ok((result, qm))
     }
 
-    /// Plans a query without executing it.
+    /// Plans a query without executing it. A FROM-less statement runs on
+    /// the frontend: it reports no chunks and no chunk message.
     pub fn explain(&self, sql: &str) -> Result<Explain, QservError> {
-        let stmt = parse_select(sql)?;
-        let prepared = self.prepare_stmt(&stmt)?;
+        let prepared = match self.prepare(sql)? {
+            Statement::Local(_) => {
+                return Ok(Explain {
+                    chunks: Vec::new(),
+                    join: JoinClass::None,
+                    aggregated: false,
+                    uses_secondary_index: false,
+                    sample_message: None,
+                    choice: PlanChoice::default(),
+                    placement_epoch: self.placement.snapshot().epoch(),
+                })
+            }
+            Statement::Distributed(prepared) => prepared,
+        };
         let sample_message = prepared.chunks.first().map(|&c| {
             let subs = self.subchunks_for(&prepared, c);
             render_chunk_message(&prepared.plan, &self.meta, c, &subs)
         });
         Ok(Explain {
-            chunks: prepared.chunks.clone(),
             join: prepared.plan.join,
             aggregated: prepared.analysis.aggregated,
             uses_secondary_index: prepared.analysis.index_ids.is_some(),
             sample_message,
-            choice: prepared.choice.clone(),
             placement_epoch: prepared.placement.epoch(),
+            chunks: prepared.chunks,
+            choice: prepared.choice,
         })
     }
 
@@ -935,41 +977,41 @@ impl Qserv {
     /// two-column `(item, value)` result table — the body of the
     /// service/proxy `EXPLAIN <sql>` verb. Plans without executing.
     pub fn explain_table(&self, sql: &str) -> Result<ResultTable, QservError> {
-        let stmt = parse_select(sql)?;
-        let columns = vec!["item".to_string(), "value".to_string()];
-        let mut items: Vec<(String, String)> = Vec::new();
-        if stmt.from.is_empty() {
-            // FROM-less statements run locally on the frontend; there is
-            // no distributed plan to show.
-            items.push(("access_path".to_string(), "frontend_local".to_string()));
-            items.push(("chunks".to_string(), "0".to_string()));
-        } else {
-            let prepared = self.prepare_stmt(&stmt)?;
-            items.push(("class".to_string(), {
-                if prepared.chunks.len() <= planner::DEFAULT_INTERACTIVE_CHUNKS {
-                    "interactive".to_string()
+        let items: Vec<(String, String)> = match self.prepare(sql)? {
+            // There is no distributed plan to show.
+            Statement::Local(_) => vec![
+                ("access_path".to_string(), "frontend_local".to_string()),
+                ("chunks".to_string(), "0".to_string()),
+            ],
+            Statement::Distributed(prepared) => {
+                let class = if prepared.choice.scan_class {
+                    "scan"
                 } else {
-                    "scan".to_string()
-                }
-            }));
-            items.push(("chunks".to_string(), prepared.chunks.len().to_string()));
-            items.push((
-                "chunks_pruned".to_string(),
-                prepared.chunks_pruned.to_string(),
-            ));
-            items.extend(prepared.choice.render_rows());
-            items.push((
-                "merge_shape".to_string(),
-                format!("{:?}", prepared.plan.shape),
-            ));
-            items.push(("join".to_string(), format!("{:?}", prepared.plan.join)));
-            items.push((
-                "placement_epoch".to_string(),
-                prepared.placement.epoch().to_string(),
-            ));
-        }
+                    "interactive"
+                };
+                let mut items = vec![
+                    ("class".to_string(), class.to_string()),
+                    ("chunks".to_string(), prepared.chunks.len().to_string()),
+                    (
+                        "chunks_pruned".to_string(),
+                        prepared.chunks_pruned.to_string(),
+                    ),
+                ];
+                items.extend(prepared.choice.render_rows());
+                items.push((
+                    "merge_shape".to_string(),
+                    format!("{:?}", prepared.plan.shape),
+                ));
+                items.push(("join".to_string(), format!("{:?}", prepared.plan.join)));
+                items.push((
+                    "placement_epoch".to_string(),
+                    prepared.placement.epoch().to_string(),
+                ));
+                items
+            }
+        };
         Ok(ResultTable {
-            columns,
+            columns: vec!["item".to_string(), "value".to_string()],
             rows: items
                 .into_iter()
                 .map(|(k, v)| {
@@ -982,24 +1024,17 @@ impl Qserv {
         })
     }
 
-    /// How many chunks `sql` would dispatch — the admission cost the
-    /// query service classifies on. FROM-less statements (which run
-    /// locally on the frontend) cost zero. Parse/analysis errors surface
-    /// here, *before* admission, so a broken query never occupies a
-    /// queue slot.
-    pub(crate) fn chunk_count(&self, sql: &str) -> Result<usize, QservError> {
+    /// The one place SQL text is read: parse → (FROM-less statements
+    /// stop here; they run locally on the frontend) → analyze → plan →
+    /// select the chunk set → pin the placement epoch. Parse and
+    /// analysis errors surface here, so the query service rejects a
+    /// broken query before it occupies a queue slot.
+    pub(crate) fn prepare(&self, sql: &str) -> Result<Statement, QservError> {
         let stmt = parse_select(sql)?;
         if stmt.from.is_empty() {
-            return Ok(0);
+            return Ok(Statement::Local(stmt));
         }
-        Ok(self.prepare_stmt(&stmt)?.chunks.len())
-    }
-
-    pub(crate) fn prepare_stmt(
-        &self,
-        stmt: &qserv_sqlparse::ast::SelectStatement,
-    ) -> Result<Prepared, QservError> {
-        let analysis = analyze(stmt, &self.meta)?;
+        let analysis = analyze(&stmt, &self.meta)?;
         let mut plan = build_plan(&analysis, &self.meta)?;
         let placement = self.placement.snapshot();
         // Candidate chunk sets: the spatially-restricted full scan and,
@@ -1041,14 +1076,15 @@ impl Qserv {
                 "the cluster stores no chunks; load data before querying".to_string(),
             ));
         }
-        Ok(Prepared {
+        Ok(Statement::Distributed(Prepared {
+            stmt,
             analysis,
             plan,
             chunks,
             chunks_pruned,
             placement,
             choice,
-        })
+        }))
     }
 
     /// Computes the full-scan candidate chunk set: all stored chunks,

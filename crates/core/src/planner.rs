@@ -64,8 +64,9 @@ const DEFAULT_RANGE_SEL: f64 = 0.3;
 /// Selectivity assumed for an equality over a column with no distinct
 /// count.
 const DEFAULT_EQ_SEL: f64 = 0.1;
-/// Chunk-count threshold between interactive and scan classification
-/// (mirrors the service's default admission threshold).
+/// Chunk-count threshold between interactive and scan classification:
+/// what [`PlanChoice::scan_class`] is decided on, and the query
+/// service's default admission threshold.
 pub const DEFAULT_INTERACTIVE_CHUNKS: usize = 8;
 
 /// Forces individual planner decisions — the hook the plan-equivalence
@@ -161,7 +162,7 @@ pub struct PlanChoice {
     pub scan_class: bool,
 }
 
-/// Planner inputs assembled by `Qserv::prepare_stmt`.
+/// Planner inputs assembled by `Qserv::prepare`.
 pub(crate) struct PlannerContext<'a> {
     pub analysis: &'a Analysis,
     pub zones: &'a ChunkZones,

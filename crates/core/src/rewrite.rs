@@ -82,7 +82,7 @@ pub enum MergeShape {
     /// the single row whose `dist` column is smallest (ties broken by a
     /// deterministic full-row comparison), emitting rows in ascending
     /// key order at finish. Installed by the frontend's XMatch operator
-    /// — [`classify_merge`] never produces it, because the merge SQL
+    /// — `classify_merge` never produces it, because the merge SQL
     /// subset cannot express a per-group argmin.
     Nearest {
         /// Chunk-result column carrying the match key (catalog A's id).

@@ -11,11 +11,15 @@
 //!   rejects with [`QservError::Busy`] (backpressure the proxy turns
 //!   into a `BUSY` frame with a retry-after hint) instead of letting
 //!   the frontend accumulate unbounded work.
-//! * **Classification at analysis time** — a query's cost is the size
-//!   of the chunk set it would dispatch (the same analysis `EXPLAIN`
-//!   runs). At most [`ServiceConfig::interactive_chunk_threshold`]
-//!   chunks → `Interactive`; more → `Scan`. Parse/analysis errors
-//!   surface before admission and never occupy a queue slot.
+//! * **Prepare once, at admission** — `Qserv::prepare` parses, analyzes
+//!   and plans the statement and pins its placement epoch; the prepared
+//!   value is what is classified, keyed for the result cache, queued
+//!   and finally executed, so class, cost, epoch and `EXPLAIN` cannot
+//!   disagree with what runs. A query's cost is the size of the chunk
+//!   set it dispatches: at most
+//!   [`ServiceConfig::interactive_chunk_threshold`] chunks →
+//!   `Interactive`; more → `Scan`. Parse/analysis errors surface before
+//!   admission and never occupy a queue slot.
 //! * **Fair dequeue** — a deficit-round-robin scheduler over the two
 //!   classes with a global concurrency limit and a *scan cap* that
 //!   reserves execution slots for interactive queries, so a saturating
@@ -30,10 +34,10 @@
 //! no threads, no clock — so property tests can replay arbitrary
 //! arrival schedules against it deterministically on a virtual clock.
 
-use crate::cache::{normalize_sql_tables, stream_batch_bytes, CachedResult, ResultCache};
+use crate::cache::{statement_key, stream_batch_bytes, CachedResult, ResultCache};
 use crate::error::QservError;
-use crate::master::{CancelToken, Qserv, QueryStats};
-use crate::merge::{infer_value_types, StreamBatch, StreamCollector};
+use crate::master::{CancelToken, Qserv, QueryStats, Statement};
+use crate::merge::{StreamBatch, StreamCollector};
 use qserv_engine::exec::ResultTable;
 use qserv_obs::clock::SharedClock;
 use qserv_obs::trace;
@@ -152,7 +156,7 @@ impl Default for ServiceConfig {
             max_concurrent: 4,
             max_scan_concurrent: 2,
             queue_capacity: 64,
-            interactive_chunk_threshold: 8,
+            interactive_chunk_threshold: crate::planner::DEFAULT_INTERACTIVE_CHUNKS,
             // Interactive gets the larger quantum: many cheap tickets
             // per round vs. the occasional expensive scan ticket.
             interactive_quantum: 64,
@@ -719,7 +723,10 @@ impl ReplyTo {
 
 /// A queued query's execution context, parked until a slot frees.
 struct PendingEntry {
+    /// The SQL text, for the trace root's annotation only.
     sql: String,
+    /// What admission prepared; the executor runs exactly this.
+    statement: Statement,
     /// `Some(root span name)` for traced submissions.
     traced: Option<String>,
     reply: ReplyTo,
@@ -876,10 +883,10 @@ impl QueryService {
     /// Plans `sql` without executing it and renders the planner's
     /// choice — access path, predicate order with estimates, pushdown,
     /// cost — as a deterministic result table (the proxy's `EXPLAIN`
-    /// verb). Plans are cached under an `EXPLAIN`-tagged key, disjoint
-    /// from the entry the query's own results would occupy.
+    /// verb). Never cached: a plan depends on the placement epoch, which
+    /// no data version tracks.
     pub fn explain(&self, sql: &str) -> Result<ResultTable, QservError> {
-        self.inner.explain(sql)
+        self.inner.qserv.explain_table(sql)
     }
 
     /// Drops every cached result. Version bumps on load/attach already
@@ -963,15 +970,22 @@ impl Inner {
         traced: Option<&str>,
         reply: ReplyTo,
     ) -> Result<Admitted, QservError> {
-        // Consult the result cache first: a hit bypasses admission
+        // Prepare before anything else: a broken query errors here, and
+        // the cost below is the chunk set that will actually dispatch, so
+        // a scan cannot masquerade as interactive.
+        let statement = self.qserv.prepare(sql)?;
+        // Consult the result cache next: a hit bypasses admission
         // entirely (no queue slot, no executor) — that is the whole
-        // point of caching repeated lookups.
+        // point of caching repeated lookups. FROM-less constants never
+        // dispatch work; caching them would only churn the budget.
         let mut cache_key = None;
-        if self.cfg.cache_capacity_bytes > 0 {
+        if let (true, Statement::Distributed(prepared)) =
+            (self.cfg.cache_capacity_bytes > 0, &statement)
+        {
             // The key's version sums the global data version with the
             // versions of the tables this query reads, so a per-table
             // bump orphans only the entries that touched that table.
-            let (normalized, tables) = normalize_sql_tables(sql)?;
+            let (normalized, tables) = statement_key(&prepared.stmt);
             let version = self.qserv.version_for_tables(&tables);
             let hit = self
                 .cache
@@ -982,20 +996,10 @@ impl Inner {
                 self.metrics.cache_hit.inc();
                 return Ok(self.serve_cached(sql, &entry, traced, reply));
             }
+            self.metrics.cache_miss.inc();
             cache_key = Some((version, normalized));
         }
-        // Classify before admission: the cost is the chunk-set size the
-        // master would dispatch, so a broken query errors here and a
-        // scan cannot masquerade as interactive.
-        let cost = self.qserv.chunk_count(sql)? as u64;
-        if cost == 0 {
-            // FROM-less constants never dispatch work; caching them
-            // would only churn the budget.
-            cache_key = None;
-        }
-        if cache_key.is_some() {
-            self.metrics.cache_miss.inc();
-        }
+        let cost = statement.chunk_count() as u64;
         let class = if cost <= self.cfg.interactive_chunk_threshold as u64 {
             QueryClass::Interactive
         } else {
@@ -1023,6 +1027,7 @@ impl Inner {
                 qid,
                 PendingEntry {
                     sql: sql.to_string(),
+                    statement,
                     traced: traced.map(str::to_string),
                     reply,
                     cache_key,
@@ -1051,45 +1056,6 @@ impl Inner {
             token,
             cache_hit: false,
         })
-    }
-
-    /// Plans `sql` without executing it (the proxy's `EXPLAIN` verb) and
-    /// renders the chosen plan as a result table. Cached under an
-    /// `EXPLAIN `-prefixed key — the verb is part of the key, so an
-    /// EXPLAIN never serves (or populates) the result-cache entry of the
-    /// query itself, and vice versa.
-    fn explain(&self, sql: &str) -> Result<ResultTable, QservError> {
-        let mut cache_key = None;
-        if self.cfg.cache_capacity_bytes > 0 {
-            let (normalized, tables) = normalize_sql_tables(sql)?;
-            let version = self.qserv.version_for_tables(&tables);
-            let key = format!("EXPLAIN {normalized}");
-            let hit = self
-                .cache
-                .lock()
-                .expect("result cache poisoned")
-                .get(version, &key);
-            if let Some(entry) = hit {
-                self.metrics.cache_hit.inc();
-                return Ok(entry.table.clone());
-            }
-            cache_key = Some((version, key));
-        }
-        let table = self.qserv.explain_table(sql)?;
-        if let Some(key) = cache_key {
-            self.metrics.cache_miss.inc();
-            let types = infer_value_types(&table);
-            self.populate_cache(
-                key,
-                CachedResult {
-                    table: table.clone(),
-                    types,
-                    stats: QueryStats::default(),
-                    class: QueryClass::Interactive,
-                },
-            );
-        }
-        Ok(table)
     }
 
     /// Replays a cached result as if the query ran instantly: a `Done`
@@ -1223,6 +1189,7 @@ impl Inner {
         let started = self.clock.now();
         let PendingEntry {
             sql,
+            statement,
             traced,
             mut reply,
             cache_key,
@@ -1273,7 +1240,10 @@ impl Inner {
                 g.annotate("wait_ms", &wait.as_millis().to_string());
                 g.annotate("cache", cache.as_str());
             }
-            let r = self.qserv.query_streaming(&sql, &token, &mut sink);
+            let r = self
+                .qserv
+                .run(statement, &token, Some(&mut sink))
+                .map(|(_, qm)| qm.stats());
             if token.is_cancelled() {
                 if let Some(g) = trace::span("service.cancel") {
                     g.annotate("qid", &qid.to_string());
@@ -1281,16 +1251,23 @@ impl Inner {
             }
             r
         };
-        if let (Some(key), Ok(stats), Some(c)) = (cache_key, &result, collector) {
-            self.populate_cache(
-                key,
-                CachedResult {
-                    types: c.types().to_vec(),
-                    table: c.table(),
-                    stats: stats.clone(),
-                    class,
-                },
+        // Store a completed result under its normalized key, charging the
+        // evict counter for whatever the byte budget pushed out.
+        if let (Some((version, normalized)), Ok(stats), Some(c)) = (cache_key, &result, collector) {
+            let entry = CachedResult {
+                types: c.types().to_vec(),
+                table: c.table(),
+                stats: stats.clone(),
+                class,
+            };
+            let evicted = self.cache.lock().expect("result cache poisoned").insert(
+                version,
+                normalized,
+                Arc::new(entry),
             );
+            if evicted > 0 {
+                self.metrics.cache_evict.add(evicted);
+            }
         }
         let run = self.clock.now().saturating_sub(started);
         let done = StreamDone {
@@ -1303,20 +1280,6 @@ impl Inner {
             cache,
         };
         (reply, done)
-    }
-
-    /// Stores a completed result under its normalized key, charging the
-    /// evict counter for whatever the byte budget pushed out.
-    fn populate_cache(&self, key: (u64, String), entry: CachedResult) {
-        let (version, normalized) = key;
-        let evicted = self.cache.lock().expect("result cache poisoned").insert(
-            version,
-            normalized,
-            Arc::new(entry),
-        );
-        if evicted > 0 {
-            self.metrics.cache_evict.add(evicted);
-        }
     }
 
     fn kill(&self, qid: u64) -> KillOutcome {

@@ -23,14 +23,13 @@
 //! ablation bench converts that into seconds.
 
 use crate::error::QservError;
-use crate::master::{effective_width, CancelToken, Qserv, QueryStats};
+use crate::master::{effective_width, CancelToken, Prepared, Qserv, QueryStats, Statement};
 use crate::merge::Merger;
 use crate::rewrite::render_chunk_message;
 use crate::stats::QueryMetrics;
 use parking_lot::Mutex;
 use qserv_engine::exec::ResultTable;
 use qserv_obs::trace;
-use qserv_sqlparse::parse_select;
 use std::collections::BTreeSet;
 
 /// Outcome of one convoy run.
@@ -78,20 +77,26 @@ impl<'q> SharedScanner<'q> {
         SharedScanner { qserv }
     }
 
+    /// Prepares every member of a batch, once.
+    fn prepare_all(&self, queries: &[&str]) -> Result<Vec<Prepared>, QservError> {
+        queries
+            .iter()
+            .map(|sql| match self.qserv.prepare(sql)? {
+                Statement::Distributed(prepared) => Ok(prepared),
+                Statement::Local(_) => Err(QservError::Analysis(
+                    "shared scans need table queries".to_string(),
+                )),
+            })
+            .collect()
+    }
+
     /// Runs a batch of queries as one convoy.
     pub fn run(&self, queries: &[&str]) -> Result<ScanReport, QservError> {
-        // Prepare every query.
-        let mut prepared = Vec::with_capacity(queries.len());
-        for sql in queries {
-            let stmt = parse_select(sql)?;
-            if stmt.from.is_empty() {
-                return Err(QservError::Analysis(
-                    "shared scans need table queries".to_string(),
-                ));
-            }
-            prepared.push(self.qserv.prepare_stmt(&stmt)?);
-        }
+        self.convoy(self.prepare_all(queries)?)
+    }
 
+    /// One convoy pass over already-prepared members.
+    fn convoy(&self, prepared: Vec<Prepared>) -> Result<ScanReport, QservError> {
         // The convoy's chunk ordering: ascending union of all chunk sets.
         let union: BTreeSet<i32> = prepared
             .iter()
@@ -216,37 +221,26 @@ impl<'q> SharedScanner<'q> {
     /// cannot delay them. Results are identical to [`SharedScanner::run`]
     /// either way — attachment is purely a scheduling decision.
     pub fn run_adaptive(&self, queries: &[&str]) -> Result<AdaptiveReport, QservError> {
-        let mut attach_idx = Vec::new();
-        let mut detach_idx = Vec::new();
-        for (i, sql) in queries.iter().enumerate() {
-            let stmt = parse_select(sql)?;
-            if stmt.from.is_empty() {
-                return Err(QservError::Analysis(
-                    "shared scans need table queries".to_string(),
-                ));
-            }
-            let p = self.qserv.prepare_stmt(&stmt)?;
-            if p.choice.attach_convoy {
-                attach_idx.push(i);
-            } else {
-                detach_idx.push(i);
-            }
-        }
+        let (attached, detached): (Vec<_>, Vec<_>) = self
+            .prepare_all(queries)?
+            .into_iter()
+            .enumerate()
+            .partition(|(_, prepared)| prepared.choice.attach_convoy);
+        let (attach_idx, attached): (Vec<usize>, Vec<Prepared>) = attached.into_iter().unzip();
         let mut results: Vec<Option<ResultTable>> = vec![None; queries.len()];
-        let (chunk_passes, naive_passes) = if attach_idx.is_empty() {
+        let (chunk_passes, naive_passes) = if attached.is_empty() {
             (0, 0)
         } else {
-            let batch: Vec<&str> = attach_idx.iter().map(|&i| queries[i]).collect();
-            let report = self.run(&batch)?;
-            let naive = report.naive_passes;
-            let passes = report.chunk_passes;
+            let report = self.convoy(attached)?;
             for (&slot, table) in attach_idx.iter().zip(report.results) {
                 results[slot] = Some(table);
             }
-            (passes, naive)
+            (report.chunk_passes, report.naive_passes)
         };
-        for &i in &detach_idx {
-            results[i] = Some(self.qserv.query(queries[i])?);
+        for (i, prepared) in detached {
+            let statement = Statement::Distributed(prepared);
+            let (table, _) = self.qserv.run(statement, &CancelToken::new(), None)?;
+            results[i] = Some(table);
         }
         Ok(AdaptiveReport {
             results: results
@@ -254,7 +248,7 @@ impl<'q> SharedScanner<'q> {
                 .map(|r| r.expect("every member resolved"))
                 .collect(),
             attached: attach_idx.len(),
-            detached: detach_idx.len(),
+            detached: queries.len() - attach_idx.len(),
             chunk_passes,
             naive_passes,
         })

@@ -487,16 +487,16 @@ impl OfsPlugin for Worker {
         // rebalance may arrive after the chunk moved away. NACK with a
         // retryable marker so the master fails over to a live replica
         // instead of treating it as a worker SQL error.
+        let not_resident = || {
+            format!(
+                "ERROR: RETRYABLE: chunk {chunk} not resident on node {}",
+                self.node_id
+            )
+            .into_bytes()
+        };
         if !self.holds_chunk(chunk) {
             self.stats.errors.fetch_add(1, Ordering::Relaxed);
-            server.put_file(
-                &result_path(&md5_hex(data)),
-                format!(
-                    "ERROR: RETRYABLE: chunk {chunk} not resident on node {}",
-                    self.node_id
-                )
-                .into_bytes(),
-            );
+            server.put_file(&result_path(&md5_hex(data)), not_resident());
             return;
         }
         let text = match std::str::from_utf8(data) {
@@ -528,7 +528,14 @@ impl OfsPlugin for Worker {
             }
             Err(e) => {
                 self.stats.errors.fetch_add(1, Ordering::Relaxed);
-                format!("ERROR: {e}").into_bytes()
+                // A drain may detach the chunk between the residency
+                // check above and execution; that is the same NACK, not
+                // a worker SQL error.
+                if self.holds_chunk(chunk) {
+                    format!("ERROR: {e}").into_bytes()
+                } else {
+                    not_resident()
+                }
             }
         };
         server.put_file(&result_path(&md5_hex(data)), deposit);

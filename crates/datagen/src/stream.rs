@@ -1,10 +1,10 @@
 //! Streaming loads: synthesized rows written straight to on-disk
 //! columnar chunk files in bounded memory.
 //!
-//! The materialized path ([`Patch::generate`] → tables → files) holds the
+//! The materialized path ([`Patch::generate`](crate::generate::Patch::generate) → tables → files) holds the
 //! whole catalog in RAM twice. This module instead drains an
 //! [`ObjectStream`] through the engine's
-//! [`StreamWriter`](qserv_engine::StreamWriter), which buffers only one
+//! [`qserv_engine::StreamWriter`], which buffers only one
 //! page stripe (1024 rows by default) before flushing to disk — peak
 //! memory is independent of the dataset size, which is what lets a bench
 //! query a dataset whose on-disk size exceeds the process's peak RSS.

@@ -157,7 +157,7 @@ pub enum ExecMode {
 /// Which path actually executed a statement.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ExecPath {
-    /// Compiled predicates + columnar kernels ([`crate::vector`]).
+    /// Compiled predicates + columnar kernels (`crate::vector`).
     Vectorized,
     /// Row-at-a-time tree-walking interpreter.
     Interpreted,

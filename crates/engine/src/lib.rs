@@ -17,12 +17,12 @@
 //! * [`exec`] — the query executor: filtered scans, index lookups,
 //!   hash-equi-joins and nested-loop spatial joins, grouping/aggregation,
 //!   ordering, projection. Single-table scans run on a vectorized path
-//!   ([`compile`] + [`vector`]) when compilable, with the interpreter as
+//!   (`compile` + `vector`) when compilable, with the interpreter as
 //!   fallback and semantic oracle.
-//! * [`compile`] — per-query compilation of predicates and projections
+//! * `compile` — per-query compilation of predicates and projections
 //!   into columnar kernels and flat programs.
-//! * [`vector`] — columnar kernel execution over selection vectors.
-//! * [`joinvec`] — the vectorized near-neighbor join: precomputed unit
+//! * `vector` — columnar kernel execution over selection vectors.
+//! * `joinvec` — the vectorized near-neighbor join: precomputed unit
 //!   vectors, declination-window pruning and a tight chord-distance loop
 //!   for `qserv_angSep(...) < r` two-table predicates (worker-side
 //!   near-neighbor self-joins and XMatch statements).
@@ -57,8 +57,8 @@ pub use exec::{
 };
 pub use schema::{ColumnDef, ColumnType, Schema};
 pub use storage::{
-    tables_bit_identical, write_table, ChunkFile, ColumnSummary, Residency, StoredChunk,
-    StreamWriter, DEFAULT_PAGE_ROWS, DEFAULT_RESIDENCY_BUDGET,
+    tables_bit_identical, write_table, ChunkFile, Residency, StoredChunk, StreamWriter,
+    DEFAULT_PAGE_ROWS, DEFAULT_RESIDENCY_BUDGET,
 };
 pub use table::Table;
 pub use value::Value;

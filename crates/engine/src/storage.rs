@@ -34,7 +34,7 @@
 //!
 //! ## Zone-map page elision
 //!
-//! [`prune_mask`] evaluates the compiled filter kernels of a vectorized
+//! `prune_mask` evaluates the compiled filter kernels of a vectorized
 //! plan against the per-page zone maps and marks every stripe that
 //! *provably* yields no passing row. Elision is conservative: a stripe is
 //! skipped only when some kernel rejects all of its rows under the exact
@@ -698,55 +698,6 @@ impl ChunkFile {
         }
         Ok(t)
     }
-
-    /// Chunk-level per-column summaries folded from the page zone maps —
-    /// what the master registers for chunk elision.
-    pub fn column_summaries(&self) -> Vec<ColumnSummary> {
-        self.footer
-            .schema
-            .columns()
-            .iter()
-            .enumerate()
-            .filter_map(|(i, def)| {
-                let mut valid = 0u64;
-                let (mut min, mut max) = (f64::INFINITY, f64::NEG_INFINITY);
-                for p in &self.footer.pages[i] {
-                    match p.zone {
-                        PageZone::Int {
-                            valid: v,
-                            min: lo,
-                            max: hi,
-                        } => {
-                            if v > 0 {
-                                valid += v;
-                                min = min.min(lo as f64);
-                                max = max.max(hi as f64);
-                            }
-                        }
-                        PageZone::Float {
-                            valid: v,
-                            min: lo,
-                            max: hi,
-                            ..
-                        } => {
-                            if v > 0 {
-                                valid += v;
-                                min = min.min(lo);
-                                max = max.max(hi);
-                            }
-                        }
-                        PageZone::Str => return None,
-                    }
-                }
-                Some(ColumnSummary {
-                    name: def.name.clone(),
-                    valid,
-                    min,
-                    max,
-                })
-            })
-            .collect()
-    }
 }
 
 fn parse_footer(bytes: &[u8]) -> io::Result<Footer> {
@@ -900,64 +851,6 @@ fn decode_page(
     Ok(())
 }
 
-/// Chunk-level zone summary for one numeric column: `min`/`max` over the
-/// `valid` (non-NULL, non-NaN) values, as `f64`. With `valid == 0` the
-/// bounds are meaningless (±∞) and every range predicate on the column
-/// rejects all rows.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ColumnSummary {
-    /// Column name.
-    pub name: String,
-    /// Count of non-NULL, non-NaN values.
-    pub valid: u64,
-    /// Minimum valid value (`+∞` when `valid == 0`).
-    pub min: f64,
-    /// Maximum valid value (`−∞` when `valid == 0`).
-    pub max: f64,
-}
-
-/// Computes [`ColumnSummary`]s straight from an in-memory table — the
-/// in-memory loader path registers these so chunk elision works with or
-/// without on-disk storage.
-pub fn table_column_summaries(t: &Table) -> Vec<ColumnSummary> {
-    t.schema()
-        .columns()
-        .iter()
-        .enumerate()
-        .filter_map(|(i, def)| {
-            let nulls = t.null_mask(i);
-            let (mut valid, mut min, mut max) = (0u64, f64::INFINITY, f64::NEG_INFINITY);
-            match t.column_slice(i) {
-                crate::table::ColumnSlice::Int(vals) => {
-                    for (&v, &n) in vals.iter().zip(nulls) {
-                        if !n {
-                            valid += 1;
-                            min = min.min(v as f64);
-                            max = max.max(v as f64);
-                        }
-                    }
-                }
-                crate::table::ColumnSlice::Float(vals) => {
-                    for (&v, &n) in vals.iter().zip(nulls) {
-                        if !n && !v.is_nan() {
-                            valid += 1;
-                            min = min.min(v);
-                            max = max.max(v);
-                        }
-                    }
-                }
-                crate::table::ColumnSlice::Str(_) => return None,
-            }
-            Some(ColumnSummary {
-                name: def.name.clone(),
-                valid,
-                min,
-                max,
-            })
-        })
-        .collect()
-}
-
 /// Planner-grade statistics for one numeric column of an in-memory
 /// table: the zone-map summary plus row count and an exact
 /// distinct-value count. Collected at write/load time (the loader runs
@@ -982,8 +875,7 @@ pub struct ColumnStats {
     pub distinct: u64,
 }
 
-/// Computes [`ColumnStats`] straight from an in-memory table. Same
-/// traversal as [`table_column_summaries`] plus distinct counting:
+/// Computes [`ColumnStats`] straight from an in-memory table. Distinct
 /// values are deduplicated by bit pattern (`i64` bits for Int columns,
 /// IEEE-754 bits for Float), so `-0.0` and `0.0` count as two — a
 /// harmless over-count for selectivity purposes.
@@ -1685,26 +1577,6 @@ mod tests {
     }
 
     #[test]
-    fn column_summaries_fold_pages() {
-        let t = mixed_table();
-        let path = tmp("summaries");
-        write_table(&path, &t, 2).unwrap();
-        let cf = ChunkFile::open(&path).unwrap();
-        let s = cf.column_summaries();
-        // Str column filtered out.
-        assert_eq!(s.len(), 2);
-        assert_eq!(
-            (s[0].name.as_str(), s[0].min, s[0].max),
-            ("objectId", 1.0, 5.0)
-        );
-        assert_eq!(s[1].name, "flux");
-        assert_eq!((s[1].min, s[1].max), (f64::NEG_INFINITY, 10.5));
-        // In-memory summaries agree with the on-disk fold.
-        assert_eq!(table_column_summaries(&t), s);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
     fn column_stats_count_rows_valid_and_distinct() {
         let t = mixed_table();
         let s = table_column_stats(&t);
@@ -1715,9 +1587,6 @@ mod tests {
         // flux: NaN and NULL excluded from valid; -0.0 and -inf distinct.
         assert_eq!(s[1].name, "flux");
         assert_eq!((s[1].rows, s[1].valid, s[1].distinct), (5, 3, 3));
-        // Stats agree with the zone summaries on the shared fields.
-        for (st, su) in s.iter().zip(table_column_summaries(&t)) {
-            assert_eq!((st.valid, st.min, st.max), (su.valid, su.min, su.max));
-        }
+        assert_eq!((s[1].min, s[1].max), (f64::NEG_INFINITY, 10.5));
     }
 }

@@ -4,7 +4,7 @@
 //! and measurement, instead of ad-hoc `Instant::now()` sprinkles and
 //! hand-grown stats structs:
 //!
-//! * [`clock`] — an injectable [`Clock`](clock::Clock): [`WallClock`]
+//! * [`clock`] — an injectable [`Clock`]: [`WallClock`]
 //!   for production, a shared [`VirtualClock`] for tests and the
 //!   discrete-event simulator. Retry backoff, dispatch deadlines and
 //!   chaos-fabric delay faults all wait through the clock, so seeded

@@ -21,7 +21,7 @@
 //! classic strict request/response contract: they execute one at a
 //! time per connection, in arrival order.
 //!
-//! Shutdown is reactor-driven and race-free: [`ProxyServer::stop`]
+//! Shutdown is reactor-driven and race-free: `ProxyServer::stop`
 //! sets a flag and wakes the poll loop through the `Waker` — no
 //! sentinel connections, no window where a fresh accept slips past the
 //! flag check.

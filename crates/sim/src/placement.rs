@@ -89,7 +89,7 @@ fn route(placement: &PlacementMap, chunks: &[i32]) -> Vec<(i32, usize)> {
     assigned
 }
 
-/// The node each chunk's scan task runs on ([`route`] over every chunk).
+/// The node each chunk's scan task runs on (`route` over every chunk).
 pub fn route_scan(placement: &PlacementMap) -> BTreeMap<i32, usize> {
     route(placement, &placement.chunks()).into_iter().collect()
 }

@@ -15,7 +15,9 @@
 //!   *source* afterwards and querying purely from the repaired replicas.
 //! * **Queries pin their epoch.** Queries running concurrently with
 //!   join/rebalance either complete against the old epoch or retry
-//!   cleanly against the new one; every result matches the oracle.
+//!   cleanly against the new one; every result matches the oracle. A
+//!   statement queued in the service across a join runs the plan — epoch
+//!   and chunk set — it was admitted with.
 //! * **No `/result/*` residue** survives any of it.
 //!
 //! The chaos seed comes from `QSERV_PLACEMENT_SEED` (default 1) so CI
@@ -23,9 +25,10 @@
 
 mod common;
 
-use common::{small_patch, sorted_rows};
+use common::{assert_matches_local, monolithic_db, small_patch, sorted_rows};
 use qserv::{
-    ClusterBuilder, FabricOp, FaultPlan, Qserv, QservError, RetryPolicy, RoutingMode, Value,
+    ClusterBuilder, FabricOp, FaultPlan, Qserv, QservError, QueryService, QueryState, RetryPolicy,
+    RoutingMode, ServiceConfig, Value,
 };
 use qserv_datagen::generate::Patch;
 use std::sync::Arc;
@@ -404,6 +407,89 @@ fn in_flight_queries_pin_their_epoch_or_retry_cleanly() {
         "membership churn committed epochs"
     );
     assert_no_result_leaks(&q, "epoch pinning");
+}
+
+/// What admission prepared is what the executor runs: a statement that
+/// sat in the queue while a join committed new epochs still dispatches
+/// the chunk set, under the epoch, it was classified and costed with.
+#[test]
+fn a_queued_statement_executes_the_plan_it_was_admitted_with() {
+    let patch = small_patch(600, 90);
+    let q = Arc::new(
+        ClusterBuilder::new(3)
+            .replication(2)
+            .standby_nodes(1)
+            .build(&patch.objects, &patch.sources),
+    );
+    let service = QueryService::start(
+        Arc::clone(&q),
+        ServiceConfig {
+            max_concurrent: 1,
+            ..ServiceConfig::default()
+        },
+    );
+    let state_of = |qid: u64| {
+        service
+            .status()
+            .iter()
+            .find(|s| s.qid == qid)
+            .map(|s| s.state)
+    };
+
+    // Saturate the one slot: a row-returning scan whose stream nobody
+    // drains blocks its executor on the event backlog.
+    let blocker = service
+        .submit_streaming("SELECT objectId, ra_PS, decl_PS FROM Object", None, None)
+        .expect("blocker admitted");
+    while state_of(blocker.qid) != Some(QueryState::Running) {
+        std::thread::yield_now();
+    }
+
+    let sql = "SELECT chunkId, COUNT(*) FROM Object GROUP BY chunkId";
+    let admitted_epoch = q.placement().epoch();
+    let queued = service
+        .submit_streaming(sql, Some("test.request"), None)
+        .expect("second statement admitted");
+    q.join_node(3)
+        .expect("standby joins while the statement waits");
+    assert!(q.placement().epoch() > admitted_epoch, "join committed");
+    assert_eq!(
+        state_of(queued.qid),
+        Some(QueryState::Queued),
+        "the undrained blocker still holds the only slot"
+    );
+
+    blocker.collect().result.expect("blocker completes");
+    let outcome = queued.collect();
+    let (rows, stats) = outcome.result.expect("queued statement runs");
+    let trace = outcome.trace.expect("traced submission");
+    trace.validate().expect("well-formed trace");
+    let spans = trace.spans();
+    let attr = |span: &str, key: &str| {
+        spans
+            .iter()
+            .find(|s| s.name == span)
+            .and_then(|s| s.attr(key))
+            .unwrap_or_else(|| panic!("{span} carries {key}"))
+            .to_string()
+    };
+    assert_eq!(
+        attr("master.dispatch", "placement_epoch"),
+        admitted_epoch.to_string(),
+        "dispatch must run under the epoch pinned at admission"
+    );
+    assert_eq!(
+        attr("service.admit", "cost"),
+        (stats.chunks_dispatched + stats.chunks_skipped_by_limit).to_string(),
+        "the admitted cost is the chunk set that ran"
+    );
+    let local = qserv_engine::execute(
+        &monolithic_db(&patch),
+        &qserv_sqlparse::parse_select(sql).expect("parses"),
+    )
+    .expect("oracle runs");
+    assert_matches_local(sql, &rows, &local);
+    assert_no_result_leaks(&q, "admitted plan");
 }
 
 #[test]

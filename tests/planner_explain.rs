@@ -1,8 +1,8 @@
 //! The planner's user-facing surfaces: golden EXPLAIN snapshots for the
 //! paper's query shapes, estimator accuracy bounds (q-error), the
 //! planner fields exported through metrics and trace JSON, and the
-//! result-cache regression that keeps `EXPLAIN <sql>` and `<sql>`
-//! under disjoint cache keys.
+//! regressions that keep `EXPLAIN <sql>` out of the result cache (so it
+//! follows the placement epoch).
 //!
 //! Golden fixtures live in `tests/golden_plans/*.txt`. To regenerate
 //! after an intentional planner change:
@@ -155,8 +155,8 @@ fn trace_json_carries_planner_annotations() {
     assert!(traced.stats.planner_qerror_pct >= 100);
 }
 
-/// Regression: `EXPLAIN <sql>` and `<sql>` must occupy disjoint cache
-/// entries — in both directions.
+/// Regression: `EXPLAIN <sql>` never touches the result cache — it
+/// neither seeds nor is served from the entry of `<sql>` itself.
 #[test]
 fn explain_never_shares_a_cache_entry_with_its_query() {
     let patch = small_patch(300, 909);
@@ -170,10 +170,10 @@ fn explain_never_shares_a_cache_entry_with_its_query() {
     );
     let sql = "SELECT objectId, ra_PS FROM Object WHERE objectId = 11";
 
-    // Direction 1: EXPLAIN populates its own entry only. The query
-    // submitted afterwards must MISS (and return rows, not a plan).
+    // Direction 1: EXPLAIN populates nothing. The query submitted
+    // afterwards must MISS (and return rows, not a plan).
     let plan = service.explain(sql).expect("explain");
-    assert_eq!(service.result_cache_len(), 1);
+    assert_eq!(service.result_cache_len(), 0);
     let outcome = service
         .submit_streaming(sql, None, None)
         .expect("admitted")
@@ -186,13 +186,13 @@ fn explain_never_shares_a_cache_entry_with_its_query() {
     let (rows, _) = outcome.result.expect("query runs");
     assert_eq!(rows.columns, vec!["objectId", "ra_PS"]);
     assert_ne!(rows.columns, plan.columns);
-    assert_eq!(service.result_cache_len(), 2);
+    assert_eq!(service.result_cache_len(), 1);
 
     // Direction 2: with the query's result now cached, EXPLAIN must
     // keep answering with the plan, and a resubmit still hits.
     let plan2 = service.explain(sql).expect("explain again");
     assert_eq!(plan2.columns, vec!["item", "value"]);
-    assert_eq!(plan2, plan, "cached EXPLAIN must replay the plan");
+    assert_eq!(plan2, plan, "same epoch, same plan");
     let outcome = service
         .submit_streaming(sql, None, None)
         .expect("admitted")
@@ -200,5 +200,53 @@ fn explain_never_shares_a_cache_entry_with_its_query() {
     assert_eq!(outcome.cache, CacheOutcome::Hit);
     let (rows, _) = outcome.result.expect("cached rows");
     assert_eq!(rows.columns, vec!["objectId", "ra_PS"]);
-    assert_eq!(service.result_cache_len(), 2, "no extra entries appeared");
+    assert_eq!(
+        service.result_cache_len(),
+        1,
+        "EXPLAIN left the cache alone"
+    );
+}
+
+/// Regression: membership changes commit placement epochs without
+/// bumping any data version, so an EXPLAIN cached under data versions
+/// kept reporting the epoch it was first planned against.
+#[test]
+fn explain_follows_the_placement_epoch_with_the_cache_on() {
+    let patch = small_patch(300, 910);
+    let qserv = Arc::new(
+        qserv::ClusterBuilder::new(2)
+            .standby_nodes(1)
+            .build(&patch.objects, &patch.sources),
+    );
+    let service = QueryService::start(
+        Arc::clone(&qserv),
+        ServiceConfig {
+            cache_capacity_bytes: 1 << 20,
+            ..ServiceConfig::default()
+        },
+    );
+    let sql = "SELECT COUNT(*) FROM Object";
+    let epoch_of = |plan: &qserv::ResultTable| {
+        plan.rows
+            .iter()
+            .find_map(|r| match (&r[0], &r[1]) {
+                (qserv::Value::Str(k), qserv::Value::Str(v)) if k == "placement_epoch" => {
+                    Some(v.clone())
+                }
+                _ => None,
+            })
+            .expect("EXPLAIN reports the placement epoch")
+    };
+
+    let before = service.explain(sql).expect("explain");
+    assert_eq!(epoch_of(&before), qserv.placement().epoch().to_string());
+    qserv.join_node(2).expect("standby joins");
+    let joined = qserv.placement().epoch();
+    assert!(joined > 0, "joining commits at least one epoch");
+    let after = service.explain(sql).expect("explain after join");
+    assert_eq!(
+        epoch_of(&after),
+        joined.to_string(),
+        "EXPLAIN must report the epoch a query would pin now"
+    );
 }

@@ -279,6 +279,47 @@ fn table_version_bump_invalidates_only_that_tables_entries() {
     assert_eq!(snap.counter(names::CACHE_MISS), 3, "Source entry orphaned");
 }
 
+/// The key is the rendering of the statement admission parsed, plus its
+/// FROM tables: spellings the renderer erases share an entry, every
+/// table of a join is covered by the version, and a spatial restriction
+/// (which analysis strips from the statement it plans) stays in the key.
+#[test]
+fn cache_key_is_the_parsed_statement_and_its_tables() {
+    let service = service(300, 79, cached_cfg());
+    let run = |sql: &str| {
+        let outcome = service
+            .submit_streaming(sql, None, None)
+            .expect("admitted")
+            .collect();
+        let (rows, _) = outcome.result.expect("runs");
+        (outcome.cache, rows)
+    };
+
+    let join = "SELECT COUNT(*) FROM Object o, Source s WHERE o.objectId = s.objectId";
+    let (cold, expected) = run(join);
+    assert_eq!(cold, CacheOutcome::Miss);
+    let (hot, rows) =
+        run("select COUNT(*)  from Object AS o, Source AS s where o.objectId=s.objectId");
+    assert_eq!(hot, CacheOutcome::Hit, "AS, casing and spacing fold away");
+    assert_eq!(rows, expected);
+    assert_eq!(service.result_cache_len(), 1);
+    // Both FROM tables are in the version: bumping either orphans it.
+    for table in ["Source", "Object"] {
+        service.qserv().bump_table_version(table);
+        assert_eq!(run(join).0, CacheOutcome::Miss, "{table} is in the key");
+        assert_eq!(run(join).0, CacheOutcome::Hit);
+    }
+
+    // Same projection, different boxes: different statements.
+    let west = "SELECT COUNT(*) FROM Object WHERE qserv_areaspec_box(0.0, -2.0, 1.0, 2.0)";
+    let all = "SELECT COUNT(*) FROM Object WHERE qserv_areaspec_box(0.0, -7.0, 4.0, 7.0)";
+    let (_, west_rows) = run(west);
+    let (outcome, all_rows) = run(all);
+    assert_eq!(outcome, CacheOutcome::Miss, "the box is part of the key");
+    assert_ne!(west_rows, all_rows, "the boxes select different rows");
+    assert_eq!(run(west), (CacheOutcome::Hit, west_rows));
+}
+
 #[test]
 fn byte_budget_evicts_and_counts() {
     // A budget big enough for roughly one COUNT(*) result: the second

@@ -19,7 +19,7 @@ mod common;
 use common::small_patch;
 use qserv::{ChunkZones, ClusterBuilder, ColumnZone, Value};
 use qserv_engine::schema::{ColumnDef, ColumnType, Schema};
-use qserv_engine::storage::table_column_summaries;
+use qserv_engine::storage::table_column_stats;
 use qserv_engine::table::Table;
 
 #[test]
@@ -33,7 +33,7 @@ fn all_null_column_summarizes_to_zero_valid_and_excludes() {
     for i in 0..4 {
         t.push_row(vec![Value::Int(i), Value::Null]).unwrap();
     }
-    let summary = table_column_summaries(&t)
+    let summary = table_column_stats(&t)
         .into_iter()
         .find(|s| s.name == "zFlux_PS")
         .expect("float column summarized");
@@ -66,7 +66,7 @@ fn empty_chunk_summary_matches_the_all_null_identities() {
         "ra_PS",
         ColumnType::Float,
     )]));
-    let s = &table_column_summaries(&t)[0];
+    let s = &table_column_stats(&t)[0];
     assert_eq!(
         (s.valid, s.min, s.max),
         (0, f64::INFINITY, f64::NEG_INFINITY)
