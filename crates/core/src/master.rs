@@ -9,7 +9,7 @@
 //! service prepares at admission and hands the same value to its
 //! executor, so what was classified is what runs: generate per-chunk
 //! physical queries → dispatch each as two file transactions on the
-//! fabric (§5.4) from a pool of dispatcher threads → read back
+//! fabric (§5.4) from the calling thread and its helper threads → read back
 //! mysqldump-style results → fold each into the incremental merge as it
 //! arrives (`crate::merge`) → run the merge/aggregation query → return
 //! rows to the caller, or push them through the caller's sink as they
@@ -212,8 +212,8 @@ type Sink<'a> = Option<&'a mut dyn FnMut(StreamBatch) -> bool>;
 type ChunkOutcome = Result<(Table, u64, ChunkMeta), QservError>;
 
 /// The merge side of one query's dispatch: chunk outcomes arrive one at
-/// a time — from the calling thread at dispatch width 1, over the
-/// dispatcher threads' channel otherwise — and fold into the merger,
+/// a time — from the calling thread's own dispatches and over its
+/// helper threads' channel — and fold into the merger,
 /// with merged batches leaving through the sink as they become final.
 struct Arrivals<'a, 's> {
     clock: &'a SharedClock,
@@ -456,7 +456,13 @@ pub struct Qserv {
     /// The clock dispatch deadlines, retry backoff, and traces read.
     /// Wall by default; [`Qserv::set_clock`] swaps in a virtual one.
     clock: SharedClock,
-    /// Dispatcher thread-pool width.
+    /// How many chunk queries of one statement are in flight at once:
+    /// the calling thread plus `dispatch_width − 1` helper threads.
+    /// Defaults to one per core, at most 8: the in-process fabric runs a
+    /// chunk query on the thread that writes it, so dispatchers are
+    /// compute threads — more of them than cores adds no overlap, only
+    /// context switches, and crowds out other sessions' threads (the
+    /// lookups beside a scan of Figure 14).
     pub dispatch_width: usize,
     /// Chunk-dispatch retry behavior.
     pub retry: RetryPolicy,
@@ -561,7 +567,7 @@ impl Qserv {
             secondary,
             workers,
             clock: wall_clock(),
-            dispatch_width: 8,
+            dispatch_width: std::thread::available_parallelism().map_or(1, |n| n.get().min(8)),
             retry: RetryPolicy::default(),
             qid: Arc::new(AtomicU64::new(1)),
             zones: Arc::new(zones),
@@ -1113,14 +1119,24 @@ impl Qserv {
         }
     }
 
-    /// Dispatches every chunk query and merges the results: dispatcher
-    /// threads hand finished chunk results over a channel to an
-    /// incremental [`Merger`] running on the calling thread, so merging
-    /// overlaps dispatch and the master holds only the merge state plus a
-    /// small reorder buffer — not every chunk result at once. When the
-    /// merger reports itself satisfied (a pushed-down LIMIT is met), the
-    /// remaining chunk queue is cancelled: undispatched chunks are never
-    /// sent, and are counted in [`QueryStats::chunks_skipped_by_limit`].
+    /// Dispatches every chunk query and merges the results. The calling
+    /// thread is the only merger *and* one of the dispatchers: it folds
+    /// whatever its `width − 1` helper threads have finished into an
+    /// incremental [`Merger`], then takes the next chunk off the shared
+    /// queue itself. So merging overlaps dispatch, the master holds only
+    /// the merge state plus a small reorder buffer — not every chunk
+    /// result at once — and no thread sleeps per chunk: a helper blocks
+    /// only when `width` results are waiting unfolded, the caller only
+    /// once the queue is empty. (In this in-process fabric a chunk query
+    /// runs on the thread that writes it and can take 20 µs; one
+    /// cross-core wake-up costs as much, so a merger that slept between
+    /// arrivals would double the cost of every chunk.) At
+    /// width 1 there are no helpers and the whole trace is a pure
+    /// function of the query (bit-reproducible under a virtual clock and
+    /// a fixed fault seed). When the merger reports itself satisfied (a
+    /// pushed-down LIMIT is met), the remaining chunk queue is cancelled:
+    /// undispatched chunks are never sent, and are counted in
+    /// [`QueryStats::chunks_skipped_by_limit`].
     fn dispatch_streaming(
         &self,
         prepared: &Prepared,
@@ -1158,57 +1174,35 @@ impl Qserv {
             sink_closed: false,
         };
 
-        if width == 1 {
-            // Fully serial: dispatch and fold interleave on this thread,
-            // with chunk n+1 never leaving the master until chunk n's
-            // result has folded. Semantically the same as one dispatcher
-            // thread, but with no scheduling nondeterminism — under a
-            // virtual clock and a fixed fault seed the entire trace is a
-            // pure function of the query (bit-reproducible).
-            for (seq, chunk, message) in jobs {
-                if token.is_cancelled() {
-                    break;
-                }
-                let outcome = self.dispatch_one(chunk, &message, started, token);
-                if !arrivals.arrive(seq, outcome) {
-                    break;
-                }
-            }
-            return arrivals.finish(total);
-        }
-
         let queue = Mutex::new(jobs.into_iter());
         let cancelled = AtomicBool::new(false);
+        // Cancellation — by LIMIT cutoff or by an external KILL — is
+        // checked between jobs: an in-flight chunk finishes (and is
+        // drained below) but nothing new leaves the queue.
+        let next_job = || {
+            if cancelled.load(Ordering::Relaxed) || token.is_cancelled() {
+                return None;
+            }
+            queue.lock().next()
+        };
         let ctx = trace::current();
-        // Rendezvous handoff: a worker's send completes only when the
-        // merge loop takes the part, so at most `width` results are ever
-        // in flight (bounded master memory) and a LIMIT-cutoff
-        // cancellation is observed before the *next* handoff — workers
-        // can't race ahead of the merge and drain the queue.
-        let (tx, rx) = mpsc::sync_channel::<(usize, ChunkOutcome)>(0);
+        // At most `width` finished results wait for the merge and at most
+        // `width` more are being produced, so what the master holds
+        // beyond the merge state and its reorder buffer stays bounded.
+        let (tx, rx) = mpsc::sync_channel::<(usize, ChunkOutcome)>(width);
         crossbeam::thread::scope(|scope| {
-            let queue = &queue;
-            let cancelled = &cancelled;
-            let ctx = &ctx;
-            for _ in 0..width {
+            // Owned here so that an unwinding caller drops it — releasing
+            // helpers blocked in `send` — before the scope joins them.
+            let rx = rx;
+            for _ in 1..width {
                 let tx = tx.clone();
+                let (next_job, ctx) = (&next_job, &ctx);
                 scope.spawn(move |_| {
-                    // Dispatcher threads parent their chunk spans under
-                    // the span current on the calling thread
+                    // Helper threads parent their chunk spans under the
+                    // span current on the calling thread
                     // (master.dispatch) — explicit cross-thread handoff.
                     let _tg = ctx.as_ref().map(|c| c.enter());
-                    loop {
-                        // Cancellation — by LIMIT cutoff or by an
-                        // external KILL — is checked between jobs: an
-                        // in-flight chunk finishes (and is drained below)
-                        // but nothing new leaves the queue.
-                        if cancelled.load(Ordering::Relaxed) || token.is_cancelled() {
-                            break;
-                        }
-                        let job = queue.lock().next();
-                        let Some((seq, chunk, message)) = job else {
-                            break;
-                        };
+                    while let Some((seq, chunk, message)) = next_job() {
                         let outcome = self.dispatch_one(chunk, &message, started, token);
                         if tx.send((seq, outcome)).is_err() {
                             break;
@@ -1217,15 +1211,28 @@ impl Qserv {
                 });
             }
             drop(tx);
-            // Folding on this thread — not in the workers — keeps the
-            // merge single-threaded; the merger's reorder buffer makes
-            // it deterministic regardless of arrival order. Once an
-            // arrival asks to stop, the channel is still drained so
-            // in-flight workers can finish their send and exit.
-            while let Ok((seq, outcome)) = rx.recv() {
+            // Folding on this thread only keeps the merge single-threaded;
+            // the merger's reorder buffer makes it deterministic
+            // regardless of arrival order. Once an arrival asks to stop,
+            // the channel is still drained so in-flight helpers can
+            // finish their send and exit.
+            let mut arrive = |seq, outcome| {
                 if !arrivals.arrive(seq, outcome) {
                     cancelled.store(true, Ordering::Relaxed);
                 }
+            };
+            loop {
+                while let Ok((seq, outcome)) = rx.try_recv() {
+                    arrive(seq, outcome);
+                }
+                let Some((seq, chunk, message)) = next_job() else {
+                    break;
+                };
+                let outcome = self.dispatch_one(chunk, &message, started, token);
+                arrive(seq, outcome);
+            }
+            while let Ok((seq, outcome)) = rx.recv() {
+                arrive(seq, outcome);
             }
         })
         .map_err(|_| QservError::Fabric("dispatcher thread panicked".to_string()))?;
@@ -1420,6 +1427,18 @@ impl Qserv {
         meta.prev_server = Some(worker);
         let payload = match self.cluster.read_file(worker, &rp) {
             Ok(p) => p,
+            // The write was accepted but nothing was deposited: the
+            // server stopped exporting the chunk between the redirector's
+            // (cached) resolution and the close, so its plugin never ran.
+            // That replica moved away; another one answers.
+            Err(e @ XrdError::NoSuchFile { .. }) => {
+                return Attempt::Retry {
+                    server: Some(worker),
+                    injected: false,
+                    reset_exclusions: false,
+                    error: QservError::from(e),
+                };
+            }
             Err(e) => {
                 // The result file exists on the worker even though we
                 // could not fetch it; consume it before retrying.

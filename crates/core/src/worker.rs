@@ -7,15 +7,30 @@
 //! plugin fires:
 //!
 //! 1. parse the `-- SUBCHUNKS:` header and the SQL statements (§5.4);
-//! 2. **generate the appropriate subchunk/union tables prior to executing
+//! 2. **bind** — in one *read*-lock critical section decide whether the
+//!    chunk is resident (else NACK `ERROR: RETRYABLE:`) and `Arc`-clone
+//!    exactly the tables the FROM clauses name — in-memory tables,
+//!    attached `.qchunk` handles, the shared residency pool — into a
+//!    message-local scratch catalog, noting which on-demand tables are
+//!    missing;
+//! 3. **generate the appropriate subchunk/union tables prior to executing
 //!    the SQL statements** (§5.4) — from the chunk's owned rows and its
-//!    overlap store;
-//! 3. execute each statement on the engine, concatenating results;
-//! 4. dump the result table as SQL text and deposit it at
-//!    `/result/md5(query)` for the master's read transaction;
-//! 5. drop the generated tables ("the current implementation does not
-//!    cache them", §5.4 — caching is available behind a flag and measured
-//!    by an ablation bench).
+//!    overlap store, in one pass per base table, into the scratch catalog
+//!    with no lock held ("the current implementation does not cache
+//!    them", §5.4 — with `cache_generated` they are also published to
+//!    the shared catalog, measured by an ablation bench);
+//! 4. execute each statement on the engine against the scratch catalog,
+//!    concatenating results;
+//! 5. dump the result table as SQL text and deposit it at
+//!    `/result/md5(query)` for the master's read transaction.
+//!
+//! A message never takes the catalog's write lock unless it publishes to
+//! the cache, never copies more of the catalog than it names, and leaves
+//! nothing behind to drop: generated tables die with the scratch catalog,
+//! on success and on error alike. Because the residency decision and the
+//! bindings come from the same critical section and the statements run on
+//! the bound `Arc`s, a chunk detached a moment later (a drain, a
+//! rebalance) cannot surface as a missing-table error.
 
 use crate::meta::CatalogMeta;
 use crate::rewrite;
@@ -24,14 +39,18 @@ use qserv_engine::db::Database;
 use qserv_engine::dump::{dump_table, load_dump};
 use qserv_engine::exec::{execute_detailed, ExecMode, ExecPath, ResultTable, ScanStats};
 use qserv_engine::table::Table;
+use qserv_engine::value::Value;
 use qserv_partition::chunker::Chunker;
 use qserv_sphgeom::region::Region;
 use qserv_sphgeom::LonLat;
+use qserv_sqlparse::ast::SelectStatement;
 use qserv_sqlparse::parse_select;
 use qserv_xrd::cluster::result_path;
 use qserv_xrd::md5_hex;
 use qserv_xrd::server::{DataServer, OfsPlugin};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Observable worker counters (used by tests and ablation benches).
 #[derive(Debug, Default)]
@@ -71,11 +90,53 @@ pub struct Worker {
     db: RwLock<Database>,
     chunker: Chunker,
     meta: CatalogMeta,
-    /// Keep generated subchunk tables for reuse instead of dropping them
-    /// (§5.4 notes caching as an option the original does not implement).
+    /// Publish generated subchunk tables to the shared catalog for reuse
+    /// instead of keeping them message-local (§5.4 notes caching as an
+    /// option the original does not implement).
     pub cache_generated: bool,
     /// Execution counters.
     pub stats: WorkerStats,
+}
+
+/// Why [`Worker::bind`] produced no bindings.
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) enum BindError {
+    /// No partitioned table of the chunk is installed here (it moved
+    /// away, or never was): the `ERROR: RETRYABLE:` NACK.
+    NotResident,
+    /// The message does not parse, or names a table this node neither
+    /// stores nor can derive: a plain worker error.
+    Message(String),
+}
+
+/// A chunk-query message bound to the tables it runs against.
+pub(crate) struct Bound {
+    chunk: i32,
+    stmts: Vec<SelectStatement>,
+    /// Message-local catalog: the FROM tables found in the shared catalog
+    /// plus the chunk and overlap tables `missing` is generated from.
+    scratch: Database,
+    /// FROM tables to generate into `scratch` before executing.
+    missing: Vec<Missing>,
+}
+
+/// An on-demand table the shared catalog does not hold.
+struct Missing {
+    name: String,
+    /// The partitioned table it is cut from.
+    base: String,
+    kind: OnDemand,
+}
+
+/// The on-demand table kinds of §5.2/§5.4.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum OnDemand {
+    /// `TUnion_CC`.
+    Union,
+    /// `T_CC_SS`.
+    Subchunk(i32),
+    /// `TFullOverlap_CC_SS`.
+    FullOverlap(i32),
 }
 
 impl Worker {
@@ -151,7 +212,10 @@ impl Worker {
     /// True when any partitioned base table of `chunk` is installed here
     /// (in memory or as an attached chunk file).
     pub fn holds_chunk(&self, chunk: i32) -> bool {
-        let db = self.db.read();
+        self.holds_chunk_in(&self.db.read(), chunk)
+    }
+
+    fn holds_chunk_in(&self, db: &Database, chunk: i32) -> bool {
         self.meta
             .table_names()
             .iter()
@@ -282,34 +346,126 @@ impl Worker {
         chunk: i32,
         message: &str,
     ) -> Result<(Table, ScanStats), String> {
+        let bound = self.bind(chunk, message).map_err(|e| match e {
+            BindError::NotResident => self.not_resident(chunk),
+            BindError::Message(m) => m,
+        })?;
+        self.run(bound)
+    }
+
+    fn not_resident(&self, chunk: i32) -> String {
+        format!("chunk {chunk} not resident on node {}", self.node_id)
+    }
+
+    /// Phase 1, *bind*: under one read lock, decide residency and
+    /// `Arc`-clone the tables the message needs out of the shared catalog
+    /// into a message-local scratch catalog. Whatever happens to the
+    /// shared catalog afterwards (a drain detaching the chunk, another
+    /// message generating same-named tables) cannot reach the message.
+    pub(crate) fn bind(&self, chunk: i32, message: &str) -> Result<Bound, BindError> {
+        // Parsed before the lock is taken, reported after the residency
+        // decision: a stale-epoch message NACKs whatever its text says.
+        let stmts = parse_message(message).and_then(|(_subchunks, texts)| {
+            texts
+                .iter()
+                .map(|text| {
+                    parse_select(text).map_err(|e| format!("worker parse error: {e} in {text:?}"))
+                })
+                .collect::<Result<Vec<_>, _>>()
+        });
+
+        let db = self.db.read();
+        if !self.holds_chunk_in(&db, chunk) {
+            return Err(BindError::NotResident);
+        }
         self.stats.chunk_queries.fetch_add(1, Ordering::Relaxed);
-        let (_subchunks, statements) = parse_message(message)?;
+        let stmts = stmts.map_err(BindError::Message)?;
+        let mut names: Vec<String> = Vec::new();
+        let mut missing: Vec<Missing> = Vec::new();
+        for tref in stmts.iter().flat_map(|s| &s.from) {
+            let name = &tref.table;
+            if names.contains(name) || missing.iter().any(|m| m.name == *name) {
+                continue;
+            }
+            if db.has_table(name) {
+                names.push(name.clone());
+                continue;
+            }
+            let (base, kind) = self.classify(name, chunk).ok_or_else(|| {
+                BindError::Message(format!(
+                    "node {} has no table {name} and cannot derive it for chunk {chunk}",
+                    self.node_id
+                ))
+            })?;
+            // The rows an on-demand table is cut from.
+            for source in [
+                rewrite::chunk_table(base, chunk),
+                rewrite::overlap_table(base, chunk),
+            ] {
+                if !names.contains(&source) {
+                    names.push(source);
+                }
+            }
+            missing.push(Missing {
+                name: name.clone(),
+                base: base.to_string(),
+                kind,
+            });
+        }
+        Ok(Bound {
+            chunk,
+            stmts,
+            scratch: db.scoped(names.iter().map(String::as_str)),
+            missing,
+        })
+    }
+
+    /// Phases 2 and 3 on a bound message: *generate* the missing
+    /// on-demand tables into the scratch catalog with no lock held, then
+    /// *execute* every statement against it.
+    pub(crate) fn run(&self, bound: Bound) -> Result<(Table, ScanStats), String> {
+        let Bound {
+            chunk,
+            stmts,
+            mut scratch,
+            missing,
+        } = bound;
+        if !missing.is_empty() {
+            let span = qserv_obs::trace::span("worker.generate");
+            if let Some(g) = &span {
+                g.annotate("node", &self.node_id.to_string());
+                g.annotate("tables", &missing.len().to_string());
+            }
+            let generated = self.generate(&scratch, chunk, &missing)?;
+            self.stats
+                .tables_built
+                .fetch_add(generated.len() as u64, Ordering::Relaxed);
+            if self.cache_generated {
+                // Publish for later messages — unless a drain detached
+                // the chunk meanwhile, which must leave nothing behind.
+                let mut db = self.db.write();
+                if self.holds_chunk_in(&db, chunk) {
+                    for (name, table) in &generated {
+                        db.create_table_shared(name, Arc::clone(table));
+                    }
+                }
+            }
+            for (name, table) in generated {
+                scratch.create_table_shared(&name, table);
+            }
+        }
 
         let mut combined: Option<ResultTable> = None;
         let mut scan = ScanStats::default();
-        let mut generated: Vec<String> = Vec::new();
-        for stmt_text in &statements {
-            // The span covers table generation + engine execution; when
-            // the master runs traced, it nests under the fabric write
-            // that delivered this chunk query (plugins run in-line).
+        for stmt in &stmts {
+            // When the master runs traced, the span nests under the
+            // fabric write that delivered this chunk query (plugins run
+            // in-line).
             let span = qserv_obs::trace::span("worker.statement");
             if let Some(g) = &span {
                 g.annotate("node", &self.node_id.to_string());
             }
-            let stmt = parse_select(stmt_text)
-                .map_err(|e| format!("worker parse error: {e} in {stmt_text:?}"))?;
-            // Generate referenced on-demand tables, then snapshot the
-            // database atomically so concurrent drops cannot hurt us.
-            let snapshot = {
-                let mut db = self.db.write();
-                for tref in &stmt.from {
-                    if let Some(name) = self.ensure_table(&mut db, &tref.table, chunk)? {
-                        generated.push(name);
-                    }
-                }
-                db.clone()
-            };
-            let (result, path, stmt_scan) = execute_detailed(&snapshot, &stmt, ExecMode::Auto)
+            let (result, path, stmt_scan) = execute_detailed(&scratch, stmt, ExecMode::Auto)
                 .map_err(|e| format!("worker exec error: {e}"))?;
             scan.pages_pruned += stmt_scan.pages_pruned;
             scan.pages_scanned += stmt_scan.pages_scanned;
@@ -347,131 +503,146 @@ impl Worker {
                 }
             });
         }
-        if !self.cache_generated && !generated.is_empty() {
-            let mut db = self.db.write();
-            for name in generated {
-                db.drop_table(&name);
-            }
-        }
         let combined = combined.ok_or_else(|| "empty chunk query".to_string())?;
         Ok((combined.into_table(), scan))
     }
 
-    /// The owned rows of `base`'s chunk under `owned_name`, decoding an
-    /// on-disk chunk file through the residency cache when necessary.
-    fn owned_rows(
-        &self,
-        db: &Database,
-        owned_name: &str,
-        base: &str,
-        chunk: i32,
-    ) -> Result<std::sync::Arc<Table>, String> {
-        db.materialize(owned_name)
-            .map_err(|e| format!("decode {owned_name}: {e}"))?
-            .ok_or_else(|| {
-                format!(
-                    "chunk {chunk} of {base} not stored on node {}",
-                    self.node_id
-                )
+    /// Which on-demand table of `chunk` the name `name` denotes, and of
+    /// which partitioned base table.
+    fn classify(&self, name: &str, chunk: i32) -> Option<(&str, OnDemand)> {
+        self.meta
+            .table_names()
+            .into_iter()
+            .filter(|base| self.meta.partition_info(base).is_some())
+            .find_map(|base| {
+                let kind = if name == rewrite::union_table(base, chunk) {
+                    OnDemand::Union
+                } else if let Some(ss) = parse_suffixed(name, &format!("{base}_{chunk}_")) {
+                    OnDemand::Subchunk(ss)
+                } else if let Some(ss) =
+                    parse_suffixed(name, &format!("{base}FullOverlap_{chunk}_"))
+                {
+                    OnDemand::FullOverlap(ss)
+                } else {
+                    return None;
+                };
+                Some((base, kind))
             })
     }
 
-    /// Ensures `name` exists, generating on-demand tables as needed.
-    /// Returns `Some(name)` when this call generated the table (so the
-    /// caller can drop it afterwards), `None` when it already existed.
-    fn ensure_table(
+    /// Builds the `missing` on-demand tables from the chunk and overlap
+    /// tables bound in `scratch`: one pass over each base's rows, however
+    /// many subchunks the message names.
+    fn generate(
         &self,
-        db: &mut Database,
-        name: &str,
+        scratch: &Database,
         chunk: i32,
-    ) -> Result<Option<String>, String> {
-        if db.has_table(name) {
-            return Ok(None);
+        missing: &[Missing],
+    ) -> Result<Vec<(String, Arc<Table>)>, String> {
+        let mut bases: Vec<&str> = Vec::new();
+        for m in missing {
+            if !bases.contains(&m.base.as_str()) {
+                bases.push(&m.base);
+            }
         }
-        for base in self.meta.table_names() {
-            let Some(pinfo) = self.meta.partition_info(base) else {
-                continue;
-            };
+        let mut generated = Vec::with_capacity(missing.len());
+        for base in bases {
             let owned_name = rewrite::chunk_table(base, chunk);
-            let overlap_name = rewrite::overlap_table(base, chunk);
+            // An on-disk chunk file decodes through the residency cache.
+            let owned = scratch
+                .materialize(&owned_name)
+                .map_err(|e| format!("decode {owned_name}: {e}"))?
+                .ok_or_else(|| {
+                    format!(
+                        "chunk {chunk} of {base} not stored on node {}",
+                        self.node_id
+                    )
+                })?;
+            let overlap = scratch.table(&rewrite::overlap_table(base, chunk));
+            let column = |name: &str| {
+                owned
+                    .schema()
+                    .index_of(name)
+                    .ok_or_else(|| format!("{owned_name} lacks {name}"))
+            };
 
-            // TUnion_CC = owned ∪ overlap.
-            if name == rewrite::union_table(base, chunk) {
-                let owned = self.owned_rows(db, &owned_name, base, chunk)?;
-                let mut union = owned.empty_like();
-                for r in 0..owned.num_rows() {
-                    union.push_row(owned.row(r)).expect("same schema");
-                }
-                if let Some(overlap) = db.table(&overlap_name) {
-                    for r in 0..overlap.num_rows() {
-                        union.push_row(overlap.row(r)).expect("same schema");
+            // Where each row goes: `tables[i]` is the table of `wanted[i]`.
+            let wanted: Vec<&Missing> = missing.iter().filter(|m| m.base == base).collect();
+            let mut tables: Vec<Table> = wanted.iter().map(|_| owned.empty_like()).collect();
+            let mut union = None;
+            let mut by_subchunk: HashMap<i64, usize> = HashMap::new();
+            let mut boxes = Vec::new();
+            for (i, m) in wanted.iter().enumerate() {
+                match m.kind {
+                    OnDemand::Union => union = Some(i),
+                    OnDemand::Subchunk(ss) => {
+                        by_subchunk.insert(ss as i64, i);
                     }
+                    OnDemand::FullOverlap(ss) => boxes.push((
+                        i,
+                        self.chunker
+                            .subchunk_bounds_with_overlap(chunk, ss)
+                            .map_err(|e| e.to_string())?,
+                    )),
                 }
-                db.create_table(name, union);
-                self.stats.tables_built.fetch_add(1, Ordering::Relaxed);
-                return Ok(Some(name.to_string()));
             }
+            let subchunk_col = (!by_subchunk.is_empty())
+                .then(|| column("subChunkId"))
+                .transpose()?;
+            let position_cols = if boxes.is_empty() {
+                None
+            } else {
+                let pinfo = self
+                    .meta
+                    .partition_info(base)
+                    .expect("classified as a partitioned table");
+                Some((column(&pinfo.lon_col)?, column(&pinfo.lat_col)?))
+            };
 
-            // T_CC_SS: owned rows of one subchunk (by stored subChunkId).
-            if let Some(ss) = parse_suffixed(name, &format!("{base}_{chunk}_")) {
-                let owned = self.owned_rows(db, &owned_name, base, chunk)?;
-                let sc_col = owned
-                    .schema()
-                    .index_of("subChunkId")
-                    .ok_or_else(|| format!("{owned_name} lacks subChunkId"))?;
-                let filtered = owned.filter_rows(|r| {
-                    owned.get(r, sc_col) == qserv_engine::value::Value::Int(ss as i64)
-                });
-                db.create_table(name, filtered);
-                self.stats.tables_built.fetch_add(1, Ordering::Relaxed);
-                return Ok(Some(name.to_string()));
-            }
-
-            // TFullOverlap_CC_SS: all rows (owned + overlap store) within
-            // the subchunk's bounds dilated by the partition overlap.
-            if let Some(ss) = parse_suffixed(name, &format!("{base}FullOverlap_{chunk}_")) {
-                let bounds = self
-                    .chunker
-                    .subchunk_bounds_with_overlap(chunk, ss)
-                    .map_err(|e| e.to_string())?;
-                let owned = self.owned_rows(db, &owned_name, base, chunk)?;
-                let lon = owned
-                    .schema()
-                    .index_of(&pinfo.lon_col)
-                    .ok_or_else(|| format!("{owned_name} lacks {}", pinfo.lon_col))?;
-                let lat = owned
-                    .schema()
-                    .index_of(&pinfo.lat_col)
-                    .ok_or_else(|| format!("{owned_name} lacks {}", pinfo.lat_col))?;
-                let in_bounds = |t: &Table, r: usize| -> bool {
-                    match (t.get(r, lon).as_f64(), t.get(r, lat).as_f64()) {
-                        (Some(x), Some(y)) => bounds.contains(&LonLat::from_degrees(x, y)),
-                        _ => false,
+            let sources = std::iter::once((&owned, true)).chain(overlap.map(|t| (t, false)));
+            for (source, is_owned) in sources {
+                for r in 0..source.num_rows() {
+                    let mut put = |i: usize| {
+                        tables[i].push_row(source.row(r)).expect("same schema");
+                    };
+                    // TUnion_CC = owned ∪ overlap.
+                    if let Some(i) = union {
+                        put(i);
                     }
-                };
-                let mut full = owned.empty_like();
-                for r in 0..owned.num_rows() {
-                    if in_bounds(&owned, r) {
-                        full.push_row(owned.row(r)).expect("same schema");
+                    // T_CC_SS: owned rows of one subchunk (by stored
+                    // subChunkId).
+                    if let (Some(col), true) = (subchunk_col, is_owned) {
+                        if let Value::Int(ss) = source.get(r, col) {
+                            if let Some(&i) = by_subchunk.get(&ss) {
+                                put(i);
+                            }
+                        }
                     }
-                }
-                if let Some(overlap) = db.table(&overlap_name) {
-                    let overlap = overlap.clone();
-                    for r in 0..overlap.num_rows() {
-                        if in_bounds(&overlap, r) {
-                            full.push_row(overlap.row(r)).expect("same schema");
+                    // TFullOverlap_CC_SS: all rows (owned + overlap store)
+                    // within the subchunk's bounds dilated by the
+                    // partition overlap.
+                    if let Some((lon, lat)) = position_cols {
+                        if let (Some(x), Some(y)) =
+                            (source.get(r, lon).as_f64(), source.get(r, lat).as_f64())
+                        {
+                            let position = LonLat::from_degrees(x, y);
+                            for (i, bounds) in &boxes {
+                                if bounds.contains(&position) {
+                                    put(*i);
+                                }
+                            }
                         }
                     }
                 }
-                db.create_table(name, full);
-                self.stats.tables_built.fetch_add(1, Ordering::Relaxed);
-                return Ok(Some(name.to_string()));
             }
+            generated.extend(
+                wanted
+                    .iter()
+                    .zip(tables)
+                    .map(|(m, table)| (m.name.clone(), Arc::new(table))),
+            );
         }
-        Err(format!(
-            "node {} has no table {name} and cannot derive it for chunk {chunk}",
-            self.node_id
-        ))
+        Ok(generated)
     }
 }
 
@@ -483,34 +654,28 @@ impl OfsPlugin for Worker {
         else {
             return; // not a chunk-query path
         };
-        // A query routed here against a placement epoch older than a
-        // rebalance may arrive after the chunk moved away. NACK with a
-        // retryable marker so the master fails over to a live replica
-        // instead of treating it as a worker SQL error.
-        let not_resident = || {
-            format!(
-                "ERROR: RETRYABLE: chunk {chunk} not resident on node {}",
-                self.node_id
-            )
-            .into_bytes()
-        };
-        if !self.holds_chunk(chunk) {
+        let deposit = |bytes: Vec<u8>| server.put_file(&result_path(&md5_hex(data)), bytes);
+        let error = |text: String| {
             self.stats.errors.fetch_add(1, Ordering::Relaxed);
-            server.put_file(&result_path(&md5_hex(data)), not_resident());
-            return;
-        }
-        let text = match std::str::from_utf8(data) {
-            Ok(t) => t,
-            Err(_) => {
-                self.stats.errors.fetch_add(1, Ordering::Relaxed);
-                server.put_file(
-                    &result_path(&md5_hex(data)),
-                    b"ERROR: chunk query is not UTF-8".to_vec(),
-                );
-                return;
-            }
+            deposit(format!("ERROR: {text}").into_bytes());
         };
-        let deposit = match self.execute_message_detailed(chunk, text) {
+        let Ok(text) = std::str::from_utf8(data) else {
+            return error("chunk query is not UTF-8".to_string());
+        };
+        let bound = match self.bind(chunk, text) {
+            Ok(bound) => bound,
+            // A query routed here against a placement epoch older than a
+            // rebalance may arrive after the chunk moved away. NACK with
+            // a retryable marker so the master fails over to a live
+            // replica instead of treating it as a worker SQL error. Once
+            // bound, the message runs on the tables it holds, so a drain
+            // landing later cannot turn into an error below.
+            Err(BindError::NotResident) => {
+                return error(format!("RETRYABLE: {}", self.not_resident(chunk)))
+            }
+            Err(BindError::Message(e)) => return error(e),
+        };
+        match self.run(bound) {
             Ok((table, scan)) => {
                 let mut out = String::new();
                 // Piggyback the cold-scan counters on the dump text as a
@@ -524,21 +689,10 @@ impl OfsPlugin for Worker {
                     ));
                 }
                 out.push_str(&dump_table("result", &table));
-                out.into_bytes()
+                deposit(out.into_bytes());
             }
-            Err(e) => {
-                self.stats.errors.fetch_add(1, Ordering::Relaxed);
-                // A drain may detach the chunk between the residency
-                // check above and execution; that is the same NACK, not
-                // a worker SQL error.
-                if self.holds_chunk(chunk) {
-                    format!("ERROR: {e}").into_bytes()
-                } else {
-                    not_resident()
-                }
-            }
-        };
-        server.put_file(&result_path(&md5_hex(data)), deposit);
+            Err(e) => error(e),
+        }
     }
 }
 
@@ -712,7 +866,7 @@ mod tests {
         assert_eq!(t.get_by_name(0, "c"), Some(Value::Int(5)));
         let (_q, _s, built, _e) = worker.stats.snapshot();
         assert_eq!(built, 1);
-        // Dropped afterwards (no caching by default, §5.4).
+        // Never published (no caching by default, §5.4).
         assert!(!worker
             .table_names()
             .contains(&format!("ObjectUnion_{chunk}")));
@@ -799,7 +953,7 @@ mod tests {
         let other = chunk + 1;
         let msg = format!("-- SUBCHUNKS:\nSELECT COUNT(*) AS c FROM LSST.Object_{other} AS o;");
         let err = worker.execute_message(other, &msg).unwrap_err();
-        assert!(err.contains("no table"), "{err}");
+        assert!(err.contains("not resident"), "{err}");
     }
 
     #[test]
@@ -884,6 +1038,134 @@ mod tests {
         let text = String::from_utf8(deposited.to_vec()).unwrap();
         assert!(text.starts_with("ERROR: RETRYABLE:"), "{text}");
         assert!(text.contains(&format!("chunk {other}")), "{text}");
+    }
+
+    /// An HV statement on the chunk table and an SHV message whose
+    /// subchunk tables are generated on demand.
+    fn hv_and_shv_messages(worker: &Worker, chunk: i32) -> [String; 2] {
+        let hv = format!("-- SUBCHUNKS:\nSELECT COUNT(*) AS c FROM LSST.Object_{chunk} AS o;");
+        let subchunks = worker.chunker.subchunks_of(chunk).unwrap();
+        let mut shv = String::from("-- SUBCHUNKS:\n");
+        for ss in &subchunks {
+            shv.push_str(&format!(
+                "SELECT COUNT(*) AS c FROM LSST.Object_{chunk}_{ss} AS o1, \
+                 LSST.ObjectFullOverlap_{chunk}_{ss} AS o2;\n"
+            ));
+        }
+        [hv, shv]
+    }
+
+    fn deposit_of(worker: &Worker, chunk: i32, msg: &str) -> String {
+        let server = DataServer::new(0);
+        worker.on_file_closed(&server, &format!("/query2/{chunk}"), msg.as_bytes());
+        let deposited = server
+            .get_file(&result_path(&md5_hex(msg.as_bytes())))
+            .expect("something deposited");
+        String::from_utf8(deposited.to_vec()).unwrap()
+    }
+
+    #[test]
+    fn a_bound_message_outlives_a_detach() {
+        for cache_generated in [false, true] {
+            let (mut worker, chunk) = worker_with_chunk();
+            worker.cache_generated = cache_generated;
+            let files = worker.export_chunk(chunk).unwrap();
+            for msg in hv_and_shv_messages(&worker, chunk) {
+                let expected = worker.execute_message(chunk, &msg).unwrap();
+                worker.detach_chunk(chunk);
+                worker.import_chunk(chunk, &files, None).unwrap();
+
+                // The drain lands between the residency decision and
+                // execution: the message runs on the tables it bound.
+                let bound = worker.bind(chunk, &msg).expect("resident at bind");
+                worker.detach_chunk(chunk);
+                let (table, _) = worker.run(bound).expect("runs on its bindings");
+                assert_eq!(dump_table("r", &table), dump_table("r", &expected));
+                assert!(
+                    worker.table_names().is_empty(),
+                    "a detached chunk stays detached: {:?}",
+                    worker.table_names()
+                );
+                worker.import_chunk(chunk, &files, None).unwrap();
+            }
+        }
+    }
+
+    #[test]
+    fn a_detached_chunk_nacks_retryable_at_bind() {
+        let (worker, chunk) = worker_with_chunk();
+        let [hv, shv] = hv_and_shv_messages(&worker, chunk);
+        worker.detach_chunk(chunk);
+        for msg in [
+            hv.as_str(),
+            shv.as_str(),
+            "-- SUBCHUNKS:\nSELECT broken syntax here;",
+        ] {
+            assert_eq!(worker.bind(chunk, msg).err(), Some(BindError::NotResident));
+            let text = deposit_of(&worker, chunk, msg);
+            assert!(text.starts_with("ERROR: RETRYABLE:"), "{text}");
+        }
+    }
+
+    #[test]
+    fn an_underivable_table_on_a_held_chunk_is_a_plain_error() {
+        let (worker, chunk) = worker_with_chunk();
+        let other = chunk + 1;
+        for table in [
+            format!("Nonesuch_{chunk}"),
+            format!("Object_{other}"),
+            format!("Object_{other}_3"),
+        ] {
+            let msg = format!("-- SUBCHUNKS:\nSELECT COUNT(*) AS c FROM LSST.{table} AS o;");
+            match worker.bind(chunk, &msg).err() {
+                Some(BindError::Message(e)) => assert!(e.contains("no table"), "{e}"),
+                other => panic!("{table}: expected a message error, got {other:?}"),
+            }
+            let text = deposit_of(&worker, chunk, &msg);
+            assert!(text.starts_with("ERROR: node 0 has no table"), "{text}");
+        }
+    }
+
+    #[test]
+    fn messages_complete_while_the_catalog_is_read_locked() {
+        let (worker, chunk) = worker_with_chunk();
+        let messages = hv_and_shv_messages(&worker, chunk);
+        let (done, finished) = std::sync::mpsc::channel();
+        std::thread::scope(|scope| {
+            // A reader (an export, a footprint probe) holds the catalog:
+            // a message must not need the write lock to run.
+            let guard = worker.db.read();
+            scope.spawn(|| {
+                for msg in &messages {
+                    worker.execute_message(chunk, msg).unwrap();
+                }
+                done.send(()).unwrap();
+            });
+            let outcome = finished.recv_timeout(std::time::Duration::from_secs(20));
+            drop(guard);
+            outcome.expect("messages blocked behind a read guard");
+        });
+    }
+
+    #[test]
+    fn uncached_messages_leave_the_catalog_as_they_found_it() {
+        let (worker, chunk) = worker_with_chunk();
+        let before = (worker.table_names(), worker.footprint_bytes());
+        for msg in hv_and_shv_messages(&worker, chunk) {
+            worker.execute_message(chunk, &msg).unwrap();
+            assert_eq!((worker.table_names(), worker.footprint_bytes()), before);
+        }
+        // Fails in its second statement, after the first generated and
+        // used a subchunk table.
+        let ss = worker.chunker.subchunks_of(chunk).unwrap()[0];
+        let msg = format!(
+            "-- SUBCHUNKS: {ss}\nSELECT COUNT(*) AS c FROM LSST.Object_{chunk}_{ss} AS o;\n\
+             SELECT o.nonesuch FROM LSST.ObjectFullOverlap_{chunk}_{ss} AS o;"
+        );
+        let err = worker.execute_message(chunk, &msg).unwrap_err();
+        assert!(err.contains("worker exec error"), "{err}");
+        assert!(worker.stats.snapshot().2 > 0, "tables were generated");
+        assert_eq!((worker.table_names(), worker.footprint_bytes()), before);
     }
 
     #[test]

@@ -22,7 +22,7 @@ use std::path::Path;
 use std::sync::Arc;
 
 /// A named table catalog.
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 pub struct Database {
     tables: BTreeMap<String, Arc<Table>>,
     stored: BTreeMap<String, Arc<StoredChunk>>,
@@ -37,6 +37,26 @@ impl Database {
             stored: BTreeMap::new(),
             residency: Arc::new(Residency::default()),
         }
+    }
+
+    /// A database of just the tables in `names` that exist here — the same
+    /// `Arc`s and stored-chunk handles, the same [`Residency`] — so one
+    /// statement's tables can be held across a lock release without
+    /// copying the catalog. Names that do not exist are skipped.
+    pub fn scoped<'a>(&self, names: impl IntoIterator<Item = &'a str>) -> Database {
+        let mut scoped = Database {
+            tables: BTreeMap::new(),
+            stored: BTreeMap::new(),
+            residency: Arc::clone(&self.residency),
+        };
+        for name in names {
+            if let Some(t) = self.tables.get(name) {
+                scoped.tables.insert(name.to_string(), Arc::clone(t));
+            } else if let Some(c) = self.stored.get(name) {
+                scoped.stored.insert(name.to_string(), Arc::clone(c));
+            }
+        }
+        scoped
     }
 
     /// Registers `table` under `name`, replacing any previous table of that
@@ -109,7 +129,7 @@ impl Database {
         names
     }
 
-    /// The residency cache shared by every clone of this database.
+    /// The residency cache, shared with every [`Database::scoped`] view.
     pub fn residency(&self) -> &Arc<Residency> {
         &self.residency
     }
@@ -179,5 +199,40 @@ mod tests {
         db.create_table("a", tiny());
         assert_eq!(db.table_names(), vec!["a", "b"]);
         assert_eq!(db.footprint_bytes(), 16);
+    }
+
+    #[test]
+    fn scoped_shares_the_named_tables_and_nothing_else() {
+        let path =
+            std::env::temp_dir().join(format!("qserv_db_scoped_{}.qchunk", std::process::id()));
+        crate::storage::write_table(&path, &tiny(), 1024).unwrap();
+        let mut db = Database::new();
+        db.set_residency(Arc::new(Residency::new(1 << 20)));
+        db.create_table("a", tiny());
+        db.create_table("b", tiny());
+        db.attach_stored("s", &path).unwrap();
+        db.attach_stored("t", &path).unwrap();
+
+        let scoped = db.scoped(["a", "s", "nonesuch"]);
+        assert_eq!(scoped.table_names(), vec!["a", "s"]);
+        assert!(Arc::ptr_eq(
+            scoped.table("a").unwrap(),
+            db.table("a").unwrap()
+        ));
+        assert!(Arc::ptr_eq(
+            scoped.stored("s").unwrap(),
+            db.stored("s").unwrap()
+        ));
+        assert!(Arc::ptr_eq(scoped.residency(), db.residency()));
+        // The view keeps what it bound when the source catalog moves on.
+        db.drop_table("a");
+        db.drop_table("s");
+        assert_eq!(scoped.materialize("a").unwrap().unwrap().num_rows(), 1);
+        assert_eq!(scoped.materialize("s").unwrap().unwrap().num_rows(), 1);
+        assert!(
+            db.residency().resident_count() > 0,
+            "decoded into the shared pool"
+        );
+        std::fs::remove_file(&path).unwrap();
     }
 }

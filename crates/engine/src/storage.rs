@@ -1153,8 +1153,9 @@ fn zone_excludes_range(
 // Residency: LRU over decoded chunks.
 
 /// Byte-budgeted LRU of fully decoded chunk tables — the worker's lazy
-/// chunk residency. Shared (behind `Arc`) by every clone of a
-/// [`crate::Database`], so per-statement snapshots reuse one cache.
+/// chunk residency. Shared (behind `Arc`) by a [`crate::Database`] and
+/// every [`crate::Database::scoped`] view of it, so the message-local
+/// catalogs a worker executes against reuse one cache.
 ///
 /// The most recently loaded chunk is always admitted, even when it alone
 /// exceeds the budget; eviction trims least-recently-used entries down

@@ -138,3 +138,29 @@ pub fn assert_matches_local(sql: &str, distributed: &ResultTable, local: &Result
         }
     }
 }
+
+/// xorshift64*: tiny, seedable, good enough to mix query choices.
+pub struct Rng(u64);
+
+impl Rng {
+    pub fn new(seed: u64) -> Rng {
+        Rng(seed.max(1))
+    }
+    pub fn next(&mut self) -> u64 {
+        let mut x = self.0;
+        x ^= x >> 12;
+        x ^= x << 25;
+        x ^= x >> 27;
+        self.0 = x;
+        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
+    }
+}
+
+/// The stress suites' seed: `QSERV_STRESS_SEED`, default 1, so CI can
+/// run a seed matrix.
+pub fn stress_seed() -> u64 {
+    std::env::var("QSERV_STRESS_SEED")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(1)
+}

@@ -21,7 +21,7 @@
 
 mod common;
 
-use common::{small_patch, sorted_rows};
+use common::{small_patch, sorted_rows, stress_seed, Rng};
 use qserv::service::{names, FairScheduler, QueryClass, ServiceConfig};
 use qserv::{
     ClusterBuilder, FabricOp, FaultPlan, KillOutcome, Qserv, QservError, QueryService, QueryState,
@@ -48,30 +48,6 @@ const STRESS_QUERIES: [&str; 5] = [
     "SELECT chunkId, COUNT(*) FROM Object GROUP BY chunkId",
     "SELECT objectId, ra_PS FROM Object ORDER BY ra_PS DESC LIMIT 5",
 ];
-
-/// xorshift64*: tiny, seedable, good enough to mix query choices.
-struct Rng(u64);
-
-impl Rng {
-    fn new(seed: u64) -> Rng {
-        Rng(seed.max(1))
-    }
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.0 = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-}
-
-fn stress_seed() -> u64 {
-    std::env::var("QSERV_STRESS_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1)
-}
 
 fn assert_no_result_leaks(q: &Qserv, context: &str) {
     for (id, server) in q.cluster().servers().iter().enumerate() {

@@ -409,6 +409,35 @@ fn in_flight_queries_pin_their_epoch_or_retry_cleanly() {
     assert_no_result_leaks(&q, "epoch pinning");
 }
 
+/// A replica that stops exporting a chunk after the redirector resolved
+/// it (its cache does not re-check exports) accepts the write without
+/// running its plugin: no result file. That is a failover, not a failure.
+#[test]
+fn an_export_lost_after_resolve_fails_over() {
+    let patch = small_patch(300, 91);
+    let q = ClusterBuilder::new(2)
+        .replication(2)
+        .build(&patch.objects, &patch.sources);
+    // Warms the redirector's cache for every chunk path.
+    let expected = q.query(QUERIES[0]).expect("oracle").scalar().cloned();
+    let chunk = q.placement().chunks()[0];
+    let victim = q.placement().nodes_of(chunk).expect("mapped")[0];
+    let server = q.cluster().server(victim).expect("victim server");
+    assert!(server.unexport(&qserv_xrd::cluster::query_path(chunk)));
+
+    // Rotation lands the chunk on the victim within two dispatches.
+    let mut failovers = 0;
+    for _ in 0..4 {
+        let (r, stats) = q
+            .query_with_stats(QUERIES[0])
+            .expect("stale export fails over");
+        assert_eq!(r.scalar().cloned(), expected);
+        failovers += stats.replica_failovers;
+    }
+    assert!(failovers >= 1, "the victim was never resolved");
+    assert_no_result_leaks(&q, "stale export");
+}
+
 /// What admission prepared is what the executor runs: a statement that
 /// sat in the queue while a join committed new epochs still dispatches
 /// the chunk set, under the epoch, it was classified and costed with.

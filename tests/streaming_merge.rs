@@ -18,11 +18,12 @@ use common::{assert_matches_local, cluster_from, monolithic_db, small_patch};
 use proptest::prelude::*;
 use qserv::analysis::analyze;
 use qserv::rewrite::{build_plan, PhysicalPlan};
-use qserv::{merge_oracle, CatalogMeta, MergeShape, Merger};
+use qserv::{merge_oracle, CatalogMeta, Chunker, ClusterBuilder, MergeShape, Merger};
 use qserv_engine::exec::execute;
 use qserv_engine::schema::{ColumnDef, ColumnType, Schema};
 use qserv_engine::table::Table;
 use qserv_engine::value::Value;
+use qserv_sphgeom::Angle;
 use qserv_sqlparse::parse_select;
 
 fn plan_for(sql: &str) -> PhysicalPlan {
@@ -293,6 +294,45 @@ fn limit_cutoff_dispatches_fewer_chunks() {
         stats.chunks_dispatched + stats.chunks_skipped_by_limit,
         chunk_set
     );
+}
+
+/// Whether chunk results are folded as the calling thread produces them
+/// or arrive out of order from helper threads, the reorder buffer makes
+/// float accumulation order — every bit of a SUM/AVG — and the rows a
+/// LIMIT keeps the same, and every chunk is still either dispatched or
+/// counted as skipped.
+#[test]
+fn results_bit_identical_across_dispatch_widths() {
+    let patch = small_patch(600, 42);
+    // 2° stripes: a few dozen chunks over the PT1.1 patch.
+    let chunker = Chunker::new(90, 4, Angle::from_degrees(0.05)).expect("valid partitioning");
+    let run = |width: usize| {
+        let mut q = ClusterBuilder::new(4)
+            .chunker(chunker.clone())
+            .build(&patch.objects, &patch.sources);
+        q.dispatch_width = width;
+        [
+            "SELECT COUNT(*), SUM(uFlux_SG), AVG(ra_PS) FROM Object",
+            "SELECT chunkId, COUNT(*), AVG(decl_PS) FROM Object GROUP BY chunkId",
+            "SELECT objectId, ra_PS FROM Object ORDER BY ra_PS DESC LIMIT 7",
+            "SELECT objectId FROM Object WHERE decl_PS < 0.0",
+            "SELECT objectId FROM Object LIMIT 2",
+        ]
+        .map(|sql| {
+            let chunk_set = q.explain(sql).expect("explain").chunks.len();
+            let (result, stats) = q.query_with_stats(sql).expect("cluster query");
+            assert_eq!(
+                stats.chunks_dispatched + stats.chunks_skipped_by_limit,
+                chunk_set,
+                "width {width}: {sql}"
+            );
+            result.rows
+        })
+    };
+    let serial = run(1);
+    for width in [2, 3, 8] {
+        assert_eq!(run(width), serial, "width {width} changed the result bytes");
+    }
 }
 
 /// The cutoff also fires inside a shared-scan convoy: a satisfied member
