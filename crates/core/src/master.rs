@@ -28,7 +28,7 @@ use crate::worker::Worker;
 use parking_lot::Mutex;
 use qserv_engine::db::Database;
 use qserv_engine::dump::load_dump;
-use qserv_engine::exec::{execute, ResultTable};
+use qserv_engine::exec::{execute, ResultTable, ScanStats};
 use qserv_engine::table::Table;
 use qserv_obs::clock::{wall_clock, SharedClock};
 use qserv_obs::trace;
@@ -162,10 +162,9 @@ pub(crate) struct ChunkMeta {
     pub(crate) injected_seen: u64,
     /// Clock time the whole chunk dispatch took, retries included.
     pub(crate) latency: Duration,
-    /// Worker-reported cold-scan counters (the `-- QSERV_SCAN:` header on
-    /// the result dump); zero for warm in-memory chunks.
-    pub(crate) pages_pruned: u64,
-    pub(crate) pages_scanned: u64,
+    /// Worker-reported paged-scan counters (the `-- QSERV_SCAN:` header
+    /// on the result dump); zero for warm in-memory chunks.
+    pub(crate) scan: ScanStats,
     prev_server: Option<ServerId>,
 }
 
@@ -177,30 +176,35 @@ pub(crate) fn record_chunk(qm: &QueryMetrics, bytes: u64, meta: &ChunkMeta) {
     }
     qm.replica_failovers.add(meta.failovers as u64);
     qm.injected_faults_observed.add(meta.injected_seen);
-    qm.pages_pruned.add(meta.pages_pruned);
-    qm.pages_scanned.add(meta.pages_scanned);
+    qm.pages_pruned.add(meta.scan.pages_pruned);
+    qm.pages_scanned.add(meta.scan.pages_scanned);
+    qm.pages_cached.add(meta.scan.pages_cached);
     qm.chunk_attempts.record(meta.attempts as u64);
     qm.chunk_latency_ns.record(meta.latency.as_nanos() as u64);
 }
 
 /// Splits a worker dump's optional `-- QSERV_SCAN:` header off, returning
-/// the `(pages_pruned, pages_scanned)` counters and the remaining dump
-/// text.
-fn split_scan_header(text: &str) -> (u64, u64, &str) {
+/// its counters and the remaining dump text. A field the header lacks
+/// (an older worker's) reads as zero.
+fn split_scan_header(text: &str) -> (ScanStats, &str) {
+    let mut scan = ScanStats::default();
     let Some(rest) = text.strip_prefix("-- QSERV_SCAN:") else {
-        return (0, 0, text);
+        return (scan, text);
     };
     let (line, tail) = rest.split_once('\n').unwrap_or((rest, ""));
-    let mut pruned = 0u64;
-    let mut scanned = 0u64;
     for part in line.split_whitespace() {
-        if let Some(v) = part.strip_prefix("pages_pruned=") {
-            pruned = v.parse().unwrap_or(0);
-        } else if let Some(v) = part.strip_prefix("pages_scanned=") {
-            scanned = v.parse().unwrap_or(0);
-        }
+        let Some((field, value)) = part.split_once('=') else {
+            continue;
+        };
+        let slot = match field {
+            "pages_pruned" => &mut scan.pages_pruned,
+            "pages_scanned" => &mut scan.pages_scanned,
+            "pages_cached" => &mut scan.pages_cached,
+            _ => continue,
+        };
+        *slot = value.parse().unwrap_or(0);
     }
-    (pruned, scanned, tail)
+    (scan, tail)
 }
 
 /// The optional row sink of one query: `Some` pushes merged row batches
@@ -1481,9 +1485,8 @@ impl Qserv {
                 message: err.trim().to_string(),
             });
         }
-        let (pages_pruned, pages_scanned, text) = split_scan_header(text);
-        meta.pages_pruned = pages_pruned;
-        meta.pages_scanned = pages_scanned;
+        let (scan, text) = split_scan_header(text);
+        meta.scan = scan;
         match load_dump(text) {
             Ok((_, table)) => Attempt::Ok(table, bytes),
             // An unparseable dump from a healthy worker means the payload
@@ -1495,5 +1498,34 @@ impl Qserv {
                 error: QservError::Merge(format!("chunk {chunk}: {e}")),
             },
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn scan_header_splits_off_and_its_fields_are_optional() {
+        let dump = "CREATE TABLE result (c INT);\n";
+        assert_eq!(split_scan_header(dump), (ScanStats::default(), dump));
+
+        let full = format!("-- QSERV_SCAN: pages_pruned=3 pages_scanned=5 pages_cached=4\n{dump}");
+        let scan = ScanStats {
+            pages_pruned: 3,
+            pages_scanned: 5,
+            pages_cached: 4,
+        };
+        assert_eq!(split_scan_header(&full), (scan, dump));
+
+        // A worker that predates `pages_cached`, and a field from a newer one.
+        let old = format!("-- QSERV_SCAN: pages_pruned=3 pages_scanned=5\n{dump}");
+        let scan = ScanStats {
+            pages_cached: 0,
+            ..scan
+        };
+        assert_eq!(split_scan_header(&old), (scan, dump));
+        let newer = format!("-- QSERV_SCAN: pages_scanned=5 pages_pruned=3 bytes_read=9\n{dump}");
+        assert_eq!(split_scan_header(&newer), (scan, dump));
     }
 }

@@ -40,8 +40,12 @@ pub mod names {
     pub const CHUNKS_PRUNED: &str = "query.chunks_pruned";
     /// Counter: row-group pages elided by worker zone maps (cold scans).
     pub const PAGES_PRUNED: &str = "query.pages_pruned";
-    /// Counter: row-group pages decoded from disk (cold scans).
+    /// Counter: row-group pages workers' paged scans read, from the
+    /// residency cache or from disk.
     pub const PAGES_SCANNED: &str = "query.pages_scanned";
+    /// Counter: the scanned row-group pages served from the workers'
+    /// residency caches without touching a file.
+    pub const PAGES_CACHED: &str = "query.pages_cached";
     /// Gauge: the planner's estimated merged-result row count.
     pub const PLANNER_EST_ROWS: &str = "planner.est_rows";
     /// Gauge: estimate-vs-actual q-error × 100 (100 = perfect).
@@ -93,8 +97,11 @@ pub struct QueryStats {
     pub chunks_pruned: usize,
     /// Row-group pages workers elided via zone maps during cold scans.
     pub pages_pruned: u64,
-    /// Row-group pages workers decoded from disk during cold scans.
+    /// Row-group pages workers' paged scans read, from cache or disk.
     pub pages_scanned: u64,
+    /// The scanned row-group pages served from the workers' residency
+    /// caches without touching a file.
+    pub pages_cached: u64,
     /// The planner's estimated merged-result row count (rounded).
     pub planner_est_rows: u64,
     /// Estimate-vs-actual q-error × 100 (100 = perfect estimate; 0 when
@@ -121,6 +128,7 @@ impl QueryStats {
             chunks_pruned: s.counter(names::CHUNKS_PRUNED) as usize,
             pages_pruned: s.counter(names::PAGES_PRUNED),
             pages_scanned: s.counter(names::PAGES_SCANNED),
+            pages_cached: s.counter(names::PAGES_CACHED),
             planner_est_rows: s.gauge(names::PLANNER_EST_ROWS),
             planner_qerror_pct: s.gauge(names::PLANNER_QERROR_PCT),
         }
@@ -147,6 +155,7 @@ pub(crate) struct QueryMetrics {
     pub chunks_pruned: Counter,
     pub pages_pruned: Counter,
     pub pages_scanned: Counter,
+    pub pages_cached: Counter,
     pub planner_est_rows: Gauge,
     pub planner_qerror_pct: Gauge,
     pub planner_index_lookup: Gauge,
@@ -175,6 +184,7 @@ impl QueryMetrics {
             chunks_pruned: registry.counter(names::CHUNKS_PRUNED),
             pages_pruned: registry.counter(names::PAGES_PRUNED),
             pages_scanned: registry.counter(names::PAGES_SCANNED),
+            pages_cached: registry.counter(names::PAGES_CACHED),
             planner_est_rows: registry.gauge(names::PLANNER_EST_ROWS),
             planner_qerror_pct: registry.gauge(names::PLANNER_QERROR_PCT),
             planner_index_lookup: registry.gauge(names::PLANNER_INDEX_LOOKUP),

@@ -204,9 +204,13 @@ impl Worker {
             .collect()
     }
 
-    /// Total estimated bytes stored on this worker.
+    /// Total estimated bytes held in this worker's memory: its in-memory
+    /// tables plus the decoded pages of its on-disk chunks resident in the
+    /// cache — counted here, once, because every message-local view
+    /// shares that one cache.
     pub fn footprint_bytes(&self) -> u64 {
-        self.db.read().footprint_bytes()
+        let db = self.db.read();
+        db.footprint_bytes() + db.residency().resident_bytes()
     }
 
     /// True when any partitioned base table of `chunk` is installed here
@@ -338,9 +342,9 @@ impl Worker {
             .map(|(t, _)| t)
     }
 
-    /// Like [`Worker::execute_message`], but also reports the cold-scan
-    /// page counters (zone-map-elided and decoded row groups) summed over
-    /// the message's statements.
+    /// Like [`Worker::execute_message`], but also reports the paged-scan
+    /// counters (row groups elided by zone maps, read, and served from the
+    /// residency cache) summed over the message's statements.
     pub fn execute_message_detailed(
         &self,
         chunk: i32,
@@ -469,6 +473,7 @@ impl Worker {
                 .map_err(|e| format!("worker exec error: {e}"))?;
             scan.pages_pruned += stmt_scan.pages_pruned;
             scan.pages_scanned += stmt_scan.pages_scanned;
+            scan.pages_cached += stmt_scan.pages_cached;
             self.stats.statements.fetch_add(1, Ordering::Relaxed);
             if path == ExecPath::Vectorized {
                 self.stats
@@ -487,6 +492,7 @@ impl Worker {
                 if stmt_scan.pages_pruned + stmt_scan.pages_scanned > 0 {
                     g.annotate("pages_pruned", &stmt_scan.pages_pruned.to_string());
                     g.annotate("pages_scanned", &stmt_scan.pages_scanned.to_string());
+                    g.annotate("pages_cached", &stmt_scan.pages_cached.to_string());
                 }
             }
             combined = Some(match combined {
@@ -678,14 +684,14 @@ impl OfsPlugin for Worker {
         match self.run(bound) {
             Ok((table, scan)) => {
                 let mut out = String::new();
-                // Piggyback the cold-scan counters on the dump text as a
+                // Piggyback the paged-scan counters on the dump text as a
                 // leading comment line; the master strips and folds it
                 // into the query stats. Omitted for pure in-memory scans
                 // so warm-path dumps are byte-identical to before.
                 if scan.pages_pruned + scan.pages_scanned > 0 {
                     out.push_str(&format!(
-                        "-- QSERV_SCAN: pages_pruned={} pages_scanned={}\n",
-                        scan.pages_pruned, scan.pages_scanned
+                        "-- QSERV_SCAN: pages_pruned={} pages_scanned={} pages_cached={}\n",
+                        scan.pages_pruned, scan.pages_scanned, scan.pages_cached
                     ));
                 }
                 out.push_str(&dump_table("result", &table));
@@ -1166,6 +1172,43 @@ mod tests {
         assert!(err.contains("worker exec error"), "{err}");
         assert!(worker.stats.snapshot().2 > 0, "tables were generated");
         assert_eq!((worker.table_names(), worker.footprint_bytes()), before);
+    }
+
+    /// The decoded pages of on-disk chunks live in the residency cache
+    /// that the catalog and every message-local view of it share: the
+    /// footprint counts them, and counts them once.
+    #[test]
+    fn footprint_counts_the_shared_residency_once() {
+        let (worker, chunk) = worker_with_chunk();
+        let name = rewrite::chunk_table("Object", chunk);
+        let owned = Arc::clone(worker.db.read().table(&name).unwrap());
+        let path = std::env::temp_dir().join(format!(
+            "qserv_worker_footprint_{}.qchunk",
+            std::process::id()
+        ));
+        qserv_engine::write_table(&path, &owned, 2).unwrap();
+        worker
+            .install_chunk_file("Object", chunk, &path, owned.empty_like())
+            .unwrap();
+        let residency = Arc::new(qserv_engine::Residency::new(1 << 20));
+        worker.set_residency(Arc::clone(&residency));
+
+        let cold = worker.footprint_bytes();
+        assert_eq!(cold, 0, "an empty overlap table and nothing decoded");
+        let msg =
+            format!("-- SUBCHUNKS:\nSELECT COUNT(*) AS c FROM LSST.{name} AS o WHERE o.ra_PS > 0;");
+        let (_, scan) = worker.execute_message_detailed(chunk, &msg).unwrap();
+        assert_eq!((scan.pages_scanned, scan.pages_cached), (2, 0));
+        let resident = residency.resident_bytes();
+        assert_eq!(resident, 4 * (8 + 1), "ra_PS of four rows, with its mask");
+        assert_eq!(worker.footprint_bytes(), resident);
+        // A bound message holds a scoped view sharing the same cache.
+        let bound = worker.bind(chunk, &msg).unwrap();
+        assert_eq!(worker.footprint_bytes(), resident);
+        let (_, scan) = worker.run(bound).unwrap();
+        assert_eq!((scan.pages_scanned, scan.pages_cached), (2, 2));
+        assert_eq!(worker.footprint_bytes(), resident);
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

@@ -9,10 +9,10 @@
 //!
 //! A table may alternatively be *attached* from a persistent chunk file
 //! ([`Database::attach_stored`]): only the file footer and an empty
-//! shape table are held in memory, scans stream pages off disk with
-//! zone-map elision, and full materialization (for the interpreter,
-//! joins and subchunk generation) goes through a shared LRU
-//! [`Residency`] budget — the worker's lazy chunk residency.
+//! shape table are held in memory; scans, and full materialization for
+//! the interpreter, joins and subchunk generation, take decoded column
+//! pages from a shared byte-budgeted [`Residency`] cache — the worker's
+//! lazy chunk residency.
 
 use crate::storage::{Residency, StoredChunk};
 use crate::table::Table;
@@ -89,8 +89,8 @@ impl Database {
 
     /// Detaches a stored chunk table without touching in-memory tables;
     /// true when `name` was stored. The backing `.qchunk` file is left on
-    /// disk (other replicas may still attach it); any resident pages are
-    /// released with the [`StoredChunk`] handle.
+    /// disk (other replicas may still attach it); its resident pages are
+    /// never asked for again and age out of the [`Residency`].
     pub fn detach_stored(&mut self, name: &str) -> bool {
         self.stored.remove(name).is_some()
     }
@@ -140,8 +140,8 @@ impl Database {
         self.residency = residency;
     }
 
-    /// Materializes table `name` through the residency cache when it is
-    /// stored; in-memory tables return their `Arc` directly.
+    /// Materializes table `name` from the residency cache's pages when
+    /// it is stored; in-memory tables return their `Arc` directly.
     pub fn materialize(&self, name: &str) -> io::Result<Option<Arc<Table>>> {
         if let Some(t) = self.tables.get(name) {
             return Ok(Some(t.clone()));
@@ -152,8 +152,10 @@ impl Database {
         }
     }
 
-    /// Total estimated footprint of all in-memory tables in bytes
-    /// (stored chunks count only while resident, via [`Residency`]).
+    /// Total estimated footprint of the in-memory tables in bytes. Decoded
+    /// pages of stored chunks are not in here: they live in the
+    /// [`Residency`], which every [`Database::scoped`] view shares, so
+    /// whoever owns the cache adds [`Residency::resident_bytes`] once.
     pub fn footprint_bytes(&self) -> u64 {
         self.tables.values().map(|t| t.footprint_bytes()).sum()
     }
@@ -230,7 +232,7 @@ mod tests {
         assert_eq!(scoped.materialize("a").unwrap().unwrap().num_rows(), 1);
         assert_eq!(scoped.materialize("s").unwrap().unwrap().num_rows(), 1);
         assert!(
-            db.residency().resident_count() > 0,
+            db.residency().resident_pages() > 0,
             "decoded into the shared pool"
         );
         std::fs::remove_file(&path).unwrap();

@@ -177,18 +177,22 @@ pub fn execute_with_mode(
     execute_detailed(db, stmt, mode).map(|(r, p, _)| (r, p))
 }
 
-/// Per-statement cold-scan statistics: row-group pages elided by the
-/// zone maps versus decoded from disk. Both stay zero for in-memory
+/// Per-statement paged-scan statistics of a stored (on-disk) table:
+/// row-group pages elided by the zone maps versus read, and how many of
+/// those came from the residency cache. All stay zero for in-memory
 /// tables and interpreted executions.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ScanStats {
     /// Row-group pages skipped via zone maps without touching their bytes.
     pub pages_pruned: u64,
-    /// Row-group pages decoded from disk.
+    /// Row-group pages the scan read, from the cache or from disk.
     pub pages_scanned: u64,
+    /// The scanned pages served entirely from the residency cache, no
+    /// file touched.
+    pub pages_cached: u64,
 }
 
-/// Like [`execute_with_mode`], additionally reporting cold-scan page
+/// Like [`execute_with_mode`], additionally reporting paged-scan page
 /// statistics (the worker forwards them to the master's query stats).
 pub fn execute_detailed(
     db: &Database,
@@ -196,11 +200,10 @@ pub fn execute_detailed(
     mode: ExecMode,
 ) -> Result<(ResultTable, ExecPath, ScanStats), ExecError> {
     let storage_err = |e: std::io::Error| ExecError::Storage(e.to_string());
-    // Resolve FROM bindings. A stored (on-disk) table normally
-    // materializes through the residency cache; the one special case is
-    // a sole non-resident stored table outside interpreted mode, which
-    // binds its zero-row *shape* so the scan can run paged, straight
-    // off disk, with zone-map elision.
+    // Resolve FROM bindings. A stored (on-disk) table materializes from
+    // the residency cache's pages, except as the sole table of a
+    // statement outside interpreted mode: that binds its zero-row *shape*
+    // so the scan can run paged, with zone-map elision.
     let mut bindings: Vec<(String, Arc<Table>)> = Vec::new();
     let mut stored_single: Option<Arc<crate::storage::StoredChunk>> = None;
     for tref in &stmt.from {
@@ -211,15 +214,11 @@ pub fn execute_detailed(
         if let Some(table) = db.table(&tref.table) {
             bindings.push((name, Arc::clone(table)));
         } else if let Some(chunk) = db.stored(&tref.table) {
-            let resident = chunk.cached(db.residency());
-            if stmt.from.len() == 1 && mode != ExecMode::Interpreted && resident.is_none() {
+            if stmt.from.len() == 1 && mode != ExecMode::Interpreted {
                 stored_single = Some(Arc::clone(chunk));
                 bindings.push((name, Arc::clone(chunk.shape())));
             } else {
-                let table = match resident {
-                    Some(t) => t,
-                    None => chunk.resident(db.residency()).map_err(storage_err)?,
-                };
+                let table = chunk.resident(db.residency()).map_err(storage_err)?;
                 bindings.push((name, table));
             }
         } else {
@@ -261,10 +260,11 @@ pub fn execute_detailed(
         None
     };
 
-    // Paged cold scan: the sole stored binding compiles against its
-    // shape, zone maps elide row-group pages the kernels provably
-    // reject, and only the referenced columns of the surviving pages are
-    // decoded — no full materialization, no row pivot. Falls back to
+    // Paged scan: the sole stored binding compiles against its shape,
+    // zone maps elide row-group pages the kernels provably reject, and
+    // the scan table holds only the referenced columns of the surviving
+    // pages, taken from the residency cache (decoded and admitted on a
+    // miss) — no full materialization, no row pivot. Falls back to
     // materialization (the interpreter stays the oracle) when the
     // statement does not compile.
     if let Some(chunk) = stored_single {
@@ -274,19 +274,19 @@ pub fn execute_detailed(
         {
             // Decoded pages carry no index; scan every surviving page.
             plan.seed = None;
-            let file = chunk.file();
-            let keep = crate::storage::prune_mask(file.footer(), &plan.kernels);
+            let keep = crate::storage::prune_mask(chunk.file().footer(), &plan.kernels);
+            let needed = plan.referenced_cols(shape.schema().len());
+            let (scan, pages_cached) = chunk
+                .scan_table(db.residency(), &keep, &needed)
+                .map_err(storage_err)?;
             let pages_scanned = keep.iter().filter(|&&k| k).count() as u64;
             let stats = ScanStats {
                 pages_pruned: keep.len() as u64 - pages_scanned,
                 pages_scanned,
+                pages_cached,
             };
-            let needed = plan.referenced_cols(shape.schema().len());
-            let decoded = file
-                .read_groups(Some(&keep), Some(&needed))
-                .map_err(storage_err)?;
             let mut sink = sink;
-            crate::vector::run(&plan, &decoded, &mut sink, quick_limit);
+            crate::vector::run(&plan, &scan, &mut sink, quick_limit);
             return sink.finish().map(|r| (r, ExecPath::Vectorized, stats));
         }
         drop(sink);

@@ -33,9 +33,9 @@
 //!   chunk tables are named `Object_CC`, subchunk tables
 //!   `Object_CC_SS`, exactly as in paper §5.2).
 //! * [`storage`] — the persistent columnar chunk format: per-column
-//!   pages with dictionary/RLE encodings and zone maps, lazy chunk
-//!   residency with an LRU byte budget, and zone-map page elision
-//!   feeding the vectorized scan path (paper §4.3, §5.2).
+//!   pages with dictionary/RLE encodings and zone maps, a byte-budgeted
+//!   LRU of decoded column pages (lazy chunk residency), and zone-map
+//!   page elision feeding the vectorized scan path (paper §4.3, §5.2).
 
 pub(crate) mod compile;
 pub mod db;
@@ -57,8 +57,8 @@ pub use exec::{
 };
 pub use schema::{ColumnDef, ColumnType, Schema};
 pub use storage::{
-    tables_bit_identical, write_table, ChunkFile, Residency, StoredChunk, StreamWriter,
-    DEFAULT_PAGE_ROWS, DEFAULT_RESIDENCY_BUDGET,
+    tables_bit_identical, write_table, ChunkFile, Residency, ResidencyStats, StoredChunk,
+    StreamWriter, DEFAULT_PAGE_ROWS, DEFAULT_RESIDENCY_BUDGET,
 };
 pub use table::Table;
 pub use value::Value;

@@ -78,10 +78,35 @@ pub enum ColumnSlice<'a> {
 
 impl ColumnData {
     fn new(ty: ColumnType) -> ColumnData {
+        ColumnData::with_capacity(ty, 0)
+    }
+
+    pub(crate) fn with_capacity(ty: ColumnType, rows: usize) -> ColumnData {
         match ty {
-            ColumnType::Int => ColumnData::Int(Vec::new()),
-            ColumnType::Float => ColumnData::Float(Vec::new()),
-            ColumnType::Str => ColumnData::Str(Vec::new()),
+            ColumnType::Int => ColumnData::Int(Vec::with_capacity(rows)),
+            ColumnType::Float => ColumnData::Float(Vec::with_capacity(rows)),
+            ColumnType::Str => ColumnData::Str(Vec::with_capacity(rows)),
+        }
+    }
+
+    fn len(&self) -> usize {
+        match self {
+            ColumnData::Int(v) => v.len(),
+            ColumnData::Float(v) => v.len(),
+            ColumnData::Str(v) => v.len(),
+        }
+    }
+
+    /// Appends `other`'s values.
+    ///
+    /// # Panics
+    /// Panics when the two are of different column types.
+    pub(crate) fn extend_from(&mut self, other: &ColumnData) {
+        match (self, other) {
+            (ColumnData::Int(v), ColumnData::Int(o)) => v.extend_from_slice(o),
+            (ColumnData::Float(v), ColumnData::Float(o)) => v.extend_from_slice(o),
+            (ColumnData::Str(v), ColumnData::Str(o)) => v.extend_from_slice(o),
+            _ => panic!("column type mismatch"),
         }
     }
 
@@ -123,30 +148,35 @@ impl Table {
         }
     }
 
-    /// Assembles a table directly from dense column vectors — the chunk
-    /// decoder's constructor ([`crate::storage`]). Null slots must already
-    /// hold the column defaults (0 / 0.0 / ""), exactly as [`Table::push_row`]
-    /// leaves them, so a decode round-trips bit-identically.
+    /// Assembles a table directly from dense column vectors and null
+    /// masks — the chunk decoder's constructor ([`crate::storage`]). Null
+    /// slots must already hold the column defaults (0 / 0.0 / ""), exactly
+    /// as [`Table::push_row`] leaves them, so a decode round-trips
+    /// bit-identically. A `None` column is *absent*: the table has `rows`
+    /// rows but no storage for it, and reading it panics — a projected
+    /// scan table holds only the columns its plan references.
     ///
     /// # Panics
     /// Panics when column counts or lengths disagree with the schema.
-    pub(crate) fn from_dense(
+    pub(crate) fn from_columns(
         schema: Schema,
-        columns: Vec<ColumnData>,
-        nulls: Vec<Vec<bool>>,
+        columns: Vec<Option<(ColumnData, Vec<bool>)>>,
         rows: usize,
     ) -> Table {
         assert_eq!(columns.len(), schema.len(), "column count mismatch");
-        assert_eq!(nulls.len(), schema.len(), "null-mask count mismatch");
-        for (i, c) in columns.iter().enumerate() {
-            let len = match c {
-                ColumnData::Int(v) => v.len(),
-                ColumnData::Float(v) => v.len(),
-                ColumnData::Str(v) => v.len(),
-            };
-            assert_eq!(len, rows, "column {i} length mismatch");
-            assert_eq!(nulls[i].len(), rows, "null mask {i} length mismatch");
-        }
+        let (columns, nulls) = columns
+            .into_iter()
+            .zip(schema.columns())
+            .enumerate()
+            .map(|(i, (col, def))| match col {
+                Some((data, nulls)) => {
+                    assert_eq!(data.len(), rows, "column {i} length mismatch");
+                    assert_eq!(nulls.len(), rows, "null mask {i} length mismatch");
+                    (data, nulls)
+                }
+                None => (ColumnData::new(def.ty), Vec::new()),
+            })
+            .unzip();
         Table {
             schema,
             columns,
