@@ -1,5 +1,5 @@
-//! Real-execution fixtures shared by the Criterion benches and the
-//! correctness spot-checks in the `figures` harness.
+//! Real-execution fixtures for the correctness spot-checks in the
+//! `figures` harness, its only user.
 
 use qserv::{ClusterBuilder, Qserv};
 use qserv_datagen::generate::{CatalogConfig, Patch};

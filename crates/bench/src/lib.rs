@@ -8,8 +8,8 @@
 //!    The `figures` binary runs these through the calibrated simulator to
 //!    regenerate every figure's series.
 //! 2. **Real-execution fixtures** ([`fixtures`]): a laptop-sized cluster
-//!    running the actual distributed pipeline, used by the Criterion
-//!    benches and by correctness spot-checks inside the harness.
+//!    running the actual distributed pipeline, used by the correctness
+//!    spot-checks inside the `figures` harness.
 //!
 //! ## Calibration (single source of truth)
 //!

@@ -40,8 +40,9 @@
 //! * [`loader`] — builds worker databases from synthesized catalog rows:
 //!   chunk tables, overlap stores, per-chunk objectId indexes, and the
 //!   frontend's secondary index.
-//! * [`master`] — the [`Qserv`] frontend: end-to-end `query(sql)` with a
-//!   multithreaded dispatcher over the fabric and result merging.
+//! * [`master`] — the [`Qserv`] frontend: end-to-end `query(sql)` with
+//!   the one multithreaded dispatch loop over the fabric and result
+//!   merging.
 //! * [`merge`] — the streaming result pipeline: chunk results fold into
 //!   incremental merge state as they arrive (append / per-group fold /
 //!   top-n heap), with the row-at-a-time collect-then-merge function
@@ -52,9 +53,7 @@
 //!   per-query cancellation (`KILL`).
 //! * [`sharedscan`] — shared scanning (§4.3; "planned" in the paper,
 //!   implemented here): concurrent full-scan queries share one pass over
-//!   each chunk.
-//! * [`multimaster`] — §7.6's multi-master deployment: several frontends
-//!   load-balanced over one worker fleet.
+//!   each chunk, as the members of one run of the master's dispatch loop.
 //! * [`placement`] — epoch-stamped chunk→replica placement: node
 //!   join/leave, replication repair after permanent node loss (chunk
 //!   copies over the fabric), and metrics-driven hot-chunk routing.
@@ -66,7 +65,6 @@ pub mod loader;
 pub mod master;
 pub mod merge;
 pub mod meta;
-pub mod multimaster;
 pub mod placement;
 pub mod planner;
 pub mod rewrite;
@@ -83,7 +81,6 @@ pub use merge::{
     infer_value_types, merge_oracle, merge_tables, Merger, StreamBatch, StreamCollector,
 };
 pub use meta::{CatalogMeta, ChunkZones, ColumnStat, ColumnZone, TableStats};
-pub use multimaster::MasterPool;
 pub use placement::{PlacementManager, RebalanceReport, RoutingMode};
 pub use planner::{AccessPath, ConjunctEstimate, PlanChoice, PlanOverride};
 pub use rewrite::{ColumnRole, MergeShape};

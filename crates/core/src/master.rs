@@ -42,7 +42,7 @@ use qserv_xrd::cluster::{query_path, result_path, XrdCluster, XrdError};
 use qserv_xrd::fault::FabricOp;
 use qserv_xrd::md5_hex;
 use qserv_xrd::server::ServerId;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
@@ -50,8 +50,7 @@ use std::time::Duration;
 
 /// Clamps the configured dispatcher-pool width to something sane for a
 /// given job count: at least one thread, never more threads than jobs.
-/// (Hoisted so the master and the shared-scan scheduler cannot drift.)
-pub(crate) fn effective_width(configured: usize, jobs: usize) -> usize {
+fn effective_width(configured: usize, jobs: usize) -> usize {
     configured.max(1).min(jobs.max(1))
 }
 
@@ -156,20 +155,44 @@ impl CancelToken {
 
 /// Per-chunk retry bookkeeping, folded into [`QueryStats`].
 #[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct ChunkMeta {
-    pub(crate) attempts: usize,
-    pub(crate) failovers: usize,
-    pub(crate) injected_seen: u64,
+struct ChunkMeta {
+    attempts: usize,
+    failovers: usize,
+    injected_seen: u64,
     /// Clock time the whole chunk dispatch took, retries included.
-    pub(crate) latency: Duration,
+    latency: Duration,
     /// Worker-reported paged-scan counters (the `-- QSERV_SCAN:` header
     /// on the result dump); zero for warm in-memory chunks.
-    pub(crate) scan: ScanStats,
+    scan: ScanStats,
     prev_server: Option<ServerId>,
 }
 
+/// Sets one statement's planner, pruning and index instruments — the
+/// estimate-vs-actual q-error against `actual` merged rows included —
+/// and returns that q-error. [`Qserv::run`] and the shared-scan convoy
+/// both call it, so a convoy member reports what its solo run would.
+pub(crate) fn record_plan(qm: &QueryMetrics, prepared: &Prepared, actual: u64) -> f64 {
+    qm.used_secondary_index
+        .set(prepared.analysis.index_ids.is_some() as u64);
+    qm.used_spatial_restriction
+        .set(prepared.analysis.spatial.is_some() as u64);
+    qm.chunks_pruned.add(prepared.chunks_pruned as u64);
+    qm.planner_est_rows
+        .set(prepared.choice.est_rows.round() as u64);
+    qm.planner_index_lookup.set(matches!(
+        prepared.choice.access,
+        crate::planner::AccessPath::IndexLookup { .. }
+    ) as u64);
+    qm.planner_topn_pushdown
+        .set(prepared.choice.topn_pushdown.is_some() as u64);
+    qm.planner_reordered.set(prepared.choice.reordered as u64);
+    let qerror = prepared.choice.q_error(actual);
+    qm.planner_qerror_pct.set((qerror * 100.0).round() as u64);
+    qerror
+}
+
 /// Folds one completed chunk's outcome into the query's instruments.
-pub(crate) fn record_chunk(qm: &QueryMetrics, bytes: u64, meta: &ChunkMeta) {
+fn record_chunk(qm: &QueryMetrics, bytes: u64, meta: &ChunkMeta) {
     qm.result_bytes.add(bytes);
     if meta.attempts > 1 {
         qm.chunks_retried.inc();
@@ -215,7 +238,40 @@ type Sink<'a> = Option<&'a mut dyn FnMut(StreamBatch) -> bool>;
 /// byte count, and retry bookkeeping.
 type ChunkOutcome = Result<(Table, u64, ChunkMeta), QservError>;
 
-/// The merge side of one query's dispatch: chunk outcomes arrive one at
+/// One statement riding [`Qserv::dispatch_streaming`]: its plan, its
+/// own instruments and cancellation, and where its rows go.
+pub(crate) struct Member<'a, 's> {
+    pub prepared: &'a Prepared,
+    pub qm: &'a QueryMetrics,
+    pub token: &'a CancelToken,
+    pub sink: Sink<'s>,
+}
+
+/// What [`Qserv::dispatch_streaming`] hands back: each member's merged
+/// result, in member order, and how many distinct chunks were sent.
+pub(crate) struct Dispatched {
+    pub results: Vec<Result<ResultTable, QservError>>,
+    pub chunk_passes: usize,
+}
+
+/// One chunk query on the dispatch queue: the member it belongs to, its
+/// fold sequence within that member, and its rendered, QID-tagged text.
+struct Job {
+    member: usize,
+    seq: usize,
+    chunk: i32,
+    message: String,
+}
+
+/// The jobs not yet sent, and how many distinct chunks have been sent
+/// (the queue is chunk-major, so a change of chunk is a new pass).
+struct JobQueue {
+    jobs: std::vec::IntoIter<Job>,
+    last_chunk: Option<i32>,
+    passes: usize,
+}
+
+/// The merge side of one member's dispatch: chunk outcomes arrive one at
 /// a time — from the calling thread's own dispatches and over its
 /// helper threads' channel — and fold into the merger,
 /// with merged batches leaving through the sink as they become final.
@@ -225,6 +281,8 @@ struct Arrivals<'a, 's> {
     token: &'a CancelToken,
     merger: Merger,
     sink: Sink<'s>,
+    /// The member's chunk queries; those never dispatched were skipped.
+    total: usize,
     dispatched: usize,
     /// Error selection must not depend on thread scheduling: keep the
     /// *lowest-sequence* dispatch error (queue order is deterministic,
@@ -242,7 +300,24 @@ struct Arrivals<'a, 's> {
     sink_closed: bool,
 }
 
-impl Arrivals<'_, '_> {
+impl<'a, 's> Arrivals<'a, 's> {
+    fn new(clock: &'a SharedClock, member: Member<'a, 's>) -> Arrivals<'a, 's> {
+        Arrivals {
+            clock,
+            qm: member.qm,
+            token: member.token,
+            merger: Merger::new(&member.prepared.plan),
+            sink: member.sink,
+            total: member.prepared.chunks.len(),
+            dispatched: 0,
+            dispatch_err: None,
+            fold_err: None,
+            first_fold: None,
+            last_arrival: None,
+            sink_closed: false,
+        }
+    }
+
     /// Folds one chunk's outcome in. Returns whether more chunks are
     /// wanted: `false` once the merger is satisfied (LIMIT cutoff), the
     /// sink closed, the query was killed, or an error was recorded — the
@@ -292,8 +367,7 @@ impl Arrivals<'_, '_> {
 
     /// Surfaces errors in deterministic preference order, settles the
     /// pipeline metrics, and finishes the merge under its own span.
-    /// `total` is the number of chunk queries that were planned.
-    fn finish(self, total: usize) -> Result<ResultTable, QservError> {
+    fn finish(self) -> Result<ResultTable, QservError> {
         let qm = self.qm;
         qm.chunks_dispatched.add(self.dispatched as u64);
         if let Some(e) = self.fold_err {
@@ -312,7 +386,7 @@ impl Arrivals<'_, '_> {
         }
         let merger = self.merger;
         qm.chunks_skipped_by_limit
-            .add((total - self.dispatched) as u64);
+            .add((self.total - self.dispatched) as u64);
         qm.peak_buffered_parts
             .set_max(merger.peak_buffered_parts() as u64);
         qm.rows_merged.set(merger.rows_folded() as u64);
@@ -450,10 +524,9 @@ pub struct Qserv {
     cluster: XrdCluster,
     chunker: Chunker,
     meta: CatalogMeta,
-    /// Epoch-stamped chunk→replica placement, shared by every frontend
-    /// over this cluster. Queries pin one snapshot at prepare time;
-    /// membership operations ([`Qserv::fail_node`], [`Qserv::join_node`],
-    /// …) commit new epochs.
+    /// Epoch-stamped chunk→replica placement. Queries pin one snapshot
+    /// at prepare time; membership operations ([`Qserv::fail_node`],
+    /// [`Qserv::join_node`], …) commit new epochs.
     placement: Arc<PlacementManager>,
     secondary: SecondaryIndex,
     workers: Vec<Arc<Worker>>,
@@ -470,36 +543,36 @@ pub struct Qserv {
     pub dispatch_width: usize,
     /// Chunk-dispatch retry behavior.
     pub retry: RetryPolicy,
-    /// Dispatch counter shared by every frontend over this cluster: tags
-    /// each chunk-query message with a unique `-- QID:` line so identical
-    /// concurrent queries hash to distinct result paths (the paper's raw
-    /// MD5-of-query addressing collides there). Scoped to the cluster —
-    /// not the process — so a freshly built cluster replays the same
-    /// result paths, keeping seeded fault schedules reproducible.
-    qid: Arc<AtomicU64>,
+    /// Dispatch counter: tags each chunk-query message with a unique
+    /// `-- QID:` line so identical concurrent queries hash to distinct
+    /// result paths (the paper's raw MD5-of-query addressing collides
+    /// there). Scoped to the cluster — not the process — so a freshly
+    /// built cluster replays the same result paths, keeping seeded fault
+    /// schedules reproducible.
+    qid: AtomicU64,
     /// Per-chunk zone maps registered at load time (ra/decl/flux/objectId
     /// min-max per chunk). Lets `prepare` elide whole chunks before
     /// dispatch — the master-side analogue of the worker's per-page zone
     /// maps.
-    zones: Arc<ChunkZones>,
+    zones: ChunkZones,
     /// Load-time table statistics (per-chunk row counts, per-column
     /// distinct-value counts) feeding the cost-based planner.
-    stats: Arc<TableStats>,
+    stats: TableStats,
     /// Forces individual planner decisions; `None` (the default) lets
     /// the cost model choose. The plan-equivalence test battery sets
     /// this to pin a plan.
     pub plan_override: Option<PlanOverride>,
-    /// Monotonic catalog data version, shared by every frontend over
-    /// this cluster. Bumped whenever data is loaded or attached after
-    /// build; the result cache keys on it, so a bump invalidates every
-    /// cached result at once instead of serving stale rows.
-    data_version: Arc<AtomicU64>,
+    /// Monotonic catalog data version. Bumped whenever data is loaded or
+    /// attached after build; the result cache keys on it, so a bump
+    /// invalidates every cached result at once instead of serving stale
+    /// rows.
+    data_version: AtomicU64,
     /// Per-table data versions layered on top of [`Qserv::data_version`]:
     /// loading into one table bumps only that table, so cached results
     /// over *other* tables survive (the result cache keys on
     /// [`Qserv::version_for_tables`], which sums the versions of the
     /// tables a query actually reads).
-    table_versions: Arc<Mutex<BTreeMap<String, u64>>>,
+    table_versions: Mutex<BTreeMap<String, u64>>,
     /// Where `.qchunk` files live (the loader's storage dir); replica
     /// copies imported during repair/rebalance are written here too.
     pub(crate) storage_dir: Option<PathBuf>,
@@ -573,12 +646,12 @@ impl Qserv {
             clock: wall_clock(),
             dispatch_width: std::thread::available_parallelism().map_or(1, |n| n.get().min(8)),
             retry: RetryPolicy::default(),
-            qid: Arc::new(AtomicU64::new(1)),
-            zones: Arc::new(zones),
-            stats: Arc::new(stats),
+            qid: AtomicU64::new(1),
+            zones,
+            stats,
             plan_override: None,
-            data_version: Arc::new(AtomicU64::new(1)),
-            table_versions: Arc::new(Mutex::new(BTreeMap::new())),
+            data_version: AtomicU64::new(1),
+            table_versions: Mutex::new(BTreeMap::new()),
             storage_dir: None,
         }
     }
@@ -640,36 +713,9 @@ impl Qserv {
     }
 
     /// Prefixes a rendered chunk message with a unique query-instance id.
-    pub(crate) fn tag_message(&self, message: String) -> String {
+    fn tag_message(&self, message: String) -> String {
         let qid = self.qid.fetch_add(1, Ordering::Relaxed);
         format!("-- QID: {qid}\n{message}")
-    }
-
-    /// Clones this frontend into an independent master over the same
-    /// worker fleet — the building block of §7.6 multi-master deployment
-    /// (see [`crate::multimaster::MasterPool`]). Frontend state (chunker,
-    /// metadata, secondary index) is copied; workers, the fabric, and the
-    /// placement manager are shared — every master sees the same
-    /// placement epoch and commits membership changes through one truth.
-    pub fn clone_frontend(&self) -> Qserv {
-        Qserv {
-            cluster: self.cluster.clone(),
-            chunker: self.chunker.clone(),
-            meta: self.meta.clone(),
-            placement: Arc::clone(&self.placement),
-            secondary: self.secondary.clone(),
-            workers: self.workers.clone(),
-            clock: self.clock.clone(),
-            dispatch_width: self.dispatch_width,
-            retry: self.retry.clone(),
-            qid: Arc::clone(&self.qid),
-            zones: Arc::clone(&self.zones),
-            stats: Arc::clone(&self.stats),
-            plan_override: self.plan_override,
-            data_version: Arc::clone(&self.data_version),
-            table_versions: Arc::clone(&self.table_versions),
-            storage_dir: self.storage_dir.clone(),
-        }
     }
 
     /// The partitioning in effect.
@@ -905,20 +951,6 @@ impl Qserv {
                 &format!("{:.1}", prepared.choice.est_rows),
             );
         }
-        qm.used_secondary_index
-            .set(prepared.analysis.index_ids.is_some() as u64);
-        qm.used_spatial_restriction
-            .set(prepared.analysis.spatial.is_some() as u64);
-        qm.chunks_pruned.add(prepared.chunks_pruned as u64);
-        qm.planner_est_rows
-            .set(prepared.choice.est_rows.round() as u64);
-        qm.planner_index_lookup.set(matches!(
-            prepared.choice.access,
-            crate::planner::AccessPath::IndexLookup { .. }
-        ) as u64);
-        qm.planner_topn_pushdown
-            .set(prepared.choice.topn_pushdown.is_some() as u64);
-        qm.planner_reordered.set(prepared.choice.reordered as u64);
         let streaming = sink.is_some();
         let result = {
             let _d = trace::span("master.dispatch");
@@ -927,10 +959,21 @@ impl Qserv {
                 // newer epochs mid-flight do not change its chunk set.
                 g.annotate("placement_epoch", &prepared.placement.epoch().to_string());
             }
-            self.dispatch_streaming(&prepared, &qm, token, sink)?
+            let member = Member {
+                prepared: &prepared,
+                qm: &qm,
+                token,
+                sink,
+            };
+            let dispatched = self.dispatch_streaming(vec![member])?;
+            dispatched
+                .results
+                .into_iter()
+                .next()
+                .expect("one result per member")?
         };
-        // Record the estimate-vs-actual error on the query span and the
-        // planner gauges. Under a streaming sink the final table is
+        // Record the plan's instruments and the estimate-vs-actual error
+        // on the query span. Under a streaming sink the final table is
         // empty by design; the rows-merged gauge stands in for the
         // actual.
         let actual = if streaming {
@@ -938,8 +981,7 @@ impl Qserv {
         } else {
             result.num_rows() as u64
         };
-        let qerror = prepared.choice.q_error(actual);
-        qm.planner_qerror_pct.set((qerror * 100.0).round() as u64);
+        let qerror = record_plan(&qm, &prepared, actual);
         if let Some(q) = &_q {
             q.annotate(
                 "planner.est_rows",
@@ -1110,7 +1152,7 @@ impl Qserv {
 
     /// The subchunk list for one chunk of a near-neighbour query: the
     /// subchunks intersecting the spatial restriction, or all of them.
-    pub(crate) fn subchunks_for(&self, prepared: &Prepared, chunk: i32) -> Vec<i32> {
+    fn subchunks_for(&self, prepared: &Prepared, chunk: i32) -> Vec<i32> {
         if prepared.plan.join != JoinClass::SubchunkNear {
             return Vec::new();
         }
@@ -1123,12 +1165,55 @@ impl Qserv {
         }
     }
 
-    /// Dispatches every chunk query and merges the results. The calling
+    /// Renders and QID-tags every member's chunk queries in queue order:
+    /// one statement's chunks in plan order; a convoy's chunk-major over
+    /// the union of the members' chunk sets, in member order inside a
+    /// chunk, so all of a chunk's queries leave back to back.
+    fn render_jobs(&self, members: &[Member<'_, '_>]) -> Vec<Job> {
+        let job = |member: usize, seq: usize, chunk: i32| {
+            let prepared = members[member].prepared;
+            let subs = self.subchunks_for(prepared, chunk);
+            let message = render_chunk_message(&prepared.plan, &self.meta, chunk, &subs);
+            Job {
+                member,
+                seq,
+                chunk,
+                message: self.tag_message(message),
+            }
+        };
+        if let [only] = members {
+            return only
+                .prepared
+                .chunks
+                .iter()
+                .enumerate()
+                .map(|(seq, &chunk)| job(0, seq, chunk))
+                .collect();
+        }
+        let union: BTreeSet<i32> = members
+            .iter()
+            .flat_map(|m| m.prepared.chunks.iter().copied())
+            .collect();
+        let mut next_seq = vec![0; members.len()];
+        let mut jobs = Vec::new();
+        for chunk in union {
+            for (member, m) in members.iter().enumerate() {
+                if m.prepared.chunks.contains(&chunk) {
+                    jobs.push(job(member, next_seq[member], chunk));
+                    next_seq[member] += 1;
+                }
+            }
+        }
+        jobs
+    }
+
+    /// The one loop that sends chunk queries: dispatches every job of
+    /// `members` and merges each member's results. The calling
     /// thread is the only merger *and* one of the dispatchers: it folds
-    /// whatever its `width − 1` helper threads have finished into an
-    /// incremental [`Merger`], then takes the next chunk off the shared
-    /// queue itself. So merging overlaps dispatch, the master holds only
-    /// the merge state plus a small reorder buffer — not every chunk
+    /// whatever its `width − 1` helper threads have finished into the
+    /// members' incremental [`Merger`]s, then takes the next job off the
+    /// shared queue itself. So merging overlaps dispatch, the master holds
+    /// only the merge state plus a small reorder buffer — not every chunk
     /// result at once — and no thread sleeps per chunk: a helper blocks
     /// only when `width` results are waiting unfolded, the caller only
     /// once the queue is empty. (In this in-process fabric a chunk query
@@ -1136,79 +1221,78 @@ impl Qserv {
     /// cross-core wake-up costs as much, so a merger that slept between
     /// arrivals would double the cost of every chunk.) At
     /// width 1 there are no helpers and the whole trace is a pure
-    /// function of the query (bit-reproducible under a virtual clock and
-    /// a fixed fault seed). When the merger reports itself satisfied (a
-    /// pushed-down LIMIT is met), the remaining chunk queue is cancelled:
-    /// undispatched chunks are never sent, and are counted in
+    /// function of the input (bit-reproducible under a virtual clock and
+    /// a fixed fault seed). A member that stops — its merger satisfied
+    /// (a pushed-down LIMIT is met), its token cancelled, a chunk failed,
+    /// or its sink closed — has its remaining jobs skipped while the
+    /// other members carry on; skipped chunks are never sent, and a
+    /// satisfied member counts them in
     /// [`QueryStats::chunks_skipped_by_limit`].
-    fn dispatch_streaming(
+    pub(crate) fn dispatch_streaming(
         &self,
-        prepared: &Prepared,
-        qm: &QueryMetrics,
-        token: &CancelToken,
-        sink: Sink<'_>,
-    ) -> Result<ResultTable, QservError> {
-        let jobs: Vec<(usize, i32, String)> = prepared
-            .chunks
-            .iter()
-            .enumerate()
-            .map(|(seq, &c)| {
-                let subs = self.subchunks_for(prepared, c);
-                (
-                    seq,
-                    c,
-                    self.tag_message(render_chunk_message(&prepared.plan, &self.meta, c, &subs)),
-                )
-            })
-            .collect();
-        let total = jobs.len();
-        let width = effective_width(self.dispatch_width, total);
+        members: Vec<Member<'_, '_>>,
+    ) -> Result<Dispatched, QservError> {
+        let jobs = self.render_jobs(&members);
+        let width = effective_width(self.dispatch_width, jobs.len());
         let started = self.clock.now();
-        let mut arrivals = Arrivals {
-            clock: &self.clock,
-            qm,
-            token,
-            merger: Merger::new(&prepared.plan),
-            sink,
-            dispatched: 0,
-            dispatch_err: None,
-            fold_err: None,
-            first_fold: None,
-            last_arrival: None,
-            sink_closed: false,
-        };
+        // What helper threads may read of a member: its token, and
+        // whether the merge side has stopped wanting its chunks.
+        let live: Vec<(&CancelToken, AtomicBool)> = members
+            .iter()
+            .map(|m| (m.token, AtomicBool::new(false)))
+            .collect();
+        let mut arrivals: Vec<Arrivals> = members
+            .into_iter()
+            .map(|m| Arrivals::new(&self.clock, m))
+            .collect();
 
-        let queue = Mutex::new(jobs.into_iter());
-        let cancelled = AtomicBool::new(false);
-        // Cancellation — by LIMIT cutoff or by an external KILL — is
-        // checked between jobs: an in-flight chunk finishes (and is
-        // drained below) but nothing new leaves the queue.
+        let queue = Mutex::new(JobQueue {
+            jobs: jobs.into_iter(),
+            last_chunk: None,
+            passes: 0,
+        });
+        // Cancellation — by LIMIT cutoff, failure or an external KILL —
+        // is checked between jobs: an in-flight chunk finishes (and is
+        // drained below) but nothing new of that member leaves the queue.
         let next_job = || {
-            if cancelled.load(Ordering::Relaxed) || token.is_cancelled() {
-                return None;
+            let mut queue = queue.lock();
+            while let Some(job) = queue.jobs.next() {
+                let (token, stopped) = &live[job.member];
+                if stopped.load(Ordering::Relaxed) || token.is_cancelled() {
+                    continue;
+                }
+                if queue.last_chunk != Some(job.chunk) {
+                    queue.last_chunk = Some(job.chunk);
+                    queue.passes += 1;
+                }
+                return Some(job);
             }
-            queue.lock().next()
+            None
         };
         let ctx = trace::current();
         // At most `width` finished results wait for the merge and at most
         // `width` more are being produced, so what the master holds
         // beyond the merge state and its reorder buffer stays bounded.
-        let (tx, rx) = mpsc::sync_channel::<(usize, ChunkOutcome)>(width);
+        let (tx, rx) = mpsc::sync_channel::<(usize, usize, ChunkOutcome)>(width);
+        let dispatch = |job: Job| {
+            let token = live[job.member].0;
+            let outcome = self.dispatch_one(job.chunk, &job.message, started, token);
+            (job.member, job.seq, outcome)
+        };
         crossbeam::thread::scope(|scope| {
             // Owned here so that an unwinding caller drops it — releasing
             // helpers blocked in `send` — before the scope joins them.
             let rx = rx;
             for _ in 1..width {
                 let tx = tx.clone();
-                let (next_job, ctx) = (&next_job, &ctx);
+                let (next_job, dispatch, ctx) = (&next_job, &dispatch, &ctx);
                 scope.spawn(move |_| {
                     // Helper threads parent their chunk spans under the
                     // span current on the calling thread
                     // (master.dispatch) — explicit cross-thread handoff.
                     let _tg = ctx.as_ref().map(|c| c.enter());
-                    while let Some((seq, chunk, message)) = next_job() {
-                        let outcome = self.dispatch_one(chunk, &message, started, token);
-                        if tx.send((seq, outcome)).is_err() {
+                    while let Some(job) = next_job() {
+                        if tx.send(dispatch(job)).is_err() {
                             break;
                         }
                     }
@@ -1216,43 +1300,43 @@ impl Qserv {
             }
             drop(tx);
             // Folding on this thread only keeps the merge single-threaded;
-            // the merger's reorder buffer makes it deterministic
+            // the mergers' reorder buffers make it deterministic
             // regardless of arrival order. Once an arrival asks to stop,
             // the channel is still drained so in-flight helpers can
             // finish their send and exit.
-            let mut arrive = |seq, outcome| {
-                if !arrivals.arrive(seq, outcome) {
-                    cancelled.store(true, Ordering::Relaxed);
+            let mut arrive = |(member, seq, outcome): (usize, usize, ChunkOutcome)| {
+                if !arrivals[member].arrive(seq, outcome) {
+                    live[member].1.store(true, Ordering::Relaxed);
                 }
             };
             loop {
-                while let Ok((seq, outcome)) = rx.try_recv() {
-                    arrive(seq, outcome);
+                while let Ok(arrival) = rx.try_recv() {
+                    arrive(arrival);
                 }
-                let Some((seq, chunk, message)) = next_job() else {
+                let Some(job) = next_job() else {
                     break;
                 };
-                let outcome = self.dispatch_one(chunk, &message, started, token);
-                arrive(seq, outcome);
+                arrive(dispatch(job));
             }
-            while let Ok((seq, outcome)) = rx.recv() {
-                arrive(seq, outcome);
+            while let Ok(arrival) = rx.recv() {
+                arrive(arrival);
             }
         })
         .map_err(|_| QservError::Fabric("dispatcher thread panicked".to_string()))?;
 
-        arrivals.finish(total)
+        Ok(Dispatched {
+            results: arrivals.into_iter().map(Arrivals::finish).collect(),
+            chunk_passes: queue.into_inner().passes,
+        })
     }
 
     /// Dispatches one chunk with bounded retry: transient fabric errors
     /// back off exponentially and steer the next attempt away from the
     /// replicas that failed; the query-wide deadline turns a stuck chunk
     /// into [`QservError::Timeout`]. Backoff and the deadline both run on
-    /// the master's clock (virtual under test: no real sleeping). Shared
-    /// with the shared-scan scheduler so convoy dispatch gets the same
-    /// retry semantics. `started` is the clock time the dispatch phase
-    /// began.
-    pub(crate) fn dispatch_one(
+    /// the master's clock (virtual under test: no real sleeping).
+    /// `started` is the clock time the dispatch phase began.
+    fn dispatch_one(
         &self,
         chunk: i32,
         message: &str,

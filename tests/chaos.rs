@@ -439,6 +439,41 @@ fn shared_scan_convoy_survives_read_faults() {
 }
 
 #[test]
+fn shared_scan_convoy_fails_on_a_permanent_dispatch_error() {
+    // With retries off, one injected write fault is permanent: the
+    // convoy member it hits fails the batch with the very error a solo
+    // run of that member reports, and no result file is stranded.
+    let patch = small_patch(300, 95);
+    let build = || {
+        let mut q = ClusterBuilder::new(3)
+            .retry(RetryPolicy::none())
+            .fault_plan(FaultPlan::new(14))
+            .build(&patch.objects, &patch.sources);
+        // One dispatcher: the first write is the first member's first chunk.
+        q.dispatch_width = 1;
+        q.cluster()
+            .faults()
+            .fail_next(None, Some(FabricOp::Write), 1);
+        q
+    };
+    let queries = [
+        "SELECT COUNT(*) FROM Object",
+        "SELECT chunkId, COUNT(*) FROM Object GROUP BY chunkId",
+    ];
+    let solo = build().query(queries[0]).unwrap_err();
+    assert!(matches!(solo, QservError::Fabric(_)), "solo run: {solo}");
+
+    let q = build();
+    let err = SharedScanner::new(&q).run(&queries).unwrap_err();
+    assert_eq!(err, solo, "the convoy must fail with the member's error");
+    assert_eq!(
+        q.cluster().faults().stats().failures_for(FabricOp::Write),
+        1
+    );
+    assert_no_result_leaks(&q, "convoy member failed");
+}
+
+#[test]
 fn delay_faults_bill_virtual_time_with_zero_wall_sleeping() {
     // Every fabric write on the cluster pays a 2-second injected delay —
     // but the cluster runs on a virtual clock, so the delays advance

@@ -17,16 +17,37 @@ use qserv_sqlparse::parse_select;
 use std::sync::OnceLock;
 
 struct Fixture {
-    qserv: Qserv,
+    /// One cluster per plan variant, built once: the planner's own
+    /// choice first, then each enumerated override.
+    variants: Vec<(Option<PlanOverride>, Qserv)>,
     local: Database,
+}
+
+impl Fixture {
+    fn cluster(&self, ov: Option<PlanOverride>) -> &Qserv {
+        let (_, q) = self
+            .variants
+            .iter()
+            .find(|(v, _)| *v == ov)
+            .expect("every variant has a cluster");
+        q
+    }
 }
 
 fn fixture() -> &'static Fixture {
     static FIX: OnceLock<Fixture> = OnceLock::new();
     FIX.get_or_init(|| {
         let patch = small_patch(600, 4242);
+        let variants = std::iter::once(None)
+            .chain(PlanOverride::enumerate().into_iter().map(Some))
+            .map(|ov| {
+                let mut q = cluster_from(&patch, 4);
+                q.plan_override = ov;
+                (ov, q)
+            })
+            .collect();
         Fixture {
-            qserv: cluster_from(&patch, 4),
+            variants,
             local: monolithic_db(&patch),
         }
     })
@@ -38,16 +59,15 @@ fn fixture() -> &'static Fixture {
 /// query is ordered, as a row set otherwise.
 fn assert_plan_equivalent(sql: &str, ordered: bool) {
     let f = fixture();
-    let reference = {
-        let mut q = f.qserv.clone_frontend();
-        q.plan_override = None;
-        q.query(sql)
-            .unwrap_or_else(|e| panic!("planner {sql}: {e}"))
-    };
+    let reference = f
+        .cluster(None)
+        .query(sql)
+        .unwrap_or_else(|e| panic!("planner {sql}: {e}"));
     for ov in PlanOverride::enumerate() {
-        let mut q = f.qserv.clone_frontend();
-        q.plan_override = Some(ov);
-        let r = q.query(sql).unwrap_or_else(|e| panic!("{ov:?} {sql}: {e}"));
+        let r = f
+            .cluster(Some(ov))
+            .query(sql)
+            .unwrap_or_else(|e| panic!("{ov:?} {sql}: {e}"));
         assert_eq!(r, reference, "plan {ov:?} diverged for {sql}");
     }
     let local = execute(&f.local, &parse_select(sql).expect("parses"))
@@ -165,9 +185,7 @@ fn override_hook_actually_changes_the_plan() {
     let f = fixture();
     let sql = "SELECT ra_PS FROM Object WHERE objectId = 77";
     let plan_of = |ov: Option<PlanOverride>| {
-        let mut q = f.qserv.clone_frontend();
-        q.plan_override = ov;
-        let table = q.explain_table(sql).expect("explain");
+        let table = f.cluster(ov).explain_table(sql).expect("explain");
         table
             .rows
             .iter()

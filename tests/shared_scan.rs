@@ -5,6 +5,7 @@ mod common;
 
 use common::{cluster_from, small_patch};
 use qserv::sharedscan::SharedScanner;
+use qserv::QueryStats;
 
 #[test]
 fn convoy_matches_independent_execution() {
@@ -73,57 +74,32 @@ fn convoy_of_one_equals_plain_query() {
     );
 }
 
+/// A convoy member reports its solo run's statistics — planner, pruning
+/// and index instruments included — on every field but the merge
+/// overlap, which is a clock span rather than a count.
 #[test]
-fn adaptive_convoy_detaches_interactive_members() {
-    // A wide footprint so the chunk set exceeds the interactive
-    // threshold and full-sky scans classify as scan-class.
-    let patch = qserv_datagen::generate::Patch::generate(&qserv_datagen::generate::CatalogConfig {
-        objects: 800,
-        mean_sources_per_object: 2.0,
-        seed: 76,
-        footprint: qserv_sphgeom::SphericalBox::from_degrees(0.0, -40.0, 120.0, 40.0),
-    });
-    let q = cluster_from(&patch, 4);
-    let total_chunks = q.placement().chunks().len();
-    assert!(
-        total_chunks > 8,
-        "fixture must exceed the interactive threshold, got {total_chunks}"
-    );
+fn convoy_member_stats_equal_solo_stats() {
+    let patch = small_patch(600, 78);
+    let mut q = cluster_from(&patch, 4);
+    q.dispatch_width = 1;
     let queries = [
         "SELECT COUNT(*) FROM Object",
-        "SELECT ra_PS, decl_PS FROM Object WHERE objectId = 42",
-        "SELECT AVG(ra_PS) FROM Object",
+        "SELECT objectId FROM Object WHERE decl_PS > 0",
+        "SELECT count(*) AS n, chunkId FROM Object GROUP BY chunkId",
     ];
-    let report = SharedScanner::new(&q)
-        .run_adaptive(&queries)
-        .expect("adaptive convoy runs");
-    // The two full-sky scans attach; the objectId probe plans as an
-    // index lookup and runs independently.
-    assert_eq!(report.attached, 2);
-    assert_eq!(report.detached, 1);
-    assert_eq!(report.chunk_passes, total_chunks);
-    assert_eq!(report.naive_passes, 2 * total_chunks);
-    // Attachment is scheduling only: results match independent runs.
-    for (sql, shared) in queries.iter().zip(&report.results) {
-        assert_eq!(&q.query(sql).expect("solo"), shared, "{sql}");
-    }
-}
-
-#[test]
-fn adaptive_convoy_of_detached_only_skips_the_pass() {
-    let patch = small_patch(300, 77);
-    let q = cluster_from(&patch, 2);
-    let report = SharedScanner::new(&q)
-        .run_adaptive(&["SELECT objectId FROM Object WHERE objectId = 7"])
-        .expect("runs");
-    assert_eq!(report.attached, 0);
-    assert_eq!(report.detached, 1);
-    assert_eq!(report.chunk_passes, 0);
-    assert_eq!(
-        report.results[0],
-        q.query("SELECT objectId FROM Object WHERE objectId = 7")
-            .expect("solo")
+    let report = SharedScanner::new(&q).run(&queries).expect("convoy runs");
+    assert!(
+        report.stats[1].chunks_pruned > 0,
+        "the decl_PS > 0 member must report its zone-pruned chunks"
     );
+    for (sql, convoy) in queries.iter().zip(&report.stats) {
+        let (_, solo) = q.query_with_stats(sql).expect("solo runs");
+        let convoy = QueryStats {
+            merge_overlap_ms: solo.merge_overlap_ms,
+            ..convoy.clone()
+        };
+        assert_eq!(convoy, solo, "convoy stats differ for {sql}");
+    }
 }
 
 #[test]

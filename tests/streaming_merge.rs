@@ -18,6 +18,7 @@ use common::{assert_matches_local, cluster_from, monolithic_db, small_patch};
 use proptest::prelude::*;
 use qserv::analysis::analyze;
 use qserv::rewrite::{build_plan, PhysicalPlan};
+use qserv::sharedscan::SharedScanner;
 use qserv::{merge_oracle, CatalogMeta, Chunker, ClusterBuilder, MergeShape, Merger};
 use qserv_engine::exec::execute;
 use qserv_engine::schema::{ColumnDef, ColumnType, Schema};
@@ -300,34 +301,55 @@ fn limit_cutoff_dispatches_fewer_chunks() {
 /// or arrive out of order from helper threads, the reorder buffer makes
 /// float accumulation order — every bit of a SUM/AVG — and the rows a
 /// LIMIT keeps the same, and every chunk is still either dispatched or
-/// counted as skipped.
+/// counted as skipped. The same holds for the statements run together
+/// as one shared-scan convoy, whose members return their solo bytes.
 #[test]
 fn results_bit_identical_across_dispatch_widths() {
     let patch = small_patch(600, 42);
     // 2° stripes: a few dozen chunks over the PT1.1 patch.
     let chunker = Chunker::new(90, 4, Angle::from_degrees(0.05)).expect("valid partitioning");
+    let statements = [
+        "SELECT COUNT(*), SUM(uFlux_SG), AVG(ra_PS) FROM Object",
+        "SELECT chunkId, COUNT(*), AVG(decl_PS) FROM Object GROUP BY chunkId",
+        "SELECT objectId, ra_PS FROM Object ORDER BY ra_PS DESC LIMIT 7",
+        "SELECT objectId FROM Object WHERE decl_PS < 0.0",
+        "SELECT objectId FROM Object LIMIT 2",
+    ];
     let run = |width: usize| {
         let mut q = ClusterBuilder::new(4)
             .chunker(chunker.clone())
             .build(&patch.objects, &patch.sources);
         q.dispatch_width = width;
-        [
-            "SELECT COUNT(*), SUM(uFlux_SG), AVG(ra_PS) FROM Object",
-            "SELECT chunkId, COUNT(*), AVG(decl_PS) FROM Object GROUP BY chunkId",
-            "SELECT objectId, ra_PS FROM Object ORDER BY ra_PS DESC LIMIT 7",
-            "SELECT objectId FROM Object WHERE decl_PS < 0.0",
-            "SELECT objectId FROM Object LIMIT 2",
-        ]
-        .map(|sql| {
-            let chunk_set = q.explain(sql).expect("explain").chunks.len();
-            let (result, stats) = q.query_with_stats(sql).expect("cluster query");
+        let chunk_sets = statements.map(|sql| q.explain(sql).expect("explain").chunks.len());
+        let solo: Vec<_> = statements
+            .iter()
+            .zip(chunk_sets)
+            .map(|(sql, chunk_set)| {
+                let (result, stats) = q.query_with_stats(sql).expect("cluster query");
+                assert_eq!(
+                    stats.chunks_dispatched + stats.chunks_skipped_by_limit,
+                    chunk_set,
+                    "width {width}: {sql}"
+                );
+                result.rows
+            })
+            .collect();
+        let convoy = SharedScanner::new(&q)
+            .run(&statements)
+            .expect("convoy runs");
+        for (i, sql) in statements.iter().enumerate() {
+            assert_eq!(
+                convoy.results[i].rows, solo[i],
+                "width {width}: convoy member differs from solo for {sql}"
+            );
+            let stats = &convoy.stats[i];
             assert_eq!(
                 stats.chunks_dispatched + stats.chunks_skipped_by_limit,
-                chunk_set,
-                "width {width}: {sql}"
+                chunk_sets[i],
+                "width {width}: convoy member {sql}"
             );
-            result.rows
-        })
+        }
+        (solo, convoy.chunk_passes, convoy.naive_passes)
     };
     let serial = run(1);
     for width in [2, 3, 8] {
