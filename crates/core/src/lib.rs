@@ -59,7 +59,6 @@
 //!   copies over the fabric), and metrics-driven hot-chunk routing.
 
 pub mod analysis;
-pub mod cache;
 pub mod error;
 pub mod loader;
 pub mod master;
@@ -73,7 +72,6 @@ pub mod sharedscan;
 pub mod stats;
 pub mod worker;
 
-pub use cache::{CachedResult, ResultCache};
 pub use error::QservError;
 pub use loader::ClusterBuilder;
 pub use master::{CancelToken, Qserv, QueryStats, RetryPolicy, TracedQuery, XMatchSpec};
@@ -85,9 +83,9 @@ pub use placement::{PlacementManager, RebalanceReport, RoutingMode};
 pub use planner::{AccessPath, ConjunctEstimate, PlanChoice, PlanOverride};
 pub use rewrite::{ColumnRole, MergeShape};
 pub use service::{
-    CacheOutcome, FairScheduler, KillOutcome, Notifier, QueryClass, QueryHandle, QueryService,
-    QueryState, QueryStatus, ServiceConfig, ServiceReply, StreamDone, StreamEvent, StreamHandle,
-    StreamOutcome, Ticket,
+    FairScheduler, KillOutcome, Notifier, QueryClass, QueryHandle, QueryService, QueryState,
+    QueryStatus, ServiceConfig, ServiceReply, StreamDone, StreamEvent, StreamHandle, StreamOutcome,
+    Ticket,
 };
 
 // Chaos-testing surface: arm a fault plan at build time

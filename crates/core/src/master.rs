@@ -22,6 +22,7 @@ use crate::meta::{CatalogMeta, ChunkZones, TableStats};
 use crate::placement::PlacementManager;
 use crate::planner::{self, PlanChoice, PlanOverride};
 use crate::rewrite::{build_plan, render_chunk_message, MergeShape, PhysicalPlan};
+use crate::service::QueryClass;
 use crate::stats::QueryMetrics;
 pub use crate::stats::QueryStats;
 use crate::worker::Worker;
@@ -42,7 +43,7 @@ use qserv_xrd::cluster::{query_path, result_path, XrdCluster, XrdError};
 use qserv_xrd::fault::FabricOp;
 use qserv_xrd::md5_hex;
 use qserv_xrd::server::ServerId;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
@@ -562,17 +563,6 @@ pub struct Qserv {
     /// the cost model choose. The plan-equivalence test battery sets
     /// this to pin a plan.
     pub plan_override: Option<PlanOverride>,
-    /// Monotonic catalog data version. Bumped whenever data is loaded or
-    /// attached after build; the result cache keys on it, so a bump
-    /// invalidates every cached result at once instead of serving stale
-    /// rows.
-    data_version: AtomicU64,
-    /// Per-table data versions layered on top of [`Qserv::data_version`]:
-    /// loading into one table bumps only that table, so cached results
-    /// over *other* tables survive (the result cache keys on
-    /// [`Qserv::version_for_tables`], which sums the versions of the
-    /// tables a query actually reads).
-    table_versions: Mutex<BTreeMap<String, u64>>,
     /// Where `.qchunk` files live (the loader's storage dir); replica
     /// copies imported during repair/rebalance are written here too.
     pub(crate) storage_dir: Option<PathBuf>,
@@ -604,9 +594,6 @@ impl Statement {
 
 /// A prepared (analyzed + planned) distributed query.
 pub(crate) struct Prepared {
-    /// The statement as parsed; the result-cache key is rendered from it
-    /// (`analysis.stmt` has lost its spatial restriction).
-    pub stmt: SelectStatement,
     pub analysis: Analysis,
     pub plan: PhysicalPlan,
     pub chunks: Vec<i32>,
@@ -650,56 +637,8 @@ impl Qserv {
             zones,
             stats,
             plan_override: None,
-            data_version: AtomicU64::new(1),
-            table_versions: Mutex::new(BTreeMap::new()),
             storage_dir: None,
         }
-    }
-
-    /// The catalog data version the result cache keys on.
-    pub fn data_version(&self) -> u64 {
-        self.data_version.load(Ordering::SeqCst)
-    }
-
-    /// Advances the catalog data version (call after loading or
-    /// attaching data into a live cluster), returning the new version.
-    /// Every cached result keyed under an older version becomes
-    /// unreachable immediately.
-    pub fn bump_data_version(&self) -> u64 {
-        self.data_version.fetch_add(1, Ordering::SeqCst) + 1
-    }
-
-    /// Advances the data version of one table only (call after loading
-    /// or attaching data into `table` on a live cluster), returning its
-    /// new per-table version. Cached results over queries that read
-    /// `table` become unreachable; results over other tables survive —
-    /// the scoped alternative to the [`Qserv::bump_data_version`]
-    /// hammer.
-    pub fn bump_table_version(&self, table: &str) -> u64 {
-        let mut tv = self.table_versions.lock();
-        let v = tv.entry(table.to_string()).or_insert(0);
-        *v += 1;
-        *v
-    }
-
-    /// The current per-table version of `table` (0 until first bumped).
-    pub fn table_version(&self, table: &str) -> u64 {
-        self.table_versions.lock().get(table).copied().unwrap_or(0)
-    }
-
-    /// The cache version for a query reading exactly `tables`: the
-    /// global data version plus the sum of the tables' versions. Any
-    /// global bump or any bump of a referenced table strictly increases
-    /// it; bumps of unreferenced tables leave it unchanged. (Sound as a
-    /// cache key because the normalized SQL — which fixes the table set
-    /// — is part of the key alongside this version.)
-    pub fn version_for_tables(&self, tables: &[String]) -> u64 {
-        let tv = self.table_versions.lock();
-        self.data_version()
-            + tables
-                .iter()
-                .map(|t| tv.get(t).copied().unwrap_or(0))
-                .sum::<u64>()
     }
 
     /// The per-chunk zone maps the loader registered.
@@ -1027,8 +966,20 @@ impl Qserv {
 
     /// Renders the planner's chosen plan for `sql` as a deterministic
     /// two-column `(item, value)` result table — the body of the
-    /// service/proxy `EXPLAIN <sql>` verb. Plans without executing.
+    /// service/proxy `EXPLAIN <sql>` verb. Plans without executing. The
+    /// `class` row is decided at the query service's default admission
+    /// threshold; [`crate::QueryService::explain`] reports its own.
     pub fn explain_table(&self, sql: &str) -> Result<ResultTable, QservError> {
+        self.explain_table_at(sql, planner::DEFAULT_INTERACTIVE_CHUNKS)
+    }
+
+    /// [`Qserv::explain_table`] with the `class` row decided at an
+    /// admission `threshold`.
+    pub(crate) fn explain_table_at(
+        &self,
+        sql: &str,
+        threshold: usize,
+    ) -> Result<ResultTable, QservError> {
         let items: Vec<(String, String)> = match self.prepare(sql)? {
             // There is no distributed plan to show.
             Statement::Local(_) => vec![
@@ -1036,13 +987,9 @@ impl Qserv {
                 ("chunks".to_string(), "0".to_string()),
             ],
             Statement::Distributed(prepared) => {
-                let class = if prepared.choice.scan_class {
-                    "scan"
-                } else {
-                    "interactive"
-                };
+                let class = QueryClass::of(prepared.chunks.len(), threshold);
                 let mut items = vec![
-                    ("class".to_string(), class.to_string()),
+                    ("class".to_string(), class.as_str().to_string()),
                     ("chunks".to_string(), prepared.chunks.len().to_string()),
                     (
                         "chunks_pruned".to_string(),
@@ -1129,7 +1076,6 @@ impl Qserv {
             ));
         }
         Ok(Statement::Distributed(Prepared {
-            stmt,
             analysis,
             plan,
             chunks,

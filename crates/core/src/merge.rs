@@ -59,9 +59,10 @@ pub struct StreamBatch {
 
 /// Reassembles a streamed query from its [`StreamBatch`]es into the
 /// single table a buffered execution would have returned — the
-/// consumer-side inverse of [`Merger::drain_ready`], used by the result
-/// cache, the equivalence gates, and any caller that wants streaming
-/// transport with a buffered API. When a batch widens a column's type
+/// consumer-side inverse of [`Merger::drain_ready`], used by the query
+/// service's buffered `submit`, [`crate::StreamHandle::collect`], and
+/// any caller that wants streaming transport with a buffered API.
+/// When a batch widens a column's type
 /// (Int→Float, the only widening step), previously collected Int rows
 /// are re-coerced, which is exact.
 #[derive(Debug, Default)]
@@ -107,16 +108,6 @@ impl StreamCollector {
                 .map(|(v, t)| coerce_owned(v, *t))
                 .collect()
         }));
-    }
-
-    /// The per-column types collected so far.
-    pub fn types(&self) -> &[Option<ColumnType>] {
-        &self.types
-    }
-
-    /// Rows collected so far (the cache's size gate watches this).
-    pub fn num_rows(&self) -> usize {
-        self.rows.len()
     }
 
     /// The assembled table. Empty (no batches at all — an error before

@@ -65,8 +65,8 @@ const DEFAULT_RANGE_SEL: f64 = 0.3;
 /// count.
 const DEFAULT_EQ_SEL: f64 = 0.1;
 /// Chunk-count threshold between interactive and scan classification:
-/// what [`PlanChoice::scan_class`] is decided on, and the query
-/// service's default admission threshold.
+/// the query service's default admission threshold, and the one
+/// [`crate::Qserv::explain_table`]'s `class` row is decided at.
 pub const DEFAULT_INTERACTIVE_CHUNKS: usize = 8;
 
 /// Forces individual planner decisions — the hook the plan-equivalence
@@ -157,9 +157,6 @@ pub struct PlanChoice {
     /// Whether a shared-scan convoy should pick this query up (scan
     /// access over more chunks than the interactive threshold).
     pub attach_convoy: bool,
-    /// Whether the planned chunk count classifies as a scan at the
-    /// default admission threshold.
-    pub scan_class: bool,
 }
 
 /// Planner inputs assembled by `Qserv::prepare`.
@@ -618,7 +615,6 @@ pub(crate) fn choose(
             scan_chunks: scan_chunks.len(),
             index_chunks: index_chunks.as_ref().map(Vec::len),
             attach_convoy,
-            scan_class: chunks.len() > DEFAULT_INTERACTIVE_CHUNKS,
         },
         chunks,
         chunks_pruned,

@@ -13,10 +13,11 @@
 //!   the frontend accumulate unbounded work.
 //! * **Prepare once, at admission** — `Qserv::prepare` parses, analyzes
 //!   and plans the statement and pins its placement epoch; the prepared
-//!   value is what is classified, keyed for the result cache, queued
-//!   and finally executed, so class, cost, epoch and `EXPLAIN` cannot
-//!   disagree with what runs. A query's cost is the size of the chunk
-//!   set it dispatches: at most
+//!   value is what is classified, queued and finally executed, so class,
+//!   cost, epoch and `EXPLAIN` cannot disagree with what runs. Every
+//!   admitted statement executes: the service has one answer path,
+//!   prepare → queue → `Qserv::run` → reply. A query's cost is the size
+//!   of the chunk set it dispatches: at most
 //!   [`ServiceConfig::interactive_chunk_threshold`] chunks →
 //!   `Interactive`; more → `Scan`. Parse/analysis errors surface before
 //!   admission and never occupy a queue slot.
@@ -34,7 +35,6 @@
 //! no threads, no clock — so property tests can replay arbitrary
 //! arrival schedules against it deterministically on a virtual clock.
 
-use crate::cache::{statement_key, stream_batch_bytes, CachedResult, ResultCache};
 use crate::error::QservError;
 use crate::master::{CancelToken, Qserv, QueryStats, Statement};
 use crate::merge::{StreamBatch, StreamCollector};
@@ -82,12 +82,6 @@ pub mod names {
     pub const RUN_MS_INTERACTIVE: &str = "service.run_ms.interactive";
     /// Histogram: execution time (ms) of scan queries.
     pub const RUN_MS_SCAN: &str = "service.run_ms.scan";
-    /// Counter: queries served whole from the result cache.
-    pub const CACHE_HIT: &str = "proxy.cache.hit";
-    /// Counter: cacheable queries that had to execute.
-    pub const CACHE_MISS: &str = "proxy.cache.miss";
-    /// Counter: cache entries evicted by the byte budget.
-    pub const CACHE_EVICT: &str = "proxy.cache.evict";
 }
 
 /// The two §7 workload classes the service schedules between.
@@ -102,6 +96,17 @@ pub enum QueryClass {
 }
 
 impl QueryClass {
+    /// The class of a statement dispatching `chunks` chunks under an
+    /// admission `threshold`: the one decision admission queues on and
+    /// `EXPLAIN`'s `class` row reports.
+    pub(crate) fn of(chunks: usize, threshold: usize) -> QueryClass {
+        if chunks <= threshold {
+            QueryClass::Interactive
+        } else {
+            QueryClass::Scan
+        }
+    }
+
     fn idx(self) -> usize {
         match self {
             QueryClass::Interactive => 0,
@@ -141,13 +146,6 @@ pub struct ServiceConfig {
     pub scan_quantum: u64,
     /// The retry-after hint carried by [`QservError::Busy`].
     pub retry_after: Duration,
-    /// Byte budget of the normalized-query result cache. `0` disables
-    /// caching entirely — the default, so repeated queries re-execute
-    /// unless a deployment opts in.
-    pub cache_capacity_bytes: u64,
-    /// Largest single result the cache admits (and the point at which a
-    /// streaming query stops collecting itself for the cache).
-    pub cache_max_entry_bytes: u64,
 }
 
 impl Default for ServiceConfig {
@@ -162,8 +160,6 @@ impl Default for ServiceConfig {
             interactive_quantum: 64,
             scan_quantum: 16,
             retry_after: Duration::from_millis(25),
-            cache_capacity_bytes: 0,
-            cache_max_entry_bytes: 4 << 20,
         }
     }
 }
@@ -457,32 +453,10 @@ pub type Notifier = Arc<dyn Fn() + Send + Sync>;
 
 /// Streaming replies buffer this many events before the executor's
 /// send blocks — the backpressure that ultimately stalls chunk workers
-/// when a client stops draining. A cache hit needs exactly this many
-/// slots to park its batch + done pair before the handle is returned.
+/// when a client stops draining. Two lets the merge cut its next batch
+/// while the consumer frames the previous one; every further slot is
+/// merged rows held in memory that the client has not asked for yet.
 const STREAM_EVENT_BACKLOG: usize = 2;
-
-/// How the result cache participated in one query.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CacheOutcome {
-    /// Caching disabled, or the query is not cacheable (no chunk work).
-    Off,
-    /// Consulted and absent: the query executed (and, on success, may
-    /// have populated the cache).
-    Miss,
-    /// Served whole from the cache without executing.
-    Hit,
-}
-
-impl CacheOutcome {
-    /// Stable lowercase name (the proxy's `END … cache:<name>` tag).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            CacheOutcome::Off => "off",
-            CacheOutcome::Miss => "miss",
-            CacheOutcome::Hit => "hit",
-        }
-    }
-}
 
 /// Terminal event of a streaming query; nothing follows it.
 #[derive(Debug)]
@@ -502,8 +476,6 @@ pub struct StreamDone {
     pub wait: Duration,
     /// Time the query spent executing.
     pub run: Duration,
-    /// Whether the cache served, missed, or sat out this query.
-    pub cache: CacheOutcome,
 }
 
 /// What a streaming submission's channel carries: zero or more row
@@ -525,8 +497,6 @@ pub struct StreamHandle {
     pub qid: u64,
     /// Admission class.
     pub class: QueryClass,
-    /// True when the events were served from the result cache.
-    pub cache_hit: bool,
     token: CancelToken,
     rx: mpsc::Receiver<StreamEvent>,
 }
@@ -543,8 +513,6 @@ pub struct StreamOutcome {
     pub wait: Duration,
     /// Time the query spent executing.
     pub run: Duration,
-    /// Whether the cache served, missed, or sat out this query.
-    pub cache: CacheOutcome,
 }
 
 impl StreamHandle {
@@ -585,7 +553,6 @@ impl StreamHandle {
                         trace: done.trace,
                         wait: done.wait,
                         run: done.run,
-                        cache: done.cache,
                     };
                 }
             }
@@ -596,7 +563,6 @@ impl StreamHandle {
             trace: None,
             wait: Duration::ZERO,
             run: Duration::ZERO,
-            cache: CacheOutcome::Off,
         }
     }
 }
@@ -614,9 +580,6 @@ struct ServiceMetrics {
     running: Gauge,
     wait_ms: [Histogram; 2],
     run_ms: [Histogram; 2],
-    cache_hit: Counter,
-    cache_miss: Counter,
-    cache_evict: Counter,
 }
 
 impl ServiceMetrics {
@@ -651,9 +614,6 @@ impl ServiceMetrics {
                 r.histogram(names::RUN_MS_INTERACTIVE),
                 r.histogram(names::RUN_MS_SCAN),
             ],
-            cache_hit: r.counter(names::CACHE_HIT),
-            cache_miss: r.counter(names::CACHE_MISS),
-            cache_evict: r.counter(names::CACHE_EVICT),
             registry: r,
         }
     }
@@ -730,9 +690,6 @@ struct PendingEntry {
     /// `Some(root span name)` for traced submissions.
     traced: Option<String>,
     reply: ReplyTo,
-    /// `Some((data version, normalized text))` when the query should
-    /// populate the result cache on success.
-    cache_key: Option<(u64, String)>,
     token: CancelToken,
     admitted_at: Duration,
 }
@@ -770,7 +727,6 @@ struct Inner {
     metrics: ServiceMetrics,
     next_qid: AtomicU64,
     clock: SharedClock,
-    cache: Mutex<ResultCache>,
 }
 
 /// The concurrent query service over one [`Qserv`] frontend.
@@ -801,10 +757,6 @@ impl QueryService {
             metrics: ServiceMetrics::new(),
             next_qid: AtomicU64::new(1),
             clock,
-            cache: Mutex::new(ResultCache::new(
-                cfg.cache_capacity_bytes,
-                cfg.cache_max_entry_bytes,
-            )),
             cfg,
             qserv,
         });
@@ -874,7 +826,6 @@ impl QueryService {
         Ok(StreamHandle {
             qid: a.qid,
             class: a.class,
-            cache_hit: a.cache_hit,
             token: a.token,
             rx,
         })
@@ -883,29 +834,13 @@ impl QueryService {
     /// Plans `sql` without executing it and renders the planner's
     /// choice — access path, predicate order with estimates, pushdown,
     /// cost — as a deterministic result table (the proxy's `EXPLAIN`
-    /// verb). Never cached: a plan depends on the placement epoch, which
-    /// no data version tracks.
+    /// verb). The `class` row is the class this service would admit the
+    /// statement under, at its configured
+    /// [`ServiceConfig::interactive_chunk_threshold`].
     pub fn explain(&self, sql: &str) -> Result<ResultTable, QservError> {
-        self.inner.qserv.explain_table(sql)
-    }
-
-    /// Drops every cached result. Version bumps on load/attach already
-    /// invalidate stale entries; this is the explicit hammer.
-    pub fn clear_result_cache(&self) {
         self.inner
-            .cache
-            .lock()
-            .expect("result cache poisoned")
-            .clear();
-    }
-
-    /// Entries currently held by the result cache.
-    pub fn result_cache_len(&self) -> usize {
-        self.inner
-            .cache
-            .lock()
-            .expect("result cache poisoned")
-            .len()
+            .qserv
+            .explain_table_at(sql, self.inner.cfg.interactive_chunk_threshold)
     }
 
     /// Cancels a query by id; see [`KillOutcome`] for what happened.
@@ -958,12 +893,11 @@ struct Admitted {
     qid: u64,
     class: QueryClass,
     token: CancelToken,
-    cache_hit: bool,
 }
 
 impl Inner {
-    /// Classifies and enqueues one query (or serves it from the result
-    /// cache), parking `reply` until an executor picks it up.
+    /// Classifies and enqueues one query, parking `reply` until an
+    /// executor picks it up.
     fn admit(
         &self,
         sql: &str,
@@ -974,37 +908,9 @@ impl Inner {
         // the cost below is the chunk set that will actually dispatch, so
         // a scan cannot masquerade as interactive.
         let statement = self.qserv.prepare(sql)?;
-        // Consult the result cache next: a hit bypasses admission
-        // entirely (no queue slot, no executor) — that is the whole
-        // point of caching repeated lookups. FROM-less constants never
-        // dispatch work; caching them would only churn the budget.
-        let mut cache_key = None;
-        if let (true, Statement::Distributed(prepared)) =
-            (self.cfg.cache_capacity_bytes > 0, &statement)
-        {
-            // The key's version sums the global data version with the
-            // versions of the tables this query reads, so a per-table
-            // bump orphans only the entries that touched that table.
-            let (normalized, tables) = statement_key(&prepared.stmt);
-            let version = self.qserv.version_for_tables(&tables);
-            let hit = self
-                .cache
-                .lock()
-                .expect("result cache poisoned")
-                .get(version, &normalized);
-            if let Some(entry) = hit {
-                self.metrics.cache_hit.inc();
-                return Ok(self.serve_cached(sql, &entry, traced, reply));
-            }
-            self.metrics.cache_miss.inc();
-            cache_key = Some((version, normalized));
-        }
-        let cost = statement.chunk_count() as u64;
-        let class = if cost <= self.cfg.interactive_chunk_threshold as u64 {
-            QueryClass::Interactive
-        } else {
-            QueryClass::Scan
-        };
+        let chunks = statement.chunk_count();
+        let class = QueryClass::of(chunks, self.cfg.interactive_chunk_threshold);
+        let cost = chunks as u64;
         let token = CancelToken::new();
         let qid = self.next_qid.fetch_add(1, Ordering::Relaxed);
         {
@@ -1030,7 +936,6 @@ impl Inner {
                     statement,
                     traced: traced.map(str::to_string),
                     reply,
-                    cache_key,
                     token: token.clone(),
                     admitted_at,
                 },
@@ -1050,78 +955,7 @@ impl Inner {
             Self::prune_records(&mut st);
         }
         self.cv.notify_all();
-        Ok(Admitted {
-            qid,
-            class,
-            token,
-            cache_hit: false,
-        })
-    }
-
-    /// Replays a cached result as if the query ran instantly: a `Done`
-    /// record for `STATUS`, a hit-annotated trace when asked, and the
-    /// batch + done pair delivered before the handle is returned.
-    fn serve_cached(
-        &self,
-        sql: &str,
-        entry: &CachedResult,
-        traced: Option<&str>,
-        mut reply: ReplyTo,
-    ) -> Admitted {
-        let qid = self.next_qid.fetch_add(1, Ordering::Relaxed);
-        let class = entry.class;
-        let token = CancelToken::new();
-        let now = self.clock.now();
-        {
-            let mut st = self.state.lock().expect("service state poisoned");
-            st.records.insert(
-                qid,
-                Record {
-                    class,
-                    state: QueryState::Done,
-                    sql: display_sql(sql),
-                    token: token.clone(),
-                    admitted_at: now,
-                    started_at: Some(now),
-                    finished_at: Some(now),
-                },
-            );
-            Self::prune_records(&mut st);
-        }
-        self.metrics.completed.inc();
-        let trace = traced.map(|root_name| {
-            let trace = Trace::new(self.clock.clone());
-            {
-                let root = trace::with_root(&trace, root_name);
-                root.annotate("sql", sql);
-                let g = trace::span("service.cache");
-                if let Some(g) = &g {
-                    g.annotate("qid", &qid.to_string());
-                    g.annotate("outcome", "hit");
-                }
-            }
-            trace
-        });
-        reply.batch(StreamBatch {
-            columns: entry.table.columns.clone(),
-            types: entry.types.clone(),
-            rows: entry.table.rows.clone(),
-        });
-        reply.done(StreamDone {
-            qid,
-            class,
-            result: Ok(entry.stats.clone()),
-            trace,
-            wait: Duration::ZERO,
-            run: Duration::ZERO,
-            cache: CacheOutcome::Hit,
-        });
-        Admitted {
-            qid,
-            class,
-            token,
-            cache_hit: true,
-        }
+        Ok(Admitted { qid, class, token })
     }
 
     /// One executor thread: take the scheduler's next ticket, run it,
@@ -1192,34 +1026,13 @@ impl Inner {
             statement,
             traced,
             mut reply,
-            cache_key,
             token,
             admitted_at,
         } = entry;
         let wait = started.saturating_sub(admitted_at);
-        let cache = if cache_key.is_some() {
-            CacheOutcome::Miss
-        } else {
-            CacheOutcome::Off
-        };
         let qid = ticket.qid;
         let class = ticket.class;
-        // Collect a copy for the cache while the rows go out, unless the
-        // result outgrows the per-entry cap along the way.
-        let mut collector = cache_key.as_ref().map(|_| StreamCollector::default());
-        let mut collected_bytes: u64 = 0;
-        let max_entry = self.cfg.cache_max_entry_bytes;
-        let mut sink = |batch: StreamBatch| -> bool {
-            if collector.is_some() {
-                collected_bytes = collected_bytes.saturating_add(stream_batch_bytes(&batch));
-                if collected_bytes > max_entry {
-                    collector = None;
-                } else if let Some(c) = collector.as_mut() {
-                    c.push(batch.clone());
-                }
-            }
-            reply.batch(batch)
-        };
+        let mut sink = |batch| reply.batch(batch);
         let trace = traced.as_ref().map(|_| Trace::new(self.clock.clone()));
         let result = {
             // Without a root no trace is active on this thread, and the
@@ -1238,7 +1051,6 @@ impl Inner {
                 g.annotate("class", class.as_str());
                 g.annotate("cost", &ticket.cost.to_string());
                 g.annotate("wait_ms", &wait.as_millis().to_string());
-                g.annotate("cache", cache.as_str());
             }
             let r = self
                 .qserv
@@ -1251,24 +1063,6 @@ impl Inner {
             }
             r
         };
-        // Store a completed result under its normalized key, charging the
-        // evict counter for whatever the byte budget pushed out.
-        if let (Some((version, normalized)), Ok(stats), Some(c)) = (cache_key, &result, collector) {
-            let entry = CachedResult {
-                types: c.types().to_vec(),
-                table: c.table(),
-                stats: stats.clone(),
-                class,
-            };
-            let evicted = self.cache.lock().expect("result cache poisoned").insert(
-                version,
-                normalized,
-                Arc::new(entry),
-            );
-            if evicted > 0 {
-                self.metrics.cache_evict.add(evicted);
-            }
-        }
         let run = self.clock.now().saturating_sub(started);
         let done = StreamDone {
             qid,
@@ -1277,7 +1071,6 @@ impl Inner {
             trace,
             wait,
             run,
-            cache,
         };
         (reply, done)
     }
@@ -1335,7 +1128,6 @@ impl Inner {
             trace: None,
             wait,
             run: Duration::ZERO,
-            cache: CacheOutcome::Off,
         });
     }
 

@@ -110,9 +110,7 @@ pub struct Patch {
 /// A streaming synthesizer: yields one object (plus its detections) at a
 /// time, holding only the RNG state and one object's sources in memory.
 /// [`Patch::generate`] drains this same iterator, so the streamed rows
-/// are bit-identical to a materialized patch for the same config —
-/// that's what lets [`crate::stream`] write datasets far larger than RAM
-/// straight to on-disk chunk files.
+/// are bit-identical to a materialized patch for the same config.
 pub struct ObjectStream {
     rng: SmallRng,
     lon0: f64,
@@ -294,6 +292,21 @@ mod tests {
         assert_eq!(a.sources, b.sources);
         let c = Patch::generate(&CatalogConfig::small(100, 43));
         assert_ne!(a.objects, c.objects);
+    }
+
+    /// The stream and the materialized generator share one RNG schedule.
+    #[test]
+    fn object_stream_reproduces_patch_generate() {
+        let cfg = CatalogConfig::small(250, 7);
+        let p = Patch::generate(&cfg);
+        let mut objects = Vec::new();
+        let mut sources = Vec::new();
+        for (o, s) in ObjectStream::new(&cfg) {
+            objects.push(o);
+            sources.extend(s);
+        }
+        assert_eq!(objects, p.objects);
+        assert_eq!(sources, p.sources);
     }
 
     #[test]

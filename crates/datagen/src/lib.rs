@@ -20,10 +20,8 @@ pub mod csv;
 pub mod duplicate;
 pub mod estimate;
 pub mod generate;
-pub mod stream;
 
 pub use csv::{objects_from_csv, objects_to_csv, sources_from_csv, sources_to_csv};
 pub use duplicate::SkyDuplicator;
 pub use estimate::{lsst_final_release, TableEstimate};
 pub use generate::{CatalogConfig, ObjectRow, ObjectStream, Patch, RefObjectRow, SourceRow};
-pub use stream::{stream_objects_to_file, streamed_object_schema, StreamedFile};

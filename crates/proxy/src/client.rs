@@ -5,7 +5,6 @@
 
 use crate::protocol::{decode_value, ProtocolError};
 use crate::retry::RetryPolicy;
-use qserv::CacheOutcome;
 use qserv_engine::exec::ResultTable;
 use qserv_engine::value::Value;
 use std::fmt;
@@ -73,8 +72,6 @@ pub struct RemoteStats {
     pub chunks_dispatched: usize,
     /// Worker result bytes transferred inside the cluster.
     pub result_bytes: u64,
-    /// How the server's result cache participated.
-    pub cache: CacheOutcome,
 }
 
 /// One `ROWS` block as it came off the wire, with the header state it
@@ -189,7 +186,12 @@ impl ProxyClient {
     /// Dropping the stream early drains the rest of the response so
     /// the session stays usable.
     pub fn query_stream(&mut self, sql: &str) -> Result<QueryStream<'_>, ClientError> {
-        writeln!(self.writer, "{};", sql.trim_end_matches(';'))?;
+        self.send(sql.trim_end_matches(';'))
+    }
+
+    /// Writes one request and returns the reader over its response.
+    fn send(&mut self, request: &str) -> Result<QueryStream<'_>, ClientError> {
+        writeln!(self.writer, "{request};")?;
         self.writer.flush()?;
         Ok(QueryStream {
             client: self,
@@ -238,38 +240,24 @@ impl ProxyClient {
         &mut self,
         request: &str,
     ) -> Result<(ResultTable, RemoteStats, Option<String>), ClientError> {
-        writeln!(self.writer, "{request};")?;
-        self.writer.flush()?;
-
-        let mut columns: Option<Vec<String>> = None;
+        let mut stream = self.send(request)?;
         let mut types: Vec<String> = Vec::new();
         let mut rows: Vec<Vec<Value>> = Vec::new();
-        let mut trace: Option<String> = None;
-        loop {
-            match read_event(&mut self.reader, columns.as_deref(), &types)? {
-                FrameEvent::Cols(c) => columns = Some(c),
-                FrameEvent::Types(new) => {
-                    recoerce(&mut rows, &types, &new)?;
-                    types = new;
-                }
-                FrameEvent::Rows(mut batch) => rows.append(&mut batch),
-                FrameEvent::Trace(json) => trace = Some(json),
-                FrameEvent::End(stats) => {
-                    if stats.rows != rows.len() {
-                        return Err(protocol_err(format!(
-                            "END says {} rows, received {}",
-                            stats.rows,
-                            rows.len()
-                        )));
-                    }
-                    let table = ResultTable {
-                        columns: columns.unwrap_or_default(),
-                        rows,
-                    };
-                    return Ok((table, stats, trace));
-                }
-            }
+        while let Some(mut batch) = stream.next_batch()? {
+            recoerce(&mut rows, &types, &batch.types)?;
+            types = batch.types;
+            rows.append(&mut batch.rows);
         }
+        // A `TYPES` resend after the last `ROWS` block widens held rows too.
+        recoerce(&mut rows, &types, &stream.types)?;
+        let stats = stream
+            .stats()
+            .expect("next_batch yields None only after the END frame");
+        let table = ResultTable {
+            columns: stream.columns().to_vec(),
+            rows,
+        };
+        Ok((table, stats, stream.trace_json().map(str::to_string)))
     }
 }
 
@@ -458,20 +446,13 @@ fn read_line(reader: &mut BufReader<TcpStream>) -> Result<String, ClientError> {
 fn parse_end(rest: &str) -> Result<RemoteStats, ClientError> {
     let bad = || protocol_err(format!("malformed END frame {rest:?}"));
     let parts: Vec<&str> = rest.split_whitespace().collect();
-    let [r, c, b, cache] = parts.as_slice() else {
+    let [r, c, b] = parts.as_slice() else {
         return Err(bad());
-    };
-    let cache = match *cache {
-        "hit" => CacheOutcome::Hit,
-        "miss" => CacheOutcome::Miss,
-        "off" => CacheOutcome::Off,
-        _ => return Err(bad()),
     };
     Ok(RemoteStats {
         rows: r.parse().map_err(|_| bad())?,
         chunks_dispatched: c.parse().map_err(|_| bad())?,
         result_bytes: b.parse().map_err(|_| bad())?,
-        cache,
     })
 }
 

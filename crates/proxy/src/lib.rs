@@ -10,7 +10,8 @@
 //! later chunks are still scanning.
 //!
 //! ```text
-//! client:  <sql terminated by ';'>
+//! client:  <sql terminated by ';'>   (a ';' inside a '…' literal or a
+//!                                     `…` identifier does not end it)
 //! server:  COLS  <name>\t<name>…
 //!          TYPES <int|float|str|null>\t…   (may be re-sent mid-stream
 //!                                           when a later chunk widens a
@@ -20,7 +21,7 @@
 //!          <value>\t<value>…                the block is atomic and
 //!          …                                repeats as batches fold)
 //!          TRACE <json>           (only for `TRACE <sql>;` requests)
-//!          END <rows> <chunks dispatched> <result bytes> <hit|miss|off>
+//!          END <rows> <chunks dispatched> <result bytes>
 //!    or:   ERR <message>          (may arrive mid-stream — discard any
 //!                                  rows already received; the session
 //!                                  itself stays usable)
@@ -52,11 +53,6 @@
 //! both remain honest upper bounds, and a fleet of clients with
 //! distinct seeds ([`retry::RetryPolicy::seeded`]) spreads out instead
 //! of resubmitting in lockstep.
-//!
-//! The trailing `END` word reports how the server's normalized-query
-//! result cache participated: `hit` (replayed without executing),
-//! `miss` (executed, possibly populating), or `off` (caching disabled
-//! or the statement not cacheable).
 //!
 //! **Multiplexing.** A statement may carry a `#<sid>` tag
 //! (`#3 SELECT …;`). Tagged statements run *concurrently* on one
@@ -92,9 +88,9 @@
 //! event loop** with per-connection write
 //! backpressure: a slow reader stalls its own query's merge instead of
 //! buffering the result in proxy memory. Every session submits through
-//! one shared `qserv::service::QueryService`: admission control, fair
-//! scheduling, and the result cache apply *across* sessions, and any
-//! session may `KILL` or `STATUS` the queries of every other.
+//! one shared `qserv::service::QueryService`: admission control and
+//! fair scheduling apply *across* sessions, and any session may `KILL`
+//! or `STATUS` the queries of every other.
 //! [`client::ProxyClient`] turns the stream back into a typed
 //! [`ResultTable`] — or yields it incrementally via
 //! [`client::ProxyClient::query_stream`].

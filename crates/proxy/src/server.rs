@@ -70,7 +70,7 @@ impl ProxyServer {
     }
 
     /// Starts a proxy over an existing [`QueryService`] — the caller
-    /// picks the admission/scheduling/caching configuration and may
+    /// picks the admission/scheduling configuration and may
     /// keep its own handle for `kill`/`status`/metrics.
     pub fn start_with_service(
         service: Arc<QueryService>,
@@ -137,9 +137,16 @@ impl Drop for ProxyServer {
 // ---------------------------------------------------------------------
 
 /// Accumulates raw socket bytes and yields `;`-terminated statements.
+/// A `;` inside a `'…'` string literal (where `''` is an escaped quote,
+/// as the SQL lexer reads it) or a `` `…` `` identifier does not end a
+/// statement; the quote state carries over between pushes.
 #[derive(Default)]
 struct StatementSplitter {
     buf: Vec<u8>,
+    /// Bytes of `buf` already scanned for a terminator.
+    scanned: usize,
+    /// The quote byte the scan is inside, if any.
+    quote: Option<u8>,
 }
 
 impl StatementSplitter {
@@ -149,13 +156,29 @@ impl StatementSplitter {
 
     /// The next complete non-empty statement, if any.
     fn next_statement(&mut self) -> Option<String> {
-        while let Some(pos) = self.buf.iter().position(|&b| b == b';') {
+        while let Some(pos) = self.next_terminator() {
             let stmt: Vec<u8> = self.buf.drain(..=pos).collect();
+            self.scanned = 0;
             let stmt = String::from_utf8_lossy(&stmt[..stmt.len() - 1])
                 .trim()
                 .to_string();
             if !stmt.is_empty() {
                 return Some(stmt);
+            }
+        }
+        None
+    }
+
+    /// Scans on to the next `;` outside quotes. An escaped `''` needs no
+    /// case of its own: it closes the literal and reopens it at once.
+    fn next_terminator(&mut self) -> Option<usize> {
+        while let Some(&b) = self.buf.get(self.scanned) {
+            self.scanned += 1;
+            match (self.quote, b) {
+                (None, b';') => return Some(self.scanned - 1),
+                (None, b'\'' | b'`') => self.quote = Some(b),
+                (Some(q), _) if q == b => self.quote = None,
+                _ => {}
             }
         }
         None
@@ -303,11 +326,8 @@ fn write_done(out: &mut Vec<u8>, st: &ResponseState, done: &StreamDone) {
             }
             let _ = writeln!(
                 out,
-                "{p}END {} {} {} {}",
-                st.rows,
-                stats.chunks_dispatched,
-                stats.result_bytes,
-                done.cache.as_str()
+                "{p}END {} {} {}",
+                st.rows, stats.chunks_dispatched, stats.result_bytes
             );
         }
         Err(e) => write_error(out, st.sid, e),
@@ -329,8 +349,8 @@ fn write_error(out: &mut Vec<u8>, sid: Option<u64>, e: &QservError) {
     }
 }
 
-/// Encodes an inline table (the `KILL`/`STATUS` replies): one complete
-/// response with `cache:off` and no cluster work.
+/// Encodes an inline table (the `KILL`/`STATUS`/`EXPLAIN` replies): one
+/// complete response with no cluster work.
 fn write_table(out: &mut Vec<u8>, sid: Option<u64>, table: &ResultTable) {
     let p = sid_prefix(sid);
     let tags = value_tags(table.columns.len(), &table.rows);
@@ -343,7 +363,7 @@ fn write_table(out: &mut Vec<u8>, sid: Option<u64>, table: &ResultTable) {
             let _ = writeln!(out, "{}", cells.join("\t"));
         }
     }
-    let _ = writeln!(out, "{p}END {} 0 0 off", table.num_rows());
+    let _ = writeln!(out, "{p}END {} 0 0", table.num_rows());
 }
 
 // ---------------------------------------------------------------------
@@ -794,5 +814,26 @@ mod tests {
         assert_eq!(s.next_statement().as_deref(), Some("SELECT 2"));
         assert!(s.next_statement().is_none(), "empty statements skipped");
         assert!(!s.overflowed());
+    }
+
+    #[test]
+    fn splitter_ignores_semicolons_inside_quotes() {
+        let mut s = StatementSplitter::default();
+        s.push(b"SELECT 'x;y' AS s; SELECT 'it''s; ok' AS t;");
+        assert_eq!(s.next_statement().as_deref(), Some("SELECT 'x;y' AS s"));
+        assert_eq!(
+            s.next_statement().as_deref(),
+            Some("SELECT 'it''s; ok' AS t")
+        );
+        // The quote state survives a statement split across reads.
+        s.push(b"SELECT `a;");
+        assert!(s.next_statement().is_none(), "inside a backtick identifier");
+        s.push(b"b` FROM t; SELECT 'p''");
+        assert_eq!(s.next_statement().as_deref(), Some("SELECT `a;b` FROM t"));
+        s.push(b";q'");
+        assert!(s.next_statement().is_none(), "inside an escaped literal");
+        s.push(b";");
+        assert_eq!(s.next_statement().as_deref(), Some("SELECT 'p'';q'"));
+        assert!(s.next_statement().is_none());
     }
 }

@@ -1,5 +1,6 @@
 //! Protocol framing edge cases, driven over raw sockets: statements
-//! split across arbitrary write boundaries, responses read back under
+//! split across arbitrary write boundaries, a `;` inside a string
+//! literal, responses read back under
 //! a deliberately slow consumer (exercising the reactor's write
 //! backpressure), oversized-statement rejection, interleaved frames
 //! from multiplexed (`#<sid>`-tagged) statements, byte-identical replay
@@ -71,6 +72,42 @@ fn statements_split_across_arbitrary_write_boundaries() {
             ends += 1;
         }
     }
+    server.shutdown();
+}
+
+/// Reads the frames of one response, up to and including its `END`,
+/// `ERR` or `BUSY` line.
+fn read_response(reader: &mut BufReader<TcpStream>) -> Vec<String> {
+    let mut frames = Vec::new();
+    loop {
+        let line = read_line(reader).expect("frame");
+        let done = ["END ", "ERR ", "BUSY "]
+            .iter()
+            .any(|tag| line.starts_with(tag));
+        frames.push(line);
+        if done {
+            return frames;
+        }
+    }
+}
+
+#[test]
+fn a_semicolon_inside_a_literal_does_not_end_the_statement() {
+    let server = start_server(120, 27);
+    let stream = TcpStream::connect(server.addr()).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut writer = stream;
+    writer
+        .write_all(b"SELECT 'x;y' AS s; SELECT COUNT(*) FROM Object;")
+        .expect("pipelined write");
+    assert_eq!(
+        read_response(&mut reader),
+        ["COLS s", "TYPES str", "ROWS 1", "x;y", "END 1 0 0"]
+    );
+    // The next statement on the session gets its own answer.
+    let next = read_response(&mut reader);
+    assert_eq!(next[..4], ["COLS COUNT(*)", "TYPES int", "ROWS 1", "120"]);
+    assert!(next[4].starts_with("END 1 "), "{next:?}");
     server.shutdown();
 }
 

@@ -1,7 +1,7 @@
-//! Streaming, caching, and retry, proven over real TCP.
+//! Streaming and retry, proven over real TCP.
 
-use qserv::service::{names, QueryService, ServiceConfig};
-use qserv::{CacheOutcome, ClusterBuilder, FabricOp, FaultPlan};
+use qserv::service::{QueryService, ServiceConfig};
+use qserv::{ClusterBuilder, FabricOp, FaultPlan};
 use qserv_datagen::generate::{CatalogConfig, Patch};
 use qserv_proxy::{ProxyClient, ProxyServer, RetryPolicy};
 use std::sync::Arc;
@@ -38,7 +38,6 @@ fn query_stream_yields_rows_before_the_scan_finishes() {
         }
         let stats = stream.stats().expect("END stats after drain");
         assert_eq!(stats.rows, 600);
-        assert_eq!(stats.cache, CacheOutcome::Off);
         (batches, rows)
     };
     assert_eq!(rows, 600);
@@ -69,41 +68,6 @@ fn abandoned_stream_leaves_the_session_usable() {
     }
     let (t, _) = client.query("SELECT COUNT(*) FROM Object").expect("reuse");
     assert_eq!(t.scalar().and_then(|v| v.as_i64()), Some(500));
-    server.shutdown();
-}
-
-#[test]
-fn cache_outcomes_cross_the_wire() {
-    let patch = Patch::generate(&CatalogConfig::small(400, 33));
-    let qserv = Arc::new(ClusterBuilder::new(3).build(&patch.objects, &patch.sources));
-    let service = Arc::new(QueryService::start(
-        qserv,
-        ServiceConfig {
-            cache_capacity_bytes: 1 << 20,
-            ..ServiceConfig::default()
-        },
-    ));
-    let server =
-        ProxyServer::start_with_service(Arc::clone(&service), "127.0.0.1:0").expect("bind");
-    let mut client = ProxyClient::connect(server.addr()).expect("connect");
-
-    let sql = "SELECT chunkId, COUNT(*) FROM Object GROUP BY chunkId";
-    let (cold, cold_stats) = client.query(sql).expect("cold");
-    assert_eq!(cold_stats.cache, CacheOutcome::Miss);
-    let (hot, hot_stats) = client.query(sql).expect("hot");
-    assert_eq!(hot_stats.cache, CacheOutcome::Hit);
-    assert_eq!(hot, cold, "cache replay must be byte-identical");
-    assert_eq!(hot_stats.rows, cold_stats.rows);
-
-    // A second session shares the entry — the cache is service-wide.
-    let mut other = ProxyClient::connect(server.addr()).expect("connect 2");
-    let (shared, shared_stats) = other.query(sql).expect("other session");
-    assert_eq!(shared_stats.cache, CacheOutcome::Hit);
-    assert_eq!(shared, cold);
-
-    let snap = service.metrics_snapshot();
-    assert_eq!(snap.counter(names::CACHE_HIT), 2);
-    assert_eq!(snap.counter(names::CACHE_MISS), 1);
     server.shutdown();
 }
 

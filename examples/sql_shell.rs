@@ -14,7 +14,6 @@
 //! qserv> \q
 //! ```
 
-use qserv::service::{QueryService, ServiceConfig};
 use qserv::ClusterBuilder;
 use qserv_datagen::generate::{CatalogConfig, Patch};
 use qserv_proxy::{ProxyClient, ProxyServer};
@@ -24,15 +23,7 @@ use std::sync::Arc;
 fn main() {
     let patch = Patch::generate(&CatalogConfig::small(3000, 99));
     let qserv = Arc::new(ClusterBuilder::new(6).build(&patch.objects, &patch.sources));
-    let service = Arc::new(QueryService::start(
-        Arc::clone(&qserv),
-        ServiceConfig {
-            // Opt into the result cache so repeated statements replay.
-            cache_capacity_bytes: 8 << 20,
-            ..ServiceConfig::default()
-        },
-    ));
-    let server = ProxyServer::start_with_service(service, "127.0.0.1:0").expect("proxy binds");
+    let server = ProxyServer::start(Arc::clone(&qserv), "127.0.0.1:0").expect("proxy binds");
     let mut client = ProxyClient::connect(server.addr()).expect("shell connects");
 
     println!(
@@ -131,11 +122,10 @@ fn run_statement(client: &mut ProxyClient, sql: &str) {
     }
     if let Some(stats) = stream.stats() {
         println!(
-            "({} rows; {} chunks; {} B transferred; cache {}; {:.1} ms)",
+            "({} rows; {} chunks; {} B transferred; {:.1} ms)",
             stats.rows,
             stats.chunks_dispatched,
             stats.result_bytes,
-            stats.cache.as_str(),
             started.elapsed().as_secs_f64() * 1e3
         );
     }

@@ -1,8 +1,8 @@
 //! The planner's user-facing surfaces: golden EXPLAIN snapshots for the
 //! paper's query shapes, estimator accuracy bounds (q-error), the
 //! planner fields exported through metrics and trace JSON, and the
-//! regressions that keep `EXPLAIN <sql>` out of the result cache (so it
-//! follows the placement epoch).
+//! service's EXPLAIN agreeing with what admission does now: the epoch a
+//! query would pin and the class it would queue under.
 //!
 //! Golden fixtures live in `tests/golden_plans/*.txt`. To regenerate
 //! after an intentional planner change:
@@ -11,8 +11,8 @@
 mod common;
 
 use common::{cluster_from, small_patch};
-use qserv::service::{QueryService, ServiceConfig};
-use qserv::{CacheOutcome, Qserv};
+use qserv::service::{QueryClass, QueryService, ServiceConfig};
+use qserv::Qserv;
 use std::path::Path;
 use std::sync::{Arc, OnceLock};
 
@@ -155,88 +155,31 @@ fn trace_json_carries_planner_annotations() {
     assert!(traced.stats.planner_qerror_pct >= 100);
 }
 
-/// Regression: `EXPLAIN <sql>` never touches the result cache — it
-/// neither seeds nor is served from the entry of `<sql>` itself.
-#[test]
-fn explain_never_shares_a_cache_entry_with_its_query() {
-    let patch = small_patch(300, 909);
-    let qserv = Arc::new(cluster_from(&patch, 2));
-    let service = QueryService::start(
-        qserv,
-        ServiceConfig {
-            cache_capacity_bytes: 1 << 20,
-            ..ServiceConfig::default()
-        },
-    );
-    let sql = "SELECT objectId, ra_PS FROM Object WHERE objectId = 11";
-
-    // Direction 1: EXPLAIN populates nothing. The query submitted
-    // afterwards must MISS (and return rows, not a plan).
-    let plan = service.explain(sql).expect("explain");
-    assert_eq!(service.result_cache_len(), 0);
-    let outcome = service
-        .submit_streaming(sql, None, None)
-        .expect("admitted")
-        .collect();
-    assert_eq!(
-        outcome.cache,
-        CacheOutcome::Miss,
-        "EXPLAIN must not seed the query's entry"
-    );
-    let (rows, _) = outcome.result.expect("query runs");
-    assert_eq!(rows.columns, vec!["objectId", "ra_PS"]);
-    assert_ne!(rows.columns, plan.columns);
-    assert_eq!(service.result_cache_len(), 1);
-
-    // Direction 2: with the query's result now cached, EXPLAIN must
-    // keep answering with the plan, and a resubmit still hits.
-    let plan2 = service.explain(sql).expect("explain again");
-    assert_eq!(plan2.columns, vec!["item", "value"]);
-    assert_eq!(plan2, plan, "same epoch, same plan");
-    let outcome = service
-        .submit_streaming(sql, None, None)
-        .expect("admitted")
-        .collect();
-    assert_eq!(outcome.cache, CacheOutcome::Hit);
-    let (rows, _) = outcome.result.expect("cached rows");
-    assert_eq!(rows.columns, vec!["objectId", "ra_PS"]);
-    assert_eq!(
-        service.result_cache_len(),
-        1,
-        "EXPLAIN left the cache alone"
-    );
+/// The value of one `item` row of an EXPLAIN table.
+fn explain_item(plan: &qserv::ResultTable, item: &str) -> String {
+    plan.rows
+        .iter()
+        .find_map(|r| match (&r[0], &r[1]) {
+            (qserv::Value::Str(k), qserv::Value::Str(v)) if k == item => Some(v.clone()),
+            _ => None,
+        })
+        .unwrap_or_else(|| panic!("EXPLAIN reports no {item} row"))
 }
 
-/// Regression: membership changes commit placement epochs without
-/// bumping any data version, so an EXPLAIN cached under data versions
-/// kept reporting the epoch it was first planned against.
+/// Regression: membership changes commit placement epochs, and EXPLAIN
+/// must report the epoch a query would pin now, not the one it was
+/// first planned against.
 #[test]
-fn explain_follows_the_placement_epoch_with_the_cache_on() {
+fn explain_follows_the_placement_epoch() {
     let patch = small_patch(300, 910);
     let qserv = Arc::new(
         qserv::ClusterBuilder::new(2)
             .standby_nodes(1)
             .build(&patch.objects, &patch.sources),
     );
-    let service = QueryService::start(
-        Arc::clone(&qserv),
-        ServiceConfig {
-            cache_capacity_bytes: 1 << 20,
-            ..ServiceConfig::default()
-        },
-    );
+    let service = QueryService::start(Arc::clone(&qserv), ServiceConfig::default());
     let sql = "SELECT COUNT(*) FROM Object";
-    let epoch_of = |plan: &qserv::ResultTable| {
-        plan.rows
-            .iter()
-            .find_map(|r| match (&r[0], &r[1]) {
-                (qserv::Value::Str(k), qserv::Value::Str(v)) if k == "placement_epoch" => {
-                    Some(v.clone())
-                }
-                _ => None,
-            })
-            .expect("EXPLAIN reports the placement epoch")
-    };
+    let epoch_of = |plan: &qserv::ResultTable| explain_item(plan, "placement_epoch");
 
     let before = service.explain(sql).expect("explain");
     assert_eq!(epoch_of(&before), qserv.placement().epoch().to_string());
@@ -249,4 +192,26 @@ fn explain_follows_the_placement_epoch_with_the_cache_on() {
         joined.to_string(),
         "EXPLAIN must report the epoch a query would pin now"
     );
+}
+
+/// Regression: the service's EXPLAIN decided `class` at the default
+/// threshold while admission used the configured one, so at threshold 0
+/// a one-chunk lookup read `interactive` yet queued as a scan.
+#[test]
+fn service_explain_reports_the_class_admission_assigns() {
+    let patch = small_patch(300, 911);
+    let service = QueryService::start(
+        Arc::new(cluster_from(&patch, 2)),
+        ServiceConfig {
+            interactive_chunk_threshold: 0,
+            ..ServiceConfig::default()
+        },
+    );
+    let sql = "SELECT objectId, ra_PS FROM Object WHERE objectId = 11";
+    let plan = service.explain(sql).expect("explain");
+    assert_eq!(explain_item(&plan, "chunks"), "1");
+    assert_eq!(explain_item(&plan, "class"), "scan");
+    let handle = service.submit(sql).expect("admitted");
+    assert_eq!(handle.class, QueryClass::Scan);
+    handle.wait().result.expect("lookup runs");
 }
