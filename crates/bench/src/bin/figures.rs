@@ -53,8 +53,6 @@ fn main() {
         ablate_multimaster();
         println!();
         ablate_transfer();
-        println!();
-        ablate_caching();
         ran = true;
     }
     if !ran {
@@ -507,25 +505,4 @@ fn ablate_transfer() {
         raw_bytes,
         stats.result_bytes as f64 / raw_bytes.max(1) as f64
     );
-}
-
-/// Ablation F (§5.4): subchunk-table caching (the paper's workers "are
-/// free to drop the tables afterwards … the current implementation does
-/// not cache them").
-fn ablate_caching() {
-    println!("== Ablation F: on-demand subchunk tables, drop vs cache (§5.4) ==");
-    let patch = qserv_bench::fixtures::bench_patch();
-    for cache in [false, true] {
-        let q = qserv::ClusterBuilder::new(4)
-            .cache_subchunks(cache)
-            .build(&patch.objects, &patch.sources);
-        for _ in 0..3 {
-            q.query(qserv_bench::fixtures::queries::SHV1)
-                .expect("SHV1 runs");
-        }
-        let built: u64 = q.workers().iter().map(|w| w.stats.snapshot().2).sum();
-        println!(
-            "cache_subchunks={cache:<5} → {built:>4} table generations over 3 identical SHV1 queries"
-        );
-    }
 }

@@ -55,8 +55,8 @@
 //!   implemented here): concurrent full-scan queries share one pass over
 //!   each chunk, as the members of one run of the master's dispatch loop.
 //! * [`placement`] — epoch-stamped chunk→replica placement: node
-//!   join/leave, replication repair after permanent node loss (chunk
-//!   copies over the fabric), and metrics-driven hot-chunk routing.
+//!   join/leave and replication repair after permanent node loss (chunk
+//!   copies over the fabric).
 
 pub mod analysis;
 pub mod error;
@@ -79,7 +79,7 @@ pub use merge::{
     infer_value_types, merge_oracle, merge_tables, Merger, StreamBatch, StreamCollector,
 };
 pub use meta::{CatalogMeta, ChunkZones, ColumnStat, ColumnZone, TableStats};
-pub use placement::{PlacementManager, RebalanceReport, RoutingMode};
+pub use placement::{PlacementManager, RebalanceReport};
 pub use planner::{AccessPath, ConjunctEstimate, PlanChoice, PlanOverride};
 pub use rewrite::{ColumnRole, MergeShape};
 pub use service::{

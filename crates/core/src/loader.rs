@@ -125,7 +125,6 @@ pub struct ClusterBuilder {
     standby_nodes: usize,
     replication: usize,
     strategy: PlacementStrategy,
-    cache_subchunks: bool,
     faults: Option<FaultPlan>,
     retry: RetryPolicy,
     clock: Option<SharedClock>,
@@ -147,7 +146,6 @@ impl ClusterBuilder {
             standby_nodes: 0,
             replication: 1,
             strategy: PlacementStrategy::RoundRobin,
-            cache_subchunks: false,
             faults: None,
             retry: RetryPolicy::default(),
             clock: None,
@@ -211,13 +209,6 @@ impl ClusterBuilder {
     /// Sets the chunk→node placement strategy.
     pub fn placement(mut self, strategy: PlacementStrategy) -> ClusterBuilder {
         self.strategy = strategy;
-        self
-    }
-
-    /// Makes workers cache on-demand subchunk tables (ablation of §5.4's
-    /// "does not cache them").
-    pub fn cache_subchunks(mut self, cache: bool) -> ClusterBuilder {
-        self.cache_subchunks = cache;
         self
     }
 
@@ -348,9 +339,7 @@ impl ClusterBuilder {
         );
         let mut workers: Vec<Arc<Worker>> = Vec::with_capacity(fleet);
         for node in 0..fleet {
-            let mut w = Worker::new(node, chunker.clone(), self.meta.clone());
-            w.cache_generated = self.cache_subchunks;
-            let w = Arc::new(w);
+            let w = Arc::new(Worker::new(node, chunker.clone(), self.meta.clone()));
             cluster.servers()[node].install_plugin(Arc::clone(&w) as Arc<dyn qserv_xrd::OfsPlugin>);
             workers.push(w);
         }

@@ -646,11 +646,6 @@ impl Qserv {
         &self.zones
     }
 
-    /// The planner's load-time table statistics.
-    pub fn table_stats(&self) -> &TableStats {
-        &self.stats
-    }
-
     /// Prefixes a rendered chunk message with a unique query-instance id.
     fn tag_message(&self, message: String) -> String {
         let qid = self.qid.fetch_add(1, Ordering::Relaxed);
@@ -684,8 +679,7 @@ impl Qserv {
         self.placement.snapshot()
     }
 
-    /// The placement manager: epochs, membership, repair, rebalancing
-    /// and latency-aware replica routing.
+    /// The placement manager: epochs, membership, repair and rebalancing.
     pub fn placement_manager(&self) -> &Arc<PlacementManager> {
         &self.placement
     }
@@ -1305,12 +1299,6 @@ impl Qserv {
         }
         result.map(|(table, bytes, mut meta)| {
             meta.latency = self.clock.now().saturating_sub(t0);
-            // Feed the per-chunk latency back to the placement manager's
-            // node-heat EWMAs — this closes the loop from observed
-            // dispatch latency into latency-aware replica routing.
-            if let Some(s) = meta.prev_server {
-                self.placement.observe(s, meta.latency);
-            }
             (table, bytes, meta)
         })
     }
@@ -1428,13 +1416,9 @@ impl Qserv {
         meta: &mut ChunkMeta,
     ) -> Attempt {
         let rp = result_path(&md5_hex(message.as_bytes()));
-        // Under latency-aware routing the placement manager orders this
-        // chunk's replicas coldest-first; an empty preference (the static
-        // default) keeps the redirector's own deterministic choice.
-        let write = self.cluster.write_file_routed(
+        let write = self.cluster.write_file_excluding(
             &query_path(chunk),
             message.as_bytes().to_vec(),
-            &self.placement.route(chunk),
             excluded,
         );
         let worker = match write {

@@ -1,17 +1,17 @@
-//! Elastic chunk placement on the live cluster: membership change,
-//! replication repair, and hot-chunk routing.
+//! Elastic chunk placement on the live cluster: membership change and
+//! replication repair.
 //!
 //! The chunk → replica model itself — [`PlacementMap`], its edits and the
 //! planning step functions that decide which copy comes next — lives in
 //! `qserv_partition::placement`, shared with the simulator. This module
 //! is what makes those plans real:
 //!
-//! * [`PlacementManager`] — owns the current map, per-node latency heat
-//!   (fed by the master's per-chunk dispatch latencies, closing the loop
-//!   from `qserv-obs`'s histograms into routing), and the `placement.*`
+//! * [`PlacementManager`] — owns the current map and the `placement.*`
 //!   metrics registry. Queries pin one snapshot at prepare time and
 //!   complete against it; membership operations install new maps at
-//!   higher epochs.
+//!   higher epochs. Which replica serves a chunk is not its business:
+//!   dispatch asks the fabric's redirector (paper §5.1), which rotates
+//!   over the replicas that export the chunk.
 //! * Membership operations on [`Qserv`] — [`Qserv::fail_node`] /
 //!   [`Qserv::join_node`] / [`Qserv::leave_node`] / [`Qserv::repair`] /
 //!   [`Qserv::rebalance`] — each a loop of "ask the snapshot for the next
@@ -31,33 +31,11 @@ use qserv_partition::placement::{CopyStep, DrainStep, PlacementMap};
 use qserv_xrd::cluster::{chunk_data_path, query_path, XrdError};
 use qserv_xrd::md5_hex;
 use qserv_xrd::server::ServerId;
-use std::collections::BTreeMap;
 use std::sync::Arc;
-use std::time::Duration;
 
-/// How dispatch picks among a chunk's replicas.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RoutingMode {
-    /// The redirector's per-path rotation (the pre-placement behavior;
-    /// keeps seeded fault schedules bit-reproducible). The default.
-    Static,
-    /// Order replicas by per-node latency heat (EWMA of observed chunk
-    /// dispatch latencies), coldest first — the metrics-driven hot-chunk
-    /// routing loop.
-    LatencyAware,
-}
-
-/// EWMA smoothing factor for node heat.
-const HEAT_ALPHA: f64 = 0.3;
-
-/// Owns the current [`PlacementMap`], node heat, and `placement.*`
-/// metrics. Shared (`Arc`) by every frontend over one cluster, so
-/// multi-master deployments see one placement truth.
+/// Owns the current [`PlacementMap`] and the `placement.*` metrics.
 pub struct PlacementManager {
     current: RwLock<Arc<PlacementMap>>,
-    /// Per-node EWMA of observed chunk-dispatch latency, in ns.
-    heat: Mutex<BTreeMap<ServerId, f64>>,
-    routing: RwLock<RoutingMode>,
     metrics: MetricsRegistry,
     /// Serializes membership operations; queries never take it.
     admin: Mutex<()>,
@@ -75,8 +53,6 @@ impl PlacementManager {
             .set(map.members().len() as u64);
         PlacementManager {
             current: RwLock::new(Arc::new(map)),
-            heat: Mutex::new(BTreeMap::new()),
-            routing: RwLock::new(RoutingMode::Static),
             metrics,
             admin: Mutex::new(()),
         }
@@ -103,65 +79,6 @@ impl PlacementManager {
             .set(map.members().len() as u64);
         *cur = Arc::new(map);
         Arc::clone(&cur)
-    }
-
-    /// The routing mode in effect.
-    pub fn routing(&self) -> RoutingMode {
-        *self.routing.read()
-    }
-
-    /// Switches replica routing. [`RoutingMode::Static`] (the default)
-    /// leaves dispatch byte-identical to the pre-placement master.
-    pub fn set_routing(&self, mode: RoutingMode) {
-        *self.routing.write() = mode;
-    }
-
-    /// Feeds one observed chunk-dispatch latency into `server`'s heat —
-    /// the hook the master calls after every successful dispatch.
-    pub fn observe(&self, server: ServerId, latency: Duration) {
-        let mut heat = self.heat.lock();
-        let ns = latency.as_nanos() as f64;
-        heat.entry(server)
-            .and_modify(|h| *h = *h * (1.0 - HEAT_ALPHA) + ns * HEAT_ALPHA)
-            .or_insert(ns);
-    }
-
-    /// The current per-node heat (EWMA latency in ns), for inspection.
-    pub fn node_heat(&self) -> BTreeMap<ServerId, f64> {
-        self.heat.lock().clone()
-    }
-
-    /// The replica preference order for `chunk`: empty under
-    /// [`RoutingMode::Static`] (callers then use the redirector's
-    /// rotation unchanged); under [`RoutingMode::LatencyAware`] the
-    /// chunk's replicas sorted coldest-first (ties by node id, so the
-    /// order is deterministic for a given heat state).
-    pub fn route(&self, chunk: i32) -> Vec<ServerId> {
-        if self.routing() != RoutingMode::LatencyAware {
-            return Vec::new();
-        }
-        let snap = self.snapshot();
-        let Some(replicas) = snap.nodes_of(chunk) else {
-            return Vec::new();
-        };
-        if replicas.len() < 2 {
-            return replicas.to_vec();
-        }
-        let heat = self.heat.lock();
-        let mut ordered = replicas.to_vec();
-        ordered.sort_by(|&a, &b| {
-            let (ha, hb) = (
-                heat.get(&a).copied().unwrap_or(0.0),
-                heat.get(&b).copied().unwrap_or(0.0),
-            );
-            ha.partial_cmp(&hb)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.cmp(&b))
-        });
-        if ordered != replicas {
-            self.metrics.counter("placement.hot_reroutes").inc();
-        }
-        ordered
     }
 
     /// The `placement.*` metrics registry.
@@ -550,33 +467,5 @@ mod tests {
         mgr.install(stale.edit().commit());
         // Re-commit from the stale epoch-0 map: 1 -> 1 must be rejected.
         mgr.install(stale.edit().commit());
-    }
-
-    #[test]
-    fn static_routing_returns_no_preference() {
-        let mgr = manager(&[1, 2], 2, 2);
-        mgr.observe(0, Duration::from_millis(50));
-        assert!(mgr.route(1).is_empty(), "static mode never reorders");
-    }
-
-    #[test]
-    fn latency_aware_routing_orders_coldest_first() {
-        let mgr = manager(&[1], 2, 2);
-        mgr.set_routing(RoutingMode::LatencyAware);
-        // No heat yet: deterministic id order.
-        assert_eq!(mgr.route(1), vec![0, 1]);
-        // Node 0 runs hot: node 1 becomes preferred.
-        for _ in 0..8 {
-            mgr.observe(0, Duration::from_millis(80));
-            mgr.observe(1, Duration::from_millis(2));
-        }
-        assert_eq!(mgr.route(1), vec![1, 0]);
-        assert!(mgr.metrics_snapshot().counter("placement.hot_reroutes") >= 1);
-        // Heat decays toward new observations.
-        for _ in 0..64 {
-            mgr.observe(0, Duration::from_micros(10));
-            mgr.observe(1, Duration::from_millis(90));
-        }
-        assert_eq!(mgr.route(1), vec![0, 1]);
     }
 }

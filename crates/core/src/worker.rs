@@ -16,21 +16,20 @@
 //! 3. **generate the appropriate subchunk/union tables prior to executing
 //!    the SQL statements** (§5.4) — from the chunk's owned rows and its
 //!    overlap store, in one pass per base table, into the scratch catalog
-//!    with no lock held ("the current implementation does not cache
-//!    them", §5.4 — with `cache_generated` they are also published to
-//!    the shared catalog, measured by an ablation bench);
+//!    with no lock held. Like the paper's ("the current implementation
+//!    does not cache them", §5.4), they live only as long as the message;
 //! 4. execute each statement on the engine against the scratch catalog,
 //!    concatenating results;
-//! 5. dump the result table as SQL text and deposit it at
-//!    `/result/md5(query)` for the master's read transaction.
+//! 5. dump the result table as SQL text (or the error text) and deposit
+//!    it at `/result/md5(query)` for the master's read transaction.
 //!
-//! A message never takes the catalog's write lock unless it publishes to
-//! the cache, never copies more of the catalog than it names, and leaves
-//! nothing behind to drop: generated tables die with the scratch catalog,
-//! on success and on error alike. Because the residency decision and the
-//! bindings come from the same critical section and the statements run on
-//! the bound `Arc`s, a chunk detached a moment later (a drain, a
-//! rebalance) cannot surface as a missing-table error.
+//! A message never takes the catalog's write lock, never copies more of
+//! the catalog than it names, and leaves nothing behind to drop:
+//! generated tables die with the scratch catalog, on success and on error
+//! alike. Because the residency decision and the bindings come from the
+//! same critical section and the statements run on the bound `Arc`s, a
+//! chunk detached a moment later (a drain, a rebalance) cannot surface as
+//! a missing-table error.
 
 use crate::meta::CatalogMeta;
 use crate::rewrite;
@@ -50,9 +49,9 @@ use qserv_xrd::md5_hex;
 use qserv_xrd::server::{DataServer, OfsPlugin};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
-/// Observable worker counters (used by tests and ablation benches).
+/// Observable worker counters (used by tests and the benchmark's
+/// per-layer report).
 #[derive(Debug, Default)]
 pub struct WorkerStats {
     /// Chunk-query messages processed.
@@ -90,10 +89,6 @@ pub struct Worker {
     db: RwLock<Database>,
     chunker: Chunker,
     meta: CatalogMeta,
-    /// Publish generated subchunk tables to the shared catalog for reuse
-    /// instead of keeping them message-local (§5.4 notes caching as an
-    /// option the original does not implement).
-    pub cache_generated: bool,
     /// Execution counters.
     pub stats: WorkerStats,
 }
@@ -147,7 +142,6 @@ impl Worker {
             db: RwLock::new(Database::new()),
             chunker,
             meta,
-            cache_generated: false,
             stats: WorkerStats::default(),
         }
     }
@@ -163,11 +157,6 @@ impl Worker {
         let mut db = self.db.write();
         db.create_table(&rewrite::chunk_table(table, chunk), owned);
         db.create_table(&rewrite::overlap_table(table, chunk), overlap);
-    }
-
-    /// Installs a replicated table under its plain name.
-    pub fn install_replicated(&self, name: &str, table: Table) {
-        self.db.write().create_table(name, table);
     }
 
     /// Installs a chunk of a partitioned table backed by an on-disk
@@ -307,32 +296,26 @@ impl Worker {
         Ok(())
     }
 
-    /// Drops every table of `chunk` — installed and on-demand generated —
-    /// after its replica moved elsewhere. Returns how many were dropped;
+    /// Drops the chunk and overlap tables of `chunk` (`T_CC` and
+    /// `TOverlap_CC` of every partitioned base) after its replica moved
+    /// elsewhere; generated tables never reach the shared catalog, so
+    /// there is nothing else to drop. Returns how many were dropped;
     /// attached `.qchunk` files stay on disk for other replicas.
     pub fn detach_chunk(&self, chunk: i32) -> usize {
         let mut db = self.db.write();
-        let mut doomed: Vec<String> = Vec::new();
+        let mut dropped = 0;
         for base in self.meta.table_names() {
             if self.meta.partition_info(base).is_none() {
                 continue;
             }
-            doomed.push(rewrite::chunk_table(base, chunk));
-            doomed.push(rewrite::overlap_table(base, chunk));
-            doomed.push(rewrite::union_table(base, chunk));
-            let sub_prefix = format!("{base}_{chunk}_");
-            let full_prefix = format!("{base}FullOverlap_{chunk}_");
-            for name in db.table_names() {
-                if parse_suffixed(name, &sub_prefix).is_some()
-                    || parse_suffixed(name, &full_prefix).is_some()
-                {
-                    doomed.push(name.to_string());
-                }
+            for name in [
+                rewrite::chunk_table(base, chunk),
+                rewrite::overlap_table(base, chunk),
+            ] {
+                dropped += usize::from(db.drop_table(&name));
             }
         }
-        doomed.sort();
-        doomed.dedup();
-        doomed.iter().filter(|n| db.drop_table(n)).count()
+        dropped
     }
 
     /// Executes one chunk-query message (header + statements) against this
@@ -444,18 +427,8 @@ impl Worker {
             self.stats
                 .tables_built
                 .fetch_add(generated.len() as u64, Ordering::Relaxed);
-            if self.cache_generated {
-                // Publish for later messages — unless a drain detached
-                // the chunk meanwhile, which must leave nothing behind.
-                let mut db = self.db.write();
-                if self.holds_chunk_in(&db, chunk) {
-                    for (name, table) in &generated {
-                        db.create_table_shared(name, Arc::clone(table));
-                    }
-                }
-            }
             for (name, table) in generated {
-                scratch.create_table_shared(&name, table);
+                scratch.create_table(&name, table);
             }
         }
 
@@ -544,7 +517,7 @@ impl Worker {
         scratch: &Database,
         chunk: i32,
         missing: &[Missing],
-    ) -> Result<Vec<(String, Arc<Table>)>, String> {
+    ) -> Result<Vec<(String, Table)>, String> {
         let mut bases: Vec<&str> = Vec::new();
         for m in missing {
             if !bases.contains(&m.base.as_str()) {
@@ -641,12 +614,7 @@ impl Worker {
                     }
                 }
             }
-            generated.extend(
-                wanted
-                    .iter()
-                    .zip(tables)
-                    .map(|(m, table)| (m.name.clone(), Arc::new(table))),
-            );
+            generated.extend(wanted.iter().map(|m| m.name.clone()).zip(tables));
         }
         Ok(generated)
     }
@@ -778,6 +746,7 @@ mod tests {
     use super::*;
     use qserv_engine::schema::{ColumnDef, ColumnType, Schema};
     use qserv_engine::value::Value;
+    use std::sync::Arc;
 
     fn object_schema() -> Schema {
         Schema::new(vec![
@@ -872,29 +841,10 @@ mod tests {
         assert_eq!(t.get_by_name(0, "c"), Some(Value::Int(5)));
         let (_q, _s, built, _e) = worker.stats.snapshot();
         assert_eq!(built, 1);
-        // Never published (no caching by default, §5.4).
+        // Never published: generated tables are message-local (§5.4).
         assert!(!worker
             .table_names()
             .contains(&format!("ObjectUnion_{chunk}")));
-    }
-
-    #[test]
-    fn cached_generated_tables_stay() {
-        let (mut worker, chunk) = {
-            let (w, c) = worker_with_chunk();
-            (w, c)
-        };
-        worker.cache_generated = true;
-        let msg =
-            format!("-- SUBCHUNKS:\nSELECT COUNT(*) AS c FROM LSST.ObjectUnion_{chunk} AS o;");
-        worker.execute_message(chunk, &msg).unwrap();
-        assert!(worker
-            .table_names()
-            .contains(&format!("ObjectUnion_{chunk}")));
-        // Second run reuses it: no new build.
-        worker.execute_message(chunk, &msg).unwrap();
-        let (_q, _s, built, _e) = worker.stats.snapshot();
-        assert_eq!(built, 1);
     }
 
     #[test]
@@ -1017,15 +967,15 @@ mod tests {
     }
 
     #[test]
-    fn detach_chunk_drops_installed_and_generated_tables() {
-        let (mut worker, chunk) = worker_with_chunk();
-        worker.cache_generated = true; // leave a generated table behind
+    fn detach_chunk_drops_the_chunk_and_overlap_tables() {
+        let (worker, chunk) = worker_with_chunk();
+        // The union the message generates is message-local.
         let msg =
             format!("-- SUBCHUNKS:\nSELECT COUNT(*) AS c FROM LSST.ObjectUnion_{chunk} AS o;");
         worker.execute_message(chunk, &msg).unwrap();
         assert!(worker.holds_chunk(chunk));
         let dropped = worker.detach_chunk(chunk);
-        assert_eq!(dropped, 3, "owned + overlap + cached union");
+        assert_eq!(dropped, 2, "owned + overlap");
         assert!(!worker.holds_chunk(chunk));
         assert!(worker.table_names().is_empty());
         assert_eq!(worker.detach_chunk(chunk), 0, "idempotent");
@@ -1072,28 +1022,25 @@ mod tests {
 
     #[test]
     fn a_bound_message_outlives_a_detach() {
-        for cache_generated in [false, true] {
-            let (mut worker, chunk) = worker_with_chunk();
-            worker.cache_generated = cache_generated;
-            let files = worker.export_chunk(chunk).unwrap();
-            for msg in hv_and_shv_messages(&worker, chunk) {
-                let expected = worker.execute_message(chunk, &msg).unwrap();
-                worker.detach_chunk(chunk);
-                worker.import_chunk(chunk, &files, None).unwrap();
+        let (worker, chunk) = worker_with_chunk();
+        let files = worker.export_chunk(chunk).unwrap();
+        for msg in hv_and_shv_messages(&worker, chunk) {
+            let expected = worker.execute_message(chunk, &msg).unwrap();
+            worker.detach_chunk(chunk);
+            worker.import_chunk(chunk, &files, None).unwrap();
 
-                // The drain lands between the residency decision and
-                // execution: the message runs on the tables it bound.
-                let bound = worker.bind(chunk, &msg).expect("resident at bind");
-                worker.detach_chunk(chunk);
-                let (table, _) = worker.run(bound).expect("runs on its bindings");
-                assert_eq!(dump_table("r", &table), dump_table("r", &expected));
-                assert!(
-                    worker.table_names().is_empty(),
-                    "a detached chunk stays detached: {:?}",
-                    worker.table_names()
-                );
-                worker.import_chunk(chunk, &files, None).unwrap();
-            }
+            // The drain lands between the residency decision and
+            // execution: the message runs on the tables it bound.
+            let bound = worker.bind(chunk, &msg).expect("resident at bind");
+            worker.detach_chunk(chunk);
+            let (table, _) = worker.run(bound).expect("runs on its bindings");
+            assert_eq!(dump_table("r", &table), dump_table("r", &expected));
+            assert!(
+                worker.table_names().is_empty(),
+                "a detached chunk stays detached: {:?}",
+                worker.table_names()
+            );
+            worker.import_chunk(chunk, &files, None).unwrap();
         }
     }
 

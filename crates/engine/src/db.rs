@@ -67,12 +67,6 @@ impl Database {
         self.tables.insert(name.to_string(), Arc::new(table));
     }
 
-    /// Registers an already-shared table.
-    pub fn create_table_shared(&mut self, name: &str, table: Arc<Table>) {
-        self.stored.remove(name);
-        self.tables.insert(name.to_string(), table);
-    }
-
     /// Attaches a persistent chunk file as table `name`; only its footer
     /// is read here. Replaces any previous table of that name.
     pub fn attach_stored(&mut self, name: &str, path: &Path) -> io::Result<()> {
@@ -85,14 +79,6 @@ impl Database {
     /// Removes a table; true when it existed.
     pub fn drop_table(&mut self, name: &str) -> bool {
         self.tables.remove(name).is_some() | self.stored.remove(name).is_some()
-    }
-
-    /// Detaches a stored chunk table without touching in-memory tables;
-    /// true when `name` was stored. The backing `.qchunk` file is left on
-    /// disk (other replicas may still attach it); its resident pages are
-    /// never asked for again and age out of the [`Residency`].
-    pub fn detach_stored(&mut self, name: &str) -> bool {
-        self.stored.remove(name).is_some()
     }
 
     /// The on-disk path behind a stored table, `None` for in-memory or

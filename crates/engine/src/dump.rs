@@ -227,6 +227,9 @@ impl DumpParser {
             Some(TokenKind::Ident(w)) if !negative && w.eq_ignore_ascii_case("null") => {
                 Ok(Value::Null)
             }
+            // Exactly `Value`'s spelling: a case-flipped payload is
+            // corruption, and fails so the chunk is retried.
+            Some(TokenKind::Ident(w)) if !negative && w == "NaN" => Ok(Value::Float(f64::NAN)),
             other => self.err(format!("expected value, got {other:?}")),
         }
     }
@@ -301,6 +304,31 @@ mod tests {
                 t.get(r, 0),
                 "row {r} must round-trip exactly"
             );
+        }
+    }
+
+    #[test]
+    fn non_finite_floats_round_trip() {
+        let mut t = Table::new(Schema::new(vec![ColumnDef::new("v", ColumnType::Float)]));
+        for v in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0] {
+            t.push_row(vec![Value::Float(v)]).unwrap();
+        }
+        let text = dump_table("f", &t);
+        let (_, loaded) = load_dump(&text).unwrap();
+        for r in 0..t.num_rows() {
+            let (Value::Float(want), Value::Float(got)) = (t.get(r, 0), loaded.get(r, 0)) else {
+                panic!("row {r} must stay a float: {text}");
+            };
+            if want.is_nan() {
+                assert!(got.is_nan(), "row {r}: {got}");
+            } else {
+                assert_eq!(got.to_bits(), want.to_bits(), "row {r}: {got}");
+            }
+        }
+        // Only the exact spelling reads as NaN: anything else is corrupt.
+        for bad in ["nan", "NAN", "-NaN", "inf"] {
+            let corrupt = text.replacen("NaN", bad, 1);
+            assert!(load_dump(&corrupt).is_err(), "{bad} must not parse");
         }
     }
 

@@ -14,7 +14,6 @@ use crate::schema::{ColumnType, Schema};
 use crate::value::Value;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::Arc;
 
 /// Errors from table construction and row insertion.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -381,11 +380,6 @@ impl Table {
             }
         }
         out
-    }
-
-    /// Wraps into `Arc` for sharing with executors.
-    pub fn into_shared(self) -> Arc<Table> {
-        Arc::new(self)
     }
 }
 

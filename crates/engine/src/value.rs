@@ -216,7 +216,13 @@ impl fmt::Display for Value {
             Value::Null => write!(f, "NULL"),
             Value::Int(v) => write!(f, "{v}"),
             Value::Float(v) => {
-                if v.fract() == 0.0 && v.abs() < 1e15 {
+                if v.is_nan() {
+                    // The one identifier the dump parser reads as a float.
+                    write!(f, "NaN")
+                } else if v.is_infinite() {
+                    // Overflows back to ±inf when re-read as a number.
+                    write!(f, "{}1e999", if *v < 0.0 { "-" } else { "" })
+                } else if v.fract() == 0.0 && v.abs() < 1e15 {
                     write!(f, "{v:.1}")
                 } else {
                     // `{}` on f64 prints the shortest string that

@@ -203,11 +203,19 @@ mod tests {
             Value::Int(-42),
             Value::Float(std::f64::consts::PI),
             Value::Float(1e-300),
+            Value::Float(f64::INFINITY),
+            Value::Float(f64::NEG_INFINITY),
+            Value::Float(f64::NAN),
             Value::Str("it's\ta\nstring\\".into()),
         ] {
             let ty = if v.is_null() { "str" } else { type_tag(&v) };
             let cell = encode_value(&v);
-            assert_eq!(decode_value(&cell, ty).unwrap(), v, "{v:?}");
+            match (decode_value(&cell, ty).unwrap(), &v) {
+                (Value::Float(got), Value::Float(want)) if want.is_nan() => {
+                    assert!(got.is_nan(), "{cell:?}")
+                }
+                (got, _) => assert_eq!(got, v, "{v:?}"),
+            }
         }
     }
 

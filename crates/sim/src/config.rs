@@ -4,7 +4,9 @@
 ///
 /// [`SimConfig::paper_cluster`] reproduces the SC'11 testbed (§6.1.1);
 /// every knob is documented with the measurement it is calibrated against.
-/// EXPERIMENTS.md records the calibration in one place.
+/// EXPERIMENTS.md records the calibration in one place. Like that
+/// testbed, the modelled cluster is fault-free and every node feeds its
+/// slots from one FIFO queue.
 #[derive(Clone, Debug)]
 pub struct SimConfig {
     /// Number of worker nodes (the paper tests 40, 100, 150).
@@ -41,72 +43,6 @@ pub struct SimConfig {
     /// and objectId-index lookups. Calibrated against the flat ~4 s floor
     /// of every Low Volume query (Figures 2–4, 8–10).
     pub frontend_base_s: f64,
-    /// Optional chaos model: seeded transient task failures with retry
-    /// (`None` = the fault-free cluster the paper's figures assume).
-    pub faults: Option<FaultConfig>,
-    /// How worker nodes grant freed execution slots to queued tasks
-    /// (the paper's testbed is [`SchedulerPolicy::Fifo`]; Figure 14's
-    /// starvation is a direct consequence).
-    pub scheduler: SchedulerPolicy,
-}
-
-/// How a worker node's queue feeds its execution slots.
-///
-/// This is the node-level replay of the frontend's query-service
-/// scheduling (`qserv::service`): [`SchedulerPolicy::Fifo`] reproduces
-/// the Figure-14 starvation — short interactive tasks queue behind
-/// full-scan tasks that fill every slot — and
-/// [`SchedulerPolicy::InteractiveFirst`] reproduces the fix, where
-/// interactive tasks jump the queue and a slot reserve keeps scans from
-/// occupying the whole node.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum SchedulerPolicy {
-    /// Strict arrival order, all slots open to any task (the paper's
-    /// behavior).
-    #[default]
-    Fifo,
-    /// Queued interactive tasks are admitted before queued scans, and
-    /// scan tasks may occupy at most `slots_per_node - reserved_slots`
-    /// slots — the reserve stays open for interactive arrivals.
-    InteractiveFirst {
-        /// Slots per node that scan tasks may never fill.
-        reserved_slots: usize,
-    },
-}
-
-/// Seeded transient-failure model for simulated chunk tasks.
-///
-/// Each completed task execution fails with `task_failure_prob`, decided
-/// deterministically from `(seed, task, attempt)`; a failed task is
-/// re-enqueued on its node after `retry_delay_s`. After `max_retries`
-/// re-executions the next execution is taken as served by a healthy
-/// replica and always completes (the simulator models latency impact,
-/// not query abort). Retries appear in
-/// [`crate::simulator::QueryReport::retries`].
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct FaultConfig {
-    /// Decision seed: same seed ⇒ same failure schedule.
-    pub seed: u64,
-    /// Probability a task execution fails, in `[0, 1]`.
-    pub task_failure_prob: f64,
-    /// Delay before a failed task re-enters its node's queue, seconds
-    /// (detection + backoff).
-    pub retry_delay_s: f64,
-    /// Maximum re-executions per task.
-    pub max_retries: u32,
-}
-
-impl FaultConfig {
-    /// A mild chaos profile: 5% transient failure, 0.5 s retry delay,
-    /// up to 3 retries.
-    pub fn mild(seed: u64) -> FaultConfig {
-        FaultConfig {
-            seed,
-            task_failure_prob: 0.05,
-            retry_delay_s: 0.5,
-            max_retries: 3,
-        }
-    }
 }
 
 impl SimConfig {
@@ -124,8 +60,6 @@ impl SimConfig {
             merge_bw: 30.0e6,
             net_bw: 117.0e6,
             frontend_base_s: 3.8,
-            faults: None,
-            scheduler: SchedulerPolicy::Fifo,
         }
     }
 
@@ -133,18 +67,6 @@ impl SimConfig {
     /// configurations of §6.3).
     pub fn with_nodes(mut self, nodes: usize) -> SimConfig {
         self.nodes = nodes;
-        self
-    }
-
-    /// Same cost model with seeded transient task failures.
-    pub fn with_faults(mut self, faults: FaultConfig) -> SimConfig {
-        self.faults = Some(faults);
-        self
-    }
-
-    /// Same cost model with a different node-slot scheduling policy.
-    pub fn with_scheduler(mut self, scheduler: SchedulerPolicy) -> SimConfig {
-        self.scheduler = scheduler;
         self
     }
 

@@ -21,13 +21,16 @@
 //! resources. Workloads are lists of [`QueryJob`]s made of per-chunk
 //! [`ChunkTask`]s with byte/seek/CPU costs; the simulator returns per-query
 //! completion reports in virtual seconds. Everything is deterministic:
-//! no wall clock, no randomness, stable tie-breaking.
+//! no wall clock, no randomness, stable tie-breaking. Like the testbed
+//! behind every figure, the modelled cluster has no faults and one queue
+//! policy, FIFO; the live system's fault injection and fair scheduler are
+//! tested on the real pipeline (`qserv::FaultPlan`, `qserv::service`).
 
 pub mod config;
 pub mod placement;
 pub mod simulator;
 
-pub use config::{FaultConfig, SchedulerPolicy, SimConfig};
+pub use config::SimConfig;
 pub use placement::{node_loss_scenario, weak_scaling, NodeLossOutcome, ScalePoint};
 pub use simulator::{ChunkTask, QueryJob, QueryReport, Simulator};
 

@@ -39,10 +39,6 @@ pub struct ChunkTask {
     pub cpu_s: f64,
     /// Result size shipped to the master (mysqldump text), bytes.
     pub result_bytes: u64,
-    /// Whether the task belongs to an interactive (latency-sensitive)
-    /// query. Only [`crate::config::SchedulerPolicy::InteractiveFirst`]
-    /// looks at this; FIFO nodes treat every task alike.
-    pub interactive: bool,
 }
 
 /// One user query: a set of chunk tasks submitted at a point in time.
@@ -76,9 +72,6 @@ pub struct QueryReport {
     pub tasks: usize,
     /// Total bytes scanned from disk across tasks.
     pub disk_bytes: u64,
-    /// Task re-executions forced by injected transient failures
-    /// ([`crate::config::FaultConfig`]); 0 on a fault-free cluster.
-    pub retries: usize,
 }
 
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -127,19 +120,6 @@ impl Ord for Scheduled {
 struct TaskState {
     spec: ChunkTask,
     query: usize,
-    /// Completed executions (fault retries re-run the task).
-    executions: u32,
-}
-
-/// Deterministic failure verdict for execution `attempt` of `task`.
-fn fault_draw(seed: u64, task: usize, attempt: u32) -> f64 {
-    let mut z = seed
-        ^ (task as u64).wrapping_mul(0xA24BAED4963EE407)
-        ^ (attempt as u64).wrapping_mul(0xD6E8FEB86659FD93);
-    z = z.wrapping_add(0x9E3779B97F4A7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    ((z ^ (z >> 31)) >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
 struct ActiveTask {
@@ -261,7 +241,6 @@ impl Simulator {
                 tasks.push(TaskState {
                     spec: t.clone(),
                     query: qid,
-                    executions: 0,
                 });
                 q_pending.push_back(tid);
             }
@@ -339,7 +318,7 @@ impl Simulator {
                         &cfg,
                         &mut nodes[node_id],
                         node_id,
-                        &mut tasks,
+                        &tasks,
                         now,
                         &mut heap,
                         &mut seq,
@@ -355,7 +334,7 @@ impl Simulator {
                         &cfg,
                         &mut nodes[node],
                         node,
-                        &mut tasks,
+                        &tasks,
                         now,
                         &mut heap,
                         &mut seq,
@@ -374,14 +353,9 @@ impl Simulator {
         }
 
         debug_assert!(queries.iter().all(|q| q.remaining == 0));
-        let mut retries_per_query = vec![0usize; queries.len()];
-        for t in &tasks {
-            retries_per_query[t.query] += t.executions.saturating_sub(1) as usize;
-        }
         return queries
             .into_iter()
-            .zip(retries_per_query)
-            .map(|(q, retries)| QueryReport {
+            .map(|q| QueryReport {
                 label: q.label,
                 submit_s: q.submit_s,
                 first_task_s: q.first_task_s.unwrap_or(q.submit_s + cfg.frontend_base_s),
@@ -389,7 +363,6 @@ impl Simulator {
                 elapsed_s: q.completion_s - q.submit_s,
                 tasks: q.tasks,
                 disk_bytes: q.disk_bytes,
-                retries,
             })
             .collect();
 
@@ -400,7 +373,7 @@ impl Simulator {
             cfg: &SimConfig,
             node: &mut NodeState,
             node_id: usize,
-            tasks: &mut [TaskState],
+            tasks: &[TaskState],
             now: f64,
             heap: &mut BinaryHeap<Scheduled>,
             seq: &mut u64,
@@ -440,29 +413,6 @@ impl Simulator {
                 _ => true,
             });
             for tid in retired {
-                let execution = {
-                    let t = &mut tasks[tid];
-                    t.executions += 1;
-                    t.executions
-                };
-                // Seeded transient failure: the execution's work is lost
-                // and the task re-enters the queue after the retry delay.
-                // Past `max_retries` re-executions a healthy replica
-                // serves it (the model bounds latency, not success).
-                if let Some(f) = &cfg.faults {
-                    if f.task_failure_prob > 0.0
-                        && execution <= f.max_retries
-                        && fault_draw(f.seed, tid, execution) < f.task_failure_prob
-                    {
-                        push(
-                            heap,
-                            seq,
-                            now + f.retry_delay_s.max(0.0),
-                            Event::TaskArrive { task: tid },
-                        );
-                        continue;
-                    }
-                }
                 let spec = &tasks[tid].spec;
                 let service = cfg.merge_s_per_chunk
                     + spec.result_bytes as f64 / cfg.net_bw
@@ -472,37 +422,10 @@ impl Simulator {
                 push(heap, seq, *merge_free_at, Event::MergeDone { task: tid });
             }
 
-            // 4. Admit queued tasks into free slots, per the scheduling
-            //    policy. FIFO (the paper's testbed) pops arrival order —
-            //    Figure 14's starvation. InteractiveFirst admits queued
-            //    interactive tasks ahead of scans and keeps
-            //    `reserved_slots` closed to scans entirely, so a node
-            //    saturated with queued scans still turns interactive
-            //    work around in one task time.
+            // 4. Admit queued tasks into free slots in arrival order (the
+            //    paper's FIFO nodes — Figure 14's starvation).
             while node.active.len() < cfg.slots_per_node {
-                let picked = match cfg.scheduler {
-                    crate::config::SchedulerPolicy::Fifo => node.queue.pop_front(),
-                    crate::config::SchedulerPolicy::InteractiveFirst { reserved_slots } => {
-                        if let Some(pos) =
-                            node.queue.iter().position(|&t| tasks[t].spec.interactive)
-                        {
-                            node.queue.remove(pos)
-                        } else {
-                            let scans_active = node
-                                .active
-                                .iter()
-                                .filter(|a| !tasks[a.task].spec.interactive)
-                                .count();
-                            let scan_cap = cfg.slots_per_node.saturating_sub(reserved_slots);
-                            if scans_active < scan_cap {
-                                node.queue.pop_front()
-                            } else {
-                                None
-                            }
-                        }
-                    }
-                };
-                let Some(tid) = picked else {
+                let Some(tid) = node.queue.pop_front() else {
                     break;
                 };
                 let spec = &tasks[tid].spec;
@@ -573,8 +496,6 @@ mod tests {
             merge_bw: 1_000.0,
             net_bw: 1_000.0,
             frontend_base_s: 1.0,
-            faults: None,
-            scheduler: crate::config::SchedulerPolicy::Fifo,
         }
     }
 
@@ -685,70 +606,6 @@ mod tests {
     }
 
     #[test]
-    fn interactive_first_unstarves_the_tiny_task() {
-        // The same workload as `fifo_queue_starves_later_tasks`, but the
-        // tiny task is marked interactive and the node reserves one slot:
-        // the tiny task no longer waits for a big scan to finish.
-        let big = ChunkTask {
-            node: 0,
-            disk_bytes: 1000,
-            ..Default::default()
-        };
-        let tiny = ChunkTask {
-            node: 0,
-            seeks: 1,
-            interactive: true,
-            ..Default::default()
-        };
-        let policy = crate::config::SchedulerPolicy::InteractiveFirst { reserved_slots: 1 };
-        let mut sim = Simulator::new(tiny_config().with_scheduler(policy));
-        sim.submit(job("big", 0.0, vec![big.clone(), big]));
-        sim.submit(job("tiny", 0.1, vec![tiny]));
-        let rs = sim.run();
-        let big_done = rs[0].completion_s;
-        let tiny_done = rs[1].completion_s;
-        // The reserve keeps a slot scan-free, so the tiny task starts as
-        // soon as it reaches the node and finishes in roughly frontend +
-        // dispatch + seek time — far ahead of the 10s-of-IO scans.
-        assert!(
-            tiny_done < 2.0,
-            "interactive task {tiny_done} should not queue behind scans"
-        );
-        assert!(
-            big_done > tiny_done + 5.0,
-            "scans ({big_done}) should still be running long after tiny ({tiny_done})"
-        );
-        // The scans are capped to one slot but both still complete.
-        assert_eq!(rs[0].tasks, 2);
-        assert!(big_done.is_finite() && big_done > 0.0);
-    }
-
-    #[test]
-    fn interactive_first_is_deterministic() {
-        let policy = crate::config::SchedulerPolicy::InteractiveFirst { reserved_slots: 1 };
-        let run = || {
-            let mut sim = Simulator::new(tiny_config().with_scheduler(policy));
-            for q in 0..4 {
-                let tasks = (0..6)
-                    .map(|i| ChunkTask {
-                        node: i % 2,
-                        disk_bytes: if q % 2 == 0 { 500 } else { 0 },
-                        seeks: 1,
-                        interactive: q % 2 == 1,
-                        ..Default::default()
-                    })
-                    .collect();
-                sim.submit(job(&format!("q{q}"), q as f64 * 0.25, tasks));
-            }
-            sim.run()
-                .iter()
-                .map(|r| (r.label.clone(), r.completion_s))
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(run(), run());
-    }
-
-    #[test]
     fn dispatch_is_serial_across_chunks() {
         // 100 zero-cost tasks: elapsed ≈ frontend + 100 * dispatch + merge
         // chain.
@@ -803,126 +660,6 @@ mod tests {
             sim.run().iter().map(|r| r.completion_s).collect::<Vec<_>>()
         };
         assert_eq!(build(), build());
-    }
-
-    #[test]
-    fn fault_free_runs_report_zero_retries() {
-        let mut sim = Simulator::new(tiny_config());
-        sim.submit(job(
-            "q",
-            0.0,
-            vec![ChunkTask {
-                node: 0,
-                disk_bytes: 100,
-                ..Default::default()
-            }],
-        ));
-        assert_eq!(sim.run()[0].retries, 0);
-    }
-
-    #[test]
-    fn injected_failures_retry_and_slow_queries() {
-        use crate::config::FaultConfig;
-        let tasks = || -> Vec<ChunkTask> {
-            (0..32)
-                .map(|i| ChunkTask {
-                    node: i % 2,
-                    disk_bytes: 50,
-                    ..Default::default()
-                })
-                .collect()
-        };
-        let mut clean = Simulator::new(tiny_config());
-        clean.submit(job("q", 0.0, tasks()));
-        let clean_r = &clean.run()[0];
-
-        let chaotic_cfg = SimConfig {
-            faults: Some(FaultConfig {
-                seed: 11,
-                task_failure_prob: 0.5,
-                retry_delay_s: 0.5,
-                max_retries: 4,
-            }),
-            ..tiny_config()
-        };
-        let mut chaotic = Simulator::new(chaotic_cfg);
-        chaotic.submit(job("q", 0.0, tasks()));
-        let chaotic_r = &chaotic.run()[0];
-        assert!(
-            chaotic_r.retries > 0,
-            "50% failure over 32 tasks must retry"
-        );
-        assert!(
-            chaotic_r.elapsed_s > clean_r.elapsed_s,
-            "retries cost time: {} vs {}",
-            chaotic_r.elapsed_s,
-            clean_r.elapsed_s
-        );
-    }
-
-    #[test]
-    fn fault_schedule_is_seed_deterministic() {
-        use crate::config::FaultConfig;
-        let run_with = |seed: u64| {
-            let cfg = SimConfig {
-                faults: Some(FaultConfig {
-                    seed,
-                    task_failure_prob: 0.3,
-                    retry_delay_s: 0.25,
-                    max_retries: 3,
-                }),
-                ..tiny_config()
-            };
-            let mut sim = Simulator::new(cfg);
-            for q in 0..3 {
-                let tasks: Vec<ChunkTask> = (0..16)
-                    .map(|i| ChunkTask {
-                        node: i % 2,
-                        disk_bytes: 40,
-                        ..Default::default()
-                    })
-                    .collect();
-                sim.submit(job(&format!("q{q}"), q as f64 * 0.2, tasks));
-            }
-            sim.run()
-                .iter()
-                .map(|r| (r.retries, r.completion_s))
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(run_with(5), run_with(5), "same seed ⇒ same schedule");
-        assert_ne!(
-            run_with(5),
-            run_with(6),
-            "different seed ⇒ different schedule"
-        );
-    }
-
-    #[test]
-    fn retries_are_bounded_by_max_retries() {
-        use crate::config::FaultConfig;
-        // Failure probability 1.0: every execution that may fail does.
-        // Each task still completes after exactly max_retries re-runs.
-        let cfg = SimConfig {
-            faults: Some(FaultConfig {
-                seed: 1,
-                task_failure_prob: 1.0,
-                retry_delay_s: 0.1,
-                max_retries: 2,
-            }),
-            ..tiny_config()
-        };
-        let mut sim = Simulator::new(cfg);
-        sim.submit(job(
-            "q",
-            0.0,
-            vec![ChunkTask {
-                node: 0,
-                disk_bytes: 10,
-                ..Default::default()
-            }],
-        ));
-        let r = &sim.run()[0];
-        assert_eq!(r.retries, 2);
     }
 
     #[test]

@@ -64,12 +64,6 @@ impl Angle {
         self.0.to_degrees()
     }
 
-    /// The angle in arcminutes.
-    #[inline]
-    pub fn arcmin(self) -> f64 {
-        self.degrees() * 60.0
-    }
-
     /// Wraps into `[0, 2π)`. Useful for right ascension.
     pub fn normalized_positive(self) -> Angle {
         let tau = 2.0 * PI;

@@ -25,7 +25,11 @@ impl fmt::Display for Literal {
         match self {
             Literal::Int(v) => write!(f, "{v}"),
             Literal::Float(v) => {
-                if v.fract() == 0.0 && v.abs() < 1e15 {
+                if v.is_infinite() {
+                    // `inf` would lex as an identifier; an overflowing
+                    // number re-parses as ±inf.
+                    write!(f, "{}1e999", if *v < 0.0 { "-" } else { "" })
+                } else if v.fract() == 0.0 && v.abs() < 1e15 {
                     // Keep a decimal point so it re-lexes as a float.
                     write!(f, "{v:.1}")
                 } else {
@@ -623,8 +627,21 @@ mod tests {
         assert_eq!(Literal::Int(42).to_string(), "42");
         assert_eq!(Literal::Float(1.5).to_string(), "1.5");
         assert_eq!(Literal::Float(2.0).to_string(), "2.0");
+        assert_eq!(Literal::Float(f64::INFINITY).to_string(), "1e999");
+        assert_eq!(Literal::Float(f64::NEG_INFINITY).to_string(), "-1e999");
         assert_eq!(Literal::Str("a'b".into()).to_string(), "'a''b'");
         assert_eq!(Literal::Null.to_string(), "NULL");
+        // Every rendering parses back to the literal it came from.
+        for lit in [
+            Literal::Int(42),
+            Literal::Float(1.5),
+            Literal::Float(f64::INFINITY),
+            Literal::Float(f64::NEG_INFINITY),
+            Literal::Str("a'b".into()),
+        ] {
+            let stmt = crate::parse_select(&format!("SELECT {lit} FROM t")).unwrap();
+            assert_eq!(stmt.projections[0].expr, Expr::Literal(lit));
+        }
     }
 
     #[test]

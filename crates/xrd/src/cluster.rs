@@ -158,31 +158,21 @@ impl XrdCluster {
     /// the time this returns — our in-process stand-in for the worker
     /// having picked up the request).
     pub fn write_file(&self, path: &str, data: Vec<u8>) -> Result<ServerId, XrdError> {
-        self.write_file_routed(path, data, &[], &[])
+        self.write_file_excluding(path, data, &[])
     }
 
-    /// [`XrdCluster::write_file`] for a retrying, placement-aware client.
-    /// Never resolves to a server in `exclude` (steering away from
-    /// replicas that already failed this client). `preferred` is a
-    /// replica *preference*: the placement layer may order a chunk's
-    /// replicas (e.g. away from hot nodes), and the first preferred server
-    /// that is online, exports the path and is not excluded gets the
-    /// write. With no usable preference the redirector's rotation picks.
-    pub fn write_file_routed(
+    /// [`XrdCluster::write_file`] for a retrying client: never resolves
+    /// to a server in `exclude` (steering away from replicas that already
+    /// failed this client); among the rest the redirector's rotation picks.
+    pub fn write_file_excluding(
         &self,
         path: &str,
         data: Vec<u8>,
-        preferred: &[ServerId],
         exclude: &[ServerId],
     ) -> Result<ServerId, XrdError> {
-        let eligible = |id: &ServerId| !exclude.contains(id);
-        let server = preferred
-            .iter()
-            .copied()
-            .filter(eligible)
-            .filter_map(|id| self.redirector.server(id))
-            .find(|s| s.is_online() && s.exports_path(path))
-            .or_else(|| self.redirector.resolve_excluding(path, exclude))
+        let server = self
+            .redirector
+            .resolve_excluding(path, exclude)
             .ok_or_else(|| XrdError::NoServerForPath(path.to_string()))?;
         self.write_to_server(&server, path, data)
     }
@@ -489,43 +479,15 @@ mod tests {
         c.servers()[3].export(&query_path(0));
         for _ in 0..8 {
             let w = c
-                .write_file_routed(&query_path(0), b"q".to_vec(), &[], &[0])
+                .write_file_excluding(&query_path(0), b"q".to_vec(), &[0])
                 .unwrap();
             assert_eq!(w, 3);
         }
         // Excluding every replica leaves nothing to resolve.
         assert_eq!(
-            c.write_file_routed(&query_path(0), b"q".to_vec(), &[], &[0, 3]),
+            c.write_file_excluding(&query_path(0), b"q".to_vec(), &[0, 3]),
             Err(XrdError::NoServerForPath(query_path(0)))
         );
-    }
-
-    #[test]
-    fn routed_write_prefers_eligible_servers_in_order() {
-        let c = cluster();
-        // Chunk 0 lives on server 0; replicate onto 3.
-        c.servers()[3].export(&query_path(0));
-        // Preference order wins over the rotation…
-        let w = c
-            .write_file_routed(&query_path(0), b"q".to_vec(), &[3, 0], &[])
-            .unwrap();
-        assert_eq!(w, 3);
-        // …skipping excluded, offline, and non-exporting entries.
-        let w = c
-            .write_file_routed(&query_path(0), b"q".to_vec(), &[3, 0], &[3])
-            .unwrap();
-        assert_eq!(w, 0);
-        c.servers()[3].set_online(false);
-        let w = c
-            .write_file_routed(&query_path(0), b"q".to_vec(), &[3, 2, 0], &[])
-            .unwrap();
-        assert_eq!(w, 0, "3 offline, 2 does not export chunk 0");
-        c.servers()[3].set_online(true);
-        // An unusable preference list falls back to the rotation.
-        let w = c
-            .write_file_routed(&query_path(1), b"q".to_vec(), &[99], &[])
-            .unwrap();
-        assert_eq!(w, 1);
     }
 
     #[test]

@@ -8,6 +8,7 @@ mod common;
 
 use common::{assert_matches_local, cluster_from, monolithic_db, small_patch};
 use qserv_engine::exec::execute;
+use qserv_engine::value::Value;
 use qserv_sqlparse::parse_select;
 
 /// Runs `sql` both ways and compares (order-insensitively unless the
@@ -155,4 +156,36 @@ fn is_null_and_not() {
         200,
         56,
     );
+}
+
+/// A NaN or ±inf in a chunk result crosses the fabric in the result dump,
+/// and an overflowing literal crosses it in the chunk query: each answers
+/// as the local engine does (NaN matching NaN).
+#[test]
+fn non_finite_floats_answer_as_locally() {
+    let patch = small_patch(300, 41);
+    let q = cluster_from(&patch, 4);
+    let db = monolithic_db(&patch);
+    for sql in [
+        "SELECT objectId, POW(10.0, 400.0) AS big FROM Object WHERE objectId = 17",
+        "SELECT objectId, POW(-1.0, 0.5) AS big FROM Object WHERE objectId = 17",
+        "SELECT COUNT(*) AS n FROM Object WHERE ra_PS < 1e999",
+    ] {
+        let distributed = q
+            .query(sql)
+            .unwrap_or_else(|e| panic!("distributed {sql}: {e}"));
+        let local = execute(&db, &parse_select(sql).unwrap())
+            .unwrap_or_else(|e| panic!("local {sql}: {e}"));
+        assert_eq!(local.num_rows(), 1, "{sql}");
+        assert_eq!(distributed.rows.len(), local.rows.len(), "{sql}");
+        for (d, l) in distributed.rows.iter().zip(&local.rows) {
+            for (dv, lv) in d.iter().zip(l) {
+                let same = match (dv, lv) {
+                    (Value::Float(a), Value::Float(b)) if b.is_nan() => a.is_nan(),
+                    _ => dv == lv,
+                };
+                assert!(same, "{sql}: distributed {dv:?} vs local {lv:?}");
+            }
+        }
+    }
 }

@@ -1,6 +1,5 @@
-//! Placement & membership under chaos: node loss, repair, join/drain,
-//! epoch pinning, and latency-aware routing — the tentpole suite of
-//! PR 9.
+//! Placement & membership under chaos: node loss, repair, join/drain
+//! and epoch pinning.
 //!
 //! The invariants proven here:
 //!
@@ -28,7 +27,7 @@ mod common;
 use common::{assert_matches_local, monolithic_db, small_patch, sorted_rows};
 use qserv::{
     ClusterBuilder, FabricOp, FaultPlan, Qserv, QservError, QueryService, QueryState, RetryPolicy,
-    RoutingMode, ServiceConfig, Value,
+    ServiceConfig, Value,
 };
 use qserv_datagen::generate::Patch;
 use std::sync::Arc;
@@ -519,38 +518,6 @@ fn a_queued_statement_executes_the_plan_it_was_admitted_with() {
     .expect("oracle runs");
     assert_matches_local(sql, &rows, &local);
     assert_no_result_leaks(&q, "admitted plan");
-}
-
-#[test]
-fn latency_aware_routing_steers_off_the_hot_node_with_identical_results() {
-    let patch = small_patch(600, 87);
-    let q = replicated(&patch, placement_seed());
-    let oracle = sorted_rows(&q.query(QUERIES[2]).expect("baseline").rows);
-
-    // Node 0 runs hot (a delay on every read it serves); the EWMA loop
-    // must learn that and prefer its peers.
-    q.cluster()
-        .faults()
-        .delay(Some(0), Some(FabricOp::Read), Duration::from_millis(3));
-    q.placement_manager().set_routing(RoutingMode::LatencyAware);
-    for _ in 0..6 {
-        let r = q.query(QUERIES[2]).expect("routed run");
-        assert_eq!(sorted_rows(&r.rows), oracle, "routing changed results");
-    }
-    let heat = q.placement_manager().node_heat();
-    let hot = heat.get(&0).copied().unwrap_or(0.0);
-    assert!(
-        heat.iter().filter(|(&n, _)| n != 0).any(|(_, &h)| h < hot),
-        "node 0 must run hotter than some peer: {heat:?}"
-    );
-    assert!(
-        q.placement_manager()
-            .metrics_snapshot()
-            .counter("placement.hot_reroutes")
-            > 0,
-        "hot-chunk rerouting must have fired"
-    );
-    assert_no_result_leaks(&q, "latency-aware routing");
 }
 
 #[test]

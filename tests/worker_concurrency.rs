@@ -6,8 +6,8 @@
 //! SHV messages answer exactly as they do alone while another thread
 //! exports, detaches, imports and installs chunks; a message for a chunk
 //! in mid-move is either the right answer or the RETRYABLE NACK; nothing
-//! a message generates is seen by another message (cache off) or all of
-//! it is (cache on); and the catalog ends as it began.
+//! a message generates is seen by another message; and the catalog ends
+//! as it began.
 //!
 //! The seed comes from `QSERV_STRESS_SEED` (default 1), as in
 //! `concurrent_service.rs`.
@@ -35,11 +35,9 @@ const SHV: &str = "SELECT COUNT(*) FROM Object o1, Object o2 \
 const THREADS: usize = 8;
 
 /// A one-node cluster: its worker holds every chunk.
-fn one_worker(cache_subchunks: bool) -> Qserv {
+fn one_worker() -> Qserv {
     let patch = small_patch(600, 40 + stress_seed());
-    ClusterBuilder::new(1)
-        .cache_subchunks(cache_subchunks)
-        .build(&patch.objects, &patch.sources)
+    ClusterBuilder::new(1).build(&patch.objects, &patch.sources)
 }
 
 /// The chunk-query message the master would send for `sql` on `chunk`.
@@ -70,7 +68,7 @@ fn ask(q: &Qserv, chunk: i32, tag: &str, message: &str) -> String {
 #[test]
 fn concurrent_messages_answer_as_alone_while_chunks_move() {
     const ROUNDS: usize = 40;
-    let q = one_worker(false);
+    let q = one_worker();
     let worker = &q.workers()[0];
     let chunks = q.placement().chunks();
     assert!(chunks.len() >= 4, "need chunks to split: {}", chunks.len());
@@ -154,7 +152,7 @@ fn concurrent_messages_answer_as_alone_while_chunks_move() {
 }
 
 #[test]
-fn generated_tables_are_message_local_unless_cached() {
+fn generated_tables_are_message_local() {
     // `go` releases K identical SHV messages at once.
     let concurrent_builds = |q: &Qserv, chunk: i32, msg: &str, round: &str| {
         let built = || q.workers()[0].stats.snapshot().2;
@@ -173,27 +171,17 @@ fn generated_tables_are_message_local_unless_cached() {
         built() - start
     };
 
-    let q = one_worker(false);
+    let q = one_worker();
     let chunk = q.placement().chunks()[0];
     let msg = message(&q, SHV, chunk);
     let before = q.workers()[0].table_names();
     ask(&q, chunk, "alone", &msg);
     let single = q.workers()[0].stats.snapshot().2;
     assert!(single >= 2, "an SHV message generates subchunk tables");
-    // Cache off: every message builds its own, whoever runs beside it.
+    // Every message builds its own, whoever runs beside it.
     assert_eq!(
         concurrent_builds(&q, chunk, &msg, "off"),
         THREADS as u64 * single
     );
     assert_eq!(q.workers()[0].table_names(), before);
-
-    // Cache on: the first message publishes, later ones build nothing.
-    let q = one_worker(true);
-    ask(&q, chunk, "warm", &msg);
-    assert_eq!(q.workers()[0].stats.snapshot().2, single);
-    assert_eq!(concurrent_builds(&q, chunk, &msg, "on"), 0);
-    assert_eq!(
-        q.workers()[0].table_names().len(),
-        before.len() + single as usize
-    );
 }
