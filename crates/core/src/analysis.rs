@@ -289,22 +289,7 @@ fn find_index_ids(
         }
     };
     // Only top-level AND conjuncts are usable restrictions.
-    fn conjuncts<'a>(e: &'a Expr, out: &mut Vec<&'a Expr>) {
-        if let Expr::Binary {
-            op: BinaryOp::And,
-            lhs,
-            rhs,
-        } = e
-        {
-            conjuncts(lhs, out);
-            conjuncts(rhs, out);
-        } else {
-            out.push(e);
-        }
-    }
-    let mut cs = Vec::new();
-    conjuncts(w, &mut cs);
-    for c in cs {
+    for c in w.conjuncts() {
         match c {
             Expr::Binary {
                 op: BinaryOp::Eq,
@@ -361,26 +346,11 @@ pub fn zone_restrictions(stmt: &SelectStatement) -> Vec<(String, f64, f64)> {
             _ => None,
         }
     }
-    fn conjuncts<'a>(e: &'a Expr, out: &mut Vec<&'a Expr>) {
-        if let Expr::Binary {
-            op: BinaryOp::And,
-            lhs,
-            rhs,
-        } = e
-        {
-            conjuncts(lhs, out);
-            conjuncts(rhs, out);
-        } else {
-            out.push(e);
-        }
-    }
     let Some(w) = &stmt.where_clause else {
         return Vec::new();
     };
-    let mut cs = Vec::new();
-    conjuncts(w, &mut cs);
     let mut out = Vec::new();
-    for c in cs {
+    for c in w.conjuncts() {
         match c {
             Expr::Binary { op, lhs, rhs } => {
                 let (col, lit, op) = if let (Some(c), Some(l)) = (col_name(lhs), num(rhs)) {
@@ -460,21 +430,7 @@ fn classify_join(stmt: &SelectStatement, partitioned: &[usize]) -> Result<JoinCl
             ))
         }
     };
-    fn conjuncts<'a>(e: &'a Expr, out: &mut Vec<&'a Expr>) {
-        if let Expr::Binary {
-            op: BinaryOp::And,
-            lhs,
-            rhs,
-        } = e
-        {
-            conjuncts(lhs, out);
-            conjuncts(rhs, out);
-        } else {
-            out.push(e);
-        }
-    }
-    let mut cs = Vec::new();
-    conjuncts(w, &mut cs);
+    let cs = w.conjuncts();
 
     // Which bindings does an expression reference (by qualifier)?
     let refs = |e: &Expr| -> (bool, bool) {

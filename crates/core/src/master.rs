@@ -169,7 +169,7 @@ struct ChunkMeta {
 }
 
 /// Sets one statement's planner, pruning and index instruments — the
-/// estimate-vs-actual q-error against `actual` merged rows included —
+/// estimate-vs-actual q-error against `actual` result rows included —
 /// and returns that q-error. [`Qserv::run`] and the shared-scan convoy
 /// both call it, so a convoy member reports what its solo run would.
 pub(crate) fn record_plan(qm: &QueryMetrics, prepared: &Prepared, actual: u64) -> f64 {
@@ -395,10 +395,10 @@ impl<'a, 's> Arrivals<'a, 's> {
             qm.merge_overlap_ms
                 .set(l.saturating_sub(f).as_millis() as u64);
         }
-        // The streamable path's final batch must carry the *final* votes,
-        // not value-inferred types: a column whose rows all drained as
-        // Int before a later all-NULL Float part widened the vote would
-        // otherwise never tell the consumer to re-coerce.
+        // The streamable path's final batch carries the votes its earlier
+        // batches carried, not types inferred from the undrained
+        // remainder alone: a column with no rows left would otherwise
+        // read `None` after batches that already typed it.
         let final_votes = match &self.sink {
             Some(_) if merger.streamable() => Some(merger.vote_types().to_vec()),
             _ => None,
@@ -824,10 +824,10 @@ impl Qserv {
     /// path for a client that has seen enough, and the disconnect path
     /// for one that left.
     ///
-    /// Exactness: the concatenation of all batches, with earlier rows
-    /// re-coerced whenever a later batch widens a column (the only
-    /// widening step is Int→Float, so re-coercion is exact), is
-    /// byte-identical to the table [`Qserv::query`] returns.
+    /// Exactness: the concatenation of all batches is byte-identical to
+    /// the table [`Qserv::query`] returns. Every column has one type for
+    /// the whole result (see [`crate::merge`]); a later batch may only
+    /// fill in the type of a column that was all-NULL until then.
     pub fn query_streaming(
         &self,
         sql: &str,
@@ -884,7 +884,16 @@ impl Qserv {
                 &format!("{:.1}", prepared.choice.est_rows),
             );
         }
-        let streaming = sink.is_some();
+        // A sink receives the final rows, so counting them gives the
+        // planner's actual whichever entry point ran the statement.
+        let mut sent = 0u64;
+        let mut counting = sink.map(|s| {
+            let sent = &mut sent;
+            move |batch: StreamBatch| {
+                *sent += batch.rows.len() as u64;
+                s(batch)
+            }
+        });
         let result = {
             let _d = trace::span("master.dispatch");
             if let Some(g) = &_d {
@@ -896,7 +905,9 @@ impl Qserv {
                 prepared: &prepared,
                 qm: &qm,
                 token,
-                sink,
+                sink: counting
+                    .as_mut()
+                    .map(|s| s as &mut dyn FnMut(StreamBatch) -> bool),
             };
             let dispatched = self.dispatch_streaming(vec![member])?;
             dispatched
@@ -906,13 +917,11 @@ impl Qserv {
                 .expect("one result per member")?
         };
         // Record the plan's instruments and the estimate-vs-actual error
-        // on the query span. Under a streaming sink the final table is
-        // empty by design; the rows-merged gauge stands in for the
-        // actual.
-        let actual = if streaming {
-            qm.snapshot().gauge(crate::stats::names::ROWS_MERGED)
-        } else {
-            result.num_rows() as u64
+        // on the query span. Under a sink the returned table is empty by
+        // design and the rows it was handed are the actual.
+        let actual = match counting {
+            Some(_) => sent,
+            None => result.num_rows() as u64,
         };
         let qerror = record_plan(&qm, &prepared, actual);
         if let Some(q) = &_q {

@@ -17,18 +17,20 @@
 //!
 //! Exactness: parts are applied in ascending chunk order (out-of-order
 //! arrivals wait in a reorder buffer), accumulators are the engine's own
-//! [`AggAcc`], and column-type widening replays [`merge_tables`]'s voting
-//! incrementally — when a column's vote flips Int→Float, existing group
-//! keys are re-coerced and re-keyed. The compacted state is then run
-//! through the ordinary merge query, so the final projection, ORDER BY,
-//! and LIMIT semantics are byte-identical to collecting every part
-//! first. The row-at-a-time [`merge_tables`] + merge-query pair
-//! ([`merge_oracle`]) stays in-tree as the semantic oracle the merge
-//! property tests compare against, and as the Barrier shape's merge.
-//! (One knowing concession: a pushed-down LIMIT cutoff answers from the
-//! chunks it saw, which is a *valid* LIMIT answer but only bit-identical
-//! to the oracle when workers return type-stable columns — which the
-//! real pipeline does by construction.)
+//! [`AggAcc`], and every result column has one type: the type of the
+//! first part, in chunk order, that holds a non-NULL value in it. A part
+//! whose column is all NULL carries no vote, and a later populated part
+//! that disagrees is a [`QservError::Merge`] (§5.4 loads every chunk's
+//! dump into one merge table, so chunk results share one schema).
+//! [`Merger`] and [`merge_tables`] vote through the same function. The
+//! compacted state is then run through the ordinary merge query, so the
+//! final projection, ORDER BY, and LIMIT semantics are byte-identical
+//! to collecting every part first. The row-at-a-time [`merge_tables`] +
+//! merge-query pair ([`merge_oracle`]) stays in-tree as the semantic
+//! oracle the merge property tests compare against, and as the Barrier
+//! shape's merge. (One knowing concession: a pushed-down LIMIT cutoff
+//! answers from the chunks it saw, so a disagreeing part past the
+//! cutoff is never seen and raises no error.)
 
 use crate::error::QservError;
 use crate::rewrite::{ColumnRole, MergeShape, PhysicalPlan};
@@ -42,10 +44,9 @@ use std::collections::{BTreeMap, HashMap};
 
 /// One batch of merged rows emitted mid-query by a streaming sink (see
 /// [`crate::Qserv::query_streaming`]): the rows appended since the last
-/// drain, coerced under the type votes in effect when the batch was
-/// cut. A later chunk may widen a column Int→Float, so consumers that
-/// accumulate batches must re-coerce earlier rows when `types` widen —
-/// which is exact, because the only widening step is Int→Float.
+/// drain, with the column types voted so far. A later batch may only
+/// fill in a type that was `None` (a column all-NULL until then); a
+/// known type never changes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StreamBatch {
     /// Output column names (identical across every batch of one query).
@@ -53,7 +54,7 @@ pub struct StreamBatch {
     /// Per-column type votes at drain time; `None` means no populated
     /// part has voted yet (the column is all-NULL so far).
     pub types: Vec<Option<ColumnType>>,
-    /// The batch rows, coerced under `types`.
+    /// The batch rows.
     pub rows: Vec<Vec<Value>>,
 }
 
@@ -62,13 +63,9 @@ pub struct StreamBatch {
 /// consumer-side inverse of [`Merger::drain_ready`], used by the query
 /// service's buffered `submit`, [`crate::StreamHandle::collect`], and
 /// any caller that wants streaming transport with a buffered API.
-/// When a batch widens a column's type
-/// (Int→Float, the only widening step), previously collected Int rows
-/// are re-coerced, which is exact.
 #[derive(Debug, Default)]
 pub struct StreamCollector {
     columns: Option<Vec<String>>,
-    types: Vec<Option<ColumnType>>,
     rows: Vec<Vec<Value>>,
 }
 
@@ -78,36 +75,10 @@ impl StreamCollector {
         StreamCollector::default()
     }
 
-    /// Folds one batch in, re-coercing earlier rows under any widened
-    /// column types.
+    /// Appends one batch's rows; the first batch fixes the columns.
     pub fn push(&mut self, batch: StreamBatch) {
-        if self.columns.is_none() {
-            self.columns = Some(batch.columns);
-            self.types = vec![None; batch.types.len()];
-        }
-        for (i, ty) in batch.types.iter().enumerate() {
-            let widened = matches!(
-                (self.types[i], ty),
-                (None, Some(_)) | (Some(ColumnType::Int), Some(ColumnType::Float))
-            );
-            if widened {
-                self.types[i] = *ty;
-                if *ty == Some(ColumnType::Float) {
-                    for row in &mut self.rows {
-                        if let Value::Int(x) = row[i] {
-                            row[i] = Value::Float(x as f64);
-                        }
-                    }
-                }
-            }
-        }
-        let types = &self.types;
-        self.rows.extend(batch.rows.into_iter().map(|row| {
-            row.into_iter()
-                .zip(types)
-                .map(|(v, t)| coerce_owned(v, *t))
-                .collect()
-        }));
+        self.columns.get_or_insert(batch.columns);
+        self.rows.extend(batch.rows);
     }
 
     /// The assembled table. Empty (no batches at all — an error before
@@ -123,10 +94,7 @@ impl StreamCollector {
 /// Per-column types inferred by scanning a final result's values (the
 /// tag source for shapes that emit a single terminal batch): any Float
 /// makes the column Float, else any Int makes it Int, any Str makes it
-/// Str, all-NULL stays `None`. Mixed Int/Float cannot occur in merge
-/// output (values were coerced under the vote), and Str never mixes
-/// with numerics (the vote errors on that), so scanning is a fold over
-/// the same lattice the vote walks.
+/// Str, all-NULL stays `None`.
 pub fn infer_value_types(result: &ResultTable) -> Vec<Option<ColumnType>> {
     let mut types: Vec<Option<ColumnType>> = vec![None; result.columns.len()];
     for row in &result.rows {
@@ -148,10 +116,10 @@ pub fn infer_value_types(result: &ResultTable) -> Vec<Option<ColumnType>> {
     types
 }
 
-/// Concatenates per-chunk result tables, unifying schemas by widening
-/// (Int + Float ⇒ Float; an empty chunk's all-NULL "Float" columns adopt
-/// the populated chunks' types). This is the oracle the streaming shapes
-/// are verified against.
+/// Concatenates per-chunk result tables under one type per column — the
+/// type of the first part, in chunk order, that populates it (see the
+/// module doc); a column no part populates is Float. This is the oracle
+/// the streaming shapes are verified against.
 pub fn merge_tables(parts: Vec<Table>) -> Result<Table, QservError> {
     let Some(first) = parts.first() else {
         return Ok(Table::new(Schema::new(vec![])));
@@ -162,44 +130,14 @@ pub fn merge_tables(parts: Vec<Table>) -> Result<Table, QservError> {
         .iter()
         .map(|c| c.name.clone())
         .collect();
-    // Widen column types across parts. Empty parts carry no evidence
-    // (their dump schemas default all-NULL columns to Float), so only
-    // populated parts vote; columns never populated stay Float.
-    let mut types: Vec<Option<ColumnType>> = vec![None; names.len()];
+    let mut votes: Vec<Option<ColumnType>> = vec![None; names.len()];
     for part in &parts {
-        check_names(&names, part)?;
-        if part.num_rows() == 0 {
-            continue;
-        }
-        for (i, c) in part.schema().columns().iter().enumerate() {
-            types[i] = Some(vote_one(types[i], c.ty, &names[i])?.0);
-        }
+        vote(&names, &mut votes, part)?;
     }
-    let types: Vec<ColumnType> = types
-        .into_iter()
-        .map(|t| t.unwrap_or(ColumnType::Float))
-        .collect();
-    let schema = Schema::new(
-        names
-            .iter()
-            .zip(&types)
-            .map(|(n, t)| ColumnDef::new(n, *t))
-            .collect(),
-    );
-    let mut out = Table::new(schema);
-    for part in &parts {
-        for r in 0..part.num_rows() {
-            let row: Vec<Value> = part
-                .row(r)
-                .into_iter()
-                .zip(&types)
-                .map(|(v, t)| coerce_owned(v, Some(*t)))
-                .collect();
-            out.push_row(row)
-                .map_err(|e| QservError::Merge(e.to_string()))?;
-        }
-    }
-    Ok(out)
+    let rows = parts
+        .iter()
+        .flat_map(|part| (0..part.num_rows()).map(|r| part.row(r)));
+    build_table(&names, &votes, rows)
 }
 
 /// The barrier path: accumulate all parts into one table, run the merge
@@ -216,8 +154,18 @@ pub fn merge_oracle(
     Ok((result, rows))
 }
 
-/// Validates a part's column names against the first part's.
-fn check_names(names: &[String], part: &Table) -> Result<(), QservError> {
+/// Checks a part's column names against the first part's, then lets it
+/// vote: each column's type is the type of the first part, in chunk
+/// order, that holds a non-NULL value in it. A column that is all NULL
+/// in this part (or a part with no rows) carries no vote — its dump
+/// schema types such a column Float whatever the other chunks hold. A
+/// populated column that disagrees with the settled type is an error.
+/// [`Merger`] and [`merge_tables`] both vote here, in chunk order.
+fn vote(
+    names: &[String],
+    votes: &mut [Option<ColumnType>],
+    part: &Table,
+) -> Result<(), QservError> {
     let cols = part.schema().columns();
     if cols.len() != names.len() || cols.iter().zip(names).any(|(c, n)| &c.name != n) {
         return Err(QservError::Merge(format!(
@@ -226,38 +174,22 @@ fn check_names(names: &[String], part: &Table) -> Result<(), QservError> {
             cols.iter().map(|c| &c.name).collect::<Vec<_>>()
         )));
     }
+    for (i, c) in cols.iter().enumerate() {
+        if part.null_mask(i).iter().all(|&null| null) {
+            continue;
+        }
+        match votes[i] {
+            None => votes[i] = Some(c.ty),
+            Some(t) if t == c.ty => {}
+            Some(t) => {
+                return Err(QservError::Merge(format!(
+                    "column {} has incompatible types across chunks: {t} vs {}",
+                    names[i], c.ty
+                )))
+            }
+        }
+    }
     Ok(())
-}
-
-/// One step of the widening vote; the bool is "flipped Int→Float now",
-/// which obliges a [`State::Fold`] re-key of existing groups.
-fn vote_one(
-    prev: Option<ColumnType>,
-    seen: ColumnType,
-    name: &str,
-) -> Result<(ColumnType, bool), QservError> {
-    match (prev, seen) {
-        (None, t) => Ok((t, false)),
-        (Some(a), b) if a == b => Ok((a, false)),
-        (Some(ColumnType::Int), ColumnType::Float) => Ok((ColumnType::Float, true)),
-        (Some(ColumnType::Float), ColumnType::Int) => Ok((ColumnType::Float, false)),
-        (Some(a), b) => Err(QservError::Merge(format!(
-            "column {name} has incompatible types across chunks: {a} vs {b}"
-        ))),
-    }
-}
-
-/// Widens a raw value to the column's current vote (the coercion
-/// [`merge_tables`] applies when materializing the merged table).
-fn coerce_owned(v: Value, ty: Option<ColumnType>) -> Value {
-    match (ty, v) {
-        (Some(ColumnType::Float), Value::Int(x)) => Value::Float(x as f64),
-        (_, v) => v,
-    }
-}
-
-fn coerce(v: &Value, ty: Option<ColumnType>) -> Value {
-    coerce_owned(v.clone(), ty)
 }
 
 /// Per-group running state of a [`State::Fold`].
@@ -327,7 +259,7 @@ pub struct Merger {
     state: State,
     /// Column names, fixed by the first applied part.
     names: Option<Vec<String>>,
-    /// Per-column widening votes (populated parts only).
+    /// Per-column type votes (see [`vote`]).
     votes: Vec<Option<ColumnType>>,
     /// Reorder buffer for out-of-order arrivals.
     pending: BTreeMap<usize, Table>,
@@ -453,15 +385,15 @@ impl Merger {
             && matches!(self.merge_stmt.projections[0].expr, Expr::Star)
     }
 
-    /// The per-column widening votes so far (`None` = no populated part
-    /// has voted). Exposed so the streaming epilogue can type its final
-    /// batch under the same votes the buffered path materializes with.
+    /// The per-column type votes so far (`None` = no populated part has
+    /// voted). Exposed so the streaming epilogue can type its final
+    /// batch under the same votes its earlier batches carried.
     pub fn vote_types(&self) -> &[Option<ColumnType>] {
         &self.votes
     }
 
     /// Takes the rows appended since the last drain as a [`StreamBatch`]
-    /// coerced under the current votes; `None` when the shape is not
+    /// typed with the current votes; `None` when the shape is not
     /// [`Merger::streamable`], no part has applied yet, or nothing new
     /// has arrived. Drained rows are *gone* from the merge state —
     /// [`Merger::finish`] returns only the undrained remainder (its
@@ -478,21 +410,10 @@ impl Merger {
         if rows.is_empty() {
             return None;
         }
-        let taken = std::mem::take(rows);
-        let types = self.votes.clone();
-        let rows = taken
-            .into_iter()
-            .map(|row| {
-                row.into_iter()
-                    .zip(&self.votes)
-                    .map(|(v, t)| coerce_owned(v, *t))
-                    .collect()
-            })
-            .collect();
         Some(StreamBatch {
             columns: names.clone(),
-            types,
-            rows,
+            types: self.votes.clone(),
+            rows: std::mem::take(rows),
         })
     }
 
@@ -529,25 +450,16 @@ impl Merger {
 
     /// Applies one in-order part to the shape state.
     fn apply(&mut self, part: Table) -> Result<(), QservError> {
-        // Schema vote first: fixes names on the first part, widens types
-        // on every populated one.
-        let cols = part.schema().columns();
-        if self.names.is_none() {
-            self.names = Some(cols.iter().map(|c| c.name.clone()).collect());
-            self.votes = vec![None; cols.len()];
-        }
-        let names = self.names.as_ref().expect("set above");
-        check_names(names, &part)?;
-        let mut flipped: Vec<usize> = Vec::new();
-        if part.num_rows() > 0 {
-            for (i, c) in cols.iter().enumerate() {
-                let (ty, flip) = vote_one(self.votes[i], c.ty, &names[i])?;
-                self.votes[i] = Some(ty);
-                if flip {
-                    flipped.push(i);
-                }
-            }
-        }
+        // Schema vote first: the first part fixes the names.
+        let names = self.names.get_or_insert_with(|| {
+            part.schema()
+                .columns()
+                .iter()
+                .map(|c| c.name.clone())
+                .collect()
+        });
+        self.votes.resize(names.len(), None);
+        vote(names, &mut self.votes, &part)?;
 
         // Nearest resolves its two named columns on the first part. There
         // is no safe downgrade (the merge SQL cannot express keep-nearest)
@@ -628,7 +540,6 @@ impl Merger {
             self.state = State::Barrier { parts: Vec::new() };
         }
 
-        let votes = &self.votes;
         match &mut self.state {
             State::Append {
                 rows,
@@ -673,35 +584,6 @@ impl Merger {
                 ..
             } => {
                 let resolved = resolved.as_ref().expect("resolved above");
-                // An Int→Float flip on a key column changes group
-                // identity (Int(1) and Float(1.0) hash apart): re-key
-                // every existing group under the widened vote. Distinct
-                // Int keys rounding to one f64 merge here, exactly as
-                // the oracle's upfront widening would have merged them.
-                if flipped.iter().any(|i| resolved.key_pos.contains(i)) {
-                    let mut regrouped: HashMap<Vec<GroupKey>, Group> =
-                        HashMap::with_capacity(groups.len());
-                    let mut reordered: Vec<Vec<GroupKey>> = Vec::with_capacity(order.len());
-                    for old_key in order.drain(..) {
-                        let g = groups.remove(&old_key).expect("order tracks groups");
-                        let new_key: Vec<GroupKey> = resolved
-                            .key_pos
-                            .iter()
-                            .map(|&i| coerce(&g.reps[i], votes[i]).group_key())
-                            .collect();
-                        match regrouped.entry(new_key.clone()) {
-                            std::collections::hash_map::Entry::Vacant(e) => {
-                                e.insert(g);
-                                reordered.push(new_key);
-                            }
-                            std::collections::hash_map::Entry::Occupied(mut e) => {
-                                merge_groups(e.get_mut(), g);
-                            }
-                        }
-                    }
-                    *groups = regrouped;
-                    *order = reordered;
-                }
                 // Hot path: the table is columnar, so cells are read
                 // individually and the group key is built in a reused
                 // scratch buffer — no per-row Vec allocations unless the
@@ -712,7 +594,7 @@ impl Merger {
                     self.rows_folded += 1;
                     scratch.clear();
                     for &i in &resolved.key_pos {
-                        scratch.push(coerce(&part.get(r, i), votes[i]).group_key());
+                        scratch.push(part.get(r, i).group_key());
                     }
                     if let Some(g) = groups.get_mut(scratch.as_slice()) {
                         for (i, acc) in g.accs.iter_mut().enumerate() {
@@ -749,22 +631,11 @@ impl Merger {
                 }
             }
             State::Nearest { resolved, best, .. } => {
-                let (ki, _di) = resolved.expect("resolved above");
-                // An Int→Float flip on the key column changes group
-                // identity: re-key surviving rows under the widened vote
-                // (mirrors the Fold re-key).
-                if flipped.contains(&ki) {
-                    let old = std::mem::take(best);
-                    for (_, row) in old {
-                        let key = coerce(&row[ki], votes[ki]).group_key();
-                        upsert_nearest(best, key, row, resolved.expect("resolved").1);
-                    }
-                }
-                let di = resolved.expect("resolved above").1;
+                let (ki, di) = resolved.expect("resolved above");
                 for r in 0..part.num_rows() {
                     self.rows_folded += 1;
                     let row = part.row(r);
-                    let key = coerce(&row[ki], votes[ki]).group_key();
+                    let key = row[ki].group_key();
                     upsert_nearest(best, key, row, di);
                 }
             }
@@ -793,7 +664,7 @@ impl Merger {
                     rows.sort_by(|a, b| cmp_candidates(a, b, keys));
                     rows.truncate(n);
                 }
-                build_table(&names, &votes, rows.into_iter().map(|(r, _)| r).collect())?
+                build_table(&names, &votes, rows.into_iter().map(|(r, _)| r))?
             }
             State::Fold {
                 resolved,
@@ -811,13 +682,10 @@ impl Merger {
                             .enumerate()
                             .map(|(i, role)| match role {
                                 ColumnRole::Key | ColumnRole::Rep => g.reps[i].clone(),
-                                _ => {
-                                    let widen = votes[i] == Some(ColumnType::Float);
-                                    g.accs[i]
-                                        .as_ref()
-                                        .expect("acc role has an accumulator")
-                                        .finish_widened(widen)
-                                }
+                                _ => g.accs[i]
+                                    .as_ref()
+                                    .expect("acc role has an accumulator")
+                                    .finish(),
                             })
                             .collect();
                         rows.push(row);
@@ -893,82 +761,26 @@ fn cmp_candidates(
     a.1.cmp(&b.1)
 }
 
-/// Materializes buffered raw rows under the voted schema.
+/// Materializes buffered rows under the voted schema; a column no part
+/// populated is Float.
 fn build_table(
     names: &[String],
     votes: &[Option<ColumnType>],
-    rows: Vec<Vec<Value>>,
+    rows: impl IntoIterator<Item = Vec<Value>>,
 ) -> Result<Table, QservError> {
-    let types: Vec<ColumnType> = votes
-        .iter()
-        .map(|t| t.unwrap_or(ColumnType::Float))
-        .collect();
     let schema = Schema::new(
         names
             .iter()
-            .zip(&types)
-            .map(|(n, t)| ColumnDef::new(n, *t))
+            .zip(votes)
+            .map(|(n, t)| ColumnDef::new(n, t.unwrap_or(ColumnType::Float)))
             .collect(),
     );
     let mut out = Table::new(schema);
     for row in rows {
-        let row: Vec<Value> = row
-            .into_iter()
-            .zip(&types)
-            .map(|(v, t)| coerce_owned(v, Some(*t)))
-            .collect();
         out.push_row(row)
             .map_err(|e| QservError::Merge(e.to_string()))?;
     }
     Ok(out)
-}
-
-/// Merges a later group into an earlier one — only reachable when an
-/// Int→Float key flip rounds two distinct Int keys onto one f64.
-fn merge_groups(into: &mut Group, from: Group) {
-    for (a, b) in into.accs.iter_mut().zip(from.accs) {
-        if let (Some(a), Some(b)) = (a.as_mut(), b) {
-            combine_acc(a, &b);
-        }
-    }
-}
-
-/// Combines two accumulators over disjoint row sets.
-fn combine_acc(a: &mut AggAcc, b: &AggAcc) {
-    match b {
-        AggAcc::Count(y) => {
-            if let AggAcc::Count(x) = a {
-                *x += *y;
-            }
-        }
-        AggAcc::Sum {
-            int: i2,
-            float: f2,
-            saw_float: sf2,
-            saw_any: sa2,
-        } => {
-            if let AggAcc::Sum {
-                int,
-                float,
-                saw_float,
-                saw_any,
-            } = a
-            {
-                *int = int.saturating_add(*i2);
-                *float += *f2;
-                *saw_float |= *sf2;
-                *saw_any |= *sa2;
-            }
-        }
-        AggAcc::Avg { sum: s2, n: n2 } => {
-            if let AggAcc::Avg { sum, n } = a {
-                *sum += *s2;
-                *n += *n2;
-            }
-        }
-        AggAcc::MinMax { best: Some(v), .. } => a.update(Some(v)),
-        AggAcc::MinMax { best: None, .. } => {}
-    }
 }
 
 #[cfg(test)]
@@ -995,13 +807,41 @@ mod tests {
     }
 
     #[test]
-    fn merge_tables_widens_int_to_float() {
+    fn merge_tables_rejects_int_vs_float() {
         let a = table_of(&[("x", ColumnType::Int)], vec![vec![Value::Int(1)]]);
         let b = table_of(&[("x", ColumnType::Float)], vec![vec![Value::Float(2.5)]]);
-        let m = merge_tables(vec![a, b]).unwrap();
-        assert_eq!(m.num_rows(), 2);
-        assert_eq!(m.get(0, 0), Value::Float(1.0));
-        assert_eq!(m.get(1, 0), Value::Float(2.5));
+        let err = merge_tables(vec![a, b]).unwrap_err();
+        assert!(matches!(err, QservError::Merge(_)), "{err}");
+    }
+
+    #[test]
+    fn null_only_part_does_not_vote() {
+        // An all-NULL column is typed Float by its dump; between two Int
+        // parts it leaves the column Int, streamed and oracle alike.
+        let plan = plan_for("SELECT objectId FROM Object");
+        let int = |v: i64| table_of(&[("objectId", ColumnType::Int)], vec![vec![Value::Int(v)]]);
+        let nulls = table_of(
+            &[("objectId", ColumnType::Float)],
+            vec![vec![Value::Null], vec![Value::Null]],
+        );
+        let parts = vec![int(1), nulls, int(2)];
+        let m = merge_tables(parts.clone()).unwrap();
+        assert_eq!(m.schema().columns()[0].ty, ColumnType::Int);
+        let mut merger = Merger::new(&plan);
+        for (seq, part) in parts.into_iter().enumerate() {
+            merger.fold(seq, part).unwrap();
+        }
+        assert_eq!(merger.vote_types(), &[Some(ColumnType::Int)]);
+        let r = merger.finish().unwrap();
+        assert_eq!(
+            r.rows,
+            vec![
+                vec![Value::Int(1)],
+                vec![Value::Null],
+                vec![Value::Null],
+                vec![Value::Int(2)]
+            ]
+        );
     }
 
     #[test]
@@ -1069,40 +909,6 @@ mod tests {
                 vec![Value::Int(2)]
             ]
         );
-    }
-
-    #[test]
-    fn fold_matches_oracle_with_widening_rekey() {
-        // Part 0 types the group key Int, part 1 flips it to Float:
-        // Int(1) groups must re-key onto Float(1.0).
-        let plan = plan_for("SELECT chunkId, COUNT(*) FROM Object GROUP BY chunkId");
-        let cols_int = [("chunkId", ColumnType::Int), ("COUNT(*)", ColumnType::Int)];
-        let cols_float = [
-            ("chunkId", ColumnType::Float),
-            ("COUNT(*)", ColumnType::Int),
-        ];
-        let p0 = table_of(
-            &cols_int,
-            vec![
-                vec![Value::Int(1), Value::Int(10)],
-                vec![Value::Int(2), Value::Int(20)],
-            ],
-        );
-        let p1 = table_of(
-            &cols_float,
-            vec![
-                vec![Value::Float(1.0), Value::Int(5)],
-                vec![Value::Null, Value::Int(7)],
-            ],
-        );
-        let (oracle, _) = merge_oracle(&plan.merge_stmt, vec![p0.clone(), p1.clone()]).unwrap();
-        let mut m = Merger::new(&plan);
-        m.fold(0, p0).unwrap();
-        m.fold(1, p1).unwrap();
-        let streamed = m.finish().unwrap();
-        assert_eq!(streamed, oracle);
-        // Int(1) and Float(1.0) landed in one group: 3 groups total.
-        assert_eq!(streamed.num_rows(), 3);
     }
 
     #[test]

@@ -190,22 +190,6 @@ enum ConjunctKind {
     Opaque,
 }
 
-/// Splits an expression into its top-level AND conjuncts (flattening
-/// nested ANDs), cloning each leaf.
-fn split_conjuncts(e: &Expr, out: &mut Vec<Expr>) {
-    if let Expr::Binary {
-        op: BinaryOp::And,
-        lhs,
-        rhs,
-    } = e
-    {
-        split_conjuncts(lhs, out);
-        split_conjuncts(rhs, out);
-    } else {
-        out.push(e.clone());
-    }
-}
-
 /// Rebuilds a left-associated AND chain from conjuncts.
 fn join_conjuncts(mut conjuncts: Vec<Expr>) -> Option<Expr> {
     let first = if conjuncts.is_empty() {
@@ -427,10 +411,12 @@ pub(crate) fn choose(
 
     // Conjunct estimates over the chunk query's WHERE clause (which
     // carries the re-materialized spatial predicate too).
-    let mut conjunct_exprs: Vec<Expr> = Vec::new();
-    if let Some(w) = &plan.chunk_stmt.where_clause {
-        split_conjuncts(w, &mut conjunct_exprs);
-    }
+    let mut conjunct_exprs: Vec<Expr> = plan
+        .chunk_stmt
+        .where_clause
+        .as_ref()
+        .map(|w| w.conjuncts().into_iter().cloned().collect())
+        .unwrap_or_default();
     let mut kinds: Vec<(ConjunctKind, f64)> = conjunct_exprs
         .iter()
         .map(|e| (classify_conjunct(e), expr_cost(e)))

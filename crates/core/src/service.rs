@@ -483,8 +483,8 @@ pub struct StreamDone {
 #[derive(Debug)]
 pub enum StreamEvent {
     /// Merged rows in final order, typed with the merger's votes so
-    /// far. A later batch may widen a column (Int → Float); consumers
-    /// re-coerce previously delivered values, which is exact.
+    /// far. A later batch may only fill in the type of a column that was
+    /// all-NULL until then; delivered values never change type.
     Batch(StreamBatch),
     /// The query finished.
     Done(StreamDone),
@@ -539,9 +539,7 @@ impl StreamHandle {
     }
 
     /// Drains the stream to completion and reassembles the buffered
-    /// result — byte-identical to what a non-streaming submit returns,
-    /// including Int → Float re-coercion when a late batch widened a
-    /// column.
+    /// result — byte-identical to what a non-streaming submit returns.
     pub fn collect(self) -> StreamOutcome {
         let mut collector = StreamCollector::default();
         while let Some(ev) = self.recv() {

@@ -110,7 +110,6 @@ impl ResultTable {
             }
         }
         let mut defs = Vec::with_capacity(ncols);
-        let mut widen = vec![false; ncols]; // Int values landing in Float columns
         for (i, name) in self.columns.iter().enumerate() {
             let ty = if saw_str[i] {
                 ColumnType::Str
@@ -121,21 +120,12 @@ impl ResultTable {
             } else {
                 ColumnType::Float
             };
-            widen[i] = ty == ColumnType::Float;
             defs.push(ColumnDef::new(name, ty));
         }
         let mut t = Table::new(Schema::new(defs));
+        // `push_row` widens an Int landing in a Float column.
         for row in self.rows {
-            let coerced = row
-                .into_iter()
-                .zip(&widen)
-                .map(|(v, &w)| match v {
-                    Value::Int(x) if w => Value::Float(x as f64),
-                    v => v,
-                })
-                .collect();
-            t.push_row(coerced)
-                .expect("inferred schema admits its rows");
+            t.push_row(row).expect("inferred schema admits its rows");
         }
         t
     }
@@ -238,7 +228,7 @@ pub fn execute_detailed(
     let conjuncts = stmt
         .where_clause
         .as_ref()
-        .map(|w| split_conjuncts(w))
+        .map(|w| w.conjuncts())
         .unwrap_or_default();
 
     // Attribute each conjunct to the single binding it references, or to
@@ -396,26 +386,6 @@ fn execute_tableless(stmt: &SelectStatement) -> Result<ResultTable, ExecError> {
         columns,
         rows: vec![row],
     })
-}
-
-/// Splits a predicate into top-level AND conjuncts.
-fn split_conjuncts(expr: &Expr) -> Vec<&Expr> {
-    let mut out = Vec::new();
-    fn walk<'a>(e: &'a Expr, out: &mut Vec<&'a Expr>) {
-        if let Expr::Binary {
-            op: BinaryOp::And,
-            lhs,
-            rhs,
-        } = e
-        {
-            walk(lhs, out);
-            walk(rhs, out);
-        } else {
-            out.push(e);
-        }
-    }
-    walk(expr, &mut out);
-    out
 }
 
 /// Returns `Some(i)` when every column in `expr` resolves to binding `i`
@@ -919,31 +889,6 @@ impl AggAcc {
                 }
             }
             AggAcc::MinMax { best, .. } => best.clone().unwrap_or(Value::Null),
-        }
-    }
-
-    /// Like [`finish`](AggAcc::finish), but forces a Float result when
-    /// `widen` is set — the value an identical accumulator would have
-    /// produced had every Int input been widened to Float first. Sum
-    /// returns its float-side total (accumulated per input value, so
-    /// rounding matches the widened fold exactly, not `Int total as f64`);
-    /// other kinds coerce their Int result.
-    pub fn finish_widened(&self, widen: bool) -> Value {
-        if !widen {
-            return self.finish();
-        }
-        match self {
-            AggAcc::Sum { float, saw_any, .. } => {
-                if *saw_any {
-                    Value::Float(*float)
-                } else {
-                    Value::Null
-                }
-            }
-            other => match other.finish() {
-                Value::Int(x) => Value::Float(x as f64),
-                v => v,
-            },
         }
     }
 }

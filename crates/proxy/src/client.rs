@@ -81,8 +81,8 @@ pub struct WireBatch {
     /// Output column names.
     pub columns: Vec<String>,
     /// Wire type tags (`int`/`float`/`str`/`null`) in effect for this
-    /// batch. A later batch may carry widened tags (Int → Float); a
-    /// consumer holding earlier rows re-coerces them, which is exact.
+    /// batch. A later batch may replace a `null` tag (a column all-NULL
+    /// until then); any other tag never changes within one response.
     pub types: Vec<String>,
     /// Decoded rows.
     pub rows: Vec<Vec<Value>>,
@@ -241,15 +241,10 @@ impl ProxyClient {
         request: &str,
     ) -> Result<(ResultTable, RemoteStats, Option<String>), ClientError> {
         let mut stream = self.send(request)?;
-        let mut types: Vec<String> = Vec::new();
         let mut rows: Vec<Vec<Value>> = Vec::new();
         while let Some(mut batch) = stream.next_batch()? {
-            recoerce(&mut rows, &types, &batch.types)?;
-            types = batch.types;
             rows.append(&mut batch.rows);
         }
-        // A `TYPES` resend after the last `ROWS` block widens held rows too.
-        recoerce(&mut rows, &types, &stream.types)?;
         let stats = stream
             .stats()
             .expect("next_batch yields None only after the END frame");
@@ -394,6 +389,17 @@ fn read_event(
                 )));
             }
         }
+        // A resend may only type a column that was all-NULL so far.
+        if let Some((i, (old, new))) = types
+            .iter()
+            .zip(&new)
+            .enumerate()
+            .find(|(_, (old, new))| old != new && *old != "null")
+        {
+            return Err(protocol_err(format!(
+                "illegal TYPES resend {old} -> {new} in column {i}"
+            )));
+        }
         return Ok(FrameEvent::Types(new));
     }
     if let Some(rest) = frame.strip_prefix("ROWS ") {
@@ -456,40 +462,6 @@ fn parse_end(rest: &str) -> Result<RemoteStats, ClientError> {
     })
 }
 
-/// Applies a mid-stream `TYPES` resend to already-buffered rows. The
-/// merger's votes only ever widen Int → Float (or fill in an all-NULL
-/// column), so that is the only conversion — anything else is a
-/// protocol violation.
-fn recoerce(rows: &mut [Vec<Value>], old: &[String], new: &[String]) -> Result<(), ClientError> {
-    if old.is_empty() || old == new {
-        return Ok(());
-    }
-    if old.len() != new.len() {
-        return Err(protocol_err(format!(
-            "TYPES resend changed arity: {} -> {}",
-            old.len(),
-            new.len()
-        )));
-    }
-    for (i, (o, n)) in old.iter().zip(new).enumerate() {
-        if o == n || o == "null" {
-            continue;
-        }
-        if o == "int" && n == "float" {
-            for row in rows.iter_mut() {
-                if let Value::Int(v) = row[i] {
-                    row[i] = Value::Float(v as f64);
-                }
-            }
-        } else {
-            return Err(protocol_err(format!(
-                "illegal TYPES transition {o} -> {n} in column {i}"
-            )));
-        }
-    }
-    Ok(())
-}
-
 /// Splits a frame body on tabs, tolerating the leading space after the
 /// frame tag. An empty body means zero fields.
 fn split_frame(body: &str) -> Vec<String> {
@@ -498,4 +470,52 @@ fn split_frame(body: &str) -> Vec<String> {
         return Vec::new();
     }
     body.split('\t').map(str::to_string).collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::Write;
+    use std::net::TcpListener;
+
+    /// Answers one statement with the canned `frames` and returns what
+    /// the client made of them.
+    fn answer(frames: &'static str) -> Result<(ResultTable, RemoteStats), ClientError> {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let server = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().expect("accept");
+            let mut request = String::new();
+            BufReader::new(stream.try_clone().expect("clone"))
+                .read_line(&mut request)
+                .expect("request");
+            (&stream).write_all(frames.as_bytes()).expect("reply");
+        });
+        let result = ProxyClient::connect(addr)
+            .expect("connect")
+            .query("SELECT x");
+        server.join().expect("server thread");
+        result
+    }
+
+    #[test]
+    fn a_types_resend_may_only_replace_null_tags() {
+        let (table, _) = answer(
+            "COLS x\tn\nTYPES null\tint\nROWS 1\n\\N\t1\nTYPES int\tint\nROWS 1\n3\t2\nEND 2 0 0\n",
+        )
+        .expect("typing an all-NULL column is legal");
+        assert_eq!(
+            table.rows,
+            vec![
+                vec![Value::Null, Value::Int(1)],
+                vec![Value::Int(3), Value::Int(2)]
+            ]
+        );
+        let err = answer("COLS x\nTYPES int\nROWS 1\n1\nTYPES float\nROWS 1\n2.5\nEND 2 0 0\n")
+            .expect_err("a known type may not change");
+        assert!(
+            matches!(&err, ClientError::Protocol(e) if e.message.contains("int -> float")),
+            "{err:?}"
+        );
+    }
 }

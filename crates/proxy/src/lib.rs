@@ -13,10 +13,10 @@
 //! client:  <sql terminated by ';'>   (a ';' inside a '…' literal or a
 //!                                     `…` identifier does not end it)
 //! server:  COLS  <name>\t<name>…
-//!          TYPES <int|float|str|null>\t…   (may be re-sent mid-stream
-//!                                           when a later chunk widens a
-//!                                           column — re-coerce held
-//!                                           rows Int → Float, exact)
+//!          TYPES <int|float|str|null>\t…   (may be re-sent mid-stream,
+//!                                           but only to replace `null`
+//!                                           tags: a column all-NULL
+//!                                           until then is now typed)
 //!          ROWS <n>                        (then n raw TSV row lines;
 //!          <value>\t<value>…                the block is atomic and
 //!          …                                repeats as batches fold)

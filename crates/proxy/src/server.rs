@@ -288,7 +288,8 @@ impl ResponseState {
 }
 
 /// Encodes one merged batch: `COLS`/`TYPES` headers the first time,
-/// a `TYPES` resend when a later chunk widened a column, then the
+/// a `TYPES` resend when a column that was all-NULL so far (tag `null`)
+/// has become known, then the
 /// `ROWS <n>` block. The block (header + `n` raw TSV lines) is written
 /// in one append, so multiplexed responses never interleave inside it.
 fn write_batch(out: &mut Vec<u8>, st: &mut ResponseState, batch: &StreamBatch) {

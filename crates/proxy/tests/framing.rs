@@ -167,7 +167,7 @@ fn slow_readers_throttle_without_corruption() {
         } else if line.starts_with("END ") {
             end = Some(line.to_string());
         } else if line.starts_with("TYPES ") {
-            // A mid-stream widening resend is legal.
+            // A mid-stream resend that types an all-NULL column is legal.
         } else {
             panic!("unexpected frame {line:?}");
         }

@@ -243,6 +243,27 @@ impl Expr {
         Expr::binary(lhs, BinaryOp::And, rhs)
     }
 
+    /// The top-level AND conjuncts, left to right: nested ANDs flatten,
+    /// anything else (an OR included) is one leaf.
+    pub fn conjuncts(&self) -> Vec<&Expr> {
+        fn walk<'a>(e: &'a Expr, out: &mut Vec<&'a Expr>) {
+            if let Expr::Binary {
+                op: BinaryOp::And,
+                lhs,
+                rhs,
+            } = e
+            {
+                walk(lhs, out);
+                walk(rhs, out);
+            } else {
+                out.push(e);
+            }
+        }
+        let mut out = Vec::new();
+        walk(self, &mut out);
+        out
+    }
+
     /// Renders the expression as SQL, with minimal parentheses.
     pub fn to_sql(&self) -> String {
         let mut s = String::new();
@@ -621,6 +642,24 @@ impl fmt::Display for SelectStatement {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn conjuncts_flatten_nested_ands_left_to_right() {
+        let (a, b, c, d) = (
+            Expr::col("a"),
+            Expr::col("b"),
+            Expr::col("c"),
+            Expr::col("d"),
+        );
+        let either = Expr::binary(c.clone(), BinaryOp::Or, d.clone());
+        // (a AND (b AND (c OR d))) AND a
+        let e = Expr::and(
+            Expr::and(a.clone(), Expr::and(b.clone(), either.clone())),
+            a.clone(),
+        );
+        assert_eq!(e.conjuncts(), vec![&a, &b, &either, &a]);
+        assert_eq!(either.conjuncts(), vec![&either]);
+    }
 
     #[test]
     fn literal_display() {

@@ -6,7 +6,7 @@
 
 mod common;
 
-use common::{assert_matches_local, cluster_from, monolithic_db, small_patch};
+use common::{assert_matches_local, cluster_from, monolithic_db, small_patch, sorted_rows};
 use qserv_engine::exec::execute;
 use qserv_engine::value::Value;
 use qserv_sqlparse::parse_select;
@@ -185,6 +185,50 @@ fn non_finite_floats_answer_as_locally() {
                     _ => dv == lv,
                 };
                 assert!(same, "{sql}: distributed {dv:?} vs local {lv:?}");
+            }
+        }
+    }
+}
+
+/// A chunk whose result column is entirely NULL carries no type: the
+/// other chunks' Int values stay Int. Chunk `c`, the first stored chunk,
+/// computes `x % 0`, so its column is all NULL; every cell must have the
+/// variant the single-node engine gives it, not only its value.
+#[test]
+fn null_only_chunk_column_keeps_its_type() {
+    let patch = small_patch(300, 41);
+    let q = cluster_from(&patch, 4);
+    let db = monolithic_db(&patch);
+    let first = execute(
+        &db,
+        &parse_select("SELECT MIN(chunkId) FROM Object").unwrap(),
+    )
+    .unwrap();
+    let c = first.scalar().and_then(|v| v.as_i64()).expect("a chunk id");
+    for sql in [
+        format!("SELECT objectId, chunkId % (chunkId - {c}) AS m FROM Object"),
+        format!("SELECT MAX(chunkId % (chunkId - {c})) AS m FROM Object"),
+        format!(
+            "SELECT chunkId, MAX(objectId % (chunkId - {c})) AS m FROM Object GROUP BY chunkId"
+        ),
+    ] {
+        let distributed = q
+            .query(&sql)
+            .unwrap_or_else(|e| panic!("distributed {sql}: {e}"));
+        let local = execute(&db, &parse_select(&sql).unwrap())
+            .unwrap_or_else(|e| panic!("local {sql}: {e}"));
+        assert_matches_local(&sql, &distributed, &local);
+        let variant = |v: &Value| std::mem::discriminant(v);
+        for (d, l) in sorted_rows(&distributed.rows)
+            .iter()
+            .zip(&sorted_rows(&local.rows))
+        {
+            for (dv, lv) in d.iter().zip(l) {
+                assert_eq!(
+                    variant(dv),
+                    variant(lv),
+                    "{sql}: distributed {dv:?} vs local {lv:?}"
+                );
             }
         }
     }

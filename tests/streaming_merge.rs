@@ -4,9 +4,11 @@
 //!
 //! * property tests pinning the incremental [`Merger`] to the
 //!   collect-then-merge oracle (`merge_tables` + merge-statement
-//!   execution) over randomized chunk-result shapes — mixed Int/Float
-//!   column types per part (widening + group re-keying), NULL group
-//!   keys, empty parts, shuffled arrival order;
+//!   execution) over randomized chunk-result shapes — one Int or Float
+//!   type per column and case, parts whose column is all NULL and typed
+//!   the other way (such a part carries no type vote), NULL group keys,
+//!   empty parts, shuffled arrival order — and parts that disagree on a
+//!   populated column failing alike on both paths;
 //! * cluster tests: the live cluster returns what a single-node engine
 //!   returns over the unpartitioned rows, and a pushed-down `LIMIT`
 //!   cancels the chunk queue early so strictly fewer chunks are
@@ -58,33 +60,56 @@ enum Kind {
     Num,
 }
 
-/// Generates one chunk-result part: each column independently picks Int
-/// or Float typing (exercising the merge-time widening vote and Fold's
-/// group re-keying), with NULLs sprinkled in.
-fn gen_part(rng: &mut Rng, cols: &[(&str, Kind)], rows: usize, force_int: bool) -> Table {
-    let tys: Vec<ColumnType> = cols
-        .iter()
+/// Draws each column's type once per case: the chunk results of one
+/// statement agree on their column types.
+fn gen_types(rng: &mut Rng, cols: &[(&str, Kind)]) -> Vec<ColumnType> {
+    cols.iter()
         .map(|_| {
-            if force_int || rng.below(2) == 0 {
+            if rng.below(2) == 0 {
                 ColumnType::Int
             } else {
                 ColumnType::Float
             }
         })
-        .collect();
+        .collect()
+}
+
+/// The other numeric type.
+fn flip(ty: ColumnType) -> ColumnType {
+    match ty {
+        ColumnType::Int => ColumnType::Float,
+        _ => ColumnType::Int,
+    }
+}
+
+/// Generates one chunk-result part typed `tys`. With `sprinkle`, NULLs
+/// are sprinkled in, and now and then a column is all NULL in the part
+/// and typed the other way (a result dump types an all-NULL column
+/// Float whatever the other chunks hold), which must carry no vote.
+/// Without it, every cell is populated.
+fn gen_part(
+    rng: &mut Rng,
+    cols: &[(&str, Kind)],
+    tys: &[ColumnType],
+    rows: usize,
+    sprinkle: bool,
+) -> Table {
+    let all_null: Vec<bool> = cols.iter().map(|_| sprinkle && rng.below(6) == 0).collect();
     let schema = Schema::new(
         cols.iter()
-            .zip(&tys)
-            .map(|((n, _), t)| ColumnDef::new(n, *t))
+            .zip(tys)
+            .zip(&all_null)
+            .map(|(((n, _), t), &null)| ColumnDef::new(n, if null { flip(*t) } else { *t }))
             .collect(),
     );
     let mut t = Table::new(schema);
     for _ in 0..rows {
         let row: Vec<Value> = cols
             .iter()
-            .zip(&tys)
-            .map(|((_, kind), ty)| {
-                if rng.below(8) == 0 {
+            .zip(tys)
+            .zip(&all_null)
+            .map(|(((_, kind), ty), &null)| {
+                if null || (sprinkle && rng.below(8) == 0) {
                     return Value::Null;
                 }
                 let v = match kind {
@@ -103,11 +128,29 @@ fn gen_part(rng: &mut Rng, cols: &[(&str, Kind)], rows: usize, force_int: bool) 
     t
 }
 
+/// `nparts` parts of up to `max_rows` rows under one per-case typing.
+fn gen_parts(rng: &mut Rng, cols: &[(&str, Kind)], nparts: usize, max_rows: u64) -> Vec<Table> {
+    let tys = gen_types(rng, cols);
+    (0..nparts)
+        .map(|_| {
+            let rows = rng.below(max_rows) as usize;
+            gen_part(rng, cols, &tys, rows, true)
+        })
+        .collect()
+}
+
 /// Streams `parts` through a fresh [`Merger`] in a seeded shuffle of the
 /// arrival order (sequence numbers still identify chunk order) and
-/// checks the result against the barrier oracle over the same parts.
-fn assert_streaming_matches_oracle(plan: &PhysicalPlan, parts: Vec<Table>, rng: &mut Rng) {
+/// checks the result against the barrier oracle over the same parts,
+/// which must fail exactly when `disagree` says the parts do.
+fn assert_streaming_matches_oracle(
+    plan: &PhysicalPlan,
+    parts: Vec<Table>,
+    disagree: bool,
+    rng: &mut Rng,
+) {
     let oracle = merge_oracle(&plan.merge_stmt, parts.clone());
+    assert_eq!(oracle.is_err(), disagree, "oracle: {oracle:?}");
     let mut order: Vec<usize> = (0..parts.len()).collect();
     for i in (1..order.len()).rev() {
         order.swap(i, rng.below(i as u64 + 1) as usize);
@@ -141,8 +184,7 @@ fn assert_streaming_matches_oracle(plan: &PhysicalPlan, parts: Vec<Table>, rng: 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// GROUP BY fold: running per-group accumulators, NULL keys,
-    /// Int→Float key flips mid-stream.
+    /// GROUP BY fold: running per-group accumulators, NULL keys.
     #[test]
     fn fold_group_by_matches_oracle(seed in 0u64..u64::MAX / 2, nparts in 1usize..7) {
         let plan = plan_for(
@@ -160,13 +202,8 @@ proptest! {
             ("MAX(ra_PS)", Kind::Num),
         ];
         let mut rng = Rng(seed);
-        let parts = (0..nparts)
-            .map(|_| {
-                let rows = rng.below(5) as usize;
-                gen_part(&mut rng, &cols, rows, false)
-            })
-            .collect();
-        assert_streaming_matches_oracle(&plan, parts, &mut rng);
+        let parts = gen_parts(&mut rng, &cols, nparts, 5);
+        assert_streaming_matches_oracle(&plan, parts, false, &mut rng);
     }
 
     /// Global aggregation (no GROUP BY) folds to a single row.
@@ -184,13 +221,8 @@ proptest! {
             ("MAX(decl_PS)", Kind::Num),
         ];
         let mut rng = Rng(seed);
-        let parts = (0..nparts)
-            .map(|_| {
-                let rows = rng.below(4) as usize;
-                gen_part(&mut rng, &cols, rows, false)
-            })
-            .collect();
-        assert_streaming_matches_oracle(&plan, parts, &mut rng);
+        let parts = gen_parts(&mut rng, &cols, nparts, 4);
+        assert_streaming_matches_oracle(&plan, parts, false, &mut rng);
     }
 
     /// Plain append (no aggregation, no ORDER BY, no LIMIT).
@@ -200,32 +232,19 @@ proptest! {
         prop_assert_eq!(&plan.shape, &MergeShape::Append { cutoff: None });
         let cols: Vec<(&str, Kind)> = vec![("objectId", Kind::Num), ("ra_PS", Kind::Num)];
         let mut rng = Rng(seed);
-        let parts = (0..nparts)
-            .map(|_| {
-                let rows = rng.below(5) as usize;
-                gen_part(&mut rng, &cols, rows, false)
-            })
-            .collect();
-        assert_streaming_matches_oracle(&plan, parts, &mut rng);
+        let parts = gen_parts(&mut rng, &cols, nparts, 5);
+        assert_streaming_matches_oracle(&plan, parts, false, &mut rng);
     }
 
-    /// Append with a pushed-down LIMIT: the merger may stop early, so
-    /// parts are kept type-stable (the real pipeline's worker results
-    /// are type-stable by construction; see the concession note in
-    /// `merge.rs`).
+    /// Append with a pushed-down LIMIT: the merger may stop early.
     #[test]
     fn append_limit_cutoff_matches_oracle(seed in 0u64..u64::MAX / 2, nparts in 1usize..7) {
         let plan = plan_for("SELECT objectId FROM Object LIMIT 6");
         prop_assert_eq!(&plan.shape, &MergeShape::Append { cutoff: Some(6) });
         let cols: Vec<(&str, Kind)> = vec![("objectId", Kind::Num)];
         let mut rng = Rng(seed);
-        let parts = (0..nparts)
-            .map(|_| {
-                let rows = rng.below(5) as usize;
-                gen_part(&mut rng, &cols, rows, true)
-            })
-            .collect();
-        assert_streaming_matches_oracle(&plan, parts, &mut rng);
+        let parts = gen_parts(&mut rng, &cols, nparts, 5);
+        assert_streaming_matches_oracle(&plan, parts, false, &mut rng);
     }
 
     /// ORDER BY … LIMIT keeps a bounded top-n candidate set whose final
@@ -239,13 +258,51 @@ proptest! {
         prop_assert_eq!(&plan.shape, &MergeShape::TopN { n: 4 });
         let cols: Vec<(&str, Kind)> = vec![("objectId", Kind::Key), ("ra_PS", Kind::Key)];
         let mut rng = Rng(seed);
-        let parts = (0..nparts)
+        let parts = gen_parts(&mut rng, &cols, nparts, 6);
+        assert_streaming_matches_oracle(&plan, parts, false, &mut rng);
+    }
+
+    /// A part whose populated column has the other type than an earlier
+    /// populated part makes the streamed merge fail exactly as the
+    /// oracle does, whatever the merge shape and arrival order.
+    #[test]
+    fn disagreeing_parts_fail_alike(
+        seed in 0u64..u64::MAX / 2,
+        nparts in 0usize..5,
+        shape in 0usize..3,
+    ) {
+        let (sql, cols): (&str, Vec<(&str, Kind)>) = match shape {
+            0 => ("SELECT objectId, ra_PS FROM Object", vec![("objectId", Kind::Num), ("ra_PS", Kind::Num)]),
+            1 => (
+                "SELECT chunkId, COUNT(*) FROM Object GROUP BY chunkId",
+                vec![("chunkId", Kind::Key), ("COUNT(*)", Kind::Num)],
+            ),
+            _ => (
+                "SELECT objectId, ra_PS FROM Object ORDER BY ra_PS DESC, objectId LIMIT 4",
+                vec![("objectId", Kind::Key), ("ra_PS", Kind::Key)],
+            ),
+        };
+        let plan = plan_for(sql);
+        let mut rng = Rng(seed);
+        let tys = gen_types(&mut rng, &cols);
+        let mut parts: Vec<Table> = (0..nparts)
             .map(|_| {
-                let rows = rng.below(6) as usize;
-                gen_part(&mut rng, &cols, rows, false)
+                let rows = rng.below(4) as usize;
+                gen_part(&mut rng, &cols, &tys, rows, true)
             })
             .collect();
-        assert_streaming_matches_oracle(&plan, parts, &mut rng);
+        // One fully populated part as typed, one with a column flipped,
+        // each at a random chunk position.
+        let mut flipped = tys.clone();
+        let col = rng.below(cols.len() as u64) as usize;
+        flipped[col] = flip(flipped[col]);
+        for part_tys in [&tys, &flipped] {
+            let rows = 1 + rng.below(3) as usize;
+            let part = gen_part(&mut rng, &cols, part_tys, rows, false);
+            let at = rng.below(parts.len() as u64 + 1) as usize;
+            parts.insert(at, part);
+        }
+        assert_streaming_matches_oracle(&plan, parts, true, &mut rng);
     }
 }
 

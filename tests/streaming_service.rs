@@ -3,8 +3,8 @@
 //! 1. **Equivalence** — for every query shape (pass-through selections,
 //!    aggregations, ORDER BY LIMIT, point lookups), draining a
 //!    streaming submission and reassembling the batches yields a table
-//!    byte-identical to the buffered reply, including Int → Float
-//!    re-coercion when a late chunk widens a column's merge vote.
+//!    byte-identical to the buffered reply, and the planner's q-error
+//!    is the same whichever entry point ran the statement.
 //! 2. **Incrementality** — under per-chunk fabric delays, a streamable
 //!    scan delivers multiple row batches (first rows leave while later
 //!    chunks are still scanning), and dropping the handle mid-stream
@@ -167,4 +167,31 @@ fn analysis_errors_surface_at_submit_and_from_less_statements_run() {
         .wait()
         .result
         .expect("constant runs");
+}
+
+/// The planner's estimate is judged against the rows the statement
+/// answers with, whichever entry point ran it: the master called
+/// directly and the service, whose executor streams through a sink,
+/// report the same q-error.
+#[test]
+fn planner_qerror_is_the_same_through_every_entry_point() {
+    let patch = small_patch(400, 7);
+    let qserv = Arc::new(ClusterBuilder::new(4).build(&patch.objects, &patch.sources));
+    let service = QueryService::start(qserv.clone(), ServiceConfig::default());
+    for sql in [
+        "SELECT COUNT(*) FROM Object",
+        "SELECT objectId FROM Object ORDER BY objectId LIMIT 5",
+    ] {
+        let (_, direct) = qserv.query_with_stats(sql).expect("master succeeds");
+        let (_, served) = service
+            .submit(sql)
+            .expect("admitted")
+            .wait()
+            .result
+            .expect("service succeeds");
+        assert_eq!(
+            served.planner_qerror_pct, direct.planner_qerror_pct,
+            "{sql}: q-error depends on the entry point"
+        );
+    }
 }
