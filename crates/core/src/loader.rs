@@ -20,7 +20,7 @@ use qserv_engine::schema::{ColumnDef, ColumnType, Schema};
 use qserv_engine::table::Table;
 use qserv_engine::value::Value;
 use qserv_obs::clock::SharedClock;
-use qserv_partition::chunker::Chunker;
+use qserv_partition::chunker::{ChunkLocation, Chunker};
 use qserv_partition::index::SecondaryIndex;
 use qserv_partition::placement::{PlacementMap, PlacementStrategy};
 use qserv_sphgeom::{LonLat, SphericalBox};
@@ -28,6 +28,40 @@ use qserv_xrd::cluster::{query_path, XrdCluster};
 use qserv_xrd::fault::FaultPlan;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
+
+/// One table's partitioned rows, keyed by chunk id: the rows each chunk
+/// owns, and the copies each chunk keeps in its overlap store (§4.4).
+#[derive(Default)]
+struct ChunkRows {
+    owned: BTreeMap<i32, Vec<Vec<Value>>>,
+    overlap: BTreeMap<i32, Vec<Vec<Value>>>,
+}
+
+impl ChunkRows {
+    /// Files one row positioned at `(ra, decl)` under the chunk that owns
+    /// the position and under every other chunk whose dilated bounds
+    /// contain it. `row` builds the values from the owner's chunk and
+    /// subchunk ids. Returns the owner's location.
+    fn insert(
+        &mut self,
+        chunker: &Chunker,
+        ra: f64,
+        decl: f64,
+        row: impl FnOnce(i32, i32) -> Vec<Value>,
+    ) -> ChunkLocation {
+        let p = LonLat::from_degrees(ra, decl);
+        let loc = chunker.locate(&p);
+        let values = row(loc.chunk_id, loc.subchunk_id);
+        let probe = SphericalBox::from_degrees(ra, decl, ra, decl).dilated(chunker.overlap());
+        for c in chunker.chunks_intersecting(&probe) {
+            if c != loc.chunk_id && chunker.in_overlap(c, &p).unwrap_or(false) {
+                self.overlap.entry(c).or_default().push(values.clone());
+            }
+        }
+        self.owned.entry(loc.chunk_id).or_default().push(values);
+        loc
+    }
+}
 
 /// The Object chunk-table schema (a realistic subset of the PT1.1 schema:
 /// the columns every evaluation query touches, plus the partitioning
@@ -239,89 +273,42 @@ impl ClusterBuilder {
     /// running frontend.
     pub fn build(self, objects: &[ObjectRow], sources: &[SourceRow]) -> Qserv {
         let chunker = &self.chunker;
-        let overlap = chunker.overlap();
-
         // --- Partition objects (owned + overlap stores) ------------------
-        let mut obj_owned: BTreeMap<i32, Vec<Vec<Value>>> = BTreeMap::new();
-        let mut obj_overlap: BTreeMap<i32, Vec<Vec<Value>>> = BTreeMap::new();
+        let mut obj = ChunkRows::default();
         let mut obj_loc: HashMap<i64, (f64, f64)> = HashMap::new();
         let mut secondary = SecondaryIndex::new();
         for o in objects {
-            let p = LonLat::from_degrees(o.ra_ps, o.decl_ps);
-            let loc = chunker.locate(&p);
-            obj_owned
-                .entry(loc.chunk_id)
-                .or_default()
-                .push(object_values(o, loc.chunk_id, loc.subchunk_id));
+            let loc = obj.insert(chunker, o.ra_ps, o.decl_ps, |chunk, sub| {
+                object_values(o, chunk, sub)
+            });
             secondary.insert(o.object_id, loc);
             obj_loc.insert(o.object_id, (o.ra_ps, o.decl_ps));
-            // Overlap membership: chunks whose dilated bounds contain p.
-            let probe =
-                SphericalBox::from_degrees(o.ra_ps, o.decl_ps, o.ra_ps, o.decl_ps).dilated(overlap);
-            for c in chunker.chunks_intersecting(&probe) {
-                if c != loc.chunk_id && chunker.in_overlap(c, &p).unwrap_or(false) {
-                    obj_overlap.entry(c).or_default().push(object_values(
-                        o,
-                        loc.chunk_id,
-                        loc.subchunk_id,
-                    ));
-                }
-            }
         }
 
         // --- Partition sources, co-located with their objects ------------
-        let mut src_owned: BTreeMap<i32, Vec<Vec<Value>>> = BTreeMap::new();
-        let mut src_overlap: BTreeMap<i32, Vec<Vec<Value>>> = BTreeMap::new();
+        let mut src = ChunkRows::default();
         for s in sources {
             let (ra, decl) = obj_loc.get(&s.object_id).copied().unwrap_or((s.ra, s.decl));
-            let p = LonLat::from_degrees(ra, decl);
-            let loc = chunker.locate(&p);
-            src_owned
-                .entry(loc.chunk_id)
-                .or_default()
-                .push(source_values(s, loc.chunk_id, loc.subchunk_id));
-            let probe = SphericalBox::from_degrees(ra, decl, ra, decl).dilated(overlap);
-            for c in chunker.chunks_intersecting(&probe) {
-                if c != loc.chunk_id && chunker.in_overlap(c, &p).unwrap_or(false) {
-                    src_overlap.entry(c).or_default().push(source_values(
-                        s,
-                        loc.chunk_id,
-                        loc.subchunk_id,
-                    ));
-                }
-            }
+            src.insert(chunker, ra, decl, |chunk, sub| source_values(s, chunk, sub));
         }
 
         // --- Partition the reference catalog (XMatch side B) -------------
-        let mut ref_owned: BTreeMap<i32, Vec<Vec<Value>>> = BTreeMap::new();
-        let mut ref_overlap: BTreeMap<i32, Vec<Vec<Value>>> = BTreeMap::new();
+        let mut refs = ChunkRows::default();
         for r in &self.ref_objects {
-            let p = LonLat::from_degrees(r.ra, r.decl);
-            let loc = chunker.locate(&p);
-            ref_owned
-                .entry(loc.chunk_id)
-                .or_default()
-                .push(ref_object_values(r, loc.chunk_id, loc.subchunk_id));
-            let probe = SphericalBox::from_degrees(r.ra, r.decl, r.ra, r.decl).dilated(overlap);
-            for c in chunker.chunks_intersecting(&probe) {
-                if c != loc.chunk_id && chunker.in_overlap(c, &p).unwrap_or(false) {
-                    ref_overlap.entry(c).or_default().push(ref_object_values(
-                        r,
-                        loc.chunk_id,
-                        loc.subchunk_id,
-                    ));
-                }
-            }
+            refs.insert(chunker, r.ra, r.decl, |chunk, sub| {
+                ref_object_values(r, chunk, sub)
+            });
         }
 
         // --- Placement over the populated chunk set ----------------------
-        let mut chunks: Vec<i32> = obj_owned
+        let mut chunks: Vec<i32> = obj
+            .owned
             .keys()
-            .chain(src_owned.keys())
-            .chain(obj_overlap.keys())
-            .chain(src_overlap.keys())
-            .chain(ref_owned.keys())
-            .chain(ref_overlap.keys())
+            .chain(src.owned.keys())
+            .chain(obj.overlap.keys())
+            .chain(src.overlap.keys())
+            .chain(refs.owned.keys())
+            .chain(refs.overlap.keys())
             .copied()
             .collect();
         chunks.sort_unstable();
@@ -381,15 +368,15 @@ impl ClusterBuilder {
             let owned: [(&str, Table); 3] = [
                 (
                     "Object",
-                    build_table(object_schema(), obj_owned.get(&chunk), true),
+                    build_table(object_schema(), obj.owned.get(&chunk), true),
                 ),
                 (
                     "Source",
-                    build_table(source_schema(), src_owned.get(&chunk), true),
+                    build_table(source_schema(), src.owned.get(&chunk), true),
                 ),
                 (
                     "RefObject",
-                    build_table(ref_object_schema(), ref_owned.get(&chunk), false),
+                    build_table(ref_object_schema(), refs.owned.get(&chunk), false),
                 ),
             ];
             // Per-chunk zone maps come from the same owned rows in both
@@ -443,9 +430,9 @@ impl ClusterBuilder {
             });
             let overlaps = |name: &str| -> Table {
                 match name {
-                    "Object" => build_table(object_schema(), obj_overlap.get(&chunk), false),
-                    "Source" => build_table(source_schema(), src_overlap.get(&chunk), false),
-                    _ => build_table(ref_object_schema(), ref_overlap.get(&chunk), false),
+                    "Object" => build_table(object_schema(), obj.overlap.get(&chunk), false),
+                    "Source" => build_table(source_schema(), src.overlap.get(&chunk), false),
+                    _ => build_table(ref_object_schema(), refs.overlap.get(&chunk), false),
                 }
             };
             for &node in placement.nodes_of(chunk).expect("chunk was placed") {

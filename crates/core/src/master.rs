@@ -1,7 +1,7 @@
 //! The Qserv master (frontend): end-to-end distributed query execution.
 //!
 //! Every public entry point (`query`, `query_with_stats`, `query_traced`,
-//! `query_streaming`, `xmatch`, `explain`, `explain_table`) is
+//! `xmatch`, `explain`, `explain_table`) is
 //! `Qserv::prepare` plus a use of the prepared statement. `prepare` is
 //! the one place SQL text is read: parse → analyze (§5.3) → plan →
 //! select the chunk set (spatial restriction and/or secondary index) →
@@ -13,7 +13,7 @@
 //! mysqldump-style results → fold each into the incremental merge as it
 //! arrives (`crate::merge`) → run the merge/aggregation query → return
 //! rows to the caller, or push them through the caller's sink as they
-//! become final.
+//! become final (`QueryService::submit_streaming`).
 
 use crate::analysis::{analyze, Analysis, JoinClass};
 use crate::error::QservError;
@@ -44,9 +44,11 @@ use qserv_xrd::fault::FabricOp;
 use qserv_xrd::md5_hex;
 use qserv_xrd::server::ServerId;
 use std::collections::BTreeSet;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
+use std::thread;
 use std::time::Duration;
 
 /// Clamps the configured dispatcher-pool width to something sane for a
@@ -232,7 +234,11 @@ fn split_scan_header(text: &str) -> (ScanStats, &str) {
 }
 
 /// The optional row sink of one query: `Some` pushes merged row batches
-/// out as they become final (see [`Qserv::query_streaming`]).
+/// out as they become final, or as one batch at completion for shapes
+/// that cannot stream (folds, top-n, barriers). The final batch is always
+/// pushed, even when empty. A sink returning `false` aborts the query
+/// like a cancel: the LIMIT-cutoff and disconnect paths of
+/// [`crate::QueryService::submit_streaming`].
 type Sink<'a> = Option<&'a mut dyn FnMut(StreamBatch) -> bool>;
 
 /// Per-chunk dispatch outcome: the loaded result table, the transferred
@@ -631,7 +637,7 @@ impl Qserv {
             secondary,
             workers,
             clock: wall_clock(),
-            dispatch_width: std::thread::available_parallelism().map_or(1, |n| n.get().min(8)),
+            dispatch_width: thread::available_parallelism().map_or(1, |n| n.get().min(8)),
             retry: RetryPolicy::default(),
             qid: AtomicU64::new(1),
             zones,
@@ -806,36 +812,6 @@ impl Qserv {
             metrics: qm.snapshot(),
             trace,
         })
-    }
-
-    /// Executes a query under an externally held [`CancelToken`],
-    /// pushing merged row batches into `sink` as chunk results fold, so
-    /// the first rows leave the master while later chunks are still
-    /// scanning. For shapes that cannot stream (folds, top-n, barriers —
-    /// anything whose output depends on every chunk) the single final
-    /// batch is pushed at completion instead. The final batch is
-    /// *always* pushed, even when empty, so consumers learn the result
-    /// columns of empty results.
-    ///
-    /// A `cancel()` from another thread aborts the query with
-    /// [`QservError::Cancelled`] at the next chunk-dispatch or
-    /// merge-fold boundary, leaving no result files on the fabric.
-    /// Returning `false` from the sink does the same — the LIMIT-cutoff
-    /// path for a client that has seen enough, and the disconnect path
-    /// for one that left.
-    ///
-    /// Exactness: the concatenation of all batches is byte-identical to
-    /// the table [`Qserv::query`] returns. Every column has one type for
-    /// the whole result (see [`crate::merge`]); a later batch may only
-    /// fill in the type of a column that was all-NULL until then.
-    pub fn query_streaming(
-        &self,
-        sql: &str,
-        token: &CancelToken,
-        sink: &mut dyn FnMut(StreamBatch) -> bool,
-    ) -> Result<QueryStats, QservError> {
-        self.run(self.prepare(sql)?, token, Some(sink))
-            .map(|(_, qm)| qm.stats())
     }
 
     /// The one query path behind every public entry point and the query
@@ -1228,49 +1204,53 @@ impl Qserv {
             let outcome = self.dispatch_one(job.chunk, &job.message, started, token);
             (job.member, job.seq, outcome)
         };
-        crossbeam::thread::scope(|scope| {
-            // Owned here so that an unwinding caller drops it — releasing
-            // helpers blocked in `send` — before the scope joins them.
-            let rx = rx;
-            for _ in 1..width {
-                let tx = tx.clone();
-                let (next_job, dispatch, ctx) = (&next_job, &dispatch, &ctx);
-                scope.spawn(move |_| {
-                    // Helper threads parent their chunk spans under the
-                    // span current on the calling thread
-                    // (master.dispatch) — explicit cross-thread handoff.
-                    let _tg = ctx.as_ref().map(|c| c.enter());
-                    while let Some(job) = next_job() {
-                        if tx.send(dispatch(job)).is_err() {
-                            break;
+        // A panic on a helper or on this thread becomes a typed error
+        // rather than unwinding into the caller's executor.
+        catch_unwind(AssertUnwindSafe(|| {
+            thread::scope(|scope| {
+                // Owned here so that an unwinding caller drops it — releasing
+                // helpers blocked in `send` — before the scope joins them.
+                let rx = rx;
+                for _ in 1..width {
+                    let tx = tx.clone();
+                    let (next_job, dispatch, ctx) = (&next_job, &dispatch, &ctx);
+                    scope.spawn(move || {
+                        // Helper threads parent their chunk spans under the
+                        // span current on the calling thread
+                        // (master.dispatch) — explicit cross-thread handoff.
+                        let _tg = ctx.as_ref().map(|c| c.enter());
+                        while let Some(job) = next_job() {
+                            if tx.send(dispatch(job)).is_err() {
+                                break;
+                            }
                         }
-                    }
-                });
-            }
-            drop(tx);
-            // Folding on this thread only keeps the merge single-threaded;
-            // the mergers' reorder buffers make it deterministic
-            // regardless of arrival order. Once an arrival asks to stop,
-            // the channel is still drained so in-flight helpers can
-            // finish their send and exit.
-            let mut arrive = |(member, seq, outcome): (usize, usize, ChunkOutcome)| {
-                if !arrivals[member].arrive(seq, outcome) {
-                    live[member].1.store(true, Ordering::Relaxed);
+                    });
                 }
-            };
-            loop {
-                while let Ok(arrival) = rx.try_recv() {
+                drop(tx);
+                // Folding on this thread only keeps the merge single-threaded;
+                // the mergers' reorder buffers make it deterministic
+                // regardless of arrival order. Once an arrival asks to stop,
+                // the channel is still drained so in-flight helpers can
+                // finish their send and exit.
+                let mut arrive = |(member, seq, outcome): (usize, usize, ChunkOutcome)| {
+                    if !arrivals[member].arrive(seq, outcome) {
+                        live[member].1.store(true, Ordering::Relaxed);
+                    }
+                };
+                loop {
+                    while let Ok(arrival) = rx.try_recv() {
+                        arrive(arrival);
+                    }
+                    let Some(job) = next_job() else {
+                        break;
+                    };
+                    arrive(dispatch(job));
+                }
+                while let Ok(arrival) = rx.recv() {
                     arrive(arrival);
                 }
-                let Some(job) = next_job() else {
-                    break;
-                };
-                arrive(dispatch(job));
-            }
-            while let Ok(arrival) = rx.recv() {
-                arrive(arrival);
-            }
-        })
+            })
+        }))
         .map_err(|_| QservError::Fabric("dispatcher thread panicked".to_string()))?;
 
         Ok(Dispatched {

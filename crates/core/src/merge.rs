@@ -43,7 +43,7 @@ use qserv_sqlparse::ast::{Expr, OrderItem, SelectStatement};
 use std::collections::{BTreeMap, HashMap};
 
 /// One batch of merged rows emitted mid-query by a streaming sink (see
-/// [`crate::Qserv::query_streaming`]): the rows appended since the last
+/// [`crate::QueryService::submit_streaming`]): the rows appended since the last
 /// drain, with the column types voted so far. A later batch may only
 /// fill in a type that was `None` (a column all-NULL until then); a
 /// known type never changes.

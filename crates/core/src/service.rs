@@ -811,6 +811,11 @@ impl QueryService {
     /// span annotating class, cost, and queueing wait, delivered in the
     /// terminal [`StreamDone`]. `notify` is invoked after each event is
     /// queued — the proxy's reactor hook.
+    ///
+    /// Exactness: the concatenation of all batches is byte-identical to
+    /// the table [`QueryService::submit`] returns. Every column has one
+    /// type for the whole result (see [`crate::merge`]); a later batch may
+    /// only fill in the type of a column that was all-NULL until then.
     pub fn submit_streaming(
         &self,
         sql: &str,

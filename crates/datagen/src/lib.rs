@@ -13,15 +13,12 @@
 //! transform.
 //!
 //! [`estimate`] reproduces Table 1 (the final-data-release sizing) from
-//! row counts × row widths, the same accounting the paper uses. [`csv`]
-//! imports/exports catalogs as delimited text, the on-ramp for real data.
+//! row counts × row widths, the same accounting the paper uses.
 
-pub mod csv;
 pub mod duplicate;
 pub mod estimate;
 pub mod generate;
 
-pub use csv::{objects_from_csv, objects_to_csv, sources_from_csv, sources_to_csv};
 pub use duplicate::SkyDuplicator;
 pub use estimate::{lsst_final_release, TableEstimate};
 pub use generate::{CatalogConfig, ObjectRow, ObjectStream, Patch, RefObjectRow, SourceRow};

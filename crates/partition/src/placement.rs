@@ -486,7 +486,7 @@ mod tests {
 
         /// Random maps at up to paper scale (150 members, 9 000 chunks),
         /// 1–3 members lost, then the step functions driven to their
-        /// fixed points the way the master and the simulator drive them.
+        /// fixed points the way the master drives them.
         #[test]
         fn planning_steps_reach_sound_fixed_points(
             members in 1usize..151,
@@ -504,20 +504,34 @@ mod tests {
             ][strategy];
             let chunks = ids((members * per_node) as i32);
             let mut map = PlacementMap::initial(&chunks, members, replication, strategy);
+            let holders: Vec<Vec<usize>> =
+                chunks.iter().map(|&c| map.nodes_of(c).unwrap().to_vec()).collect();
             let mut commits = 0u64;
+            let mut lost = Vec::new();
             for pick in losses {
                 let live = map.members();
                 if live.is_empty() {
                     break;
                 }
-                map = map.edit().remove_member(live[pick % live.len()]).commit();
+                let node = live[pick % live.len()];
+                lost.push(node);
+                map = map.edit().remove_member(node).commit();
                 commits += 1;
             }
+            // Losses without repair leave exactly the chunks whose every
+            // replica was on a lost member with no source.
             let sourceless: Vec<i32> = chunks
                 .iter()
                 .copied()
                 .filter(|&c| map.nodes_of(c).unwrap().is_empty())
                 .collect();
+            let all_lost: Vec<i32> = chunks
+                .iter()
+                .zip(&holders)
+                .filter(|(_, h)| h.iter().all(|n| lost.contains(n)))
+                .map(|(&c, _)| c)
+                .collect();
+            prop_assert_eq!(&sourceless, &all_lost);
 
             // Repair: every copy targets a member not yet holding the
             // chunk, from a node that does.

@@ -88,26 +88,6 @@ pub fn column_tag(ty: Option<ColumnType>) -> &'static str {
     }
 }
 
-/// Column tags widened over a materialized table's values (`null` for a
-/// column that never carries one) — used for inline tables like the
-/// `KILL`/`STATUS` replies, which have no merge votes.
-pub fn value_tags(columns: usize, rows: &[Vec<Value>]) -> Vec<&'static str> {
-    let mut tags = vec!["null"; columns];
-    for row in rows {
-        for (i, v) in row.iter().enumerate() {
-            let t = type_tag(v);
-            tags[i] = match (tags[i], t) {
-                (cur, "null") => cur,
-                ("null", t) => t,
-                ("int", "float") | ("float", "int") => "float",
-                (cur, t) if cur == t => cur,
-                _ => "str",
-            };
-        }
-    }
-    tags
-}
-
 /// Splits the optional session tag off a statement or frame:
 /// `#<sid> <body>` → `(Some(sid), body)`, anything else → `(None, s)`.
 /// The tag must be all-digit and followed by whitespace — a leading `#`
@@ -247,16 +227,6 @@ mod tests {
         assert_eq!(split_sid("#"), (None, "#"));
         assert_eq!(sid_prefix(Some(3)), "#3 ");
         assert_eq!(sid_prefix(None), "");
-    }
-
-    #[test]
-    fn value_tags_widen() {
-        let rows = vec![
-            vec![Value::Null, Value::Int(1), Value::Int(2)],
-            vec![Value::Str("x".into()), Value::Float(0.5), Value::Null],
-        ];
-        assert_eq!(value_tags(3, &rows), vec!["str", "float", "int"]);
-        assert_eq!(value_tags(2, &[]), vec!["null", "null"]);
     }
 
     #[test]

@@ -26,13 +26,12 @@
 //! sentinel connections, no window where a fresh accept slips past the
 //! flag check.
 
-use crate::protocol::{
-    column_tag, encode_value, sid_prefix, split_sid, value_tags, MAX_STATEMENT_BYTES,
-};
+use crate::protocol::{column_tag, encode_value, sid_prefix, split_sid, MAX_STATEMENT_BYTES};
 use mio::{Events, Interest, Poll, Token, Waker};
 use qserv::service::{QueryService, ServiceConfig};
 use qserv::{
-    Notifier, Qserv, QservError, StreamBatch, StreamDone, StreamEvent, StreamHandle, Value,
+    infer_value_types, Notifier, Qserv, QservError, StreamBatch, StreamDone, StreamEvent,
+    StreamHandle, Value,
 };
 use qserv_engine::exec::ResultTable;
 use std::collections::{HashMap, VecDeque};
@@ -350,21 +349,18 @@ fn write_error(out: &mut Vec<u8>, sid: Option<u64>, e: &QservError) {
     }
 }
 
-/// Encodes an inline table (the `KILL`/`STATUS`/`EXPLAIN` replies): one
-/// complete response with no cluster work.
-fn write_table(out: &mut Vec<u8>, sid: Option<u64>, table: &ResultTable) {
-    let p = sid_prefix(sid);
-    let tags = value_tags(table.columns.len(), &table.rows);
-    let _ = writeln!(out, "{p}COLS {}", table.columns.join("\t"));
-    let _ = writeln!(out, "{p}TYPES {}", tags.join("\t"));
-    if !table.rows.is_empty() {
-        let _ = writeln!(out, "{p}ROWS {}", table.rows.len());
-        for row in &table.rows {
-            let cells: Vec<String> = row.iter().map(encode_value).collect();
-            let _ = writeln!(out, "{}", cells.join("\t"));
-        }
-    }
-    let _ = writeln!(out, "{p}END {} 0 0", table.num_rows());
+/// Encodes an inline table (the `KILL`/`STATUS`/`EXPLAIN` replies) as
+/// one batch typed by its values, then `END`: one complete response with
+/// no cluster work.
+fn write_table(out: &mut Vec<u8>, sid: Option<u64>, table: ResultTable) {
+    let mut st = ResponseState::new(sid);
+    let batch = StreamBatch {
+        types: infer_value_types(&table),
+        columns: table.columns,
+        rows: table.rows,
+    };
+    write_batch(out, &mut st, &batch);
+    let _ = writeln!(out, "{}END {} 0 0", sid_prefix(sid), st.rows);
 }
 
 // ---------------------------------------------------------------------
@@ -612,7 +608,7 @@ fn start_statement(
     stmt: &str,
 ) {
     match route(service, stmt) {
-        Action::Table(table) => write_table(&mut conn.out, sid, &table),
+        Action::Table(table) => write_table(&mut conn.out, sid, table),
         Action::BadVerb(msg) => {
             let _ = writeln!(conn.out, "{}ERR {msg}", sid_prefix(sid));
         }

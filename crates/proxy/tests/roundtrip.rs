@@ -107,9 +107,9 @@ fn errors_cross_the_wire() {
 fn concurrent_clients() {
     let (server, _patch) = start_server(400, 14);
     let addr = server.addr();
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for t in 0..6 {
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 let mut client = ProxyClient::connect(addr).expect("connect");
                 for i in 0..4 {
                     let oid = 1 + (t * 61 + i * 17) % 400;
@@ -124,8 +124,7 @@ fn concurrent_clients() {
                 assert_eq!(r.scalar().and_then(|v| v.as_i64()), Some(400));
             });
         }
-    })
-    .expect("no client panics");
+    });
     server.shutdown();
 }
 

@@ -99,10 +99,10 @@ fn busy_retry_policy_rides_out_admission_backpressure() {
     let addr = server.addr();
 
     let mut saw_busy = false;
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let handles: Vec<_> = (0..3)
             .map(|i| {
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     let mut client = ProxyClient::connect(addr).expect("connect");
                     let policy = RetryPolicy::seeded(1000 + i);
                     let mut retried = false;
@@ -123,8 +123,7 @@ fn busy_retry_policy_rides_out_admission_backpressure() {
         for h in handles {
             saw_busy |= h.join().expect("client thread");
         }
-    })
-    .expect("no client panics");
+    });
     assert!(
         saw_busy,
         "with one slot and one queue seat, somebody must have been told BUSY"

@@ -27,14 +27,7 @@
 //! tested on the real pipeline (`qserv::FaultPlan`, `qserv::service`).
 
 pub mod config;
-pub mod placement;
 pub mod simulator;
 
 pub use config::SimConfig;
-pub use placement::{node_loss_scenario, weak_scaling, NodeLossOutcome, ScalePoint};
 pub use simulator::{ChunkTask, QueryJob, QueryReport, Simulator};
-
-// The shared virtual timeline ([`Simulator::bind_clock`]): the same clock
-// type the live system's fault plans and traces run on, so simulated and
-// real components can share one notion of "now".
-pub use qserv_obs::{Clock, VirtualClock};

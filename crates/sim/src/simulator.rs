@@ -18,11 +18,8 @@
 //! All times are virtual seconds; execution is deterministic.
 
 use crate::config::SimConfig;
-use qserv_obs::VirtualClock;
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
-use std::sync::Arc;
-use std::time::Duration;
 
 /// The per-chunk physical query a worker executes.
 #[derive(Clone, Debug, Default)]
@@ -151,7 +148,6 @@ struct QueryState {
 pub struct Simulator {
     config: SimConfig,
     jobs: Vec<QueryJob>,
-    clock: Option<Arc<VirtualClock>>,
 }
 
 impl Simulator {
@@ -160,17 +156,7 @@ impl Simulator {
         Simulator {
             config,
             jobs: Vec::new(),
-            clock: None,
         }
-    }
-
-    /// Binds a shared [`VirtualClock`] that the event loop drives: as each
-    /// event fires, the clock is advanced to the event's virtual time
-    /// (never backwards). Everything else holding the same `Arc` — a
-    /// fault plan, a trace, an assertion in a test — observes simulation
-    /// time through the ordinary [`qserv_obs::Clock`] interface.
-    pub fn bind_clock(&mut self, clock: Arc<VirtualClock>) {
-        self.clock = Some(clock);
     }
 
     /// Adds a query job.
@@ -294,10 +280,6 @@ impl Simulator {
             time: now, event, ..
         }) = heap.pop()
         {
-            if let Some(clock) = &self.clock {
-                // Virtual seconds → the shared observability timeline.
-                clock.advance_to(Duration::from_secs_f64(now.max(0.0)));
-            }
             match event {
                 Event::QueryReady { query } => {
                     rotation.push_back(query);
@@ -660,33 +642,6 @@ mod tests {
             sim.run().iter().map(|r| r.completion_s).collect::<Vec<_>>()
         };
         assert_eq!(build(), build());
-    }
-
-    #[test]
-    fn bound_virtual_clock_tracks_simulation_time() {
-        use qserv_obs::Clock;
-        let clock = VirtualClock::shared();
-        let mut sim = Simulator::new(tiny_config());
-        sim.bind_clock(Arc::clone(&clock));
-        sim.submit(job(
-            "q",
-            0.0,
-            vec![ChunkTask {
-                node: 0,
-                disk_bytes: 100,
-                seeks: 2,
-                ..Default::default()
-            }],
-        ));
-        let r = &sim.run()[0];
-        // The clock ends at the last event's virtual time — the final
-        // merge completion — to within f64→Duration rounding.
-        let end = clock.now().as_secs_f64();
-        assert!(
-            (end - r.completion_s).abs() < 1e-6,
-            "clock {end} vs completion {}",
-            r.completion_s
-        );
     }
 
     #[test]

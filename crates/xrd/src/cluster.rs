@@ -420,10 +420,10 @@ mod tests {
     #[test]
     fn concurrent_dispatch_from_many_threads() {
         let c = cluster();
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for t in 0..8 {
                 let c = c.clone();
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     for i in 0..50 {
                         let chunk = (t * 50 + i) % 8;
                         let q = format!("SELECT {t} FROM Object_{chunk}").into_bytes();
@@ -433,8 +433,7 @@ mod tests {
                     }
                 });
             }
-        })
-        .expect("no worker thread panics");
+        });
     }
 
     #[test]
