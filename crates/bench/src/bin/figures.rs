@@ -485,24 +485,22 @@ fn ablate_multimaster() {
     }
 }
 
-/// Ablation E (§7.1): the mysqldump text-transfer overhead the paper
-/// calls out, measured on real result tables.
+/// Ablation E (§7.1): the mysqldump text transfer the paper calls out,
+/// against the checksummed column-page frames results travel as here,
+/// measured on real result tables.
 fn ablate_transfer() {
-    println!("== Ablation E: mysqldump-style transfer overhead (§5.4, §7.1) ==");
+    println!("== Ablation E: mysqldump text vs result frames (§5.4, §7.1) ==");
     let q = qserv_bench::fixtures::bench_cluster();
     let (result, stats) = q
         .query_with_stats(qserv_bench::fixtures::queries::HV2)
         .expect("HV2 runs");
-    let raw_bytes: u64 = result
-        .rows
-        .iter()
-        .map(|r| r.len() as u64 * 8) // numeric columns, 8 B each raw
-        .sum();
+    let rows = result.num_rows();
+    let dump_bytes = qserv_engine::dump::dump_table("result", &result.into_table()).len() as u64;
     println!(
-        "HV2 result: {} rows; dump text {} B vs ~{} B raw binary ({:.1}× inflation)",
-        result.num_rows(),
+        "HV2 result: {rows} rows; dump text {dump_bytes} B vs {} B of result frames \
+         from {} chunks ({:.1}× smaller)",
         stats.result_bytes,
-        raw_bytes,
-        stats.result_bytes as f64 / raw_bytes.max(1) as f64
+        stats.chunks_dispatched,
+        dump_bytes as f64 / stats.result_bytes.max(1) as f64
     );
 }

@@ -17,7 +17,7 @@
 //!             [xrd fabric: redirector]      [worker = data server + plugin]
 //!                  ▲                                │ build subchunk tables
 //!                  │  read /result/md5(query) ◀─────┘ execute on engine
-//!                  ▼                                   dump result as SQL
+//!                  ▼                                   encode result frame
 //!             merge + final aggregation (§5.4)
 //! ```
 //!
@@ -36,7 +36,7 @@
 //!   chunk/subchunk table substitution, and the master's merge query.
 //! * [`worker`] — the ofs-plugin worker: parses the chunk-query message,
 //!   builds subchunk/overlap tables on demand, executes on the embedded
-//!   engine, deposits a mysqldump-style result.
+//!   engine, deposits the result as a checksummed column-page frame.
 //! * [`loader`] — builds worker databases from synthesized catalog rows:
 //!   chunk tables, overlap stores, per-chunk objectId indexes, and the
 //!   frontend's secondary index.

@@ -10,7 +10,9 @@
 //! executor, so what was classified is what runs: generate per-chunk
 //! physical queries → dispatch each as two file transactions on the
 //! fabric (§5.4) from the calling thread and its helper threads → read back
-//! mysqldump-style results → fold each into the incremental merge as it
+//! each result as a checksummed column-page frame (the paper ships
+//! `mysqldump` text; §7.1 names that round trip as the overhead to
+//! engineer away) → fold each into the incremental merge as it
 //! arrives (`crate::merge`) → run the merge/aggregation query → return
 //! rows to the caller, or push them through the caller's sink as they
 //! become final (`QueryService::submit_streaming`).
@@ -28,8 +30,8 @@ pub use crate::stats::QueryStats;
 use crate::worker::Worker;
 use parking_lot::Mutex;
 use qserv_engine::db::Database;
-use qserv_engine::dump::load_dump;
 use qserv_engine::exec::{execute, ResultTable, ScanStats};
+use qserv_engine::storage::decode_frame;
 use qserv_engine::table::Table;
 use qserv_obs::clock::{wall_clock, SharedClock};
 use qserv_obs::trace;
@@ -164,8 +166,8 @@ struct ChunkMeta {
     injected_seen: u64,
     /// Clock time the whole chunk dispatch took, retries included.
     latency: Duration,
-    /// Worker-reported paged-scan counters (the `-- QSERV_SCAN:` header
-    /// on the result dump); zero for warm in-memory chunks.
+    /// Worker-reported paged-scan counters (carried in the result
+    /// frame's header); zero for warm in-memory chunks.
     scan: ScanStats,
     prev_server: Option<ServerId>,
 }
@@ -207,30 +209,6 @@ fn record_chunk(qm: &QueryMetrics, bytes: u64, meta: &ChunkMeta) {
     qm.pages_cached.add(meta.scan.pages_cached);
     qm.chunk_attempts.record(meta.attempts as u64);
     qm.chunk_latency_ns.record(meta.latency.as_nanos() as u64);
-}
-
-/// Splits a worker dump's optional `-- QSERV_SCAN:` header off, returning
-/// its counters and the remaining dump text. A field the header lacks
-/// (an older worker's) reads as zero.
-fn split_scan_header(text: &str) -> (ScanStats, &str) {
-    let mut scan = ScanStats::default();
-    let Some(rest) = text.strip_prefix("-- QSERV_SCAN:") else {
-        return (scan, text);
-    };
-    let (line, tail) = rest.split_once('\n').unwrap_or((rest, ""));
-    for part in line.split_whitespace() {
-        let Some((field, value)) = part.split_once('=') else {
-            continue;
-        };
-        let slot = match field {
-            "pages_pruned" => &mut scan.pages_pruned,
-            "pages_scanned" => &mut scan.pages_scanned,
-            "pages_cached" => &mut scan.pages_cached,
-            _ => continue,
-        };
-        *slot = value.parse().unwrap_or(0);
-    }
-    (scan, tail)
 }
 
 /// The optional row sink of one query: `Some` pushes merged row batches
@@ -1460,75 +1438,39 @@ impl Qserv {
             let _ = self.cluster.unlink(worker, &rp);
         }
         let bytes = payload.len() as u64;
-        let Ok(text) = std::str::from_utf8(&payload) else {
-            // Payload corruption is a fabric problem: retry re-executes
-            // the chunk and re-fetches a clean copy.
-            return Attempt::Retry {
-                server: Some(worker),
-                injected: false,
-                reset_exclusions: false,
-                error: QservError::Fabric(format!("chunk {chunk}: result is not UTF-8")),
+        // Payload corruption is a fabric problem, and a moved chunk a
+        // placement one: retry re-executes the chunk on a replica and
+        // re-fetches a clean copy.
+        let retry = |what: String| Attempt::Retry {
+            server: Some(worker),
+            injected: false,
+            reset_exclusions: false,
+            error: QservError::Fabric(format!("chunk {chunk}: {what}")),
+        };
+        let Some(err) = payload.strip_prefix(b"ERROR:") else {
+            // Anything but an error reply is a result frame, whose CRC
+            // catches damage in flight (a mangled magic included).
+            return match decode_frame(&payload) {
+                Ok((table, scan)) => {
+                    meta.scan = scan;
+                    Attempt::Ok(table, bytes)
+                }
+                Err(e) => retry(format!("result frame: {e}")),
             };
         };
-        if let Some(err) = text.strip_prefix("ERROR:") {
-            // A worker that no longer holds the chunk (rebalanced away
-            // between redirector routing and plugin execution) NACKs with
-            // a RETRYABLE marker: fail over to another replica instead of
-            // surfacing a fatal worker error.
-            if let Some(moved) = err.trim().strip_prefix("RETRYABLE:") {
-                return Attempt::Retry {
-                    server: Some(worker),
-                    injected: false,
-                    reset_exclusions: false,
-                    error: QservError::Fabric(format!("chunk {chunk}: {}", moved.trim())),
-                };
-            }
-            return Attempt::Fatal(QservError::Worker {
-                chunk,
-                message: err.trim().to_string(),
-            });
-        }
-        let (scan, text) = split_scan_header(text);
-        meta.scan = scan;
-        match load_dump(text) {
-            Ok((_, table)) => Attempt::Ok(table, bytes),
-            // An unparseable dump from a healthy worker means the payload
-            // was mangled in flight — transient, like the UTF-8 case.
-            Err(e) => Attempt::Retry {
-                server: Some(worker),
-                injected: false,
-                reset_exclusions: false,
-                error: QservError::Merge(format!("chunk {chunk}: {e}")),
-            },
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn scan_header_splits_off_and_its_fields_are_optional() {
-        let dump = "CREATE TABLE result (c INT);\n";
-        assert_eq!(split_scan_header(dump), (ScanStats::default(), dump));
-
-        let full = format!("-- QSERV_SCAN: pages_pruned=3 pages_scanned=5 pages_cached=4\n{dump}");
-        let scan = ScanStats {
-            pages_pruned: 3,
-            pages_scanned: 5,
-            pages_cached: 4,
+        let Ok(err) = std::str::from_utf8(err) else {
+            return retry("error reply is not UTF-8".to_string());
         };
-        assert_eq!(split_scan_header(&full), (scan, dump));
-
-        // A worker that predates `pages_cached`, and a field from a newer one.
-        let old = format!("-- QSERV_SCAN: pages_pruned=3 pages_scanned=5\n{dump}");
-        let scan = ScanStats {
-            pages_cached: 0,
-            ..scan
-        };
-        assert_eq!(split_scan_header(&old), (scan, dump));
-        let newer = format!("-- QSERV_SCAN: pages_scanned=5 pages_pruned=3 bytes_read=9\n{dump}");
-        assert_eq!(split_scan_header(&newer), (scan, dump));
+        // A worker that no longer holds the chunk (rebalanced away between
+        // redirector routing and plugin execution) NACKs with a RETRYABLE
+        // marker: fail over to another replica instead of surfacing a
+        // fatal worker error.
+        if let Some(moved) = err.trim().strip_prefix("RETRYABLE:") {
+            return retry(moved.trim().to_string());
+        }
+        Attempt::Fatal(QservError::Worker {
+            chunk,
+            message: err.trim().to_string(),
+        })
     }
 }

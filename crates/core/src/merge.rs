@@ -157,7 +157,7 @@ pub fn merge_oracle(
 /// Checks a part's column names against the first part's, then lets it
 /// vote: each column's type is the type of the first part, in chunk
 /// order, that holds a non-NULL value in it. A column that is all NULL
-/// in this part (or a part with no rows) carries no vote — its dump
+/// in this part (or a part with no rows) carries no vote — its result
 /// schema types such a column Float whatever the other chunks hold. A
 /// populated column that disagrees with the settled type is an error.
 /// [`Merger`] and [`merge_tables`] both vote here, in chunk order.
@@ -816,7 +816,7 @@ mod tests {
 
     #[test]
     fn null_only_part_does_not_vote() {
-        // An all-NULL column is typed Float by its dump; between two Int
+        // An all-NULL column is typed Float by its worker; between two Int
         // parts it leaves the column Int, streamed and oracle alike.
         let plan = plan_for("SELECT objectId FROM Object");
         let int = |v: i64| table_of(&[("objectId", ColumnType::Int)], vec![vec![Value::Int(v)]]);

@@ -16,7 +16,7 @@
 //!   [`Qserv::join_node`] / [`Qserv::leave_node`] / [`Qserv::repair`] /
 //!   [`Qserv::rebalance`] — each a loop of "ask the snapshot for the next
 //!   step → copy → commit the edit". Copies ship chunk payloads
-//!   (`.qchunk` file bytes or SQL dumps) between workers *over the
+//!   (`.qchunk` file bytes or result frames) between workers *over the
 //!   fabric*, so seeded fault plans exercise the copy path. A replica is
 //!   acknowledged (and the epoch bumped) only after its payload survives
 //!   an md5 check on the destination and installs into the worker's

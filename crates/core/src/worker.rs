@@ -20,8 +20,10 @@
 //!    does not cache them", §5.4), they live only as long as the message;
 //! 4. execute each statement on the engine against the scratch catalog,
 //!    concatenating results;
-//! 5. dump the result table as SQL text (or the error text) and deposit
-//!    it at `/result/md5(query)` for the master's read transaction.
+//! 5. encode the result table as a checksummed result frame
+//!    (`qserv_engine::storage::encode_frame`, carrying the paged-scan
+//!    counters) — or the error text — and deposit it at
+//!    `/result/md5(query)` for the master's read transaction.
 //!
 //! A message never takes the catalog's write lock, never copies more of
 //! the catalog than it names, and leaves nothing behind to drop:
@@ -35,8 +37,8 @@ use crate::meta::CatalogMeta;
 use crate::rewrite;
 use parking_lot::RwLock;
 use qserv_engine::db::Database;
-use qserv_engine::dump::{dump_table, load_dump};
 use qserv_engine::exec::{execute_detailed, ExecMode, ExecPath, ResultTable, ScanStats};
+use qserv_engine::storage::{decode_frame, encode_frame, FRAME_MAGIC, MAGIC};
 use qserv_engine::table::Table;
 use qserv_engine::value::Value;
 use qserv_partition::chunker::Chunker;
@@ -220,9 +222,9 @@ impl Worker {
     /// another worker: one `(label, payload)` per table, where the label
     /// is the base name (`Object`) or overlap name (`ObjectOverlap`) and
     /// the payload is the raw `.qchunk` file bytes for disk-backed
-    /// tables or a SQL dump for in-memory ones.
+    /// tables or a result frame for in-memory ones.
     /// [`Worker::import_chunk`] reverses the encoding by sniffing the
-    /// `.qchunk` magic.
+    /// magic.
     pub fn export_chunk(&self, chunk: i32) -> Result<Vec<(String, Vec<u8>)>, String> {
         let db = self.db.read();
         let mut files = Vec::new();
@@ -236,7 +238,7 @@ impl Worker {
                     std::fs::read(&path).map_err(|e| format!("read {}: {e}", path.display()))?;
                 files.push((base.to_string(), bytes));
             } else if let Some(t) = db.table(&owned_name) {
-                files.push((base.to_string(), dump_table(&owned_name, t).into_bytes()));
+                files.push((base.to_string(), encode_frame(t, &ScanStats::default())));
             } else {
                 continue; // this base has no chunk here
             }
@@ -244,7 +246,7 @@ impl Worker {
             if let Some(t) = db.table(&overlap_name) {
                 files.push((
                     format!("{base}Overlap"),
-                    dump_table(&overlap_name, t).into_bytes(),
+                    encode_frame(t, &ScanStats::default()),
                 ));
             }
         }
@@ -252,9 +254,9 @@ impl Worker {
     }
 
     /// Installs a replica of `chunk` from [`Worker::export_chunk`]
-    /// payloads. `.qchunk` payloads (recognized by their magic) are
+    /// payloads, told apart by their magic. `.qchunk` payloads are
     /// written to `storage_dir` (the temp dir when `None`) under a
-    /// node-unique name and attached cold; SQL dumps are loaded in
+    /// node-unique name and attached cold; result frames are decoded in
     /// memory, with the owned table's objectId index rebuilt when the
     /// column exists.
     pub fn import_chunk(
@@ -267,7 +269,7 @@ impl Worker {
         let mut db = self.db.write();
         for (label, bytes) in files {
             let table_name = rewrite::chunk_table(label, chunk);
-            if bytes.starts_with(qserv_engine::storage::MAGIC) {
+            if bytes.starts_with(MAGIC) {
                 let dir = storage_dir
                     .map(|p| p.to_path_buf())
                     .unwrap_or_else(std::env::temp_dir);
@@ -281,16 +283,19 @@ impl Worker {
                     .map_err(|e| format!("write {}: {e}", path.display()))?;
                 db.attach_stored(&table_name, &path)
                     .map_err(|e| format!("attach {}: {e}", path.display()))?;
-            } else {
-                let text = std::str::from_utf8(bytes)
-                    .map_err(|_| format!("chunk payload {label} is not UTF-8"))?;
-                let (_, mut table) = load_dump(text).map_err(|e| format!("load {label}: {e}"))?;
+            } else if bytes.starts_with(FRAME_MAGIC) {
+                let (mut table, _) =
+                    decode_frame(bytes).map_err(|e| format!("decode {label}: {e}"))?;
                 // Owned tables carry a per-chunk objectId index when the
                 // column exists (RefObject does not; ignore).
                 if self.meta.partition_info(label).is_some() {
                     let _ = table.build_index("objectId");
                 }
                 db.create_table(&table_name, table);
+            } else {
+                return Err(format!(
+                    "chunk payload {label} is neither a chunk file nor a frame"
+                ));
             }
         }
         Ok(())
@@ -650,21 +655,7 @@ impl OfsPlugin for Worker {
             Err(BindError::Message(e)) => return error(e),
         };
         match self.run(bound) {
-            Ok((table, scan)) => {
-                let mut out = String::new();
-                // Piggyback the paged-scan counters on the dump text as a
-                // leading comment line; the master strips and folds it
-                // into the query stats. Omitted for pure in-memory scans
-                // so warm-path dumps are byte-identical to before.
-                if scan.pages_pruned + scan.pages_scanned > 0 {
-                    out.push_str(&format!(
-                        "-- QSERV_SCAN: pages_pruned={} pages_scanned={} pages_cached={}\n",
-                        scan.pages_pruned, scan.pages_scanned, scan.pages_cached
-                    ));
-                }
-                out.push_str(&dump_table("result", &table));
-                deposit(out.into_bytes());
-            }
+            Ok((table, scan)) => deposit(encode_frame(&table, &scan)),
             Err(e) => error(e),
         }
     }
@@ -923,10 +914,14 @@ mod tests {
         let deposited = server
             .get_file(&result_path(&md5_hex(msg.as_bytes())))
             .expect("result deposited");
-        let text = String::from_utf8(deposited.to_vec()).unwrap();
-        assert!(text.contains("CREATE TABLE"), "{text}");
-        let (_, table) = qserv_engine::dump::load_dump(&text).unwrap();
+        assert!(deposited.starts_with(FRAME_MAGIC));
+        let (table, scan) = decode_frame(&deposited).unwrap();
         assert_eq!(table.get_by_name(0, "COUNT(*)"), Some(Value::Int(4)));
+        assert_eq!(
+            scan,
+            ScanStats::default(),
+            "an in-memory chunk pages nothing"
+        );
     }
 
     #[test]
@@ -947,15 +942,22 @@ mod tests {
     fn export_import_round_trips_a_chunk() {
         let (src, chunk) = worker_with_chunk();
         let files = src.export_chunk(chunk).unwrap();
-        // Object owned + ObjectOverlap, as SQL dumps (no chunk file).
+        // Object owned + ObjectOverlap, as result frames (no chunk file).
         assert_eq!(
             files.iter().map(|(l, _)| l.as_str()).collect::<Vec<_>>(),
             vec!["Object", "ObjectOverlap"]
         );
+        assert!(files.iter().all(|(_, b)| b.starts_with(FRAME_MAGIC)));
+        assert_eq!(src.export_chunk(chunk).unwrap(), files, "deterministic");
         let dst = Worker::new(1, src.chunker.clone(), CatalogMeta::lsst());
         assert!(!dst.holds_chunk(chunk));
         dst.import_chunk(chunk, &files, None).unwrap();
         assert!(dst.holds_chunk(chunk));
+        let owned = rewrite::chunk_table("Object", chunk);
+        let db = dst.db.read();
+        let indexed = db.table(&owned).and_then(|t| t.indexed_column());
+        assert_eq!(indexed, Some("objectId"), "the index is rebuilt");
+        drop(db);
         // The replica answers the same chunk query identically, union
         // table included (owned + overlap survived the trip).
         let msg =
@@ -1034,7 +1036,7 @@ mod tests {
             let bound = worker.bind(chunk, &msg).expect("resident at bind");
             worker.detach_chunk(chunk);
             let (table, _) = worker.run(bound).expect("runs on its bindings");
-            assert_eq!(dump_table("r", &table), dump_table("r", &expected));
+            assert!(qserv_engine::tables_bit_identical(&table, &expected));
             assert!(
                 worker.table_names().is_empty(),
                 "a detached chunk stays detached: {:?}",

@@ -7,8 +7,11 @@
 //! This module is both ends of that pipe: [`dump_table`] renders a result
 //! table as `CREATE TABLE` + batched `INSERT` statements, and [`load_dump`]
 //! parses such a stream back into a [`Table`]. The paper calls out the
-//! overhead of this text round-trip (§7.1) — the bench crate's
-//! `ablation_transfer` measures it.
+//! overhead of this text round-trip (§7.1), and results no longer take
+//! it: they travel as [`crate::storage::encode_frame`] result frames.
+//! This module stays public only for the end-to-end benchmark's traced
+//! replay (`api.rs`) and the `figures` binary's Ablation E, which
+//! measure the text path against the frames.
 
 use crate::schema::{ColumnDef, ColumnType, Schema};
 use crate::table::Table;

@@ -26,16 +26,16 @@
 //!   vectors, declination-window pruning and a tight chord-distance loop
 //!   for `qserv_angSep(...) < r` two-table predicates (worker-side
 //!   near-neighbor self-joins and XMatch statements).
-//! * [`dump`] — `mysqldump`-style result serialization: result tables
-//!   travel from worker to master as SQL text and are re-loaded by
-//!   executing it (paper §5.4 "Query Results Transfer").
+//! * [`dump`] — the paper's `mysqldump`-style result transfer (§5.4),
+//!   kept as the §7.1 ablation: results now travel as result frames.
 //! * [`db`] — a named collection of tables (one per worker in Qserv;
 //!   chunk tables are named `Object_CC`, subchunk tables
 //!   `Object_CC_SS`, exactly as in paper §5.2).
 //! * [`storage`] — the persistent columnar chunk format: per-column
 //!   pages with dictionary/RLE encodings and zone maps, a byte-budgeted
-//!   LRU of decoded column pages (lazy chunk residency), and zone-map
-//!   page elision feeding the vectorized scan path (paper §4.3, §5.2).
+//!   LRU of decoded column pages (lazy chunk residency), zone-map
+//!   page elision feeding the vectorized scan path (paper §4.3, §5.2),
+//!   and the checksummed result frames tables cross the fabric as.
 
 pub(crate) mod compile;
 pub mod db;

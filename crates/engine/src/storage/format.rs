@@ -82,13 +82,13 @@ impl Footer {
 // ---------------------------------------------------------------------------
 // Little-endian byte helpers.
 
-fn w_u8(buf: &mut Vec<u8>, v: u8) {
+pub(super) fn w_u8(buf: &mut Vec<u8>, v: u8) {
     buf.push(v);
 }
 fn w_u32(buf: &mut Vec<u8>, v: u32) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
-fn w_u64(buf: &mut Vec<u8>, v: u64) {
+pub(super) fn w_u64(buf: &mut Vec<u8>, v: u64) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 fn w_i64(buf: &mut Vec<u8>, v: i64) {
@@ -246,9 +246,9 @@ fn encode_str_page(buf: &mut Vec<u8>, vals: &[String]) -> u8 {
 }
 
 /// Computes the zone map for one page.
-fn page_zone(col: &ColumnSliceView<'_>, nulls: &[bool]) -> PageZone {
+fn page_zone(col: ColumnSlice<'_>, nulls: &[bool]) -> PageZone {
     match col {
-        ColumnSliceView::Int(vals) => {
+        ColumnSlice::Int(vals) => {
             let (mut valid, mut min, mut max) = (0u64, i64::MAX, i64::MIN);
             for (&v, &n) in vals.iter().zip(nulls) {
                 if !n {
@@ -259,7 +259,7 @@ fn page_zone(col: &ColumnSliceView<'_>, nulls: &[bool]) -> PageZone {
             }
             PageZone::Int { valid, min, max }
         }
-        ColumnSliceView::Float(vals) => {
+        ColumnSlice::Float(vals) => {
             let (mut valid, mut nans) = (0u64, 0u64);
             let (mut min, mut max) = (f64::INFINITY, f64::NEG_INFINITY);
             for (&v, &n) in vals.iter().zip(nulls) {
@@ -281,15 +281,26 @@ fn page_zone(col: &ColumnSliceView<'_>, nulls: &[bool]) -> PageZone {
                 max,
             }
         }
-        ColumnSliceView::Str(_) => PageZone::Str,
+        ColumnSlice::Str(_) => PageZone::Str,
     }
 }
 
-/// Borrowed page slice, by column type.
-enum ColumnSliceView<'a> {
-    Int(&'a [i64]),
-    Float(&'a [f64]),
-    Str(&'a [String]),
+/// Encodes one column page — null bitmap, then the values in the
+/// smallest layout for their type — and returns its encoding tag. The
+/// one page encoder of chunk files and result frames.
+pub(super) fn encode_page(buf: &mut Vec<u8>, col: ColumnSlice<'_>, nulls: &[bool]) -> u8 {
+    encode_bitmap(buf, nulls);
+    match col {
+        ColumnSlice::Int(vals) => encode_int_page(buf, vals),
+        ColumnSlice::Float(vals) => {
+            buf.reserve(8 * vals.len());
+            for &v in vals {
+                w_u64(buf, v.to_bits());
+            }
+            ENC_FLOAT_PLAIN
+        }
+        ColumnSlice::Str(vals) => encode_str_page(buf, vals),
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -360,24 +371,10 @@ impl StreamWriter {
         }
         for col in 0..self.schema.len() {
             let nulls = self.buf.null_mask(col);
-            let view = match self.buf.column_slice(col) {
-                ColumnSlice::Int(v) => ColumnSliceView::Int(v),
-                ColumnSlice::Float(v) => ColumnSliceView::Float(v),
-                ColumnSlice::Str(v) => ColumnSliceView::Str(v),
-            };
-            let zone = page_zone(&view, nulls);
+            let view = self.buf.column_slice(col);
+            let zone = page_zone(view, nulls);
             let mut blob = Vec::new();
-            encode_bitmap(&mut blob, nulls);
-            let encoding = match view {
-                ColumnSliceView::Int(vals) => encode_int_page(&mut blob, vals),
-                ColumnSliceView::Float(vals) => {
-                    for &v in vals {
-                        w_u64(&mut blob, v.to_bits());
-                    }
-                    ENC_FLOAT_PLAIN
-                }
-                ColumnSliceView::Str(vals) => encode_str_page(&mut blob, vals),
-            };
+            let encoding = encode_page(&mut blob, view, nulls);
             self.out.write_all(&blob)?;
             self.pages[col].push(PageMeta {
                 offset: self.offset,
@@ -399,18 +396,7 @@ impl StreamWriter {
     pub fn finish(mut self) -> io::Result<u64> {
         self.flush_stripe()?;
         let mut footer = Vec::new();
-        w_u32(&mut footer, self.schema.len() as u32);
-        for def in self.schema.columns() {
-            w_str(&mut footer, &def.name);
-            w_u8(
-                &mut footer,
-                match def.ty {
-                    ColumnType::Int => 0,
-                    ColumnType::Float => 1,
-                    ColumnType::Str => 2,
-                },
-            );
-        }
+        write_schema(&mut footer, &self.schema);
         w_u64(&mut footer, self.rows);
         w_u32(&mut footer, self.page_rows as u32);
         match &self.index_col {
@@ -575,20 +561,32 @@ impl ChunkFile {
     }
 }
 
-/// Parses a footer. `data_end` is the file offset where the page region
-/// ends (and the footer starts): every page extent must lie inside
-/// `[MAGIC.len(), data_end)`.
-fn parse_footer(bytes: &[u8], data_end: u64) -> io::Result<Footer> {
-    // The smallest encodings of a column definition (empty name + type
-    // tag) and of a directory entry (a Str page: no zone), used to bound
-    // the counts the footer states by the bytes it actually has.
-    const MIN_COLUMN_DEF: usize = 4 + 1;
-    const MIN_PAGE_ENTRY: usize = 8 + 8 + 4 + 4 + 1;
+/// Writes the column definitions: a `u32` count, then each column's
+/// name and type tag. Chunk-file footers and result frames share it.
+pub(super) fn write_schema(buf: &mut Vec<u8>, schema: &Schema) {
+    w_u32(buf, schema.len() as u32);
+    for def in schema.columns() {
+        w_str(buf, &def.name);
+        w_u8(
+            buf,
+            match def.ty {
+                ColumnType::Int => 0,
+                ColumnType::Float => 1,
+                ColumnType::Str => 2,
+            },
+        );
+    }
+}
 
-    let mut r = ByteReader::new(bytes);
+/// Reads what [`write_schema`] wrote. The column count is bounded by the
+/// bytes left before anything is allocated for it, and a repeated name
+/// is an error, not a panic.
+pub(super) fn read_schema(r: &mut ByteReader<'_>) -> io::Result<Schema> {
+    // The smallest column definition: an empty name and a type tag.
+    const MIN_COLUMN_DEF: usize = 4 + 1;
     let ncols = r.u32()? as usize;
     if ncols > r.remaining() / MIN_COLUMN_DEF {
-        return Err(bad("footer column count exceeds footer size"));
+        return Err(bad("column count exceeds the bytes that follow"));
     }
     let mut defs: Vec<ColumnDef> = Vec::with_capacity(ncols);
     for _ in 0..ncols {
@@ -600,11 +598,24 @@ fn parse_footer(bytes: &[u8], data_end: u64) -> io::Result<Footer> {
             other => return Err(bad(format!("unknown column type tag {other}"))),
         };
         if defs.iter().any(|d| d.name == name) {
-            return Err(bad(format!("duplicate column name {name:?} in footer")));
+            return Err(bad(format!("duplicate column name {name:?}")));
         }
         defs.push(ColumnDef::new(&name, ty));
     }
-    let schema = Schema::new(defs);
+    Ok(Schema::new(defs))
+}
+
+/// Parses a footer. `data_end` is the file offset where the page region
+/// ends (and the footer starts): every page extent must lie inside
+/// `[MAGIC.len(), data_end)`.
+fn parse_footer(bytes: &[u8], data_end: u64) -> io::Result<Footer> {
+    // The smallest directory entry (a Str page: no zone), used to bound
+    // the stripe count the footer states by the bytes it actually has.
+    const MIN_PAGE_ENTRY: usize = 8 + 8 + 4 + 4 + 1;
+
+    let mut r = ByteReader::new(bytes);
+    let schema = read_schema(&mut r)?;
+    let ncols = schema.len();
     let rows = r.u64()?;
     let page_rows = r.u32()?;
     let index_col = if r.u8()? == 1 { Some(r.str()?) } else { None };

@@ -58,14 +58,24 @@
 //! ([`StoredChunk::resident`]) is assembled from the same pages under
 //! the same budget; only [`ChunkFile::read_all`] decodes past the cache.
 //!
+//! ## Result frames
+//!
+//! The same page encoders carry tables between nodes: [`encode_frame`]
+//! writes a table as one page per column behind a header and ahead of a
+//! CRC32C trailer, and [`decode_frame`] verifies and reads it back. Chunk
+//! results travel from worker to master this way, and in-memory chunk
+//! replicas between workers.
+//!
 //! ## Files
 //!
 //! `format` (layout, encoders, writer, footer) · `page` (page decode and
 //! table assembly) · `zone` (zone-map pruning) · `cache` (residency and
-//! the stored-chunk handle).
+//! the stored-chunk handle) · `frame` (result frames) · `crc` (CRC32C).
 
 mod cache;
+mod crc;
 mod format;
+mod frame;
 mod page;
 mod zone;
 
@@ -73,7 +83,9 @@ mod zone;
 mod tests;
 
 pub use cache::{Residency, ResidencyStats, StoredChunk, DEFAULT_RESIDENCY_BUDGET};
+pub use crc::crc32c;
 pub use format::{write_table, ChunkFile, StreamWriter, DEFAULT_PAGE_ROWS, MAGIC, TAIL};
+pub use frame::{decode_frame, encode_frame, FRAME_MAGIC};
 pub(crate) use zone::prune_mask;
 
 use crate::table::{ColumnSlice, Table};

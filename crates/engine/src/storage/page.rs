@@ -5,8 +5,8 @@
 //! against the bytes it has before anything is allocated for it.
 
 use super::format::{
-    bad, ByteReader, ChunkFile, PageMeta, ENC_FLOAT_PLAIN, ENC_INT_DICT, ENC_INT_PLAIN,
-    ENC_INT_RLE, ENC_STR_DICT, ENC_STR_PLAIN,
+    bad, ByteReader, ChunkFile, ENC_FLOAT_PLAIN, ENC_INT_DICT, ENC_INT_PLAIN, ENC_INT_RLE,
+    ENC_STR_DICT, ENC_STR_PLAIN,
 };
 use crate::schema::ColumnType;
 use crate::table::{ColumnData, Table};
@@ -19,8 +19,8 @@ use std::io::{self, Read, Seek, SeekFrom};
 /// found them.
 #[derive(Debug)]
 pub(crate) struct ColumnPage {
-    data: ColumnData,
-    nulls: Vec<bool>,
+    pub(super) data: ColumnData,
+    pub(super) nulls: Vec<bool>,
 }
 
 impl ColumnPage {
@@ -55,7 +55,14 @@ impl ChunkFile {
                 blob.resize(page.len as usize, 0);
                 f.seek(SeekFrom::Start(page.offset))?;
                 f.read_exact(&mut blob)?;
-                decode_page(&blob, page, self.footer.schema.columns()[col].ty)
+                let ty = self.footer.schema.columns()[col].ty;
+                decode_page(
+                    &blob,
+                    page.rows as usize,
+                    page.nulls.into(),
+                    page.encoding,
+                    ty,
+                )
             })
             .collect()
     }
@@ -151,10 +158,10 @@ fn counted(body: &[u8]) -> io::Result<(usize, &[u8])> {
 /// Expands the one-bit-per-row null bitmap (bit set = NULL) and checks
 /// its population against the directory's null count. Padding bits past
 /// `rows` in the last byte are ignored.
-fn decode_bitmap(bitmap: &[u8], rows: usize, expect_nulls: u32) -> io::Result<Vec<bool>> {
-    let mut count: u32 = bitmap.iter().map(|b| b.count_ones()).sum();
+fn decode_bitmap(bitmap: &[u8], rows: usize, expect_nulls: u64) -> io::Result<Vec<bool>> {
+    let mut count: u64 = bitmap.iter().map(|b| u64::from(b.count_ones())).sum();
     if let (Some(last), pad @ 1..) = (bitmap.last(), rows % 8) {
-        count -= (last >> pad).count_ones();
+        count -= u64::from((last >> pad).count_ones());
     }
     if count != expect_nulls {
         return Err(bad("page null count disagrees with directory"));
@@ -179,15 +186,21 @@ fn decode_bitmap(bitmap: &[u8], rows: usize, expect_nulls: u32) -> io::Result<Ve
     Ok(nulls)
 }
 
-/// Decodes one page blob as a column of type `ty`.
-fn decode_page(blob: &[u8], page: &PageMeta, ty: ColumnType) -> io::Result<ColumnPage> {
-    let rows = page.rows as usize;
+/// Decodes one page blob of `rows` rows, `nulls` of them NULL, stored
+/// in `encoding`, as a column of type `ty`.
+pub(super) fn decode_page(
+    blob: &[u8],
+    rows: usize,
+    nulls: u64,
+    encoding: u8,
+    ty: ColumnType,
+) -> io::Result<ColumnPage> {
     // The bitmap bounds `rows` by the blob's size before any allocation.
     let (bitmap, body) = blob
         .split_at_checked(rows.div_ceil(8))
         .ok_or_else(truncated)?;
-    let nulls = decode_bitmap(bitmap, rows, page.nulls)?;
-    let data = match (ty, page.encoding) {
+    let nulls = decode_bitmap(bitmap, rows, nulls)?;
+    let data = match (ty, encoding) {
         (ColumnType::Int, ENC_INT_PLAIN) => {
             ColumnData::Int(words(body, rows)?.map(i64::from_le_bytes).collect())
         }
@@ -264,12 +277,7 @@ fn decode_page(blob: &[u8], page: &PageMeta, ty: ColumnType) -> io::Result<Colum
             }
             ColumnData::Str(out)
         }
-        _ => {
-            return Err(bad(format!(
-                "encoding {} invalid for column",
-                page.encoding
-            )))
-        }
+        _ => return Err(bad(format!("encoding {encoding} invalid for column"))),
     };
     Ok(ColumnPage { data, nulls })
 }

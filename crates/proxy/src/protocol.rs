@@ -4,6 +4,7 @@
 use qserv_engine::schema::ColumnType;
 use qserv_engine::value::Value;
 use std::fmt;
+use std::io::Write as _;
 
 /// Largest statement (bytes between `;` terminators) the server
 /// accepts on one connection. A client that exceeds it without ever
@@ -32,22 +33,27 @@ fn err<T>(message: impl Into<String>) -> Result<T, ProtocolError> {
     })
 }
 
-/// Escapes a string cell: `\` → `\\`, TAB → `\t`, LF → `\n`, CR → `\r`.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '\t' => out.push_str("\\t"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            c => out.push(c),
-        }
+/// Appends `s` to `out` escaped as a string cell: `\` → `\\`, TAB →
+/// `\t`, LF → `\n`, CR → `\r`, copying the runs between escapes whole.
+fn write_escaped(out: &mut Vec<u8>, s: &str) {
+    let bytes = s.as_bytes();
+    let mut start = 0;
+    for (i, &b) in bytes.iter().enumerate() {
+        let escaped: &[u8] = match b {
+            b'\\' => b"\\\\",
+            b'\t' => b"\\t",
+            b'\n' => b"\\n",
+            b'\r' => b"\\r",
+            _ => continue,
+        };
+        out.extend_from_slice(&bytes[start..i]);
+        out.extend_from_slice(escaped);
+        start = i + 1;
     }
-    out
+    out.extend_from_slice(&bytes[start..]);
 }
 
-/// Reverses [`escape`].
+/// Reverses the escaping of a string cell.
 pub fn unescape(s: &str) -> Result<String, ProtocolError> {
     let mut out = String::with_capacity(s.len());
     let mut chars = s.chars();
@@ -121,12 +127,27 @@ pub fn sid_prefix(sid: Option<u64>) -> String {
 
 /// Encodes one value as a TSV cell.
 pub fn encode_value(v: &Value) -> String {
+    let mut out = Vec::new();
+    write_value(&mut out, v);
+    String::from_utf8(out).expect("cells are UTF-8")
+}
+
+/// Appends one value to `out` as a TSV cell: `\N` for NULL, decimal
+/// numbers, escaped strings. The one spelling of a cell — `ROWS`
+/// frames are written through it straight into the connection's output
+/// buffer, and [`encode_value`] wraps it.
+pub fn write_value(out: &mut Vec<u8>, v: &Value) {
     match v {
-        Value::Null => "\\N".to_string(),
-        Value::Int(i) => i.to_string(),
+        Value::Null => out.extend_from_slice(b"\\N"),
+        // Writing to a `Vec` cannot fail.
+        Value::Int(i) => {
+            let _ = write!(out, "{i}");
+        }
         // `{}` on f64 prints the shortest round-tripping form.
-        Value::Float(f) => format!("{f}"),
-        Value::Str(s) => escape(s),
+        Value::Float(f) => {
+            let _ = write!(out, "{f}");
+        }
+        Value::Str(s) => write_escaped(out, s),
     }
 }
 
@@ -165,13 +186,14 @@ mod tests {
             "back\\slash",
             "\r\n\t\\",
         ] {
-            assert_eq!(unescape(&escape(s)).unwrap(), s, "{s:?}");
+            let cell = encode_value(&Value::Str(s.into()));
+            assert_eq!(unescape(&cell).unwrap(), s, "{s:?}");
         }
     }
 
     #[test]
     fn escaped_cells_are_single_line_single_column() {
-        let e = escape("a\tb\nc");
+        let e = encode_value(&Value::Str("a\tb\nc".into()));
         assert!(!e.contains('\t'));
         assert!(!e.contains('\n'));
     }

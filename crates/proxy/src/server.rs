@@ -26,7 +26,7 @@
 //! sentinel connections, no window where a fresh accept slips past the
 //! flag check.
 
-use crate::protocol::{column_tag, encode_value, sid_prefix, split_sid, MAX_STATEMENT_BYTES};
+use crate::protocol::{column_tag, sid_prefix, split_sid, write_value, MAX_STATEMENT_BYTES};
 use mio::{Events, Interest, Poll, Token, Waker};
 use qserv::service::{QueryService, ServiceConfig};
 use qserv::{
@@ -308,8 +308,13 @@ fn write_batch(out: &mut Vec<u8>, st: &mut ResponseState, batch: &StreamBatch) {
     }
     let _ = writeln!(out, "{p}ROWS {}", batch.rows.len());
     for row in &batch.rows {
-        let cells: Vec<String> = row.iter().map(encode_value).collect();
-        let _ = writeln!(out, "{}", cells.join("\t"));
+        for (i, v) in row.iter().enumerate() {
+            if i > 0 {
+                out.push(b'\t');
+            }
+            write_value(out, v);
+        }
+        out.push(b'\n');
     }
     st.rows += batch.rows.len() as u64;
 }

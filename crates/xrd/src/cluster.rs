@@ -7,7 +7,7 @@
 //! bookkeeping a master needs (which worker served the write, so the
 //! result read can target it directly).
 
-use crate::fault::{FabricOp, FaultPlan};
+use crate::fault::{Corruption, FabricOp, FaultPlan};
 use crate::redirector::Redirector;
 use crate::server::{DataServer, ServerId};
 use qserv_obs::trace::{self, SpanGuard};
@@ -140,7 +140,12 @@ impl XrdCluster {
 
     /// Checks one fabric sub-operation against the fault plan, failing
     /// with [`XrdError::Injected`] when the plan says so.
-    fn check(&self, server: ServerId, op: FabricOp, path: &str) -> Result<bool, XrdError> {
+    fn check(
+        &self,
+        server: ServerId,
+        op: FabricOp,
+        path: &str,
+    ) -> Result<Option<Corruption>, XrdError> {
         let d = self.faults.decide(server, op, path);
         if d.fail {
             return Err(XrdError::Injected {
@@ -202,11 +207,11 @@ impl XrdCluster {
         }
         {
             let g = op_span(FabricOp::Write, server, path);
-            if note_fault(&g, self.check(server, FabricOp::Write, path))? {
+            if let Some(c) = note_fault(&g, self.check(server, FabricOp::Write, path))? {
                 if let Some(g) = &g {
                     g.annotate("corrupted", "true");
                 }
-                crate::fault::corrupt(&mut data);
+                c.apply(&mut data);
             }
             s.put_file(path, data);
         }
@@ -235,11 +240,11 @@ impl XrdCluster {
             // worker plugin runs synchronously — worker statement spans
             // nest inside the fabric write that delivered their query.
             let g = op_span(FabricOp::Write, id, path);
-            if note_fault(&g, self.check(id, FabricOp::Write, path))? {
+            if let Some(c) = note_fault(&g, self.check(id, FabricOp::Write, path))? {
                 if let Some(g) = &g {
                     g.annotate("corrupted", "true");
                 }
-                crate::fault::corrupt(&mut data);
+                c.apply(&mut data);
             }
             server.complete_write(path, data);
         }
@@ -278,7 +283,7 @@ impl XrdCluster {
         let corrupted = {
             let g = op_span(FabricOp::Read, server, path);
             let corrupted = note_fault(&g, self.check(server, FabricOp::Read, path))?;
-            if corrupted {
+            if corrupted.is_some() {
                 if let Some(g) = &g {
                     g.annotate("corrupted", "true");
                 }
@@ -289,9 +294,9 @@ impl XrdCluster {
             let g = op_span(FabricOp::Close, server, path);
             note_fault(&g, self.check(server, FabricOp::Close, path))?;
         }
-        if corrupted {
+        if let Some(c) = corrupted {
             let mut copy = (*data).clone();
-            crate::fault::corrupt(&mut copy);
+            c.apply(&mut copy);
             return Ok(Arc::new(copy));
         }
         Ok(data)

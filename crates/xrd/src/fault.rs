@@ -83,6 +83,8 @@ enum FaultKind {
     Delay { by: Duration },
     /// Corrupt the payload with probability `p` (seeded).
     CorruptPayload { p: f64 },
+    /// Flip one seeded bit of the payload with probability `p` (seeded).
+    FlipOneBit { p: f64 },
 }
 
 /// One armed fault: a (server, operation) filter plus an effect.
@@ -133,7 +135,40 @@ pub(crate) struct Decision {
     /// Fail this operation with [`crate::XrdError::Injected`].
     pub fail: bool,
     /// Corrupt the payload moving through this operation.
-    pub corrupt: bool,
+    pub corrupt: Option<Corruption>,
+}
+
+/// How a payload is damaged in flight. Both keep its length: a real
+/// fabric corrupts content, not framing.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Corruption {
+    /// Flip `0x20` in every 16th byte ([`FaultPlan::corrupt_payload`]):
+    /// enough to break both query text and result payloads.
+    Stride,
+    /// Flip the single bit `draw % (8 × len)`
+    /// ([`FaultPlan::flip_one_bit`]): what text parsing alone can miss —
+    /// `'4' ^ 0x01` is `'5'`.
+    Bit(u64),
+}
+
+impl Corruption {
+    /// Damages `data` in place.
+    pub(crate) fn apply(self, data: &mut [u8]) {
+        if data.is_empty() {
+            return;
+        }
+        match self {
+            Corruption::Stride => {
+                for i in (0..data.len()).step_by(16) {
+                    data[i] ^= 0x20;
+                }
+            }
+            Corruption::Bit(draw) => {
+                let bit = draw % (8 * data.len() as u64);
+                data[(bit / 8) as usize] ^= 1 << (bit % 8);
+            }
+        }
+    }
 }
 
 fn splitmix64(mut z: u64) -> u64 {
@@ -256,6 +291,18 @@ impl FaultPlan {
         });
     }
 
+    /// Flips one bit — its position drawn from the plan seed — in the
+    /// payloads of matching operations, with probability `p` (seeded).
+    /// Only meaningful for [`FabricOp::Write`] and [`FabricOp::Read`].
+    pub fn flip_one_bit(&self, server: Option<ServerId>, op: Option<FabricOp>, p: f64) {
+        assert!((0.0..=1.0).contains(&p), "probability must be in [0, 1]");
+        self.push(FaultRule {
+            server,
+            op,
+            kind: FaultKind::FlipOneBit { p },
+        });
+    }
+
     /// Disarms every rule (counters are kept).
     pub fn clear(&self) {
         self.rules.lock().clear();
@@ -277,17 +324,29 @@ impl FaultPlan {
         }
     }
 
-    /// Seeded coin flip for attempt `attempt` of `(server, op, path)`,
-    /// stream-separated by `salt` so failure and corruption rules on the
-    /// same operation draw independent verdicts.
-    fn draw(&self, server: ServerId, op: FabricOp, path: &str, attempt: u64, salt: u64) -> f64 {
+    /// Seeded 64 random bits for attempt `attempt` of
+    /// `(server, op, path)`, stream-separated by `salt` so failure and
+    /// corruption rules on the same operation draw independently.
+    fn draw_bits(
+        &self,
+        server: ServerId,
+        op: FabricOp,
+        path: &str,
+        attempt: u64,
+        salt: u64,
+    ) -> u64 {
         let key = self.seed.wrapping_mul(0x9E3779B97F4A7C15)
             ^ fnv1a(path.as_bytes())
             ^ (server as u64).wrapping_mul(0xA24BAED4963EE407)
             ^ (op.index() as u64).wrapping_mul(0x9FB21C651E98DF25)
             ^ attempt.wrapping_mul(0xD6E8FEB86659FD93)
             ^ salt.wrapping_mul(0xC2B2AE3D27D4EB4F);
-        (splitmix64(key) >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+        splitmix64(key)
+    }
+
+    /// Seeded coin flip in `[0, 1)`, drawn like [`FaultPlan::draw_bits`].
+    fn draw(&self, server: ServerId, op: FabricOp, path: &str, attempt: u64, salt: u64) -> f64 {
+        (self.draw_bits(server, op, path, attempt, salt) >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
     /// Evaluates every armed rule for one fabric sub-operation, applying
@@ -327,7 +386,13 @@ impl FaultPlan {
                 }
                 FaultKind::CorruptPayload { p } => {
                     if self.draw(server, op, path, attempt, 2) < *p {
-                        decision.corrupt = true;
+                        decision.corrupt = Some(Corruption::Stride);
+                    }
+                }
+                FaultKind::FlipOneBit { p } => {
+                    if self.draw(server, op, path, attempt, 3) < *p {
+                        let at = self.draw_bits(server, op, path, attempt, 4);
+                        decision.corrupt = Some(Corruption::Bit(at));
                     }
                 }
             }
@@ -343,7 +408,7 @@ impl FaultPlan {
             self.failures.fetch_add(1, Ordering::SeqCst);
             self.failures_by_op[op.index()].fetch_add(1, Ordering::SeqCst);
         }
-        if decision.corrupt {
+        if decision.corrupt.is_some() {
             self.corruptions.fetch_add(1, Ordering::SeqCst);
         }
         decision
@@ -357,18 +422,6 @@ impl fmt::Debug for FaultPlan {
             .field("rules", &*self.rules.lock())
             .field("stats", &self.stats())
             .finish()
-    }
-}
-
-/// Flips one bit in every 16th byte — enough to break both query text
-/// and result payloads while keeping the length (a real fabric corrupts
-/// content, not framing).
-pub(crate) fn corrupt(data: &mut [u8]) {
-    if data.is_empty() {
-        return;
-    }
-    for i in (0..data.len()).step_by(16) {
-        data[i] ^= 0x20;
     }
 }
 
@@ -486,13 +539,46 @@ mod tests {
     fn corruption_flags_and_mutates() {
         let plan = FaultPlan::new(7);
         plan.corrupt_payload(None, Some(FabricOp::Read), 1.0);
-        assert!(plan.decide(0, FabricOp::Read, "/a").corrupt);
+        let corruption = plan.decide(0, FabricOp::Read, "/a").corrupt;
+        assert_eq!(corruption, Some(Corruption::Stride));
         assert_eq!(plan.stats().payloads_corrupted, 1);
         let mut data = b"SELECT 1".to_vec();
         let orig = data.clone();
-        corrupt(&mut data);
+        Corruption::Stride.apply(&mut data);
         assert_ne!(data, orig);
         assert_eq!(data.len(), orig.len());
+    }
+
+    #[test]
+    fn one_bit_flips_exactly_one_seeded_bit() {
+        let draws = |seed: u64| {
+            let plan = FaultPlan::new(seed);
+            plan.flip_one_bit(None, Some(FabricOp::Read), 1.0);
+            let d: Vec<_> = (0..16)
+                .map(|i| plan.decide(0, FabricOp::Read, &format!("/r/{i}")).corrupt)
+                .collect();
+            assert_eq!(plan.stats().payloads_corrupted, 16);
+            d
+        };
+        assert_eq!(draws(5), draws(5), "same seed ⇒ same bits");
+        assert_ne!(draws(5), draws(6));
+        let orig = b"SELECT objectId FROM Object".to_vec();
+        let mut positions = std::collections::BTreeSet::new();
+        for corruption in draws(5) {
+            let Some(c @ Corruption::Bit(_)) = corruption else {
+                panic!("expected a bit flip, got {corruption:?}");
+            };
+            let mut data = orig.clone();
+            c.apply(&mut data);
+            let flipped: u32 = data
+                .iter()
+                .zip(&orig)
+                .map(|(a, b)| (a ^ b).count_ones())
+                .sum();
+            assert_eq!(flipped, 1);
+            positions.insert(data.iter().zip(&orig).position(|(a, b)| a != b));
+        }
+        assert!(positions.len() > 1, "the position is drawn, not fixed");
     }
 
     #[test]

@@ -177,6 +177,39 @@ fn corrupted_result_payloads_are_retried() {
     assert_no_result_leaks(&chaotic, "corrupted payloads");
 }
 
+/// One flipped bit per damaged result: the corruption a text result can
+/// survive unnoticed (`'4' ^ 0x01` is `'5'`, a different number that
+/// still parses). Result frames end in a CRC32C, which catches every
+/// single-bit error, so the damage must always be retried away and never
+/// reach a row. Repeated rounds give the flips many digits to land on.
+#[test]
+fn single_bit_result_corruption_never_surfaces() {
+    const ROUNDS: usize = 12;
+    let patch = small_patch(400, 95);
+    let clean = replicated(&patch, 5);
+    let chaotic = replicated(&patch, 5);
+    chaotic
+        .cluster()
+        .faults()
+        .flip_one_bit(None, Some(FabricOp::Read), 0.3);
+    for sql in PAPER_QUERIES {
+        let expected = sorted_rows(&clean.query(sql).expect("fault-free run").rows);
+        for round in 0..ROUNDS {
+            let got = chaotic.query(sql).expect("chaotic run");
+            assert_eq!(
+                sorted_rows(&got.rows),
+                expected,
+                "a flipped bit surfaced in round {round} of {sql}"
+            );
+        }
+    }
+    assert!(
+        chaotic.cluster().faults().stats().payloads_corrupted > 0,
+        "the bit-flip rule actually fired"
+    );
+    assert_no_result_leaks(&chaotic, "single-bit corruption");
+}
+
 #[test]
 fn flapping_server_mid_dispatch_is_masked() {
     let patch = small_patch(500, 95);

@@ -22,7 +22,9 @@ use qserv_datagen::generate::Patch;
 use qserv_engine::exec::{execute, execute_detailed, ExecMode};
 use qserv_engine::schema::{ColumnDef, ColumnType, Schema};
 use qserv_engine::table::Table;
-use qserv_engine::{Database, Residency, ScanStats, DEFAULT_RESIDENCY_BUDGET};
+use qserv_engine::{
+    tables_bit_identical, Database, Residency, ScanStats, DEFAULT_RESIDENCY_BUDGET,
+};
 use qserv_sqlparse::parse_select;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -266,8 +268,7 @@ fn pruning_counters_surface_in_stats_metrics_and_trace() {
 }
 
 /// Warm in-memory clusters never touch the paged path: their stats must
-/// keep reporting zero page counters, and dump texts stay byte-identical
-/// to the pre-storage format (no QSERV_SCAN header leaks into results).
+/// keep reporting zero page counters.
 #[test]
 fn in_memory_cluster_reports_no_page_counters() {
     let patch = small_patch(400, 13);
@@ -653,7 +654,6 @@ fn detach_and_import_race_a_scan() {
     let (alone, _) = worker
         .execute_message_detailed(chunk, &message)
         .expect("alone");
-    let alone = qserv_engine::dump::dump_table("result", &alone);
 
     let stop = AtomicBool::new(false);
     std::thread::scope(|scope| {
@@ -664,7 +664,7 @@ fn detach_and_import_race_a_scan() {
                     for _ in 0..200 {
                         match worker.execute_message_detailed(chunk, &message) {
                             Ok((table, scan)) => {
-                                assert_eq!(qserv_engine::dump::dump_table("result", &table), alone);
+                                assert!(tables_bit_identical(&table, &alone));
                                 assert!(scan.pages_scanned > 0);
                                 answered += 1;
                             }
