@@ -75,9 +75,7 @@ pub mod worker;
 pub use error::QservError;
 pub use loader::ClusterBuilder;
 pub use master::{CancelToken, Qserv, QueryStats, RetryPolicy, TracedQuery, XMatchSpec};
-pub use merge::{
-    infer_value_types, merge_oracle, merge_tables, Merger, StreamBatch, StreamCollector,
-};
+pub use merge::{merge_oracle, merge_tables, Merger, StreamBatch, StreamCollector};
 pub use meta::{CatalogMeta, ChunkZones, ColumnStat, ColumnZone, TableStats};
 pub use placement::{PlacementManager, RebalanceReport};
 pub use planner::{AccessPath, ConjunctEstimate, PlanChoice, PlanOverride};
@@ -105,5 +103,5 @@ pub use qserv_obs::{
 pub use qserv_engine::exec::ResultTable;
 pub use qserv_engine::value::Value;
 pub use qserv_partition::chunker::Chunker;
-pub use qserv_partition::placement::{PlacementMap, PlacementStrategy};
+pub use qserv_partition::placement::PlacementMap;
 pub use qserv_sqlparse::strip_explain;

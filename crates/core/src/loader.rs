@@ -4,7 +4,7 @@
 //! [`SourceRow`]) and materializes a running cluster: per-chunk tables
 //! with `chunkId`/`subChunkId` columns and per-chunk objectId indexes
 //! (paper §5.5), overlap stores (§4.4), chunk placement over worker nodes
-//! (round-robin by default), path exports on the fabric, and the
+//! (round-robin), path exports on the fabric, and the
 //! frontend's secondary index.
 //!
 //! Child-table co-location: Source rows are partitioned by *their
@@ -22,7 +22,7 @@ use qserv_engine::value::Value;
 use qserv_obs::clock::SharedClock;
 use qserv_partition::chunker::{ChunkLocation, Chunker};
 use qserv_partition::index::SecondaryIndex;
-use qserv_partition::placement::{PlacementMap, PlacementStrategy};
+use qserv_partition::placement::PlacementMap;
 use qserv_sphgeom::{LonLat, SphericalBox};
 use qserv_xrd::cluster::{query_path, XrdCluster};
 use qserv_xrd::fault::FaultPlan;
@@ -158,7 +158,6 @@ pub struct ClusterBuilder {
     nodes: usize,
     standby_nodes: usize,
     replication: usize,
-    strategy: PlacementStrategy,
     faults: Option<FaultPlan>,
     retry: RetryPolicy,
     clock: Option<SharedClock>,
@@ -169,8 +168,7 @@ pub struct ClusterBuilder {
 
 impl ClusterBuilder {
     /// Defaults: the small test chunker (18 stripes × 10 sub-stripes,
-    /// 0.1° overlap), the LSST catalog layout, no replication,
-    /// round-robin placement.
+    /// 0.1° overlap), the LSST catalog layout, no replication.
     pub fn new(nodes: usize) -> ClusterBuilder {
         assert!(nodes > 0, "a cluster needs at least one node");
         ClusterBuilder {
@@ -179,7 +177,6 @@ impl ClusterBuilder {
             nodes,
             standby_nodes: 0,
             replication: 1,
-            strategy: PlacementStrategy::RoundRobin,
             faults: None,
             retry: RetryPolicy::default(),
             clock: None,
@@ -237,12 +234,6 @@ impl ClusterBuilder {
     /// Sets the chunk replication factor.
     pub fn replication(mut self, replication: usize) -> ClusterBuilder {
         self.replication = replication;
-        self
-    }
-
-    /// Sets the chunk→node placement strategy.
-    pub fn placement(mut self, strategy: PlacementStrategy) -> ClusterBuilder {
-        self.strategy = strategy;
         self
     }
 
@@ -313,7 +304,7 @@ impl ClusterBuilder {
             .collect();
         chunks.sort_unstable();
         chunks.dedup();
-        let placement = PlacementMap::initial(&chunks, self.nodes, self.replication, self.strategy);
+        let placement = PlacementMap::initial(&chunks, self.nodes, self.replication);
 
         // --- Materialize workers over the fabric -------------------------
         // Standby nodes get data servers and plugin-bearing workers like

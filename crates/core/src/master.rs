@@ -19,7 +19,7 @@
 
 use crate::analysis::{analyze, Analysis, JoinClass};
 use crate::error::QservError;
-use crate::merge::{infer_value_types, Merger, StreamBatch};
+use crate::merge::{Merger, StreamBatch};
 use crate::meta::{CatalogMeta, ChunkZones, TableStats};
 use crate::placement::PlacementManager;
 use crate::planner::{self, PlanChoice, PlanOverride};
@@ -59,23 +59,13 @@ fn effective_width(configured: usize, jobs: usize) -> usize {
     configured.max(1).min(jobs.max(1))
 }
 
-/// Pushes a completed result through a streaming sink as the (always
-/// sent, possibly empty) final batch, typed by `types` when the caller
-/// knows the merge votes and by value inference otherwise. Returns the
-/// result's shell — columns, no rows — which is what the streaming
-/// entry points hand back, the rows having left through the sink.
-fn emit_final(
-    result: ResultTable,
-    types: Option<Vec<Option<qserv_engine::schema::ColumnType>>>,
-    sink: &mut dyn FnMut(StreamBatch) -> bool,
-) -> ResultTable {
-    let types = types.unwrap_or_else(|| infer_value_types(&result));
-    let ResultTable { columns, rows } = result;
-    let _ = sink(StreamBatch {
-        columns: columns.clone(),
-        types,
-        rows,
-    });
+/// Pushes a statement's final batch through a streaming sink (always
+/// sent, possibly empty). Returns the result's shell — columns, no
+/// rows — which is what the streaming entry points hand back, the rows
+/// having left through the sink.
+fn emit_final(batch: StreamBatch, sink: &mut dyn FnMut(StreamBatch) -> bool) -> ResultTable {
+    let columns = batch.columns.clone();
+    let _ = sink(batch);
     ResultTable {
         columns,
         rows: Vec::new(),
@@ -314,8 +304,9 @@ impl<'a, 's> Arrivals<'a, 's> {
         match outcome {
             Ok((table, bytes, meta)) => {
                 record_chunk(self.qm, bytes, &meta);
-                if self.fold_err.is_none() && !self.merger.satisfied() && !self.token.is_cancelled()
-                {
+                // A satisfied merger still takes its column names from the
+                // first part to arrive: `LIMIT 0` is satisfied before any.
+                if self.fold_err.is_none() && !self.token.is_cancelled() {
                     if self.first_fold.is_none() {
                         self.first_fold = Some(self.clock.now());
                     }
@@ -379,23 +370,19 @@ impl<'a, 's> Arrivals<'a, 's> {
             qm.merge_overlap_ms
                 .set(l.saturating_sub(f).as_millis() as u64);
         }
-        // The streamable path's final batch carries the votes its earlier
-        // batches carried, not types inferred from the undrained
-        // remainder alone: a column with no rows left would otherwise
-        // read `None` after batches that already typed it.
-        let final_votes = match &self.sink {
-            Some(_) if merger.streamable() => Some(merger.vote_types().to_vec()),
-            _ => None,
-        };
         let g = trace::span("merge.finish");
-        let result = merger.finish();
-        if let (Some(g), Ok(r)) = (&g, &result) {
-            g.annotate("rows", &r.rows.len().to_string());
+        let Some(sink) = self.sink else {
+            let result = merger.finish();
+            if let (Some(g), Ok(r)) = (&g, &result) {
+                g.annotate("rows", &r.rows.len().to_string());
+            }
+            return result;
+        };
+        let batch = merger.finish_batch()?;
+        if let Some(g) = &g {
+            g.annotate("rows", &batch.num_rows().to_string());
         }
-        match (self.sink, result) {
-            (Some(s), Ok(r)) => Ok(emit_final(r, final_votes, s)),
-            (_, result) => result,
-        }
+        Ok(emit_final(batch, sink))
     }
 }
 
@@ -815,7 +802,7 @@ impl Qserv {
                 let local = execute(&Database::new(), &stmt)?;
                 return Ok((
                     match sink {
-                        Some(s) => emit_final(local, None, s),
+                        Some(s) => emit_final(StreamBatch::of_result(local), s),
                         None => local,
                     },
                     qm,
@@ -844,7 +831,7 @@ impl Qserv {
         let mut counting = sink.map(|s| {
             let sent = &mut sent;
             move |batch: StreamBatch| {
-                *sent += batch.rows.len() as u64;
+                *sent += batch.num_rows() as u64;
                 s(batch)
             }
         });

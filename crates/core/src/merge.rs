@@ -6,9 +6,10 @@
 //! runs, folds each chunk result into running merge state *as it
 //! arrives*, keyed by the plan-time [`MergeShape`] classification:
 //!
-//! * **Append** — non-aggregated rows are appended directly; a
-//!   pushed-down `LIMIT n` (no ORDER BY) marks the merger *satisfied*
-//!   after n rows so the dispatcher can cancel the remaining chunk queue.
+//! * **Append** — non-aggregated chunk tables are kept whole, in chunk
+//!   order; a pushed-down `LIMIT n` (no ORDER BY) trims the part that
+//!   reaches row n, column by column, and marks the merger *satisfied*
+//!   so the dispatcher can cancel the remaining chunk queue.
 //! * **Fold** — partial aggregates combine into per-group accumulator
 //!   state (a hash on the group key), so peak memory is O(groups).
 //! * **TopN** — `ORDER BY … LIMIT n` keeps a bounded top-n candidate set
@@ -22,15 +23,26 @@
 //! whose column is all NULL carries no vote, and a later populated part
 //! that disagrees is a [`QservError::Merge`] (§5.4 loads every chunk's
 //! dump into one merge table, so chunk results share one schema).
-//! [`Merger`] and [`merge_tables`] vote through the same function. The
-//! compacted state is then run through the ordinary merge query, so the
-//! final projection, ORDER BY, and LIMIT semantics are byte-identical
-//! to collecting every part first. The row-at-a-time [`merge_tables`] +
+//! [`Merger`] and [`merge_tables`] vote through the same function, and a
+//! result that leaves as rows (a fold's final answer, a FROM-less
+//! statement, a proxy verb's table) becomes a part through
+//! [`ResultTable::into_table`] and votes through it too
+//! ([`StreamBatch::of_result`]): one value rule and one vote rule type
+//! every result column.
+//!
+//! The Append shape's merge statement is the identity
+//! (`SELECT * FROM result [LIMIT n]`), so its answer is its parts:
+//! they leave through [`Merger::drain_ready`] as they arrive, and
+//! [`Merger::finish`] runs no query for them. Every other shape runs
+//! its compacted state through the ordinary merge query, so the final
+//! projection, ORDER BY, and LIMIT semantics are byte-identical to
+//! collecting every part first. The row-at-a-time [`merge_tables`] +
 //! merge-query pair ([`merge_oracle`]) stays in-tree as the semantic
-//! oracle the merge property tests compare against, and as the Barrier
-//! shape's merge. (One knowing concession: a pushed-down LIMIT cutoff
-//! answers from the chunks it saw, so a disagreeing part past the
-//! cutoff is never seen and raises no error.)
+//! oracle the merge property tests compare against, and as the merge of
+//! the Barrier shape and of an Append under ORDER BY. (One knowing
+//! concession: a pushed-down LIMIT cutoff answers from the chunks it
+//! saw, so a disagreeing part past the cutoff is never seen and raises
+//! no error.)
 
 use crate::error::QservError;
 use crate::rewrite::{ColumnRole, MergeShape, PhysicalPlan};
@@ -43,30 +55,56 @@ use qserv_sqlparse::ast::{Expr, OrderItem, SelectStatement};
 use std::collections::{BTreeMap, HashMap};
 
 /// One batch of merged rows emitted mid-query by a streaming sink (see
-/// [`crate::QueryService::submit_streaming`]): the rows appended since the last
-/// drain, with the column types voted so far. A later batch may only
-/// fill in a type that was `None` (a column all-NULL until then); a
-/// known type never changes.
-#[derive(Debug, Clone, PartialEq)]
+/// [`crate::QueryService::submit_streaming`]): the chunk tables the
+/// merge has finished with since the last drain, moved out of the
+/// merger uncopied, with the column types voted so far. A later batch
+/// may only fill in a type that was `None` (a column all-NULL until
+/// then); a known type never changes.
+#[derive(Debug, Clone)]
 pub struct StreamBatch {
     /// Output column names (identical across every batch of one query).
     pub columns: Vec<String>,
     /// Per-column type votes at drain time; `None` means no populated
     /// part has voted yet (the column is all-NULL so far).
     pub types: Vec<Option<ColumnType>>,
-    /// The batch rows.
-    pub rows: Vec<Vec<Value>>,
+    /// The batch's rows, as whole tables in final order. Read a cell
+    /// through [`Table::column_slice`] and [`Table::null_mask`]; a
+    /// part's own schema type may differ from `types` only in a column
+    /// that is all NULL in that part.
+    pub parts: Vec<Table>,
+}
+
+impl StreamBatch {
+    /// A finished result as one batch: the rows become one part through
+    /// [`ResultTable::into_table`], and each column is typed by the vote
+    /// that part casts (`None` when the column is all NULL).
+    pub fn of_result(result: ResultTable) -> StreamBatch {
+        let columns = result.columns.clone();
+        let part = result.into_table();
+        let types = (0..columns.len()).map(|i| ballot(&part, i)).collect();
+        StreamBatch {
+            columns,
+            types,
+            parts: vec![part],
+        }
+    }
+
+    /// Rows across the batch's parts.
+    pub fn num_rows(&self) -> usize {
+        self.parts.iter().map(Table::num_rows).sum()
+    }
 }
 
 /// Reassembles a streamed query from its [`StreamBatch`]es into the
 /// single table a buffered execution would have returned — the
 /// consumer-side inverse of [`Merger::drain_ready`], used by the query
-/// service's buffered `submit`, [`crate::StreamHandle::collect`], and
-/// any caller that wants streaming transport with a buffered API.
+/// service's buffered `submit`, [`crate::StreamHandle::collect`],
+/// [`Merger::finish`], and any caller that wants streaming transport
+/// with a buffered API. It is the one place chunk tables become rows.
 #[derive(Debug, Default)]
 pub struct StreamCollector {
     columns: Option<Vec<String>>,
-    rows: Vec<Vec<Value>>,
+    parts: Vec<Table>,
 }
 
 impl StreamCollector {
@@ -75,45 +113,25 @@ impl StreamCollector {
         StreamCollector::default()
     }
 
-    /// Appends one batch's rows; the first batch fixes the columns.
+    /// Appends one batch's parts; the first batch fixes the columns.
     pub fn push(&mut self, batch: StreamBatch) {
         self.columns.get_or_insert(batch.columns);
-        self.rows.extend(batch.rows);
+        self.parts.extend(batch.parts);
     }
 
     /// The assembled table. Empty (no batches at all — an error before
     /// the final batch) yields an empty, columnless table.
     pub fn table(self) -> ResultTable {
+        let rows = self
+            .parts
+            .iter()
+            .flat_map(|part| (0..part.num_rows()).map(|r| part.row(r)))
+            .collect();
         ResultTable {
             columns: self.columns.unwrap_or_default(),
-            rows: self.rows,
+            rows,
         }
     }
-}
-
-/// Per-column types inferred by scanning a final result's values (the
-/// tag source for shapes that emit a single terminal batch): any Float
-/// makes the column Float, else any Int makes it Int, any Str makes it
-/// Str, all-NULL stays `None`.
-pub fn infer_value_types(result: &ResultTable) -> Vec<Option<ColumnType>> {
-    let mut types: Vec<Option<ColumnType>> = vec![None; result.columns.len()];
-    for row in &result.rows {
-        for (slot, v) in types.iter_mut().zip(row) {
-            let seen = match v {
-                Value::Null => continue,
-                Value::Int(_) => ColumnType::Int,
-                Value::Float(_) => ColumnType::Float,
-                Value::Str(_) => ColumnType::Str,
-            };
-            *slot = Some(match (*slot, seen) {
-                (None, t) => t,
-                (Some(ColumnType::Int), ColumnType::Float)
-                | (Some(ColumnType::Float), ColumnType::Int) => ColumnType::Float,
-                (Some(a), _) => a,
-            });
-        }
-    }
-    types
 }
 
 /// Concatenates per-chunk result tables under one type per column — the
@@ -124,12 +142,7 @@ pub fn merge_tables(parts: Vec<Table>) -> Result<Table, QservError> {
     let Some(first) = parts.first() else {
         return Ok(Table::new(Schema::new(vec![])));
     };
-    let names: Vec<String> = first
-        .schema()
-        .columns()
-        .iter()
-        .map(|c| c.name.clone())
-        .collect();
+    let names = column_names(first);
     let mut votes: Vec<Option<ColumnType>> = vec![None; names.len()];
     for part in &parts {
         vote(&names, &mut votes, part)?;
@@ -154,6 +167,22 @@ pub fn merge_oracle(
     Ok((result, rows))
 }
 
+/// A part's column names, in order.
+fn column_names(part: &Table) -> Vec<String> {
+    part.schema()
+        .columns()
+        .iter()
+        .map(|c| c.name.clone())
+        .collect()
+}
+
+/// The type a part's column `i` votes for: its schema type, or `None`
+/// when every cell is NULL (a part with no rows votes for nothing).
+fn ballot(part: &Table, i: usize) -> Option<ColumnType> {
+    let all_null = part.null_mask(i).iter().all(|&null| null);
+    (!all_null).then(|| part.schema().columns()[i].ty)
+}
+
 /// Checks a part's column names against the first part's, then lets it
 /// vote: each column's type is the type of the first part, in chunk
 /// order, that holds a non-NULL value in it. A column that is all NULL
@@ -174,17 +203,17 @@ fn vote(
             cols.iter().map(|c| &c.name).collect::<Vec<_>>()
         )));
     }
-    for (i, c) in cols.iter().enumerate() {
-        if part.null_mask(i).iter().all(|&null| null) {
+    for i in 0..cols.len() {
+        let Some(ty) = ballot(part, i) else {
             continue;
-        }
+        };
         match votes[i] {
-            None => votes[i] = Some(c.ty),
-            Some(t) if t == c.ty => {}
+            None => votes[i] = Some(ty),
+            Some(t) if t == ty => {}
             Some(t) => {
                 return Err(QservError::Merge(format!(
-                    "column {} has incompatible types across chunks: {t} vs {}",
-                    names[i], c.ty
+                    "column {} has incompatible types across chunks: {t} vs {ty}",
+                    names[i]
                 )))
             }
         }
@@ -210,7 +239,8 @@ struct FoldResolved {
 
 enum State {
     Append {
-        rows: Vec<Vec<Value>>,
+        /// Chunk tables in chunk order, not yet drained.
+        parts: Vec<Table>,
         cutoff: Option<u64>,
         satisfied: bool,
     },
@@ -257,7 +287,8 @@ enum State {
 pub struct Merger {
     merge_stmt: SelectStatement,
     state: State,
-    /// Column names, fixed by the first applied part.
+    /// Column names, fixed by the first part to arrive — so a merger
+    /// satisfied before any part applies (`LIMIT 0`) still has them.
     names: Option<Vec<String>>,
     /// Per-column type votes (see [`vote`]).
     votes: Vec<Option<ColumnType>>,
@@ -273,7 +304,7 @@ impl Merger {
     pub fn new(plan: &PhysicalPlan) -> Merger {
         let state = match &plan.shape {
             MergeShape::Append { cutoff } => State::Append {
-                rows: Vec::new(),
+                parts: Vec::new(),
                 cutoff: *cutoff,
                 satisfied: *cutoff == Some(0),
             },
@@ -349,7 +380,9 @@ impl Merger {
         let pending: u64 = self.pending.values().map(|t| t.footprint_bytes()).sum();
         pending
             + match &self.state {
-                State::Append { rows, .. } => rows.iter().flatten().map(value_bytes).sum::<u64>(),
+                State::Append { parts, .. } | State::Barrier { parts } => {
+                    parts.iter().map(|t| t.footprint_bytes()).sum()
+                }
                 State::TopN { rows, .. } => rows
                     .iter()
                     .flat_map(|(r, _)| r)
@@ -363,19 +396,18 @@ impl Merger {
                     .values()
                     .map(|r| r.iter().map(value_bytes).sum::<u64>())
                     .sum(),
-                State::Barrier { parts } => parts.iter().map(|t| t.footprint_bytes()).sum(),
             }
     }
 
     /// True when this merger's shape supports incremental row emission:
     /// the Append state under a pure `SELECT * FROM result [LIMIT n]`
-    /// merge statement (exactly what `plain_merge` builds for the
-    /// Append classification). Every in-order fold then appends final
-    /// rows — no projection, reordering, or grouping remains — so they
-    /// can leave through [`Merger::drain_ready`] immediately. The
-    /// Append state never downgrades, so streamability is stable for
-    /// the life of the query.
-    pub fn streamable(&self) -> bool {
+    /// merge statement (what `plain_merge` builds for the Append
+    /// classification without ORDER BY). Every in-order fold then
+    /// appends final rows — no projection, reordering, or grouping
+    /// remains — so they can leave through [`Merger::drain_ready`]
+    /// immediately. The Append state never downgrades, so
+    /// streamability is stable for the life of the query.
+    fn streamable(&self) -> bool {
         matches!(self.state, State::Append { .. })
             && self.merge_stmt.where_clause.is_none()
             && self.merge_stmt.group_by.is_empty()
@@ -385,35 +417,27 @@ impl Merger {
             && matches!(self.merge_stmt.projections[0].expr, Expr::Star)
     }
 
-    /// The per-column type votes so far (`None` = no populated part has
-    /// voted). Exposed so the streaming epilogue can type its final
-    /// batch under the same votes its earlier batches carried.
-    pub fn vote_types(&self) -> &[Option<ColumnType>] {
-        &self.votes
-    }
-
-    /// Takes the rows appended since the last drain as a [`StreamBatch`]
-    /// typed with the current votes; `None` when the shape is not
-    /// [`Merger::streamable`], no part has applied yet, or nothing new
-    /// has arrived. Drained rows are *gone* from the merge state —
-    /// [`Merger::finish`] returns only the undrained remainder (its
-    /// `SELECT * … LIMIT n` over the remainder is still exact, because
-    /// the Append cutoff already capped drained + remaining at n).
+    /// Moves the chunk tables appended since the last drain out as a
+    /// [`StreamBatch`] typed with the current votes; `None` when the
+    /// shape is not the identity Append, or no row has arrived since.
+    /// Drained parts are *gone* from the merge state — [`Merger::finish`]
+    /// answers with the undrained remainder alone (exact, because the
+    /// Append cutoff already capped drained + remaining at n).
     pub fn drain_ready(&mut self) -> Option<StreamBatch> {
         if !self.streamable() {
             return None;
         }
         let names = self.names.as_ref()?;
-        let State::Append { rows, .. } = &mut self.state else {
+        let State::Append { parts, .. } = &mut self.state else {
             return None;
         };
-        if rows.is_empty() {
+        if parts.iter().all(Table::is_empty) {
             return None;
         }
         Some(StreamBatch {
             columns: names.clone(),
             types: self.votes.clone(),
-            rows: std::mem::take(rows),
+            parts: std::mem::take(parts),
         })
     }
 
@@ -423,6 +447,11 @@ impl Merger {
     /// associative — in-order folding is what makes the streaming result
     /// bit-identical to the oracle's).
     pub fn fold(&mut self, seq: usize, part: Table) -> Result<(), QservError> {
+        if self.names.is_none() {
+            let names = column_names(&part);
+            self.votes = vec![None; names.len()];
+            self.names = Some(names);
+        }
         if self.satisfied() {
             return Ok(());
         }
@@ -449,16 +478,9 @@ impl Merger {
     }
 
     /// Applies one in-order part to the shape state.
-    fn apply(&mut self, part: Table) -> Result<(), QservError> {
-        // Schema vote first: the first part fixes the names.
-        let names = self.names.get_or_insert_with(|| {
-            part.schema()
-                .columns()
-                .iter()
-                .map(|c| c.name.clone())
-                .collect()
-        });
-        self.votes.resize(names.len(), None);
+    fn apply(&mut self, mut part: Table) -> Result<(), QservError> {
+        // Schema vote first, against the names `fold` took.
+        let names = self.names.as_ref().expect("fold names the columns");
         vote(names, &mut self.votes, &part)?;
 
         // Nearest resolves its two named columns on the first part. There
@@ -542,22 +564,21 @@ impl Merger {
 
         match &mut self.state {
             State::Append {
-                rows,
+                parts,
                 cutoff,
                 satisfied,
             } => {
-                for r in 0..part.num_rows() {
-                    if *satisfied {
-                        break;
-                    }
-                    rows.push(part.row(r));
-                    self.rows_folded += 1;
-                    if let Some(n) = cutoff {
-                        if rows.len() as u64 >= *n {
-                            *satisfied = true;
-                        }
+                // The Append state's folded rows are the rows it holds
+                // or has drained, so the cutoff's room is what remains.
+                if let Some(n) = *cutoff {
+                    let room = n.saturating_sub(self.rows_folded as u64);
+                    if part.num_rows() as u64 >= room {
+                        part.truncate(room as usize);
+                        *satisfied = true;
                     }
                 }
+                self.rows_folded += part.num_rows();
+                parts.push(part);
             }
             State::TopN {
                 n,
@@ -648,15 +669,34 @@ impl Merger {
     }
 
     /// Runs the merge query over the compacted state and returns the
-    /// final result.
+    /// final result (rows assembled by a [`StreamCollector`]).
     pub fn finish(self) -> Result<ResultTable, QservError> {
+        let mut rows = StreamCollector::new();
+        rows.push(self.finish_batch()?);
+        Ok(rows.table())
+    }
+
+    /// The final result as the last batch of the stream: the identity
+    /// Append's undrained parts as they are, typed by the votes its
+    /// earlier batches carried; for every other shape, the merge
+    /// statement's answer over the compacted state
+    /// ([`StreamBatch::of_result`]).
+    pub(crate) fn finish_batch(self) -> Result<StreamBatch, QservError> {
+        let identity = self.streamable();
         let names = self.names.unwrap_or_default();
         let votes = self.votes;
         let table = match self.state {
-            State::Barrier { parts } => {
-                return merge_oracle(&self.merge_stmt, parts).map(|(r, _)| r);
+            State::Append { parts, .. } if identity => {
+                return Ok(StreamBatch {
+                    columns: names,
+                    types: votes,
+                    parts,
+                });
             }
-            State::Append { rows, .. } => build_table(&names, &votes, rows)?,
+            State::Append { parts, .. } | State::Barrier { parts } => {
+                let (result, _) = merge_oracle(&self.merge_stmt, parts)?;
+                return Ok(StreamBatch::of_result(result));
+            }
             State::TopN {
                 n, keys, mut rows, ..
             } => {
@@ -705,7 +745,7 @@ impl Merger {
         };
         let mut db = Database::new();
         db.create_table("result", table);
-        execute(&db, &self.merge_stmt).map_err(QservError::from)
+        Ok(StreamBatch::of_result(execute(&db, &self.merge_stmt)?))
     }
 }
 
@@ -831,8 +871,11 @@ mod tests {
         for (seq, part) in parts.into_iter().enumerate() {
             merger.fold(seq, part).unwrap();
         }
-        assert_eq!(merger.vote_types(), &[Some(ColumnType::Int)]);
-        let r = merger.finish().unwrap();
+        let batch = merger.finish_batch().unwrap();
+        assert_eq!(batch.types, vec![Some(ColumnType::Int)]);
+        let mut rows = StreamCollector::new();
+        rows.push(batch);
+        let r = rows.table();
         assert_eq!(
             r.rows,
             vec![

@@ -438,15 +438,9 @@ impl Qserv {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qserv_partition::placement::PlacementStrategy;
 
     fn manager(chunks: &[i32], nodes: usize, replication: usize) -> PlacementManager {
-        PlacementManager::new(PlacementMap::initial(
-            chunks,
-            nodes,
-            replication,
-            PlacementStrategy::RoundRobin,
-        ))
+        PlacementManager::new(PlacementMap::initial(chunks, nodes, replication))
     }
 
     #[test]

@@ -109,6 +109,14 @@ impl ColumnData {
         }
     }
 
+    fn truncate(&mut self, rows: usize) {
+        match self {
+            ColumnData::Int(v) => v.truncate(rows),
+            ColumnData::Float(v) => v.truncate(rows),
+            ColumnData::Str(v) => v.truncate(rows),
+        }
+    }
+
     fn push_default(&mut self) {
         match self {
             ColumnData::Int(v) => v.push(0),
@@ -371,15 +379,25 @@ impl Table {
         t
     }
 
-    /// Filters rows into a new table of the same shape.
-    pub fn filter_rows(&self, keep: impl Fn(usize) -> bool) -> Table {
-        let mut out = self.empty_like();
-        for r in 0..self.rows {
-            if keep(r) {
-                out.push_row(self.row(r)).expect("same schema always fits");
-            }
+    /// Keeps the first `rows` rows (no-op when the table has no more),
+    /// cutting each column and null mask in place: no row is
+    /// materialized, and the kept cells are untouched bits. The index,
+    /// if any, forgets the cut rows.
+    pub fn truncate(&mut self, rows: usize) {
+        if rows >= self.rows {
+            return;
         }
-        out
+        for (col, nulls) in self.columns.iter_mut().zip(&mut self.nulls) {
+            col.truncate(rows);
+            nulls.truncate(rows);
+        }
+        self.rows = rows;
+        if let Some((_, map)) = &mut self.index {
+            map.retain(|_, ids| {
+                ids.retain(|&r| (r as usize) < rows);
+                !ids.is_empty()
+            });
+        }
     }
 }
 
@@ -496,14 +514,46 @@ mod tests {
     }
 
     #[test]
-    fn filter_rows_keeps_shape() {
-        let mut t = sample();
+    fn truncate_keeps_a_bit_exact_prefix() {
+        let mut t = Table::new(obj_schema());
+        let rows = [
+            (
+                Value::Int(1),
+                Value::Float(f64::NAN),
+                Value::Str("a\tb".into()),
+            ),
+            (Value::Null, Value::Float(-0.0), Value::Null),
+            (Value::Int(3), Value::Null, Value::Str(String::new())),
+            (Value::Int(1), Value::Float(2.5), Value::Str("d".into())),
+        ];
+        for (a, b, c) in rows {
+            t.push_row(vec![a, b, c]).unwrap();
+        }
         t.build_index("objectId").unwrap();
-        let f = t.filter_rows(|r| r != 1);
-        assert_eq!(f.num_rows(), 2);
-        assert_eq!(f.get(1, 2), Value::Str("c".into()));
-        // Index definition carried over and rebuilt incrementally.
-        assert_eq!(f.index_lookup(1), &[0, 1]);
+        t.truncate(9);
+        assert_eq!(t.num_rows(), 4, "a longer bound is a no-op");
+        t.truncate(3);
+        assert_eq!(t.num_rows(), 3);
+        let nan = match t.get(0, 1) {
+            Value::Float(f) => f,
+            v => panic!("NaN cell read back as {v:?}"),
+        };
+        assert_eq!(nan.to_bits(), f64::NAN.to_bits());
+        match t.get(1, 1) {
+            Value::Float(z) => assert_eq!(z.to_bits(), (-0.0f64).to_bits()),
+            v => panic!("-0.0 cell read back as {v:?}"),
+        }
+        assert_eq!(t.row(1)[0], Value::Null);
+        assert_eq!(t.row(1)[2], Value::Null);
+        assert_eq!(t.get(0, 2), Value::Str("a\tb".into()));
+        assert_eq!(t.get(2, 2), Value::Str(String::new()));
+        assert_eq!(t.null_mask(1), &[false, false, true]);
+        assert_eq!(t.index_lookup(1), &[0], "the cut row leaves the index");
+        assert!(matches!(t.column_slice(2), ColumnSlice::Str(v) if v.len() == 3));
+        t.truncate(0);
+        assert!(t.is_empty());
+        assert!(t.null_mask(0).is_empty());
+        assert!(t.index_lookup(1).is_empty());
     }
 
     #[test]

@@ -30,4 +30,4 @@ pub mod placement;
 pub use chunker::{ChunkLocation, Chunker, ChunkerError};
 pub use htm_chunker::HtmChunker;
 pub use index::SecondaryIndex;
-pub use placement::{PlacementMap, PlacementStrategy};
+pub use placement::PlacementMap;

@@ -24,20 +24,6 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-/// How the load-time layout distributes chunks over nodes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PlacementStrategy {
-    /// Chunk `i` (in id order) goes to node `i mod n`: spreads sky-adjacent
-    /// chunks across nodes, the paper's skew-spreading choice.
-    RoundRobin,
-    /// Contiguous blocks of chunks per node: keeps sky locality per node
-    /// (useful as a *bad* baseline to show skew in benchmarks).
-    Block,
-    /// Multiplicative hash of the chunk id: placement independent of id
-    /// order.
-    Hash,
-}
-
 /// An immutable chunk → replica assignment at one epoch. Queries pin one
 /// snapshot and complete against it; membership operations commit new
 /// maps at higher epochs.
@@ -75,39 +61,25 @@ pub enum DrainStep {
 }
 
 impl PlacementMap {
-    /// The load-time layout at epoch 0: every chunk in `chunks` (id order)
-    /// assigned over members `0..nodes` by `strategy`, with `replication`
-    /// replicas per chunk on consecutive distinct nodes.
+    /// The load-time layout at epoch 0: chunk `i` of `chunks` (id order)
+    /// has its primary on member `i mod nodes` of `0..nodes` — round
+    /// robin, which spreads sky-adjacent chunks across nodes, the paper's
+    /// skew-spreading choice — and `replication` replicas per chunk on
+    /// consecutive distinct nodes.
     ///
     /// # Panics
     /// Panics when `nodes == 0`, `replication == 0`, or
     /// `replication > nodes`.
-    pub fn initial(
-        chunks: &[i32],
-        nodes: usize,
-        replication: usize,
-        strategy: PlacementStrategy,
-    ) -> PlacementMap {
+    pub fn initial(chunks: &[i32], nodes: usize, replication: usize) -> PlacementMap {
         assert!(nodes > 0, "placement requires at least one node");
         assert!(
             (1..=nodes).contains(&replication),
             "replication must be in 1..=nodes"
         );
-        let per_node_block = chunks.len().div_ceil(nodes).max(1);
         let map = chunks
             .iter()
             .enumerate()
-            .map(|(i, &c)| {
-                let primary = match strategy {
-                    PlacementStrategy::RoundRobin => i % nodes,
-                    PlacementStrategy::Block => (i / per_node_block).min(nodes - 1),
-                    PlacementStrategy::Hash => {
-                        // Fibonacci hashing of the chunk id.
-                        (c as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) as usize % nodes
-                    }
-                };
-                (c, (0..replication).map(|r| (primary + r) % nodes).collect())
-            })
+            .map(|(i, &c)| (c, (0..replication).map(|r| (i + r) % nodes).collect()))
             .collect();
         PlacementMap {
             epoch: 0,
@@ -323,40 +295,25 @@ mod tests {
     }
 
     fn map3() -> PlacementMap {
-        PlacementMap::initial(&[1, 2, 3, 4, 5, 6], 3, 2, PlacementStrategy::RoundRobin)
+        PlacementMap::initial(&[1, 2, 3, 4, 5, 6], 3, 2)
     }
 
     #[test]
     fn round_robin_balances() {
-        let p = PlacementMap::initial(&ids(100), 10, 1, PlacementStrategy::RoundRobin);
+        let p = PlacementMap::initial(&ids(100), 10, 1);
         assert_eq!(balance(&p), (10, 10));
     }
 
     #[test]
     fn round_robin_uneven_remainder() {
-        let p = PlacementMap::initial(&ids(101), 10, 1, PlacementStrategy::RoundRobin);
+        let p = PlacementMap::initial(&ids(101), 10, 1);
         let (max, min) = balance(&p);
         assert_eq!(max - min, 1);
     }
 
     #[test]
-    fn block_is_contiguous() {
-        let p = PlacementMap::initial(&ids(100), 4, 1, PlacementStrategy::Block);
-        assert_eq!(p.chunks_on(0), (0..25).collect::<Vec<_>>());
-        assert_eq!(p.chunks_on(3), (75..100).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn hash_covers_all_nodes() {
-        let p = PlacementMap::initial(&ids(1000), 16, 1, PlacementStrategy::Hash);
-        for n in 0..16 {
-            assert!(!p.chunks_on(n).is_empty(), "node {n} got no chunks");
-        }
-    }
-
-    #[test]
     fn replication_uses_distinct_nodes() {
-        let p = PlacementMap::initial(&ids(50), 5, 3, PlacementStrategy::RoundRobin);
+        let p = PlacementMap::initial(&ids(50), 5, 3);
         for c in p.chunks() {
             let ns = p.nodes_of(c).unwrap();
             assert_eq!(ns.len(), 3);
@@ -369,7 +326,7 @@ mod tests {
 
     #[test]
     fn replica_sets_include_primary() {
-        let p = PlacementMap::initial(&ids(50), 5, 2, PlacementStrategy::Hash);
+        let p = PlacementMap::initial(&ids(50), 5, 2);
         for c in p.chunks() {
             let primary = p.nodes_of(c).unwrap()[0];
             assert!(p.chunks_on(primary).contains(&c));
@@ -378,27 +335,27 @@ mod tests {
 
     #[test]
     fn unknown_chunk_is_none() {
-        let p = PlacementMap::initial(&ids(10), 2, 1, PlacementStrategy::RoundRobin);
+        let p = PlacementMap::initial(&ids(10), 2, 1);
         assert!(p.nodes_of(999).is_none());
     }
 
     #[test]
     #[should_panic(expected = "at least one node")]
     fn zero_nodes_panics() {
-        PlacementMap::initial(&ids(10), 0, 1, PlacementStrategy::RoundRobin);
+        PlacementMap::initial(&ids(10), 0, 1);
     }
 
     #[test]
     #[should_panic(expected = "replication")]
     fn over_replication_panics() {
-        PlacementMap::initial(&ids(10), 2, 3, PlacementStrategy::RoundRobin);
+        PlacementMap::initial(&ids(10), 2, 3);
     }
 
     #[test]
     fn round_robin_interleaves_adjacent_chunks() {
         // Sky-adjacent chunks (consecutive ids) land on different nodes —
         // the paper's density-skew spreading argument.
-        let p = PlacementMap::initial(&ids(100), 10, 1, PlacementStrategy::RoundRobin);
+        let p = PlacementMap::initial(&ids(100), 10, 1);
         for c in 0..99 {
             assert_ne!(p.nodes_of(c).unwrap()[0], p.nodes_of(c + 1).unwrap()[0]);
         }
@@ -406,7 +363,7 @@ mod tests {
 
     #[test]
     fn initial_map_is_epoch_zero_over_all_nodes() {
-        let m = PlacementMap::initial(&[1, 2, 3], 3, 2, PlacementStrategy::RoundRobin);
+        let m = PlacementMap::initial(&[1, 2, 3], 3, 2);
         assert_eq!(m.epoch(), 0);
         assert_eq!(m.replication(), 2);
         assert_eq!(m.chunks(), vec![1, 2, 3]);
@@ -466,10 +423,10 @@ mod tests {
 
     #[test]
     fn draining_the_last_member_is_stuck() {
-        let m = PlacementMap::initial(&[4, 5], 1, 1, PlacementStrategy::RoundRobin);
+        let m = PlacementMap::initial(&[4, 5], 1, 1);
         assert_eq!(m.next_drain(0), Some(DrainStep::Stuck(4)));
         // With a full second copy elsewhere the replica is just forgotten.
-        let m = PlacementMap::initial(&[4, 5], 2, 2, PlacementStrategy::RoundRobin);
+        let m = PlacementMap::initial(&[4, 5], 2, 2);
         assert_eq!(m.next_drain(1), Some(DrainStep::Forget(4)));
     }
 
@@ -492,18 +449,12 @@ mod tests {
             members in 1usize..151,
             per_node in 1usize..61,
             replication in 1usize..4,
-            strategy in 0usize..3,
             losses in proptest::collection::vec(0usize..1000, 1..4),
             drained in 0usize..1000,
         ) {
             let replication = replication.min(members);
-            let strategy = [
-                PlacementStrategy::RoundRobin,
-                PlacementStrategy::Block,
-                PlacementStrategy::Hash,
-            ][strategy];
             let chunks = ids((members * per_node) as i32);
-            let mut map = PlacementMap::initial(&chunks, members, replication, strategy);
+            let mut map = PlacementMap::initial(&chunks, members, replication);
             let holders: Vec<Vec<usize>> =
                 chunks.iter().map(|&c| map.nodes_of(c).unwrap().to_vec()).collect();
             let mut commits = 0u64;

@@ -2,6 +2,7 @@
 //! and the `#<sid>` multiplexing tag.
 
 use qserv_engine::schema::ColumnType;
+use qserv_engine::table::ColumnSlice;
 use qserv_engine::value::Value;
 use std::fmt;
 use std::io::Write as _;
@@ -134,8 +135,8 @@ pub fn encode_value(v: &Value) -> String {
 
 /// Appends one value to `out` as a TSV cell: `\N` for NULL, decimal
 /// numbers, escaped strings. The one spelling of a cell — `ROWS`
-/// frames are written through it straight into the connection's output
-/// buffer, and [`encode_value`] wraps it.
+/// frames are written through it, cell by cell in place, straight into
+/// the connection's output buffer, and [`encode_value`] wraps it.
 pub fn write_value(out: &mut Vec<u8>, v: &Value) {
     match v {
         Value::Null => out.extend_from_slice(b"\\N"),
@@ -148,6 +149,18 @@ pub fn write_value(out: &mut Vec<u8>, v: &Value) {
             let _ = write!(out, "{f}");
         }
         Value::Str(s) => write_escaped(out, s),
+    }
+}
+
+/// Appends cell `row` of a column read in place — its dense slice and
+/// the cell's null flag — spelled as [`write_value`] spells the cell's
+/// value, without copying a string out of the column.
+pub(crate) fn write_cell(out: &mut Vec<u8>, col: ColumnSlice<'_>, null: bool, row: usize) {
+    match col {
+        _ if null => write_value(out, &Value::Null),
+        ColumnSlice::Int(v) => write_value(out, &Value::Int(v[row])),
+        ColumnSlice::Float(v) => write_value(out, &Value::Float(v[row])),
+        ColumnSlice::Str(v) => write_escaped(out, &v[row]),
     }
 }
 

@@ -26,12 +26,11 @@
 //! sentinel connections, no window where a fresh accept slips past the
 //! flag check.
 
-use crate::protocol::{column_tag, sid_prefix, split_sid, write_value, MAX_STATEMENT_BYTES};
+use crate::protocol::{column_tag, sid_prefix, split_sid, write_cell, MAX_STATEMENT_BYTES};
 use mio::{Events, Interest, Poll, Token, Waker};
 use qserv::service::{QueryService, ServiceConfig};
 use qserv::{
-    infer_value_types, Notifier, Qserv, QservError, StreamBatch, StreamDone, StreamEvent,
-    StreamHandle, Value,
+    Notifier, Qserv, QservError, StreamBatch, StreamDone, StreamEvent, StreamHandle, Value,
 };
 use qserv_engine::exec::ResultTable;
 use std::collections::{HashMap, VecDeque};
@@ -288,9 +287,11 @@ impl ResponseState {
 
 /// Encodes one merged batch: `COLS`/`TYPES` headers the first time,
 /// a `TYPES` resend when a column that was all-NULL so far (tag `null`)
-/// has become known, then the
-/// `ROWS <n>` block. The block (header + `n` raw TSV lines) is written
-/// in one append, so multiplexed responses never interleave inside it.
+/// has become known, then one `ROWS <n>` block over all the batch's
+/// parts. Each part's cells are written by row index straight from its
+/// column slices and null masks — no row is materialized. The block
+/// (header + `n` raw TSV lines) is written in one append, so
+/// multiplexed responses never interleave inside it.
 fn write_batch(out: &mut Vec<u8>, st: &mut ResponseState, batch: &StreamBatch) {
     let p = sid_prefix(st.sid);
     let tags: Vec<&'static str> = batch.types.iter().map(|t| column_tag(*t)).collect();
@@ -303,20 +304,26 @@ fn write_batch(out: &mut Vec<u8>, st: &mut ResponseState, batch: &StreamBatch) {
         let _ = writeln!(out, "{p}TYPES {}", tags.join("\t"));
         st.tags = tags;
     }
-    if batch.rows.is_empty() {
+    let rows = batch.num_rows();
+    if rows == 0 {
         return;
     }
-    let _ = writeln!(out, "{p}ROWS {}", batch.rows.len());
-    for row in &batch.rows {
-        for (i, v) in row.iter().enumerate() {
-            if i > 0 {
-                out.push(b'\t');
+    let _ = writeln!(out, "{p}ROWS {rows}");
+    for part in &batch.parts {
+        let cols: Vec<_> = (0..part.schema().len())
+            .map(|c| (part.column_slice(c), part.null_mask(c)))
+            .collect();
+        for r in 0..part.num_rows() {
+            for (i, (col, nulls)) in cols.iter().enumerate() {
+                if i > 0 {
+                    out.push(b'\t');
+                }
+                write_cell(out, *col, nulls[r], r);
             }
-            write_value(out, v);
+            out.push(b'\n');
         }
-        out.push(b'\n');
     }
-    st.rows += batch.rows.len() as u64;
+    st.rows += rows as u64;
 }
 
 /// Encodes the terminal frame: `TRACE` + `END` on success, `ERR` (or
@@ -355,16 +362,11 @@ fn write_error(out: &mut Vec<u8>, sid: Option<u64>, e: &QservError) {
 }
 
 /// Encodes an inline table (the `KILL`/`STATUS`/`EXPLAIN` replies) as
-/// one batch typed by its values, then `END`: one complete response with
-/// no cluster work.
+/// one batch typed as any result is ([`StreamBatch::of_result`]), then
+/// `END`: one complete response with no cluster work.
 fn write_table(out: &mut Vec<u8>, sid: Option<u64>, table: ResultTable) {
     let mut st = ResponseState::new(sid);
-    let batch = StreamBatch {
-        types: infer_value_types(&table),
-        columns: table.columns,
-        rows: table.rows,
-    };
-    write_batch(out, &mut st, &batch);
+    write_batch(out, &mut st, &StreamBatch::of_result(table));
     let _ = writeln!(out, "{}END {} 0 0", sid_prefix(sid), st.rows);
 }
 

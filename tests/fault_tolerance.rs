@@ -4,7 +4,7 @@
 mod common;
 
 use common::{cluster_from, small_patch};
-use qserv::{ClusterBuilder, PlacementStrategy, QservError, QueryService, ServiceConfig, Value};
+use qserv::{ClusterBuilder, QservError, QueryService, ServiceConfig, Value};
 use qserv_xrd::{DataServer, OfsPlugin};
 use std::sync::Arc;
 
@@ -61,7 +61,6 @@ fn three_way_replication_survives_two_failures() {
     let patch = small_patch(300, 64);
     let q = ClusterBuilder::new(5)
         .replication(3)
-        .placement(PlacementStrategy::RoundRobin)
         .build(&patch.objects, &patch.sources);
     q.cluster().servers()[0].set_online(false);
     q.cluster().servers()[1].set_online(false);
@@ -184,14 +183,4 @@ fn concurrent_near_neighbor_and_scans() {
             });
         }
     });
-}
-
-#[test]
-fn hash_placement_cluster_works() {
-    let patch = small_patch(250, 68);
-    let q = ClusterBuilder::new(4)
-        .placement(PlacementStrategy::Hash)
-        .build(&patch.objects, &patch.sources);
-    let r = q.query("SELECT COUNT(*) FROM Object").unwrap();
-    assert_eq!(r.scalar(), Some(&Value::Int(250)));
 }

@@ -78,10 +78,10 @@ fn streamable_scans_deliver_multiple_batches() {
     loop {
         match handle.recv().expect("stream does not die early") {
             StreamEvent::Batch(b) => {
-                if !b.rows.is_empty() {
+                if b.num_rows() > 0 {
                     batches += 1;
                 }
-                rows += b.rows.len();
+                rows += b.num_rows();
             }
             StreamEvent::Done(done) => {
                 done.result.expect("scan succeeds");
@@ -117,7 +117,7 @@ fn dropping_the_handle_cancels_remaining_work() {
     // Take the first batch, then hang up.
     loop {
         match handle.recv().expect("stream alive") {
-            StreamEvent::Batch(b) if !b.rows.is_empty() => break,
+            StreamEvent::Batch(b) if b.num_rows() > 0 => break,
             StreamEvent::Batch(_) => {}
             StreamEvent::Done(d) => panic!("finished before first batch: {:?}", d.result),
         }
