@@ -1014,6 +1014,11 @@ impl Qserv {
         if chunks.is_empty() {
             chunks = placement.chunks().into_iter().take(1).collect();
         }
+        // A LIMIT 0 statement returns no rows; one chunk's (empty) result
+        // names its columns, so the rest are not sent.
+        if stmt.limit == Some(0) {
+            chunks.truncate(1);
+        }
         if chunks.is_empty() {
             return Err(QservError::Analysis(
                 "the cluster stores no chunks; load data before querying".to_string(),

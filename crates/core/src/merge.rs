@@ -23,12 +23,12 @@
 //! whose column is all NULL carries no vote, and a later populated part
 //! that disagrees is a [`QservError::Merge`] (§5.4 loads every chunk's
 //! dump into one merge table, so chunk results share one schema).
-//! [`Merger`] and [`merge_tables`] vote through the same function, and a
-//! result that leaves as rows (a fold's final answer, a FROM-less
-//! statement, a proxy verb's table) becomes a part through
-//! [`ResultTable::into_table`] and votes through it too
-//! ([`StreamBatch::of_result`]): one value rule and one vote rule type
-//! every result column.
+//! [`Merger`], [`merge_tables`] and the proxy's frame writer vote
+//! through the same function ([`ballot`]), and a result that leaves as
+//! rows (a fold's final answer, a FROM-less statement, a proxy verb's
+//! table) becomes a part through [`ResultTable::into_table`] and votes
+//! through it too ([`StreamBatch::of_result`]): one value rule and one
+//! vote rule type every result column.
 //!
 //! The Append shape's merge statement is the identity
 //! (`SELECT * FROM result [LIMIT n]`), so its answer is its parts:
@@ -57,35 +57,28 @@ use std::collections::{BTreeMap, HashMap};
 /// One batch of merged rows emitted mid-query by a streaming sink (see
 /// [`crate::QueryService::submit_streaming`]): the chunk tables the
 /// merge has finished with since the last drain, moved out of the
-/// merger uncopied, with the column types voted so far. A later batch
-/// may only fill in a type that was `None` (a column all-NULL until
-/// then); a known type never changes.
+/// merger uncopied. A column's type is the first [`ballot`] cast for it
+/// by a part, in order across the batches of one query; parts that vote
+/// agree (the merger rejects a disagreeing one).
 #[derive(Debug, Clone)]
 pub struct StreamBatch {
     /// Output column names (identical across every batch of one query).
     pub columns: Vec<String>,
-    /// Per-column type votes at drain time; `None` means no populated
-    /// part has voted yet (the column is all-NULL so far).
-    pub types: Vec<Option<ColumnType>>,
     /// The batch's rows, as whole tables in final order. Read a cell
     /// through [`Table::column_slice`] and [`Table::null_mask`]; a
-    /// part's own schema type may differ from `types` only in a column
-    /// that is all NULL in that part.
+    /// part's own schema type may differ from the column's type only in
+    /// a column that is all NULL in that part.
     pub parts: Vec<Table>,
 }
 
 impl StreamBatch {
     /// A finished result as one batch: the rows become one part through
-    /// [`ResultTable::into_table`], and each column is typed by the vote
-    /// that part casts (`None` when the column is all NULL).
+    /// [`ResultTable::into_table`], whose columns vote like any part's.
     pub fn of_result(result: ResultTable) -> StreamBatch {
         let columns = result.columns.clone();
-        let part = result.into_table();
-        let types = (0..columns.len()).map(|i| ballot(&part, i)).collect();
         StreamBatch {
             columns,
-            types,
-            parts: vec![part],
+            parts: vec![result.into_table()],
         }
     }
 
@@ -178,7 +171,7 @@ fn column_names(part: &Table) -> Vec<String> {
 
 /// The type a part's column `i` votes for: its schema type, or `None`
 /// when every cell is NULL (a part with no rows votes for nothing).
-fn ballot(part: &Table, i: usize) -> Option<ColumnType> {
+pub fn ballot(part: &Table, i: usize) -> Option<ColumnType> {
     let all_null = part.null_mask(i).iter().all(|&null| null);
     (!all_null).then(|| part.schema().columns()[i].ty)
 }
@@ -418,8 +411,8 @@ impl Merger {
     }
 
     /// Moves the chunk tables appended since the last drain out as a
-    /// [`StreamBatch`] typed with the current votes; `None` when the
-    /// shape is not the identity Append, or no row has arrived since.
+    /// [`StreamBatch`]; `None` when the shape is not the identity
+    /// Append, or no row has arrived since.
     /// Drained parts are *gone* from the merge state — [`Merger::finish`]
     /// answers with the undrained remainder alone (exact, because the
     /// Append cutoff already capped drained + remaining at n).
@@ -436,7 +429,6 @@ impl Merger {
         }
         Some(StreamBatch {
             columns: names.clone(),
-            types: self.votes.clone(),
             parts: std::mem::take(parts),
         })
     }
@@ -677,9 +669,8 @@ impl Merger {
     }
 
     /// The final result as the last batch of the stream: the identity
-    /// Append's undrained parts as they are, typed by the votes its
-    /// earlier batches carried; for every other shape, the merge
-    /// statement's answer over the compacted state
+    /// Append's undrained parts as they are; for every other shape, the
+    /// merge statement's answer over the compacted state
     /// ([`StreamBatch::of_result`]).
     pub(crate) fn finish_batch(self) -> Result<StreamBatch, QservError> {
         let identity = self.streamable();
@@ -689,7 +680,6 @@ impl Merger {
             State::Append { parts, .. } if identity => {
                 return Ok(StreamBatch {
                     columns: names,
-                    types: votes,
                     parts,
                 });
             }
@@ -872,7 +862,11 @@ mod tests {
             merger.fold(seq, part).unwrap();
         }
         let batch = merger.finish_batch().unwrap();
-        assert_eq!(batch.types, vec![Some(ColumnType::Int)]);
+        let ballots: Vec<_> = batch.parts.iter().map(|part| ballot(part, 0)).collect();
+        assert_eq!(
+            ballots,
+            vec![Some(ColumnType::Int), None, Some(ColumnType::Int)]
+        );
         let mut rows = StreamCollector::new();
         rows.push(batch);
         let r = rows.table();

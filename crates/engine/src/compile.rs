@@ -177,24 +177,21 @@ pub(crate) enum OutputPlan {
         /// when the projection references aggregate results (computed at
         /// finish time instead).
         rep: Vec<Option<Program>>,
-        /// When the query is an ungrouped aggregate whose arguments are
-        /// all bare columns, the fused per-column accumulation plan,
-        /// aligned with `args`.
-        fused: Option<Vec<(AggKind, Option<usize>)>>,
-        /// When the query groups by a single integer column and every
-        /// aggregate argument is a bare column, the fused grouped
+        /// When every aggregate argument is a bare column and the query
+        /// is ungrouped or groups by a single integer column, the fused
         /// accumulation plan.
-        fused_group: Option<GroupFused>,
+        fused: Option<GroupFused>,
     },
 }
 
-/// Fused grouped aggregation: group slots are assigned straight off one
-/// integer key column, then each aggregate runs as a tight per-column
-/// loop over the selection.
+/// Fused aggregation: the selection is split into groups — one group of
+/// every selected row when ungrouped, else one member list per value of
+/// an integer key column — and each aggregate runs as a tight per-kind
+/// loop over each group's member rows.
 #[derive(Clone, Debug)]
 pub(crate) struct GroupFused {
-    /// The GROUP BY key column (integer-typed).
-    pub(crate) key_col: usize,
+    /// The GROUP BY key column (integer-typed); `None` when ungrouped.
+    pub(crate) key_col: Option<usize>,
     /// Per aggregate spec: kind and argument column (`None` for
     /// COUNT(*)), aligned with `OutputPlan::Agg::args`.
     pub(crate) args: Vec<(AggKind, Option<usize>)>,
@@ -248,7 +245,6 @@ impl VecPlan {
                 args,
                 rep,
                 fused,
-                fused_group,
             } => {
                 for p in keys {
                     mark_program(p, &mut mask);
@@ -256,19 +252,10 @@ impl VecPlan {
                 for p in args.iter().chain(rep).flatten() {
                     mark_program(p, &mut mask);
                 }
-                if let Some(cols) = fused {
-                    for (_, c) in cols.iter() {
-                        if let Some(c) = c {
-                            mask[*c] = true;
-                        }
-                    }
-                }
-                if let Some(gf) = fused_group {
-                    mask[gf.key_col] = true;
-                    for (_, c) in &gf.args {
-                        if let Some(c) = c {
-                            mask[*c] = true;
-                        }
+                if let Some(gf) = fused {
+                    let arg_cols = gf.args.iter().map(|(_, c)| c);
+                    for c in std::iter::once(&gf.key_col).chain(arg_cols).flatten() {
+                        mask[*c] = true;
                     }
                 }
             }
@@ -379,25 +366,19 @@ pub(crate) fn compile_single(
                 Some(compile_program(&ctx, proj)?)
             });
         }
-        let fused = if stmt.group_by.is_empty() && rep.iter().all(Option::is_none) {
-            fused_args(&ctx, sink)
-        } else {
-            None
+        let key_col = match stmt.group_by.as_slice() {
+            [] => Some(None),
+            [key] => ctx.int_col(key).map(Some),
+            _ => None,
         };
-        let fused_group = if stmt.group_by.len() == 1 {
-            match (ctx.int_col(&stmt.group_by[0]), fused_args(&ctx, sink)) {
-                (Some(key_col), Some(args)) => Some(GroupFused { key_col, args }),
-                _ => None,
-            }
-        } else {
-            None
-        };
+        let fused = key_col
+            .zip(fused_args(&ctx, sink))
+            .map(|(key_col, args)| GroupFused { key_col, args });
         OutputPlan::Agg {
             keys,
             args,
             rep,
             fused,
-            fused_group,
         }
     } else {
         let mut exprs = Vec::new();

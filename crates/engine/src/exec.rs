@@ -250,57 +250,53 @@ pub fn execute_detailed(
         None
     };
 
-    // Paged scan: the sole stored binding compiles against its shape,
-    // zone maps elide row-group pages the kernels provably reject, and
-    // the scan table holds only the referenced columns of the surviving
-    // pages, taken from the residency cache (decoded and admitted on a
-    // miss) — no full materialization, no row pivot. Falls back to
-    // materialization (the interpreter stays the oracle) when the
-    // statement does not compile.
-    if let Some(chunk) = stored_single {
-        let sink = RowSink::new(db, stmt, &bindings, aggregated)?;
-        let (name, shape) = &bindings[0];
-        if let Some(mut plan) = crate::compile::compile_single(stmt, name, shape, &sink, &conjuncts)
+    let mut sink = RowSink::new(db, stmt, &bindings, aggregated)?;
+
+    // Vectorized path: a single-table scan whose filters and output all
+    // compile runs over columnar kernels; anything else falls through to
+    // the interpreter, which stays the semantic oracle. A stored binding
+    // compiles against its shape and runs paged: zone maps elide
+    // row-group pages the kernels provably reject, and the scan table
+    // holds only the referenced columns of the surviving pages, taken
+    // from the residency cache (decoded and admitted on a miss) — no
+    // full materialization, no row pivot. When it does not compile, it
+    // materializes for the interpreter.
+    if bindings.len() == 1 && mode != ExecMode::Interpreted {
+        let (name, table) = &bindings[0];
+        if let Some(mut plan) = crate::compile::compile_single(stmt, name, table, &sink, &conjuncts)
         {
-            // Decoded pages carry no index; scan every surviving page.
-            plan.seed = None;
-            let keep = crate::storage::prune_mask(chunk.file().footer(), &plan.kernels);
-            let needed = plan.referenced_cols(shape.schema().len());
-            let (scan, pages_cached) = chunk
-                .scan_table(db.residency(), &keep, &needed)
-                .map_err(storage_err)?;
-            let pages_scanned = keep.iter().filter(|&&k| k).count() as u64;
-            let stats = ScanStats {
-                pages_pruned: keep.len() as u64 - pages_scanned,
-                pages_scanned,
-                pages_cached,
+            let paged;
+            let (scan, stats) = match &stored_single {
+                Some(chunk) => {
+                    // Decoded pages carry no index; scan every surviving page.
+                    plan.seed = None;
+                    let keep = crate::storage::prune_mask(chunk.file().footer(), &plan.kernels);
+                    let needed = plan.referenced_cols(table.schema().len());
+                    let (scan, pages_cached) = chunk
+                        .scan_table(db.residency(), &keep, &needed)
+                        .map_err(storage_err)?;
+                    paged = scan;
+                    let pages_scanned = keep.iter().filter(|&&k| k).count() as u64;
+                    let stats = ScanStats {
+                        pages_pruned: keep.len() as u64 - pages_scanned,
+                        pages_scanned,
+                        pages_cached,
+                    };
+                    (&paged, stats)
+                }
+                None => (&**table, ScanStats::default()),
             };
-            let mut sink = sink;
-            crate::vector::run(&plan, &scan, &mut sink, quick_limit);
+            crate::vector::run(&plan, scan, &mut sink, quick_limit);
             return sink.finish().map(|r| (r, ExecPath::Vectorized, stats));
         }
-        drop(sink);
+    }
+    if let Some(chunk) = stored_single {
         if mode == ExecMode::Vectorized {
             return Err(ExecError::Unsupported(
                 "statement is not vectorizable".to_string(),
             ));
         }
         bindings[0].1 = chunk.resident(db.residency()).map_err(storage_err)?;
-    }
-
-    let mut sink = RowSink::new(db, stmt, &bindings, aggregated)?;
-
-    // Vectorized path: a single-table scan whose filters and output all
-    // compile runs over columnar kernels; anything else falls through to
-    // the interpreter, which stays the semantic oracle.
-    if bindings.len() == 1 && mode != ExecMode::Interpreted {
-        let (name, table) = &bindings[0];
-        if let Some(plan) = crate::compile::compile_single(stmt, name, table, &sink, &conjuncts) {
-            crate::vector::run(&plan, table, &mut sink, quick_limit);
-            return sink
-                .finish()
-                .map(|r| (r, ExecPath::Vectorized, ScanStats::default()));
-        }
     }
     // Vectorized join path: a two-table join whose cross predicates are
     // one angular-distance cut plus integer comparisons runs the compiled
@@ -876,7 +872,7 @@ impl AggAcc {
                 if !saw_any {
                     Value::Null // SUM of no rows is NULL in SQL.
                 } else if *saw_float {
-                    Value::Float(*float)
+                    float_result(*float)
                 } else {
                     Value::Int(*int)
                 }
@@ -885,12 +881,21 @@ impl AggAcc {
                 if *n == 0 {
                     Value::Null
                 } else {
-                    Value::Float(sum / *n as f64)
+                    float_result(sum / *n as f64)
                 }
             }
             AggAcc::MinMax { best, .. } => best.clone().unwrap_or(Value::Null),
         }
     }
+}
+
+/// A SUM or AVG result as a value. The sign and payload of a NaN that
+/// arithmetic produced are unspecified (the compiler may commute an
+/// addition, and `inf + -inf` gives the platform's default NaN), so a NaN
+/// result leaves as the one canonical NaN: the same bits whichever
+/// kernel accumulated it.
+fn float_result(x: f64) -> Value {
+    Value::Float(if x.is_nan() { f64::NAN } else { x })
 }
 
 /// Consumes joined row combinations and produces the result table.
@@ -1020,54 +1025,35 @@ impl<'q> RowSink<'q> {
 
     pub(crate) fn consume(&mut self, b: &Bindings<'_>) -> Result<(), ExecError> {
         if self.aggregated {
-            let mut key = Vec::with_capacity(self.stmt.group_by.len());
-            let mut rep = Vec::with_capacity(self.stmt.group_by.len());
-            for g in &self.stmt.group_by {
-                let v = eval(g, b)?;
-                key.push(v.group_key());
-                rep.push(v);
-            }
-            // Evaluate aggregate arguments *before* borrowing group state.
+            let key_vals = self
+                .stmt
+                .group_by
+                .iter()
+                .map(|g| eval(g, b))
+                .collect::<Result<Vec<_>, _>>()?;
             let mut arg_vals = Vec::with_capacity(self.aggs.len());
             for a in &self.aggs {
                 arg_vals.push(match (&a.kind, &a.arg) {
-                    (AggKind::CountStar, _) => None,
+                    (AggKind::CountStar, _) | (_, None) => None,
                     (_, Some(arg)) => Some(eval(arg, b)?),
-                    (_, None) => None,
                 });
             }
-            // Non-aggregate projections need representative values; capture
-            // every non-agg column expr on first sight of the group.
-            let state = match self.groups.get_mut(&key) {
-                Some(s) => s,
-                None => {
-                    self.group_order.push(key.clone());
-                    let accs = self.aggs.iter().map(|a| AggAcc::new(a.kind)).collect();
-                    self.groups.insert(key.clone(), GroupState { accs, rep });
-                    self.groups.get_mut(&key).expect("just inserted")
-                }
+            // Representative values of the non-aggregate projections, on
+            // a group's first row; projections over aggregates are
+            // computed in finish() and hold a NULL placeholder.
+            let reps = |projected: &[Expr]| {
+                projected
+                    .iter()
+                    .map(|proj| {
+                        if references_agg(proj) {
+                            Ok(Value::Null)
+                        } else {
+                            eval(proj, b)
+                        }
+                    })
+                    .collect()
             };
-            for (acc, v) in state.accs.iter_mut().zip(&arg_vals) {
-                acc.update(v.as_ref());
-            }
-            // Group-by key reps were captured at insert; also capture
-            // per-group values of bare (non-aggregate) projections lazily
-            // at finish time via the stored key reps — see finish().
-            // To support projections over arbitrary row expressions we
-            // additionally remember the first row's full evaluation:
-            if state.rep.len() == self.stmt.group_by.len() {
-                for proj in &self.agg_projected {
-                    // Evaluate the non-aggregate parts only; aggregate
-                    // pseudo columns are unknown yet, so skip exprs that
-                    // reference them — they get computed in finish().
-                    if !references_agg(proj) {
-                        state.rep.push(eval(proj, b)?);
-                    } else {
-                        state.rep.push(Value::Null); // placeholder
-                    }
-                }
-            }
-            Ok(())
+            Ok(self.consume_agg_row(key_vals, &arg_vals, reps)?)
         } else {
             let mut row = Vec::with_capacity(self.plain_exprs.len() + self.hidden_sort.len());
             for e in &self.plain_exprs {
@@ -1123,29 +1109,29 @@ impl<'q> RowSink<'q> {
         self.rows.push(row);
     }
 
-    /// Accepts one evaluated row for aggregation: `key_vals` are the
-    /// GROUP BY key values, `arg_vals` the aggregate arguments (`None`
-    /// for COUNT(*)), and `rep_tail` lazily produces the representative
-    /// projection values captured on a group's first row. Mirrors the
-    /// aggregated arm of [`RowSink::consume`] exactly.
-    pub(crate) fn consume_agg_row(
+    /// Accepts one evaluated row for aggregation — the one group entry
+    /// for per-row input, interpreted and vectorized alike: `key_vals`
+    /// are the GROUP BY key values, `arg_vals` the aggregate arguments
+    /// (`None` for COUNT(*)), and `rep_tail` produces the representative
+    /// values of the rewritten projections it is handed, called only on
+    /// a group's first row.
+    pub(crate) fn consume_agg_row<E>(
         &mut self,
         key_vals: Vec<Value>,
         arg_vals: &[Option<Value>],
-        rep_tail: impl FnOnce() -> Vec<Value>,
-    ) {
-        let mut key = Vec::with_capacity(key_vals.len());
-        let mut rep = Vec::with_capacity(key_vals.len());
-        for v in key_vals {
-            key.push(v.group_key());
-            rep.push(v);
-        }
+        rep_tail: impl FnOnce(&[Expr]) -> Result<Vec<Value>, E>,
+    ) -> Result<(), E> {
+        let key: Vec<GroupKey> = key_vals.iter().map(Value::group_key).collect();
         let state = match self.groups.get_mut(&key) {
             Some(s) => s,
             None => {
                 self.group_order.push(key.clone());
                 let accs = self.aggs.iter().map(|a| AggAcc::new(a.kind)).collect();
-                self.groups.insert(key.clone(), GroupState { accs, rep });
+                let state = GroupState {
+                    accs,
+                    rep: key_vals,
+                };
+                self.groups.insert(key.clone(), state);
                 self.groups.get_mut(&key).expect("just inserted")
             }
         };
@@ -1153,38 +1139,28 @@ impl<'q> RowSink<'q> {
             acc.update(v.as_ref());
         }
         if state.rep.len() == self.stmt.group_by.len() {
-            state.rep.extend(rep_tail());
+            state.rep.extend(rep_tail(&self.agg_projected)?);
         }
+        Ok(())
     }
 
-    /// Installs the groups of a fused grouped aggregation: per group its
-    /// key value, finished accumulators (one per spec, in exact
-    /// sequential-`update` state), and representative projection values
-    /// captured on the group's first row. Groups arrive in
-    /// first-appearance order, matching `consume`'s `group_order`.
-    pub(crate) fn install_groups(
+    /// Installs one group of a fused aggregation — the group entry for
+    /// column-wise input: its key values, its accumulators (one per
+    /// spec, in exact sequential-`update` state) and the representative
+    /// projection values of its first row. Groups must arrive in
+    /// first-appearance order, matching `consume_agg_row`'s
+    /// `group_order`.
+    pub(crate) fn install_group(
         &mut self,
         key_vals: Vec<Value>,
-        accs: Vec<Vec<AggAcc>>,
-        reps: Vec<Vec<Value>>,
+        accs: Vec<AggAcc>,
+        rep_tail: Vec<Value>,
     ) {
-        for ((key_val, accs), rep_tail) in key_vals.into_iter().zip(accs).zip(reps) {
-            let key = vec![key_val.group_key()];
-            let mut rep = vec![key_val];
-            rep.extend(rep_tail);
-            self.group_order.push(key.clone());
-            self.groups.insert(key, GroupState { accs, rep });
-        }
-    }
-
-    /// Installs the single global group of a fused ungrouped aggregation.
-    /// The accumulators must be in the exact state per-row updates would
-    /// have produced; representative values are NULL placeholders, as in
-    /// the interpreter (every projection references `__agg`).
-    pub(crate) fn install_global_group(&mut self, accs: Vec<AggAcc>) {
-        let rep = vec![Value::Null; self.agg_projected.len()];
-        self.group_order.push(Vec::new());
-        self.groups.insert(Vec::new(), GroupState { accs, rep });
+        let key: Vec<GroupKey> = key_vals.iter().map(Value::group_key).collect();
+        let mut rep = key_vals;
+        rep.extend(rep_tail);
+        self.group_order.push(key.clone());
+        self.groups.insert(key, GroupState { accs, rep });
     }
 
     fn finish(mut self) -> Result<ResultTable, ExecError> {
@@ -1193,15 +1169,8 @@ impl<'q> RowSink<'q> {
             // (COUNT(*) = 0) when there is no GROUP BY.
             if self.groups.is_empty() && self.stmt.group_by.is_empty() {
                 let accs: Vec<AggAcc> = self.aggs.iter().map(|a| AggAcc::new(a.kind)).collect();
-                let mut rep = Vec::new();
-                for proj in &self.agg_projected {
-                    if !references_agg(proj) {
-                        // No rows to evaluate bare columns against: NULL.
-                        rep.push(Value::Null);
-                    } else {
-                        rep.push(Value::Null);
-                    }
-                }
+                // No rows to evaluate bare columns against: NULL.
+                let rep = vec![Value::Null; self.agg_projected.len()];
                 self.group_order.push(Vec::new());
                 self.groups.insert(Vec::new(), GroupState { accs, rep });
             }
@@ -1509,6 +1478,33 @@ mod tests {
         // The master's merge query shape: SUM(x)/SUM(y).
         let r = run("SELECT SUM(chunkId) / COUNT(*) FROM Object");
         assert_eq!(r.rows[0][0], Value::Float(39.0 / 5.0));
+    }
+
+    #[test]
+    fn nan_sums_and_means_leave_as_the_canonical_nan() {
+        // inf + -inf yields the platform's default NaN (negative on
+        // x86-64); a NaN operand may reach the result with either sign.
+        let nan_bits = |v: Value| match v {
+            Value::Float(x) => x.to_bits(),
+            other => panic!("float expected, got {other:?}"),
+        };
+        for args in [
+            vec![f64::INFINITY, f64::NEG_INFINITY],
+            vec![f64::NEG_INFINITY, f64::INFINITY, f64::NAN],
+            vec![-f64::NAN, 1.0],
+        ] {
+            for kind in [AggKind::Sum, AggKind::Avg] {
+                let mut acc = AggAcc::new(kind);
+                for x in &args {
+                    acc.update(Some(&Value::Float(*x)));
+                }
+                assert_eq!(
+                    nan_bits(acc.finish()),
+                    f64::NAN.to_bits(),
+                    "{kind:?} {args:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -28,11 +28,14 @@
 
 use crate::protocol::{column_tag, sid_prefix, split_sid, write_cell, MAX_STATEMENT_BYTES};
 use mio::{Events, Interest, Poll, Token, Waker};
+use qserv::merge::ballot;
 use qserv::service::{QueryService, ServiceConfig};
 use qserv::{
     Notifier, Qserv, QservError, StreamBatch, StreamDone, StreamEvent, StreamHandle, Value,
 };
 use qserv_engine::exec::ResultTable;
+use qserv_engine::schema::ColumnType;
+use qserv_engine::table::Table;
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
 use std::net::SocketAddr;
@@ -265,12 +268,11 @@ fn route(service: &QueryService, stmt: &str) -> Action {
 // Frame encoding.
 // ---------------------------------------------------------------------
 
-/// Per-request frame-encoding state: which headers went out, under
-/// which types, and how many rows so far.
+/// Per-request frame-encoding state: the column types sent so far
+/// (`None` until `COLS` went out) and how many rows so far.
 struct ResponseState {
     sid: Option<u64>,
-    sent_cols: bool,
-    tags: Vec<&'static str>,
+    types: Option<Vec<Option<ColumnType>>>,
     rows: u64,
 }
 
@@ -278,38 +280,66 @@ impl ResponseState {
     fn new(sid: Option<u64>) -> ResponseState {
         ResponseState {
             sid,
-            sent_cols: false,
-            tags: Vec::new(),
+            types: None,
             rows: 0,
         }
     }
 }
 
-/// Encodes one merged batch: `COLS`/`TYPES` headers the first time,
-/// a `TYPES` resend when a column that was all-NULL so far (tag `null`)
-/// has become known, then one `ROWS <n>` block over all the batch's
-/// parts. Each part's cells are written by row index straight from its
-/// column slices and null masks — no row is materialized. The block
-/// (header + `n` raw TSV lines) is written in one append, so
-/// multiplexed responses never interleave inside it.
+/// Encodes one merged batch, part by part in chunk order: `COLS` and
+/// `TYPES` the first time, typed by the votes ([`ballot`]) of the first
+/// part that holds rows; then `ROWS <n>` blocks. A part that types a
+/// column still tagged `null` (all-NULL so far) ends the block before
+/// it and sends `TYPES` again. The first batch holds the first part
+/// with rows (the merger drains no batch of empty parts), so the header
+/// sequence depends only on the parts — on query and data — never on
+/// how arrivals were batched.
 fn write_batch(out: &mut Vec<u8>, st: &mut ResponseState, batch: &StreamBatch) {
     let p = sid_prefix(st.sid);
-    let tags: Vec<&'static str> = batch.types.iter().map(|t| column_tag(*t)).collect();
-    if !st.sent_cols {
+    let types = st.types.get_or_insert_with(|| {
         let _ = writeln!(out, "{p}COLS {}", batch.columns.join("\t"));
-        let _ = writeln!(out, "{p}TYPES {}", tags.join("\t"));
-        st.tags = tags;
-        st.sent_cols = true;
-    } else if tags != st.tags {
-        let _ = writeln!(out, "{p}TYPES {}", tags.join("\t"));
-        st.tags = tags;
+        let first = batch.parts.iter().find(|part| !part.is_empty());
+        let types: Vec<_> = (0..batch.columns.len())
+            .map(|c| first.and_then(|part| ballot(part, c)))
+            .collect();
+        write_types(out, &p, &types);
+        types
+    });
+    let mut block = 0;
+    for (i, part) in batch.parts.iter().enumerate() {
+        let mut typed = false;
+        for (c, ty) in types.iter_mut().enumerate() {
+            if ty.is_none() {
+                *ty = ballot(part, c);
+                typed |= ty.is_some();
+            }
+        }
+        if typed {
+            st.rows += write_rows(out, &p, &batch.parts[block..i]);
+            write_types(out, &p, types);
+            block = i;
+        }
     }
-    let rows = batch.num_rows();
+    st.rows += write_rows(out, &p, &batch.parts[block..]);
+}
+
+fn write_types(out: &mut Vec<u8>, p: &str, types: &[Option<ColumnType>]) {
+    let tags: Vec<&str> = types.iter().map(|t| column_tag(*t)).collect();
+    let _ = writeln!(out, "{p}TYPES {}", tags.join("\t"));
+}
+
+/// Writes one `ROWS <n>` block over `parts` (nothing when they hold no
+/// row) and returns `n`. Each part's cells are written by row index
+/// straight from its column slices and null masks — no row is
+/// materialized. The block (header + `n` raw TSV lines) is written in
+/// one append, so multiplexed responses never interleave inside it.
+fn write_rows(out: &mut Vec<u8>, p: &str, parts: &[Table]) -> u64 {
+    let rows: usize = parts.iter().map(Table::num_rows).sum();
     if rows == 0 {
-        return;
+        return 0;
     }
     let _ = writeln!(out, "{p}ROWS {rows}");
-    for part in &batch.parts {
+    for part in parts {
         let cols: Vec<_> = (0..part.schema().len())
             .map(|c| (part.column_slice(c), part.null_mask(c)))
             .collect();
@@ -323,7 +353,7 @@ fn write_batch(out: &mut Vec<u8>, st: &mut ResponseState, batch: &StreamBatch) {
             out.push(b'\n');
         }
     }
-    st.rows += rows as u64;
+    rows as u64
 }
 
 /// Encodes the terminal frame: `TRACE` + `END` on success, `ERR` (or
@@ -796,6 +826,73 @@ mod tests {
         assert_eq!(parse_kill_verb("KILL abc"), Some(Err("abc".to_string())));
         assert_eq!(parse_kill_verb("KILLER 1"), None);
         assert_eq!(parse_kill_verb("SELECT 1"), None);
+    }
+
+    /// The frames of parts `[c0, c1, c2, c3]` — `c0` empty, `m` all NULL
+    /// (Float-typed by its worker) in `c1`, populated Int from `c2` on —
+    /// are the same whether they arrive as one batch or as `[c0, c1]`,
+    /// `[c2]`, `[c3]` (the merger drains no batch of empty parts), apart
+    /// from where `ROWS` blocks split.
+    #[test]
+    fn types_headers_do_not_depend_on_batching() {
+        use qserv_engine::schema::{ColumnDef, Schema};
+        let part = |m_ty: ColumnType, rows: &[(i64, Option<i64>)]| {
+            let mut t = Table::new(Schema::new(vec![
+                ColumnDef::new("objectId", ColumnType::Int),
+                ColumnDef::new("m", m_ty),
+            ]));
+            for &(id, m) in rows {
+                t.push_row(vec![Value::Int(id), m.map_or(Value::Null, Value::Int)])
+                    .expect("fits");
+            }
+            t
+        };
+        let parts = vec![
+            part(ColumnType::Float, &[]),
+            part(ColumnType::Float, &[(1, None), (2, None)]),
+            part(ColumnType::Int, &[(3, Some(0)), (4, None)]),
+            part(ColumnType::Int, &[(5, Some(1))]),
+        ];
+        let columns = vec!["objectId".to_string(), "m".to_string()];
+        let frames = |batches: Vec<Vec<Table>>| {
+            let mut out = Vec::new();
+            let mut st = ResponseState::new(None);
+            for parts in batches {
+                let batch = StreamBatch {
+                    columns: columns.clone(),
+                    parts,
+                };
+                write_batch(&mut out, &mut st, &batch);
+            }
+            let text = String::from_utf8(out).expect("utf-8");
+            let lines: Vec<String> = text
+                .lines()
+                .filter(|l| !l.starts_with("ROWS "))
+                .map(str::to_string)
+                .collect();
+            (lines, st.rows)
+        };
+        let one = frames(vec![parts.clone()]);
+        let each = frames(vec![
+            parts[..2].to_vec(),
+            vec![parts[2].clone()],
+            vec![parts[3].clone()],
+        ]);
+        assert_eq!(one, each);
+        assert_eq!(
+            one.0,
+            [
+                "COLS objectId\tm",
+                "TYPES int\tnull",
+                "1\t\\N",
+                "2\t\\N",
+                "TYPES int\tint",
+                "3\t0",
+                "4\t\\N",
+                "5\t1"
+            ]
+        );
+        assert_eq!(one.1, 5);
     }
 
     #[test]

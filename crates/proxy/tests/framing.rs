@@ -228,68 +228,75 @@ fn a_replayed_statement_is_byte_identical_on_the_wire() {
 /// A column that is all NULL in the first chunk is tagged `null` until
 /// a populated chunk types it; the `TYPES` line is then sent again, once.
 /// Chunk `c`, the first in chunk order, computes `x % 0` for every row.
-/// Serial dispatch makes each chunk its own batch, so the header
-/// sequence is exact. The client's rows carry the variants the
+/// The header sequence is exact at any dispatch width: the frame writer
+/// types part by part in chunk order, so it does not depend on whether
+/// chunk `c` drained alone or batched with later chunks (replayed 20
+/// times at width 2). The client's rows carry the variants the
 /// single-node engine gives the same statement over the same rows.
 #[test]
 fn a_column_null_so_far_is_retyped_mid_stream() {
     let patch = Patch::generate(&CatalogConfig::small(600, 26));
-    let mut q = ClusterBuilder::new(3).build(&patch.objects, &patch.sources);
-    q.dispatch_width = 1;
-    let server = ProxyServer::start(Arc::new(q), "127.0.0.1:0").expect("bind");
-    let mut client = ProxyClient::connect(server.addr()).expect("connect");
-    let (ids, _) = client
-        .query("SELECT objectId, chunkId FROM Object")
-        .expect("ids");
-    let mut object = Table::new(Schema::new(vec![
-        ColumnDef::new("objectId", ColumnType::Int),
-        ColumnDef::new("chunkId", ColumnType::Int),
-    ]));
-    for row in &ids.rows {
-        object.push_row(row.clone()).expect("two Int columns");
-    }
-    let c = ids.rows.iter().filter_map(|r| r[1].as_i64()).min();
-    let sql = format!(
-        "SELECT objectId, chunkId % (chunkId - {}) AS m FROM Object",
-        c.expect("a chunk id")
-    );
-
-    let stream = TcpStream::connect(server.addr()).expect("connect");
-    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-    let mut writer = stream;
-    writer
-        .write_all(format!("{sql};").as_bytes())
-        .expect("submit");
-    let mut headers = Vec::new();
-    loop {
-        let line = read_line(&mut reader).expect("frame");
-        if let Some(n) = line.strip_prefix("ROWS ") {
-            for _ in 0..n.parse::<usize>().expect("ROWS count") {
-                read_line(&mut reader).expect("row line");
-            }
-        } else if line.starts_with("END ") {
-            break;
-        } else {
-            headers.push(line);
+    for (width, replays) in [(1, 1), (2, 20)] {
+        let mut q = ClusterBuilder::new(3).build(&patch.objects, &patch.sources);
+        q.dispatch_width = width;
+        let server = ProxyServer::start(Arc::new(q), "127.0.0.1:0").expect("bind");
+        let mut client = ProxyClient::connect(server.addr()).expect("connect");
+        let (ids, _) = client
+            .query("SELECT objectId, chunkId FROM Object")
+            .expect("ids");
+        let mut object = Table::new(Schema::new(vec![
+            ColumnDef::new("objectId", ColumnType::Int),
+            ColumnDef::new("chunkId", ColumnType::Int),
+        ]));
+        for row in &ids.rows {
+            object.push_row(row.clone()).expect("two Int columns");
         }
-    }
-    assert_eq!(
-        headers,
-        ["COLS objectId\tm", "TYPES int\tnull", "TYPES int\tint"]
-    );
+        let c = ids.rows.iter().filter_map(|r| r[1].as_i64()).min();
+        let sql = format!(
+            "SELECT objectId, chunkId % (chunkId - {}) AS m FROM Object",
+            c.expect("a chunk id")
+        );
 
-    let (got, _) = client.query(&sql).expect("query");
-    let mut db = Database::new();
-    db.create_table("Object", object);
-    let want = execute(&db, &qserv_sqlparse::parse_select(&sql).expect("parses"))
-        .expect("single-node engine");
-    assert_eq!(got.columns, want.columns);
-    let sorted = |mut rows: Vec<Vec<qserv::Value>>| {
-        rows.sort_by_key(|r| r[0].as_i64());
-        rows
-    };
-    assert_eq!(sorted(got.rows), sorted(want.rows));
-    server.shutdown();
+        let stream = TcpStream::connect(server.addr()).expect("connect");
+        let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+        let mut writer = stream;
+        for _ in 0..replays {
+            writer
+                .write_all(format!("{sql};").as_bytes())
+                .expect("submit");
+            let mut headers = Vec::new();
+            loop {
+                let line = read_line(&mut reader).expect("frame");
+                if let Some(n) = line.strip_prefix("ROWS ") {
+                    for _ in 0..n.parse::<usize>().expect("ROWS count") {
+                        read_line(&mut reader).expect("row line");
+                    }
+                } else if line.starts_with("END ") {
+                    break;
+                } else {
+                    headers.push(line);
+                }
+            }
+            assert_eq!(
+                headers,
+                ["COLS objectId\tm", "TYPES int\tnull", "TYPES int\tint"],
+                "width {width}"
+            );
+        }
+
+        let (got, _) = client.query(&sql).expect("query");
+        let mut db = Database::new();
+        db.create_table("Object", object);
+        let want = execute(&db, &qserv_sqlparse::parse_select(&sql).expect("parses"))
+            .expect("single-node engine");
+        assert_eq!(got.columns, want.columns);
+        let sorted = |mut rows: Vec<Vec<qserv::Value>>| {
+            rows.sort_by_key(|r| r[0].as_i64());
+            rows
+        };
+        assert_eq!(sorted(got.rows), sorted(want.rows));
+        server.shutdown();
+    }
 }
 
 #[test]

@@ -237,19 +237,23 @@ fn null_only_chunk_column_keeps_its_type() {
 /// `LIMIT 0` answers with the statement's columns and no rows, as the
 /// single-node engine does, with and without ORDER BY: the merger is
 /// satisfied before any chunk result applies, so it names its columns
-/// from the first part to arrive.
+/// from the one chunk query the statement sends at any dispatch width.
 #[test]
 fn limit_zero_keeps_its_columns() {
     let patch = small_patch(300, 41);
-    let q = cluster_from(&patch, 4);
+    let mut q = cluster_from(&patch, 4);
+    q.dispatch_width = 4;
     let db = monolithic_db(&patch);
     for sql in [
         "SELECT objectId FROM Object LIMIT 0",
         "SELECT objectId FROM Object ORDER BY objectId LIMIT 0",
+        "SELECT COUNT(*) FROM Object LIMIT 0",
     ] {
-        let distributed = q
-            .query(sql)
+        let (distributed, stats) = q
+            .query_with_stats(sql)
             .unwrap_or_else(|e| panic!("distributed {sql}: {e}"));
+        // One chunk names the columns, whatever the dispatch width.
+        assert_eq!(stats.chunks_dispatched, 1, "{sql}");
         let local = execute(&db, &parse_select(sql).unwrap())
             .unwrap_or_else(|e| panic!("local {sql}: {e}"));
         assert_eq!(distributed.columns, local.columns, "{sql}");

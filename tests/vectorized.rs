@@ -21,8 +21,9 @@ fn catalog() -> &'static Database {
     DB.get_or_init(|| monolithic_db(&small_patch(400, 4242)))
 }
 
-/// A table thick with NULLs in every column type, for three-valued-logic
-/// edge cases the synthesized catalog never produces.
+/// A table thick with NULLs in every column type, plus a Float column of
+/// NaN, ±inf and signed zeros, for three-valued-logic and IEEE edge cases
+/// the synthesized catalog never produces.
 fn nullable_db() -> &'static Database {
     static DB: OnceLock<Database> = OnceLock::new();
     DB.get_or_init(|| {
@@ -31,6 +32,7 @@ fn nullable_db() -> &'static Database {
             ColumnDef::new("x", ColumnType::Float),
             ColumnDef::new("k", ColumnType::Int),
             ColumnDef::new("tag", ColumnType::Str),
+            ColumnDef::new("f", ColumnType::Float),
         ]));
         for i in 0..240i64 {
             let x = if i % 5 == 0 {
@@ -48,7 +50,17 @@ fn nullable_db() -> &'static Database {
             } else {
                 Value::Str(format!("t{}", i % 4))
             };
-            t.push_row(vec![Value::Int(i), x, k, tag]).expect("fits");
+            // IEEE edge values: NaN, ±inf and both signed zeros.
+            let f = match i % 13 {
+                0 => Value::Float(f64::NAN),
+                1 => Value::Float(f64::INFINITY),
+                2 => Value::Float(f64::NEG_INFINITY),
+                3 => Value::Float(-0.0),
+                4 => Value::Float(0.0),
+                5 => Value::Null,
+                _ => Value::Float((i % 17) as f64 - 8.0),
+            };
+            t.push_row(vec![Value::Int(i), x, k, tag, f]).expect("fits");
         }
         t.build_index("id").expect("id indexes");
         let mut db = Database::new();
@@ -165,6 +177,12 @@ proptest! {
             "SELECT chunkId, COUNT(*), SUM(zFlux_PS), MIN(ra_PS) FROM Object \
              WHERE ra_PS BETWEEN {lon} AND {} GROUP BY chunkId", lon + w
         ));
+        // Ungrouped with a bare projection (taken from the first selected
+        // row), and SUM over an Int column.
+        assert_paths_agree(catalog(), &format!(
+            "SELECT chunkId, COUNT(*), SUM(objectId), MAX(objectId) FROM Object \
+             WHERE ra_PS BETWEEN {lon} AND {}", lon + w
+        ));
     }
 
     // Random comparisons over the NULL-heavy table: every 3VL outcome of
@@ -201,6 +219,37 @@ proptest! {
         assert_paths_agree(db, &format!(
             "SELECT k, COUNT(*), COUNT(x), SUM(x) FROM T WHERE x < {t} \
              OR x IS NULL GROUP BY k"
+        ));
+        // Ungrouped with a bare projection; MIN/MAX over Str, SUM/AVG over Int.
+        assert_paths_agree(db, &format!(
+            "SELECT k, COUNT(*), SUM(x) FROM T WHERE x < {t}"
+        ));
+        assert_paths_agree(db, &format!(
+            "SELECT MIN(tag), MAX(tag), COUNT(tag), SUM(id), AVG(id), MIN(id) \
+             FROM T WHERE x < {t} OR x IS NULL"
+        ));
+        assert_paths_agree(db, &format!(
+            "SELECT k, MIN(tag), MAX(tag), SUM(id) FROM T WHERE x < {t} GROUP BY k"
+        ));
+        // NaN, ±inf and signed zeros through every kind, global and grouped.
+        assert_paths_agree(db, &format!(
+            "SELECT COUNT(f), SUM(f), AVG(f), MIN(f), MAX(f) FROM T \
+             WHERE x < {t} OR x IS NULL"
+        ));
+        assert_paths_agree(db, &format!(
+            "SELECT k, SUM(f), AVG(f), MIN(f), MAX(f) FROM T WHERE x < {t} GROUP BY k"
+        ));
+        // Empty selections: one row of empty aggregates, or no group at all.
+        assert_paths_agree(db, &format!(
+            "SELECT k, COUNT(*), SUM(x), MIN(tag) FROM T WHERE x < {t} AND x > {t}"
+        ));
+        assert_paths_agree(db, &format!(
+            "SELECT k, COUNT(*), SUM(x) FROM T WHERE x < {t} AND x > {t} GROUP BY k"
+        ));
+        // Row 3 is the first selected row and its key is NULL.
+        assert_paths_agree(db, &format!(
+            "SELECT k, COUNT(*), SUM(f), MIN(tag) FROM T \
+             WHERE id >= 3 AND (k IS NULL OR x < {t}) GROUP BY k"
         ));
     }
 }
@@ -258,6 +307,41 @@ fn null_group_aggregates() {
     let stmt = parse_select(all_null_sum).expect("parses");
     let (r, _) = execute_with_mode(db, &stmt, ExecMode::Vectorized).expect("vectorizes");
     assert_eq!(r.rows[0][0], Value::Null);
+}
+
+/// The shapes the fused aggregation takes apart, pinned to facts: a
+/// bare projection of an ungrouped aggregate comes from the first
+/// selected row, an empty selection gives one row ungrouped and none
+/// grouped, a NULL first-seen key leads the group order, and MIN keeps
+/// the first of two equal signed zeros.
+#[test]
+fn fused_aggregate_shapes() {
+    let db = nullable_db();
+    let run = |sql: &str| {
+        assert_paths_agree(db, sql);
+        let stmt = parse_select(sql).expect("parses");
+        execute_with_mode(db, &stmt, ExecMode::Vectorized)
+            .expect("vectorizes")
+            .0
+            .rows
+    };
+    // Only rows 1 and 2 pass; k is -3 on row 1 and -2 on row 2.
+    assert_eq!(
+        run("SELECT k, COUNT(*), SUM(id) FROM T WHERE id > 0 AND id < 3"),
+        vec![vec![Value::Int(-3), Value::Int(2), Value::Int(3)]]
+    );
+    assert_eq!(
+        run("SELECT k, COUNT(*), SUM(x), MIN(tag) FROM T WHERE x > 1000"),
+        vec![vec![Value::Null, Value::Int(0), Value::Null, Value::Null]]
+    );
+    assert!(run("SELECT k, COUNT(*) FROM T WHERE x > 1000 GROUP BY k").is_empty());
+    let groups = run("SELECT k, COUNT(*) FROM T WHERE id >= 3 GROUP BY k");
+    assert_eq!(groups[0][0], Value::Null);
+    assert_eq!(groups.len(), 10);
+    // f is -0.0 on row 3 and 0.0 on row 4: neither is less than the other.
+    let min = run("SELECT MIN(f), MAX(f) FROM T WHERE id >= 3 AND id <= 4");
+    assert_eq!(min[0][0].total_cmp(&Value::Float(-0.0)), Ordering::Equal);
+    assert_eq!(min[0][1].total_cmp(&Value::Float(-0.0)), Ordering::Equal);
 }
 
 /// Statements the compiler refuses (joins, multi-table FROM) still run —
