@@ -612,11 +612,6 @@ impl Qserv {
         }
     }
 
-    /// The per-chunk zone maps the loader registered.
-    pub fn zones(&self) -> &ChunkZones {
-        &self.zones
-    }
-
     /// Prefixes a rendered chunk message with a unique query-instance id.
     fn tag_message(&self, message: String) -> String {
         let qid = self.qid.fetch_add(1, Ordering::Relaxed);

@@ -6,7 +6,7 @@
 //! "Detect database and table references — Not all tables are
 //! partitioned"; §5.5 objectId indexing).
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// Partitioning info for one spatially-sharded table.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -162,13 +162,14 @@ impl ColumnZone {
     }
 }
 
-/// Per-chunk zone maps registered at load time: `(table, chunk) →
-/// column → zone`. The master consults these to elide whole chunks
-/// before dispatch — the chunk-level analogue of the worker's per-page
-/// zone maps.
+/// Per-chunk zone maps registered at load time: table → column → chunk
+/// → zone. The master consults these to elide whole chunks before
+/// dispatch — the chunk-level analogue of the worker's per-page zone
+/// maps. Keyed so that a statement resolves a `&str` table and column
+/// once, without allocating, and then probes only chunk ids.
 #[derive(Clone, Debug, Default)]
 pub struct ChunkZones {
-    zones: BTreeMap<(String, i64), BTreeMap<String, ColumnZone>>,
+    zones: BTreeMap<String, BTreeMap<String, HashMap<i64, ColumnZone>>>,
 }
 
 impl ChunkZones {
@@ -181,45 +182,64 @@ impl ChunkZones {
     /// chunk. Merging lets replicated loads and overlap rows fold in
     /// safely — bounds only ever widen.
     pub fn register(&mut self, table: &str, chunk: i64, column: &str, zone: ColumnZone) {
-        let cols = self.zones.entry((table.to_string(), chunk)).or_default();
-        match cols.get_mut(column) {
-            Some(z) => {
+        self.zones
+            .entry(table.to_string())
+            .or_default()
+            .entry(column.to_string())
+            .or_default()
+            .entry(chunk)
+            .and_modify(|z| {
                 z.valid += zone.valid;
                 z.min = z.min.min(zone.min);
                 z.max = z.max.max(zone.max);
-            }
-            None => {
-                cols.insert(column.to_string(), zone);
-            }
-        }
+            })
+            .or_insert(zone);
     }
 
-    /// The zone of `column` in `table`'s chunk `chunk`, when registered.
-    pub fn zone(&self, table: &str, chunk: i64, column: &str) -> Option<&ColumnZone> {
-        self.zones.get(&(table.to_string(), chunk))?.get(column)
+    /// The zones of `column` in `table`, by chunk, when registered.
+    pub fn column_zones(&self, table: &str, column: &str) -> Option<&HashMap<i64, ColumnZone>> {
+        self.zones.get(table)?.get(column)
     }
 
-    /// True when any registered zone proves chunk `chunk` of `table` has
+    /// Zone-map chunk elision over a whole chunk set: removes from
+    /// `chunks` every chunk of `table` that a registered zone proves has
     /// no row satisfying *all* of `restrictions` (each a `column ∈ [lo,
-    /// hi]` interval ANDed with the others). Unregistered chunks or
-    /// columns are never excluded.
-    pub fn chunk_excluded(
+    /// hi]` interval ANDed with the others), and returns how many it
+    /// removed. Each restriction's column is resolved once; unregistered
+    /// tables, chunks or columns never exclude.
+    pub fn elide_chunks(
         &self,
         table: &str,
-        chunk: i64,
         restrictions: &[(String, f64, f64)],
-    ) -> bool {
-        let Some(cols) = self.zones.get(&(table.to_string(), chunk)) else {
-            return false;
-        };
-        restrictions
+        chunks: &mut Vec<i32>,
+    ) -> usize {
+        let resolved: Vec<(&HashMap<i64, ColumnZone>, f64, f64)> = restrictions
             .iter()
-            .any(|(col, lo, hi)| cols.get(col).is_some_and(|z| z.excluded_by(*lo, *hi)))
+            .filter_map(|(col, lo, hi)| Some((self.column_zones(table, col)?, *lo, *hi)))
+            .collect();
+        let before = chunks.len();
+        chunks.retain(|&c| {
+            !resolved.iter().any(|(zones, lo, hi)| {
+                zones
+                    .get(&i64::from(c))
+                    .is_some_and(|z| z.excluded_by(*lo, *hi))
+            })
+        });
+        before - chunks.len()
     }
 
     /// Number of (table, chunk) entries registered.
     pub fn len(&self) -> usize {
-        self.zones.len()
+        self.zones
+            .values()
+            .map(|columns| {
+                columns
+                    .values()
+                    .flat_map(HashMap::keys)
+                    .collect::<BTreeSet<_>>()
+                    .len()
+            })
+            .sum()
     }
 
     /// True when nothing is registered.
@@ -243,16 +263,23 @@ pub struct ColumnStat {
     pub exact_distinct: bool,
 }
 
+/// One table's statistics: rows by chunk, the total, and column stats.
+#[derive(Clone, Debug, Default)]
+struct TableEntry {
+    chunk_rows: HashMap<i64, u64>,
+    rows: u64,
+    columns: BTreeMap<String, ColumnStat>,
+}
+
 /// Table/column statistics registered at load time and consumed by
 /// [`crate::planner`]: per-chunk row counts (the unit of the cost
 /// model), per-table totals, and per-column distinct-value estimates
 /// for selectivity. Like [`ChunkZones`], this is a plain registry the
-/// loader fills and the master holds behind an `Arc`.
+/// loader fills and the master holds behind an `Arc`, keyed by table
+/// first so that lookups by `&str` never allocate.
 #[derive(Clone, Debug, Default)]
 pub struct TableStats {
-    chunk_rows: BTreeMap<(String, i64), u64>,
-    table_rows: BTreeMap<String, u64>,
-    columns: BTreeMap<(String, String), ColumnStat>,
+    tables: BTreeMap<String, TableEntry>,
 }
 
 impl TableStats {
@@ -264,36 +291,35 @@ impl TableStats {
     /// Records the row count of one chunk of `table` (accumulating, so
     /// split loads fold in).
     pub fn record_chunk_rows(&mut self, table: &str, chunk: i64, rows: u64) {
-        *self
-            .chunk_rows
-            .entry((table.to_string(), chunk))
-            .or_insert(0) += rows;
-        *self.table_rows.entry(table.to_string()).or_insert(0) += rows;
+        let entry = self.tables.entry(table.to_string()).or_default();
+        *entry.chunk_rows.entry(chunk).or_insert(0) += rows;
+        entry.rows += rows;
     }
 
     /// Sets the column statistic for `(table, column)`, replacing any
     /// previous value — the loader computes the global figure once,
     /// after all chunks are in.
     pub fn set_column(&mut self, table: &str, column: &str, stat: ColumnStat) {
-        self.columns
-            .insert((table.to_string(), column.to_string()), stat);
+        self.tables
+            .entry(table.to_string())
+            .or_default()
+            .columns
+            .insert(column.to_string(), stat);
     }
 
-    /// Rows loaded into chunk `chunk` of `table`, when known.
-    pub fn chunk_rows(&self, table: &str, chunk: i64) -> Option<u64> {
-        self.chunk_rows.get(&(table.to_string(), chunk)).copied()
+    /// Rows loaded into each chunk of `table`, by chunk, when known.
+    pub fn chunk_rows(&self, table: &str) -> Option<&HashMap<i64, u64>> {
+        self.tables.get(table).map(|t| &t.chunk_rows)
     }
 
     /// Total rows loaded across all chunks of `table`.
     pub fn table_rows(&self, table: &str) -> u64 {
-        self.table_rows.get(table).copied().unwrap_or(0)
+        self.tables.get(table).map_or(0, |t| t.rows)
     }
 
     /// The statistic for `column` of `table`, when registered.
     pub fn column(&self, table: &str, column: &str) -> Option<ColumnStat> {
-        self.columns
-            .get(&(table.to_string(), column.to_string()))
-            .copied()
+        self.tables.get(table)?.columns.get(column).copied()
     }
 
     /// True when statistics *prove* `column` of `table` is a unique,
@@ -311,12 +337,12 @@ impl TableStats {
 
     /// Number of (table, chunk) row-count entries registered.
     pub fn len(&self) -> usize {
-        self.chunk_rows.len()
+        self.tables.values().map(|t| t.chunk_rows.len()).sum()
     }
 
     /// True when nothing is registered.
     pub fn is_empty(&self) -> bool {
-        self.chunk_rows.is_empty()
+        self.len() == 0
     }
 }
 
@@ -355,46 +381,102 @@ mod tests {
         assert!(m.partition_info("Nope").is_none());
     }
 
+    fn zone(valid: u64, min: f64, max: f64) -> ColumnZone {
+        ColumnZone { valid, min, max }
+    }
+
+    /// `elide_chunks` over the one-chunk set `[chunk]`: whether it went.
+    fn excluded(z: &ChunkZones, table: &str, chunk: i32, r: &[(String, f64, f64)]) -> bool {
+        let mut chunks = vec![chunk];
+        let pruned = z.elide_chunks(table, r, &mut chunks);
+        assert_eq!(pruned, 1 - chunks.len());
+        chunks.is_empty()
+    }
+
     #[test]
     fn chunk_zones_register_merge_and_exclude() {
         let mut z = ChunkZones::new();
         assert!(z.is_empty());
-        z.register(
-            "Object",
-            7,
-            "ra_PS",
-            ColumnZone {
-                valid: 10,
-                min: 30.0,
-                max: 40.0,
-            },
-        );
+        z.register("Object", 7, "ra_PS", zone(10, 30.0, 40.0));
         // A second registration for the same column widens.
-        z.register(
-            "Object",
-            7,
-            "ra_PS",
-            ColumnZone {
-                valid: 5,
-                min: 25.0,
-                max: 35.0,
-            },
-        );
+        z.register("Object", 7, "ra_PS", zone(5, 25.0, 35.0));
         assert_eq!(z.len(), 1);
-        let zone = z.zone("Object", 7, "ra_PS").unwrap();
-        assert_eq!((zone.valid, zone.min, zone.max), (15, 25.0, 40.0));
+        let zones = z.column_zones("Object", "ra_PS").unwrap();
+        assert_eq!(zones.get(&7), Some(&zone(15, 25.0, 40.0)));
 
         let hit = vec![("ra_PS".to_string(), 20.0, 26.0)];
         let miss = vec![("ra_PS".to_string(), 50.0, 60.0)];
-        assert!(!z.chunk_excluded("Object", 7, &hit));
-        assert!(z.chunk_excluded("Object", 7, &miss));
+        assert!(!excluded(&z, "Object", 7, &hit));
+        assert!(excluded(&z, "Object", 7, &miss));
         // Boundary equality keeps the chunk (conservative).
         let edge = vec![("ra_PS".to_string(), 40.0, 60.0)];
-        assert!(!z.chunk_excluded("Object", 7, &edge));
-        // Unknown chunk or column never excludes.
-        assert!(!z.chunk_excluded("Object", 8, &miss));
+        assert!(!excluded(&z, "Object", 7, &edge));
+    }
+
+    #[test]
+    fn elision_over_a_set_keeps_order_and_counts() {
+        let mut z = ChunkZones::new();
+        for (chunk, lo) in [(1, 0.0), (2, 10.0), (3, 20.0), (4, 30.0)] {
+            z.register("Object", chunk, "decl_PS", zone(3, lo, lo + 5.0));
+            z.register("Object", chunk, "ra_PS", zone(3, 100.0, 110.0));
+        }
+        // Restrictions AND: a chunk goes when any one of them excludes
+        // it. Chunk 9 is unregistered and stays.
+        let r = vec![
+            ("decl_PS".to_string(), 8.0, 27.0),
+            ("ra_PS".to_string(), 0.0, 200.0),
+        ];
+        let mut chunks = vec![4, 9, 3, 1, 2];
+        assert_eq!(z.elide_chunks("Object", &r, &mut chunks), 2);
+        assert_eq!(chunks, vec![9, 3, 2]);
+        let r = vec![("ra_PS".to_string(), 0.0, 50.0)];
+        assert_eq!(z.elide_chunks("Object", &r, &mut chunks), 2);
+        assert_eq!(chunks, vec![9]);
+        // No restriction, nothing elided.
+        let mut chunks = vec![1, 2];
+        assert_eq!(z.elide_chunks("Object", &[], &mut chunks), 0);
+        assert_eq!(chunks, vec![1, 2]);
+    }
+
+    #[test]
+    fn unknown_table_chunk_or_column_never_excludes() {
+        let mut z = ChunkZones::new();
+        z.register("Object", 7, "ra_PS", zone(10, 30.0, 40.0));
+        let miss = vec![("ra_PS".to_string(), 50.0, 60.0)];
+        assert!(!excluded(&z, "Source", 7, &miss), "unknown table");
+        assert!(!excluded(&z, "Object", 8, &miss), "unknown chunk");
         let other = vec![("decl_PS".to_string(), 50.0, 60.0)];
-        assert!(!z.chunk_excluded("Object", 7, &other));
+        assert!(!excluded(&z, "Object", 7, &other), "unknown column");
+        assert!(z.column_zones("Source", "ra_PS").is_none());
+        assert!(z.column_zones("Object", "decl_PS").is_none());
+        assert!(z.column_zones("Object", "ra_PS").unwrap().get(&8).is_none());
+
+        let mut s = TableStats::new();
+        s.record_chunk_rows("Object", 7, 10);
+        s.set_column("Object", "objectId", ColumnStat::default());
+        assert!(s.chunk_rows("Source").is_none());
+        assert_eq!(s.chunk_rows("Object").unwrap().get(&8), None);
+        assert_eq!(s.column("Object", "ra_PS"), None);
+        assert_eq!(s.column("Source", "objectId"), None);
+        assert_eq!(s.column("Object", "objectId"), Some(ColumnStat::default()));
+    }
+
+    #[test]
+    fn chunk_zones_len_counts_table_chunk_entries() {
+        let mut z = ChunkZones::new();
+        // Three columns of one chunk are one entry; the same chunk id in
+        // another table is another.
+        for col in ["ra_PS", "decl_PS", "objectId"] {
+            z.register("Object", 7, col, zone(1, 0.0, 1.0));
+        }
+        z.register("Source", 7, "ra", zone(1, 0.0, 1.0));
+        assert_eq!(z.len(), 2);
+        // A chunk whose columns differ from its neighbour's still counts
+        // once.
+        z.register("Object", 8, "ra_PS", zone(1, 0.0, 1.0));
+        z.register("Object", 8, "zFlux_PS", zone(1, 0.0, 1.0));
+        assert_eq!(z.len(), 3);
+        assert!(!z.is_empty());
     }
 
     #[test]
@@ -404,14 +486,10 @@ mod tests {
             "Object",
             1,
             "zFlux_PS",
-            ColumnZone {
-                valid: 0,
-                min: f64::INFINITY,
-                max: f64::NEG_INFINITY,
-            },
+            zone(0, f64::INFINITY, f64::NEG_INFINITY),
         );
         let any = vec![("zFlux_PS".to_string(), f64::NEG_INFINITY, f64::INFINITY)];
-        assert!(z.chunk_excluded("Object", 1, &any));
+        assert!(excluded(&z, "Object", 1, &any));
     }
 
     #[test]
@@ -421,11 +499,15 @@ mod tests {
         s.record_chunk_rows("Object", 7, 10);
         s.record_chunk_rows("Object", 8, 5);
         s.record_chunk_rows("Object", 7, 2); // split load folds in
-        assert_eq!(s.chunk_rows("Object", 7), Some(12));
-        assert_eq!(s.chunk_rows("Object", 9), None);
+        s.record_chunk_rows("Source", 7, 4);
+        let rows = s.chunk_rows("Object").unwrap();
+        assert_eq!(rows.get(&7), Some(&12));
+        assert_eq!(rows.get(&8), Some(&5));
+        assert_eq!(rows.get(&9), None);
         assert_eq!(s.table_rows("Object"), 17);
-        assert_eq!(s.table_rows("Source"), 0);
-        assert_eq!(s.len(), 2);
+        assert_eq!(s.table_rows("Source"), 4);
+        assert_eq!(s.table_rows("RefObject"), 0);
+        assert_eq!(s.len(), 3);
 
         s.set_column(
             "Object",
@@ -461,6 +543,23 @@ mod tests {
         assert!(!s.is_unique_key("Object", "zFlux_PS"));
         assert!(!s.is_unique_key("Object", "nope"));
         assert!(!s.is_unique_key("Empty", "x"));
+    }
+
+    #[test]
+    fn column_stats_alone_register_no_chunk_rows() {
+        let mut s = TableStats::new();
+        s.set_column("Object", "objectId", ColumnStat::default());
+        assert!(s.is_empty());
+        assert_eq!(s.len(), 0);
+        assert_eq!(s.table_rows("Object"), 0);
+        // A later set replaces, it does not merge.
+        let stat = ColumnStat {
+            valid: 3,
+            distinct: 2,
+            exact_distinct: true,
+        };
+        s.set_column("Object", "objectId", stat);
+        assert_eq!(s.column("Object", "objectId"), Some(stat));
     }
 
     #[test]

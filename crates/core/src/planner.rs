@@ -43,9 +43,10 @@
 //! asserts bit-identical results against the single-node oracle.
 
 use crate::analysis::{zone_restrictions, Analysis, JoinClass};
-use crate::meta::{ChunkZones, TableStats};
+use crate::meta::{ChunkZones, ColumnStat, ColumnZone, TableStats};
 use crate::rewrite::{MergeShape, PhysicalPlan};
 use qserv_sqlparse::ast::{BinaryOp, Expr, Literal};
+use std::collections::HashMap;
 
 /// Dispatch overhead per chunk, in cost units. Dominates at paper scale
 /// — "table-scanning being the norm" (§4.3) is about chunk volume, not
@@ -181,11 +182,11 @@ pub(crate) struct Planned {
 /// What the estimator understood about one conjunct.
 enum ConjunctKind {
     /// `col = literal`.
-    Eq(String, f64),
+    Eq(f64),
     /// `col ∈ [lo, hi]` from a comparison or BETWEEN.
-    Range(String, f64, f64),
+    Range(f64, f64),
     /// `col IN (k integer literals)`.
-    In(String, Vec<f64>),
+    In(Vec<f64>),
     /// Anything else — estimated at [`DEFAULT_SEL`].
     Opaque,
 }
@@ -231,28 +232,29 @@ fn bare_column(e: &Expr) -> Option<&str> {
     }
 }
 
-/// Classifies a conjunct for the estimator.
-fn classify_conjunct(e: &Expr) -> ConjunctKind {
+/// Classifies a conjunct for the estimator: the column it restricts
+/// and how, or `None` when it is [`ConjunctKind::Opaque`].
+fn classify_conjunct(e: &Expr) -> Option<(&str, ConjunctKind)> {
     match e {
         Expr::Binary { op, lhs, rhs } => {
             let (col, lit, flipped) = match (bare_column(lhs), literal_num(rhs)) {
                 (Some(c), Some(v)) => (c, v, false),
                 _ => match (literal_num(lhs), bare_column(rhs)) {
                     (Some(v), Some(c)) => (c, v, true),
-                    _ => return ConjunctKind::Opaque,
+                    _ => return None,
                 },
             };
-            let col = col.to_string();
-            match (op, flipped) {
-                (BinaryOp::Eq, _) => ConjunctKind::Eq(col, lit),
+            let kind = match (op, flipped) {
+                (BinaryOp::Eq, _) => ConjunctKind::Eq(lit),
                 (BinaryOp::Lt | BinaryOp::LtEq, false) | (BinaryOp::Gt | BinaryOp::GtEq, true) => {
-                    ConjunctKind::Range(col, f64::NEG_INFINITY, lit)
+                    ConjunctKind::Range(f64::NEG_INFINITY, lit)
                 }
                 (BinaryOp::Gt | BinaryOp::GtEq, false) | (BinaryOp::Lt | BinaryOp::LtEq, true) => {
-                    ConjunctKind::Range(col, lit, f64::INFINITY)
+                    ConjunctKind::Range(lit, f64::INFINITY)
                 }
-                _ => ConjunctKind::Opaque,
-            }
+                _ => return None,
+            };
+            Some((col, kind))
         }
         Expr::Between {
             expr,
@@ -260,24 +262,19 @@ fn classify_conjunct(e: &Expr) -> ConjunctKind {
             low,
             high,
         } => match (bare_column(expr), literal_num(low), literal_num(high)) {
-            (Some(c), Some(lo), Some(hi)) => ConjunctKind::Range(c.to_string(), lo, hi),
-            _ => ConjunctKind::Opaque,
+            (Some(c), Some(lo), Some(hi)) => Some((c, ConjunctKind::Range(lo, hi))),
+            _ => None,
         },
         Expr::InList {
             expr,
             negated: false,
             list,
-        } => match bare_column(expr) {
-            Some(c) => {
-                let vals: Option<Vec<f64>> = list.iter().map(literal_num).collect();
-                match vals {
-                    Some(v) => ConjunctKind::In(c.to_string(), v),
-                    None => ConjunctKind::Opaque,
-                }
-            }
-            None => ConjunctKind::Opaque,
-        },
-        _ => ConjunctKind::Opaque,
+        } => {
+            let col = bare_column(expr)?;
+            let vals: Option<Vec<f64>> = list.iter().map(literal_num).collect();
+            Some((col, ConjunctKind::In(vals?)))
+        }
+        _ => None,
     }
 }
 
@@ -294,76 +291,108 @@ fn expr_cost(e: &Expr) -> f64 {
     cost
 }
 
-/// Estimated fraction of chunk `chunk`'s rows passing `kind`, using the
-/// chunk's zone map and the table's distinct counts.
-fn chunk_selectivity(
-    kind: &ConjunctKind,
-    table: &str,
-    chunk: i64,
-    zones: &ChunkZones,
-    stats: &TableStats,
-) -> f64 {
-    let sel = match kind {
-        ConjunctKind::Eq(col, v) => {
-            if let Some(z) = zones.zone(table, chunk, col) {
-                if z.excluded_by(*v, *v) {
-                    return 0.0;
-                }
-            }
-            match stats.column(table, col) {
-                Some(c) if c.distinct > 0 => 1.0 / c.distinct as f64,
-                _ => DEFAULT_EQ_SEL,
-            }
-        }
-        ConjunctKind::Range(col, lo, hi) => match zones.zone(table, chunk, col) {
-            Some(z) if z.valid > 0 && z.max > z.min => {
-                let overlap = hi.min(z.max) - lo.max(z.min);
-                (overlap / (z.max - z.min)).clamp(0.0, 1.0)
-            }
-            Some(z) => {
-                // Degenerate zone: a single value (or none).
-                if z.valid == 0 || z.min < *lo || z.min > *hi {
-                    0.0
-                } else {
-                    1.0
-                }
-            }
-            None => DEFAULT_RANGE_SEL,
-        },
-        ConjunctKind::In(col, vals) => {
-            let in_zone = match zones.zone(table, chunk, col) {
-                Some(z) => vals.iter().filter(|v| !z.excluded_by(**v, **v)).count(),
-                None => vals.len(),
-            };
-            match stats.column(table, col) {
-                Some(c) if c.distinct > 0 => in_zone as f64 / c.distinct as f64,
-                _ => (in_zone as f64 * DEFAULT_EQ_SEL).min(0.5),
-            }
-        }
-        ConjunctKind::Opaque => DEFAULT_SEL,
-    };
-    sel.clamp(0.0, 1.0)
+/// One conjunct with the statistics of its column resolved once per
+/// statement: per chunk, estimating it is one chunk-id probe.
+struct Costed<'a> {
+    kind: ConjunctKind,
+    /// Relative evaluation cost ([`expr_cost`]).
+    cost: f64,
+    /// The column's zones by chunk, when registered.
+    zones: Option<&'a HashMap<i64, ColumnZone>>,
+    /// The column's table-wide statistic, when registered.
+    stat: Option<ColumnStat>,
 }
 
-/// Estimated selected rows and evaluation cost of running `kinds` (in
-/// the given order) over chunk set `chunks`: per chunk, rows × the
+impl<'a> Costed<'a> {
+    /// Classifies `e` and, for a single-table statement, resolves its
+    /// column's statistics in `table`.
+    fn new(e: &Expr, table: Option<&str>, zones: &'a ChunkZones, stats: &TableStats) -> Self {
+        let (kind, zones, stat) = match (classify_conjunct(e), table) {
+            (Some((col, kind)), Some(table)) => (
+                kind,
+                zones.column_zones(table, col),
+                stats.column(table, col),
+            ),
+            (Some((_, kind)), None) => (kind, None, None),
+            (None, _) => (ConjunctKind::Opaque, None, None),
+        };
+        Costed {
+            kind,
+            cost: expr_cost(e),
+            zones,
+            stat,
+        }
+    }
+
+    /// Estimated fraction of chunk `chunk`'s rows passing the conjunct,
+    /// using the chunk's zone and the table's distinct count.
+    fn selectivity(&self, chunk: i32) -> f64 {
+        let zone = self.zones.and_then(|z| z.get(&i64::from(chunk)));
+        let sel = match &self.kind {
+            ConjunctKind::Eq(v) => {
+                if zone.is_some_and(|z| z.excluded_by(*v, *v)) {
+                    return 0.0;
+                }
+                match self.stat {
+                    Some(c) if c.distinct > 0 => 1.0 / c.distinct as f64,
+                    _ => DEFAULT_EQ_SEL,
+                }
+            }
+            ConjunctKind::Range(lo, hi) => match zone {
+                Some(z) if z.valid > 0 && z.max > z.min => {
+                    let overlap = hi.min(z.max) - lo.max(z.min);
+                    (overlap / (z.max - z.min)).clamp(0.0, 1.0)
+                }
+                Some(z) => {
+                    // Degenerate zone: a single value (or none).
+                    if z.valid == 0 || z.min < *lo || z.min > *hi {
+                        0.0
+                    } else {
+                        1.0
+                    }
+                }
+                None => DEFAULT_RANGE_SEL,
+            },
+            ConjunctKind::In(vals) => {
+                let in_zone = match zone {
+                    Some(z) => vals.iter().filter(|v| !z.excluded_by(**v, **v)).count(),
+                    None => vals.len(),
+                };
+                match self.stat {
+                    Some(c) if c.distinct > 0 => in_zone as f64 / c.distinct as f64,
+                    _ => (in_zone as f64 * DEFAULT_EQ_SEL).min(0.5),
+                }
+            }
+            ConjunctKind::Opaque => DEFAULT_SEL,
+        };
+        sel.clamp(0.0, 1.0)
+    }
+}
+
+/// Rows loaded into chunk `chunk`, from the table's resolved row map.
+fn rows_of(chunk_rows: Option<&HashMap<i64, u64>>, chunk: i32) -> f64 {
+    chunk_rows
+        .and_then(|r| r.get(&i64::from(chunk)))
+        .copied()
+        .unwrap_or(0) as f64
+}
+
+/// Estimated selected rows and evaluation cost of running `conjuncts`
+/// (in the given order) over chunk set `chunks`: per chunk, rows × the
 /// product of selectivities, with each conjunct's evaluation charged
 /// only for the rows surviving the ones before it.
 fn estimate_set(
     chunks: &[i32],
-    kinds: &[(ConjunctKind, f64)],
-    table: &str,
-    zones: &ChunkZones,
-    stats: &TableStats,
+    conjuncts: &[Costed<'_>],
+    chunk_rows: Option<&HashMap<i64, u64>>,
 ) -> (f64, f64) {
     let mut rows_out = 0.0;
     let mut eval_cost = 0.0;
     for &c in chunks {
-        let rows = stats.chunk_rows(table, c as i64).unwrap_or(0) as f64;
-        let mut surviving = rows;
-        for (kind, cost) in kinds {
-            eval_cost += surviving * cost * COST_PER_ROW_EVAL;
-            surviving *= chunk_selectivity(kind, table, c as i64, zones, stats);
+        let mut surviving = rows_of(chunk_rows, c);
+        for conjunct in conjuncts {
+            eval_cost += surviving * conjunct.cost * COST_PER_ROW_EVAL;
+            surviving *= conjunct.selectivity(c);
         }
         rows_out += surviving;
     }
@@ -382,8 +411,8 @@ pub(crate) fn choose(
 ) -> Planned {
     let analysis = ctx.analysis;
     let ov = ov.copied().unwrap_or_default();
-    let single_table = (analysis.join == JoinClass::None && analysis.partitioned.len() == 1)
-        .then(|| analysis.stmt.from[analysis.partitioned[0]].table.clone());
+    let table = (analysis.join == JoinClass::None && analysis.partitioned.len() == 1)
+        .then(|| analysis.stmt.from[analysis.partitioned[0]].table.as_str());
 
     // Zone-map chunk elision on both candidate sets. Sound because a
     // pruned chunk would contribute zero rows anyway — the workers
@@ -393,50 +422,48 @@ pub(crate) fn choose(
     let mut index_chunks = ctx.index_chunks;
     let mut scan_pruned = 0usize;
     let mut index_pruned = 0usize;
-    if let Some(table) = &single_table {
-        if !ctx.zones.is_empty() {
-            let restrictions = zone_restrictions(&analysis.stmt);
-            if !restrictions.is_empty() {
-                let before = scan_chunks.len();
-                scan_chunks.retain(|&c| !ctx.zones.chunk_excluded(table, c as i64, &restrictions));
-                scan_pruned = before - scan_chunks.len();
-                if let Some(idx) = &mut index_chunks {
-                    let before = idx.len();
-                    idx.retain(|&c| !ctx.zones.chunk_excluded(table, c as i64, &restrictions));
-                    index_pruned = before - idx.len();
-                }
-            }
+    if let Some(table) = table {
+        let restrictions = zone_restrictions(&analysis.stmt);
+        scan_pruned = ctx
+            .zones
+            .elide_chunks(table, &restrictions, &mut scan_chunks);
+        if let Some(idx) = &mut index_chunks {
+            index_pruned = ctx.zones.elide_chunks(table, &restrictions, idx);
         }
     }
 
     // Conjunct estimates over the chunk query's WHERE clause (which
-    // carries the re-materialized spatial predicate too).
+    // carries the re-materialized spatial predicate too). Statistics are
+    // resolved here, once per statement: the table's row map and each
+    // conjunct's column zones and stat. Per chunk, what remains is a
+    // chunk-id probe into each.
+    let chunk_rows = table.and_then(|t| ctx.stats.chunk_rows(t));
     let mut conjunct_exprs: Vec<Expr> = plan
         .chunk_stmt
         .where_clause
         .as_ref()
         .map(|w| w.conjuncts().into_iter().cloned().collect())
         .unwrap_or_default();
-    let mut kinds: Vec<(ConjunctKind, f64)> = conjunct_exprs
+    let mut costed: Vec<Costed<'_>> = conjunct_exprs
         .iter()
-        .map(|e| (classify_conjunct(e), expr_cost(e)))
+        .map(|e| Costed::new(e, table, ctx.zones, ctx.stats))
         .collect();
 
     // Filter reordering: rank by drop rate per unit cost, (1 − sel)/cost
     // descending. Stable, so equal ranks keep the user's order. Applies
     // only to the single-table case, where the per-chunk row counts
     // weigh the selectivities.
-    let reorder_allowed = ov.reorder != Some(false) && single_table.is_some();
+    let reorder_allowed = ov.reorder != Some(false) && table.is_some();
     let mut order: Vec<usize> = (0..conjunct_exprs.len()).collect();
-    let global_sels: Vec<f64> = match &single_table {
-        Some(table) => kinds
+    let global_sels: Vec<f64> = match table {
+        Some(_) => costed
             .iter()
-            .map(|(kind, _)| {
+            .map(|conjunct| {
                 let mut num = 0.0;
                 let mut den = 0.0;
                 for &c in &scan_chunks {
-                    let rows = ctx.stats.chunk_rows(table, c as i64).unwrap_or(0) as f64;
-                    num += rows * chunk_selectivity(kind, table, c as i64, ctx.zones, ctx.stats);
+                    let rows = rows_of(chunk_rows, c);
+                    num += rows * conjunct.selectivity(c);
                     den += rows;
                 }
                 if den > 0.0 {
@@ -446,12 +473,12 @@ pub(crate) fn choose(
                 }
             })
             .collect(),
-        None => vec![DEFAULT_SEL; kinds.len()],
+        None => vec![DEFAULT_SEL; costed.len()],
     };
     let mut reordered = false;
     if reorder_allowed && order.len() > 1 {
         order.sort_by(|&a, &b| {
-            let rank = |i: usize| (1.0 - global_sels[i]) / kinds[i].1.max(1.0);
+            let rank = |i: usize| (1.0 - global_sels[i]) / costed[i].cost.max(1.0);
             rank(b)
                 .partial_cmp(&rank(a))
                 .unwrap_or(std::cmp::Ordering::Equal)
@@ -461,14 +488,11 @@ pub(crate) fn choose(
             let new_exprs: Vec<Expr> = order.iter().map(|&i| conjunct_exprs[i].clone()).collect();
             plan.chunk_stmt.where_clause = join_conjuncts(new_exprs.clone());
             conjunct_exprs = new_exprs;
-            let mut new_kinds = Vec::with_capacity(order.len());
-            for &i in &order {
-                new_kinds.push(std::mem::replace(
-                    &mut kinds[i],
-                    (ConjunctKind::Opaque, 0.0),
-                ));
-            }
-            kinds = new_kinds;
+            let mut slots: Vec<Option<Costed<'_>>> = costed.into_iter().map(Some).collect();
+            costed = order
+                .iter()
+                .map(|&i| slots[i].take().expect("order is a permutation"))
+                .collect();
         }
     }
     let ordered_sels: Vec<f64> = if reordered {
@@ -478,16 +502,16 @@ pub(crate) fn choose(
     };
 
     // Cost the two access paths.
-    let (scan_rows, scan_eval) = match &single_table {
-        Some(table) => estimate_set(&scan_chunks, &kinds, table, ctx.zones, ctx.stats),
+    let (scan_rows, scan_eval) = match table {
+        Some(_) => estimate_set(&scan_chunks, &costed, chunk_rows),
         None => (0.0, 0.0),
     };
     let scan_cost =
         scan_chunks.len() as f64 * COST_PER_CHUNK + scan_eval + scan_rows * COST_PER_ROW_OUT;
     let index_alt = index_chunks.as_ref().map(|idx| {
         let keys = analysis.index_ids.as_ref().map_or(0, |ids| ids.len());
-        let (rows, _) = match &single_table {
-            Some(table) => estimate_set(idx, &kinds, table, ctx.zones, ctx.stats),
+        let (rows, _) = match table {
+            Some(_) => estimate_set(idx, &costed, chunk_rows),
             None => (0.0, 0.0),
         };
         let cost = idx.len() as f64 * COST_PER_CHUNK
@@ -527,7 +551,7 @@ pub(crate) fn choose(
     // key so every plan yields the identical prefix.
     let mut topn_pushdown = None;
     if ov.push_topn != Some(false) && !analysis.aggregated {
-        if let (Some(table), MergeShape::TopN { n }) = (&single_table, &plan.shape) {
+        if let (Some(table), MergeShape::TopN { n }) = (table, &plan.shape) {
             let keys_sound = !plan.merge_stmt.order_by.is_empty()
                 && plan.merge_stmt.order_by.iter().all(|o| {
                     matches!(
@@ -557,7 +581,7 @@ pub(crate) fn choose(
         est_rows = if analysis.stmt.group_by.is_empty() {
             1.0
         } else {
-            let groups: f64 = match &single_table {
+            let groups: f64 = match table {
                 Some(table) => analysis
                     .stmt
                     .group_by
@@ -583,11 +607,11 @@ pub(crate) fn choose(
     let conjuncts = conjunct_exprs
         .iter()
         .zip(&ordered_sels)
-        .zip(&kinds)
-        .map(|((e, sel), (_, cost))| ConjunctEstimate {
+        .zip(&costed)
+        .map(|((e, sel), conjunct)| ConjunctEstimate {
             predicate: e.to_sql(),
             selectivity: *sel,
-            cost: *cost,
+            cost: conjunct.cost,
         })
         .collect();
     Planned {

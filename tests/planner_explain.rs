@@ -12,7 +12,9 @@ mod common;
 
 use common::{cluster_from, small_patch};
 use qserv::service::{QueryClass, QueryService, ServiceConfig};
-use qserv::Qserv;
+use qserv::{Chunker, ClusterBuilder, Qserv};
+use qserv_datagen::generate::{CatalogConfig, Patch};
+use qserv_sphgeom::{Angle, SphericalBox};
 use std::path::Path;
 use std::sync::{Arc, OnceLock};
 
@@ -21,6 +23,27 @@ fn fixture() -> &'static Qserv {
     FIX.get_or_init(|| {
         let patch = small_patch(600, 4242);
         cluster_from(&patch, 4)
+    })
+}
+
+/// A full-sky catalog at the benchmark's partitioning: 18 stripes × 10
+/// sub-stripes with 0.05° overlap over RA 0–359.9°, decl ±60° (≈400
+/// populated chunks), 4 nodes. The 4-chunk [`fixture`] never exercises
+/// costing hundreds of chunks, which is where the planner spends its
+/// time on an objectId lookup.
+fn full_sky() -> &'static Qserv {
+    static FIX: OnceLock<Qserv> = OnceLock::new();
+    FIX.get_or_init(|| {
+        let patch = Patch::generate(&CatalogConfig {
+            objects: 5000,
+            mean_sources_per_object: 2.0,
+            seed: 3636,
+            footprint: SphericalBox::from_degrees(0.0, -60.0, 359.9, 60.0),
+        });
+        let chunker = Chunker::new(18, 10, Angle::from_degrees(0.05)).expect("valid partitioning");
+        ClusterBuilder::new(4)
+            .chunker(chunker)
+            .build(&patch.objects, &patch.sources)
     })
 }
 
@@ -104,6 +127,57 @@ fn golden_topn() {
             "SELECT objectId, ra_PS FROM Object ORDER BY objectId DESC LIMIT 10",
         ),
     );
+}
+
+/// The planner's full decision record on the full-sky catalog, at full
+/// `f64` precision (the EXPLAIN table rounds to 4 decimals), for each
+/// statement class the benchmark sends: a change to how statistics are
+/// read must leave every choice, estimate and cost bit-identical.
+#[test]
+fn golden_full_sky_choices() {
+    let q = full_sky();
+    let statements = [
+        ("LV1", "SELECT * FROM Object WHERE objectId = 1234"),
+        (
+            "LV2",
+            "SELECT sourceId, taiMidPoint, fluxToAbMag(psfFlux), fluxToAbMag(psfFluxErr), \
+             ra, decl FROM Source WHERE objectId = 777",
+        ),
+        (
+            "IN",
+            "SELECT objectId, ra_PS FROM Object WHERE objectId IN (3, 1500, 2999, 4321)",
+        ),
+        (
+            "LV3",
+            "SELECT COUNT(*) FROM Object \
+             WHERE ra_PS BETWEEN 120.5 AND 121.5 AND decl_PS BETWEEN 10.0 AND 11.0 \
+             AND fluxToAbMag(zFlux_PS) BETWEEN 18 AND 25 \
+             AND fluxToAbMag(gFlux_PS)-fluxToAbMag(rFlux_PS) BETWEEN -0.5 AND 0.5",
+        ),
+        ("HV1", "SELECT COUNT(*) FROM Object"),
+        (
+            "HVS",
+            "SELECT COUNT(*), AVG(psfFlux) FROM Source WHERE psfFlux > 2500.0",
+        ),
+        (
+            "ZONE",
+            "SELECT COUNT(*) FROM Object WHERE decl_PS BETWEEN 12.5 AND 16.5",
+        ),
+        (
+            "TOPN",
+            "SELECT objectId, ra_PS FROM Object ORDER BY objectId DESC LIMIT 10",
+        ),
+    ];
+    let mut out = String::new();
+    for (class, sql) in statements {
+        let explain = q.explain(sql).expect("explain");
+        out.push_str(&format!(
+            "{class}: {sql}\nchunks = {}\n{:?}\n\n",
+            explain.chunks.len(),
+            explain.choice
+        ));
+    }
+    assert_golden("full_sky_choices", &out);
 }
 
 /// Estimator accuracy on a datagen workload: every estimate within a

@@ -27,8 +27,9 @@ use qserv_engine::{
 };
 use qserv_sqlparse::parse_select;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
+use std::time::{Duration, Instant};
 
 fn storage_dir(name: &str) -> PathBuf {
     let mut p = std::env::temp_dir();
@@ -655,13 +656,21 @@ fn detach_and_import_race_a_scan() {
         .execute_message_detailed(chunk, &message)
         .expect("alone");
 
+    // The scanners run at least 200 scans each and on until the mover
+    // has published a completed cycle, so a fast build cannot finish
+    // scanning before anything moved; 10 s caps the wait.
     let stop = AtomicBool::new(false);
+    let cycles = AtomicUsize::new(0);
+    let deadline = Instant::now() + Duration::from_secs(10);
     std::thread::scope(|scope| {
         let scanners: Vec<_> = (0..2)
             .map(|_| {
                 scope.spawn(|| {
                     let mut answered = 0usize;
-                    for _ in 0..200 {
+                    let mut scans = 0usize;
+                    while scans < 200
+                        || (cycles.load(Ordering::Acquire) == 0 && Instant::now() < deadline)
+                    {
                         match worker.execute_message_detailed(chunk, &message) {
                             Ok((table, scan)) => {
                                 assert!(tables_bit_identical(&table, &alone));
@@ -670,13 +679,13 @@ fn detach_and_import_race_a_scan() {
                             }
                             Err(e) => assert!(e.contains("not resident"), "{e}"),
                         }
+                        scans += 1;
                     }
                     answered
                 })
             })
             .collect();
         let mover = scope.spawn(|| {
-            let mut cycles = 0usize;
             while !stop.load(Ordering::Relaxed) {
                 let files = worker.export_chunk(chunk).expect("export");
                 assert!(worker.detach_chunk(chunk) > 0);
@@ -684,13 +693,16 @@ fn detach_and_import_race_a_scan() {
                     .import_chunk(chunk, &files, Some(&dir))
                     .expect("import");
                 assert!(residency.resident_bytes() <= budget);
-                cycles += 1;
+                cycles.fetch_add(1, Ordering::Release);
             }
-            cycles
         });
         let answered: Vec<_> = scanners.into_iter().map(|h| h.join()).collect();
         stop.store(true, Ordering::Relaxed);
-        assert!(mover.join().expect("mover") > 0);
+        mover.join().expect("mover");
+        assert!(
+            cycles.load(Ordering::Acquire) > 0,
+            "the mover completed no cycle in 10 s"
+        );
         let answered: usize = answered.into_iter().map(|a| a.expect("scanner")).sum();
         assert!(answered > 0, "some scan was answered");
     });

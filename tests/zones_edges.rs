@@ -55,7 +55,9 @@ fn all_null_column_summarizes_to_zero_valid_and_excludes() {
     // Any interval — even (-∞, ∞) — excludes: no NULL row can satisfy
     // a comparison. An empty chunk behaves identically (valid == 0).
     let any = vec![("zFlux_PS".to_string(), f64::NEG_INFINITY, f64::INFINITY)];
-    assert!(zones.chunk_excluded("Object", 9, &any));
+    let mut chunks = vec![9];
+    assert_eq!(zones.elide_chunks("Object", &any, &mut chunks), 1);
+    assert!(chunks.is_empty());
 }
 
 #[test]
