@@ -89,9 +89,8 @@ pub struct WireBatch {
 }
 
 /// A connected proxy session. One outstanding query at a time — the
-/// untagged protocol is strictly request/response, matching how the
-/// paper's `mysql` CLI sessions drive the system. (Multiplexing over a
-/// single connection uses `#<sid>` tags on the raw protocol.)
+/// protocol is strictly request/response, matching how the paper's
+/// `mysql` CLI sessions drive the system.
 pub struct ProxyClient {
     reader: BufReader<TcpStream>,
     writer: BufWriter<TcpStream>,

@@ -54,16 +54,8 @@
 //! distinct seeds ([`retry::RetryPolicy::seeded`]) spreads out instead
 //! of resubmitting in lockstep.
 //!
-//! **Multiplexing.** A statement may carry a `#<sid>` tag
-//! (`#3 SELECT …;`). Tagged statements run *concurrently* on one
-//! connection and every response frame line comes back prefixed with
-//! the same tag (`#3 ROWS 2` — the `<n>` raw row lines that follow a
-//! tagged `ROWS` header are untagged; the block is atomic). Untagged
-//! statements keep the classic strict request/response contract: one at
-//! a time per connection, in order, with untagged frames — so a client
-//! that never tags never sees a tag. `BUSY` under multiplexing rejects
-//! only the tagged statement it answers; other in-flight statements on
-//! the connection are untouched.
+//! A session is strictly request/response: statements run one at a
+//! time per connection, in order, and pipelined statements queue.
 //!
 //! Prefixing a statement with `TRACE ` runs it under a fresh query
 //! trace (see `qserv::Qserv::query_traced`); the span tree comes back

@@ -1,5 +1,4 @@
-//! Wire encoding: TSV escaping, value round-tripping, frame limits,
-//! and the `#<sid>` multiplexing tag.
+//! Wire encoding: TSV escaping, value round-tripping and frame limits.
 
 use qserv_engine::schema::ColumnType;
 use qserv_engine::table::ColumnSlice;
@@ -92,37 +91,6 @@ pub fn column_tag(ty: Option<ColumnType>) -> &'static str {
         Some(ColumnType::Int) => "int",
         Some(ColumnType::Float) => "float",
         Some(ColumnType::Str) => "str",
-    }
-}
-
-/// Splits the optional session tag off a statement or frame:
-/// `#<sid> <body>` → `(Some(sid), body)`, anything else → `(None, s)`.
-/// The tag must be all-digit and followed by whitespace — a leading `#`
-/// that is not a well-formed tag (say a comment) passes through intact.
-pub fn split_sid(s: &str) -> (Option<u64>, &str) {
-    let Some(tail) = s.strip_prefix('#') else {
-        return (None, s);
-    };
-    let digits = tail.len() - tail.trim_start_matches(|c: char| c.is_ascii_digit()).len();
-    if digits == 0 {
-        return (None, s);
-    }
-    let rest = &tail[digits..];
-    if !rest.starts_with(char::is_whitespace) {
-        return (None, s);
-    }
-    match tail[..digits].parse::<u64>() {
-        Ok(sid) => (Some(sid), rest.trim_start_matches(char::is_whitespace)),
-        Err(_) => (None, s), // overflow: not a usable tag
-    }
-}
-
-/// Renders the frame prefix for a tagged response (empty when the
-/// request carried no tag).
-pub fn sid_prefix(sid: Option<u64>) -> String {
-    match sid {
-        Some(sid) => format!("#{sid} "),
-        None => String::new(),
     }
 }
 
@@ -249,19 +217,6 @@ mod tests {
         assert!(decode_value("x", "bogus").is_err());
         assert!(unescape("trailing\\").is_err());
         assert!(unescape("bad\\q").is_err());
-    }
-
-    #[test]
-    fn sid_tags_parse_and_pass_through() {
-        assert_eq!(split_sid("#7 SELECT 1"), (Some(7), "SELECT 1"));
-        assert_eq!(split_sid("#12  KILL 3"), (Some(12), "KILL 3"));
-        assert_eq!(split_sid("SELECT 1"), (None, "SELECT 1"));
-        // Malformed tags are not tags.
-        assert_eq!(split_sid("#x SELECT 1"), (None, "#x SELECT 1"));
-        assert_eq!(split_sid("#7SELECT 1"), (None, "#7SELECT 1"));
-        assert_eq!(split_sid("#"), (None, "#"));
-        assert_eq!(sid_prefix(Some(3)), "#3 ");
-        assert_eq!(sid_prefix(None), "");
     }
 
     #[test]

@@ -15,18 +15,16 @@
 //! chunk dispatch — a slow client throttles its own query instead of
 //! buffering the whole result in proxy memory.
 //!
-//! Statements may carry a `#<sid>` tag; tagged statements run
-//! concurrently on one connection with their response frames
-//! tag-prefixed for demultiplexing. Untagged statements keep the
-//! classic strict request/response contract: they execute one at a
-//! time per connection, in arrival order.
+//! Each connection keeps the strict request/response contract:
+//! statements execute one at a time, in arrival order, and pipelined
+//! statements queue behind the one in flight.
 //!
 //! Shutdown is reactor-driven and race-free: `ProxyServer::stop`
 //! sets a flag and wakes the poll loop through the `Waker` — no
 //! sentinel connections, no window where a fresh accept slips past the
 //! flag check.
 
-use crate::protocol::{column_tag, sid_prefix, split_sid, write_cell, MAX_STATEMENT_BYTES};
+use crate::protocol::{column_tag, write_cell, MAX_STATEMENT_BYTES};
 use mio::{Events, Interest, Poll, Token, Waker};
 use qserv::merge::ballot;
 use qserv::service::{QueryService, ServiceConfig};
@@ -201,7 +199,7 @@ enum Action {
     Submit { sql: String, traced: bool },
 }
 
-/// Routes one (tag-stripped) statement.
+/// Routes one statement.
 fn route(service: &QueryService, stmt: &str) -> Action {
     // `KILL <qid>` and `STATUS` answer as ordinary result tables, so
     // any client that can read a query response can drive them.
@@ -271,15 +269,13 @@ fn route(service: &QueryService, stmt: &str) -> Action {
 /// Per-request frame-encoding state: the column types sent so far
 /// (`None` until `COLS` went out) and how many rows so far.
 struct ResponseState {
-    sid: Option<u64>,
     types: Option<Vec<Option<ColumnType>>>,
     rows: u64,
 }
 
 impl ResponseState {
-    fn new(sid: Option<u64>) -> ResponseState {
+    fn new() -> ResponseState {
         ResponseState {
-            sid,
             types: None,
             rows: 0,
         }
@@ -295,14 +291,13 @@ impl ResponseState {
 /// sequence depends only on the parts — on query and data — never on
 /// how arrivals were batched.
 fn write_batch(out: &mut Vec<u8>, st: &mut ResponseState, batch: &StreamBatch) {
-    let p = sid_prefix(st.sid);
     let types = st.types.get_or_insert_with(|| {
-        let _ = writeln!(out, "{p}COLS {}", batch.columns.join("\t"));
+        let _ = writeln!(out, "COLS {}", batch.columns.join("\t"));
         let first = batch.parts.iter().find(|part| !part.is_empty());
         let types: Vec<_> = (0..batch.columns.len())
             .map(|c| first.and_then(|part| ballot(part, c)))
             .collect();
-        write_types(out, &p, &types);
+        write_types(out, &types);
         types
     });
     let mut block = 0;
@@ -315,30 +310,29 @@ fn write_batch(out: &mut Vec<u8>, st: &mut ResponseState, batch: &StreamBatch) {
             }
         }
         if typed {
-            st.rows += write_rows(out, &p, &batch.parts[block..i]);
-            write_types(out, &p, types);
+            st.rows += write_rows(out, &batch.parts[block..i]);
+            write_types(out, types);
             block = i;
         }
     }
-    st.rows += write_rows(out, &p, &batch.parts[block..]);
+    st.rows += write_rows(out, &batch.parts[block..]);
 }
 
-fn write_types(out: &mut Vec<u8>, p: &str, types: &[Option<ColumnType>]) {
+fn write_types(out: &mut Vec<u8>, types: &[Option<ColumnType>]) {
     let tags: Vec<&str> = types.iter().map(|t| column_tag(*t)).collect();
-    let _ = writeln!(out, "{p}TYPES {}", tags.join("\t"));
+    let _ = writeln!(out, "TYPES {}", tags.join("\t"));
 }
 
 /// Writes one `ROWS <n>` block over `parts` (nothing when they hold no
 /// row) and returns `n`. Each part's cells are written by row index
 /// straight from its column slices and null masks — no row is
-/// materialized. The block (header + `n` raw TSV lines) is written in
-/// one append, so multiplexed responses never interleave inside it.
-fn write_rows(out: &mut Vec<u8>, p: &str, parts: &[Table]) -> u64 {
+/// materialized.
+fn write_rows(out: &mut Vec<u8>, parts: &[Table]) -> u64 {
     let rows: usize = parts.iter().map(Table::num_rows).sum();
     if rows == 0 {
         return 0;
     }
-    let _ = writeln!(out, "{p}ROWS {rows}");
+    let _ = writeln!(out, "ROWS {rows}");
     for part in parts {
         let cols: Vec<_> = (0..part.schema().len())
             .map(|c| (part.column_slice(c), part.null_mask(c)))
@@ -360,33 +354,31 @@ fn write_rows(out: &mut Vec<u8>, p: &str, parts: &[Table]) -> u64 {
 /// `BUSY`) on failure. An `ERR` after delivered batches tells the
 /// client to discard those rows — the result is the error.
 fn write_done(out: &mut Vec<u8>, st: &ResponseState, done: &StreamDone) {
-    let p = sid_prefix(st.sid);
     match &done.result {
         Ok(stats) => {
             if let Some(trace) = &done.trace {
-                let _ = writeln!(out, "{p}TRACE {}", trace.to_json());
+                let _ = writeln!(out, "TRACE {}", trace.to_json());
             }
             let _ = writeln!(
                 out,
-                "{p}END {} {} {}",
+                "END {} {} {}",
                 st.rows, stats.chunks_dispatched, stats.result_bytes
             );
         }
-        Err(e) => write_error(out, st.sid, e),
+        Err(e) => write_error(out, e),
     }
 }
 
 /// Encodes a failure as its frame: admission backpressure is `BUSY`
 /// (resubmit later, the session stays usable), anything else `ERR`.
-fn write_error(out: &mut Vec<u8>, sid: Option<u64>, e: &QservError) {
-    let p = sid_prefix(sid);
+fn write_error(out: &mut Vec<u8>, e: &QservError) {
     match e {
         QservError::Busy { retry_after_ms } => {
-            let _ = writeln!(out, "{p}BUSY {retry_after_ms}");
+            let _ = writeln!(out, "BUSY {retry_after_ms}");
         }
         e => {
             let msg = e.to_string().replace('\n', " ");
-            let _ = writeln!(out, "{p}ERR {msg}");
+            let _ = writeln!(out, "ERR {msg}");
         }
     }
 }
@@ -394,35 +386,33 @@ fn write_error(out: &mut Vec<u8>, sid: Option<u64>, e: &QservError) {
 /// Encodes an inline table (the `KILL`/`STATUS`/`EXPLAIN` replies) as
 /// one batch typed as any result is ([`StreamBatch::of_result`]), then
 /// `END`: one complete response with no cluster work.
-fn write_table(out: &mut Vec<u8>, sid: Option<u64>, table: ResultTable) {
-    let mut st = ResponseState::new(sid);
+fn write_table(out: &mut Vec<u8>, table: ResultTable) {
+    let mut st = ResponseState::new();
     write_batch(out, &mut st, &StreamBatch::of_result(table));
-    let _ = writeln!(out, "{}END {} 0 0", sid_prefix(sid), st.rows);
+    let _ = writeln!(out, "END {} 0 0", st.rows);
 }
 
 // ---------------------------------------------------------------------
 // The reactor.
 // ---------------------------------------------------------------------
 
-/// One in-flight streamed query on a connection.
+/// The streamed query in flight on a connection.
 struct Request {
     state: ResponseState,
     handle: StreamHandle,
-    /// Untagged requests hold the connection's serial slot.
-    untagged: bool,
 }
 
-/// One multiplexed connection.
+/// One client connection.
 struct Conn {
     token: usize,
     stream: mio::net::TcpStream,
     splitter: StatementSplitter,
     out: Vec<u8>,
     outpos: usize,
-    requests: Vec<Request>,
-    /// Untagged statements waiting for the serial slot.
-    untagged_queue: VecDeque<String>,
-    untagged_busy: bool,
+    /// The statement being answered; at most one at a time.
+    request: Option<Request>,
+    /// Statements waiting for it to finish, in arrival order.
+    queue: VecDeque<String>,
     /// Still expecting bytes from the peer (false after EOF — the
     /// half-closed session keeps draining its in-flight responses).
     reading: bool,
@@ -442,8 +432,8 @@ impl Conn {
         self.failed
             || (self.closing && self.pending_out() == 0)
             || (!self.reading
-                && self.requests.is_empty()
-                && self.untagged_queue.is_empty()
+                && self.request.is_none()
+                && self.queue.is_empty()
                 && self.pending_out() == 0)
     }
 }
@@ -505,7 +495,7 @@ impl Reactor {
                     t => {
                         if let Some(conn) = self.conns.get_mut(&t) {
                             if readable {
-                                read_ready(&self.service, &self.notifier, conn);
+                                read_ready(conn);
                             }
                             if writable {
                                 flush(conn);
@@ -532,9 +522,8 @@ impl Reactor {
                         splitter: StatementSplitter::default(),
                         out: Vec::new(),
                         outpos: 0,
-                        requests: Vec::new(),
-                        untagged_queue: VecDeque::new(),
-                        untagged_busy: false,
+                        request: None,
+                        queue: VecDeque::new(),
                         reading: true,
                         closing: false,
                         failed: false,
@@ -551,7 +540,7 @@ impl Reactor {
 
     /// Moves every connection forward: drain ready stream events into
     /// write buffers (respecting the high-water mark), flush sockets,
-    /// start queued untagged statements, refresh interest. The
+    /// start queued statements, refresh interest. The
     /// drain/flush pair loops so a socket that swallowed its backlog
     /// immediately frees the query it was throttling — otherwise
     /// events left behind a high-water stop could strand a blocked
@@ -559,7 +548,7 @@ impl Reactor {
     fn pump(&mut self) {
         for conn in self.conns.values_mut() {
             loop {
-                let progressed = drain_requests(&self.service, &self.notifier, conn);
+                let progressed = drain_request(&self.service, &self.notifier, conn);
                 flush(conn);
                 if !progressed || conn.pending_out() > HIGH_WATER_BYTES {
                     break;
@@ -581,15 +570,15 @@ impl Reactor {
                 if conn.registered.is_some() {
                     let _ = self.poll.registry().deregister(&conn.stream);
                 }
-                // Dropping `conn.requests` drops the stream handles,
+                // Dropping `conn.request` drops its stream handle,
                 // cancelling whatever was still running for this peer.
             }
         }
     }
 }
 
-/// Reads until `WouldBlock`/EOF, then starts every complete statement.
-fn read_ready(service: &QueryService, notifier: &Notifier, conn: &mut Conn) {
+/// Reads until `WouldBlock`/EOF, then queues every complete statement.
+fn read_ready(conn: &mut Conn) {
     let mut buf = [0u8; 8192];
     loop {
         match conn.stream.read(&mut buf) {
@@ -620,104 +609,65 @@ fn read_ready(service: &QueryService, notifier: &Notifier, conn: &mut Conn) {
         }
     }
     while let Some(stmt) = conn.splitter.next_statement() {
-        handle_statement(service, notifier, conn, stmt);
+        conn.queue.push_back(stmt);
     }
 }
 
-/// Starts (or queues) one statement. Tagged statements run
-/// concurrently; untagged ones serialize through the connection's
-/// single slot, preserving the strict request/response contract for
-/// clients that never tag.
-fn handle_statement(service: &QueryService, notifier: &Notifier, conn: &mut Conn, raw: String) {
-    let (sid, stmt) = split_sid(&raw);
-    if sid.is_none() && (conn.untagged_busy || !conn.untagged_queue.is_empty()) {
-        conn.untagged_queue.push_back(stmt.to_string());
-        return;
-    }
-    start_statement(service, notifier, conn, sid, stmt);
-}
-
-fn start_statement(
-    service: &QueryService,
-    notifier: &Notifier,
-    conn: &mut Conn,
-    sid: Option<u64>,
-    stmt: &str,
-) {
+/// Answers one statement: verbs inline, SQL as the connection's
+/// in-flight request.
+fn start_statement(service: &QueryService, notifier: &Notifier, conn: &mut Conn, stmt: &str) {
     match route(service, stmt) {
-        Action::Table(table) => write_table(&mut conn.out, sid, table),
+        Action::Table(table) => write_table(&mut conn.out, table),
         Action::BadVerb(msg) => {
-            let _ = writeln!(conn.out, "{}ERR {msg}", sid_prefix(sid));
+            let _ = writeln!(conn.out, "ERR {msg}");
         }
         Action::Submit { sql, traced } => {
             let root = traced.then_some("proxy.request");
             match service.submit_streaming(&sql, root, Some(Arc::clone(notifier))) {
                 Ok(handle) => {
-                    conn.requests.push(Request {
-                        state: ResponseState::new(sid),
+                    conn.request = Some(Request {
+                        state: ResponseState::new(),
                         handle,
-                        untagged: sid.is_none(),
-                    });
-                    if sid.is_none() {
-                        conn.untagged_busy = true;
-                    }
+                    })
                 }
-                Err(e) => write_error(&mut conn.out, sid, &e),
+                Err(e) => write_error(&mut conn.out, &e),
             }
         }
     }
 }
 
-/// Drains ready stream events into the connection's write buffer, up
-/// to the high-water mark, and feeds the untagged serial queue as its
-/// slot frees up. Returns whether anything moved (the caller loops
-/// with a flush in between until nothing does).
-fn drain_requests(service: &QueryService, notifier: &Notifier, conn: &mut Conn) -> bool {
+/// Drains the in-flight request's ready stream events into the
+/// connection's write buffer, up to the high-water mark, and starts the
+/// next queued statement once it finishes (verbs answer inline, so
+/// several may start in one call). Returns whether anything moved (the
+/// caller loops with a flush in between until nothing does).
+fn drain_request(service: &QueryService, notifier: &Notifier, conn: &mut Conn) -> bool {
     let mut progressed = false;
-    let mut i = 0;
-    // Split the borrows: the request list and the write buffer are
-    // touched together inside the loop.
-    let (out, outpos, requests) = (&mut conn.out, conn.outpos, &mut conn.requests);
-    let over_water = |out: &Vec<u8>| out.len() - outpos > HIGH_WATER_BYTES;
-    while i < requests.len() {
-        if over_water(out) {
-            // Stop producing: the executor's bounded channel fills
-            // next, stalling the merge until this socket drains.
-            return progressed;
-        }
-        let req = &mut requests[i];
-        let mut finished = false;
-        while let Some(ev) = req.handle.try_recv() {
-            progressed = true;
-            match ev {
-                StreamEvent::Batch(batch) => write_batch(out, &mut req.state, &batch),
-                StreamEvent::Done(done) => {
-                    write_done(out, &req.state, &done);
-                    finished = true;
-                    break;
-                }
-            }
-            if over_water(out) {
+    // Over the mark, stop producing: the executor's bounded channel
+    // fills next, stalling the merge until this socket drains.
+    while conn.pending_out() <= HIGH_WATER_BYTES {
+        let Some(req) = &mut conn.request else {
+            if conn.closing {
                 break;
             }
-        }
-        if finished {
-            let req = requests.remove(i);
-            if req.untagged {
-                conn.untagged_busy = false;
-            }
-        } else {
-            i += 1;
-        }
-    }
-    // The serial slot freed up: start queued untagged statements
-    // (verbs answer inline and free the slot again immediately).
-    while !conn.untagged_busy && !conn.closing {
-        let Some(stmt) = conn.untagged_queue.pop_front() else {
+            let Some(stmt) = conn.queue.pop_front() else {
+                break;
+            };
+            start_statement(service, notifier, conn, &stmt);
+            progressed = true;
+            continue;
+        };
+        let Some(ev) = req.handle.try_recv() else {
             break;
         };
         progressed = true;
-        start_statement(service, notifier, conn, None, &stmt);
+        match ev {
+            StreamEvent::Batch(batch) => write_batch(&mut conn.out, &mut req.state, &batch),
+            StreamEvent::Done(done) => {
+                write_done(&mut conn.out, &req.state, &done);
+                conn.request = None;
+            }
+        }
     }
     progressed
 }
@@ -856,7 +806,7 @@ mod tests {
         let columns = vec!["objectId".to_string(), "m".to_string()];
         let frames = |batches: Vec<Vec<Table>>| {
             let mut out = Vec::new();
-            let mut st = ResponseState::new(None);
+            let mut st = ResponseState::new();
             for parts in batches {
                 let batch = StreamBatch {
                     columns: columns.clone(),

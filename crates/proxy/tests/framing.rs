@@ -2,13 +2,12 @@
 //! split across arbitrary write boundaries, a `;` inside a string
 //! literal, responses read back under
 //! a deliberately slow consumer (exercising the reactor's write
-//! backpressure), oversized-statement rejection, interleaved frames
-//! from multiplexed (`#<sid>`-tagged) statements, byte-identical replay
+//! backpressure), oversized-statement rejection, byte-identical replay
 //! of a repeated statement, the mid-stream `TYPES` resend, and
 //! race-free server shutdown.
 
 use qserv::service::{QueryService, ServiceConfig};
-use qserv::{ClusterBuilder, FabricOp, FaultPlan};
+use qserv::ClusterBuilder;
 use qserv_datagen::generate::{CatalogConfig, Patch};
 use qserv_engine::db::Database;
 use qserv_engine::exec::execute;
@@ -16,7 +15,6 @@ use qserv_engine::schema::{ColumnDef, ColumnType, Schema};
 use qserv_engine::table::Table;
 use qserv_proxy::protocol::MAX_STATEMENT_BYTES;
 use qserv_proxy::{ProxyClient, ProxyServer};
-use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -323,67 +321,6 @@ fn oversized_statements_are_rejected() {
     let mut rest = String::new();
     let _ = reader.read_line(&mut rest);
     assert!(rest.is_empty(), "connection must close after the ERR");
-    server.shutdown();
-}
-
-#[test]
-fn tagged_statements_interleave_on_one_connection() {
-    // A slow scan (#1) and a fast point lookup (#2) multiplexed on one
-    // connection: #2 completes while #1 is still streaming, frames
-    // demultiplex by tag, and both answers are right.
-    let patch = Patch::generate(&CatalogConfig::small(600, 24));
-    let mut q = ClusterBuilder::new(3)
-        .fault_plan(FaultPlan::new(77))
-        .build(&patch.objects, &patch.sources);
-    q.dispatch_width = 1;
-    let qserv = Arc::new(q);
-    qserv
-        .cluster()
-        .faults()
-        .delay(None, Some(FabricOp::Read), Duration::from_millis(10));
-    let service = Arc::new(QueryService::start(
-        Arc::clone(&qserv),
-        ServiceConfig::default(),
-    ));
-    let server = ProxyServer::start_with_service(service, "127.0.0.1:0").expect("bind");
-
-    let stream = TcpStream::connect(server.addr()).expect("connect");
-    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-    let mut writer = stream;
-    writer
-        .write_all(
-            b"#1 SELECT objectId FROM Object;#2 SELECT objectId FROM Object WHERE objectId = 5;",
-        )
-        .expect("submit both");
-
-    let mut rows: HashMap<u64, usize> = HashMap::new();
-    let mut end_order = Vec::new();
-    while end_order.len() < 2 {
-        let line = read_line(&mut reader).expect("frame");
-        let (sid, frame) = {
-            let tail = line.strip_prefix('#').expect("tagged frame");
-            let (sid, rest) = tail.split_once(' ').expect("tag separator");
-            (sid.parse::<u64>().expect("numeric sid"), rest)
-        };
-        if let Some(n) = frame.strip_prefix("ROWS ") {
-            let n: usize = n.parse().expect("ROWS count");
-            for _ in 0..n {
-                read_line(&mut reader).expect("row line");
-            }
-            *rows.entry(sid).or_default() += n;
-        } else if frame.starts_with("END ") {
-            end_order.push(sid);
-        } else if frame.starts_with("ERR ") || frame.starts_with("BUSY ") {
-            panic!("unexpected failure frame on #{sid}: {frame:?}");
-        }
-    }
-    assert_eq!(
-        end_order,
-        vec![2, 1],
-        "the point lookup must finish while the scan still streams"
-    );
-    assert_eq!(rows[&2], 1);
-    assert_eq!(rows[&1], 600);
     server.shutdown();
 }
 
