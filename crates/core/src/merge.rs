@@ -23,12 +23,14 @@
 //! whose column is all NULL carries no vote, and a later populated part
 //! that disagrees is a [`QservError::Merge`] (§5.4 loads every chunk's
 //! dump into one merge table, so chunk results share one schema).
-//! [`Merger`], [`merge_tables`] and the proxy's frame writer vote
-//! through the same function ([`ballot`]), and a result that leaves as
-//! rows (a fold's final answer, a FROM-less statement, a proxy verb's
-//! table) becomes a part through [`ResultTable::into_table`] and votes
-//! through it too ([`StreamBatch::of_result`]): one value rule and one
-//! vote rule type every result column.
+//! [`Merger`] and [`merge_tables`] vote through the same function, and
+//! a result that leaves as rows (a fold's final answer, a FROM-less
+//! statement, a proxy verb's table) becomes a part through
+//! [`ResultTable::into_table`] and votes through it too
+//! ([`StreamBatch::of_result`]): one value rule and one vote rule type
+//! every result column. The parts leave as they are — the proxy
+//! forwards each as its own column frame, typed by its own schema, so
+//! nothing downstream votes again.
 //!
 //! The Append shape's merge statement is the identity
 //! (`SELECT * FROM result [LIMIT n]`), so its answer is its parts:
@@ -57,9 +59,10 @@ use std::collections::{BTreeMap, HashMap};
 /// One batch of merged rows emitted mid-query by a streaming sink (see
 /// [`crate::QueryService::submit_streaming`]): the chunk tables the
 /// merge has finished with since the last drain, moved out of the
-/// merger uncopied. A column's type is the first [`ballot`] cast for it
-/// by a part, in order across the batches of one query; parts that vote
-/// agree (the merger rejects a disagreeing one).
+/// merger uncopied. A column's type is the type of the first part, in
+/// order across the batches of one query, that holds a non-NULL value
+/// in it; parts that populate it agree (the merger rejects a
+/// disagreeing one).
 #[derive(Debug, Clone)]
 pub struct StreamBatch {
     /// Output column names (identical across every batch of one query).
@@ -171,7 +174,7 @@ fn column_names(part: &Table) -> Vec<String> {
 
 /// The type a part's column `i` votes for: its schema type, or `None`
 /// when every cell is NULL (a part with no rows votes for nothing).
-pub fn ballot(part: &Table, i: usize) -> Option<ColumnType> {
+fn ballot(part: &Table, i: usize) -> Option<ColumnType> {
     let all_null = part.null_mask(i).iter().all(|&null| null);
     (!all_null).then(|| part.schema().columns()[i].ty)
 }

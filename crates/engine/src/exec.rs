@@ -89,8 +89,10 @@ impl ResultTable {
         }
     }
 
-    /// Converts into a typed [`Table`] (used to load results into the
-    /// master's merge database). Column types are inferred by scanning
+    /// Converts into a typed [`Table`]: how a result that exists as
+    /// rows (a worker's chunk answer, a fold's final answer, a proxy
+    /// verb's table) becomes the column frame it travels as. Column
+    /// types are inferred by scanning
     /// every row and widening: any Str makes the column Str, else any
     /// Float makes it Float, else Int; all-NULL columns become Float.
     pub fn into_table(self) -> Table {

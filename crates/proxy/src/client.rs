@@ -1,14 +1,17 @@
-//! The proxy client: submits SQL, parses streamed frames back into
-//! rows — either buffered ([`ProxyClient::query`]) or incrementally
-//! ([`ProxyClient::query_stream`], which yields each `ROWS` block as
-//! it arrives, so first rows are usable while the scan still runs).
+//! The proxy client: submits SQL, checks and decodes the streamed
+//! column frames back into rows — either buffered
+//! ([`ProxyClient::query`]) or incrementally
+//! ([`ProxyClient::query_stream`], which yields each `ROWS` frame as it
+//! arrives, so first rows are usable while the scan still runs).
 
-use crate::protocol::{decode_value, ProtocolError};
+use crate::protocol::ProtocolError;
 use crate::retry::RetryPolicy;
 use qserv_engine::exec::ResultTable;
+use qserv_engine::storage::decode_frame;
+use qserv_engine::table::Table;
 use qserv_engine::value::Value;
 use std::fmt;
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 
 /// Client-side failures.
@@ -26,7 +29,9 @@ pub enum ClientError {
         /// The server's suggested backoff before retrying.
         retry_after_ms: u64,
     },
-    /// The server sent a malformed frame.
+    /// The server sent a malformed frame: a bad header line, or a
+    /// `ROWS` frame that fails its checksum or disagrees with its header
+    /// or `COLS`. None of its rows reach the caller.
     Protocol(ProtocolError),
 }
 
@@ -74,16 +79,12 @@ pub struct RemoteStats {
     pub result_bytes: u64,
 }
 
-/// One `ROWS` block as it came off the wire, with the header state it
-/// was decoded under.
+/// One `ROWS` frame as it came off the wire: the rows of one chunk
+/// table (or of a merged answer), checked and decoded.
 #[derive(Clone, Debug)]
 pub struct WireBatch {
     /// Output column names.
     pub columns: Vec<String>,
-    /// Wire type tags (`int`/`float`/`str`/`null`) in effect for this
-    /// batch. A later batch may replace a `null` tag (a column all-NULL
-    /// until then); any other tag never changes within one response.
-    pub types: Vec<String>,
     /// Decoded rows.
     pub rows: Vec<Vec<Value>>,
 }
@@ -194,8 +195,7 @@ impl ProxyClient {
         self.writer.flush()?;
         Ok(QueryStream {
             client: self,
-            columns: Vec::new(),
-            types: Vec::new(),
+            columns: None,
             rows_seen: 0,
             trace: None,
             stats: None,
@@ -258,8 +258,8 @@ impl ProxyClient {
 /// An in-flight streamed response (see [`ProxyClient::query_stream`]).
 pub struct QueryStream<'a> {
     client: &'a mut ProxyClient,
-    columns: Vec<String>,
-    types: Vec<String>,
+    /// The `COLS` names, once they arrived.
+    columns: Option<Vec<String>>,
     rows_seen: usize,
     trace: Option<String>,
     stats: Option<RemoteStats>,
@@ -267,24 +267,18 @@ pub struct QueryStream<'a> {
 }
 
 impl QueryStream<'_> {
-    /// The next `ROWS` block, or `None` once the query finished
+    /// The next `ROWS` frame's rows, or `None` once the query finished
     /// (`END`). Errors surface exactly as in buffered mode; rows
-    /// already yielded before a mid-stream `ERR` must be discarded.
+    /// already yielded before a mid-stream `ERR` must be discarded. A
+    /// damaged frame is a [`ClientError::Protocol`]; its header stated
+    /// its length, so the rest of the response is read past and the
+    /// session answers its next statement.
     pub fn next_batch(&mut self) -> Result<Option<WireBatch>, ClientError> {
         if self.finished {
             return Ok(None);
         }
         loop {
-            let ev = read_event(
-                &mut self.client.reader,
-                if self.columns.is_empty() {
-                    None
-                } else {
-                    Some(self.columns.as_slice())
-                },
-                &self.types,
-            );
-            let ev = match ev {
+            let ev = match read_event(&mut self.client.reader, self.columns.as_deref()) {
                 Ok(ev) => ev,
                 Err(e) => {
                     self.finished = true;
@@ -292,15 +286,17 @@ impl QueryStream<'_> {
                 }
             };
             match ev {
-                FrameEvent::Cols(c) => self.columns = c,
-                FrameEvent::Types(new) => self.types = new,
-                FrameEvent::Rows(rows) => {
-                    self.rows_seen += rows.len();
+                FrameEvent::Cols(c) => self.columns = Some(c),
+                FrameEvent::Rows(Ok(part)) => {
+                    self.rows_seen += part.num_rows();
                     return Ok(Some(WireBatch {
-                        columns: self.columns.clone(),
-                        types: self.types.clone(),
-                        rows,
+                        columns: self.columns().to_vec(),
+                        rows: (0..part.num_rows()).map(|r| part.row(r)).collect(),
                     }));
+                }
+                FrameEvent::Rows(Err(e)) => {
+                    self.skip_rest();
+                    return Err(e);
                 }
                 FrameEvent::Trace(json) => self.trace = Some(json),
                 FrameEvent::End(stats) => {
@@ -318,9 +314,18 @@ impl QueryStream<'_> {
         }
     }
 
+    /// Reads the response through its terminal frame, keeping nothing,
+    /// so the next request on this session reads its own frames.
+    fn skip_rest(&mut self) {
+        while !self.finished {
+            let ev = read_event(&mut self.client.reader, self.columns.as_deref());
+            self.finished = matches!(ev, Ok(FrameEvent::End(_)) | Err(_));
+        }
+    }
+
     /// Column names (known after the first batch).
     pub fn columns(&self) -> &[String] {
-        &self.columns
+        self.columns.as_deref().unwrap_or_default()
     }
 
     /// The `END` statistics, available once `next_batch` returned
@@ -339,29 +344,25 @@ impl Drop for QueryStream<'_> {
     fn drop(&mut self) {
         // Abandoned mid-stream: drain to the terminal frame so the next
         // request on this session doesn't read stale frames.
-        while !self.finished {
-            if self.next_batch().is_err() {
-                break;
-            }
-        }
+        self.skip_rest();
     }
 }
 
-/// One decoded protocol event (a `ROWS` block arrives whole).
+/// One decoded protocol event.
 enum FrameEvent {
     Cols(Vec<String>),
-    Types(Vec<String>),
-    Rows(Vec<Vec<Value>>),
+    /// A `ROWS` frame read whole: its table, or why it failed a check.
+    Rows(Result<Table, ClientError>),
     Trace(String),
     End(RemoteStats),
 }
 
-/// Reads one frame (plus a `ROWS` block's payload lines), validating
-/// against the header state seen so far. `ERR`/`BUSY` map to errors.
+/// Reads one frame (a `ROWS` header with the frame bytes it announces),
+/// checking a `ROWS` frame against the `COLS` seen so far. `ERR`/`BUSY`
+/// map to errors.
 fn read_event(
     reader: &mut BufReader<TcpStream>,
     columns: Option<&[String]>,
-    types: &[String],
 ) -> Result<FrameEvent, ClientError> {
     let frame = read_line(reader)?;
     if let Some(msg) = frame.strip_prefix("ERR ") {
@@ -377,56 +378,17 @@ fn read_event(
     if let Some(rest) = frame.strip_prefix("COLS") {
         return Ok(FrameEvent::Cols(split_frame(rest)));
     }
-    if let Some(rest) = frame.strip_prefix("TYPES") {
-        let new = split_frame(rest);
-        if let Some(cols) = columns {
-            if new.len() != cols.len() {
-                return Err(protocol_err(format!(
-                    "{} columns but {} types",
-                    cols.len(),
-                    new.len()
-                )));
-            }
-        }
-        // A resend may only type a column that was all-NULL so far.
-        if let Some((i, (old, new))) = types
-            .iter()
-            .zip(&new)
-            .enumerate()
-            .find(|(_, (old, new))| old != new && *old != "null")
-        {
-            return Err(protocol_err(format!(
-                "illegal TYPES resend {old} -> {new} in column {i}"
-            )));
-        }
-        return Ok(FrameEvent::Types(new));
-    }
     if let Some(rest) = frame.strip_prefix("ROWS ") {
-        let n: usize = rest
-            .trim()
-            .parse()
-            .map_err(|_| protocol_err(format!("malformed ROWS frame {frame:?}")))?;
-        let width = columns.map(|c| c.len()).unwrap_or(0);
-        if types.len() != width || width == 0 {
-            return Err(protocol_err("ROWS before COLS/TYPES headers"));
+        let (rows, len) = rest
+            .split_once(' ')
+            .and_then(|(n, len)| Some((n.parse().ok()?, len.parse().ok()?)))
+            .ok_or_else(|| protocol_err(format!("malformed ROWS frame {frame:?}")))?;
+        // Grows with the bytes that arrive, never to the stated length.
+        let mut bytes = Vec::new();
+        if reader.by_ref().take(len).read_to_end(&mut bytes)? as u64 != len {
+            return Err(closed_mid_response());
         }
-        let mut rows = Vec::with_capacity(n);
-        for _ in 0..n {
-            let line = read_line(reader)?;
-            let cells: Vec<&str> = line.split('\t').collect();
-            if cells.len() != width {
-                return Err(protocol_err(format!(
-                    "row has {} cells, expected {width}",
-                    cells.len()
-                )));
-            }
-            let mut row = Vec::with_capacity(width);
-            for (cell, ty) in cells.iter().zip(types) {
-                row.push(decode_value(cell, ty)?);
-            }
-            rows.push(row);
-        }
-        return Ok(FrameEvent::Rows(rows));
+        return Ok(FrameEvent::Rows(check_frame(&bytes, rows, columns)));
     }
     if let Some(json) = frame.strip_prefix("TRACE ") {
         return Ok(FrameEvent::Trace(json.to_string()));
@@ -437,13 +399,46 @@ fn read_event(
     Err(protocol_err(format!("unexpected frame {frame:?}")))
 }
 
+/// Verifies and decodes a `ROWS` frame: its CRC32C and pages
+/// ([`decode_frame`]), then its row count against the header's and
+/// its column names against `COLS`.
+fn check_frame(
+    bytes: &[u8],
+    rows: usize,
+    columns: Option<&[String]>,
+) -> Result<Table, ClientError> {
+    let (part, _) =
+        decode_frame(bytes).map_err(|e| protocol_err(format!("bad ROWS frame: {e}")))?;
+    let names: Vec<&str> = part
+        .schema()
+        .columns()
+        .iter()
+        .map(|c| c.name.as_str())
+        .collect();
+    match columns {
+        None => Err(protocol_err("ROWS before COLS")),
+        Some(cols) if names != cols => Err(protocol_err(format!(
+            "frame columns {names:?} differ from COLS {cols:?}"
+        ))),
+        _ if part.num_rows() != rows => Err(protocol_err(format!(
+            "ROWS says {rows} rows, its frame holds {}",
+            part.num_rows()
+        ))),
+        _ => Ok(part),
+    }
+}
+
+fn closed_mid_response() -> ClientError {
+    ClientError::Io(std::io::Error::new(
+        std::io::ErrorKind::UnexpectedEof,
+        "server closed mid-response",
+    ))
+}
+
 fn read_line(reader: &mut BufReader<TcpStream>) -> Result<String, ClientError> {
     let mut line = String::new();
     if reader.read_line(&mut line)? == 0 {
-        return Err(ClientError::Io(std::io::Error::new(
-            std::io::ErrorKind::UnexpectedEof,
-            "server closed mid-response",
-        )));
+        return Err(closed_mid_response());
     }
     Ok(line.trim_end_matches(['\n', '\r']).to_string())
 }
@@ -474,46 +469,169 @@ fn split_frame(body: &str) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qserv_engine::exec::ScanStats;
+    use qserv_engine::schema::{ColumnDef, ColumnType, Schema};
+    use qserv_engine::storage::encode_frame;
     use std::io::Write;
     use std::net::TcpListener;
 
-    /// Answers one statement with the canned `frames` and returns what
-    /// the client made of them.
-    fn answer(frames: &'static str) -> Result<(ResultTable, RemoteStats), ClientError> {
+    type Answer = Result<(ResultTable, RemoteStats), ClientError>;
+
+    /// Answers one statement per canned reply, in order, on one session,
+    /// then hangs up; returns what the client made of each.
+    fn answer(replies: Vec<Vec<u8>>) -> Vec<Answer> {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().expect("addr");
+        let statements = replies.len();
         let server = std::thread::spawn(move || {
             let (stream, _) = listener.accept().expect("accept");
-            let mut request = String::new();
-            BufReader::new(stream.try_clone().expect("clone"))
-                .read_line(&mut request)
-                .expect("request");
-            (&stream).write_all(frames.as_bytes()).expect("reply");
+            let mut requests = BufReader::new(stream.try_clone().expect("clone"));
+            for reply in replies {
+                let mut request = String::new();
+                requests.read_line(&mut request).expect("request");
+                (&stream).write_all(&reply).expect("reply");
+            }
         });
-        let result = ProxyClient::connect(addr)
-            .expect("connect")
-            .query("SELECT x");
+        let mut client = ProxyClient::connect(addr).expect("connect");
+        let results = (0..statements).map(|_| client.query("SELECT x")).collect();
         server.join().expect("server thread");
-        result
+        results
+    }
+
+    /// A table of `(name, type)` columns and rows.
+    fn table(cols: &[(&str, ColumnType)], rows: Vec<Vec<Value>>) -> Table {
+        let defs = cols.iter().map(|&(n, ty)| ColumnDef::new(n, ty)).collect();
+        let mut t = Table::new(Schema::new(defs));
+        for row in rows {
+            t.push_row(row).expect("fits");
+        }
+        t
+    }
+
+    /// `COLS`, a `ROWS` header stating `rows` and each frame's length
+    /// before its bytes, then `END`.
+    fn response(cols: &str, frames: &[(usize, Vec<u8>)]) -> Vec<u8> {
+        let mut out = format!("COLS {cols}\n").into_bytes();
+        for (rows, frame) in frames {
+            out.extend_from_slice(format!("ROWS {rows} {}\n", frame.len()).as_bytes());
+            out.extend_from_slice(frame);
+        }
+        let total: usize = frames.iter().map(|(rows, _)| rows).sum();
+        out.extend_from_slice(format!("END {total} 0 0\n").as_bytes());
+        out
+    }
+
+    fn frame(t: &Table) -> (usize, Vec<u8>) {
+        (t.num_rows(), encode_frame(t, &ScanStats::default()))
+    }
+
+    /// Two rows of `(id Int, name Str)`.
+    fn sample() -> Table {
+        table(
+            &[("id", ColumnType::Int), ("name", ColumnType::Str)],
+            vec![
+                vec![Value::Int(7), Value::Str("a\tb".into())],
+                vec![Value::Null, Value::Str("c".into())],
+            ],
+        )
+    }
+
+    /// Sends `damaged` as the first statement's reply and a sound one as
+    /// the second's: the first is a protocol error, the second answers.
+    fn damaged_then_sound(damaged: Vec<u8>) -> ClientError {
+        let sound = response("id\tname", &[frame(&sample())]);
+        let mut got = answer(vec![damaged, sound]).into_iter();
+        let err = got.next().expect("first").expect_err("a damaged frame");
+        let (second, stats) = got.next().expect("second").expect("the session goes on");
+        assert_eq!(
+            second.rows,
+            vec![
+                vec![Value::Int(7), Value::Str("a\tb".into())],
+                vec![Value::Null, Value::Str("c".into())],
+            ]
+        );
+        assert_eq!(stats.rows, 2);
+        err
     }
 
     #[test]
-    fn a_types_resend_may_only_replace_null_tags() {
-        let (table, _) = answer(
-            "COLS x\tn\nTYPES null\tint\nROWS 1\n\\N\t1\nTYPES int\tint\nROWS 1\n3\t2\nEND 2 0 0\n",
-        )
-        .expect("typing an all-NULL column is legal");
+    fn frames_type_their_own_columns_part_by_part() {
+        // `x` is all NULL in the first part (Float-typed by its worker)
+        // and Int in the second.
+        let first = table(
+            &[("x", ColumnType::Float), ("n", ColumnType::Int)],
+            vec![vec![Value::Null, Value::Int(1)]],
+        );
+        let second = table(
+            &[("x", ColumnType::Int), ("n", ColumnType::Int)],
+            vec![vec![Value::Int(3), Value::Int(2)]],
+        );
+        let reply = response("x\tn", &[frame(&first), frame(&second)]);
+        let (got, stats) = answer(vec![reply]).remove(0).expect("two sound frames");
+        assert_eq!(got.columns, ["x", "n"]);
         assert_eq!(
-            table.rows,
+            got.rows,
             vec![
                 vec![Value::Null, Value::Int(1)],
                 vec![Value::Int(3), Value::Int(2)]
             ]
         );
-        let err = answer("COLS x\nTYPES int\nROWS 1\n1\nTYPES float\nROWS 1\n2.5\nEND 2 0 0\n")
-            .expect_err("a known type may not change");
+        assert_eq!(stats.rows, 2);
+    }
+
+    #[test]
+    fn a_flipped_bit_anywhere_in_a_frame_is_an_error_and_the_session_goes_on() {
+        let (rows, sound) = frame(&sample());
+        for at in 0..sound.len() {
+            let mut bad = sound.clone();
+            bad[at] ^= 1 << (at % 8);
+            let err = damaged_then_sound(response("id\tname", &[(rows, bad)]));
+            assert!(
+                matches!(err, ClientError::Protocol(_)),
+                "byte {at}: {err:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_row_count_other_than_the_header_is_an_error() {
+        let (_, sound) = frame(&sample());
+        let err = damaged_then_sound(response("id\tname", &[(3, sound)]));
         assert!(
-            matches!(&err, ClientError::Protocol(e) if e.message.contains("int -> float")),
+            matches!(&err, ClientError::Protocol(e) if e.message.contains("ROWS says 3")),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn frame_columns_other_than_cols_are_an_error() {
+        let err = damaged_then_sound(response("id\tlabel", &[frame(&sample())]));
+        assert!(
+            matches!(&err, ClientError::Protocol(e) if e.message.contains("differ from COLS")),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn a_frame_cut_short_by_eof_is_an_error() {
+        let (rows, sound) = frame(&sample());
+        let mut reply = format!("COLS id\tname\nROWS {rows} {}\n", sound.len()).into_bytes();
+        reply.extend_from_slice(&sound[..sound.len() - 5]);
+        let err = answer(vec![reply]).remove(0).expect_err("a short frame");
+        assert!(
+            matches!(&err, ClientError::Io(e) if e.kind() == std::io::ErrorKind::UnexpectedEof),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn a_huge_stated_length_fails_on_the_bytes_received() {
+        // A buffer sized by the peer would abort here; the client reads
+        // only what arrives.
+        let reply = format!("COLS id\nROWS 1 {}\nQFRAME01", u64::MAX).into_bytes();
+        let err = answer(vec![reply]).remove(0).expect_err("a lying header");
+        assert!(
+            matches!(&err, ClientError::Io(e) if e.kind() == std::io::ErrorKind::UnexpectedEof),
             "{err:?}"
         );
     }

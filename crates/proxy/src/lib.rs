@@ -5,21 +5,19 @@
 //! Speaking the real MySQL wire protocol would reproduce an artifact of
 //! the prototyping shortcut rather than the design; this crate provides
 //! the equivalent *capability* — submit SQL over a socket from any
-//! process — through a small self-describing line protocol built for
-//! **streaming**: results come back as incremental row blocks while
-//! later chunks are still scanning.
+//! process — through a small self-describing protocol (text header
+//! lines, binary column frames) built for **streaming**: results come
+//! back one chunk table at a time while later chunks are still
+//! scanning.
 //!
 //! ```text
 //! client:  <sql terminated by ';'>   (a ';' inside a '…' literal or a
 //!                                     `…` identifier does not end it)
 //! server:  COLS  <name>\t<name>…
-//!          TYPES <int|float|str|null>\t…   (may be re-sent mid-stream,
-//!                                           but only to replace `null`
-//!                                           tags: a column all-NULL
-//!                                           until then is now typed)
-//!          ROWS <n>                        (then n raw TSV row lines;
-//!          <value>\t<value>…                the block is atomic and
-//!          …                                repeats as batches fold)
+//!          ROWS <n> <bytes>                (then exactly <bytes> bytes:
+//!          <column frame>                   one chunk table's n rows as
+//!          …                                a CRC-sealed column frame;
+//!                                           repeats in chunk order)
 //!          TRACE <json>           (only for `TRACE <sql>;` requests)
 //!          END <rows> <chunks dispatched> <result bytes>
 //!    or:   ERR <message>          (may arrive mid-stream — discard any
@@ -28,6 +26,18 @@
 //!    or:   BUSY <retry_after_ms>  (admission queue full — back off and
 //!                                  resubmit; see [`retry::RetryPolicy`])
 //! ```
+//!
+//! A `ROWS` frame is encoded as a chunk result crosses the cluster
+//! fabric (`qserv_engine::storage::encode_frame`): column pages, each
+//! column's type in the frame itself, and a trailing CRC32C over the
+//! rest. So a result row has one encoding from worker to client,
+//! and its checksum reaches the socket: the client checks the CRC, the
+//! frame's row count against `<n>` and its column names against
+//! `COLS`. A frame that fails any check is
+//! [`client::ClientError::Protocol`], never a row; since the header
+//! stated the frame's length, the client reads on to `END`/`ERR` and
+//! the session answers its next statement. The client reads a frame as
+//! its bytes arrive and never sizes a buffer by the stated length.
 //!
 //! # BUSY and client backoff
 //!
@@ -71,8 +81,7 @@
 //! * `STATUS;` — the service's query registry: columns
 //!   `qid, class, state, wait_ms, run_ms, sql`.
 //!
-//! Values are TSV-escaped (`\t`, `\n`, `\\`); SQL NULL is `\N`, MySQL's
-//! batch-output convention. Statements are capped at
+//! Statements are capped at
 //! [`protocol::MAX_STATEMENT_BYTES`]; exceeding it without completing a
 //! statement closes the connection after an `ERR`.
 //!

@@ -1,10 +1,12 @@
-//! Wire encoding: TSV escaping, value round-tripping and frame limits.
+//! Wire limits and errors, and a TSV spelling of one value.
+//!
+//! [`encode_value`], [`decode_value`] and [`type_tag`] are on no
+//! product path — results reach the client as column frames (see the
+//! [crate docs](crate)). They stay public because the benchmark's
+//! replay still times them.
 
-use qserv_engine::schema::ColumnType;
-use qserv_engine::table::ColumnSlice;
 use qserv_engine::value::Value;
 use std::fmt;
-use std::io::Write as _;
 
 /// Largest statement (bytes between `;` terminators) the server
 /// accepts on one connection. A client that exceeds it without ever
@@ -33,28 +35,23 @@ fn err<T>(message: impl Into<String>) -> Result<T, ProtocolError> {
     })
 }
 
-/// Appends `s` to `out` escaped as a string cell: `\` → `\\`, TAB →
-/// `\t`, LF → `\n`, CR → `\r`, copying the runs between escapes whole.
-fn write_escaped(out: &mut Vec<u8>, s: &str) {
-    let bytes = s.as_bytes();
-    let mut start = 0;
-    for (i, &b) in bytes.iter().enumerate() {
-        let escaped: &[u8] = match b {
-            b'\\' => b"\\\\",
-            b'\t' => b"\\t",
-            b'\n' => b"\\n",
-            b'\r' => b"\\r",
-            _ => continue,
-        };
-        out.extend_from_slice(&bytes[start..i]);
-        out.extend_from_slice(escaped);
-        start = i + 1;
+/// Escapes a string cell: `\` → `\\`, TAB → `\t`, LF → `\n`, CR → `\r`.
+fn escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '\\' => out.push_str("\\\\"),
+            '\t' => out.push_str("\\t"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            c => out.push(c),
+        }
     }
-    out.extend_from_slice(&bytes[start..]);
+    out
 }
 
 /// Reverses the escaping of a string cell.
-pub fn unescape(s: &str) -> Result<String, ProtocolError> {
+fn unescape(s: &str) -> Result<String, ProtocolError> {
     let mut out = String::with_capacity(s.len());
     let mut chars = s.chars();
     while let Some(c) = chars.next() {
@@ -84,51 +81,15 @@ pub fn type_tag(v: &Value) -> &'static str {
     }
 }
 
-/// The wire tag of a merge-time column vote (`None` = all-NULL so far).
-pub fn column_tag(ty: Option<ColumnType>) -> &'static str {
-    match ty {
-        None => "null",
-        Some(ColumnType::Int) => "int",
-        Some(ColumnType::Float) => "float",
-        Some(ColumnType::Str) => "str",
-    }
-}
-
-/// Encodes one value as a TSV cell.
+/// Encodes one value as a TSV cell: `\N` for NULL, decimal numbers,
+/// escaped strings.
 pub fn encode_value(v: &Value) -> String {
-    let mut out = Vec::new();
-    write_value(&mut out, v);
-    String::from_utf8(out).expect("cells are UTF-8")
-}
-
-/// Appends one value to `out` as a TSV cell: `\N` for NULL, decimal
-/// numbers, escaped strings. The one spelling of a cell — `ROWS`
-/// frames are written through it, cell by cell in place, straight into
-/// the connection's output buffer, and [`encode_value`] wraps it.
-pub fn write_value(out: &mut Vec<u8>, v: &Value) {
     match v {
-        Value::Null => out.extend_from_slice(b"\\N"),
-        // Writing to a `Vec` cannot fail.
-        Value::Int(i) => {
-            let _ = write!(out, "{i}");
-        }
+        Value::Null => "\\N".to_string(),
+        Value::Int(i) => i.to_string(),
         // `{}` on f64 prints the shortest round-tripping form.
-        Value::Float(f) => {
-            let _ = write!(out, "{f}");
-        }
-        Value::Str(s) => write_escaped(out, s),
-    }
-}
-
-/// Appends cell `row` of a column read in place — its dense slice and
-/// the cell's null flag — spelled as [`write_value`] spells the cell's
-/// value, without copying a string out of the column.
-pub(crate) fn write_cell(out: &mut Vec<u8>, col: ColumnSlice<'_>, null: bool, row: usize) {
-    match col {
-        _ if null => write_value(out, &Value::Null),
-        ColumnSlice::Int(v) => write_value(out, &Value::Int(v[row])),
-        ColumnSlice::Float(v) => write_value(out, &Value::Float(v[row])),
-        ColumnSlice::Str(v) => write_escaped(out, &v[row]),
+        Value::Float(f) => f.to_string(),
+        Value::Str(s) => escape(s),
     }
 }
 

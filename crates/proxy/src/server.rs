@@ -5,8 +5,8 @@
 //! [`Waker`], and every client connection are all readiness sources of
 //! one `mio::Poll`. Sessions submit through the shared
 //! [`QueryService`] as *streaming* queries; merged row batches are
-//! framed (`ROWS <n>` + raw TSV lines) into per-connection write
-//! buffers and flushed as sockets accept them, so the first rows of a
+//! framed (`ROWS <n> <bytes>` + a CRC-sealed column frame per chunk
+//! table) into per-connection write buffers and flushed as sockets accept them, so the first rows of a
 //! scan reach the client while later chunks are still executing.
 //!
 //! Backpressure is end-to-end: a connection whose write buffer climbs
@@ -24,16 +24,14 @@
 //! sentinel connections, no window where a fresh accept slips past the
 //! flag check.
 
-use crate::protocol::{column_tag, write_cell, MAX_STATEMENT_BYTES};
+use crate::protocol::MAX_STATEMENT_BYTES;
 use mio::{Events, Interest, Poll, Token, Waker};
-use qserv::merge::ballot;
 use qserv::service::{QueryService, ServiceConfig};
 use qserv::{
     Notifier, Qserv, QservError, StreamBatch, StreamDone, StreamEvent, StreamHandle, Value,
 };
-use qserv_engine::exec::ResultTable;
-use qserv_engine::schema::ColumnType;
-use qserv_engine::table::Table;
+use qserv_engine::exec::{ResultTable, ScanStats};
+use qserv_engine::storage::encode_frame;
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
 use std::net::SocketAddr;
@@ -266,88 +264,32 @@ fn route(service: &QueryService, stmt: &str) -> Action {
 // Frame encoding.
 // ---------------------------------------------------------------------
 
-/// Per-request frame-encoding state: the column types sent so far
-/// (`None` until `COLS` went out) and how many rows so far.
+/// Per-request frame-encoding state: whether `COLS` went out, and how
+/// many rows so far.
+#[derive(Default)]
 struct ResponseState {
-    types: Option<Vec<Option<ColumnType>>>,
+    cols_sent: bool,
     rows: u64,
 }
 
-impl ResponseState {
-    fn new() -> ResponseState {
-        ResponseState {
-            types: None,
-            rows: 0,
-        }
-    }
-}
-
-/// Encodes one merged batch, part by part in chunk order: `COLS` and
-/// `TYPES` the first time, typed by the votes ([`ballot`]) of the first
-/// part that holds rows; then `ROWS <n>` blocks. A part that types a
-/// column still tagged `null` (all-NULL so far) ends the block before
-/// it and sends `TYPES` again. The first batch holds the first part
-/// with rows (the merger drains no batch of empty parts), so the header
-/// sequence depends only on the parts — on query and data — never on
-/// how arrivals were batched.
+/// Encodes one merged batch: `COLS` the first time, then per part that
+/// holds rows, in chunk order, a `ROWS <n> <bytes>` header and the
+/// part's column frame ([`encode_frame`]) — the bytes the part crossed
+/// the fabric as, sealed by the same CRC32C. A frame carries its own
+/// column types, and one part is one frame, so the response depends
+/// only on the parts — on query and data — never on how arrivals were
+/// batched.
 fn write_batch(out: &mut Vec<u8>, st: &mut ResponseState, batch: &StreamBatch) {
-    let types = st.types.get_or_insert_with(|| {
+    if !st.cols_sent {
         let _ = writeln!(out, "COLS {}", batch.columns.join("\t"));
-        let first = batch.parts.iter().find(|part| !part.is_empty());
-        let types: Vec<_> = (0..batch.columns.len())
-            .map(|c| first.and_then(|part| ballot(part, c)))
-            .collect();
-        write_types(out, &types);
-        types
-    });
-    let mut block = 0;
-    for (i, part) in batch.parts.iter().enumerate() {
-        let mut typed = false;
-        for (c, ty) in types.iter_mut().enumerate() {
-            if ty.is_none() {
-                *ty = ballot(part, c);
-                typed |= ty.is_some();
-            }
-        }
-        if typed {
-            st.rows += write_rows(out, &batch.parts[block..i]);
-            write_types(out, types);
-            block = i;
-        }
+        st.cols_sent = true;
     }
-    st.rows += write_rows(out, &batch.parts[block..]);
-}
-
-fn write_types(out: &mut Vec<u8>, types: &[Option<ColumnType>]) {
-    let tags: Vec<&str> = types.iter().map(|t| column_tag(*t)).collect();
-    let _ = writeln!(out, "TYPES {}", tags.join("\t"));
-}
-
-/// Writes one `ROWS <n>` block over `parts` (nothing when they hold no
-/// row) and returns `n`. Each part's cells are written by row index
-/// straight from its column slices and null masks — no row is
-/// materialized.
-fn write_rows(out: &mut Vec<u8>, parts: &[Table]) -> u64 {
-    let rows: usize = parts.iter().map(Table::num_rows).sum();
-    if rows == 0 {
-        return 0;
+    for part in batch.parts.iter().filter(|part| !part.is_empty()) {
+        let frame = encode_frame(part, &ScanStats::default());
+        let _ = writeln!(out, "ROWS {} {}", part.num_rows(), frame.len());
+        out.extend_from_slice(&frame);
+        st.rows += part.num_rows() as u64;
     }
-    let _ = writeln!(out, "ROWS {rows}");
-    for part in parts {
-        let cols: Vec<_> = (0..part.schema().len())
-            .map(|c| (part.column_slice(c), part.null_mask(c)))
-            .collect();
-        for r in 0..part.num_rows() {
-            for (i, (col, nulls)) in cols.iter().enumerate() {
-                if i > 0 {
-                    out.push(b'\t');
-                }
-                write_cell(out, *col, nulls[r], r);
-            }
-            out.push(b'\n');
-        }
-    }
-    rows as u64
 }
 
 /// Encodes the terminal frame: `TRACE` + `END` on success, `ERR` (or
@@ -387,7 +329,7 @@ fn write_error(out: &mut Vec<u8>, e: &QservError) {
 /// one batch typed as any result is ([`StreamBatch::of_result`]), then
 /// `END`: one complete response with no cluster work.
 fn write_table(out: &mut Vec<u8>, table: ResultTable) {
-    let mut st = ResponseState::new();
+    let mut st = ResponseState::default();
     write_batch(out, &mut st, &StreamBatch::of_result(table));
     let _ = writeln!(out, "END {} 0 0", st.rows);
 }
@@ -626,7 +568,7 @@ fn start_statement(service: &QueryService, notifier: &Notifier, conn: &mut Conn,
             match service.submit_streaming(&sql, root, Some(Arc::clone(notifier))) {
                 Ok(handle) => {
                     conn.request = Some(Request {
-                        state: ResponseState::new(),
+                        state: ResponseState::default(),
                         handle,
                     })
                 }
@@ -780,12 +722,15 @@ mod tests {
 
     /// The frames of parts `[c0, c1, c2, c3]` — `c0` empty, `m` all NULL
     /// (Float-typed by its worker) in `c1`, populated Int from `c2` on —
-    /// are the same whether they arrive as one batch or as `[c0, c1]`,
-    /// `[c2]`, `[c3]` (the merger drains no batch of empty parts), apart
-    /// from where `ROWS` blocks split.
+    /// are the same bytes whether they arrive as one batch or as
+    /// `[c0, c1]`, `[c2]`, `[c3]` (the merger drains no batch of empty
+    /// parts): one frame per part that holds rows, each typed by its
+    /// own schema.
     #[test]
-    fn types_headers_do_not_depend_on_batching() {
-        use qserv_engine::schema::{ColumnDef, Schema};
+    fn frames_do_not_depend_on_batching() {
+        use qserv_engine::schema::{ColumnDef, ColumnType, Schema};
+        use qserv_engine::storage::decode_frame;
+        use qserv_engine::table::Table;
         let part = |m_ty: ColumnType, rows: &[(i64, Option<i64>)]| {
             let mut t = Table::new(Schema::new(vec![
                 ColumnDef::new("objectId", ColumnType::Int),
@@ -806,7 +751,7 @@ mod tests {
         let columns = vec!["objectId".to_string(), "m".to_string()];
         let frames = |batches: Vec<Vec<Table>>| {
             let mut out = Vec::new();
-            let mut st = ResponseState::new();
+            let mut st = ResponseState::default();
             for parts in batches {
                 let batch = StreamBatch {
                     columns: columns.clone(),
@@ -814,13 +759,7 @@ mod tests {
                 };
                 write_batch(&mut out, &mut st, &batch);
             }
-            let text = String::from_utf8(out).expect("utf-8");
-            let lines: Vec<String> = text
-                .lines()
-                .filter(|l| !l.starts_with("ROWS "))
-                .map(str::to_string)
-                .collect();
-            (lines, st.rows)
+            (out, st.rows)
         };
         let one = frames(vec![parts.clone()]);
         let each = frames(vec![
@@ -829,20 +768,29 @@ mod tests {
             vec![parts[3].clone()],
         ]);
         assert_eq!(one, each);
-        assert_eq!(
-            one.0,
-            [
-                "COLS objectId\tm",
-                "TYPES int\tnull",
-                "1\t\\N",
-                "2\t\\N",
-                "TYPES int\tint",
-                "3\t0",
-                "4\t\\N",
-                "5\t1"
-            ]
-        );
         assert_eq!(one.1, 5);
+
+        // COLS, then `ROWS <n> <bytes>` and exactly the frame of each
+        // non-empty part, in order.
+        let line = |wire: &[u8]| {
+            let end = wire.iter().position(|&b| b == b'\n').expect("a line");
+            let text = String::from_utf8(wire[..end].to_vec()).expect("utf-8");
+            (text, end + 1)
+        };
+        let (cols, mut at) = line(&one.0);
+        assert_eq!(cols, "COLS objectId\tm");
+        for want in &parts[1..] {
+            let (header, len) = line(&one.0[at..]);
+            at += len;
+            let frame = encode_frame(want, &ScanStats::default());
+            assert_eq!(header, format!("ROWS {} {}", want.num_rows(), frame.len()));
+            let sent = &one.0[at..at + frame.len()];
+            assert_eq!(sent, frame.as_slice());
+            let (got, _) = decode_frame(sent).expect("a sound frame");
+            assert_eq!(got.schema(), want.schema(), "typed by its own part");
+            at += frame.len();
+        }
+        assert_eq!(at, one.0.len());
     }
 
     #[test]

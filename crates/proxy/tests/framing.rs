@@ -1,10 +1,9 @@
 //! Protocol framing edge cases, driven over raw sockets: statements
 //! split across arbitrary write boundaries, a `;` inside a string
-//! literal, responses read back under
-//! a deliberately slow consumer (exercising the reactor's write
-//! backpressure), oversized-statement rejection, byte-identical replay
-//! of a repeated statement, the mid-stream `TYPES` resend, and
-//! race-free server shutdown.
+//! literal, responses read back under a deliberately slow consumer
+//! (exercising the reactor's write backpressure), oversized-statement
+//! rejection, byte-identical replay of a repeated statement, a column
+//! all NULL in the first chunk, and race-free server shutdown.
 
 use qserv::service::{QueryService, ServiceConfig};
 use qserv::ClusterBuilder;
@@ -12,7 +11,9 @@ use qserv_datagen::generate::{CatalogConfig, Patch};
 use qserv_engine::db::Database;
 use qserv_engine::exec::execute;
 use qserv_engine::schema::{ColumnDef, ColumnType, Schema};
+use qserv_engine::storage::decode_frame;
 use qserv_engine::table::Table;
+use qserv_engine::value::Value;
 use qserv_proxy::protocol::MAX_STATEMENT_BYTES;
 use qserv_proxy::{ProxyClient, ProxyServer};
 use std::io::{BufRead, BufReader, Read, Write};
@@ -27,13 +28,73 @@ fn start_server(objects: usize, seed: u64) -> ProxyServer {
 }
 
 /// Reads one `\n`-terminated line.
-fn read_line(reader: &mut BufReader<TcpStream>) -> Option<String> {
+fn read_line(reader: &mut impl BufRead) -> Option<String> {
     let mut line = String::new();
     match reader.read_line(&mut line) {
         Ok(0) => None,
         Ok(_) => Some(line.trim_end_matches(['\n', '\r']).to_string()),
         Err(_) => None,
     }
+}
+
+/// One response as it came off the socket.
+struct Response {
+    /// Every byte, `ROWS` headers and frames included.
+    bytes: Vec<u8>,
+    /// The text lines, `ROWS` headers included.
+    lines: Vec<String>,
+    /// Each `ROWS` frame, checked against its header and decoded.
+    parts: Vec<Table>,
+}
+
+impl Response {
+    fn rows(&self) -> Vec<Vec<Value>> {
+        self.parts
+            .iter()
+            .flat_map(|part| (0..part.num_rows()).map(|r| part.row(r)))
+            .collect()
+    }
+}
+
+/// Reads the frames of one response, up to and including its `END`,
+/// `ERR` or `BUSY` line.
+fn read_response(reader: &mut impl BufRead) -> Response {
+    let mut response = Response {
+        bytes: Vec::new(),
+        lines: Vec::new(),
+        parts: Vec::new(),
+    };
+    loop {
+        let line = read_line(reader).expect("frame");
+        response.bytes.extend_from_slice(line.as_bytes());
+        response.bytes.push(b'\n');
+        if let Some(header) = line.strip_prefix("ROWS ") {
+            let (rows, len) = header.split_once(' ').expect("ROWS <n> <bytes>");
+            let mut frame = vec![0; len.parse().expect("frame length")];
+            reader.read_exact(&mut frame).expect("the frame's bytes");
+            let (part, _) = decode_frame(&frame).expect("a sound frame");
+            assert_eq!(part.num_rows(), rows.parse::<usize>().expect("ROWS count"));
+            response.bytes.extend_from_slice(&frame);
+            response.parts.push(part);
+        }
+        let done = ["END ", "ERR ", "BUSY "]
+            .iter()
+            .any(|tag| line.starts_with(tag));
+        response.lines.push(line);
+        if done {
+            return response;
+        }
+    }
+}
+
+/// The text lines of a response with its `ROWS` headers set aside.
+fn headers(response: &Response) -> Vec<&str> {
+    response
+        .lines
+        .iter()
+        .map(String::as_str)
+        .filter(|l| !l.starts_with("ROWS "))
+        .collect()
 }
 
 #[test]
@@ -49,49 +110,25 @@ fn statements_split_across_arbitrary_write_boundaries() {
         writer.write_all(&[*b]).expect("write byte");
         writer.flush().expect("flush");
     }
-    let mut frames = Vec::new();
-    loop {
-        let line = read_line(&mut reader).expect("frame");
-        let done = line.starts_with("END ");
-        frames.push(line);
-        if done {
-            break;
-        }
-    }
-    assert_eq!(frames[0], "COLS COUNT(*)");
-    assert_eq!(frames[1], "TYPES int");
-    assert_eq!(frames[2], "ROWS 1");
-    assert_eq!(frames[3], "120");
-    assert!(frames[4].starts_with("END 1 "), "{:?}", frames[4]);
+    let count = read_response(&mut reader);
+    assert_eq!(count.lines[0], "COLS COUNT(*)");
+    assert!(count.lines[1].starts_with("ROWS 1 "), "{:?}", count.lines);
+    assert_eq!(count.rows(), [[Value::Int(120)]]);
+    assert!(count.lines[2].starts_with("END 1 "), "{:?}", count.lines);
 
     // Two statements in a single write: both answered, in order.
     writer
         .write_all(b"SELECT COUNT(*) FROM Source; SELECT COUNT(*) FROM Object;")
         .expect("pipelined write");
-    let mut ends = 0;
-    while ends < 2 {
-        let line = read_line(&mut reader).expect("frame");
-        if line.starts_with("END ") {
-            ends += 1;
-        }
-    }
+    let sources = read_response(&mut reader);
+    assert!(
+        sources.lines[2].starts_with("END 1 "),
+        "{:?}",
+        sources.lines
+    );
+    let objects = read_response(&mut reader);
+    assert_eq!(objects.rows(), [[Value::Int(120)]]);
     server.shutdown();
-}
-
-/// Reads the frames of one response, up to and including its `END`,
-/// `ERR` or `BUSY` line.
-fn read_response(reader: &mut BufReader<TcpStream>) -> Vec<String> {
-    let mut frames = Vec::new();
-    loop {
-        let line = read_line(reader).expect("frame");
-        let done = ["END ", "ERR ", "BUSY "]
-            .iter()
-            .any(|tag| line.starts_with(tag));
-        frames.push(line);
-        if done {
-            return frames;
-        }
-    }
 }
 
 #[test]
@@ -103,15 +140,26 @@ fn a_semicolon_inside_a_literal_does_not_end_the_statement() {
     writer
         .write_all(b"SELECT 'x;y' AS s; SELECT COUNT(*) FROM Object;")
         .expect("pipelined write");
-    assert_eq!(
-        read_response(&mut reader),
-        ["COLS s", "TYPES str", "ROWS 1", "x;y", "END 1 0 0"]
-    );
+    let literal = read_response(&mut reader);
+    assert_eq!(headers(&literal), ["COLS s", "END 1 0 0"]);
+    assert_eq!(literal.rows(), [[Value::Str("x;y".into())]]);
     // The next statement on the session gets its own answer.
     let next = read_response(&mut reader);
-    assert_eq!(next[..4], ["COLS COUNT(*)", "TYPES int", "ROWS 1", "120"]);
-    assert!(next[4].starts_with("END 1 "), "{next:?}");
+    assert_eq!(next.lines[0], "COLS COUNT(*)");
+    assert_eq!(next.rows(), [[Value::Int(120)]]);
+    assert!(next.lines[2].starts_with("END 1 "), "{:?}", next.lines);
     server.shutdown();
+}
+
+/// A socket read a little at a time, with a pause before every read.
+struct SlowReader(TcpStream);
+
+impl Read for SlowReader {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        std::thread::sleep(Duration::from_millis(1));
+        let n = buf.len().min(8192);
+        self.0.read(&mut buf[..n])
+    }
 }
 
 #[test]
@@ -128,112 +176,66 @@ fn slow_readers_throttle_without_corruption() {
     assert_eq!(expected.scalar().and_then(|v| v.as_i64()), Some(20_000));
 
     let stream = TcpStream::connect(server.addr()).expect("connect");
-    let mut reader = stream.try_clone().expect("clone");
+    let mut reader = BufReader::with_capacity(8192, SlowReader(stream.try_clone().expect("clone")));
     let mut writer = stream;
     writer
         .write_all(b"SELECT objectId, ra_PS, decl_PS FROM Object;")
         .expect("submit");
-
-    // Slow consumer: small reads with a pause every chunk.
-    let mut raw = Vec::new();
-    let mut buf = [0u8; 8192];
-    loop {
-        let n = reader.read(&mut buf).expect("read");
-        assert!(n > 0, "server closed before END");
-        raw.extend_from_slice(&buf[..n]);
-        if raw.ends_with(b"\n") {
-            let tail = raw[raw.len().saturating_sub(128)..].to_vec();
-            if String::from_utf8_lossy(&tail)
-                .lines()
-                .last()
-                .is_some_and(|l| l.starts_with("END "))
-            {
-                break;
-            }
-        }
-        std::thread::sleep(Duration::from_millis(1));
+    let response = read_response(&mut reader);
+    assert_eq!(response.lines[0], "COLS objectId\tra_PS\tdecl_PS");
+    assert!(response.parts.len() > 1, "one frame per chunk table");
+    for part in &response.parts {
+        assert_eq!(part.schema().len(), 3, "frame arity");
     }
-    let text = String::from_utf8(raw).expect("utf8 frames");
-    let mut lines = text.lines();
-    assert!(lines.next().expect("COLS").starts_with("COLS "));
-    assert!(lines.next().expect("TYPES").starts_with("TYPES "));
-    let mut rows = 0usize;
-    let mut end = None;
-    while let Some(line) = lines.next() {
-        if let Some(n) = line.strip_prefix("ROWS ") {
-            let n: usize = n.parse().expect("ROWS count");
-            for _ in 0..n {
-                let row = lines.next().expect("row line");
-                assert_eq!(row.split('\t').count(), 3, "row arity: {row:?}");
-            }
-            rows += n;
-        } else if line.starts_with("END ") {
-            end = Some(line.to_string());
-        } else if line.starts_with("TYPES ") {
-            // A mid-stream resend that types an all-NULL column is legal.
-        } else {
-            panic!("unexpected frame {line:?}");
-        }
-    }
-    assert_eq!(rows, 20_000);
-    let end = end.expect("END frame");
+    assert_eq!(response.rows().len(), 20_000);
+    let end = response.lines.last().expect("END frame");
     assert!(end.starts_with("END 20000 "), "{end:?}");
     server.shutdown();
 }
 
-/// The same statement sent twice answers with the same bytes: frames
-/// are a function of the query and the data, not of chunk arrival
-/// order. (A scan's `ROWS <n>` block boundaries follow arrival timing,
-/// so they are set aside; the row lines themselves and their order are
-/// not.)
+/// The same statement sent twice answers with the same bytes, `ROWS`
+/// headers included: frames are a function of the query and the data,
+/// not of chunk arrival order (one frame per chunk table, in chunk
+/// order).
 #[test]
 fn a_replayed_statement_is_byte_identical_on_the_wire() {
     let server = start_server(600, 25);
     let stream = TcpStream::connect(server.addr()).expect("connect");
     let mut reader = BufReader::new(stream.try_clone().expect("clone"));
     let mut writer = stream;
-    let mut frames_of = |sql: &str| {
+    let mut response_to = |sql: &str| {
         writer.write_all(sql.as_bytes()).expect("write statement");
-        let mut frames = Vec::new();
-        loop {
-            let line = read_line(&mut reader).expect("frame");
-            let done = line.starts_with("END ");
-            frames.push(line);
-            if done {
-                return frames;
-            }
-        }
+        read_response(&mut reader)
     };
 
     let grouped = "SELECT chunkId, COUNT(*) FROM Object GROUP BY chunkId;";
-    let first = frames_of(grouped);
-    assert!(first.len() > 4, "several groups expected: {first:?}");
-    assert_eq!(frames_of(grouped), first, "aggregate replay diverged");
+    let first = response_to(grouped);
+    assert!(first.rows().len() > 1, "several groups expected");
+    assert_eq!(
+        response_to(grouped).bytes,
+        first.bytes,
+        "aggregate replay diverged"
+    );
 
     let scan = "SELECT objectId, ra_PS FROM Object;";
-    let rows_only = |frames: Vec<String>| -> Vec<String> {
-        frames
-            .into_iter()
-            .filter(|f| !f.starts_with("ROWS "))
-            .collect()
-    };
-    let first = rows_only(frames_of(scan));
-    assert_eq!(first.len(), 2 + 600 + 1, "COLS, TYPES, 600 rows, END");
-    assert_eq!(rows_only(frames_of(scan)), first, "scan replay diverged");
+    let first = response_to(scan);
+    assert_eq!(first.rows().len(), 600);
+    assert!(first.parts.len() > 1, "one frame per chunk table");
+    assert_eq!(response_to(scan).bytes, first.bytes, "scan replay diverged");
     server.shutdown();
 }
 
-/// A column that is all NULL in the first chunk is tagged `null` until
-/// a populated chunk types it; the `TYPES` line is then sent again, once.
-/// Chunk `c`, the first in chunk order, computes `x % 0` for every row.
-/// The header sequence is exact at any dispatch width: the frame writer
-/// types part by part in chunk order, so it does not depend on whether
+/// Chunk `c`, the first in chunk order, computes `x % 0` for every row,
+/// so column `m` is all NULL in its frame and populated Int in later
+/// ones: each frame types its own columns, and the response bytes are
+/// the same at dispatch widths 1 and 2 — they do not depend on whether
 /// chunk `c` drained alone or batched with later chunks (replayed 20
-/// times at width 2). The client's rows carry the variants the
-/// single-node engine gives the same statement over the same rows.
+/// times at width 2). The client's rows carry the variants the single-node
+/// engine gives the same statement over the same rows.
 #[test]
 fn a_column_null_so_far_is_retyped_mid_stream() {
     let patch = Patch::generate(&CatalogConfig::small(600, 26));
+    let mut first: Option<Response> = None;
     for (width, replays) in [(1, 1), (2, 20)] {
         let mut q = ClusterBuilder::new(3).build(&patch.objects, &patch.sources);
         q.dispatch_width = width;
@@ -262,25 +264,22 @@ fn a_column_null_so_far_is_retyped_mid_stream() {
             writer
                 .write_all(format!("{sql};").as_bytes())
                 .expect("submit");
-            let mut headers = Vec::new();
-            loop {
-                let line = read_line(&mut reader).expect("frame");
-                if let Some(n) = line.strip_prefix("ROWS ") {
-                    for _ in 0..n.parse::<usize>().expect("ROWS count") {
-                        read_line(&mut reader).expect("row line");
-                    }
-                } else if line.starts_with("END ") {
-                    break;
-                } else {
-                    headers.push(line);
-                }
+            let response = read_response(&mut reader);
+            match &first {
+                Some(first) => assert_eq!(response.bytes, first.bytes, "width {width}"),
+                None => first = Some(response),
             }
-            assert_eq!(
-                headers,
-                ["COLS objectId\tm", "TYPES int\tnull", "TYPES int\tint"],
-                "width {width}"
-            );
         }
+        let first = first.as_ref().expect("one replay at least");
+        assert_eq!(headers(first)[0], "COLS objectId\tm");
+        let m_nulls = |part: &Table| part.null_mask(1).iter().all(|&null| null);
+        assert!(m_nulls(&first.parts[0]), "m is NULL throughout chunk c");
+        let typed = first.parts.iter().find(|part| !m_nulls(part));
+        assert_eq!(
+            typed.map(|part| part.schema().columns()[1].ty),
+            Some(ColumnType::Int),
+            "a later chunk types m"
+        );
 
         let (got, _) = client.query(&sql).expect("query");
         let mut db = Database::new();

@@ -11,9 +11,9 @@ mod common;
 use common::{cluster_from, small_patch, sorted_rows};
 use proptest::prelude::*;
 use qserv::{ClusterBuilder, FabricOp, FaultPlan, Qserv, Value, XMatchSpec};
-use qserv_datagen::generate::{ObjectRow, Patch, RefObjectRow};
+use qserv_datagen::generate::{CatalogConfig, ObjectRow, Patch, RefObjectRow};
 use qserv_partition::chunker::Chunker;
-use qserv_sphgeom::{angular_separation_deg, LonLat};
+use qserv_sphgeom::{angular_separation_deg, LonLat, SphericalBox};
 
 /// Brute-force near-neighbor self-join: every ordered pair of distinct
 /// objects with angular separation strictly below `radius` degrees.
@@ -115,6 +115,66 @@ fn self_join_matches_oracle_and_crosses_chunk_borders() {
     let q = cluster_from(&patch, 4);
     let got = q.query(&pairs_sql(radius)).expect("distributed join");
     assert_eq!(sorted_rows(&got.rows), sorted_rows(&want));
+}
+
+#[test]
+fn self_join_matches_oracle_at_the_poles_and_the_ra_seam() {
+    // Toward the poles the chunker's stripes hold ever fewer, wider
+    // chunks and subchunks in RA, all meeting at the pole itself; at RA
+    // 0 the dilated overlap must wrap 360° → 0°. Each sky holds ≈700
+    // objects, dense enough that pairs cross subchunk borders (which
+    // only the overlap tables can join) in every one, and the seam in
+    // the last.
+    let radius = 0.09; // just inside the 0.1° overlap
+    let chunker = Chunker::test_small();
+    let skies = [
+        // Caps centred at decl −89.7° and +89.5°, RA all round.
+        SphericalBox::from_degrees(0.0, -90.0, 360.0, -89.4),
+        SphericalBox::from_degrees(0.0, 89.0, 360.0, 90.0),
+        // A band at decl −85°, across several RA chunk borders.
+        SphericalBox::from_degrees(0.0, -85.4, 40.0, -84.6),
+        // The RA seam on the equator: 359.3° → 0.5°.
+        SphericalBox::from_degrees(359.3, -0.4, 0.5, 0.4),
+    ];
+    for (i, footprint) in skies.into_iter().enumerate() {
+        let patch = Patch::generate(&CatalogConfig {
+            objects: 700,
+            mean_sources_per_object: 1.0,
+            seed: 5406 + i as u64,
+            footprint,
+        });
+        let want = oracle_self_pairs(&patch.objects, radius);
+        let object = |v: &Value| {
+            let Value::Int(id) = v else {
+                panic!("pair columns are ids")
+            };
+            &patch.objects[(*id - 1) as usize]
+        };
+        let subchunk_of = |o: &ObjectRow| {
+            let at = chunker.locate(&LonLat::from_degrees(o.ra_ps, o.decl_ps));
+            (at.chunk_id, at.subchunk_id)
+        };
+        let straddlers = want
+            .iter()
+            .filter(|p| subchunk_of(object(&p[0])) != subchunk_of(object(&p[1])))
+            .count();
+        assert!(straddlers > 0, "sky {i}: no pair crosses a subchunk border");
+        if i == 3 {
+            let seam = want
+                .iter()
+                .filter(|p| (object(&p[0]).ra_ps - object(&p[1]).ra_ps).abs() > 180.0)
+                .count();
+            assert!(seam > 0, "no pair crosses RA 0");
+        }
+
+        let q = cluster_from(&patch, 4);
+        let got = q.query(&pairs_sql(radius)).expect("distributed join");
+        assert_eq!(
+            sorted_rows(&got.rows),
+            sorted_rows(&want),
+            "sky {i} diverged from the oracle"
+        );
+    }
 }
 
 #[test]
