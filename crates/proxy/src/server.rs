@@ -6,8 +6,9 @@
 //! one `mio::Poll`. Sessions submit through the shared
 //! [`QueryService`] as *streaming* queries; merged row batches are
 //! framed (`ROWS <n> <bytes>` + a CRC-sealed column frame per chunk
-//! table) into per-connection write buffers and flushed as sockets accept them, so the first rows of a
-//! scan reach the client while later chunks are still executing.
+//! table) into per-connection write buffers and flushed as sockets
+//! accept them, so the first rows of a scan reach the client while
+//! later chunks are still executing.
 //!
 //! Backpressure is end-to-end: a connection whose write buffer climbs
 //! past [`HIGH_WATER_BYTES`] stops draining its stream channels; the
@@ -274,8 +275,8 @@ struct ResponseState {
 
 /// Encodes one merged batch: `COLS` the first time, then per part that
 /// holds rows, in chunk order, a `ROWS <n> <bytes>` header and the
-/// part's column frame ([`encode_frame`]) — the bytes the part crossed
-/// the fabric as, sealed by the same CRC32C. A frame carries its own
+/// part's column frame ([`encode_frame`], the encoding it crossed the
+/// fabric in, sealed by a CRC32C). A frame carries its own
 /// column types, and one part is one frame, so the response depends
 /// only on the parts — on query and data — never on how arrivals were
 /// batched.
