@@ -59,6 +59,8 @@
 //!   copies over the fabric).
 
 pub mod analysis;
+mod arrivals;
+mod dispatch;
 pub mod error;
 pub mod loader;
 pub mod master;

@@ -19,7 +19,7 @@
 
 use crate::analysis::{analyze, Analysis, JoinClass};
 use crate::error::QservError;
-use crate::merge::{Merger, StreamBatch};
+use crate::merge::StreamBatch;
 use crate::meta::{CatalogMeta, ChunkZones, TableStats};
 use crate::placement::PlacementManager;
 use crate::planner::{self, PlanChoice, PlanOverride};
@@ -28,11 +28,8 @@ use crate::service::QueryClass;
 use crate::stats::QueryMetrics;
 pub use crate::stats::QueryStats;
 use crate::worker::Worker;
-use parking_lot::Mutex;
 use qserv_engine::db::Database;
-use qserv_engine::exec::{execute, ResultTable, ScanStats};
-use qserv_engine::storage::decode_frame;
-use qserv_engine::table::Table;
+use qserv_engine::exec::{execute, ResultTable};
 use qserv_obs::clock::{wall_clock, SharedClock};
 use qserv_obs::trace;
 use qserv_obs::{MetricsSnapshot, Trace};
@@ -41,29 +38,21 @@ use qserv_partition::index::SecondaryIndex;
 use qserv_partition::placement::PlacementMap;
 use qserv_sqlparse::ast::SelectStatement;
 use qserv_sqlparse::parse_select;
-use qserv_xrd::cluster::{query_path, result_path, XrdCluster, XrdError};
-use qserv_xrd::fault::FabricOp;
-use qserv_xrd::md5_hex;
-use qserv_xrd::server::ServerId;
-use std::collections::BTreeSet;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use qserv_xrd::cluster::XrdCluster;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
-
-/// Clamps the configured dispatcher-pool width to something sane for a
-/// given job count: at least one thread, never more threads than jobs.
-fn effective_width(configured: usize, jobs: usize) -> usize {
-    configured.max(1).min(jobs.max(1))
-}
 
 /// Pushes a statement's final batch through a streaming sink (always
 /// sent, possibly empty). Returns the result's shell — columns, no
 /// rows — which is what the streaming entry points hand back, the rows
 /// having left through the sink.
-fn emit_final(batch: StreamBatch, sink: &mut dyn FnMut(StreamBatch) -> bool) -> ResultTable {
+pub(crate) fn emit_final(
+    batch: StreamBatch,
+    sink: &mut dyn FnMut(StreamBatch) -> bool,
+) -> ResultTable {
     let columns = batch.columns.clone();
     let _ = sink(batch);
     ResultTable {
@@ -148,20 +137,6 @@ impl CancelToken {
     }
 }
 
-/// Per-chunk retry bookkeeping, folded into [`QueryStats`].
-#[derive(Clone, Copy, Debug, Default)]
-struct ChunkMeta {
-    attempts: usize,
-    failovers: usize,
-    injected_seen: u64,
-    /// Clock time the whole chunk dispatch took, retries included.
-    latency: Duration,
-    /// Worker-reported paged-scan counters (carried in the result
-    /// frame's header); zero for warm in-memory chunks.
-    scan: ScanStats,
-    prev_server: Option<ServerId>,
-}
-
 /// Sets one statement's planner, pruning and index instruments — the
 /// estimate-vs-actual q-error against `actual` result rows included —
 /// and returns that q-error. [`Qserv::run`] and the shared-scan convoy
@@ -186,32 +161,13 @@ pub(crate) fn record_plan(qm: &QueryMetrics, prepared: &Prepared, actual: u64) -
     qerror
 }
 
-/// Folds one completed chunk's outcome into the query's instruments.
-fn record_chunk(qm: &QueryMetrics, bytes: u64, meta: &ChunkMeta) {
-    qm.result_bytes.add(bytes);
-    if meta.attempts > 1 {
-        qm.chunks_retried.inc();
-    }
-    qm.replica_failovers.add(meta.failovers as u64);
-    qm.injected_faults_observed.add(meta.injected_seen);
-    qm.pages_pruned.add(meta.scan.pages_pruned);
-    qm.pages_scanned.add(meta.scan.pages_scanned);
-    qm.pages_cached.add(meta.scan.pages_cached);
-    qm.chunk_attempts.record(meta.attempts as u64);
-    qm.chunk_latency_ns.record(meta.latency.as_nanos() as u64);
-}
-
 /// The optional row sink of one query: `Some` pushes merged row batches
 /// out as they become final, or as one batch at completion for shapes
 /// that cannot stream (folds, top-n, barriers). The final batch is always
 /// pushed, even when empty. A sink returning `false` aborts the query
 /// like a cancel: the LIMIT-cutoff and disconnect paths of
 /// [`crate::QueryService::submit_streaming`].
-type Sink<'a> = Option<&'a mut dyn FnMut(StreamBatch) -> bool>;
-
-/// Per-chunk dispatch outcome: the loaded result table, the transferred
-/// byte count, and retry bookkeeping.
-type ChunkOutcome = Result<(Table, u64, ChunkMeta), QservError>;
+pub(crate) type Sink<'a> = Option<&'a mut dyn FnMut(StreamBatch) -> bool>;
 
 /// One statement riding [`Qserv::dispatch_streaming`]: its plan, its
 /// own instruments and cancellation, and where its rows go.
@@ -227,201 +183,6 @@ pub(crate) struct Member<'a, 's> {
 pub(crate) struct Dispatched {
     pub results: Vec<Result<ResultTable, QservError>>,
     pub chunk_passes: usize,
-}
-
-/// One chunk query on the dispatch queue: the member it belongs to, its
-/// fold sequence within that member, and its rendered, QID-tagged text.
-struct Job {
-    member: usize,
-    seq: usize,
-    chunk: i32,
-    message: String,
-}
-
-/// The jobs not yet sent, and how many distinct chunks have been sent
-/// (the queue is chunk-major, so a change of chunk is a new pass).
-struct JobQueue {
-    jobs: std::vec::IntoIter<Job>,
-    last_chunk: Option<i32>,
-    passes: usize,
-}
-
-/// The merge side of one member's dispatch: chunk outcomes arrive one at
-/// a time — from the calling thread's own dispatches and over its
-/// helper threads' channel — and fold into the merger,
-/// with merged batches leaving through the sink as they become final.
-struct Arrivals<'a, 's> {
-    clock: &'a SharedClock,
-    qm: &'a QueryMetrics,
-    token: &'a CancelToken,
-    merger: Merger,
-    sink: Sink<'s>,
-    /// The member's chunk queries; those never dispatched were skipped.
-    total: usize,
-    dispatched: usize,
-    /// Error selection must not depend on thread scheduling: keep the
-    /// *lowest-sequence* dispatch error (queue order is deterministic,
-    /// and the dispatched set is always a queue prefix, so the minimum
-    /// failing sequence is the same in every run). A merge error is
-    /// reported in preference to any dispatch error — folds drain in
-    /// sequence order, so a fold failure always concerns an earlier
-    /// chunk than the first dispatch failure.
-    dispatch_err: Option<(usize, QservError)>,
-    fold_err: Option<QservError>,
-    first_fold: Option<Duration>,
-    last_arrival: Option<Duration>,
-    /// Set when the sink declines a batch (client gone / has enough):
-    /// remaining work is cancelled and the query reports Cancelled.
-    sink_closed: bool,
-}
-
-impl<'a, 's> Arrivals<'a, 's> {
-    fn new(clock: &'a SharedClock, member: Member<'a, 's>) -> Arrivals<'a, 's> {
-        Arrivals {
-            clock,
-            qm: member.qm,
-            token: member.token,
-            merger: Merger::new(&member.prepared.plan),
-            sink: member.sink,
-            total: member.prepared.chunks.len(),
-            dispatched: 0,
-            dispatch_err: None,
-            fold_err: None,
-            first_fold: None,
-            last_arrival: None,
-            sink_closed: false,
-        }
-    }
-
-    /// Folds one chunk's outcome in. Returns whether more chunks are
-    /// wanted: `false` once the merger is satisfied (LIMIT cutoff), the
-    /// sink closed, the query was killed, or an error was recorded — the
-    /// caller stops dispatching, and the partial merge state is either
-    /// a complete answer (cutoff) or discarded by [`Arrivals::finish`].
-    fn arrive(&mut self, seq: usize, outcome: ChunkOutcome) -> bool {
-        self.dispatched += 1;
-        self.last_arrival = Some(self.clock.now());
-        match outcome {
-            Ok((table, bytes, meta)) => {
-                record_chunk(self.qm, bytes, &meta);
-                // A satisfied merger still takes its column names from the
-                // first part to arrive: `LIMIT 0` is satisfied before any.
-                if self.fold_err.is_none() && !self.token.is_cancelled() {
-                    if self.first_fold.is_none() {
-                        self.first_fold = Some(self.clock.now());
-                    }
-                    let g = trace::span("merge.fold");
-                    if let Some(g) = &g {
-                        g.annotate("seq", &seq.to_string());
-                    }
-                    match self.merger.fold(seq, table) {
-                        Ok(()) => {
-                            if let Some(s) = self.sink.as_mut() {
-                                if let Some(batch) = self.merger.drain_ready() {
-                                    if !s(batch) {
-                                        self.sink_closed = true;
-                                    }
-                                }
-                            }
-                        }
-                        Err(e) => self.fold_err = Some(e),
-                    }
-                }
-            }
-            Err(e) => {
-                if self.dispatch_err.as_ref().is_none_or(|(s, _)| seq < *s) {
-                    self.dispatch_err = Some((seq, e));
-                }
-            }
-        }
-        !(self.merger.satisfied()
-            || self.sink_closed
-            || self.fold_err.is_some()
-            || self.dispatch_err.is_some()
-            || self.token.is_cancelled())
-    }
-
-    /// Surfaces errors in deterministic preference order, settles the
-    /// pipeline metrics, and finishes the merge under its own span.
-    fn finish(self) -> Result<ResultTable, QservError> {
-        let qm = self.qm;
-        qm.chunks_dispatched.add(self.dispatched as u64);
-        if let Some(e) = self.fold_err {
-            return Err(e);
-        }
-        // A KILL wins over any dispatch error it raced with: the caller
-        // asked for cancellation and gets a deterministic `Cancelled`
-        // (the dispatch error may itself be a token-induced `Cancelled`
-        // from inside the retry loop). A sink that declined a batch is
-        // the consumer's cancellation.
-        if self.token.is_cancelled() || self.sink_closed {
-            return Err(QservError::Cancelled);
-        }
-        if let Some((_, e)) = self.dispatch_err {
-            return Err(e);
-        }
-        let merger = self.merger;
-        qm.chunks_skipped_by_limit
-            .add((self.total - self.dispatched) as u64);
-        qm.peak_buffered_parts
-            .set_max(merger.peak_buffered_parts() as u64);
-        qm.rows_merged.set(merger.rows_folded() as u64);
-        if let (Some(f), Some(l)) = (self.first_fold, self.last_arrival) {
-            qm.merge_overlap_ms
-                .set(l.saturating_sub(f).as_millis() as u64);
-        }
-        let g = trace::span("merge.finish");
-        let Some(sink) = self.sink else {
-            let result = merger.finish();
-            if let (Some(g), Ok(r)) = (&g, &result) {
-                g.annotate("rows", &r.rows.len().to_string());
-            }
-            return result;
-        };
-        let batch = merger.finish_batch()?;
-        if let Some(g) = &g {
-            g.annotate("rows", &batch.num_rows().to_string());
-        }
-        Ok(emit_final(batch, sink))
-    }
-}
-
-/// Outcome of a single dispatch attempt.
-enum Attempt {
-    Ok(Table, u64),
-    /// Transient failure: worth retrying, optionally excluding `server`
-    /// and (when `reset_exclusions`) forgetting earlier exclusions
-    /// because no replica resolved at all.
-    Retry {
-        server: Option<ServerId>,
-        injected: bool,
-        reset_exclusions: bool,
-        error: QservError,
-    },
-    Fatal(QservError),
-}
-
-/// Sorts an [`XrdError`] into retry-worthy vs. permanent.
-fn classify_xrd(e: XrdError) -> Attempt {
-    let injected = matches!(e, XrdError::Injected { .. });
-    let server = match &e {
-        XrdError::Injected { server, .. } => Some(*server),
-        XrdError::ServerOffline(s) => Some(*s),
-        _ => None,
-    };
-    // An unresolvable path is transient too: every replica may be
-    // excluded or momentarily offline (flapping servers come back).
-    let reset_exclusions = matches!(e, XrdError::NoServerForPath(_));
-    if e.is_transient() || reset_exclusions {
-        Attempt::Retry {
-            server,
-            injected,
-            reset_exclusions,
-            error: QservError::from(e),
-        }
-    } else {
-        Attempt::Fatal(QservError::from(e))
-    }
 }
 
 /// Specification of a cross-catalog XMatch: match every row of catalog
@@ -493,9 +254,9 @@ pub struct TracedQuery {
 
 /// The running system: fabric + workers + frontend state.
 pub struct Qserv {
-    cluster: XrdCluster,
+    pub(crate) cluster: XrdCluster,
     chunker: Chunker,
-    meta: CatalogMeta,
+    pub(crate) meta: CatalogMeta,
     /// Epoch-stamped chunk→replica placement. Queries pin one snapshot
     /// at prepare time; membership operations ([`Qserv::fail_node`],
     /// [`Qserv::join_node`], …) commit new epochs.
@@ -504,7 +265,7 @@ pub struct Qserv {
     workers: Vec<Arc<Worker>>,
     /// The clock dispatch deadlines, retry backoff, and traces read.
     /// Wall by default; [`Qserv::set_clock`] swaps in a virtual one.
-    clock: SharedClock,
+    pub(crate) clock: SharedClock,
     /// How many chunk queries of one statement are in flight at once:
     /// the calling thread plus `dispatch_width − 1` helper threads.
     /// Defaults to one per core, at most 8: the in-process fabric runs a
@@ -521,7 +282,7 @@ pub struct Qserv {
     /// there). Scoped to the cluster — not the process — so a freshly
     /// built cluster replays the same result paths, keeping seeded fault
     /// schedules reproducible.
-    qid: AtomicU64,
+    pub(crate) qid: AtomicU64,
     /// Per-chunk zone maps registered at load time (ra/decl/flux/objectId
     /// min-max per chunk). Lets `prepare` elide whole chunks before
     /// dispatch — the master-side analogue of the worker's per-page zone
@@ -613,7 +374,7 @@ impl Qserv {
     }
 
     /// Prefixes a rendered chunk message with a unique query-instance id.
-    fn tag_message(&self, message: String) -> String {
+    pub(crate) fn tag_message(&self, message: String) -> String {
         let qid = self.qid.fetch_add(1, Ordering::Relaxed);
         format!("-- QID: {qid}\n{message}")
     }
@@ -1042,7 +803,7 @@ impl Qserv {
 
     /// The subchunk list for one chunk of a near-neighbour query: the
     /// subchunks intersecting the spatial restriction, or all of them.
-    fn subchunks_for(&self, prepared: &Prepared, chunk: i32) -> Vec<i32> {
+    pub(crate) fn subchunks_for(&self, prepared: &Prepared, chunk: i32) -> Vec<i32> {
         if prepared.plan.join != JoinClass::SubchunkNear {
             return Vec::new();
         }
@@ -1053,411 +814,5 @@ impl Qserv {
                 .unwrap_or_default(),
             None => self.chunker.subchunks_of(chunk).unwrap_or_default(),
         }
-    }
-
-    /// Renders and QID-tags every member's chunk queries in queue order:
-    /// one statement's chunks in plan order; a convoy's chunk-major over
-    /// the union of the members' chunk sets, in member order inside a
-    /// chunk, so all of a chunk's queries leave back to back.
-    fn render_jobs(&self, members: &[Member<'_, '_>]) -> Vec<Job> {
-        let job = |member: usize, seq: usize, chunk: i32| {
-            let prepared = members[member].prepared;
-            let subs = self.subchunks_for(prepared, chunk);
-            let message = render_chunk_message(&prepared.plan, &self.meta, chunk, &subs);
-            Job {
-                member,
-                seq,
-                chunk,
-                message: self.tag_message(message),
-            }
-        };
-        if let [only] = members {
-            return only
-                .prepared
-                .chunks
-                .iter()
-                .enumerate()
-                .map(|(seq, &chunk)| job(0, seq, chunk))
-                .collect();
-        }
-        let union: BTreeSet<i32> = members
-            .iter()
-            .flat_map(|m| m.prepared.chunks.iter().copied())
-            .collect();
-        let mut next_seq = vec![0; members.len()];
-        let mut jobs = Vec::new();
-        for chunk in union {
-            for (member, m) in members.iter().enumerate() {
-                if m.prepared.chunks.contains(&chunk) {
-                    jobs.push(job(member, next_seq[member], chunk));
-                    next_seq[member] += 1;
-                }
-            }
-        }
-        jobs
-    }
-
-    /// The one loop that sends chunk queries: dispatches every job of
-    /// `members` and merges each member's results. The calling
-    /// thread is the only merger *and* one of the dispatchers: it folds
-    /// whatever its `width − 1` helper threads have finished into the
-    /// members' incremental [`Merger`]s, then takes the next job off the
-    /// shared queue itself. So merging overlaps dispatch, the master holds
-    /// only the merge state plus a small reorder buffer — not every chunk
-    /// result at once — and no thread sleeps per chunk: a helper blocks
-    /// only when `width` results are waiting unfolded, the caller only
-    /// once the queue is empty. (In this in-process fabric a chunk query
-    /// runs on the thread that writes it and can take 20 µs; one
-    /// cross-core wake-up costs as much, so a merger that slept between
-    /// arrivals would double the cost of every chunk.) At
-    /// width 1 there are no helpers and the whole trace is a pure
-    /// function of the input (bit-reproducible under a virtual clock and
-    /// a fixed fault seed). A member that stops — its merger satisfied
-    /// (a pushed-down LIMIT is met), its token cancelled, a chunk failed,
-    /// or its sink closed — has its remaining jobs skipped while the
-    /// other members carry on; skipped chunks are never sent, and a
-    /// satisfied member counts them in
-    /// [`QueryStats::chunks_skipped_by_limit`].
-    pub(crate) fn dispatch_streaming(
-        &self,
-        members: Vec<Member<'_, '_>>,
-    ) -> Result<Dispatched, QservError> {
-        let jobs = self.render_jobs(&members);
-        let width = effective_width(self.dispatch_width, jobs.len());
-        let started = self.clock.now();
-        // What helper threads may read of a member: its token, and
-        // whether the merge side has stopped wanting its chunks.
-        let live: Vec<(&CancelToken, AtomicBool)> = members
-            .iter()
-            .map(|m| (m.token, AtomicBool::new(false)))
-            .collect();
-        let mut arrivals: Vec<Arrivals> = members
-            .into_iter()
-            .map(|m| Arrivals::new(&self.clock, m))
-            .collect();
-
-        let queue = Mutex::new(JobQueue {
-            jobs: jobs.into_iter(),
-            last_chunk: None,
-            passes: 0,
-        });
-        // Cancellation — by LIMIT cutoff, failure or an external KILL —
-        // is checked between jobs: an in-flight chunk finishes (and is
-        // drained below) but nothing new of that member leaves the queue.
-        let next_job = || {
-            let mut queue = queue.lock();
-            while let Some(job) = queue.jobs.next() {
-                let (token, stopped) = &live[job.member];
-                if stopped.load(Ordering::Relaxed) || token.is_cancelled() {
-                    continue;
-                }
-                if queue.last_chunk != Some(job.chunk) {
-                    queue.last_chunk = Some(job.chunk);
-                    queue.passes += 1;
-                }
-                return Some(job);
-            }
-            None
-        };
-        let ctx = trace::current();
-        // At most `width` finished results wait for the merge and at most
-        // `width` more are being produced, so what the master holds
-        // beyond the merge state and its reorder buffer stays bounded.
-        let (tx, rx) = mpsc::sync_channel::<(usize, usize, ChunkOutcome)>(width);
-        let dispatch = |job: Job| {
-            let token = live[job.member].0;
-            let outcome = self.dispatch_one(job.chunk, &job.message, started, token);
-            (job.member, job.seq, outcome)
-        };
-        // A panic on a helper or on this thread becomes a typed error
-        // rather than unwinding into the caller's executor.
-        catch_unwind(AssertUnwindSafe(|| {
-            thread::scope(|scope| {
-                // Owned here so that an unwinding caller drops it — releasing
-                // helpers blocked in `send` — before the scope joins them.
-                let rx = rx;
-                for _ in 1..width {
-                    let tx = tx.clone();
-                    let (next_job, dispatch, ctx) = (&next_job, &dispatch, &ctx);
-                    scope.spawn(move || {
-                        // Helper threads parent their chunk spans under the
-                        // span current on the calling thread
-                        // (master.dispatch) — explicit cross-thread handoff.
-                        let _tg = ctx.as_ref().map(|c| c.enter());
-                        while let Some(job) = next_job() {
-                            if tx.send(dispatch(job)).is_err() {
-                                break;
-                            }
-                        }
-                    });
-                }
-                drop(tx);
-                // Folding on this thread only keeps the merge single-threaded;
-                // the mergers' reorder buffers make it deterministic
-                // regardless of arrival order. Once an arrival asks to stop,
-                // the channel is still drained so in-flight helpers can
-                // finish their send and exit.
-                let mut arrive = |(member, seq, outcome): (usize, usize, ChunkOutcome)| {
-                    if !arrivals[member].arrive(seq, outcome) {
-                        live[member].1.store(true, Ordering::Relaxed);
-                    }
-                };
-                loop {
-                    while let Ok(arrival) = rx.try_recv() {
-                        arrive(arrival);
-                    }
-                    let Some(job) = next_job() else {
-                        break;
-                    };
-                    arrive(dispatch(job));
-                }
-                while let Ok(arrival) = rx.recv() {
-                    arrive(arrival);
-                }
-            })
-        }))
-        .map_err(|_| QservError::Fabric("dispatcher thread panicked".to_string()))?;
-
-        Ok(Dispatched {
-            results: arrivals.into_iter().map(Arrivals::finish).collect(),
-            chunk_passes: queue.into_inner().passes,
-        })
-    }
-
-    /// Dispatches one chunk with bounded retry: transient fabric errors
-    /// back off exponentially and steer the next attempt away from the
-    /// replicas that failed; the query-wide deadline turns a stuck chunk
-    /// into [`QservError::Timeout`]. Backoff and the deadline both run on
-    /// the master's clock (virtual under test: no real sleeping).
-    /// `started` is the clock time the dispatch phase began.
-    fn dispatch_one(
-        &self,
-        chunk: i32,
-        message: &str,
-        started: Duration,
-        token: &CancelToken,
-    ) -> Result<(Table, u64, ChunkMeta), QservError> {
-        let span = trace::span("chunk");
-        if let Some(g) = &span {
-            g.annotate("chunk", &chunk.to_string());
-        }
-        let t0 = self.clock.now();
-        let result = self.dispatch_one_retrying(chunk, message, started, token);
-        match (&span, &result) {
-            (Some(g), Ok((_, bytes, meta))) => {
-                g.annotate("attempts", &meta.attempts.to_string());
-                g.annotate("bytes", &bytes.to_string());
-            }
-            (Some(g), Err(e)) => g.annotate("error", &e.to_string()),
-            _ => {}
-        }
-        result.map(|(table, bytes, mut meta)| {
-            meta.latency = self.clock.now().saturating_sub(t0);
-            (table, bytes, meta)
-        })
-    }
-
-    /// The retry loop behind [`Qserv::dispatch_one`].
-    fn dispatch_one_retrying(
-        &self,
-        chunk: i32,
-        message: &str,
-        started: Duration,
-        token: &CancelToken,
-    ) -> Result<(Table, u64, ChunkMeta), QservError> {
-        let policy = &self.retry;
-        let max_attempts = policy.max_attempts.max(1);
-        let mut meta = ChunkMeta::default();
-        let mut excluded: Vec<ServerId> = Vec::new();
-        let mut last_err = QservError::Fabric(format!("chunk {chunk}: dispatch never attempted"));
-        let mut attempt = 0;
-        while attempt < max_attempts {
-            // Cancellation is observed *between* attempts, never inside
-            // dispatch_once's write → read → unlink sequence, so there is
-            // no window in which a result file was written but will not
-            // be consumed. Checked before the backoff: a killed chunk
-            // must not sit out its exponential wait first.
-            if token.is_cancelled() {
-                return Err(QservError::Cancelled);
-            }
-            if attempt > 0 {
-                let mut backoff = policy
-                    .backoff_base
-                    .saturating_mul(1u32 << (attempt - 1).min(16) as u32);
-                if let Some(deadline) = policy.deadline {
-                    let elapsed = self.clock.now().saturating_sub(started);
-                    backoff = backoff.min(deadline.saturating_sub(elapsed));
-                }
-                if !backoff.is_zero() {
-                    self.clock.sleep(backoff);
-                }
-            }
-            if let Some(deadline) = policy.deadline {
-                let elapsed = self.clock.now().saturating_sub(started);
-                if elapsed >= deadline {
-                    return Err(QservError::Timeout {
-                        chunk,
-                        elapsed_ms: elapsed.as_millis() as u64,
-                    });
-                }
-            }
-            let attempt_span = trace::span("attempt");
-            if let Some(g) = &attempt_span {
-                g.annotate("n", &(attempt + 1).to_string());
-                if !excluded.is_empty() {
-                    g.annotate("excluded", &format!("{excluded:?}"));
-                }
-            }
-            match self.dispatch_once(chunk, message, &excluded, &mut meta) {
-                Attempt::Ok(table, bytes) => {
-                    meta.attempts = attempt + 1;
-                    if let Some(g) = &attempt_span {
-                        g.annotate("outcome", "ok");
-                    }
-                    return Ok((table, bytes, meta));
-                }
-                Attempt::Retry {
-                    server,
-                    injected,
-                    reset_exclusions,
-                    error,
-                } => {
-                    if let Some(g) = &attempt_span {
-                        g.annotate("outcome", "retry");
-                        g.annotate("error", &error.to_string());
-                    }
-                    if injected {
-                        meta.injected_seen += 1;
-                    }
-                    if reset_exclusions && !excluded.is_empty() {
-                        // Every replica is on the exclusion list: the
-                        // probe touched no server, so re-admit them all
-                        // without charging the attempt budget. (A reset
-                        // can't repeat back-to-back — the next pass runs
-                        // with an empty list — so the loop stays bounded
-                        // by 2×max_attempts iterations.)
-                        excluded.clear();
-                    } else {
-                        if let Some(s) = server {
-                            if !excluded.contains(&s) {
-                                excluded.push(s);
-                            }
-                            meta.prev_server = Some(s);
-                        }
-                        attempt += 1;
-                    }
-                    last_err = error;
-                }
-                Attempt::Fatal(e) => {
-                    if let Some(g) = &attempt_span {
-                        g.annotate("outcome", "fatal");
-                    }
-                    return Err(e);
-                }
-            }
-        }
-        Err(last_err)
-    }
-
-    /// One attempt at the two file transactions of §5.4 for one chunk,
-    /// plus result parsing. Result files are consumed (unlinked) on every
-    /// exit path that could leave one behind.
-    fn dispatch_once(
-        &self,
-        chunk: i32,
-        message: &str,
-        excluded: &[ServerId],
-        meta: &mut ChunkMeta,
-    ) -> Attempt {
-        let rp = result_path(&md5_hex(message.as_bytes()));
-        let write = self.cluster.write_file_excluding(
-            &query_path(chunk),
-            message.as_bytes().to_vec(),
-            excluded,
-        );
-        let worker = match write {
-            Ok(w) => w,
-            Err(e) => {
-                // A close fault lands after the worker accepted the query
-                // and deposited its result: scrub the orphan.
-                if let XrdError::Injected {
-                    server,
-                    op: FabricOp::Close,
-                    ..
-                } = &e
-                {
-                    let _ = self.cluster.unlink(*server, &rp);
-                }
-                return classify_xrd(e);
-            }
-        };
-        if let Some(prev) = meta.prev_server {
-            if prev != worker {
-                meta.failovers += 1;
-            }
-        }
-        meta.prev_server = Some(worker);
-        let payload = match self.cluster.read_file(worker, &rp) {
-            Ok(p) => p,
-            // The write was accepted but nothing was deposited: the
-            // server stopped exporting the chunk between the redirector's
-            // (cached) resolution and the close, so its plugin never ran.
-            // That replica moved away; another one answers.
-            Err(e @ XrdError::NoSuchFile { .. }) => {
-                return Attempt::Retry {
-                    server: Some(worker),
-                    injected: false,
-                    reset_exclusions: false,
-                    error: QservError::from(e),
-                };
-            }
-            Err(e) => {
-                // The result file exists on the worker even though we
-                // could not fetch it; consume it before retrying.
-                let _ = self.cluster.unlink(worker, &rp);
-                return classify_xrd(e);
-            }
-        };
-        // Consume the result before parsing, so no exit path below can
-        // leak it. A faulted unlink gets one immediate retry, then is
-        // abandoned (a later dispatch of this chunk query overwrites it).
-        if self.cluster.unlink(worker, &rp).is_err() {
-            let _ = self.cluster.unlink(worker, &rp);
-        }
-        let bytes = payload.len() as u64;
-        // Payload corruption is a fabric problem, and a moved chunk a
-        // placement one: retry re-executes the chunk on a replica and
-        // re-fetches a clean copy.
-        let retry = |what: String| Attempt::Retry {
-            server: Some(worker),
-            injected: false,
-            reset_exclusions: false,
-            error: QservError::Fabric(format!("chunk {chunk}: {what}")),
-        };
-        let Some(err) = payload.strip_prefix(b"ERROR:") else {
-            // Anything but an error reply is a result frame, whose CRC
-            // catches damage in flight (a mangled magic included).
-            return match decode_frame(&payload) {
-                Ok((table, scan)) => {
-                    meta.scan = scan;
-                    Attempt::Ok(table, bytes)
-                }
-                Err(e) => retry(format!("result frame: {e}")),
-            };
-        };
-        let Ok(err) = std::str::from_utf8(err) else {
-            return retry("error reply is not UTF-8".to_string());
-        };
-        // A worker that no longer holds the chunk (rebalanced away between
-        // redirector routing and plugin execution) NACKs with a RETRYABLE
-        // marker: fail over to another replica instead of surfacing a
-        // fatal worker error.
-        if let Some(moved) = err.trim().strip_prefix("RETRYABLE:") {
-            return retry(moved.trim().to_string());
-        }
-        Attempt::Fatal(QservError::Worker {
-            chunk,
-            message: err.trim().to_string(),
-        })
     }
 }
