@@ -37,7 +37,8 @@ pub(crate) struct Arrivals<'a, 's> {
     token: &'a CancelToken,
     merger: Merger,
     sink: Sink<'s>,
-    /// The member's chunk queries; those never dispatched were skipped.
+    /// The member's chunk queries; those never dispatched, or left unrun
+    /// by a worker's row budget, were skipped.
     total: usize,
     dispatched: usize,
     /// Error selection must not depend on thread scheduling: keep the

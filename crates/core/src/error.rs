@@ -34,7 +34,7 @@ pub enum QservError {
     Merge(String),
     /// The query was cancelled (a `KILL`, or its service handle was
     /// dropped) before it completed. Cooperative: dispatch stops at the
-    /// next chunk boundary and in-flight result files are consumed.
+    /// next bundle boundary and in-flight result files are consumed.
     Cancelled,
     /// The service's admission queue for the query's class is full.
     /// Backpressure, not failure: retry after the advertised delay.

@@ -12,12 +12,14 @@
 //! ```text
 //!  user ──SQL──▶ [Qserv master/frontend]
 //!                  │  parse → analyze → generate chunk queries   (§5.3)
-//!                  │  write /query2/CC ─────────────┐            (§5.4)
+//!                  │  group chunks by worker: one bundle each
+//!                  │  write /query2/CC (a bundle) ──┐            (§5.4)
 //!                  ▼                                ▼
 //!             [xrd fabric: redirector]      [worker = data server + plugin]
-//!                  ▲                                │ build subchunk tables
-//!                  │  read /result/md5(query) ◀─────┘ execute on engine
-//!                  ▼                                   encode result frame
+//!                  ▲                                │ parse once; per chunk:
+//!                  │                                │ re-bind, build subchunk
+//!                  │  read /result/md5(query) ◀─────┘ tables, execute, encode
+//!                  ▼                                   one frame per chunk
 //!             merge + final aggregation (§5.4)
 //! ```
 //!
@@ -34,15 +36,18 @@
 //! * [`rewrite`] — physical query generation: aggregate splitting
 //!   (`AVG → SUM/COUNT`), `qserv_areaspec_box` → worker UDF predicates,
 //!   chunk/subchunk table substitution, and the master's merge query.
-//! * [`worker`] — the ofs-plugin worker: parses the chunk-query message,
-//!   builds subchunk/overlap tables on demand, executes on the embedded
-//!   engine, deposits the result as a checksummed column-page frame.
+//! * [`worker`] — the ofs-plugin worker: parses the chunk-query message
+//!   (a bundle of one or more chunks) once, re-binds its table names per
+//!   chunk, builds subchunk/overlap tables on demand, executes on the
+//!   embedded engine, deposits one checksummed column-page frame per
+//!   chunk.
 //! * [`loader`] — builds worker databases from synthesized catalog rows:
 //!   chunk tables, overlap stores, per-chunk objectId indexes, and the
 //!   frontend's secondary index.
 //! * [`master`] — the [`Qserv`] frontend: end-to-end `query(sql)` with
-//!   the one multithreaded dispatch loop over the fabric and result
-//!   merging.
+//!   the one multithreaded dispatch loop over the fabric — a statement's
+//!   chunks grouped by worker into bundles, retried per chunk — and
+//!   result merging.
 //! * [`merge`] — the streaming result pipeline: chunk results fold into
 //!   incremental merge state as they arrive (append / per-group fold /
 //!   top-n heap), with the row-at-a-time collect-then-merge function

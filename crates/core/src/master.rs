@@ -7,15 +7,17 @@
 //! select the chunk set (spatial restriction and/or secondary index) →
 //! pin the placement epoch. `Qserv::run` executes that value — the query
 //! service prepares at admission and hands the same value to its
-//! executor, so what was classified is what runs: generate per-chunk
-//! physical queries → dispatch each as two file transactions on the
-//! fabric (§5.4) from the calling thread and its helper threads → read back
-//! each result as a checksummed column-page frame (the paper ships
-//! `mysqldump` text; §7.1 names that round trip as the overhead to
-//! engineer away) → fold each into the incremental merge as it
-//! arrives (`crate::merge`) → run the merge/aggregation query → return
-//! rows to the caller, or push them through the caller's sink as they
-//! become final (`QueryService::submit_streaming`).
+//! executor, so what was classified is what runs: group the chunks by
+//! the worker each resolves to → send each group as one chunk-query
+//! *bundle*, its statements rendered once, in two file transactions on
+//! the fabric (§5.4) from the calling thread and its helper threads
+//! (`crate::dispatch`) → read back one result section per chunk, each a
+//! checksummed column-page frame (the paper ships `mysqldump` text; §7.1
+//! names that round trip as the overhead to engineer away) → fold each
+//! into the incremental merge as it arrives (`crate::merge`) → run the
+//! merge/aggregation query → return rows to the caller, or push them
+//! through the caller's sink as they become final
+//! (`QueryService::submit_streaming`).
 
 use crate::analysis::{analyze, Analysis, JoinClass};
 use crate::error::QservError;
@@ -107,9 +109,9 @@ impl RetryPolicy {
 ///
 /// Cloneable and thread-safe: the service hands one side to the session
 /// that may `KILL` the query while the executor threads poll the other.
-/// Cancellation is *cooperative* — the master checks the token at chunk
-/// dispatch boundaries (before a chunk leaves the queue, before each
-/// retry attempt) and at merge-fold boundaries, never in the middle of a
+/// Cancellation is *cooperative* — the master checks the token at
+/// bundle boundaries (before a bundle leaves the queue, before each
+/// retry round) and at merge-fold boundaries, never in the middle of a
 /// §5.4 file transaction. The write → read → unlink sequence is atomic
 /// with respect to cancellation, so a kill can never strand a result
 /// file on the fabric: every written result is consumed before the
@@ -266,17 +268,18 @@ pub struct Qserv {
     /// The clock dispatch deadlines, retry backoff, and traces read.
     /// Wall by default; [`Qserv::set_clock`] swaps in a virtual one.
     pub(crate) clock: SharedClock,
-    /// How many chunk queries of one statement are in flight at once:
-    /// the calling thread plus `dispatch_width − 1` helper threads.
+    /// How many chunk bundles of one statement are in flight at once:
+    /// the calling thread plus `dispatch_width − 1` helper threads; each
+    /// worker's chunks are cut into ⌈width ÷ workers touched⌉ bundles.
     /// Defaults to one per core, at most 8: the in-process fabric runs a
-    /// chunk query on the thread that writes it, so dispatchers are
+    /// bundle on the thread that writes it, so dispatchers are
     /// compute threads — more of them than cores adds no overlap, only
     /// context switches, and crowds out other sessions' threads (the
     /// lookups beside a scan of Figure 14).
     pub dispatch_width: usize,
     /// Chunk-dispatch retry behavior.
     pub retry: RetryPolicy,
-    /// Dispatch counter: tags each chunk-query message with a unique
+    /// Dispatch counter: tags each chunk bundle's message with a unique
     /// `-- QID:` line so identical concurrent queries hash to distinct
     /// result paths (the paper's raw MD5-of-query addressing collides
     /// there). Scoped to the cluster — not the process — so a freshly
@@ -371,12 +374,6 @@ impl Qserv {
             plan_override: None,
             storage_dir: None,
         }
-    }
-
-    /// Prefixes a rendered chunk message with a unique query-instance id.
-    pub(crate) fn tag_message(&self, message: String) -> String {
-        let qid = self.qid.fetch_add(1, Ordering::Relaxed);
-        format!("-- QID: {qid}\n{message}")
     }
 
     /// The partitioning in effect.
@@ -536,8 +533,8 @@ impl Qserv {
     }
 
     /// The one query path behind every public entry point and the query
-    /// service's executors: takes a prepared statement, dispatches each
-    /// chunk query over the fabric and folds results into the
+    /// service's executors: takes a prepared statement, dispatches its
+    /// chunks over the fabric in bundles and folds results into the
     /// incremental merge as they arrive, updating per-query instruments
     /// (and trace spans, when a trace is active). With a sink, row
     /// batches leave through it and the returned table is empty (columns

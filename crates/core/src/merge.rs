@@ -16,10 +16,11 @@
 //!   instead of the full sort input.
 //! * **Barrier** — everything else buffers parts and runs the oracle.
 //!
-//! Exactness: parts are applied in ascending chunk order (out-of-order
-//! arrivals wait in a reorder buffer), accumulators are the engine's own
-//! [`AggAcc`], and every result column has one type: the type of the
-//! first part, in chunk order, that holds a non-NULL value in it. A part
+//! Exactness: parts are applied in sequence order — the master numbers
+//! them along its dispatch walk — with out-of-order arrivals waiting in
+//! a reorder buffer; accumulators are the engine's own [`AggAcc`], and
+//! every result column has one type: the type of the first part, in that
+//! order, that holds a non-NULL value in it. A part
 //! whose column is all NULL carries no vote, and a later populated part
 //! that disagrees is a [`QservError::Merge`] (§5.4 loads every chunk's
 //! dump into one merge table, so chunk results share one schema).
@@ -279,7 +280,7 @@ enum State {
 
 /// Folds per-chunk result tables into running merge state as they
 /// arrive. Feed with [`Merger::fold`] (tagging each part with its
-/// position in the ascending chunk order), then [`Merger::finish`].
+/// position in the fold order), then [`Merger::finish`].
 pub struct Merger {
     merge_stmt: SelectStatement,
     state: State,
@@ -436,8 +437,8 @@ impl Merger {
         })
     }
 
-    /// Folds one chunk result. `seq` is the part's position in ascending
-    /// chunk order; parts arriving ahead of their turn wait in the
+    /// Folds one chunk result. `seq` is the part's position in the fold
+    /// order (0, 1, 2, …); parts arriving ahead of their turn wait in the
     /// reorder buffer so folds stay deterministic (float addition is not
     /// associative — in-order folding is what makes the streaming result
     /// bit-identical to the oracle's).

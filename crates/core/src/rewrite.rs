@@ -1,9 +1,9 @@
 //! Physical query generation (paper §5.3–5.4).
 //!
 //! Turns an analyzed user statement into (a) a *chunk query template*
-//! rendered per chunk for worker execution, and (b) the *merge query* the
-//! master runs over the gathered results. The paper's worked example is
-//! the specification:
+//! rendered once per chunk bundle for worker execution, and (b) the
+//! *merge query* the master runs over the gathered results. The paper's
+//! worked example is the specification:
 //!
 //! > The `AVG(uFlux_SG)` function call is converted into a
 //! > `SUM(uFlux_SG)` and `COUNT(uFlux_SG)` pair for chunk queries and
@@ -548,14 +548,7 @@ pub fn render_chunk_message(
     subchunks: &[i32],
 ) -> String {
     let mut msg = String::from("-- SUBCHUNKS:");
-    for (i, s) in subchunks.iter().enumerate() {
-        if i > 0 {
-            msg.push(',');
-        }
-        msg.push(' ');
-        msg.push_str(&s.to_string());
-    }
-    msg.push('\n');
+    push_ids(&mut msg, subchunks);
 
     let db = meta.database().to_string();
     match plan.join {
@@ -595,6 +588,53 @@ pub fn render_chunk_message(
         }
     }
     msg
+}
+
+/// Appends ` a, b, c` and a newline: a header line's id list.
+fn push_ids(msg: &mut String, ids: &[i32]) {
+    for (i, id) in ids.iter().enumerate() {
+        if i > 0 {
+            msg.push(',');
+        }
+        msg.push(' ');
+        msg.push_str(&id.to_string());
+    }
+    msg.push('\n');
+}
+
+/// Renders the message of one chunk bundle: `(chunk, subchunks)` pairs a
+/// worker runs the statement over, in order. The statements are
+/// rendered once, for the first chunk — a bundle of one is exactly
+/// [`render_chunk_message`]'s message. A longer bundle adds a
+/// `-- CHUNKS:` line naming every chunk, the first one first; the worker
+/// re-binds the first chunk's table names to each further chunk. A
+/// near-neighbour plan's statements differ per subchunk, so each further
+/// chunk gets its own `-- SUBCHUNKS <chunk>:` line, and the worker runs
+/// the first statement once per subchunk listed there.
+pub fn render_bundle_message(
+    plan: &PhysicalPlan,
+    meta: &CatalogMeta,
+    bundle: &[(i32, Vec<i32>)],
+) -> String {
+    let [(first, subchunks), rest @ ..] = bundle else {
+        panic!("a bundle holds at least one chunk");
+    };
+    let msg = render_chunk_message(plan, meta, *first, subchunks);
+    if rest.is_empty() {
+        return msg;
+    }
+    let mut header = String::from("-- CHUNKS:");
+    push_ids(
+        &mut header,
+        &bundle.iter().map(|(c, _)| *c).collect::<Vec<_>>(),
+    );
+    if plan.join == JoinClass::SubchunkNear {
+        for (chunk, subchunks) in rest {
+            header.push_str(&format!("-- SUBCHUNKS {chunk}:"));
+            push_ids(&mut header, subchunks);
+        }
+    }
+    header + &msg
 }
 
 #[cfg(test)]
@@ -784,6 +824,47 @@ mod tests {
             msg.contains("FROM LSST.Object_5 AS o, LSST.SourceUnion_5 AS s"),
             "{msg}"
         );
+    }
+
+    #[test]
+    fn a_bundle_of_one_is_the_chunk_message() {
+        let meta = CatalogMeta::lsst();
+        for sql in [
+            "SELECT COUNT(*) FROM Object",
+            "SELECT count(*) FROM Object o1, Object o2 \
+             WHERE qserv_angSep(o1.ra_PS, o1.decl_PS, o2.ra_PS, o2.decl_PS) < 0.1",
+        ] {
+            let p = plan_for(sql);
+            assert_eq!(
+                render_bundle_message(&p, &meta, &[(42, vec![1, 2])]),
+                render_chunk_message(&p, &meta, 42, &[1, 2])
+            );
+        }
+    }
+
+    #[test]
+    fn a_bundle_names_its_chunks_and_renders_the_first() {
+        let meta = CatalogMeta::lsst();
+        let p = plan_for("SELECT COUNT(*) FROM Object");
+        let msg = render_bundle_message(&p, &meta, &[(5, vec![]), (9, vec![]), (12, vec![])]);
+        assert!(
+            msg.starts_with("-- CHUNKS: 5, 9, 12\n-- SUBCHUNKS:\n"),
+            "{msg}"
+        );
+        assert!(msg.contains("FROM LSST.Object_5 AS Object"), "{msg}");
+        assert!(!msg.contains("Object_9"), "rendered once: {msg}");
+        let nn = plan_for(
+            "SELECT count(*) FROM Object o1, Object o2 \
+             WHERE qserv_angSep(o1.ra_PS, o1.decl_PS, o2.ra_PS, o2.decl_PS) < 0.1",
+        );
+        let msg = render_bundle_message(&nn, &meta, &[(5, vec![1, 2]), (9, vec![]), (12, vec![3])]);
+        assert!(
+            msg.starts_with(
+                "-- CHUNKS: 5, 9, 12\n-- SUBCHUNKS 9:\n-- SUBCHUNKS 12: 3\n-- SUBCHUNKS: 1, 2\n"
+            ),
+            "{msg}"
+        );
+        assert_eq!(msg.matches(";\n").count(), 2, "{msg}");
     }
 
     #[test]

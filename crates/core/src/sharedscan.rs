@@ -8,11 +8,12 @@
 //! single full-scan query."
 //!
 //! [`SharedScanner`] prepares a batch of queries and hands them, as the
-//! members of one convoy, to the master's one dispatch loop: the job
-//! queue walks the *union* of the members' chunk sets chunk-major, so
-//! every member's physical query for a chunk leaves back-to-back and the
-//! chunk's data is touched once per convoy pass instead of once per
-//! query. Each member keeps its own streaming [`Merger`](crate::Merger)
+//! members of one convoy, to the master's one dispatch loop: the bundle
+//! queue walks the *union* of the members' chunk sets one chunk at a
+//! time — grouped by worker, as a lone statement's chunks are — and each
+//! member reading the chunk sends its bundle of one, so every member's
+//! physical query for a chunk leaves back-to-back and the chunk's data is
+//! touched once per convoy pass instead of once per query. Each member keeps its own streaming [`Merger`](crate::Merger)
 //! and instruments: chunk results fold in as the convoy advances, and a
 //! member whose pushed-down LIMIT is satisfied stops receiving dispatches
 //! while the convoy carries on for the others. Results and statistics are

@@ -18,7 +18,8 @@ pub mod names {
     pub const CHUNKS_DISPATCHED: &str = "query.chunks_dispatched";
     /// Gauge: rows accumulated into the master's merge state.
     pub const ROWS_MERGED: &str = "query.rows_merged";
-    /// Counter: bytes of result text transferred from workers.
+    /// Counter: bytes of chunk results (one frame per chunk) transferred
+    /// from workers.
     pub const RESULT_BYTES: &str = "query.result_bytes";
     /// Gauge (0/1): secondary index restricted the chunk set.
     pub const USED_SECONDARY_INDEX: &str = "query.used_secondary_index";
@@ -28,9 +29,11 @@ pub mod names {
     pub const CHUNKS_RETRIED: &str = "query.chunks_retried";
     /// Counter: retries that landed on a different replica.
     pub const REPLICA_FAILOVERS: &str = "query.replica_failovers";
-    /// Counter: injected fabric faults observed (and retried past).
+    /// Counter: injected fabric faults observed (and retried past); a
+    /// fault failing a whole bundle counts once.
     pub const INJECTED_FAULTS_OBSERVED: &str = "query.injected_faults_observed";
-    /// Counter: chunks never dispatched thanks to LIMIT cutoff.
+    /// Counter: chunks never dispatched, or left unrun inside a bundle,
+    /// thanks to LIMIT cutoff.
     pub const CHUNKS_SKIPPED_BY_LIMIT: &str = "query.chunks_skipped_by_limit";
     /// Gauge (high-water): chunk results materialized at once.
     pub const PEAK_BUFFERED_PARTS: &str = "query.peak_buffered_parts";
@@ -58,7 +61,8 @@ pub mod names {
     pub const PLANNER_REORDERED: &str = "planner.predicates_reordered";
     /// Histogram: dispatch attempts per completed chunk.
     pub const CHUNK_ATTEMPTS: &str = "chunk.attempts";
-    /// Histogram: per-chunk dispatch latency (clock ns, retries included).
+    /// Histogram: per-chunk dispatch latency — from its bundle's first
+    /// send until its result came back (clock ns, retries included).
     pub const CHUNK_LATENCY_NS: &str = "chunk.dispatch_latency_ns";
 }
 
@@ -69,7 +73,8 @@ pub struct QueryStats {
     pub chunks_dispatched: usize,
     /// Rows accumulated into the master's merge table.
     pub rows_merged: usize,
-    /// Bytes of result text transferred from workers.
+    /// Bytes of chunk results (one frame per chunk) transferred from
+    /// workers.
     pub result_bytes: u64,
     /// True when the secondary index restricted the chunk set (§5.5).
     pub used_secondary_index: bool,
@@ -81,11 +86,12 @@ pub struct QueryStats {
     /// attempt before them.
     pub replica_failovers: usize,
     /// Injected fabric faults this query ran into (and retried past,
-    /// when it succeeded).
+    /// when it succeeded); a fault failing a whole bundle counts once.
     pub injected_faults_observed: u64,
     /// Chunks the streaming pipeline never dispatched because a
     /// pushed-down LIMIT was already satisfied (LIMIT-cutoff
-    /// cancellation).
+    /// cancellation), or that a worker left unrun once its bundle had the
+    /// LIMIT's rows.
     pub chunks_skipped_by_limit: usize,
     /// High-water mark of chunk results held materialized at once by the
     /// merger (reorder buffer + any [`crate::MergeShape::Barrier`] buffering).

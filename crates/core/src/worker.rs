@@ -6,24 +6,36 @@
 //! [`Database`]; when the master writes a chunk query to `/query2/CC`, the
 //! plugin fires:
 //!
-//! 1. parse the `-- SUBCHUNKS:` header and the SQL statements (§5.4);
-//! 2. **bind** — in one *read*-lock critical section decide whether the
-//!    chunk is resident (else NACK `ERROR: RETRYABLE:`) and `Arc`-clone
-//!    exactly the tables the FROM clauses name — in-memory tables,
+//! 1. parse the message once: the `-- SUBCHUNKS:` header and the SQL
+//!    statements (§5.4) for chunk CC, and — in a *bundle*, one message
+//!    carrying several of this node's chunks — the `-- CHUNKS:` list
+//!    (CC first) with a `-- SUBCHUNKS <chunk>:` list per further chunk
+//!    of a near-neighbour statement. Each further chunk's statements are
+//!    CC's, re-bound to its table names on a clone of the parsed AST;
+//!    no text is parsed twice;
+//! 2. then chunk by chunk, in the message's order: **bind** — in one
+//!    *read*-lock critical section decide whether the chunk is resident
+//!    (else that chunk NACKs `ERROR: RETRYABLE:`) and `Arc`-clone
+//!    exactly the tables its FROM clauses name — in-memory tables,
 //!    attached `.qchunk` handles, the shared residency pool — into a
-//!    message-local scratch catalog, noting which on-demand tables are
+//!    chunk-local scratch catalog, noting which on-demand tables are
 //!    missing;
 //! 3. **generate the appropriate subchunk/union tables prior to executing
 //!    the SQL statements** (§5.4) — from the chunk's owned rows and its
 //!    overlap store, in one pass per base table, into the scratch catalog
 //!    with no lock held. Like the paper's ("the current implementation
-//!    does not cache them", §5.4), they live only as long as the message;
+//!    does not cache them", §5.4), they live only as long as their chunk's
+//!    run;
 //! 4. execute each statement on the engine against the scratch catalog,
-//!    concatenating results;
-//! 5. encode the result table as a checksummed result frame
+//!    concatenating results; once a pushed-down `LIMIT n` has its n rows,
+//!    the chunks after it are neither bound nor run;
+//! 5. encode each chunk's result table as a checksummed result frame
 //!    (`qserv_engine::storage::encode_frame`, carrying the paged-scan
-//!    counters) — or the error text — and deposit it at
-//!    `/result/md5(query)` for the master's read transaction.
+//!    counters) — or its error text — and deposit the sections as one
+//!    payload at `/result/md5(message)` for the master's read
+//!    transaction ([`split_sections`] is the payload's grammar). A
+//!    bundle of one is the plain chunk message, and its payload the one
+//!    frame.
 //!
 //! A message never takes the catalog's write lock, never copies more of
 //! the catalog than it names, and leaves nothing behind to drop:
@@ -56,7 +68,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// per-layer report).
 #[derive(Debug, Default)]
 pub struct WorkerStats {
-    /// Chunk-query messages processed.
+    /// Chunk queries bound to a resident chunk: one per chunk of each
+    /// message, however many chunks the message bundles.
     pub chunk_queries: AtomicU64,
     /// Individual SQL statements executed.
     pub statements: AtomicU64,
@@ -64,7 +77,7 @@ pub struct WorkerStats {
     pub vectorized_statements: AtomicU64,
     /// On-demand tables (subchunk/full-overlap/union) generated.
     pub tables_built: AtomicU64,
-    /// Messages that ended in an error deposit.
+    /// Chunk queries that ended in an error section.
     pub errors: AtomicU64,
 }
 
@@ -106,7 +119,7 @@ pub(crate) enum BindError {
     Message(String),
 }
 
-/// A chunk-query message bound to the tables it runs against.
+/// One chunk of a message bound to the tables it runs against.
 pub(crate) struct Bound {
     chunk: i32,
     stmts: Vec<SelectStatement>,
@@ -115,6 +128,23 @@ pub(crate) struct Bound {
     scratch: Database,
     /// FROM tables to generate into `scratch` before executing.
     missing: Vec<Missing>,
+}
+
+/// A chunk-query message read once: the chunks it names and the first
+/// chunk's statements, which every further chunk re-binds.
+pub(crate) struct Parsed {
+    /// The path's chunk first.
+    chunks: Vec<i32>,
+    /// The further chunks' own subchunk lists (a near-neighbour
+    /// bundle's).
+    per_chunk: Vec<(i32, Vec<i32>)>,
+    /// The first chunk's statements, or why they could not be read.
+    stmts: Result<Vec<SelectStatement>, String>,
+    /// A pushed-down `LIMIT n` (the statements carry it and do not
+    /// order): once the chunks run so far returned n rows, the rest are
+    /// not needed — the master's Append merge takes its first n rows in
+    /// chunk order, and these precede every chunk after them.
+    cutoff: Option<u64>,
 }
 
 /// An on-demand table the shared catalog does not hold.
@@ -324,7 +354,8 @@ impl Worker {
     }
 
     /// Executes one chunk-query message (header + statements) against this
-    /// worker's store, returning the concatenated result table.
+    /// worker's store, returning the concatenated result table. A bundle
+    /// message answers for its first chunk, `chunk`.
     pub fn execute_message(&self, chunk: i32, message: &str) -> Result<Table, String> {
         self.execute_message_detailed(chunk, message)
             .map(|(t, _)| t)
@@ -349,15 +380,33 @@ impl Worker {
         format!("chunk {chunk} not resident on node {}", self.node_id)
     }
 
-    /// Phase 1, *bind*: under one read lock, decide residency and
-    /// `Arc`-clone the tables the message needs out of the shared catalog
-    /// into a message-local scratch catalog. Whatever happens to the
-    /// shared catalog afterwards (a drain detaching the chunk, another
-    /// message generating same-named tables) cannot reach the message.
+    /// Phase 1, *bind*, for the message's first chunk, `chunk`.
     pub(crate) fn bind(&self, chunk: i32, message: &str) -> Result<Bound, BindError> {
-        // Parsed before the lock is taken, reported after the residency
-        // decision: a stale-epoch message NACKs whatever its text says.
-        let stmts = parse_message(message).and_then(|(_subchunks, texts)| {
+        let mut parsed = self.parse(chunk, message);
+        self.bind_chunk(chunk, self.statements_of(&mut parsed, 0))
+    }
+
+    /// Reads a message once: its header and the first chunk's
+    /// statements. `chunk` is the chunk of the path the message was
+    /// written to; a header that does not parse, or a bundle not led by
+    /// `chunk`, fails `chunk` alone.
+    pub(crate) fn parse(&self, chunk: i32, message: &str) -> Parsed {
+        let header = parse_header(message).and_then(|header| match header.chunks.first() {
+            Some(&first) if first != chunk => Err(format!("bundle is not led by chunk {chunk}")),
+            _ => Ok(header),
+        });
+        let header = match header {
+            Ok(header) => header,
+            Err(e) => {
+                return Parsed {
+                    chunks: vec![chunk],
+                    per_chunk: Vec::new(),
+                    stmts: Err(e),
+                    cutoff: None,
+                }
+            }
+        };
+        let stmts = split_statements(header.body).and_then(|texts| {
             texts
                 .iter()
                 .map(|text| {
@@ -365,7 +414,97 @@ impl Worker {
                 })
                 .collect::<Result<Vec<_>, _>>()
         });
+        Parsed {
+            chunks: match header.chunks.is_empty() {
+                true => vec![chunk],
+                false => header.chunks,
+            },
+            per_chunk: header.per_chunk,
+            cutoff: stmts.as_deref().ok().and_then(row_budget),
+            stmts,
+        }
+    }
 
+    /// The statements the `i`-th chunk of a parsed message runs: the
+    /// first chunk's as parsed; a further chunk's re-bound from them —
+    /// every statement, or, when the chunk names its own subchunks, the
+    /// first statement once per subchunk. A message of one chunk hands
+    /// its statements over.
+    fn statements_of(&self, parsed: &mut Parsed, i: usize) -> Result<Vec<SelectStatement>, String> {
+        let single = parsed.chunks.len() == 1;
+        let first = parsed.stmts.as_mut().map_err(|e| e.clone())?;
+        let (from, to) = (parsed.chunks[0], parsed.chunks[i]);
+        let own = parsed.per_chunk.iter().find(|(c, _)| *c == to);
+        Ok(match (i, own) {
+            (0, _) if single => std::mem::take(first),
+            (0, _) => first.clone(),
+            (_, Some((_, subchunks))) => subchunks
+                .iter()
+                .map(|&ss| self.rebind(&first[0], from, to, Some(ss)))
+                .collect(),
+            (_, None) => first
+                .iter()
+                .map(|stmt| self.rebind(stmt, from, to, None))
+                .collect(),
+        })
+    }
+
+    /// `stmt` with every chunk table name of chunk `from` renamed to its
+    /// counterpart in chunk `to` (and subchunk `ss`, for subchunk tables,
+    /// when given). Tables of no chunk — replicated ones — keep their
+    /// names.
+    fn rebind(
+        &self,
+        stmt: &SelectStatement,
+        from: i32,
+        to: i32,
+        ss: Option<i32>,
+    ) -> SelectStatement {
+        let mut stmt = stmt.clone();
+        for t in &mut stmt.from {
+            if let Some(name) = self.rebind_name(&t.table, from, to, ss) {
+                t.table = name;
+            }
+        }
+        stmt
+    }
+
+    /// The name of table `name` of chunk `from` in chunk `to`: `T_CC`,
+    /// `TOverlap_CC`, `TUnion_CC` keep their stem, `T_CC_SS` and
+    /// `TFullOverlap_CC_SS` also take subchunk `ss` when given. `None`
+    /// when `name` is no table of chunk `from`.
+    fn rebind_name(&self, name: &str, from: i32, to: i32, ss: Option<i32>) -> Option<String> {
+        let (head, last) = name.rsplit_once('_')?;
+        let last: i32 = last.parse().ok()?;
+        let (stem, subchunk) = match head.rsplit_once('_') {
+            Some((stem, mid)) if mid.parse() == Ok(from) => (stem, Some(ss.unwrap_or(last))),
+            _ if last == from => (head, None),
+            _ => return None,
+        };
+        let partitioned = |base: &str| self.meta.partition_info(base).is_some();
+        let of_chunk = partitioned(stem)
+            || ["Union", "Overlap", "FullOverlap"]
+                .iter()
+                .any(|kind| stem.strip_suffix(kind).is_some_and(partitioned));
+        of_chunk.then(|| match subchunk {
+            Some(ss) => format!("{stem}_{to}_{ss}"),
+            None => format!("{stem}_{to}"),
+        })
+    }
+
+    /// Phase 1, *bind*, for one chunk: under one read lock, decide its
+    /// residency and `Arc`-clone the tables its statements need out of
+    /// the shared catalog into a chunk-local scratch catalog. Whatever
+    /// happens to the shared catalog afterwards (a drain detaching the
+    /// chunk, another message generating same-named tables) cannot reach
+    /// the chunk's run. Statements that could not be read are reported
+    /// after the residency decision: a stale-epoch message NACKs whatever
+    /// its text says.
+    fn bind_chunk(
+        &self,
+        chunk: i32,
+        stmts: Result<Vec<SelectStatement>, String>,
+    ) -> Result<Bound, BindError> {
         let db = self.db.read();
         if !self.holds_chunk_in(&db, chunk) {
             return Err(BindError::NotResident);
@@ -412,7 +551,49 @@ impl Worker {
         })
     }
 
-    /// Phases 2 and 3 on a bound message: *generate* the missing
+    /// Binds and runs every chunk of a parsed message in order and
+    /// encodes one result section per chunk: its frame, its `ERROR:`
+    /// text, or — once the row budget is met — nothing (the chunk is
+    /// neither bound nor run).
+    pub(crate) fn run_message(&self, mut message: Parsed) -> Vec<Vec<u8>> {
+        let mut rows = 0u64;
+        let mut met = false;
+        let error = |text: String| {
+            self.stats.errors.fetch_add(1, Ordering::Relaxed);
+            format!("ERROR: {text}").into_bytes()
+        };
+        (0..message.chunks.len())
+            .map(|i| {
+                // The first chunk always runs: `LIMIT 0` still names its
+                // columns.
+                if met {
+                    return Vec::new();
+                }
+                let chunk = message.chunks[i];
+                let bound = self.bind_chunk(chunk, self.statements_of(&mut message, i));
+                match bound.map(|b| self.run(b)) {
+                    Ok(Ok((table, scan))) => {
+                        rows += table.num_rows() as u64;
+                        met = message.cutoff.is_some_and(|n| rows >= n);
+                        encode_frame(&table, &scan)
+                    }
+                    Ok(Err(e)) | Err(BindError::Message(e)) => error(e),
+                    // A query routed here against a placement epoch older
+                    // than a rebalance may arrive after the chunk moved
+                    // away. NACK with a retryable marker so the master
+                    // fails over to a live replica instead of treating it
+                    // as a worker SQL error. Once bound, the chunk runs on
+                    // the tables it holds, so a drain landing later cannot
+                    // turn into an error.
+                    Err(BindError::NotResident) => {
+                        error(format!("RETRYABLE: {}", self.not_resident(chunk)))
+                    }
+                }
+            })
+            .collect()
+    }
+
+    /// Phases 2 and 3 on a bound chunk: *generate* the missing
     /// on-demand tables into the scratch catalog with no lock held, then
     /// *execute* every statement against it.
     pub(crate) fn run(&self, bound: Bound) -> Result<(Table, ScanStats), String> {
@@ -633,32 +814,87 @@ impl OfsPlugin for Worker {
         else {
             return; // not a chunk-query path
         };
-        let deposit = |bytes: Vec<u8>| server.put_file(&result_path(&md5_hex(data)), bytes);
-        let error = |text: String| {
-            self.stats.errors.fetch_add(1, Ordering::Relaxed);
-            deposit(format!("ERROR: {text}").into_bytes());
-        };
-        let Ok(text) = std::str::from_utf8(data) else {
-            return error("chunk query is not UTF-8".to_string());
-        };
-        let bound = match self.bind(chunk, text) {
-            Ok(bound) => bound,
-            // A query routed here against a placement epoch older than a
-            // rebalance may arrive after the chunk moved away. NACK with
-            // a retryable marker so the master fails over to a live
-            // replica instead of treating it as a worker SQL error. Once
-            // bound, the message runs on the tables it holds, so a drain
-            // landing later cannot turn into an error below.
-            Err(BindError::NotResident) => {
-                return error(format!("RETRYABLE: {}", self.not_resident(chunk)))
+        let payload = match std::str::from_utf8(data) {
+            Ok(text) => join_sections(self.run_message(self.parse(chunk, text))),
+            // One error text answers for every chunk of the message.
+            Err(_) => {
+                self.stats.errors.fetch_add(1, Ordering::Relaxed);
+                b"ERROR: chunk query is not UTF-8".to_vec()
             }
-            Err(BindError::Message(e)) => return error(e),
         };
-        match self.run(bound) {
-            Ok((table, scan)) => deposit(encode_frame(&table, &scan)),
-            Err(e) => error(e),
-        }
+        server.put_file(&result_path(&md5_hex(data)), payload);
     }
+}
+
+/// Joins a message's per-chunk result sections into the payload the
+/// worker deposits: a bundle of one deposits its one section as is; a
+/// longer one prefixes each section with its length (u64 LE). Sections
+/// are a CRC-sealed result frame, `ERROR: <text>`, or empty for a chunk
+/// the row budget left unrun.
+pub(crate) fn join_sections(mut sections: Vec<Vec<u8>>) -> Vec<u8> {
+    if sections.len() == 1 {
+        return sections.pop().expect("one section");
+    }
+    let mut payload = Vec::with_capacity(sections.iter().map(|s| 8 + s.len()).sum());
+    for section in &sections {
+        payload.extend_from_slice(&(section.len() as u64).to_le_bytes());
+        payload.extend_from_slice(section);
+    }
+    payload
+}
+
+/// Splits the payload of a `k`-chunk message back into its sections
+/// ([`join_sections`]). A payload that is one `ERROR:` text — a message
+/// that failed as a whole — answers for every chunk. Lengths that do not
+/// tile the payload exactly are an error, so damage to a length is never
+/// read as a shorter section, nor as a chunk left unrun.
+pub(crate) fn split_sections(payload: &[u8], k: usize) -> Result<Vec<&[u8]>, String> {
+    if k == 1 {
+        // The first chunk always runs: it is never an unrun section.
+        if payload.is_empty() {
+            return Err("empty payload".to_string());
+        }
+        return Ok(vec![payload]);
+    }
+    if payload.starts_with(b"ERROR:") {
+        return Ok(vec![payload; k]);
+    }
+    let mut sections = Vec::with_capacity(k);
+    let mut rest = payload;
+    while let Some((len, tail)) = rest.split_first_chunk::<8>() {
+        let len = usize::try_from(u64::from_le_bytes(*len))
+            .ok()
+            .filter(|&len| len <= tail.len())
+            .ok_or("a section overruns the payload")?;
+        let (section, tail) = tail.split_at(len);
+        sections.push(section);
+        rest = tail;
+    }
+    if !rest.is_empty() || sections.len() != k {
+        return Err(format!(
+            "payload holds {} sections for {k} chunks",
+            sections.len()
+        ));
+    }
+    // The row budget stops a run: unrun sections form a suffix behind
+    // at least one chunk that ran.
+    let ran = sections.iter().take_while(|s| !s.is_empty()).count();
+    if ran == 0 || sections[ran..].iter().any(|s| !s.is_empty()) {
+        return Err("an unrun section before a chunk that ran".to_string());
+    }
+    Ok(sections)
+}
+
+/// The row budget of a message's statements: their `LIMIT n` when every
+/// statement carries the same one and none orders its rows (an ordered
+/// or aggregated chunk statement needs every chunk; the planner pushes
+/// ORDER BY + LIMIT down only with its ORDER BY).
+fn row_budget(stmts: &[SelectStatement]) -> Option<u64> {
+    let n = stmts.first()?.limit?;
+    stmts
+        .iter()
+        .all(|s| s.limit == Some(n) && s.order_by.is_empty() && s.group_by.is_empty())
+        .then_some(n)
 }
 
 /// Parses `prefix<int>` names, returning the integer suffix.
@@ -666,15 +902,37 @@ fn parse_suffixed(name: &str, prefix: &str) -> Option<i32> {
     name.strip_prefix(prefix)?.parse().ok()
 }
 
-/// Splits a chunk-query message into its subchunk list and statements.
-///
-/// The message may carry additional leading `--` comment lines (the
-/// master tags each dispatch with a unique `-- QID:` line so that two
-/// identical concurrent queries get distinct MD5 result paths); the
+/// The leading `--` lines of a chunk-query message.
+struct Header<'m> {
+    /// `-- SUBCHUNKS:` — the (first) chunk's subchunks.
+    subchunks: Vec<i32>,
+    /// `-- CHUNKS:` — a bundle's chunks, the path's chunk first; empty
+    /// for a bundle of one.
+    chunks: Vec<i32>,
+    /// `-- SUBCHUNKS <chunk>:` — a further chunk's own subchunks.
+    per_chunk: Vec<(i32, Vec<i32>)>,
+    /// The statements after the header.
+    body: &'m str,
+}
+
+/// Parses a comma-separated id list.
+fn parse_ids(list: &str, what: &str) -> Result<Vec<i32>, String> {
+    list.split(',')
+        .map(str::trim)
+        .filter(|part| !part.is_empty())
+        .map(|part| part.parse().map_err(|_| format!("bad {what} id {part:?}")))
+        .collect()
+}
+
+/// Reads the header lines of a message. Unknown `--` lines are skipped
+/// (the master tags each message with a unique `-- QID:` line so that
+/// two identical concurrent queries get distinct MD5 result paths); the
 /// `-- SUBCHUNKS:` line is required among them.
-pub fn parse_message(message: &str) -> Result<(Vec<i32>, Vec<String>), String> {
+fn parse_header(message: &str) -> Result<Header<'_>, String> {
     let mut rest = message;
     let mut subchunks_line: Option<&str> = None;
+    let mut chunks = Vec::new();
+    let mut per_chunk = Vec::new();
     while rest.starts_with("--") {
         let (line, tail) = match rest.split_once('\n') {
             Some((l, t)) => (l, t),
@@ -685,28 +943,37 @@ pub fn parse_message(message: &str) -> Result<(Vec<i32>, Vec<String>), String> {
                 return Err("duplicate SUBCHUNKS header".to_string());
             }
             subchunks_line = Some(list);
+        } else if let Some(list) = line.strip_prefix("-- CHUNKS:") {
+            chunks = parse_ids(list, "chunk")?;
+        } else if let Some((chunk, list)) = line
+            .strip_prefix("-- SUBCHUNKS ")
+            .and_then(|l| l.split_once(':'))
+        {
+            let chunk = chunk
+                .trim()
+                .parse()
+                .map_err(|_| format!("bad chunk id {chunk:?}"))?;
+            per_chunk.push((chunk, parse_ids(list, "subchunk")?));
         }
         rest = tail;
     }
     let Some(list) = subchunks_line else {
         return Err("missing SUBCHUNKS header".to_string());
     };
-    let mut subchunks = Vec::new();
-    for part in list.split(',') {
-        let part = part.trim();
-        if part.is_empty() {
-            continue;
-        }
-        subchunks.push(
-            part.parse::<i32>()
-                .map_err(|_| format!("bad subchunk id {part:?}"))?,
-        );
-    }
-    // Split statements on ';' outside single-quoted strings.
+    Ok(Header {
+        subchunks: parse_ids(list, "subchunk")?,
+        chunks,
+        per_chunk,
+        body: rest,
+    })
+}
+
+/// Splits statements on ';' outside single-quoted strings.
+fn split_statements(body: &str) -> Result<Vec<String>, String> {
     let mut statements = Vec::new();
     let mut cur = String::new();
     let mut in_str = false;
-    for c in rest.chars() {
+    for c in body.chars() {
         match c {
             '\'' => {
                 in_str = !in_str;
@@ -729,7 +996,15 @@ pub fn parse_message(message: &str) -> Result<(Vec<i32>, Vec<String>), String> {
     if statements.is_empty() {
         return Err("chunk query contains no statements".to_string());
     }
-    Ok((subchunks, statements))
+    Ok(statements)
+}
+
+/// Splits a chunk-query message into its (first chunk's) subchunk list
+/// and statements. Header lines other than `-- SUBCHUNKS:` are skipped;
+/// see [`crate::rewrite::render_bundle_message`] for a bundle's.
+pub fn parse_message(message: &str) -> Result<(Vec<i32>, Vec<String>), String> {
+    let header = parse_header(message)?;
+    Ok((header.subchunks, split_statements(header.body)?))
 }
 
 #[cfg(test)]
@@ -755,9 +1030,16 @@ mod tests {
         let chunker = Chunker::test_small();
         let meta = CatalogMeta::lsst();
         let worker = Worker::new(0, chunker.clone(), meta);
+        // The chunk containing (15, 5).
+        let chunk = install_object_chunk(&worker, 15.0);
+        (worker, chunk)
+    }
 
-        // Pick the chunk containing (15, 5).
-        let probe = LonLat::from_degrees(15.0, 5.0);
+    /// Installs four objects (and one overlap row) in the chunk holding
+    /// (`ra`, 5°), returning the chunk.
+    fn install_object_chunk(worker: &Worker, ra: f64) -> i32 {
+        let chunker = &worker.chunker;
+        let probe = LonLat::from_degrees(ra, 5.0);
         let chunk = chunker.locate(&probe).chunk_id;
         let bounds = chunker.chunk_bounds(chunk).unwrap();
         let mut owned = Table::new(object_schema());
@@ -793,7 +1075,7 @@ mod tests {
             ])
             .unwrap();
         worker.install_chunk("Object", chunk, owned, overlap);
-        (worker, chunk)
+        chunk
     }
 
     #[test]
@@ -1158,6 +1440,144 @@ mod tests {
         assert_eq!((scan.pages_scanned, scan.pages_cached), (2, 2));
         assert_eq!(worker.footprint_bytes(), resident);
         std::fs::remove_file(&path).unwrap();
+    }
+
+    /// The message the master sends `chunks` of `sql` as one bundle.
+    fn bundle_message(worker: &Worker, sql: &str, chunks: &[i32]) -> String {
+        let meta = CatalogMeta::lsst();
+        let analysis = crate::analysis::analyze(&parse_select(sql).unwrap(), &meta).unwrap();
+        let plan = rewrite::build_plan(&analysis, &meta).unwrap();
+        let near = plan.join == crate::analysis::JoinClass::SubchunkNear;
+        let bundle: Vec<(i32, Vec<i32>)> = chunks
+            .iter()
+            .map(|&c| {
+                let subs = match near {
+                    true => worker.chunker.subchunks_of(c).unwrap(),
+                    false => Vec::new(),
+                };
+                (c, subs)
+            })
+            .collect();
+        rewrite::render_bundle_message(&plan, &meta, &bundle)
+    }
+
+    fn sections_of(worker: &Worker, chunk: i32, msg: &str, k: usize) -> Vec<Vec<u8>> {
+        let payload = deposit_bytes(worker, chunk, msg);
+        split_sections(&payload, k)
+            .unwrap()
+            .into_iter()
+            .map(<[u8]>::to_vec)
+            .collect()
+    }
+
+    fn deposit_bytes(worker: &Worker, chunk: i32, msg: &str) -> Vec<u8> {
+        let server = DataServer::new(0);
+        worker.on_file_closed(&server, &format!("/query2/{chunk}"), msg.as_bytes());
+        server
+            .get_file(&result_path(&md5_hex(msg.as_bytes())))
+            .expect("something deposited")
+            .to_vec()
+    }
+
+    /// Each chunk of a bundle answers exactly what its own message
+    /// answers — plain, union-joined and near-neighbour statements —
+    /// from one parse of the first chunk's statements.
+    #[test]
+    fn a_bundle_answers_each_chunk_as_its_own_message() {
+        let (worker, a) = worker_with_chunk();
+        let b = install_object_chunk(&worker, 25.0);
+        assert_ne!(a, b);
+        for sql in [
+            "SELECT objectId, ra_PS FROM Object WHERE decl_PS > 0",
+            "SELECT COUNT(*) FROM Object o1, Object o2 WHERE o1.objectId = o2.objectId",
+            "SELECT COUNT(*) FROM Object o1, Object o2 \
+             WHERE qserv_angSep(o1.ra_PS, o1.decl_PS, o2.ra_PS, o2.decl_PS) < 0.5",
+        ] {
+            let msg = bundle_message(&worker, sql, &[a, b]);
+            let sections = sections_of(&worker, a, &msg, 2);
+            for (chunk, section) in [a, b].into_iter().zip(&sections) {
+                let alone = worker
+                    .execute_message(chunk, &bundle_message(&worker, sql, &[chunk]))
+                    .unwrap();
+                let (table, _) = decode_frame(section).unwrap();
+                assert!(
+                    qserv_engine::tables_bit_identical(&table, &alone),
+                    "{sql}: chunk {chunk}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn an_unheld_chunk_nacks_its_own_section_only() {
+        let (worker, a) = worker_with_chunk();
+        let b = install_object_chunk(&worker, 25.0);
+        let c = install_object_chunk(&worker, 35.0);
+        worker.detach_chunk(b);
+        let msg = bundle_message(&worker, "SELECT COUNT(*) FROM Object", &[a, b, c]);
+        let sections = sections_of(&worker, a, &msg, 3);
+        assert!(sections[0].starts_with(FRAME_MAGIC));
+        let nack = String::from_utf8(sections[1].clone()).unwrap();
+        assert!(nack.starts_with("ERROR: RETRYABLE:"), "{nack}");
+        assert!(nack.contains(&format!("chunk {b}")), "{nack}");
+        assert!(sections[2].starts_with(FRAME_MAGIC));
+        assert_eq!(worker.stats.snapshot().3, 1, "one error section");
+    }
+
+    #[test]
+    fn a_met_row_budget_leaves_the_rest_unrun() {
+        let (worker, a) = worker_with_chunk();
+        let b = install_object_chunk(&worker, 25.0);
+        let limited = bundle_message(&worker, "SELECT objectId FROM Object LIMIT 3", &[a, b]);
+        let sections = sections_of(&worker, a, &limited, 2);
+        assert_eq!(decode_frame(&sections[0]).unwrap().0.num_rows(), 3);
+        assert!(sections[1].is_empty(), "chunk {b} never ran");
+        // Ordered or short of the budget, every chunk runs.
+        for sql in [
+            "SELECT objectId FROM Object LIMIT 7",
+            "SELECT objectId FROM Object ORDER BY objectId LIMIT 3",
+        ] {
+            let msg = bundle_message(&worker, sql, &[a, b]);
+            let sections = sections_of(&worker, a, &msg, 2);
+            assert!(sections.iter().all(|s| s.starts_with(FRAME_MAGIC)), "{sql}");
+        }
+    }
+
+    #[test]
+    fn a_bundle_not_led_by_its_path_chunk_is_an_error() {
+        let (worker, a) = worker_with_chunk();
+        let b = install_object_chunk(&worker, 25.0);
+        let msg = bundle_message(&worker, "SELECT COUNT(*) FROM Object", &[a, b]);
+        let text = String::from_utf8(deposit_bytes(&worker, b, &msg)).unwrap();
+        assert!(
+            text.starts_with("ERROR: bundle is not led by chunk"),
+            "{text}"
+        );
+    }
+
+    #[test]
+    fn sections_split_only_when_they_tile_the_payload() {
+        let frames = vec![b"QFRAME01-a".to_vec(), b"QFRAME01-bc".to_vec(), Vec::new()];
+        let payload = join_sections(frames.clone());
+        let split = split_sections(&payload, 3).unwrap();
+        assert_eq!(split, frames.iter().map(Vec::as_slice).collect::<Vec<_>>());
+        assert!(split_sections(&payload, 2).is_err(), "one section too many");
+        assert!(split_sections(&payload[..payload.len() - 1], 3).is_err());
+        let mut longer = payload.clone();
+        longer[0] += 1;
+        assert!(split_sections(&longer, 3).is_err(), "a length overruns");
+        let gap = join_sections(vec![b"x".to_vec(), Vec::new(), b"y".to_vec()]);
+        assert!(split_sections(&gap, 3).is_err(), "unrun before ran");
+        assert!(split_sections(&join_sections(vec![Vec::new(); 2]), 2).is_err());
+        assert_eq!(
+            split_sections(b"ERROR: boom", 2).unwrap(),
+            vec![b"ERROR: boom"; 2]
+        );
+        assert_eq!(join_sections(vec![b"one".to_vec()]), b"one");
+        assert!(
+            split_sections(b"", 1).is_err(),
+            "the first chunk always runs"
+        );
     }
 
     #[test]

@@ -93,7 +93,7 @@ fn traced_query_records_retries_forced_by_chaos() {
         "master.query",
         "master.analyze",
         "master.dispatch",
-        "\"name\":\"chunk\"",
+        "\"name\":\"bundle\"",
         "\"name\":\"attempt\"",
         "fabric.write",
         "worker.statement",

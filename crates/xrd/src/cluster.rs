@@ -163,23 +163,32 @@ impl XrdCluster {
     /// the time this returns — our in-process stand-in for the worker
     /// having picked up the request).
     pub fn write_file(&self, path: &str, data: Vec<u8>) -> Result<ServerId, XrdError> {
-        self.write_file_excluding(path, data, &[])
-    }
-
-    /// [`XrdCluster::write_file`] for a retrying client: never resolves
-    /// to a server in `exclude` (steering away from replicas that already
-    /// failed this client); among the rest the redirector's rotation picks.
-    pub fn write_file_excluding(
-        &self,
-        path: &str,
-        data: Vec<u8>,
-        exclude: &[ServerId],
-    ) -> Result<ServerId, XrdError> {
         let server = self
             .redirector
-            .resolve_excluding(path, exclude)
+            .resolve(path)
             .ok_or_else(|| XrdError::NoServerForPath(path.to_string()))?;
         self.write_to_server(&server, path, data)
+    }
+
+    /// [`XrdCluster::write_file`] to a server the client chose — a master
+    /// that groups chunk queries by the replica it resolved for each: the
+    /// same fault-checked open → write → close, firing the server's plugin
+    /// when it exports `path`. A server that no longer exports `path`
+    /// stores the file but runs nothing, so no result is deposited.
+    pub fn write_file_to(
+        &self,
+        server: ServerId,
+        path: &str,
+        data: Vec<u8>,
+    ) -> Result<(), XrdError> {
+        let s = self
+            .redirector
+            .server(server)
+            .ok_or(XrdError::NoSuchServer(server))?;
+        if !s.is_online() {
+            return Err(XrdError::ServerOffline(server));
+        }
+        self.write_to_server(&s, path, data).map(|_| ())
     }
 
     /// Writes `data` to `path` on a *specific* server as a plain file
@@ -478,19 +487,44 @@ mod tests {
     }
 
     #[test]
-    fn write_excluding_steers_to_replica() {
+    fn keyed_write_excluding_steers_to_replica() {
         let c = cluster();
         c.servers()[3].export(&query_path(0));
-        for _ in 0..8 {
-            let w = c
-                .write_file_excluding(&query_path(0), b"q".to_vec(), &[0])
-                .unwrap();
+        let r = c.redirector();
+        for key in 0..8 {
+            let w = r.resolve_keyed(&query_path(0), key, &[0]).unwrap();
             assert_eq!(w, 3);
+            c.write_file_to(w, &query_path(0), b"q".to_vec()).unwrap();
+            assert!(c.servers()[3]
+                .get_file(&result_path(&md5_hex(b"q")))
+                .is_some());
         }
         // Excluding every replica leaves nothing to resolve.
+        assert_eq!(r.resolve_keyed(&query_path(0), 0, &[0, 3]), None);
+    }
+
+    #[test]
+    fn write_file_to_fires_the_chosen_servers_plugin() {
+        let c = cluster();
+        c.servers()[3].export(&query_path(0));
+        let q = b"q".to_vec();
+        c.write_file_to(3, &query_path(0), q.clone()).unwrap();
+        let rp = result_path(&md5_hex(&q));
+        assert!(c.servers()[3].get_file(&rp).is_some());
+        assert!(c.servers()[0].get_file(&rp).is_none());
+        // A server that does not export the path stores but runs nothing.
+        c.write_file_to(1, &query_path(0), b"r".to_vec()).unwrap();
+        assert!(c.servers()[1]
+            .get_file(&result_path(&md5_hex(b"r")))
+            .is_none());
+        c.servers()[3].set_online(false);
         assert_eq!(
-            c.write_file_excluding(&query_path(0), b"q".to_vec(), &[0, 3]),
-            Err(XrdError::NoServerForPath(query_path(0)))
+            c.write_file_to(3, &query_path(0), q),
+            Err(XrdError::ServerOffline(3))
+        );
+        assert_eq!(
+            c.write_file_to(9, "/x", vec![]),
+            Err(XrdError::NoSuchServer(9))
         );
     }
 

@@ -53,49 +53,63 @@ impl Redirector {
     /// cached mapping and rotating across replicas. `None` when no online
     /// server exports the path.
     pub fn resolve(&self, path: &str) -> Option<Arc<DataServer>> {
-        self.resolve_excluding(path, &[])
+        let entry = self.entry(path)?;
+        let start = entry.rr.fetch_add(1, Ordering::Relaxed) as usize;
+        self.pick(&entry.ids, start, &[])
     }
 
-    /// [`Redirector::resolve`], but never returning a server in
-    /// `exclude`. Retrying clients pass the replicas that already failed
-    /// them, steering the lookup to a different one.
-    pub fn resolve_excluding(&self, path: &str, exclude: &[ServerId]) -> Option<Arc<DataServer>> {
-        let cached = self.cache.read().get(path).cloned();
-        let entry = match cached {
-            Some(entry) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                entry
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                let ids: Vec<ServerId> = self
-                    .servers
-                    .iter()
-                    .filter(|s| s.exports_path(path))
-                    .map(|s| s.id())
-                    .collect();
-                if ids.is_empty() {
-                    return None;
-                }
-                // entry(): concurrent misses must converge on ONE
-                // rotation counter, not race to install two.
-                Arc::clone(
-                    self.cache
-                        .write()
-                        .entry(path.to_string())
-                        .or_insert_with(|| {
-                            Arc::new(PathEntry {
-                                ids,
-                                rr: AtomicU64::new(0),
-                            })
-                        }),
-                )
-            }
-        };
-        let ids = &entry.ids;
-        // Rotate across this path's replicas, skipping offline and
-        // excluded servers (failover).
-        let start = entry.rr.fetch_add(1, Ordering::Relaxed) as usize;
+    /// [`Redirector::resolve`] without the rotation, and never returning
+    /// a server in `exclude`: the scan over `path`'s replicas starts at
+    /// `key` (modulo their number), so one key keeps resolving to one
+    /// server while that server stays online and unexcluded. A client
+    /// that groups many paths by the server they resolve to keys each
+    /// path by itself, so its grouping does not move between requests;
+    /// a retrying client passes the replicas that already failed it,
+    /// steering the lookup to a different one.
+    pub fn resolve_keyed(&self, path: &str, key: usize, exclude: &[ServerId]) -> Option<ServerId> {
+        let entry = self.entry(path)?;
+        self.pick(&entry.ids, key, exclude).map(|s| s.id())
+    }
+
+    /// The cached replica list of `path`, discovered on a miss.
+    fn entry(&self, path: &str) -> Option<Arc<PathEntry>> {
+        if let Some(entry) = self.cache.read().get(path).cloned() {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return Some(entry);
+        }
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        let ids: Vec<ServerId> = self
+            .servers
+            .iter()
+            .filter(|s| s.exports_path(path))
+            .map(|s| s.id())
+            .collect();
+        if ids.is_empty() {
+            return None;
+        }
+        // entry(): concurrent misses must converge on ONE
+        // rotation counter, not race to install two.
+        Some(Arc::clone(
+            self.cache
+                .write()
+                .entry(path.to_string())
+                .or_insert_with(|| {
+                    Arc::new(PathEntry {
+                        ids,
+                        rr: AtomicU64::new(0),
+                    })
+                }),
+        ))
+    }
+
+    /// The first online, unexcluded replica of `ids` scanning from
+    /// `start` (failover).
+    fn pick(
+        &self,
+        ids: &[ServerId],
+        start: usize,
+        exclude: &[ServerId],
+    ) -> Option<Arc<DataServer>> {
         for k in 0..ids.len() {
             let id = ids[(start + k) % ids.len()];
             if exclude.contains(&id) {
@@ -196,6 +210,22 @@ mod tests {
             seen[r.resolve("/q").unwrap().id()] = true;
         }
         assert!(seen[0] && seen[1], "round-robin must use both replicas");
+    }
+
+    #[test]
+    fn keyed_resolution_is_stable_and_fails_over() {
+        let (r, servers) = cluster_of(3);
+        servers[0].export("/q");
+        servers[2].export("/q");
+        for _ in 0..4 {
+            assert_eq!(r.resolve_keyed("/q", 0, &[]), Some(0));
+            assert_eq!(r.resolve_keyed("/q", 1, &[]), Some(2));
+        }
+        assert_eq!(r.resolve_keyed("/q", 0, &[0]), Some(2));
+        servers[2].set_online(false);
+        assert_eq!(r.resolve_keyed("/q", 1, &[]), Some(0));
+        assert_eq!(r.resolve_keyed("/q", 1, &[0]), None);
+        assert_eq!(r.resolve_keyed("/nowhere", 0, &[]), None);
     }
 
     #[test]

@@ -114,6 +114,10 @@ fn run_statement(client: &mut ProxyClient, sql: &str) {
             }
         }
     }
+    // A statement that returned no row still names its columns.
+    if !printed_header && !stream.columns().is_empty() {
+        println!("{}", stream.columns().join(" | "));
+    }
     if rows > printed {
         println!("… {} more rows", rows - printed);
     }

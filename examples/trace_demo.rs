@@ -69,12 +69,12 @@ fn main() {
         .trace
         .spans()
         .into_iter()
-        .filter(|s| s.name == "chunk")
+        .filter(|s| s.name == "bundle")
         .map(|s| s.duration_ns())
         .max()
         .unwrap_or(0);
     println!(
-        "virtual time billed: {:.1} s; slowest chunk {:.1} s; wall time {:?}",
+        "virtual time billed: {:.1} s; slowest bundle {:.1} s; wall time {:?}",
         vclock.now().as_secs_f64(),
         slowest as f64 / 1e9,
         wall.elapsed(),

@@ -18,6 +18,20 @@ fn patch() -> &'static Patch {
     PATCH.get_or_init(|| small_patch(400, 70))
 }
 
+/// The chunk results a trace's attempts brought back: each attempt span
+/// carries one message's `parts`.
+fn parts_of(spans: &[qserv::trace::SpanRecord]) -> usize {
+    spans
+        .iter()
+        .filter(|s| s.name == "attempt")
+        .map(|s| {
+            s.attr("parts")
+                .and_then(|p| p.parse::<usize>().ok())
+                .unwrap_or(0)
+        })
+        .sum()
+}
+
 #[test]
 fn traced_query_covers_every_layer() {
     let q = ClusterBuilder::new(3).build(&patch().objects, &patch().sources);
@@ -32,7 +46,7 @@ fn traced_query_covers_every_layer() {
         "master.query",
         "master.analyze",
         "master.dispatch",
-        "chunk",
+        "bundle",
         "attempt",
         "fabric.open",
         "fabric.write",
@@ -55,17 +69,16 @@ fn traced_query_covers_every_layer() {
         let parent = s.parent.expect("worker spans are never roots");
         assert_eq!(name_of(parent), Some("fabric.write"));
     }
-    // Attempts nest under their chunk; chunks under the dispatch phase.
+    // Attempts nest under their bundle; bundles under the dispatch phase.
     for s in spans.iter().filter(|s| s.name == "attempt") {
-        assert_eq!(name_of(s.parent.unwrap()), Some("chunk"));
+        assert_eq!(name_of(s.parent.unwrap()), Some("bundle"));
     }
-    for s in spans.iter().filter(|s| s.name == "chunk") {
+    for s in spans.iter().filter(|s| s.name == "bundle") {
         assert_eq!(name_of(s.parent.unwrap()), Some("master.dispatch"));
     }
-    // One chunk span per dispatched chunk, and the JSON export carries
-    // the tree (children arrays) for external tooling.
-    let chunks = spans.iter().filter(|s| s.name == "chunk").count();
-    assert_eq!(chunks, traced.stats.chunks_dispatched);
+    // The attempts' parts are the dispatched chunks, and the JSON export
+    // carries the tree (children arrays) for external tooling.
+    assert_eq!(parts_of(&spans), traced.stats.chunks_dispatched);
     let json = traced.trace.to_json();
     assert!(json.starts_with('['), "export is a JSON document");
     assert!(json.contains("\"children\":["), "export nests children");
@@ -130,8 +143,7 @@ proptest! {
             prop_assert_eq!(traced.rows.scalar(), Some(&Value::Int(400)));
             prop_assert!(traced.trace.validate().is_ok(), "invalid trace");
             let spans = traced.trace.spans();
-            let chunks = spans.iter().filter(|s| s.name == "chunk").count();
-            prop_assert_eq!(chunks, traced.stats.chunks_dispatched);
+            prop_assert_eq!(parts_of(&spans), traced.stats.chunks_dispatched);
             // Chunks that retried show extra attempt spans, and
             // retry-marked attempts appear iff stats saw retries.
             let retry_attempts = spans
