@@ -33,7 +33,7 @@
 //!    (`qserv_engine::storage::encode_frame`, carrying the paged-scan
 //!    counters) — or its error text — and deposit the sections as one
 //!    payload at `/result/md5(message)` for the master's read
-//!    transaction ([`split_sections`] is the payload's grammar). A
+//!    transaction (`split_sections` is the payload's grammar). A
 //!    bundle of one is the plain chunk message, and its payload the one
 //!    frame.
 //!
