@@ -9,6 +9,7 @@
 //! parsed statement and produces an [`Analysis`] the rewriter consumes.
 
 use crate::error::QservError;
+use crate::loader::table_schema;
 use crate::meta::CatalogMeta;
 use qserv_engine::eval::is_aggregate;
 use qserv_sphgeom::region::Region;
@@ -479,6 +480,32 @@ fn classify_join(stmt: &SelectStatement, partitioned: &[usize]) -> Result<JoinCl
          referencing both tables (unconstrained cross products are not distributable)"
             .to_string(),
     ))
+}
+
+/// Rejects a statement that names one output column twice, `*`
+/// expanded over the catalog's chunk-table schemas. A result table holds
+/// one column per name — the paper's merge table could not hold two
+/// either — so the statement has no answer to ship; the single-node
+/// engine's rows would name the column twice.
+pub(crate) fn check_output_names(stmt: &SelectStatement) -> Result<(), QservError> {
+    let mut names: Vec<String> = Vec::new();
+    for p in &stmt.projections {
+        if matches!(p.expr, Expr::Star) {
+            for schema in stmt.from.iter().filter_map(|t| table_schema(&t.table)) {
+                names.extend(schema.columns().iter().map(|c| c.name.clone()));
+            }
+        } else {
+            names.push(p.output_name());
+        }
+    }
+    for (i, name) in names.iter().enumerate() {
+        if names[..i].contains(name) {
+            return Err(QservError::Analysis(format!(
+                "output column {name} appears more than once; alias one of them"
+            )));
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -48,10 +48,11 @@
 //!   the one multithreaded dispatch loop over the fabric — a statement's
 //!   chunks grouped by worker into bundles, retried per chunk — and
 //!   result merging.
-//! * [`merge`] — the streaming result pipeline: chunk results fold into
-//!   incremental merge state as they arrive (append / per-group fold /
-//!   top-n heap), with the row-at-a-time collect-then-merge function
-//!   kept as the semantic oracle.
+//! * [`merge`] — the streaming result pipeline: chunk results feed the
+//!   merge as they arrive, in chunk order — appended as they stand, or
+//!   pushed into the engine's sink for the merge statement — with the
+//!   collect-then-merge function kept as the semantic oracle
+//!   (`testing`).
 //! * [`service`] — the concurrent query service: bounded admission with
 //!   interactive/scan classification, deficit-round-robin fair
 //!   scheduling (the Figure-14 starvation fix), and cooperative
@@ -77,16 +78,18 @@ pub mod rewrite;
 pub mod service;
 pub mod sharedscan;
 pub mod stats;
+#[doc(hidden)]
+pub mod testing;
 pub mod worker;
 
 pub use error::QservError;
 pub use loader::ClusterBuilder;
 pub use master::{CancelToken, Qserv, QueryStats, RetryPolicy, TracedQuery, XMatchSpec};
-pub use merge::{merge_oracle, merge_tables, Merger, StreamBatch, StreamCollector};
+pub use merge::{Merger, StreamBatch, StreamCollector};
 pub use meta::{CatalogMeta, ChunkZones, ColumnStat, ColumnZone, TableStats};
 pub use placement::{PlacementManager, RebalanceReport};
 pub use planner::{AccessPath, ConjunctEstimate, PlanChoice, PlanOverride};
-pub use rewrite::{ColumnRole, MergeShape};
+pub use rewrite::MergeShape;
 pub use service::{
     FairScheduler, KillOutcome, Notifier, QueryClass, QueryHandle, QueryService, QueryState,
     QueryStatus, ServiceConfig, ServiceReply, StreamDone, StreamEvent, StreamHandle, StreamOutcome,

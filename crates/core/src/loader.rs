@@ -110,6 +110,16 @@ pub fn ref_object_schema() -> Schema {
     ])
 }
 
+/// The chunk-table schema of a partitioned catalog table, by name.
+pub(crate) fn table_schema(table: &str) -> Option<Schema> {
+    match table {
+        "Object" => Some(object_schema()),
+        "Source" => Some(source_schema()),
+        "RefObject" => Some(ref_object_schema()),
+        _ => None,
+    }
+}
+
 fn ref_object_values(r: &RefObjectRow, chunk: i32, subchunk: i32) -> Vec<Value> {
     vec![
         Value::Int(r.ref_object_id),

@@ -19,7 +19,7 @@
 //! through the caller's sink as they become final
 //! (`QueryService::submit_streaming`).
 
-use crate::analysis::{analyze, Analysis, JoinClass};
+use crate::analysis::{analyze, check_output_names, Analysis, JoinClass};
 use crate::error::QservError;
 use crate::merge::StreamBatch;
 use crate::meta::{CatalogMeta, ChunkZones, TableStats};
@@ -164,11 +164,11 @@ pub(crate) fn record_plan(qm: &QueryMetrics, prepared: &Prepared, actual: u64) -
 }
 
 /// The optional row sink of one query: `Some` pushes merged row batches
-/// out as they become final, or as one batch at completion for shapes
-/// that cannot stream (folds, top-n, barriers). The final batch is always
-/// pushed, even when empty. A sink returning `false` aborts the query
-/// like a cancel: the LIMIT-cutoff and disconnect paths of
-/// [`crate::QueryService::submit_streaming`].
+/// out as they become final, or as one batch at completion for merges
+/// that cannot stream (the merge statement's answer, keep-nearest). The
+/// final batch is always pushed, even when empty. A sink returning
+/// `false` aborts the query like a cancel: the LIMIT-cutoff and
+/// disconnect paths of [`crate::QueryService::submit_streaming`].
 pub(crate) type Sink<'a> = Option<&'a mut dyn FnMut(StreamBatch) -> bool>;
 
 /// One statement riding [`Qserv::dispatch_streaming`]: its plan, its
@@ -720,13 +720,15 @@ impl Qserv {
         })
     }
 
-    /// The one place SQL text is read: parse → (FROM-less statements
-    /// stop here; they run locally on the frontend) → analyze → plan →
-    /// select the chunk set → pin the placement epoch. Parse and
-    /// analysis errors surface here, so the query service rejects a
-    /// broken query before it occupies a queue slot.
+    /// The one place SQL text is read: parse → reject repeated output
+    /// names → (FROM-less statements stop here; they run locally on the
+    /// frontend) → analyze → plan → select the chunk set → pin the
+    /// placement epoch. Parse and analysis errors surface here, so the
+    /// query service rejects a broken query before it occupies a queue
+    /// slot.
     pub(crate) fn prepare(&self, sql: &str) -> Result<Statement, QservError> {
         let stmt = parse_select(sql)?;
+        check_output_names(&stmt)?;
         if stmt.from.is_empty() {
             return Ok(Statement::Local(stmt));
         }

@@ -1,61 +1,62 @@
 //! Incremental (streaming) result merging.
 //!
-//! The paper's §5.3 master gathers *every* per-chunk result table and
-//! only then runs the merge query — a hard barrier whose peak memory is
-//! the sum of all chunk results. [`Merger`], the only merge the master
-//! runs, folds each chunk result into running merge state *as it
-//! arrives*, keyed by the plan-time [`MergeShape`] classification:
+//! The paper's §5.3 master loads every chunk result into one merge table
+//! and runs the merge query over it on the engine it already has. The
+//! [`Merger`], the only merge the master runs, does the same without the
+//! barrier: each chunk result feeds the merge as it arrives, in chunk
+//! order, keyed by the plan-time [`MergeShape`]:
 //!
-//! * **Append** — non-aggregated chunk tables are kept whole, in chunk
-//!   order; a pushed-down `LIMIT n` (no ORDER BY) trims the part that
-//!   reaches row n, column by column, and marks the merger *satisfied*
-//!   so the dispatcher can cancel the remaining chunk queue.
-//! * **Fold** — partial aggregates combine into per-group accumulator
-//!   state (a hash on the group key), so peak memory is O(groups).
-//! * **TopN** — `ORDER BY … LIMIT n` keeps a bounded top-n candidate set
-//!   instead of the full sort input.
-//! * **Barrier** — everything else buffers parts and runs the oracle.
+//! * **Append** — the identity merge (`SELECT * FROM result [LIMIT n]`):
+//!   its answer is its parts. Chunk tables are kept whole, in chunk
+//!   order, and leave through [`Merger::drain_ready`] as they arrive; a
+//!   pushed-down `LIMIT n` trims the part that reaches row n, column by
+//!   column, and marks the merger *satisfied* so the dispatcher can
+//!   cancel the remaining chunk queue.
+//! * **Nearest** — XMatch keep-nearest, which the merge SQL cannot
+//!   express: the closest row per key, emitted as one part at finish.
+//! * **Query** — every other merge: each part is pushed into the
+//!   engine's [`TableSink`] for the merge statement, which finishes
+//!   exactly as the statement would over the concatenated parts —
+//!   grouping, the post-aggregate projection (§5.3's `SUM/SUM` for AVG),
+//!   ORDER BY and LIMIT are the engine's own. Under `ORDER BY … LIMIT n`
+//!   the sink holds at most 2n rows, so a global top-n never materializes
+//!   every candidate.
 //!
 //! Exactness: parts are applied in sequence order — the master numbers
 //! them along its dispatch walk — with out-of-order arrivals waiting in
-//! a reorder buffer; accumulators are the engine's own [`AggAcc`], and
-//! every result column has one type: the type of the first part, in that
-//! order, that holds a non-NULL value in it. A part
-//! whose column is all NULL carries no vote, and a later populated part
-//! that disagrees is a [`QservError::Merge`] (§5.4 loads every chunk's
-//! dump into one merge table, so chunk results share one schema).
-//! [`Merger`] and [`merge_tables`] vote through the same function, and
-//! a result that leaves as rows (a fold's final answer, a FROM-less
-//! statement, a proxy verb's table) becomes a part through
+//! a reorder buffer, so the merge statement reads the same rows in the
+//! same order as over the concatenation (float addition is not
+//! associative). Every result column has one type: the type of the first
+//! part, in that order, that holds a non-NULL value in it. A part whose
+//! column is all NULL carries no vote, and a later populated part that
+//! disagrees is a [`QservError::Merge`] (§5.4 loads every chunk's dump
+//! into one merge table, so chunk results share one schema). [`Merger`]
+//! and [`merge_tables`] vote through the same function, and a result
+//! that leaves as rows (a Query merge's answer, a FROM-less statement, a
+//! proxy verb's table) becomes a part through
 //! [`ResultTable::into_table`] and votes through it too
 //! ([`StreamBatch::of_result`]): one value rule and one vote rule type
 //! every result column. The parts leave as they are — the proxy
 //! forwards each as its own column frame, typed by its own schema, so
 //! nothing downstream votes again.
 //!
-//! The Append shape's merge statement is the identity
-//! (`SELECT * FROM result [LIMIT n]`), so its answer is its parts:
-//! they leave through [`Merger::drain_ready`] as they arrive, and
-//! [`Merger::finish`] runs no query for them. Every other shape runs
-//! its compacted state through the ordinary merge query, so the final
-//! projection, ORDER BY, and LIMIT semantics are byte-identical to
-//! collecting every part first. The row-at-a-time [`merge_tables`] +
-//! merge-query pair ([`merge_oracle`]) stays in-tree as the semantic
-//! oracle the merge property tests compare against, and as the merge of
-//! the Barrier shape and of an Append under ORDER BY. (One knowing
-//! concession: a pushed-down LIMIT cutoff answers from the chunks it
-//! saw, so a disagreeing part past the cutoff is never seen and raises
-//! no error.)
+//! The row-at-a-time [`merge_tables`] + merge-query pair
+//! ([`merge_oracle`]) stays in-tree as the semantic oracle the merge
+//! property tests compare against. (One knowing concession: a
+//! pushed-down LIMIT cutoff answers from the chunks it saw, so a
+//! disagreeing part past the cutoff is never seen and raises no error.)
 
 use crate::error::QservError;
-use crate::rewrite::{ColumnRole, MergeShape, PhysicalPlan};
-use qserv_engine::db::Database;
-use qserv_engine::exec::{execute, AggAcc, AggKind, ResultTable};
+use crate::rewrite::{MergeShape, PhysicalPlan};
+use qserv_engine::exec::{ResultTable, TableSink};
 use qserv_engine::schema::{ColumnDef, ColumnType, Schema};
 use qserv_engine::table::Table;
 use qserv_engine::value::{GroupKey, Value};
-use qserv_sqlparse::ast::{Expr, OrderItem, SelectStatement};
+use qserv_sqlparse::ast::SelectStatement;
 use std::collections::{BTreeMap, HashMap};
+
+#[cfg(doc)]
+use crate::testing::{merge_oracle, merge_tables};
 
 /// One batch of merged rows emitted mid-query by a streaming sink (see
 /// [`crate::QueryService::submit_streaming`]): the chunk tables the
@@ -131,41 +132,8 @@ impl StreamCollector {
     }
 }
 
-/// Concatenates per-chunk result tables under one type per column — the
-/// type of the first part, in chunk order, that populates it (see the
-/// module doc); a column no part populates is Float. This is the oracle
-/// the streaming shapes are verified against.
-pub fn merge_tables(parts: Vec<Table>) -> Result<Table, QservError> {
-    let Some(first) = parts.first() else {
-        return Ok(Table::new(Schema::new(vec![])));
-    };
-    let names = column_names(first);
-    let mut votes: Vec<Option<ColumnType>> = vec![None; names.len()];
-    for part in &parts {
-        vote(&names, &mut votes, part)?;
-    }
-    let rows = parts
-        .iter()
-        .flat_map(|part| (0..part.num_rows()).map(|r| part.row(r)));
-    build_table(&names, &votes, rows)
-}
-
-/// The barrier path: accumulate all parts into one table, run the merge
-/// query. Returns the result plus the merged row count (for stats).
-pub fn merge_oracle(
-    merge_stmt: &SelectStatement,
-    parts: Vec<Table>,
-) -> Result<(ResultTable, usize), QservError> {
-    let merged = merge_tables(parts)?;
-    let rows = merged.num_rows();
-    let mut db = Database::new();
-    db.create_table("result", merged);
-    let result = execute(&db, merge_stmt)?;
-    Ok((result, rows))
-}
-
 /// A part's column names, in order.
-fn column_names(part: &Table) -> Vec<String> {
+pub(crate) fn column_names(part: &Table) -> Vec<String> {
     part.schema()
         .columns()
         .iter()
@@ -187,7 +155,7 @@ fn ballot(part: &Table, i: usize) -> Option<ColumnType> {
 /// schema types such a column Float whatever the other chunks hold. A
 /// populated column that disagrees with the settled type is an error.
 /// [`Merger`] and [`merge_tables`] both vote here, in chunk order.
-fn vote(
+pub(crate) fn vote(
     names: &[String],
     votes: &mut [Option<ColumnType>],
     part: &Table,
@@ -218,22 +186,6 @@ fn vote(
     Ok(())
 }
 
-/// Per-group running state of a [`State::Fold`].
-struct Group {
-    /// First-seen raw value per Key/Rep column (NULL placeholder under
-    /// accumulator columns).
-    reps: Vec<Value>,
-    /// One accumulator per Sum/Min/Max column.
-    accs: Vec<Option<AggAcc>>,
-}
-
-/// Role vector resolved against actual part columns.
-struct FoldResolved {
-    roles: Vec<ColumnRole>,
-    /// Column indices participating in group identity, ascending.
-    key_pos: Vec<usize>,
-}
-
 enum State {
     Append {
         /// Chunk tables in chunk order, not yet drained.
@@ -241,48 +193,30 @@ enum State {
         cutoff: Option<u64>,
         satisfied: bool,
     },
-    TopN {
-        n: usize,
-        order: Vec<OrderItem>,
-        /// Resolved (column index, desc) sort keys; `None` until the
-        /// first part arrives.
-        keys: Option<Vec<(usize, bool)>>,
-        /// Candidate rows tagged with arrival rank (for stable ties);
-        /// compacted back to n whenever it doubles.
-        rows: Vec<(Vec<Value>, u64)>,
-        arrival: u64,
-    },
-    Fold {
-        /// (chunk output column name, role) from the plan.
-        cols: Vec<(String, ColumnRole)>,
-        resolved: Option<FoldResolved>,
-        groups: HashMap<Vec<GroupKey>, Group>,
-        /// Group keys in first-seen order.
-        order: Vec<Vec<GroupKey>>,
-    },
     Nearest {
         key: String,
         dist: String,
         /// (key column index, dist column index); `None` until the first
-        /// part arrives. Unlike TopN/Fold there is no safe downgrade —
-        /// the merge SQL cannot express keep-nearest — so resolution
-        /// failure is an error.
+        /// part arrives. The merge SQL cannot express keep-nearest, so
+        /// failing to resolve them is an error.
         resolved: Option<(usize, usize)>,
         /// Best (minimum-distance) row seen so far per key. The update
         /// rule is commutative and associative, so the outcome is
         /// independent of part arrival order.
         best: HashMap<GroupKey, Vec<Value>>,
     },
-    Barrier {
-        parts: Vec<Table>,
+    Query {
+        merge_stmt: SelectStatement,
+        /// The engine's sink for the merge statement, built on the first
+        /// part from its columns.
+        sink: Option<Box<TableSink>>,
     },
 }
 
-/// Folds per-chunk result tables into running merge state as they
-/// arrive. Feed with [`Merger::fold`] (tagging each part with its
-/// position in the fold order), then [`Merger::finish`].
+/// Folds per-chunk result tables into the merge as they arrive. Feed
+/// with [`Merger::fold`] (tagging each part with its position in the
+/// fold order), then [`Merger::finish`].
 pub struct Merger {
-    merge_stmt: SelectStatement,
     state: State,
     /// Column names, fixed by the first part to arrive — so a merger
     /// satisfied before any part applies (`LIMIT 0`) still has them.
@@ -305,35 +239,18 @@ impl Merger {
                 cutoff: *cutoff,
                 satisfied: *cutoff == Some(0),
             },
-            MergeShape::TopN { n } => State::TopN {
-                n: *n as usize,
-                order: plan.merge_stmt.order_by.clone(),
-                keys: None,
-                rows: Vec::new(),
-                arrival: 0,
-            },
-            MergeShape::Fold { roles } => State::Fold {
-                cols: plan
-                    .chunk_stmt
-                    .projections
-                    .iter()
-                    .map(|p| p.output_name())
-                    .zip(roles.iter().copied())
-                    .collect(),
-                resolved: None,
-                groups: HashMap::new(),
-                order: Vec::new(),
-            },
             MergeShape::Nearest { key, dist } => State::Nearest {
                 key: key.clone(),
                 dist: dist.clone(),
                 resolved: None,
                 best: HashMap::new(),
             },
-            MergeShape::Barrier => State::Barrier { parts: Vec::new() },
+            MergeShape::Query => State::Query {
+                merge_stmt: plan.merge_stmt.clone(),
+                sink: None,
+            },
         };
         Merger {
-            merge_stmt: plan.merge_stmt.clone(),
             state,
             names: None,
             votes: Vec::new(),
@@ -347,11 +264,13 @@ impl Merger {
     /// True once no further parts can change the result (a pushed-down
     /// LIMIT is met): the dispatcher may cancel the remaining chunks.
     pub fn satisfied(&self) -> bool {
-        match &self.state {
-            State::Append { satisfied, .. } => *satisfied,
-            State::TopN { n, .. } => *n == 0,
-            _ => false,
-        }
+        matches!(
+            self.state,
+            State::Append {
+                satisfied: true,
+                ..
+            }
+        )
     }
 
     /// Rows consumed into merge state so far.
@@ -359,71 +278,20 @@ impl Merger {
         self.rows_folded
     }
 
-    /// High-water mark of parts held materialized at once (reorder
-    /// buffer plus any barrier buffering).
+    /// High-water mark of parts waiting at once in the reorder buffer.
     pub fn peak_buffered_parts(&self) -> usize {
         self.peak_buffered
     }
 
-    /// Approximate bytes of live merge state (reorder buffer + shape
-    /// state) — a peak-memory proxy.
-    pub fn state_bytes(&self) -> u64 {
-        fn value_bytes(v: &Value) -> u64 {
-            16 + match v {
-                Value::Str(s) => s.len() as u64,
-                _ => 0,
-            }
-        }
-        let pending: u64 = self.pending.values().map(|t| t.footprint_bytes()).sum();
-        pending
-            + match &self.state {
-                State::Append { parts, .. } | State::Barrier { parts } => {
-                    parts.iter().map(|t| t.footprint_bytes()).sum()
-                }
-                State::TopN { rows, .. } => rows
-                    .iter()
-                    .flat_map(|(r, _)| r)
-                    .map(value_bytes)
-                    .sum::<u64>(),
-                State::Fold { groups, .. } => groups
-                    .values()
-                    .map(|g| g.reps.iter().map(value_bytes).sum::<u64>() + 32 * g.accs.len() as u64)
-                    .sum(),
-                State::Nearest { best, .. } => best
-                    .values()
-                    .map(|r| r.iter().map(value_bytes).sum::<u64>())
-                    .sum(),
-            }
-    }
-
-    /// True when this merger's shape supports incremental row emission:
-    /// the Append state under a pure `SELECT * FROM result [LIMIT n]`
-    /// merge statement (what `plain_merge` builds for the Append
-    /// classification without ORDER BY). Every in-order fold then
-    /// appends final rows — no projection, reordering, or grouping
-    /// remains — so they can leave through [`Merger::drain_ready`]
-    /// immediately. The Append state never downgrades, so
-    /// streamability is stable for the life of the query.
-    fn streamable(&self) -> bool {
-        matches!(self.state, State::Append { .. })
-            && self.merge_stmt.where_clause.is_none()
-            && self.merge_stmt.group_by.is_empty()
-            && self.merge_stmt.order_by.is_empty()
-            && self.merge_stmt.projections.len() == 1
-            && self.merge_stmt.projections[0].alias.is_none()
-            && matches!(self.merge_stmt.projections[0].expr, Expr::Star)
-    }
-
     /// Moves the chunk tables appended since the last drain out as a
-    /// [`StreamBatch`]; `None` when the shape is not the identity
-    /// Append, or no row has arrived since.
+    /// [`StreamBatch`]; `None` unless the merge is the identity Append
+    /// and a row has arrived since. Only the identity Append streams:
+    /// its parts are final rows as they stand — no projection,
+    /// reordering, or grouping remains.
     /// Drained parts are *gone* from the merge state — [`Merger::finish`]
     /// answers with the undrained remainder alone (exact, because the
     /// Append cutoff already capped drained + remaining at n).
     pub fn drain_ready(&mut self) -> Option<StreamBatch> {
-        if !self.streamable() {
-            return None;
-        }
         let names = self.names.as_ref()?;
         let State::Append { parts, .. } = &mut self.state else {
             return None;
@@ -452,7 +320,7 @@ impl Merger {
             return Ok(());
         }
         self.pending.insert(seq, part);
-        self.note_buffered();
+        self.peak_buffered = self.peak_buffered.max(self.pending.len());
         while let Some(part) = self.pending.remove(&self.next_seq) {
             self.next_seq += 1;
             self.apply(part)?;
@@ -461,103 +329,14 @@ impl Merger {
                 break;
             }
         }
-        self.note_buffered();
         Ok(())
     }
 
-    fn note_buffered(&mut self) {
-        let barrier = match &self.state {
-            State::Barrier { parts } => parts.len(),
-            _ => 0,
-        };
-        self.peak_buffered = self.peak_buffered.max(self.pending.len() + barrier);
-    }
-
-    /// Applies one in-order part to the shape state.
+    /// Applies one in-order part to the merge state.
     fn apply(&mut self, mut part: Table) -> Result<(), QservError> {
         // Schema vote first, against the names `fold` took.
         let names = self.names.as_ref().expect("fold names the columns");
         vote(names, &mut self.votes, &part)?;
-
-        // Nearest resolves its two named columns on the first part. There
-        // is no safe downgrade (the merge SQL cannot express keep-nearest)
-        // so a miss is an error, not a barrier.
-        if let State::Nearest {
-            key,
-            dist,
-            resolved: resolved @ None,
-            ..
-        } = &mut self.state
-        {
-            let ki = names.iter().position(|c| c == key);
-            let di = names.iter().position(|c| c == dist);
-            if let (Some(k), Some(d)) = (ki, di) {
-                *resolved = Some((k, d));
-            } else {
-                let msg = format!(
-                    "XMatch merge needs columns {key:?} and {dist:?}; chunk result has {names:?}"
-                );
-                return Err(QservError::Merge(msg));
-            }
-        }
-
-        // First-part resolution: shapes that cannot bind to the actual
-        // columns downgrade to the barrier (always-correct) state.
-        let downgrade = match &mut self.state {
-            State::TopN {
-                order,
-                keys: keys @ None,
-                ..
-            } => {
-                // Mirror of the engine's `output_index` over a
-                // `SELECT * FROM result` merge: an ORDER BY key must
-                // match an output column by rendered SQL text, else the
-                // engine would evaluate it as a hidden sort key — which
-                // needs full rows, not a heap.
-                let resolved: Option<Vec<(usize, bool)>> = order
-                    .iter()
-                    .map(|o| {
-                        let sql = o.expr.to_sql();
-                        names.iter().position(|c| *c == sql).map(|i| (i, o.desc))
-                    })
-                    .collect();
-                match resolved {
-                    Some(k) => {
-                        *keys = Some(k);
-                        false
-                    }
-                    None => true,
-                }
-            }
-            State::Fold {
-                cols,
-                resolved: resolved @ None,
-                ..
-            } => {
-                let roles: Option<Vec<ColumnRole>> = names
-                    .iter()
-                    .map(|n| cols.iter().find(|(cn, _)| cn == n).map(|(_, role)| *role))
-                    .collect();
-                match roles {
-                    Some(roles) if roles.len() == cols.len() => {
-                        let key_pos = roles
-                            .iter()
-                            .enumerate()
-                            .filter(|(_, r)| **r == ColumnRole::Key)
-                            .map(|(i, _)| i)
-                            .collect();
-                        *resolved = Some(FoldResolved { roles, key_pos });
-                        false
-                    }
-                    _ => true,
-                }
-            }
-            _ => false,
-        };
-        if downgrade {
-            self.state = State::Barrier { parts: Vec::new() };
-        }
-
         match &mut self.state {
             State::Append {
                 parts,
@@ -576,96 +355,45 @@ impl Merger {
                 self.rows_folded += part.num_rows();
                 parts.push(part);
             }
-            State::TopN {
-                n,
-                keys,
-                rows,
-                arrival,
-                ..
-            } => {
-                let keys = keys.as_ref().expect("resolved above");
-                for r in 0..part.num_rows() {
-                    rows.push((part.row(r), *arrival));
-                    *arrival += 1;
-                    self.rows_folded += 1;
-                    if *n > 0 && rows.len() >= 2 * *n {
-                        rows.sort_by(|a, b| cmp_candidates(a, b, keys));
-                        rows.truncate(*n);
-                    }
-                }
-            }
-            State::Fold {
+            State::Nearest {
+                key,
+                dist,
                 resolved,
-                groups,
-                order,
-                ..
+                best,
             } => {
-                let resolved = resolved.as_ref().expect("resolved above");
-                // Hot path: the table is columnar, so cells are read
-                // individually and the group key is built in a reused
-                // scratch buffer — no per-row Vec allocations unless the
-                // row opens a new group.
-                let ncols = resolved.roles.len();
-                let mut scratch: Vec<GroupKey> = Vec::with_capacity(resolved.key_pos.len());
-                for r in 0..part.num_rows() {
-                    self.rows_folded += 1;
-                    scratch.clear();
-                    for &i in &resolved.key_pos {
-                        scratch.push(part.get(r, i).group_key());
+                let (ki, di) = match *resolved {
+                    Some(at) => at,
+                    None => {
+                        let ki = names.iter().position(|c| c == key);
+                        let di = names.iter().position(|c| c == dist);
+                        let (Some(ki), Some(di)) = (ki, di) else {
+                            return Err(QservError::Merge(format!(
+                                "XMatch merge needs columns {key:?} and {dist:?}; chunk result has {names:?}"
+                            )));
+                        };
+                        *resolved.insert((ki, di))
                     }
-                    if let Some(g) = groups.get_mut(scratch.as_slice()) {
-                        for (i, acc) in g.accs.iter_mut().enumerate() {
-                            if let Some(acc) = acc {
-                                acc.update(Some(&part.get(r, i)));
-                            }
-                        }
-                    } else {
-                        let mut reps = vec![Value::Null; ncols];
-                        let mut accs: Vec<Option<AggAcc>> = Vec::with_capacity(ncols);
-                        for (i, role) in resolved.roles.iter().enumerate() {
-                            let kind = match role {
-                                ColumnRole::Sum => Some(AggKind::Sum),
-                                ColumnRole::Min => Some(AggKind::Min),
-                                ColumnRole::Max => Some(AggKind::Max),
-                                ColumnRole::Key | ColumnRole::Rep => None,
-                            };
-                            match kind {
-                                Some(k) => {
-                                    let mut acc = AggAcc::new(k);
-                                    acc.update(Some(&part.get(r, i)));
-                                    accs.push(Some(acc));
-                                }
-                                None => {
-                                    reps[i] = part.get(r, i);
-                                    accs.push(None);
-                                }
-                            }
-                        }
-                        let key = scratch.clone();
-                        order.push(key.clone());
-                        groups.insert(key, Group { reps, accs });
-                    }
-                }
-            }
-            State::Nearest { resolved, best, .. } => {
-                let (ki, di) = resolved.expect("resolved above");
+                };
                 for r in 0..part.num_rows() {
-                    self.rows_folded += 1;
                     let row = part.row(r);
                     let key = row[ki].group_key();
                     upsert_nearest(best, key, row, di);
                 }
-            }
-            State::Barrier { parts } => {
                 self.rows_folded += part.num_rows();
-                parts.push(part);
+            }
+            State::Query { merge_stmt, sink } => {
+                let sink = match sink {
+                    Some(sink) => sink,
+                    None => sink.insert(Box::new(TableSink::new(merge_stmt, part.schema())?)),
+                };
+                sink.push(&part)?;
+                self.rows_folded += part.num_rows();
             }
         }
         Ok(())
     }
 
-    /// Runs the merge query over the compacted state and returns the
-    /// final result (rows assembled by a [`StreamCollector`]).
+    /// The final result (rows assembled by a [`StreamCollector`]).
     pub fn finish(self) -> Result<ResultTable, QservError> {
         let mut rows = StreamCollector::new();
         rows.push(self.finish_batch()?);
@@ -673,60 +401,16 @@ impl Merger {
     }
 
     /// The final result as the last batch of the stream: the identity
-    /// Append's undrained parts as they are; for every other shape, the
-    /// merge statement's answer over the compacted state
+    /// Append's undrained parts as they are; the nearest rows as one
+    /// part; for a Query merge, the sink's answer
     /// ([`StreamBatch::of_result`]).
     pub(crate) fn finish_batch(self) -> Result<StreamBatch, QservError> {
-        let identity = self.streamable();
         let names = self.names.unwrap_or_default();
-        let votes = self.votes;
-        let table = match self.state {
-            State::Append { parts, .. } if identity => {
-                return Ok(StreamBatch {
-                    columns: names,
-                    parts,
-                });
-            }
-            State::Append { parts, .. } | State::Barrier { parts } => {
-                let (result, _) = merge_oracle(&self.merge_stmt, parts)?;
-                return Ok(StreamBatch::of_result(result));
-            }
-            State::TopN {
-                n, keys, mut rows, ..
-            } => {
-                if let Some(keys) = &keys {
-                    rows.sort_by(|a, b| cmp_candidates(a, b, keys));
-                    rows.truncate(n);
-                }
-                build_table(&names, &votes, rows.into_iter().map(|(r, _)| r))?
-            }
-            State::Fold {
-                resolved,
-                groups,
-                order,
-                ..
-            } => {
-                let mut rows: Vec<Vec<Value>> = Vec::with_capacity(order.len());
-                if let Some(resolved) = &resolved {
-                    for key in &order {
-                        let g = &groups[key];
-                        let row: Vec<Value> = resolved
-                            .roles
-                            .iter()
-                            .enumerate()
-                            .map(|(i, role)| match role {
-                                ColumnRole::Key | ColumnRole::Rep => g.reps[i].clone(),
-                                _ => g.accs[i]
-                                    .as_ref()
-                                    .expect("acc role has an accumulator")
-                                    .finish(),
-                            })
-                            .collect();
-                        rows.push(row);
-                    }
-                }
-                build_table(&names, &votes, rows)?
-            }
+        match self.state {
+            State::Append { parts, .. } => Ok(StreamBatch {
+                columns: names,
+                parts,
+            }),
             State::Nearest { resolved, best, .. } => {
                 let mut rows: Vec<Vec<Value>> = best.into_values().collect();
                 if let Some((ki, _)) = resolved {
@@ -734,12 +418,21 @@ impl Merger {
                     // a total, arrival-order-independent order.
                     rows.sort_by(|a, b| a[ki].total_cmp(&b[ki]));
                 }
-                build_table(&names, &votes, rows)?
+                let part = build_table(&names, &self.votes, rows)?;
+                Ok(StreamBatch {
+                    columns: names,
+                    parts: vec![part],
+                })
             }
-        };
-        let mut db = Database::new();
-        db.create_table("result", table);
-        Ok(StreamBatch::of_result(execute(&db, &self.merge_stmt)?))
+            State::Query { merge_stmt, sink } => {
+                // No part arrived: the statement over an empty table.
+                let sink = match sink {
+                    Some(sink) => *sink,
+                    None => TableSink::new(&merge_stmt, &Schema::new(vec![]))?,
+                };
+                Ok(StreamBatch::of_result(sink.finish()?))
+            }
+        }
     }
 }
 
@@ -778,26 +471,9 @@ fn upsert_nearest(
     }
 }
 
-/// Total order over top-n candidates: the resolved sort keys first
-/// (ties broken by arrival rank), reproducing the engine's stable
-/// sort-then-truncate.
-fn cmp_candidates(
-    a: &(Vec<Value>, u64),
-    b: &(Vec<Value>, u64),
-    keys: &[(usize, bool)],
-) -> std::cmp::Ordering {
-    for &(i, desc) in keys {
-        let ord = a.0[i].total_cmp(&b.0[i]);
-        if ord != std::cmp::Ordering::Equal {
-            return if desc { ord.reverse() } else { ord };
-        }
-    }
-    a.1.cmp(&b.1)
-}
-
-/// Materializes buffered rows under the voted schema; a column no part
-/// populated is Float.
-fn build_table(
+/// Materializes rows under the voted schema; a column no part populated
+/// is Float.
+pub(crate) fn build_table(
     names: &[String],
     votes: &[Option<ColumnType>],
     rows: impl IntoIterator<Item = Vec<Value>>,
@@ -823,6 +499,7 @@ mod tests {
     use crate::analysis::analyze;
     use crate::meta::CatalogMeta;
     use crate::rewrite::build_plan;
+    use crate::testing::merge_tables;
     use qserv_sqlparse::parse_select;
 
     fn table_of(cols: &[(&str, ColumnType)], rows: Vec<Vec<Value>>) -> Table {
@@ -950,23 +627,6 @@ mod tests {
                 vec![Value::Int(2)]
             ]
         );
-    }
-
-    #[test]
-    fn topn_keeps_bounded_candidates() {
-        let plan = plan_for("SELECT objectId FROM Object ORDER BY objectId DESC LIMIT 2");
-        assert_eq!(plan.shape, MergeShape::TopN { n: 2 });
-        let mut m = Merger::new(&plan);
-        for (seq, base) in [0i64, 100, 50].into_iter().enumerate() {
-            let part = table_of(
-                &[("objectId", ColumnType::Int)],
-                (0..20).map(|i| vec![Value::Int(base + i)]).collect(),
-            );
-            m.fold(seq, part).unwrap();
-        }
-        assert!(m.state_bytes() < 20 * 3 * 16, "candidate set stays bounded");
-        let r = m.finish().unwrap();
-        assert_eq!(r.rows, vec![vec![Value::Int(119)], vec![Value::Int(118)]]);
     }
 
     #[test]

@@ -44,7 +44,7 @@
 
 use crate::analysis::{zone_restrictions, Analysis, JoinClass};
 use crate::meta::{ChunkZones, ColumnStat, ColumnZone, TableStats};
-use crate::rewrite::{MergeShape, PhysicalPlan};
+use crate::rewrite::PhysicalPlan;
 use qserv_sqlparse::ast::{BinaryOp, Expr, Literal};
 use std::collections::HashMap;
 
@@ -551,7 +551,7 @@ pub(crate) fn choose(
     // key so every plan yields the identical prefix.
     let mut topn_pushdown = None;
     if ov.push_topn != Some(false) && !analysis.aggregated {
-        if let (Some(table), MergeShape::TopN { n }) = (table, &plan.shape) {
+        if let (Some(table), Some(n)) = (table, plan.merge_stmt.limit) {
             let keys_sound = !plan.merge_stmt.order_by.is_empty()
                 && plan.merge_stmt.order_by.iter().all(|o| {
                     matches!(
@@ -568,8 +568,8 @@ pub(crate) fn choose(
                 });
             if keys_sound {
                 plan.chunk_stmt.order_by = plan.merge_stmt.order_by.clone();
-                plan.chunk_stmt.limit = Some(*n);
-                topn_pushdown = Some(*n);
+                plan.chunk_stmt.limit = Some(n);
+                topn_pushdown = Some(n);
             }
         }
     }

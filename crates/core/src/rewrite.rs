@@ -2,8 +2,10 @@
 //!
 //! Turns an analyzed user statement into (a) a *chunk query template*
 //! rendered once per chunk bundle for worker execution, and (b) the
-//! *merge query* the master runs over the gathered results. The paper's
-//! worked example is the specification:
+//! *merge query* the master runs over the gathered results, with its
+//! [`MergeShape`]: the identity merge streams its parts, any other runs
+//! on the engine as they arrive. The paper's worked example is the
+//! specification:
 //!
 //! > The `AVG(uFlux_SG)` function call is converted into a
 //! > `SUM(uFlux_SG)` and `COUNT(uFlux_SG)` pair for chunk queries and
@@ -26,7 +28,8 @@ use crate::analysis::{Analysis, JoinClass, SpatialSpec};
 use crate::error::QservError;
 use crate::meta::CatalogMeta;
 use qserv_engine::eval::is_aggregate;
-use qserv_sqlparse::ast::{BinaryOp, Expr, Projection, SelectStatement, TableRef};
+use qserv_engine::exec::output_index;
+use qserv_sqlparse::ast::{BinaryOp, Expr, OrderItem, Projection, SelectStatement, TableRef};
 
 /// The distributable form of one user query.
 #[derive(Clone, Debug)]
@@ -46,198 +49,35 @@ pub struct PhysicalPlan {
     pub shape: MergeShape,
 }
 
-/// How the master's streaming pipeline (`crate::merge`) may fold chunk
-/// results into merge state as they arrive, classified once at plan time
-/// from the merge statement. `Barrier` — buffer every part and run the
-/// row-at-a-time `merge_tables` + merge-query oracle — is always safe;
-/// the other shapes are proven equivalent to it by the streaming-merge
-/// property test.
+/// How the master's streaming pipeline (`crate::merge`) combines chunk
+/// results, decided once at plan time from the merge statement.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum MergeShape {
-    /// Non-aggregated, no merge-side ORDER BY: append rows as they
-    /// arrive. When `cutoff` is set (a pushed-down `LIMIT n`), the
-    /// pipeline is satisfied after n rows and the remaining chunk queue
-    /// can be cancelled — undispatched chunks are never sent.
+    /// The identity merge (`SELECT * FROM result [LIMIT n]`): a
+    /// non-aggregated statement without ORDER BY. Its answer is its
+    /// parts, which leave as they arrive. When `cutoff` is set (a
+    /// pushed-down `LIMIT n`), the pipeline is satisfied after n rows and
+    /// the remaining chunk queue can be cancelled — undispatched chunks
+    /// are never sent.
     Append {
         /// The pushed-down row budget, if any.
         cutoff: Option<u64>,
-    },
-    /// Non-aggregated `ORDER BY … LIMIT n`: a bounded top-n heap replaces
-    /// the full sort input. Sort keys are resolved against the first
-    /// part's column names; if any key needs expression evaluation
-    /// (the engine's hidden-sort-key path) the merger downgrades itself
-    /// to `Barrier` at run time.
-    TopN {
-        /// The result-row budget bounding the heap.
-        n: u64,
-    },
-    /// Aggregated: one combine role per chunk-statement projection. Each
-    /// arriving partial-aggregate table folds into running per-group
-    /// state, so peak master memory is O(groups), not O(Σ chunk results).
-    Fold {
-        /// Roles parallel to `chunk_stmt.projections`.
-        roles: Vec<ColumnRole>,
     },
     /// Cross-catalog XMatch keep-nearest: per distinct `key` value keep
     /// the single row whose `dist` column is smallest (ties broken by a
     /// deterministic full-row comparison), emitting rows in ascending
     /// key order at finish. Installed by the frontend's XMatch operator
-    /// — `classify_merge` never produces it, because the merge SQL
-    /// subset cannot express a per-group argmin.
+    /// — [`build_plan`] never produces it, because the merge SQL subset
+    /// cannot express a per-group argmin.
     Nearest {
         /// Chunk-result column carrying the match key (catalog A's id).
         key: String,
         /// Chunk-result column carrying the candidate distance.
         dist: String,
     },
-    /// Not incrementally foldable: buffer all parts, then run the oracle
-    /// verbatim.
-    Barrier,
-}
-
-/// What the merge statement does with one chunk-result column.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ColumnRole {
-    /// GROUP BY key: part of group identity; first-seen value kept.
-    Key,
-    /// Passed through: first-seen value per group kept (the engine's
-    /// representative-row semantics).
-    Rep,
-    /// Folded with SUM.
-    Sum,
-    /// Folded with MIN.
-    Min,
-    /// Folded with MAX.
-    Max,
-}
-
-/// Classifies how the merge statement can consume chunk results
-/// incrementally. Anything this function does not recognize — qualified
-/// columns, aggregate calls other than SUM/MIN/MAX over a plain result
-/// column, a column both folded and projected bare — lands on
-/// [`MergeShape::Barrier`], never on a wrong fold.
-fn classify_merge(
-    chunk_stmt: &SelectStatement,
-    merge_stmt: &SelectStatement,
-    aggregated: bool,
-) -> MergeShape {
-    if !aggregated {
-        return if merge_stmt.order_by.is_empty() {
-            MergeShape::Append {
-                cutoff: merge_stmt.limit,
-            }
-        } else if let Some(n) = merge_stmt.limit {
-            MergeShape::TopN { n }
-        } else {
-            // Full sort at finish: append everything, let the merge
-            // query order it.
-            MergeShape::Append { cutoff: None }
-        };
-    }
-
-    let cols: Vec<String> = chunk_stmt
-        .projections
-        .iter()
-        .map(|p| p.output_name())
-        .collect();
-    let position = |name: &str| cols.iter().position(|c| c == name);
-    let mut roles = vec![ColumnRole::Rep; cols.len()];
-    // Rep is the unclaimed default; a column may be claimed once (or
-    // repeatedly for the same role — shared components like the SUM of
-    // an AVG+SUM pair).
-    fn assign(roles: &mut [ColumnRole], i: usize, r: ColumnRole) -> bool {
-        if roles[i] == ColumnRole::Rep || roles[i] == r {
-            roles[i] = r;
-            true
-        } else {
-            false
-        }
-    }
-
-    for g in &merge_stmt.group_by {
-        let Expr::Column {
-            qualifier: None,
-            name,
-            ..
-        } = g
-        else {
-            return MergeShape::Barrier;
-        };
-        let Some(i) = position(name) else {
-            return MergeShape::Barrier;
-        };
-        if !assign(&mut roles, i, ColumnRole::Key) {
-            return MergeShape::Barrier;
-        }
-    }
-
-    for p in &merge_stmt.projections {
-        // Every aggregate call must be SUM/MIN/MAX over one unqualified
-        // result column; every column occurrence outside an aggregate
-        // argument must be a Key/Rep passthrough.
-        let mut aggs: Vec<(String, Vec<Expr>)> = Vec::new();
-        let mut foldable = true;
-        let mut occurrences: Vec<String> = Vec::new();
-        p.expr.visit(&mut |e| match e {
-            Expr::Function { name, args } if is_aggregate(name) => {
-                aggs.push((name.clone(), args.clone()));
-            }
-            Expr::Column {
-                qualifier, name, ..
-            } => {
-                if qualifier.is_some() {
-                    foldable = false;
-                }
-                occurrences.push(name.clone());
-            }
-            _ => {}
-        });
-        if !foldable {
-            return MergeShape::Barrier;
-        }
-        let mut inside_aggs: Vec<String> = Vec::new();
-        for (name, args) in &aggs {
-            let role = match name.to_ascii_lowercase().as_str() {
-                "sum" => ColumnRole::Sum,
-                "min" => ColumnRole::Min,
-                "max" => ColumnRole::Max,
-                // COUNT and AVG never survive to the merge side of a
-                // two-phase split; seeing one means an unknown rewrite.
-                _ => return MergeShape::Barrier,
-            };
-            let [Expr::Column {
-                qualifier: None,
-                name: col,
-                ..
-            }] = args.as_slice()
-            else {
-                return MergeShape::Barrier;
-            };
-            let Some(i) = position(col) else {
-                return MergeShape::Barrier;
-            };
-            if !assign(&mut roles, i, role) {
-                return MergeShape::Barrier;
-            }
-            inside_aggs.push(col.clone());
-        }
-        // Occurrence counting: a column referenced more often than it is
-        // consumed by aggregate arguments also appears bare.
-        for name in &occurrences {
-            let total = occurrences.iter().filter(|n| *n == name).count();
-            let consumed = inside_aggs.iter().filter(|n| *n == name).count();
-            if total > consumed {
-                let Some(i) = position(name) else {
-                    return MergeShape::Barrier;
-                };
-                if !matches!(roles[i], ColumnRole::Key | ColumnRole::Rep) {
-                    return MergeShape::Barrier;
-                }
-            }
-        }
-    }
-
-    MergeShape::Fold { roles }
+    /// Every other merge: the merge statement runs over the chunk
+    /// results, fed to the engine in chunk order as they arrive.
+    Query,
 }
 
 /// Builds the physical plan from an analysis.
@@ -326,7 +166,13 @@ pub fn build_plan(analysis: &Analysis, meta: &CatalogMeta) -> Result<PhysicalPla
         plain_merge(&mut chunk_stmt)
     };
 
-    let shape = classify_merge(&chunk_stmt, &merge_stmt, analysis.aggregated);
+    let shape = if !analysis.aggregated && merge_stmt.order_by.is_empty() {
+        MergeShape::Append {
+            cutoff: merge_stmt.limit,
+        }
+    } else {
+        MergeShape::Query
+    };
     Ok(PhysicalPlan {
         chunk_stmt,
         merge_stmt,
@@ -339,22 +185,56 @@ pub fn build_plan(analysis: &Analysis, meta: &CatalogMeta) -> Result<PhysicalPla
 
 /// For a non-aggregated query: chunk queries project the user expressions
 /// (aliased to stable output names) and the merge passes rows through with
-/// the user's ORDER BY / LIMIT.
+/// the user's ORDER BY / LIMIT. An ORDER BY key that is not an output
+/// column rides along as a hidden chunk column `QS_OB<i>`, and the merge
+/// then projects only the visible columns.
 fn plain_merge(chunk_stmt: &mut SelectStatement) -> SelectStatement {
+    let names = output_names(chunk_stmt);
+    let mut order_by = chunk_stmt.order_by.clone();
+    let mut hidden = Vec::new();
+    // A `*` result holds every column a key can read: keys stay as written.
+    if !chunk_stmt
+        .projections
+        .iter()
+        .any(|p| matches!(p.expr, Expr::Star))
+    {
+        for (i, o) in order_by.iter_mut().enumerate() {
+            o.expr = output_key(chunk_stmt, &names, &o.expr).unwrap_or_else(|| {
+                let name = format!("QS_OB{i}");
+                hidden.push(Projection {
+                    expr: o.expr.clone(),
+                    alias: Some(name.clone()),
+                });
+                result_col(&name)
+            });
+        }
+    }
     for p in chunk_stmt.projections.iter_mut() {
         if p.alias.is_none() && !matches!(p.expr, Expr::Column { .. } | Expr::Star) {
             p.alias = Some(p.expr.to_sql());
         }
     }
-    let merge = SelectStatement {
-        projections: vec![Projection {
+    let projections = if hidden.is_empty() {
+        vec![Projection {
             expr: Expr::Star,
             alias: None,
-        }],
+        }]
+    } else {
+        chunk_stmt.projections.extend(hidden);
+        names
+            .iter()
+            .map(|n| Projection {
+                expr: result_col(n),
+                alias: Some(n.clone()),
+            })
+            .collect()
+    };
+    let merge = SelectStatement {
+        projections,
         from: vec![TableRef::named("result")],
         where_clause: None,
         group_by: vec![],
-        order_by: chunk_stmt.order_by.clone(),
+        order_by,
         limit: chunk_stmt.limit,
     };
     // LIMIT may be pushed to chunk queries only when there is no ORDER BY
@@ -365,6 +245,27 @@ fn plain_merge(chunk_stmt: &mut SelectStatement) -> SelectStatement {
     }
     chunk_stmt.order_by.clear();
     merge
+}
+
+/// The output column names of a user statement, in SELECT order.
+fn output_names(stmt: &SelectStatement) -> Vec<String> {
+    stmt.projections
+        .iter()
+        .map(Projection::output_name)
+        .collect()
+}
+
+/// The merge-side form of a user ORDER BY key: when the key names one of
+/// the statement's output columns `names` by the engine's own rule
+/// ([`output_index`]), a reference to that output column (the key
+/// itself when it already reads as the name); `None` otherwise.
+fn output_key(stmt: &SelectStatement, names: &[String], key: &Expr) -> Option<Expr> {
+    let name = &names[output_index(names, stmt, key)?];
+    Some(if key.to_sql() == *name {
+        key.clone()
+    } else {
+        result_col(name)
+    })
 }
 
 /// A backtick-quoted reference to a chunk-result column.
@@ -499,12 +400,23 @@ fn split_aggregates(chunk_stmt: &mut SelectStatement) -> SelectStatement {
         merge_group_by.push(result_col(&col_name));
     }
 
+    // ORDER BY reads the merge's output columns; a key that names none
+    // stays as written, and the merge rejects it as the engine does.
+    let names = output_names(chunk_stmt);
+    let order_by = chunk_stmt
+        .order_by
+        .iter()
+        .map(|o| OrderItem {
+            expr: output_key(chunk_stmt, &names, &o.expr).unwrap_or_else(|| o.expr.clone()),
+            desc: o.desc,
+        })
+        .collect();
     let merge = SelectStatement {
         projections: merge_projs,
         from: vec![TableRef::named("result")],
         where_clause: None,
         group_by: merge_group_by,
-        order_by: chunk_stmt.order_by.clone(),
+        order_by,
         limit: chunk_stmt.limit,
     };
     chunk_stmt.projections = chunk_projs;

@@ -93,8 +93,8 @@ pub struct QueryStats {
     /// cancellation), or that a worker left unrun once its bundle had the
     /// LIMIT's rows.
     pub chunks_skipped_by_limit: usize,
-    /// High-water mark of chunk results held materialized at once by the
-    /// merger (reorder buffer + any [`crate::MergeShape::Barrier`] buffering).
+    /// High-water mark of chunk results waiting at once in the merger's
+    /// reorder buffer for an earlier chunk's result.
     pub peak_buffered_parts: usize,
     /// Clock span (ms) from the first incremental fold to the last part
     /// arrival — the window in which merging overlapped dispatch.

@@ -323,7 +323,7 @@ pub(crate) fn compile_single(
     stmt: &SelectStatement,
     binding: &str,
     table: &Table,
-    sink: &RowSink<'_>,
+    sink: &RowSink,
     conjuncts: &[&Expr],
 ) -> Option<VecPlan> {
     let ctx = Ctx { binding, table };
@@ -397,7 +397,7 @@ pub(crate) fn compile_single(
 
 /// The fused per-column accumulation plan, when every aggregate argument
 /// is a bare column (or COUNT(*)).
-fn fused_args(ctx: &Ctx<'_>, sink: &RowSink<'_>) -> Option<Vec<(AggKind, Option<usize>)>> {
+fn fused_args(ctx: &Ctx<'_>, sink: &RowSink) -> Option<Vec<(AggKind, Option<usize>)>> {
     let mut out = Vec::with_capacity(sink.agg_specs().len());
     for spec in sink.agg_specs() {
         out.push(match (spec.kind, &spec.arg) {

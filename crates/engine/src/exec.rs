@@ -252,7 +252,11 @@ pub fn execute_detailed(
         None
     };
 
-    let mut sink = RowSink::new(db, stmt, &bindings, aggregated)?;
+    let schemas: Vec<(&str, &Schema)> = bindings
+        .iter()
+        .map(|(name, table)| (name.as_str(), table.schema()))
+        .collect();
+    let mut sink = RowSink::new(stmt, &schemas, aggregated)?;
 
     // Vectorized path: a single-table scan whose filters and output all
     // compile runs over columnar kernels; anything else falls through to
@@ -361,6 +365,54 @@ pub fn execute_detailed(
 
     sink.finish()
         .map(|r| (r, ExecPath::Interpreted, ScanStats::default()))
+}
+
+/// An incremental execution of a single-table statement: it takes the
+/// table's rows one table at a time and finishes exactly as [`execute`]
+/// would over their concatenation, in push order. It is the sink every
+/// execution feeds, fed row by row; the master runs its merge statement
+/// through one, over chunk results as they arrive (paper §5.3). Under
+/// `ORDER BY … LIMIT n` it holds at most 2n plain rows.
+pub struct TableSink {
+    /// The FROM binding's name, which qualified columns resolve against.
+    binding: String,
+    sink: RowSink,
+}
+
+impl TableSink {
+    /// A sink for `stmt`, whose one FROM table has `schema` (`*` expands
+    /// to its columns). A WHERE clause is unsupported.
+    pub fn new(stmt: &SelectStatement, schema: &Schema) -> Result<TableSink, ExecError> {
+        let [table] = stmt.from.as_slice() else {
+            return Err(ExecError::Unsupported(
+                "a table sink reads exactly one table".to_string(),
+            ));
+        };
+        if stmt.where_clause.is_some() {
+            return Err(ExecError::Unsupported(
+                "WHERE in a table sink's statement".to_string(),
+            ));
+        }
+        let binding = table.binding_name().to_string();
+        let sink = RowSink::new(stmt, &[(&binding, schema)], stmt_is_aggregated(stmt))?;
+        Ok(TableSink { binding, sink })
+    }
+
+    /// Consumes every row of `table`, which has the columns the sink was
+    /// built with (a column's type may differ where it holds only NULL).
+    pub fn push(&mut self, table: &Table) -> Result<(), ExecError> {
+        let mut b = Bindings::single(&self.binding, table, 0);
+        for r in 0..table.num_rows() {
+            b.set_row(0, r);
+            self.sink.consume(&b)?;
+        }
+        Ok(())
+    }
+
+    /// The statement's answer over every row pushed.
+    pub fn finish(self) -> Result<ResultTable, ExecError> {
+        self.sink.finish()
+    }
 }
 
 /// Executes a FROM-less statement (`SELECT 1 + 1`).
@@ -593,7 +645,7 @@ fn join_two(
     bindings: &[(String, Arc<Table>)],
     candidates: &[Vec<u32>],
     cross: &[&Expr],
-    sink: &mut RowSink<'_>,
+    sink: &mut RowSink,
     quick_limit: Option<usize>,
 ) -> Result<(), ExecError> {
     let (n0, t0) = (&bindings[0].0, &bindings[0].1);
@@ -739,12 +791,8 @@ pub(crate) struct AggSpec {
 }
 
 /// The aggregate functions the executor implements.
-///
-/// Public because the master's incremental merger (`qserv-core`) folds
-/// partial aggregates with the same accumulators the interpreter uses —
-/// one implementation of the combine semantics, not two.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum AggKind {
+pub(crate) enum AggKind {
     CountStar,
     Count,
     Sum,
@@ -755,7 +803,7 @@ pub enum AggKind {
 
 /// A running accumulator for one aggregate in one group.
 #[derive(Clone)]
-pub enum AggAcc {
+pub(crate) enum AggAcc {
     Count(i64),
     Sum {
         int: i64,
@@ -774,7 +822,7 @@ pub enum AggAcc {
 }
 
 impl AggAcc {
-    pub fn new(kind: AggKind) -> AggAcc {
+    pub(crate) fn new(kind: AggKind) -> AggAcc {
         match kind {
             AggKind::CountStar | AggKind::Count => AggAcc::Count(0),
             AggKind::Sum => AggAcc::Sum {
@@ -795,7 +843,7 @@ impl AggAcc {
         }
     }
 
-    pub fn update(&mut self, v: Option<&Value>) {
+    pub(crate) fn update(&mut self, v: Option<&Value>) {
         match self {
             AggAcc::Count(n) => {
                 // COUNT(*) passes None (count every row); COUNT(expr)
@@ -862,7 +910,7 @@ impl AggAcc {
         }
     }
 
-    pub fn finish(&self) -> Value {
+    pub(crate) fn finish(&self) -> Value {
         match self {
             AggAcc::Count(n) => Value::Int(*n),
             AggAcc::Sum {
@@ -900,9 +948,10 @@ fn float_result(x: f64) -> Value {
     Value::Float(if x.is_nan() { f64::NAN } else { x })
 }
 
-/// Consumes joined row combinations and produces the result table.
-pub(crate) struct RowSink<'q> {
-    stmt: &'q SelectStatement,
+/// Consumes joined row combinations and produces the result table. It
+/// owns what it reads of the statement, so it outlives the borrow it
+/// was built from (a [`TableSink`] keeps one across pushes).
+pub(crate) struct RowSink {
     aggregated: bool,
     /// Expanded output column names.
     columns: Vec<String>,
@@ -910,6 +959,12 @@ pub(crate) struct RowSink<'q> {
     plain_exprs: Vec<Expr>,
     /// Extra hidden sort-key expressions appended to plain rows.
     hidden_sort: Vec<Expr>,
+    /// The GROUP BY key expressions.
+    group_by: Vec<Expr>,
+    /// ORDER BY as (row position, desc): an output column, or a hidden
+    /// sort key past the visible columns.
+    order: Vec<(usize, bool)>,
+    limit: Option<usize>,
     rows: Vec<Vec<Value>>,
     /// For aggregate queries.
     aggs: Vec<AggSpec>,
@@ -929,13 +984,14 @@ struct GroupState {
     rep: Vec<Value>,
 }
 
-impl<'q> RowSink<'q> {
+impl RowSink {
+    /// A sink for `stmt` over FROM bindings with these (name, schema)
+    /// pairs, in FROM order: `*` expands to their columns.
     fn new(
-        _db: &Database,
-        stmt: &'q SelectStatement,
-        bindings: &[(String, Arc<Table>)],
+        stmt: &SelectStatement,
+        bindings: &[(&str, &Schema)],
         aggregated: bool,
-    ) -> Result<RowSink<'q>, ExecError> {
+    ) -> Result<RowSink, ExecError> {
         let mut columns = Vec::new();
         let mut plain_exprs = Vec::new();
         let mut aggs: Vec<AggSpec> = Vec::new();
@@ -948,11 +1004,11 @@ impl<'q> RowSink<'q> {
                         "SELECT * with aggregation".to_string(),
                     ));
                 }
-                for (bname, table) in bindings {
-                    for c in table.schema().columns() {
+                for (bname, schema) in bindings {
+                    for c in schema.columns() {
                         columns.push(c.name.clone());
                         plain_exprs.push(Expr::Column {
-                            qualifier: Some(bname.clone()),
+                            qualifier: Some(bname.to_string()),
                             name: c.name.clone(),
                             quoted: false,
                         });
@@ -1000,23 +1056,35 @@ impl<'q> RowSink<'q> {
             }
         }
 
-        // Hidden sort keys for plain queries whose ORDER BY is not an
-        // output column.
+        // ORDER BY keys: an output column, or (plain queries only) a
+        // hidden sort key appended to each row.
+        let mut order = Vec::with_capacity(stmt.order_by.len());
         let mut hidden_sort = Vec::new();
-        if !aggregated {
-            for o in &stmt.order_by {
-                if output_index(&columns, stmt, &o.expr).is_none() {
-                    hidden_sort.push(o.expr.clone());
+        for o in &stmt.order_by {
+            let at = match output_index(&columns, stmt, &o.expr) {
+                Some(i) => i,
+                None if aggregated => {
+                    return Err(ExecError::Unsupported(format!(
+                        "ORDER BY {} must name an output column of an aggregate query",
+                        o.expr.to_sql()
+                    )))
                 }
-            }
+                None => {
+                    hidden_sort.push(o.expr.clone());
+                    columns.len() + hidden_sort.len() - 1
+                }
+            };
+            order.push((at, o.desc));
         }
 
         Ok(RowSink {
-            stmt,
             aggregated,
             columns,
             plain_exprs,
             hidden_sort,
+            group_by: stmt.group_by.clone(),
+            order,
+            limit: stmt.limit.map(|l| l as usize),
             rows: Vec::new(),
             aggs,
             agg_projected,
@@ -1028,7 +1096,6 @@ impl<'q> RowSink<'q> {
     pub(crate) fn consume(&mut self, b: &Bindings<'_>) -> Result<(), ExecError> {
         if self.aggregated {
             let key_vals = self
-                .stmt
                 .group_by
                 .iter()
                 .map(|g| eval(g, b))
@@ -1064,7 +1131,7 @@ impl<'q> RowSink<'q> {
             for e in &self.hidden_sort {
                 row.push(eval(e, b)?);
             }
-            self.rows.push(row);
+            self.consume_plain_row(row);
             Ok(())
         }
     }
@@ -1108,7 +1175,7 @@ impl<'q> RowSink<'q> {
     /// followed by hidden sort keys) — the vectorized equivalent of the
     /// non-aggregated arm of [`RowSink::consume`].
     pub(crate) fn consume_plain_row(&mut self, row: Vec<Value>) {
-        self.rows.push(row);
+        keep_row(&mut self.rows, &self.order, self.limit, row);
     }
 
     /// Accepts one evaluated row for aggregation — the one group entry
@@ -1140,7 +1207,7 @@ impl<'q> RowSink<'q> {
         for (acc, v) in state.accs.iter_mut().zip(arg_vals) {
             acc.update(v.as_ref());
         }
-        if state.rep.len() == self.stmt.group_by.len() {
+        if state.rep.len() == self.group_by.len() {
             state.rep.extend(rep_tail(&self.agg_projected)?);
         }
         Ok(())
@@ -1169,14 +1236,13 @@ impl<'q> RowSink<'q> {
         if self.aggregated {
             // Global aggregate with zero input rows still yields one row
             // (COUNT(*) = 0) when there is no GROUP BY.
-            if self.groups.is_empty() && self.stmt.group_by.is_empty() {
+            if self.groups.is_empty() && self.group_by.is_empty() {
                 let accs: Vec<AggAcc> = self.aggs.iter().map(|a| AggAcc::new(a.kind)).collect();
                 // No rows to evaluate bare columns against: NULL.
                 let rep = vec![Value::Null; self.agg_projected.len()];
                 self.group_order.push(Vec::new());
                 self.groups.insert(Vec::new(), GroupState { accs, rep });
             }
-            let mut rows = Vec::with_capacity(self.group_order.len());
             for key in &self.group_order {
                 let state = &self.groups[key];
                 // Pseudo table carrying this group's aggregate results.
@@ -1197,7 +1263,7 @@ impl<'q> RowSink<'q> {
                     .push_row(agg_row)
                     .expect("schema built from the row itself");
                 let b = Bindings::single("__agg", &pseudo, 0);
-                let nkeys = self.stmt.group_by.len();
+                let nkeys = self.group_by.len();
                 let mut row = Vec::with_capacity(self.agg_projected.len());
                 for (i, proj) in self.agg_projected.iter().enumerate() {
                     if references_agg(proj) {
@@ -1208,80 +1274,59 @@ impl<'q> RowSink<'q> {
                         row.push(state.rep[nkeys + i].clone());
                     }
                 }
-                rows.push(row);
+                keep_row(&mut self.rows, &self.order, self.limit, row);
             }
-            self.rows = rows;
         }
 
-        // ORDER BY.
-        if !self.stmt.order_by.is_empty() {
-            let mut keys: Vec<(usize, bool)> = Vec::new(); // (column index, desc)
-            let mut hidden_base = self.columns.len();
-            for o in &self.stmt.order_by {
-                match output_index(&self.columns, self.stmt, &o.expr) {
-                    Some(i) => keys.push((i, o.desc)),
-                    None => {
-                        if self.aggregated {
-                            return Err(ExecError::Unsupported(format!(
-                                "ORDER BY {} must name an output column of an aggregate query",
-                                o.expr.to_sql()
-                            )));
-                        }
-                        keys.push((hidden_base, o.desc));
-                        hidden_base += 1;
-                    }
-                }
-            }
-            let key_cmp = |a: &[Value], b: &[Value]| {
-                for &(i, desc) in &keys {
-                    let ord = a[i].total_cmp(&b[i]);
-                    if ord != std::cmp::Ordering::Equal {
-                        return if desc { ord.reverse() } else { ord };
-                    }
-                }
-                std::cmp::Ordering::Equal
-            };
-            match self.stmt.limit {
-                // Top-n selection: ORDER BY + LIMIT n with n well under
-                // the row count selects the n smallest under (keys,
-                // original index) — a strict total order, so the result
-                // is exactly the stable sort's prefix without sorting
-                // the whole set.
-                Some(l) if (l as usize) < self.rows.len() => {
-                    let n = l as usize;
-                    if n == 0 {
-                        self.rows.clear();
-                    } else {
-                        let rows = &self.rows;
-                        let ord =
-                            |x: &usize, y: &usize| key_cmp(&rows[*x], &rows[*y]).then(x.cmp(y));
-                        let mut idx: Vec<usize> = (0..rows.len()).collect();
-                        idx.select_nth_unstable_by(n - 1, ord);
-                        idx.truncate(n);
-                        idx.sort_unstable_by(ord);
-                        let mut out = Vec::with_capacity(n);
-                        for &i in &idx {
-                            out.push(std::mem::take(&mut self.rows[i]));
-                        }
-                        self.rows = out;
-                    }
-                }
-                _ => self.rows.sort_by(|a, b| key_cmp(a, b)),
-            }
-        }
+        order_rows(&mut self.rows, &self.order, self.limit);
         // Strip hidden sort keys.
         let visible = self.columns.len();
         for r in &mut self.rows {
             r.truncate(visible);
         }
-
-        if let Some(l) = self.stmt.limit {
-            self.rows.truncate(l as usize);
-        }
         Ok(ResultTable {
             columns: self.columns,
             rows: self.rows,
         })
+    }
+}
+
+/// Appends one output row to `rows`, the answer so far in arrival order.
+/// Under `LIMIT n` the rows are compacted to their first n under
+/// [`order_rows`] whenever they reach 2n, so they never hold more than
+/// 2n: the rows kept stay in order and every later row arrives after
+/// them, so position breaks ties as arrival does, and the answer is the
+/// stable sort's prefix over every row.
+fn keep_row(
+    rows: &mut Vec<Vec<Value>>,
+    order: &[(usize, bool)],
+    limit: Option<usize>,
+    row: Vec<Value>,
+) {
+    rows.push(row);
+    if let Some(n) = limit {
+        if rows.len() >= 2 * n {
+            order_rows(rows, order, limit);
+        }
+    }
+}
+
+/// Sorts rows stably by the ORDER BY keys — (row position, desc) pairs —
+/// and keeps the first `limit`.
+fn order_rows(rows: &mut Vec<Vec<Value>>, order: &[(usize, bool)], limit: Option<usize>) {
+    if !order.is_empty() {
+        rows.sort_by(|a, b| {
+            for &(i, desc) in order {
+                let ord = a[i].total_cmp(&b[i]);
+                if ord != std::cmp::Ordering::Equal {
+                    return if desc { ord.reverse() } else { ord };
+                }
+            }
+            std::cmp::Ordering::Equal
+        });
+    }
+    if let Some(n) = limit {
+        rows.truncate(n);
     }
 }
 
@@ -1301,10 +1346,19 @@ pub(crate) fn references_agg(expr: &Expr) -> bool {
     found
 }
 
-/// Resolves an ORDER BY expression to an output column index: by alias,
-/// by rendered SQL text, or by bare column name.
-fn output_index(columns: &[String], stmt: &SelectStatement, expr: &Expr) -> Option<usize> {
-    let sql = expr.to_sql();
+/// Resolves an ORDER BY expression to an index into `columns`, the
+/// output column names of `stmt`: by alias or rendered SQL text (a
+/// backtick-quoted identifier by its name), or by bare column name. The
+/// master's rewriting resolves a user's ORDER BY by this same rule.
+pub fn output_index(columns: &[String], stmt: &SelectStatement, expr: &Expr) -> Option<usize> {
+    let sql = match expr {
+        Expr::Column {
+            qualifier: None,
+            name,
+            quoted: true,
+        } => name.clone(),
+        _ => expr.to_sql(),
+    };
     if let Some(i) = columns.iter().position(|c| *c == sql) {
         return Some(i);
     }
@@ -1635,6 +1689,68 @@ mod tests {
         let r = run("SELECT chunkId, COUNT(*) FROM Object GROUP BY chunkId ORDER BY chunkId");
         assert_eq!(r.rows[0], vec![Value::Int(7), Value::Int(2)]);
         assert_eq!(r.rows[1], vec![Value::Int(8), Value::Int(2)]);
+    }
+
+    #[test]
+    fn table_sink_holds_at_most_2n_rows_under_order_by_limit() {
+        // 10 000 rows pushed 10 at a time; the sort key takes 5 values,
+        // so the answer is decided by ties, broken by arrival.
+        let stmt = parse_select("SELECT id, k FROM t ORDER BY k DESC LIMIT 10").unwrap();
+        let schema = Schema::new(vec![
+            ColumnDef::new("id", ColumnType::Int),
+            ColumnDef::new("k", ColumnType::Int),
+        ]);
+        let mut sink = TableSink::new(&stmt, &schema).unwrap();
+        let mut all = Table::new(schema.clone());
+        for part in 0..1000i64 {
+            let mut t = Table::new(schema.clone());
+            for i in part * 10..part * 10 + 10 {
+                let row = vec![Value::Int(i), Value::Int((i * 7919) % 5)];
+                t.push_row(row.clone()).unwrap();
+                all.push_row(row).unwrap();
+            }
+            sink.push(&t).unwrap();
+            assert!(
+                sink.sink.rows.len() <= 20,
+                "{} rows held",
+                sink.sink.rows.len()
+            );
+        }
+        let got = sink.finish().unwrap();
+        let mut expect: Vec<Vec<Value>> = (0..all.num_rows()).map(|r| all.row(r)).collect();
+        expect.sort_by(|a, b| b[1].total_cmp(&a[1]));
+        expect.truncate(10);
+        assert_eq!(got.rows, expect);
+        let mut db = Database::new();
+        db.create_table("t", all);
+        assert_eq!(got, execute(&db, &stmt).unwrap());
+    }
+
+    #[test]
+    fn table_sink_equals_execute_over_the_concatenation() {
+        let t = object_table();
+        let mut db = Database::new();
+        db.create_table("Object", t.clone());
+        for sql in [
+            "SELECT chunkId, COUNT(*), SUM(ra_PS) / COUNT(*) FROM Object GROUP BY chunkId ORDER BY chunkId DESC",
+            "SELECT objectId FROM Object ORDER BY -ra_PS",
+            "SELECT * FROM Object LIMIT 3",
+            "SELECT MAX(zFlux_PS) FROM Object",
+        ] {
+            let stmt = parse_select(sql).unwrap();
+            let mut sink = TableSink::new(&stmt, t.schema()).unwrap();
+            for r in 0..t.num_rows() {
+                let mut one = Table::new(t.schema().clone());
+                one.push_row(t.row(r)).unwrap();
+                sink.push(&one).unwrap();
+            }
+            assert_eq!(sink.finish().unwrap(), execute(&db, &stmt).unwrap(), "{sql}");
+        }
+        let filtered = parse_select("SELECT objectId FROM Object WHERE ra_PS > 1").unwrap();
+        assert!(matches!(
+            TableSink::new(&filtered, t.schema()),
+            Err(ExecError::Unsupported(_))
+        ));
     }
 
     #[test]

@@ -252,7 +252,7 @@ pub(crate) fn run_dist_join(
     plan: &DistJoinPlan,
     bindings: &[(String, Arc<Table>)],
     candidates: &[Vec<u32>],
-    sink: &mut RowSink<'_>,
+    sink: &mut RowSink,
     quick_limit: Option<usize>,
 ) -> Result<(), ExecError> {
     let (n0, t0) = (&bindings[0].0, &bindings[0].1);

@@ -33,12 +33,7 @@ use std::collections::HashMap;
 use std::convert::Infallible;
 
 /// Runs a compiled plan over `table`, feeding `sink`.
-pub(crate) fn run(
-    plan: &VecPlan,
-    table: &Table,
-    sink: &mut RowSink<'_>,
-    quick_limit: Option<usize>,
-) {
+pub(crate) fn run(plan: &VecPlan, table: &Table, sink: &mut RowSink, quick_limit: Option<usize>) {
     let mut stack: Vec<Value> = Vec::new();
 
     // Selection vector.
@@ -414,7 +409,7 @@ fn run_fused(
     rep: &[Option<Program>],
     table: &Table,
     sel: &[u32],
-    sink: &mut RowSink<'_>,
+    sink: &mut RowSink,
     stack: &mut Vec<Value>,
 ) {
     let mut install = |key_vals: Vec<Value>, members: &[u32]| {

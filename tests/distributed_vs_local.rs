@@ -7,9 +7,13 @@
 mod common;
 
 use common::{assert_matches_local, cluster_from, monolithic_db, small_patch, sorted_rows};
+use qserv::service::ServiceConfig;
+use qserv::{QservError, QueryService};
 use qserv_engine::exec::execute;
 use qserv_engine::value::Value;
 use qserv_sqlparse::parse_select;
+use std::sync::{mpsc, Arc};
+use std::time::Duration;
 
 /// Runs `sql` both ways and compares (order-insensitively unless the
 /// query orders, approximately for float aggregates).
@@ -259,4 +263,73 @@ fn limit_zero_keeps_its_columns() {
         assert_eq!(distributed.columns, local.columns, "{sql}");
         assert_eq!(distributed.rows, local.rows, "{sql}");
     }
+}
+
+/// An ORDER BY key need not be an output column as written: a key that
+/// names an output through its alias's expression orders by that output,
+/// and any other key rides to the merge as a hidden chunk column.
+#[test]
+fn order_by_keys_that_are_not_output_columns() {
+    for sql in [
+        "SELECT objectId AS o FROM Object ORDER BY objectId",
+        "SELECT objectId AS o FROM Object ORDER BY objectId DESC LIMIT 3",
+        "SELECT objectId FROM Object ORDER BY ra_PS",
+        "SELECT objectId FROM Object ORDER BY ra_PS LIMIT 3",
+        "SELECT objectId FROM Object ORDER BY ra_PS + decl_PS LIMIT 5",
+        "SELECT chunkId AS c, COUNT(*) FROM Object GROUP BY chunkId ORDER BY chunkId",
+    ] {
+        check(sql, 800, 47);
+    }
+}
+
+/// Statements that name an output column twice answer on the
+/// single-node engine, whose rows carry the name twice, but have no
+/// result table: the frontend rejects them with a typed analysis error
+/// before any chunk query leaves.
+const REPEATED_NAMES: [&str; 7] = [
+    "SELECT COUNT(*), COUNT(*) FROM Object",
+    "SELECT SUM(ra_PS), SUM(ra_PS) FROM Object",
+    "SELECT chunkId, chunkId, COUNT(*) FROM Object GROUP BY chunkId",
+    "SELECT objectId, objectId FROM Object",
+    "SELECT ra_PS AS x, decl_PS AS x FROM Object",
+    "SELECT *, objectId FROM Object WHERE objectId = 17",
+    "SELECT 1, 1",
+];
+
+#[test]
+fn repeated_output_names_are_an_analysis_error() {
+    let patch = small_patch(300, 41);
+    let q = cluster_from(&patch, 4);
+    for sql in REPEATED_NAMES {
+        let err = q.query(sql).expect_err(sql);
+        assert!(matches!(err, QservError::Analysis(_)), "{sql}: {err}");
+    }
+}
+
+/// Through the query service, more rejected statements than it has
+/// executors leave every executor serving: a following query answers.
+#[test]
+fn repeated_output_names_leave_the_service_serving() {
+    let patch = small_patch(300, 41);
+    let service = QueryService::start(Arc::new(cluster_from(&patch, 4)), ServiceConfig::default());
+    let repeats = ServiceConfig::default().max_concurrent + 1;
+    for sql in REPEATED_NAMES.iter().cycle().take(repeats) {
+        match service.submit(sql) {
+            Err(QservError::Analysis(_)) => {}
+            Err(e) => panic!("{sql}: {e}"),
+            Ok(handle) => panic!("{sql}: admitted as {:?}", handle.wait().result),
+        }
+    }
+    let handle = service
+        .submit("SELECT COUNT(*) FROM Object")
+        .expect("admitted");
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(handle.wait());
+    });
+    let reply = rx
+        .recv_timeout(Duration::from_secs(60))
+        .expect("the service answers");
+    let (rows, _) = reply.result.expect("COUNT(*) answers");
+    assert_eq!(rows.scalar(), Some(&Value::Int(300)));
 }

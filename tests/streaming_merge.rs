@@ -2,13 +2,15 @@
 //!
 //! Two layers:
 //!
-//! * property tests pinning the incremental [`Merger`] to the
-//!   collect-then-merge oracle (`merge_tables` + merge-statement
-//!   execution) over randomized chunk-result shapes — one Int or Float
-//!   type per column and case, parts whose column is all NULL and typed
-//!   the other way (such a part carries no type vote), NULL group keys,
-//!   empty parts, shuffled arrival order — and parts that disagree on a
-//!   populated column failing alike on both paths;
+//! * property tests pinning the incremental [`Merger`] — its parts
+//!   appended, or pushed into the engine's sink for the merge
+//!   statement — to the collect-then-merge oracle (`merge_tables` +
+//!   merge-statement execution) over randomized chunk-result shapes —
+//!   one Int or Float type per column and case, parts whose column is
+//!   all NULL and typed the other way (such a part carries no type
+//!   vote), NULL group keys, empty parts, shuffled arrival order — and
+//!   parts that disagree on a populated column failing alike on both
+//!   paths;
 //! * cluster tests: the live cluster returns what a single-node engine
 //!   returns over the unpartitioned rows, and a pushed-down `LIMIT`
 //!   cancels the chunk queue early so strictly fewer chunks are
@@ -21,7 +23,8 @@ use proptest::prelude::*;
 use qserv::analysis::analyze;
 use qserv::rewrite::{build_plan, PhysicalPlan};
 use qserv::sharedscan::SharedScanner;
-use qserv::{merge_oracle, CatalogMeta, Chunker, ClusterBuilder, MergeShape, Merger};
+use qserv::testing::merge_oracle;
+use qserv::{CatalogMeta, Chunker, ClusterBuilder, MergeShape, Merger};
 use qserv_engine::exec::execute;
 use qserv_engine::schema::{ColumnDef, ColumnType, Schema};
 use qserv_engine::table::Table;
@@ -191,7 +194,7 @@ proptest! {
             "SELECT chunkId, COUNT(*), SUM(ra_PS), AVG(decl_PS), \
              MIN(ra_PS), MAX(ra_PS) FROM Object GROUP BY chunkId",
         );
-        prop_assert!(matches!(plan.shape, MergeShape::Fold { .. }));
+        prop_assert_eq!(&plan.shape, &MergeShape::Query);
         let cols: Vec<(&str, Kind)> = vec![
             ("chunkId", Kind::Key),
             ("COUNT(*)", Kind::Num),
@@ -212,7 +215,7 @@ proptest! {
         let plan = plan_for(
             "SELECT COUNT(*), SUM(ra_PS), AVG(ra_PS), MIN(decl_PS), MAX(decl_PS) FROM Object",
         );
-        prop_assert!(matches!(plan.shape, MergeShape::Fold { .. }));
+        prop_assert_eq!(&plan.shape, &MergeShape::Query);
         let cols: Vec<(&str, Kind)> = vec![
             ("COUNT(*)", Kind::Num),
             ("SUM(ra_PS)", Kind::Num),
@@ -247,16 +250,60 @@ proptest! {
         assert_streaming_matches_oracle(&plan, parts, false, &mut rng);
     }
 
-    /// ORDER BY … LIMIT keeps a bounded top-n candidate set whose final
-    /// contents (including tie-breaking by arrival order) must match the
-    /// oracle's stable sort over the full concatenation.
+    /// ORDER BY … LIMIT: the sink keeps a bounded top-n candidate set
+    /// whose final contents (including tie-breaking by arrival order)
+    /// must match the oracle's stable sort over the full concatenation.
     #[test]
     fn topn_matches_oracle(seed in 0u64..u64::MAX / 2, nparts in 1usize..7) {
         let plan = plan_for(
             "SELECT objectId, ra_PS FROM Object ORDER BY ra_PS DESC, objectId LIMIT 4",
         );
-        prop_assert_eq!(&plan.shape, &MergeShape::TopN { n: 4 });
+        prop_assert_eq!(&plan.shape, &MergeShape::Query);
         let cols: Vec<(&str, Kind)> = vec![("objectId", Kind::Key), ("ra_PS", Kind::Key)];
+        let mut rng = Rng(seed);
+        let parts = gen_parts(&mut rng, &cols, nparts, 6);
+        assert_streaming_matches_oracle(&plan, parts, false, &mut rng);
+    }
+
+    /// Every merge statement runs through the engine's sink: shapes that
+    /// once finished through the oracle, or fell back to it at run time.
+    #[test]
+    fn query_shapes_match_oracle(
+        seed in 0u64..u64::MAX / 2,
+        nparts in 1usize..7,
+        case in 0usize..7,
+    ) {
+        let (sql, keys): (&str, &[&str]) = match case {
+            // ORDER BY without LIMIT: a full sort at finish.
+            0 => ("SELECT objectId, ra_PS FROM Object ORDER BY ra_PS, objectId DESC", &["ra_PS"]),
+            // Top-n on an expression the sink evaluates per row.
+            1 => ("SELECT * FROM Object ORDER BY ra_PS - decl_PS DESC LIMIT 3", &["ra_PS", "decl_PS"]),
+            // Top-n on a key that is no output column: a hidden QS_OB0.
+            2 => ("SELECT objectId FROM Object ORDER BY ra_PS + decl_PS LIMIT 4", &["QS_OB0"]),
+            // Two group keys, ordered by an aggregate output, limited.
+            3 => (
+                "SELECT chunkId, subChunkId, COUNT(*) AS n, SUM(ra_PS) FROM Object \
+                 GROUP BY chunkId, subChunkId ORDER BY n DESC, chunkId LIMIT 3",
+                &["chunkId", "subChunkId"],
+            ),
+            // An expression over aggregates.
+            4 => ("SELECT SUM(ra_PS) / COUNT(*), MAX(decl_PS) - MIN(decl_PS) FROM Object", &[]),
+            // GROUP BY an expression: a hidden QS_GB0 key column.
+            5 => ("SELECT COUNT(*), AVG(ra_PS) FROM Object GROUP BY chunkId * 2", &["QS_GB0"]),
+            // LIMIT 0 under GROUP BY.
+            _ => ("SELECT chunkId, COUNT(*) FROM Object GROUP BY chunkId LIMIT 0", &["chunkId"]),
+        };
+        let plan = plan_for(sql);
+        prop_assert_eq!(&plan.shape, &MergeShape::Query);
+        let names: Vec<String> = if sql.starts_with("SELECT *") {
+            keys.iter().map(|k| k.to_string()).collect()
+        } else {
+            plan.chunk_stmt.projections.iter().map(|p| p.output_name()).collect()
+        };
+        let cols: Vec<(&str, Kind)> = names
+            .iter()
+            .map(|n| (n.as_str(), if keys.contains(&n.as_str()) { Kind::Key } else { Kind::Num }))
+            .collect();
         let mut rng = Rng(seed);
         let parts = gen_parts(&mut rng, &cols, nparts, 6);
         assert_streaming_matches_oracle(&plan, parts, false, &mut rng);
