@@ -1,10 +1,10 @@
-//! The merge side of the dispatch loop: each member's chunk outcomes
+//! The merge side of the dispatch loop: the statement's chunk outcomes
 //! fold into its streaming merger as they arrive, with merged batches
 //! leaving through its sink and its instruments settled at the end.
 
 use crate::dispatch::{ChunkMeta, ChunkOutcome};
 use crate::error::QservError;
-use crate::master::{emit_final, CancelToken, Member, Sink};
+use crate::master::{emit_final, CancelToken, Prepared, Sink};
 use crate::merge::Merger;
 use crate::stats::QueryMetrics;
 use qserv_engine::exec::ResultTable;
@@ -27,7 +27,7 @@ fn record_chunk(qm: &QueryMetrics, bytes: u64, meta: &ChunkMeta) {
     qm.chunk_latency_ns.record(meta.latency.as_nanos() as u64);
 }
 
-/// The merge side of one member's dispatch: chunk outcomes arrive one at
+/// The merge side of one statement's dispatch: chunk outcomes arrive one at
 /// a time — from the calling thread's own dispatches and over its
 /// helper threads' channel — and fold into the merger,
 /// with merged batches leaving through the sink as they become final.
@@ -37,7 +37,7 @@ pub(crate) struct Arrivals<'a, 's> {
     token: &'a CancelToken,
     merger: Merger,
     sink: Sink<'s>,
-    /// The member's chunk queries; those never dispatched, or left unrun
+    /// The statement's chunk queries; those never dispatched, or left unrun
     /// by a worker's row budget, were skipped.
     total: usize,
     dispatched: usize,
@@ -58,14 +58,20 @@ pub(crate) struct Arrivals<'a, 's> {
 }
 
 impl<'a, 's> Arrivals<'a, 's> {
-    pub(crate) fn new(clock: &'a SharedClock, member: Member<'a, 's>) -> Arrivals<'a, 's> {
+    pub(crate) fn new(
+        clock: &'a SharedClock,
+        prepared: &Prepared,
+        qm: &'a QueryMetrics,
+        token: &'a CancelToken,
+        sink: Sink<'s>,
+    ) -> Arrivals<'a, 's> {
         Arrivals {
             clock,
-            qm: member.qm,
-            token: member.token,
-            merger: Merger::new(&member.prepared.plan),
-            sink: member.sink,
-            total: member.prepared.chunks.len(),
+            qm,
+            token,
+            merger: Merger::new(&prepared.plan),
+            sink,
+            total: prepared.chunks.len(),
             dispatched: 0,
             dispatch_err: None,
             fold_err: None,

@@ -5,15 +5,17 @@
 //! its helper threads. Retry stays per chunk — a failed bundle re-splits
 //! over the surviving replicas of its chunks — and cancellation and
 //! deadlines are observed at bundle boundaries. Each chunk's outcome is
-//! handed to its member's [`Arrivals`], which folds parts in walk order.
+//! handed to the statement's [`Arrivals`], which folds parts in walk
+//! order.
 
 use crate::arrivals::Arrivals;
 use crate::error::QservError;
-use crate::master::{CancelToken, Dispatched, Member, Prepared, Qserv};
+use crate::master::{CancelToken, Prepared, Qserv, Sink};
 use crate::rewrite::render_bundle_message;
+use crate::stats::QueryMetrics;
 use crate::worker::split_sections;
 use parking_lot::Mutex;
-use qserv_engine::exec::ScanStats;
+use qserv_engine::exec::{ResultTable, ScanStats};
 use qserv_engine::storage::decode_frame;
 use qserv_engine::table::Table;
 use qserv_obs::trace;
@@ -21,7 +23,6 @@ use qserv_xrd::cluster::{query_path, result_path, XrdError};
 use qserv_xrd::fault::FabricOp;
 use qserv_xrd::md5_hex;
 use qserv_xrd::server::ServerId;
-use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
@@ -53,27 +54,15 @@ pub(crate) struct ChunkMeta {
 /// byte count, and retry bookkeeping.
 pub(crate) type ChunkOutcome = Result<(Table, u64, ChunkMeta), QservError>;
 
-/// One bundle on the dispatch queue: chunks of one member that resolve
-/// to one server, each with its fold sequence within that member.
+/// One bundle on the dispatch queue: chunks of the statement that
+/// resolve to one server, each with its fold sequence.
 struct Bundle {
-    member: usize,
-    /// Its place in the walk. A convoy's slots hold one chunk, and every
-    /// member's bundle of a slot leaves back to back.
-    slot: usize,
     /// Where the first attempt goes (`None`: no replica resolved).
     server: Option<ServerId>,
     /// The `-- QID:` tag of every message the bundle sends.
     qid: u64,
     /// `(seq, chunk)` in walk order.
     items: Vec<(usize, i32)>,
-}
-
-/// The bundles not yet sent, and how many chunks the sent ones visited
-/// (a slot counts once, however many members it carries).
-struct BundleQueue {
-    bundles: std::vec::IntoIter<Bundle>,
-    last_slot: Option<usize>,
-    passes: usize,
 }
 
 /// A chunk of a bundle not yet answered, with its retry state.
@@ -209,148 +198,87 @@ impl Qserv {
         )
     }
 
-    /// Walks every member's chunks into bundles, in queue order. The walk
-    /// groups the chunks by the server each resolves to — servers in id
-    /// order, chunks that resolve nowhere last, plan order within a
-    /// server — and numbers each member's chunks along it, so a part's
-    /// fold sequence is the same in a convoy as alone, at any width.
-    /// One statement cuts each server's chunks into
-    /// ⌈dispatch width ÷ servers⌉ bundles, so no dispatcher sits idle
-    /// that has work. A convoy walks the union of its members' chunk
-    /// sets one chunk per slot, each member that reads the chunk sending
-    /// its bundle of one, so every query of a chunk leaves back to back.
-    fn plan_bundles(&self, members: &[Member<'_, '_>]) -> Vec<Bundle> {
-        let walk: Vec<i32> = match members {
-            [only] => only.prepared.chunks.clone(),
-            _ => members
-                .iter()
-                .flat_map(|m| m.prepared.chunks.iter().copied())
-                .collect::<BTreeSet<i32>>()
-                .into_iter()
-                .collect(),
-        };
-        let mut placed: Vec<(Option<ServerId>, i32)> = walk
-            .into_iter()
-            .map(|c| (self.resolve(c, &[]), c))
+    /// Walks the statement's chunks into bundles, in queue order. The
+    /// walk groups the chunks by the server each resolves to — servers in
+    /// id order, chunks that resolve nowhere last, plan order within a
+    /// server — and numbers the chunks along it, so a part's fold
+    /// sequence is the same at any width. Each server's chunks are cut
+    /// into ⌈dispatch width ÷ servers⌉ bundles, so no dispatcher sits
+    /// idle that has work.
+    fn plan_bundles(&self, prepared: &Prepared) -> Vec<Bundle> {
+        let mut placed: Vec<(Option<ServerId>, i32)> = prepared
+            .chunks
+            .iter()
+            .map(|&c| (self.resolve(c, &[]), c))
             .collect();
         placed.sort_by_key(|&(server, _)| (server.is_none(), server));
-        let groups: Vec<&[(Option<ServerId>, i32)]> = placed.chunk_by(|a, b| a.0 == b.0).collect();
-        let convoy = members.len() > 1;
-        let per_group = if convoy {
-            usize::MAX
-        } else {
-            self.dispatch_width.max(1).div_ceil(groups.len().max(1))
-        };
-        let mut slots: Vec<&[(Option<ServerId>, i32)]> = Vec::new();
-        for group in groups {
-            let n = group.len();
-            let p = per_group.min(n);
-            let mut start = 0;
-            for i in 0..p {
-                let len = n / p + usize::from(i < n % p);
-                slots.push(&group[start..start + len]);
-                start += len;
-            }
-        }
-        let mut next_seq = vec![0; members.len()];
+        let groups: Vec<usize> = placed.chunk_by(|a, b| a.0 == b.0).map(<[_]>::len).collect();
+        let per_group = self.dispatch_width.max(1).div_ceil(groups.len().max(1));
         let mut bundles = Vec::new();
-        for (slot, piece) in slots.into_iter().enumerate() {
-            for (member, m) in members.iter().enumerate() {
-                let items: Vec<(usize, i32)> = piece
-                    .iter()
-                    .filter(|(_, c)| !convoy || m.prepared.chunks.contains(c))
-                    .map(|&(_, c)| {
-                        next_seq[member] += 1;
-                        (next_seq[member] - 1, c)
-                    })
-                    .collect();
-                if !items.is_empty() {
-                    bundles.push(Bundle {
-                        member,
-                        slot,
-                        server: piece[0].0,
-                        qid: self.qid.fetch_add(1, Ordering::Relaxed),
-                        items,
-                    });
-                }
+        let mut seq = 0;
+        for n in groups {
+            let p = per_group.min(n);
+            for i in 0..p {
+                let piece = &placed[seq..seq + n / p + usize::from(i < n % p)];
+                bundles.push(Bundle {
+                    server: piece[0].0,
+                    qid: self.qid.fetch_add(1, Ordering::Relaxed),
+                    items: (seq..).zip(piece.iter().map(|&(_, c)| c)).collect(),
+                });
+                seq += piece.len();
             }
         }
         bundles
     }
 
     /// The one loop that sends chunk queries: dispatches every bundle of
-    /// `members` and merges each member's results. The calling
-    /// thread is the only merger *and* one of the dispatchers: it folds
-    /// whatever its `width − 1` helper threads have finished into the
-    /// members' incremental [`Merger`](crate::Merger)s, then takes the
-    /// next bundle off the shared queue itself. So merging overlaps
-    /// dispatch, and the master holds only the merge state, a small
-    /// reorder buffer and at most `width` unfolded bundles — not every
-    /// chunk result at once. (In this in-process fabric a bundle runs on
-    /// the thread that writes it.) At width 1 there are no helpers and
-    /// the whole trace is a pure function of the input (bit-reproducible
-    /// under a virtual clock and a fixed fault seed). A member that stops
-    /// — its merger satisfied (a pushed-down LIMIT is met), its token
-    /// cancelled, a chunk failed, or its sink closed — has its remaining
-    /// bundles skipped while the other members carry on; skipped chunks
-    /// are never sent, and a satisfied member counts them, with the
-    /// chunks its workers' row budget left unrun, in
+    /// a statement and merges its results. The calling thread is the
+    /// only merger *and* one of the dispatchers: it folds whatever its
+    /// `width − 1` helper threads have finished into the statement's
+    /// incremental [`Merger`](crate::Merger), then takes the next bundle
+    /// off the shared queue itself. So merging overlaps dispatch, and the
+    /// master holds only the merge state, a small reorder buffer and at
+    /// most `width` unfolded bundles — not every chunk result at once.
+    /// (In this in-process fabric a bundle runs on the thread that writes
+    /// it.) At width 1 there are no helpers and the whole trace is a pure
+    /// function of the input (bit-reproducible under a virtual clock and
+    /// a fixed fault seed). Once the statement stops — its merger
+    /// satisfied (a pushed-down LIMIT is met), its token cancelled, a
+    /// chunk failed, or its sink closed — no further bundle leaves;
+    /// skipped chunks are never sent, and a satisfied statement counts
+    /// them, with the chunks its workers' row budget left unrun, in
     /// [`QueryStats::chunks_skipped_by_limit`](crate::QueryStats::chunks_skipped_by_limit).
     pub(crate) fn dispatch_streaming(
         &self,
-        members: Vec<Member<'_, '_>>,
-    ) -> Result<Dispatched, QservError> {
-        let bundles = self.plan_bundles(&members);
+        prepared: &Prepared,
+        qm: &QueryMetrics,
+        token: &CancelToken,
+        sink: Sink<'_>,
+    ) -> Result<ResultTable, QservError> {
+        let bundles = self.plan_bundles(prepared);
         let width = effective_width(self.dispatch_width, bundles.len());
         let started = self.clock.now();
-        let plans: Vec<&Prepared> = members.iter().map(|m| m.prepared).collect();
-        // What helper threads may read of a member: its token, and
-        // whether the merge side has stopped wanting its chunks.
-        let live: Vec<(&CancelToken, AtomicBool)> = members
-            .iter()
-            .map(|m| (m.token, AtomicBool::new(false)))
-            .collect();
-        let mut arrivals: Vec<Arrivals> = members
-            .into_iter()
-            .map(|m| Arrivals::new(&self.clock, m))
-            .collect();
+        // What helper threads may read of the merge side: whether it has
+        // stopped wanting chunks.
+        let stopped = AtomicBool::new(false);
+        let mut arrivals = Arrivals::new(&self.clock, prepared, qm, token, sink);
 
-        let queue = Mutex::new(BundleQueue {
-            bundles: bundles.into_iter(),
-            last_slot: None,
-            passes: 0,
-        });
+        let queue = Mutex::new(bundles.into_iter());
         // Cancellation — by LIMIT cutoff, failure or an external KILL —
         // is checked between bundles: an in-flight bundle finishes (and
-        // is drained below) but nothing new of that member leaves the
-        // queue.
+        // is drained below) but nothing new leaves the queue.
         let next_bundle = || {
-            let mut queue = queue.lock();
-            while let Some(bundle) = queue.bundles.next() {
-                let (token, stopped) = &live[bundle.member];
-                if stopped.load(Ordering::Relaxed) || token.is_cancelled() {
-                    continue;
-                }
-                if queue.last_slot != Some(bundle.slot) {
-                    queue.last_slot = Some(bundle.slot);
-                    queue.passes += bundle.items.len();
-                }
-                return Some(bundle);
+            if stopped.load(Ordering::Relaxed) || token.is_cancelled() {
+                return None;
             }
-            None
+            queue.lock().next()
         };
         let ctx = trace::current();
         // At most `width` finished bundles wait for the merge and at most
         // `width` more are being produced, so what the master holds
         // beyond the merge state and its reorder buffer stays bounded.
-        type Outcomes = (usize, Vec<(usize, ChunkOutcome)>);
-        let (tx, rx) = mpsc::sync_channel::<Outcomes>(width);
-        let dispatch = |bundle: Bundle| {
-            let member = bundle.member;
-            let token = live[member].0;
-            let outcomes = self.dispatch_bundle(plans[member], bundle, started, token);
-            (member, outcomes)
-        };
+        let (tx, rx) = mpsc::sync_channel::<Vec<(usize, ChunkOutcome)>>(width);
+        let dispatch = |bundle: Bundle| self.dispatch_bundle(prepared, bundle, started, token);
         // A panic on a helper or on this thread becomes a typed error
         // rather than unwinding into the caller's executor.
         catch_unwind(AssertUnwindSafe(|| {
@@ -375,14 +303,14 @@ impl Qserv {
                 }
                 drop(tx);
                 // Folding on this thread only keeps the merge single-threaded;
-                // the mergers' reorder buffers make it deterministic
+                // the merger's reorder buffer makes it deterministic
                 // regardless of arrival order. Once an arrival asks to stop,
                 // the channel is still drained so in-flight helpers can
                 // finish their send and exit.
-                let mut arrive = |(member, outcomes): Outcomes| {
+                let mut arrive = |outcomes: Vec<(usize, ChunkOutcome)>| {
                     for (seq, outcome) in outcomes {
-                        if !arrivals[member].arrive(seq, outcome) {
-                            live[member].1.store(true, Ordering::Relaxed);
+                        if !arrivals.arrive(seq, outcome) {
+                            stopped.store(true, Ordering::Relaxed);
                         }
                     }
                 };
@@ -401,11 +329,7 @@ impl Qserv {
             })
         }))
         .map_err(|_| QservError::Fabric("dispatcher thread panicked".to_string()))?;
-
-        Ok(Dispatched {
-            results: arrivals.into_iter().map(Arrivals::finish).collect(),
-            chunk_passes: queue.into_inner().passes,
-        })
+        arrivals.finish()
     }
 
     /// Dispatches one bundle with bounded per-chunk retry, in rounds.

@@ -31,8 +31,8 @@
 //! * [`planner`] — cost-based planning over load-time statistics (zone
 //!   maps, row counts, distinct-value counts): per-conjunct selectivity
 //!   estimation with filter reordering, index-vs-scan choice, proven-
-//!   sound ORDER BY + LIMIT pushdown, and shared-scan attachment —
-//!   surfaced through the service's `EXPLAIN` verb.
+//!   sound ORDER BY + LIMIT pushdown — surfaced through the service's
+//!   `EXPLAIN` verb.
 //! * [`rewrite`] — physical query generation: aggregate splitting
 //!   (`AVG → SUM/COUNT`), `qserv_areaspec_box` → worker UDF predicates,
 //!   chunk/subchunk table substitution, and the master's merge query.
@@ -57,9 +57,6 @@
 //!   interactive/scan classification, deficit-round-robin fair
 //!   scheduling (the Figure-14 starvation fix), and cooperative
 //!   per-query cancellation (`KILL`).
-//! * [`sharedscan`] — shared scanning (§4.3; "planned" in the paper,
-//!   implemented here): concurrent full-scan queries share one pass over
-//!   each chunk, as the members of one run of the master's dispatch loop.
 //! * [`placement`] — epoch-stamped chunk→replica placement: node
 //!   join/leave and replication repair after permanent node loss (chunk
 //!   copies over the fabric).
@@ -76,7 +73,6 @@ pub mod placement;
 pub mod planner;
 pub mod rewrite;
 pub mod service;
-pub mod sharedscan;
 pub mod stats;
 #[doc(hidden)]
 pub mod testing;
@@ -91,9 +87,8 @@ pub use placement::{PlacementManager, RebalanceReport};
 pub use planner::{AccessPath, ConjunctEstimate, PlanChoice, PlanOverride};
 pub use rewrite::MergeShape;
 pub use service::{
-    FairScheduler, KillOutcome, Notifier, QueryClass, QueryHandle, QueryService, QueryState,
-    QueryStatus, ServiceConfig, ServiceReply, StreamDone, StreamEvent, StreamHandle, StreamOutcome,
-    Ticket,
+    KillOutcome, Notifier, QueryClass, QueryHandle, QueryService, QueryState, QueryStatus,
+    ServiceConfig, ServiceReply, StreamDone, StreamEvent, StreamHandle, StreamOutcome,
 };
 
 // Chaos-testing surface: arm a fault plan at build time

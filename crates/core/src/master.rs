@@ -139,30 +139,6 @@ impl CancelToken {
     }
 }
 
-/// Sets one statement's planner, pruning and index instruments — the
-/// estimate-vs-actual q-error against `actual` result rows included —
-/// and returns that q-error. [`Qserv::run`] and the shared-scan convoy
-/// both call it, so a convoy member reports what its solo run would.
-pub(crate) fn record_plan(qm: &QueryMetrics, prepared: &Prepared, actual: u64) -> f64 {
-    qm.used_secondary_index
-        .set(prepared.analysis.index_ids.is_some() as u64);
-    qm.used_spatial_restriction
-        .set(prepared.analysis.spatial.is_some() as u64);
-    qm.chunks_pruned.add(prepared.chunks_pruned as u64);
-    qm.planner_est_rows
-        .set(prepared.choice.est_rows.round() as u64);
-    qm.planner_index_lookup.set(matches!(
-        prepared.choice.access,
-        crate::planner::AccessPath::IndexLookup { .. }
-    ) as u64);
-    qm.planner_topn_pushdown
-        .set(prepared.choice.topn_pushdown.is_some() as u64);
-    qm.planner_reordered.set(prepared.choice.reordered as u64);
-    let qerror = prepared.choice.q_error(actual);
-    qm.planner_qerror_pct.set((qerror * 100.0).round() as u64);
-    qerror
-}
-
 /// The optional row sink of one query: `Some` pushes merged row batches
 /// out as they become final, or as one batch at completion for merges
 /// that cannot stream (the merge statement's answer, keep-nearest). The
@@ -170,22 +146,6 @@ pub(crate) fn record_plan(qm: &QueryMetrics, prepared: &Prepared, actual: u64) -
 /// `false` aborts the query like a cancel: the LIMIT-cutoff and
 /// disconnect paths of [`crate::QueryService::submit_streaming`].
 pub(crate) type Sink<'a> = Option<&'a mut dyn FnMut(StreamBatch) -> bool>;
-
-/// One statement riding [`Qserv::dispatch_streaming`]: its plan, its
-/// own instruments and cancellation, and where its rows go.
-pub(crate) struct Member<'a, 's> {
-    pub prepared: &'a Prepared,
-    pub qm: &'a QueryMetrics,
-    pub token: &'a CancelToken,
-    pub sink: Sink<'s>,
-}
-
-/// What [`Qserv::dispatch_streaming`] hands back: each member's merged
-/// result, in member order, and how many distinct chunks were sent.
-pub(crate) struct Dispatched {
-    pub results: Vec<Result<ResultTable, QservError>>,
-    pub chunk_passes: usize,
-}
 
 /// Specification of a cross-catalog XMatch: match every row of catalog
 /// `left` against candidates in catalog `right` within `radius_deg`,
@@ -595,20 +555,14 @@ impl Qserv {
                 // newer epochs mid-flight do not change its chunk set.
                 g.annotate("placement_epoch", &prepared.placement.epoch().to_string());
             }
-            let member = Member {
-                prepared: &prepared,
-                qm: &qm,
+            self.dispatch_streaming(
+                &prepared,
+                &qm,
                 token,
-                sink: counting
+                counting
                     .as_mut()
                     .map(|s| s as &mut dyn FnMut(StreamBatch) -> bool),
-            };
-            let dispatched = self.dispatch_streaming(vec![member])?;
-            dispatched
-                .results
-                .into_iter()
-                .next()
-                .expect("one result per member")?
+            )?
         };
         // Record the plan's instruments and the estimate-vs-actual error
         // on the query span. Under a sink the returned table is empty by
@@ -617,7 +571,22 @@ impl Qserv {
             Some(_) => sent,
             None => result.num_rows() as u64,
         };
-        let qerror = record_plan(&qm, &prepared, actual);
+        qm.used_secondary_index
+            .set(prepared.analysis.index_ids.is_some() as u64);
+        qm.used_spatial_restriction
+            .set(prepared.analysis.spatial.is_some() as u64);
+        qm.chunks_pruned.add(prepared.chunks_pruned as u64);
+        qm.planner_est_rows
+            .set(prepared.choice.est_rows.round() as u64);
+        qm.planner_index_lookup.set(matches!(
+            prepared.choice.access,
+            crate::planner::AccessPath::IndexLookup { .. }
+        ) as u64);
+        qm.planner_topn_pushdown
+            .set(prepared.choice.topn_pushdown.is_some() as u64);
+        qm.planner_reordered.set(prepared.choice.reordered as u64);
+        let qerror = prepared.choice.q_error(actual);
+        qm.planner_qerror_pct.set((qerror * 100.0).round() as u64);
         if let Some(q) = &_q {
             q.annotate(
                 "planner.est_rows",

@@ -10,8 +10,9 @@
 //!   metrics registry. Queries pin one snapshot at prepare time and
 //!   complete against it; membership operations install new maps at
 //!   higher epochs. Which replica serves a chunk is not its business:
-//!   dispatch asks the fabric's redirector (paper §5.1), which rotates
-//!   over the replicas that export the chunk.
+//!   dispatch asks the fabric's redirector (paper §5.1), which resolves
+//!   each chunk keyed by the chunk to one of the replicas that export
+//!   it, steering clear of replicas that already failed it.
 //! * Membership operations on [`Qserv`] — [`Qserv::fail_node`] /
 //!   [`Qserv::join_node`] / [`Qserv::leave_node`] / [`Qserv::repair`] /
 //!   [`Qserv::rebalance`] — each a loop of "ask the snapshot for the next

@@ -32,10 +32,8 @@
 //!    uniqueness proof the pushdown is skipped: a tied key could make
 //!    different plans pick different (all correct, not bit-identical)
 //!    prefixes.
-//! 4. **Shared-scan convoy attachment** and the admission estimate: a
-//!    full-scan plan over more chunks than the interactive threshold is
-//!    marked for convoy attachment, and the costed chunk-elision result
-//!    (the planned chunk count) is what the service's interactive/scan
+//! 4. **The admission estimate**: the costed chunk-elision result (the
+//!    planned chunk count) is what the service's interactive/scan
 //!    classification consumes.
 //!
 //! [`PlanOverride`] forces individual decisions — the plan-equivalence
@@ -155,9 +153,6 @@ pub struct PlanChoice {
     pub scan_chunks: usize,
     /// Chunk count of the index alternative, when one exists.
     pub index_chunks: Option<usize>,
-    /// Whether a shared-scan convoy should pick this query up (scan
-    /// access over more chunks than the interactive threshold).
-    pub attach_convoy: bool,
 }
 
 /// Planner inputs assembled by `Qserv::prepare`.
@@ -603,7 +598,6 @@ pub(crate) fn choose(
         est_rows = est_rows.min(l as f64);
     }
 
-    let attach_convoy = access == AccessPath::FullScan && chunks.len() > DEFAULT_INTERACTIVE_CHUNKS;
     let conjuncts = conjunct_exprs
         .iter()
         .zip(&ordered_sels)
@@ -624,7 +618,6 @@ pub(crate) fn choose(
             est_cost,
             scan_chunks: scan_chunks.len(),
             index_chunks: index_chunks.as_ref().map(Vec::len),
-            attach_convoy,
         },
         chunks,
         chunks_pruned,
@@ -672,14 +665,6 @@ impl PlanChoice {
         ));
         rows.push(("est_rows".to_string(), format!("{:.1}", self.est_rows)));
         rows.push(("est_cost".to_string(), format!("{:.1}", self.est_cost)));
-        rows.push((
-            "shared_scan".to_string(),
-            if self.attach_convoy {
-                "attach".to_string()
-            } else {
-                "independent".to_string()
-            },
-        ));
         rows
     }
 }

@@ -257,15 +257,10 @@ fn output_names(stmt: &SelectStatement) -> Vec<String> {
 
 /// The merge-side form of a user ORDER BY key: when the key names one of
 /// the statement's output columns `names` by the engine's own rule
-/// ([`output_index`]), a reference to that output column (the key
-/// itself when it already reads as the name); `None` otherwise.
+/// ([`output_index`]), a reference to that output column by its name;
+/// `None` otherwise.
 fn output_key(stmt: &SelectStatement, names: &[String], key: &Expr) -> Option<Expr> {
-    let name = &names[output_index(names, stmt, key)?];
-    Some(if key.to_sql() == *name {
-        key.clone()
-    } else {
-        result_col(name)
-    })
+    output_index(names, stmt, key).map(|i| result_col(&names[i]))
 }
 
 /// A backtick-quoted reference to a chunk-result column.
@@ -699,7 +694,11 @@ mod tests {
         let p2 = plan_for("SELECT objectId FROM Object LIMIT 5");
         assert_eq!(p2.chunk_stmt.limit, Some(5)); // valid pushdown
         let merge = p.merge_stmt.to_sql();
-        assert!(merge.contains("ORDER BY objectId DESC LIMIT 5"));
+        // The key names the output column by its name, quoted.
+        assert!(
+            merge.contains("ORDER BY `objectId` DESC LIMIT 5"),
+            "{merge}"
+        );
     }
 
     #[test]

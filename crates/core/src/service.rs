@@ -482,10 +482,11 @@ pub struct StreamDone {
 /// batches, then exactly one [`StreamEvent::Done`].
 #[derive(Debug)]
 pub enum StreamEvent {
-    /// Merged rows in final order — chunk tables, not copied rows —
-    /// typed with the merger's votes so far. A later batch may only fill
-    /// in the type of a column that was all-NULL until then; delivered
-    /// values never change type.
+    /// Merged rows in final order — chunk tables, not copied rows. A
+    /// batch carries no column types: each part keeps its own schema,
+    /// and a column's type is that of the first part holding a non-NULL
+    /// value in it (see [`StreamBatch`]); delivered values never change
+    /// type.
     Batch(StreamBatch),
     /// The query finished.
     Done(StreamDone),

@@ -283,9 +283,7 @@ impl Expr {
                     out.push('.');
                 }
                 if *quoted {
-                    out.push('`');
-                    out.push_str(name);
-                    out.push('`');
+                    write_quoted(out, name);
                 } else {
                     out.push_str(name);
                 }
@@ -470,6 +468,14 @@ impl Expr {
     }
 }
 
+/// Writes `name` backtick-quoted, each backtick in it doubled (MySQL's
+/// spelling, which the lexer reads back).
+fn write_quoted(out: &mut String, name: &str) {
+    out.push('`');
+    out.push_str(&name.replace('`', "``"));
+    out.push('`');
+}
+
 /// One projected item: an expression with an optional alias.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Projection {
@@ -491,11 +497,13 @@ impl Projection {
                         .next()
                         .is_some_and(|c| c.is_ascii_alphabetic() || c == '_')
                     && a.chars().all(|c| c.is_ascii_alphanumeric() || c == '_');
+                let mut sql = format!("{} AS ", self.expr.to_sql());
                 if plain {
-                    format!("{} AS {}", self.expr.to_sql(), a)
+                    sql.push_str(a);
                 } else {
-                    format!("{} AS `{}`", self.expr.to_sql(), a)
+                    write_quoted(&mut sql, a);
                 }
+                sql
             }
             None => self.expr.to_sql(),
         }

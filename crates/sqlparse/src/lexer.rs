@@ -293,7 +293,11 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>, LexError> {
                     }
                     if bytes[i] == b'`' {
                         i += 1;
-                        break;
+                        // MySQL's rule: inside backticks, a backtick is
+                        // written twice.
+                        if bytes.get(i) != Some(&b'`') {
+                            break;
+                        }
                     }
                     s.push(bytes[i] as char);
                     i += 1;

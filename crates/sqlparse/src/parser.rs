@@ -760,6 +760,38 @@ mod tests {
     }
 
     #[test]
+    fn names_containing_backticks_roundtrip_through_printer() {
+        let quoted = |name: &str| Expr::Column {
+            qualifier: None,
+            name: name.to_string(),
+            quoted: true,
+        };
+        let s = SelectStatement {
+            projections: vec![
+                Projection {
+                    expr: Expr::func("SUM", vec![quoted("ra_PS")]),
+                    alias: Some("SUM(`ra_PS`)".to_string()),
+                },
+                Projection {
+                    expr: quoted("`chunkId`"),
+                    alias: None,
+                },
+            ],
+            from: vec![TableRef::named("Object")],
+            where_clause: None,
+            group_by: vec![quoted("a``b")],
+            order_by: vec![],
+            limit: None,
+        };
+        let once = s.to_sql();
+        assert_eq!(
+            once,
+            "SELECT SUM(`ra_PS`) AS `SUM(``ra_PS``)`, ```chunkId``` FROM Object GROUP BY `a````b`"
+        );
+        assert_eq!(parse_select(&once).unwrap(), s);
+    }
+
+    #[test]
     fn outer_joins_rejected_with_message() {
         for q in [
             "SELECT * FROM A LEFT JOIN B ON A.x = B.x",

@@ -12,7 +12,6 @@
 mod common;
 
 use common::{small_patch, sorted_rows};
-use qserv::sharedscan::SharedScanner;
 use qserv::{ClusterBuilder, FabricOp, FaultPlan, Qserv, QservError, RetryPolicy, Value};
 use qserv_datagen::generate::Patch;
 use std::time::Duration;
@@ -427,85 +426,6 @@ fn delay_faults_slow_but_never_break() {
     let stats = q.cluster().faults().stats();
     assert!(stats.delays_injected > 0, "delay rules must have fired");
     assert_eq!(stats.failures_injected, 0, "delays are not failures");
-}
-
-#[test]
-fn shared_scan_convoy_survives_read_faults() {
-    // A fault plan firing *during* a shared-scan convoy: the scheduler's
-    // retrying, replica-aware dispatch must mask the faults, and every
-    // member's streaming merger must still return complete results —
-    // identical to solo runs on a fault-free twin.
-    let patch = small_patch(700, 94);
-    let clean = replicated(&patch, 13);
-    let chaotic = replicated(&patch, 13);
-    chaotic
-        .cluster()
-        .faults()
-        .fail_with_probability(None, Some(FabricOp::Read), 0.2);
-
-    let queries = [
-        "SELECT COUNT(*) FROM Object",
-        "SELECT chunkId, COUNT(*), AVG(ra_PS) FROM Object GROUP BY chunkId",
-        "SELECT objectId, ra_PS FROM Object ORDER BY ra_PS DESC LIMIT 5",
-    ];
-    let report = SharedScanner::new(&chaotic)
-        .run(&queries)
-        .expect("convoy completes under read faults");
-
-    for (i, sql) in queries.iter().enumerate() {
-        let solo = clean.query(sql).expect("clean solo run");
-        assert_eq!(
-            sorted_rows(&report.results[i].rows),
-            sorted_rows(&solo.rows),
-            "convoy member {i} diverged under faults: {sql}"
-        );
-    }
-    let observed: u64 = report
-        .stats
-        .iter()
-        .map(|s| s.injected_faults_observed)
-        .sum();
-    assert!(observed > 0, "fault plan never fired during the convoy");
-    assert!(
-        report.stats.iter().any(|s| s.chunks_retried > 0),
-        "read faults must force per-member retries"
-    );
-    assert_no_result_leaks(&chaotic, "convoy under read faults");
-}
-
-#[test]
-fn shared_scan_convoy_fails_on_a_permanent_dispatch_error() {
-    // With retries off, one injected write fault is permanent: the
-    // convoy member it hits fails the batch with the very error a solo
-    // run of that member reports, and no result file is stranded.
-    let patch = small_patch(300, 95);
-    let build = || {
-        let mut q = ClusterBuilder::new(3)
-            .retry(RetryPolicy::none())
-            .fault_plan(FaultPlan::new(14))
-            .build(&patch.objects, &patch.sources);
-        // One dispatcher: the first write is the first member's first chunk.
-        q.dispatch_width = 1;
-        q.cluster()
-            .faults()
-            .fail_next(None, Some(FabricOp::Write), 1);
-        q
-    };
-    let queries = [
-        "SELECT COUNT(*) FROM Object",
-        "SELECT chunkId, COUNT(*) FROM Object GROUP BY chunkId",
-    ];
-    let solo = build().query(queries[0]).unwrap_err();
-    assert!(matches!(solo, QservError::Fabric(_)), "solo run: {solo}");
-
-    let q = build();
-    let err = SharedScanner::new(&q).run(&queries).unwrap_err();
-    assert_eq!(err, solo, "the convoy must fail with the member's error");
-    assert_eq!(
-        q.cluster().faults().stats().failures_for(FabricOp::Write),
-        1
-    );
-    assert_no_result_leaks(&q, "convoy member failed");
 }
 
 #[test]

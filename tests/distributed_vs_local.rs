@@ -282,6 +282,22 @@ fn order_by_keys_that_are_not_output_columns() {
     }
 }
 
+/// Backtick-quoted identifiers answer as on the engine: inside an
+/// aggregate the master splits, as a group key, and as an ORDER BY key
+/// written quoted like its output column.
+#[test]
+fn backtick_quoted_identifiers() {
+    for sql in [
+        "SELECT AVG(`ra_PS`) FROM Object",
+        "SELECT `chunkId`, COUNT(*) FROM Object GROUP BY chunkId",
+        "SELECT COUNT(*), `chunkId` FROM Object GROUP BY `chunkId` ORDER BY `chunkId` LIMIT 2",
+        "SELECT `objectId` FROM Object ORDER BY `objectId`",
+        "SELECT `objectId` FROM Object ORDER BY `objectId` LIMIT 2",
+    ] {
+        check(sql, 800, 47);
+    }
+}
+
 /// Statements that name an output column twice answer on the
 /// single-node engine, whose rows carry the name twice, but have no
 /// result table: the frontend rejects them with a typed analysis error

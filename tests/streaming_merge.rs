@@ -10,7 +10,9 @@
 //!   all NULL and typed the other way (such a part carries no type
 //!   vote), NULL group keys, empty parts, shuffled arrival order — and
 //!   parts that disagree on a populated column failing alike on both
-//!   paths;
+//!   paths. The oracle runs the engine's own sink, so ORDER BY (with
+//!   and without LIMIT) and GROUP BY `COUNT(*)`/integer `SUM` are also
+//!   pinned to a plain-Rust reference over the parts in chunk order;
 //! * cluster tests: the live cluster returns what a single-node engine
 //!   returns over the unpartitioned rows, and a pushed-down `LIMIT`
 //!   cancels the chunk queue early so strictly fewer chunks are
@@ -22,15 +24,15 @@ use common::{assert_matches_local, cluster_from, monolithic_db, small_patch};
 use proptest::prelude::*;
 use qserv::analysis::analyze;
 use qserv::rewrite::{build_plan, PhysicalPlan};
-use qserv::sharedscan::SharedScanner;
 use qserv::testing::merge_oracle;
-use qserv::{CatalogMeta, Chunker, ClusterBuilder, MergeShape, Merger};
+use qserv::{CatalogMeta, Chunker, ClusterBuilder, MergeShape, Merger, QservError};
 use qserv_engine::exec::execute;
 use qserv_engine::schema::{ColumnDef, ColumnType, Schema};
 use qserv_engine::table::Table;
 use qserv_engine::value::Value;
 use qserv_sphgeom::Angle;
 use qserv_sqlparse::parse_select;
+use std::cmp::Ordering;
 
 fn plan_for(sql: &str) -> PhysicalPlan {
     let meta = CatalogMeta::lsst();
@@ -142,10 +144,30 @@ fn gen_parts(rng: &mut Rng, cols: &[(&str, Kind)], nparts: usize, max_rows: u64)
         .collect()
 }
 
-/// Streams `parts` through a fresh [`Merger`] in a seeded shuffle of the
-/// arrival order (sequence numbers still identify chunk order) and
-/// checks the result against the barrier oracle over the same parts,
-/// which must fail exactly when `disagree` says the parts do.
+/// Folds `parts` into a fresh [`Merger`] in a seeded shuffle of the
+/// arrival order (sequence numbers still identify chunk order). Returns
+/// the first fold error, or the merger to finish.
+fn fold_shuffled(
+    plan: &PhysicalPlan,
+    parts: Vec<Table>,
+    rng: &mut Rng,
+) -> Result<Merger, QservError> {
+    let mut order: Vec<usize> = (0..parts.len()).collect();
+    for i in (1..order.len()).rev() {
+        order.swap(i, rng.below(i as u64 + 1) as usize);
+    }
+    let mut parts: Vec<Option<Table>> = parts.into_iter().map(Some).collect();
+    let mut merger = Merger::new(plan);
+    for seq in order {
+        let part = parts[seq].take().expect("each seq folds once");
+        merger.fold(seq, part)?;
+    }
+    Ok(merger)
+}
+
+/// Streams `parts` through [`fold_shuffled`] and checks the result
+/// against the barrier oracle over the same parts, which must fail
+/// exactly when `disagree` says the parts do.
 fn assert_streaming_matches_oracle(
     plan: &PhysicalPlan,
     parts: Vec<Table>,
@@ -154,34 +176,101 @@ fn assert_streaming_matches_oracle(
 ) {
     let oracle = merge_oracle(&plan.merge_stmt, parts.clone());
     assert_eq!(oracle.is_err(), disagree, "oracle: {oracle:?}");
-    let mut order: Vec<usize> = (0..parts.len()).collect();
-    for i in (1..order.len()).rev() {
-        order.swap(i, rng.below(i as u64 + 1) as usize);
-    }
-    let mut parts: Vec<Option<Table>> = parts.into_iter().map(Some).collect();
-    let mut merger = Merger::new(plan);
-    let mut stream_err = None;
-    for seq in order {
-        let part = parts[seq].take().expect("each seq folds once");
-        if let Err(e) = merger.fold(seq, part) {
-            stream_err = Some(e);
-            break;
-        }
-    }
-    match (oracle, stream_err) {
-        (Ok((expect, _)), None) => {
+    match (oracle, fold_shuffled(plan, parts, rng)) {
+        (Ok((expect, _)), Ok(merger)) => {
             let got = merger.finish().expect("streaming finish");
             assert_eq!(got, expect, "streaming diverged from oracle");
         }
-        (Err(expect), Some(got)) => assert_eq!(expect.to_string(), got.to_string()),
-        (Err(expect), None) => {
+        (Err(expect), Err(got)) => assert_eq!(expect.to_string(), got.to_string()),
+        (Err(expect), Ok(merger)) => {
             let got = merger
                 .finish()
                 .expect_err("oracle errored; streaming must too");
             assert_eq!(expect.to_string(), got.to_string());
         }
-        (Ok(_), Some(got)) => panic!("streaming errored where oracle succeeded: {got}"),
+        (Ok(_), Err(got)) => panic!("streaming errored where oracle succeeded: {got}"),
     }
+}
+
+/// The rows of `parts` concatenated in chunk order: what every merged
+/// answer is defined over.
+fn concat_rows(parts: &[Table]) -> Vec<Vec<Value>> {
+    parts
+        .iter()
+        .flat_map(|t| (0..t.num_rows()).map(move |r| t.row(r)))
+        .collect()
+}
+
+/// ORDER BY `keys` — `(column, descending)` pairs — over the parts: a
+/// stable sort by [`Value::total_cmp`], so ties keep chunk order, then
+/// the first `limit` rows.
+fn sorted_reference(
+    parts: &[Table],
+    keys: &[(usize, bool)],
+    limit: Option<usize>,
+) -> Vec<Vec<Value>> {
+    let mut rows = concat_rows(parts);
+    rows.sort_by(|a, b| {
+        keys.iter()
+            .map(|&(i, desc)| {
+                let ord = a[i].total_cmp(&b[i]);
+                if desc {
+                    ord.reverse()
+                } else {
+                    ord
+                }
+            })
+            .find(|ord| ord.is_ne())
+            .unwrap_or(Ordering::Equal)
+    });
+    rows.truncate(limit.unwrap_or(rows.len()));
+    rows
+}
+
+/// GROUP BY column 0, every other column an integer partial to add up
+/// (a chunk's `COUNT(*)` or `SUM`): one row per group in order of first
+/// appearance, NULL partials skipped, NULL for a group that has none.
+fn group_sums_reference(parts: &[Table]) -> Vec<Vec<Value>> {
+    let mut groups: Vec<(Value, Vec<Option<i64>>)> = Vec::new();
+    for row in concat_rows(parts) {
+        let g = match groups
+            .iter()
+            .position(|(key, _)| key.total_cmp(&row[0]).is_eq())
+        {
+            Some(g) => g,
+            None => {
+                groups.push((row[0].clone(), vec![None; row.len() - 1]));
+                groups.len() - 1
+            }
+        };
+        for (sum, v) in groups[g].1.iter_mut().zip(&row[1..]) {
+            if let Value::Int(x) = v {
+                *sum = Some(sum.unwrap_or(0) + x);
+            }
+        }
+    }
+    groups
+        .into_iter()
+        .map(|(key, sums)| {
+            std::iter::once(key)
+                .chain(sums.into_iter().map(|s| s.map_or(Value::Null, Value::Int)))
+                .collect()
+        })
+        .collect()
+}
+
+/// Streams `parts` through [`fold_shuffled`] and checks the merged rows
+/// against `expect`, computed without the engine.
+fn assert_streaming_matches_reference(
+    plan: &PhysicalPlan,
+    parts: Vec<Table>,
+    expect: Vec<Vec<Value>>,
+    rng: &mut Rng,
+) {
+    let got = fold_shuffled(plan, parts, rng)
+        .and_then(Merger::finish)
+        .expect("streamed merge");
+    assert_eq!(got.rows, expect, "streaming diverged from the reference");
 }
 
 proptest! {
@@ -351,6 +440,54 @@ proptest! {
         }
         assert_streaming_matches_oracle(&plan, parts, true, &mut rng);
     }
+
+    /// ORDER BY … LIMIT against the reference. The sort keys tie often
+    /// and `objectId` tells tied rows apart, so the rows a bounded top-n
+    /// keeps must be the earliest in chunk order.
+    #[test]
+    fn topn_matches_reference(seed in 0u64..u64::MAX / 2, nparts in 1usize..7) {
+        let plan = plan_for(
+            "SELECT objectId, ra_PS, decl_PS FROM Object ORDER BY ra_PS DESC, decl_PS LIMIT 4",
+        );
+        prop_assert_eq!(&plan.shape, &MergeShape::Query);
+        let cols: Vec<(&str, Kind)> =
+            vec![("objectId", Kind::Num), ("ra_PS", Kind::Key), ("decl_PS", Kind::Key)];
+        let mut rng = Rng(seed);
+        let parts = gen_parts(&mut rng, &cols, nparts, 6);
+        let expect = sorted_reference(&parts, &[(1, true), (2, false)], Some(4));
+        assert_streaming_matches_reference(&plan, parts, expect, &mut rng);
+    }
+
+    /// ORDER BY without LIMIT against the reference: a full stable sort.
+    #[test]
+    fn order_by_matches_reference(seed in 0u64..u64::MAX / 2, nparts in 1usize..7) {
+        let plan = plan_for("SELECT objectId, ra_PS FROM Object ORDER BY ra_PS");
+        prop_assert_eq!(&plan.shape, &MergeShape::Query);
+        let cols: Vec<(&str, Kind)> = vec![("objectId", Kind::Num), ("ra_PS", Kind::Key)];
+        let mut rng = Rng(seed);
+        let parts = gen_parts(&mut rng, &cols, nparts, 6);
+        let expect = sorted_reference(&parts, &[(1, false)], None);
+        assert_streaming_matches_reference(&plan, parts, expect, &mut rng);
+    }
+
+    /// GROUP BY with `COUNT(*)` and an integer `SUM` against the
+    /// reference: partials add up per group, groups in first appearance.
+    #[test]
+    fn group_count_sum_matches_reference(seed in 0u64..u64::MAX / 2, nparts in 1usize..7) {
+        let plan = plan_for("SELECT chunkId, COUNT(*), SUM(objectId) FROM Object GROUP BY chunkId");
+        prop_assert_eq!(&plan.shape, &MergeShape::Query);
+        let cols: Vec<(&str, Kind)> =
+            vec![("chunkId", Kind::Key), ("COUNT(*)", Kind::Num), ("SUM(objectId)", Kind::Num)];
+        let mut rng = Rng(seed);
+        let parts: Vec<Table> = (0..nparts)
+            .map(|_| {
+                let rows = rng.below(6) as usize;
+                gen_part(&mut rng, &cols, &[ColumnType::Int; 3], rows, true)
+            })
+            .collect();
+        let expect = group_sums_reference(&parts);
+        assert_streaming_matches_reference(&plan, parts, expect, &mut rng);
+    }
 }
 
 /// The streaming pipeline on a live cluster agrees with a single-node
@@ -405,8 +542,7 @@ fn limit_cutoff_dispatches_fewer_chunks() {
 /// or arrive out of order from helper threads, the reorder buffer makes
 /// float accumulation order — every bit of a SUM/AVG — and the rows a
 /// LIMIT keeps the same, and every chunk is still either dispatched or
-/// counted as skipped. The same holds for the statements run together
-/// as one shared-scan convoy, whose members return their solo bytes.
+/// counted as skipped.
 #[test]
 fn results_bit_identical_across_dispatch_widths() {
     let patch = small_patch(600, 42);
@@ -424,11 +560,10 @@ fn results_bit_identical_across_dispatch_widths() {
             .chunker(chunker.clone())
             .build(&patch.objects, &patch.sources);
         q.dispatch_width = width;
-        let chunk_sets = statements.map(|sql| q.explain(sql).expect("explain").chunks.len());
-        let solo: Vec<_> = statements
+        statements
             .iter()
-            .zip(chunk_sets)
-            .map(|(sql, chunk_set)| {
+            .map(|sql| {
+                let chunk_set = q.explain(sql).expect("explain").chunks.len();
                 let (result, stats) = q.query_with_stats(sql).expect("cluster query");
                 assert_eq!(
                     stats.chunks_dispatched + stats.chunks_skipped_by_limit,
@@ -437,55 +572,10 @@ fn results_bit_identical_across_dispatch_widths() {
                 );
                 result.rows
             })
-            .collect();
-        let convoy = SharedScanner::new(&q)
-            .run(&statements)
-            .expect("convoy runs");
-        for (i, sql) in statements.iter().enumerate() {
-            assert_eq!(
-                convoy.results[i].rows, solo[i],
-                "width {width}: convoy member differs from solo for {sql}"
-            );
-            let stats = &convoy.stats[i];
-            assert_eq!(
-                stats.chunks_dispatched + stats.chunks_skipped_by_limit,
-                chunk_sets[i],
-                "width {width}: convoy member {sql}"
-            );
-        }
-        (solo, convoy.chunk_passes, convoy.naive_passes)
+            .collect::<Vec<_>>()
     };
     let serial = run(1);
     for width in [2, 3, 8] {
         assert_eq!(run(width), serial, "width {width} changed the result bytes");
     }
-}
-
-/// The cutoff also fires inside a shared-scan convoy: a satisfied member
-/// stops receiving dispatches while other members keep scanning.
-#[test]
-fn convoy_member_limit_cutoff() {
-    let patch = small_patch(600, 42);
-    let q = cluster_from(&patch, 4);
-    let scanner = qserv::sharedscan::SharedScanner::new(&q);
-    let report = scanner
-        .run(&[
-            "SELECT objectId FROM Object LIMIT 1",
-            "SELECT COUNT(*) FROM Object",
-        ])
-        .expect("convoy");
-    assert_eq!(report.results[0].rows.len(), 1);
-    let limited = &report.stats[0];
-    let full = &report.stats[1];
-    assert!(
-        limited.chunks_skipped_by_limit >= 1,
-        "member cutoff never fired"
-    );
-    assert_eq!(
-        limited.chunks_dispatched + limited.chunks_skipped_by_limit,
-        full.chunks_dispatched,
-        "every chunk is either dispatched or skipped for the limited member"
-    );
-    // The convoy still visits every chunk for the unconstrained member.
-    assert_eq!(report.chunk_passes, q.placement().chunks().len());
 }
